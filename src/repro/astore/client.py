@@ -328,7 +328,7 @@ class AStoreClient:
             raise StorageError("segment %d is not open" % segment_id)
         return meta
 
-    def write(self, segment_id: int, length: int, payload: Any):
+    def write(self, segment_id: int, length: int, payload: Any, latch=None):
         """Generator: append ``payload`` to the segment on every replica.
 
         Replica writes are issued in parallel (the client posts to each
@@ -339,6 +339,12 @@ class AStoreClient:
         with its current effective length and raises
         :class:`SegmentFrozenError` - the caller reacts by opening a
         fresh segment (paper Section IV-B).
+
+        An append takes its offset from the tail it finds, so a segment
+        with several concurrent appenders passes their shared ``latch``
+        (a :class:`~repro.sim.resources.Mutex`): the SDK overhead of the
+        appends still overlaps, only their wire portions are ordered.  A
+        single appender (SegmentRing) passes none and pays nothing.
 
         Returns (offset, length).
         """
@@ -361,12 +367,17 @@ class AStoreClient:
             else None
         )
         policy = self.retry_policy
+        held = None
         try:
             yield self.env.timeout(
                 self.rng.lognormal_around(
                     SDK_WRITE_BASE + SDK_WRITE_PER_BYTE * length, 0.20
                 )
             )
+            if latch is not None:
+                held = latch.try_acquire()
+                if held is None:
+                    held = yield latch.request()
             for attempt in range(policy.max_attempts):
                 if meta.frozen:
                     raise SegmentFrozenError("segment %d frozen" % segment_id)
@@ -421,6 +432,8 @@ class AStoreClient:
                 self._lat_write.record(self.env.now - start)
                 return (offset, length)
         finally:
+            if held is not None:
+                latch.release(held)
             if span is not None:
                 span.finish()
 

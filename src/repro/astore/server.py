@@ -276,6 +276,16 @@ class AStoreServer:
             )
         return segment
 
+    @staticmethod
+    def _check_append(segment: ServerSegment, offset: int) -> None:
+        """The append contract: unfrozen, and ``offset`` is the tail."""
+        if segment.frozen:
+            raise StorageError("segment %d is frozen" % segment.segment_id)
+        if offset != segment.write_offset:
+            raise StorageError(
+                "non-append write at %d (tail is %d)" % (offset, segment.write_offset)
+            )
+
     def one_sided_write(self, segment_id: int, offset: int, length: int,
                         payload: Any, epoch: Optional[int] = None):
         """Generator: client-driven persistent append via chained verbs.
@@ -294,12 +304,7 @@ class AStoreServer:
                 "segment %d write fenced: route epoch %d < replica epoch %d"
                 % (segment_id, epoch, segment.epoch)
             )
-        if segment.frozen:
-            raise StorageError("segment %d is frozen" % segment_id)
-        if offset != segment.write_offset:
-            raise StorageError(
-                "non-append write at %d (tail is %d)" % (offset, segment.write_offset)
-            )
+        self._check_append(segment, offset)
         if offset + length > segment.size:
             raise CapacityError("segment %d overflow" % segment_id)
         tracer = self.obs.tracer
@@ -313,8 +318,11 @@ class AStoreServer:
         else:
             yield from self.fabric.persistent_write(length)
             yield from self.pmem.write(length)
-        # Re-validate: the segment may have been cleaned while in flight.
+        # Re-validate when the write lands: the segment may have been
+        # cleaned, frozen, or appended to by a racing writer while this one
+        # was in flight - two appends to one offset never both succeed.
         segment = self._segment_for_io(segment_id)
+        self._check_append(segment, offset)
         segment.entries[offset] = _Entry(offset, length, payload)
         segment.write_offset = offset + length
         return (offset, length)

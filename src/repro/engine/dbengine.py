@@ -168,7 +168,6 @@ class DBEngine:
         self._redo_feeds: List[RedoFeed] = []
         self._ebp_write_queue: Store = Store(env)
         self.shipped_lsn = 0
-        self.ebp_writes_dropped = 0
         self.committed = 0
         self.aborted = 0
         self.prepared = 0
@@ -322,7 +321,7 @@ class DBEngine:
         if self.ebp is None or self.crashed:
             return
         if len(self._ebp_write_queue) >= self.config.ebp_write_queue_limit:
-            self.ebp_writes_dropped += 1  # best-effort cache: shed load
+            self.ebp.writes_dropped += 1  # best-effort cache: shed load
             return
         self._ebp_write_queue.put(page)
 
@@ -331,6 +330,8 @@ class DBEngine:
             page = yield self._ebp_write_queue.get()
             if self.crashed:
                 continue
+            if page.page_lsn < self.page_versions.get(page.page_id, 0):
+                continue  # rewritten while queued: this copy can never hit
             yield from self.ebp.cache_page(page)
 
     def _ebp_lsn_flush_loop(self):

@@ -13,10 +13,20 @@ Implemented behaviours, each with its paper anchor:
 - **Capacity policies**: ``flat`` (one shared space) vs ``priority``
   (spaces carry priorities; high-priority pages may occupy any same-or-
   lower-priority room, and victims are taken lowest-priority-first).
-- **Garbage & compaction**: rewriting a page makes its older copy garbage;
-  compaction periodically rewrites live entries out of garbage-heavy
-  segments; with compaction disabled such segments are released outright,
-  discarding their live pages.
+- **Ordered concurrent appends**: the engine's writer pool appends in
+  parallel.  Each writer reserves its page slot in the area's append
+  segment up front (a full segment rolls to the next one, it is never
+  frozen), the ~58 us SDK overhead of the appends overlaps, and only their
+  wire portions are ordered by a per-segment latch, so every append lands
+  on its own offset.
+- **Background cleaner**: no writer ever issues a control-plane RPC.  One
+  cleaner process keeps an empty segment ready: it grows the pool up to
+  ``max_segments`` (CM create, milliseconds) and from then on picks a
+  victim - lowest priority area, then most garbage - copies its live pages
+  forward when its garbage ratio reaches ``compaction_threshold``
+  (*compaction*) or drops them otherwise, and recycles it in place with
+  one server reset RPC.  Writers that find no room park until the cleaner
+  wakes them, and fail only when the priority rule leaves no legal victim.
 - **Index lock contention**: index mutations serialise on a mutex whose
   hold time is charged in sim time - the cause of the diminishing returns
   at 256 clients in Fig. 13, and called out as future work in the paper.
@@ -27,14 +37,13 @@ Implemented behaviours, each with its paper anchor:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..common import PAGE_SIZE, US, PageId, StorageError
 from ..astore.client import AStoreClient
 from ..obs import obs_of
-from ..sim.core import Environment
+from ..sim.core import Environment, Event, Process
 from ..sim.resources import Mutex
 from .page import Page
 
@@ -43,8 +52,11 @@ __all__ = ["ExtendedBufferPool", "EbpEntry", "EBP_PAGE_TAG"]
 #: Payload tag for EBP page entries stored in AStore segments.
 EBP_PAGE_TAG = "ebp-page"
 
-#: Index mutex hold time per operation (lookup bookkeeping + LRU update).
+#: Index mutex hold time per operation (lookup + entry bookkeeping).
 INDEX_CS_COST = 1.5 * US
+
+#: Area of a segment no page has occupied yet: any priority may take it.
+_UNOWNED = float("-inf")
 
 
 @dataclass
@@ -63,21 +75,37 @@ class _SegmentState:
 
     ``priority`` is the *area* the segment belongs to: under the priority
     policy, each priority level appends into its own segments, which is
-    how the paper divides the EBP space into priority areas.
+    how the paper divides the EBP space into priority areas.  An empty
+    segment keeps the area it was taken from, so only pages of that or a
+    higher priority may fill it.
     """
 
-    def __init__(self, segment_id: int, size: int, priority: int = 0):
+    def __init__(self, env: Environment, segment_id: int, size: int,
+                 priority: float = 0):
         self.segment_id = segment_id
         self.size = size
         self.priority = priority
         self.live_bytes = 0
         self.garbage_bytes = 0
-        self.sealed = False
+        #: Bytes handed out to appenders; the written length trails it.
+        self.reserved = 0
+        #: In-flight appends and reads.  The cleaner recycles a segment
+        #: only at zero, waiting on ``unpinned`` until then.
+        self.pins = 0
+        self.unpinned: Optional[Event] = None
+        #: Orders the wire portion of concurrent appends.
+        self.append_latch = Mutex(env)
 
     @property
     def garbage_ratio(self) -> float:
         total = self.live_bytes + self.garbage_bytes
         return self.garbage_bytes / total if total else 0.0
+
+    def unpin(self) -> None:
+        self.pins -= 1
+        if not self.pins and self.unpinned is not None:
+            self.unpinned.succeed()
+            self.unpinned = None
 
 
 def describe_ebp_payload(payload: Any) -> Optional[Tuple[PageId, int]]:
@@ -101,7 +129,6 @@ class ExtendedBufferPool:
         space_priorities: Optional[Dict[int, int]] = None,
         compaction_enabled: bool = True,
         compaction_threshold: float = 0.35,
-        lru_lists: int = 8,
     ):
         if policy not in ("flat", "priority"):
             raise ValueError("policy must be 'flat' or 'priority'")
@@ -117,12 +144,17 @@ class ExtendedBufferPool:
         self.compaction_enabled = compaction_enabled
         self.compaction_threshold = compaction_threshold
         self.index: Dict[PageId, EbpEntry] = {}
-        self._lru: List[OrderedDict] = [OrderedDict() for _ in range(lru_lists)]
+        #: Every segment the pool owns; never more than ``max_segments``.
         self._segments: Dict[int, _SegmentState] = {}
         #: Active (append) segment per priority area.
         self._active: Dict[int, _SegmentState] = {}
+        #: Empty segments the cleaner holds ready for the next roll-over.
+        self._spares: List[_SegmentState] = []
+        #: The running cleaner pass, if any (at most one at a time).
+        self._cleaner: Optional[Process] = None
+        #: (priority, wake event) of writers parked for room.
+        self._parked: List[Tuple[int, Event]] = []
         self.index_mutex = Mutex(env)
-        self._in_maintenance = False
         #: Latest LSN per page as modified in the engine's local BP; batched
         #: to AStore servers for post-crash staleness pruning.
         self._dirty_lsns: Dict[PageId, int] = {}
@@ -135,6 +167,11 @@ class ExtendedBufferPool:
         self.segments_released = 0
         self.pages_purged = 0
         self.pages_reclaimed = 0
+        #: Silent degrades: evicted pages the engine shed at its queue
+        #: limit, appends AStore refused, writers parked for the cleaner.
+        self.writes_dropped = 0
+        self.append_failures = 0
+        self.cleaner_waits = 0
         self.obs = obs_of(env)
 
     # ------------------------------------------------------------------
@@ -157,9 +194,6 @@ class ExtendedBufferPool:
             return 0
         return self.space_priorities.get(page_id.space_no, 0)
 
-    def _lru_of(self, page_id: PageId) -> OrderedDict:
-        return self._lru[hash(page_id) % len(self._lru)]
-
     def _index_cs(self):
         """Generator: the serialised index critical section."""
         req = self.index_mutex.request()
@@ -167,15 +201,31 @@ class ExtendedBufferPool:
         yield self.env.timeout(INDEX_CS_COST)
         self.index_mutex.release(req)
 
+    def _adopt(self, segment_id: int) -> _SegmentState:
+        """Account for a segment found on a server (never appended to
+        again until the cleaner has recycled it)."""
+        state = self._segments.get(segment_id)
+        if state is None:
+            state = _SegmentState(self.env, segment_id, self.segment_size)
+            self._segments[segment_id] = state
+        return state
+
+    def _forget_segment(self, segment: _SegmentState) -> None:
+        """Stop accounting for a segment whose server lost it."""
+        self._segments.pop(segment.segment_id, None)
+        self._retire(segment)
+        if segment in self._spares:
+            self._spares.remove(segment)
+
     # ------------------------------------------------------------------
     # Write path (page evicted from the DRAM buffer pool)
     # ------------------------------------------------------------------
     def cache_page(self, page: Page):
         """Generator: append an evicted page to the EBP (best effort).
 
-        Returns True if cached.  Failures (AStore trouble, no space even
-        after eviction) drop the page silently - correctness never depends
-        on the EBP.
+        Returns True if cached.  Failures (AStore trouble, no room the
+        priority rule lets the cleaner free) drop the page silently -
+        correctness never depends on the EBP.
         """
         tracer = self.obs.tracer
         if not tracer.enabled:
@@ -191,65 +241,81 @@ class ExtendedBufferPool:
             span.finish()
 
     def _cache_page(self, page: Page):
-        priority = self.priority_of(page.page_id)
+        page_id = page.page_id
+        priority = self.priority_of(page_id)
         yield from self._index_cs()
-        old = self.index.get(page.page_id)
+        old = self.index.get(page_id)
         if old is not None and old.lsn >= page.page_lsn:
             return True  # already cached at this version or newer
-        segment = yield from self._segment_with_room(priority)
-        if segment is None:
-            return False
-        payload = (EBP_PAGE_TAG, page.page_id, page.page_lsn, page.clone())
+        while (segment := self._reserve_slot(priority)) is None:
+            # No room without cleaning: park until the cleaner reports.
+            self.cleaner_waits += 1
+            room = self.env.event()
+            self._parked.append((priority, room))
+            self._kick_cleaner()
+            if not (yield room):
+                return False
         try:
-            offset, length = yield from self.client.write(
-                segment.segment_id, self.page_size, payload
-            )
-        except StorageError:
-            segment.sealed = True
-            return False
-        yield from self._index_cs()
-        if old is not None:
-            self._mark_garbage(old)
-        self.index[page.page_id] = EbpEntry(
-            page.page_lsn, segment.segment_id, offset, length, priority
-        )
-        segment.live_bytes += length
-        lru = self._lru_of(page.page_id)
-        lru[page.page_id] = None
-        lru.move_to_end(page.page_id)
-        self._dirty_lsns.pop(page.page_id, None)
-        self.pages_written += 1
-        return True
-
-    def _segment_with_room(self, priority: int = 0) -> Any:
-        """Generator: this priority area's append segment, or None."""
-        active = self._active.get(priority)
-        if active is not None and not active.sealed:
-            meta = self.client.open_segments.get(active.segment_id)
-            if meta is not None and meta.free_space >= self.page_size:
-                return active
-            active.sealed = True
-        # Need a new segment: stay within the capacity budget.
-        if len(self._segments) >= self.max_segments:
-            if self._in_maintenance:
-                return None  # compaction must not recurse into make-room
-            self._in_maintenance = True
+            payload = (EBP_PAGE_TAG, page_id, page.page_lsn, page.clone())
             try:
-                made_room = yield from self._make_room(priority)
-            finally:
-                self._in_maintenance = False
-            if not made_room:
-                return None
-        try:
-            segment_id = yield from self.client.create(
-                self.segment_size, replication=1
+                offset, length = yield from self.client.write(
+                    segment.segment_id, self.page_size, payload,
+                    latch=segment.append_latch,
+                )
+            except StorageError:
+                self.append_failures += 1
+                self._retire(segment)
+                return False
+            yield from self._index_cs()
+            if self._segments.get(segment.segment_id) is not segment:
+                return False  # its server was purged while we appended
+            current = self.index.get(page_id)
+            if current is not None and current.lsn >= page.page_lsn:
+                # A racing writer cached this version or a newer one.
+                segment.garbage_bytes += length
+                return True
+            if current is not None:
+                self._mark_garbage(current)
+            self.index[page_id] = EbpEntry(
+                page.page_lsn, segment.segment_id, offset, length, priority
             )
-        except StorageError:
-            return None
-        state = _SegmentState(segment_id, self.segment_size, priority)
-        self._segments[segment_id] = state
-        self._active[priority] = state
-        return state
+            segment.live_bytes += length
+            self._dirty_lsns.pop(page_id, None)
+            self.pages_written += 1
+            return True
+        finally:
+            segment.unpin()
+
+    def _reserve_slot(self, priority: int) -> Optional[_SegmentState]:
+        """Pin this area's append segment with one page slot reserved.
+
+        A full segment is retired and the area rolls onto a spare one.
+        Returns None when that takes cleaning first.
+        """
+        active = self._active.get(priority)
+        if active is not None and active.reserved + self.page_size > active.size:
+            del self._active[priority]
+            active = None
+        if active is None:
+            active = next(
+                (s for s in self._spares if s.priority <= priority), None
+            )
+            if active is None:
+                return None
+            self._spares.remove(active)
+            active.priority = priority
+            self._active[priority] = active
+            if not self._spares:
+                self._kick_cleaner()
+        active.reserved += self.page_size
+        active.pins += 1
+        return active
+
+    def _retire(self, segment: _SegmentState) -> None:
+        """Stop appending to ``segment``; it becomes a candidate victim."""
+        for priority, active in list(self._active.items()):
+            if active is segment:
+                del self._active[priority]
 
     # ------------------------------------------------------------------
     # Read path
@@ -282,6 +348,8 @@ class ExtendedBufferPool:
             self.stale_hits += 1
             self._drop_entry(page_id, entry)
             return None
+        segment = self._segments[entry.segment_id]
+        segment.pins += 1
         try:
             payload = yield from self.client.read(
                 entry.segment_id, entry.offset, entry.length
@@ -291,15 +359,13 @@ class ExtendedBufferPool:
             self._drop_entry(page_id, entry)
             self.misses += 1
             return None
-        described = describe_ebp_payload(payload)
-        if described is None or described[0] != page_id:
+        finally:
+            segment.unpin()
+        if describe_ebp_payload(payload) != (page_id, entry.lsn):
             self._drop_entry(page_id, entry)
             self.misses += 1
             return None
         yield from self._index_cs()
-        lru = self._lru_of(page_id)
-        if page_id in lru:
-            lru.move_to_end(page_id)
         self.hits += 1
         return payload[3].clone()
 
@@ -328,7 +394,7 @@ class ExtendedBufferPool:
         return len(batch)
 
     # ------------------------------------------------------------------
-    # Eviction, garbage, compaction
+    # Garbage accounting
     # ------------------------------------------------------------------
     def _mark_garbage(self, entry: EbpEntry) -> None:
         segment = self._segments.get(entry.segment_id)
@@ -340,117 +406,138 @@ class ExtendedBufferPool:
         if self.index.get(page_id) is entry:
             del self.index[page_id]
             self._mark_garbage(entry)
-            self._lru_of(page_id).pop(page_id, None)
 
-    def _release_victim_segment(self, max_priority: Optional[int] = None):
-        """Generator: release one whole segment, dropping its live pages.
+    def _entries_in(self, segment: _SegmentState) -> List[Tuple[PageId, EbpEntry]]:
+        return [
+            (page_id, entry)
+            for page_id, entry in self.index.items()
+            if entry.segment_id == segment.segment_id
+        ]
 
-        Victim choice: lowest priority area first, then highest garbage
-        ratio - so the priority policy protects high-priority areas and
-        the flat policy rotates through the most-reclaimable space.  With
-        ``max_priority`` set, segments of higher-priority areas are never
-        sacrificed for a lower-priority page (the paper's rule that pages
-        may only occupy same-or-lower-priority space).
+    # ------------------------------------------------------------------
+    # The cleaner: the one place segments are created and recycled
+    # ------------------------------------------------------------------
+    def _kick_cleaner(self) -> None:
+        if self._cleaner is None:
+            self._cleaner = self.env.process(self._clean(), name="ebp-cleaner")
 
-        Returns 1 if a segment was reclaimed, else 0.
+    def _clean(self):
+        """Generator: one cleaner pass - ready one empty segment.
+
+        Started when an area rolls onto the last spare (so the next
+        roll-over finds one waiting) and by writers that found none.
+        Parked writers learn the outcome: True to try again, False when
+        nothing could be freed for any of them.
         """
+        demand = max((priority for priority, _ in self._parked), default=None)
+        try:
+            freed = yield from self._ready_spare(demand)
+        finally:
+            self._cleaner = None
+        parked, self._parked = self._parked, []
+        for _, room in parked:
+            room.succeed(freed)
+
+    def _ready_spare(self, demand: Optional[int]):
+        """Generator: add one empty segment to the spares, or return False.
+
+        Below ``max_segments`` the pool grows (CM create); at the limit a
+        victim is emptied and recycled in place by one server reset RPC.
+        """
+        if len(self._segments) < self.max_segments:
+            try:
+                segment_id = yield from self.client.create(
+                    self.segment_size, replication=1
+                )
+            except StorageError:
+                return False
+            spare = _SegmentState(
+                self.env, segment_id, self.segment_size, _UNOWNED
+            )
+            self._segments[segment_id] = spare
+            self._spares.append(spare)
+            return True
+        victim = self._pick_victim(demand)
+        if victim is None:
+            return False
+        self._retire(victim)
+        if (
+            self.compaction_enabled
+            and victim.garbage_ratio >= self.compaction_threshold
+        ):
+            yield from self._copy_forward(victim)
+            self.compactions += 1
+        while True:
+            # Appends still in flight index their page when they land, so
+            # drop again once the last pin is gone.
+            for page_id, _entry in self._entries_in(victim):
+                del self.index[page_id]
+                self.evictions += 1
+            if not victim.pins:
+                break
+            victim.unpinned = self.env.event()
+            yield victim.unpinned
+        try:
+            yield from self.client.reset(victim.segment_id)
+        except StorageError:
+            self._forget_segment(victim)
+            return False
+        victim.live_bytes = victim.garbage_bytes = victim.reserved = 0
+        self._spares.append(victim)
+        self.segments_released += 1
+        return True
+
+    def _pick_victim(self, demand: Optional[int]) -> Optional[_SegmentState]:
+        """Lowest priority area first, then most garbage.
+
+        Only segments no area appends to are taken ahead of need; a parked
+        writer of priority ``demand`` may also claim another area's append
+        segment, but never a segment of a higher-priority area (pages may
+        only occupy same-or-lower-priority space).
+        """
+        appending = list(self._active.values())
         candidates = [
-            s
-            for s in self._segments.values()
-            if s not in self._active.values()
-        ] or list(self._segments.values())
-        if max_priority is not None:
-            candidates = [s for s in candidates if s.priority <= max_priority]
-        if not candidates:
-            return 0
-        victim = min(candidates, key=lambda s: (s.priority, -s.garbage_ratio))
-        for page_id in [
-            pid
-            for pid, entry in self.index.items()
-            if entry.segment_id == victim.segment_id
-        ]:
-            entry = self.index.pop(page_id)
-            self._lru_of(page_id).pop(page_id, None)
-            self.evictions += 1
-        yield from self._release_segment(victim)
-        return 1
-
-    def _make_room(self, priority: int = 0):
-        """Generator: free one segment slot for the given priority area."""
-        if self.compaction_enabled:
-            reclaimed = yield from self.run_compaction()
-            if reclaimed:
-                return True
-        reclaimed = yield from self._release_victim_segment(
-            max_priority=priority if self.policy == "priority" else None
+            s for s in self._segments.values() if s not in self._spares
+        ]
+        if demand is None:
+            candidates = [s for s in candidates if s not in appending]
+        else:
+            candidates = [s for s in candidates if s.priority <= demand]
+        return min(
+            candidates,
+            key=lambda s: (s.priority, s in appending, -s.garbage_ratio),
+            default=None,
         )
-        return reclaimed > 0
 
-    def run_compaction(self, max_segments: int = 2):
-        """Generator: rewrite live pages out of garbage-heavy segments.
-
-        Transparent to the DBEngine; returns segments reclaimed.
-        """
-        reclaimed = 0
-        candidates = sorted(
-            (
-                s
-                for s in self._segments.values()
-                if s.sealed or s not in self._active.values()
-            ),
-            key=lambda s: -s.garbage_ratio,
-        )
-        for segment in candidates:
-            if reclaimed >= max_segments:
-                break
-            if segment.garbage_ratio < self.compaction_threshold:
-                break
-            live_entries = [
-                (page_id, entry)
-                for page_id, entry in self.index.items()
-                if entry.segment_id == segment.segment_id
-            ]
-            moved_all = True
-            for page_id, entry in live_entries:
-                try:
-                    payload = yield from self.client.read(
-                        entry.segment_id, entry.offset, entry.length
-                    )
-                except StorageError:
-                    self._drop_entry(page_id, entry)
-                    continue
-                target = yield from self._segment_with_room(entry.priority)
-                if target is None or target.segment_id == segment.segment_id:
-                    moved_all = False
-                    break
-                try:
-                    offset, length = yield from self.client.write(
-                        target.segment_id, entry.length, payload
-                    )
-                except StorageError:
-                    moved_all = False
-                    break
+    def _copy_forward(self, victim: _SegmentState):
+        """Generator: compaction - rewrite the victim's live pages into
+        their areas' append segments, for as long as those have room."""
+        for page_id, entry in self._entries_in(victim):
+            if self.index.get(page_id) is not entry:
+                continue  # superseded while earlier pages were copied
+            target = self._reserve_slot(entry.priority)
+            if target is None:
+                return
+            try:
+                payload = yield from self.client.read(
+                    entry.segment_id, entry.offset, entry.length
+                )
+                offset, length = yield from self.client.write(
+                    target.segment_id, entry.length, payload,
+                    latch=target.append_latch,
+                )
+            except StorageError:
+                return
+            finally:
+                target.unpin()
+            if self.index.get(page_id) is entry:
                 self._mark_garbage(entry)
                 self.index[page_id] = EbpEntry(
                     entry.lsn, target.segment_id, offset, length, entry.priority
                 )
                 target.live_bytes += length
-            if moved_all:
-                yield from self._release_segment(segment)
-                reclaimed += 1
-                self.compactions += 1
-        return reclaimed
-
-    def _release_segment(self, segment: _SegmentState):
-        try:
-            yield from self.client.delete(segment.segment_id)
-        except StorageError:
-            pass
-        self._segments.pop(segment.segment_id, None)
-        for priority, active in list(self._active.items()):
-            if active is segment:
-                del self._active[priority]
-        self.segments_released += 1
+            else:
+                target.garbage_bytes += length
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -472,13 +559,9 @@ class ExtendedBufferPool:
         for page_id in list(self.index):
             if self.index[page_id].segment_id in lost_segments:
                 del self.index[page_id]
-                self._lru_of(page_id).pop(page_id, None)
                 purged += 1
         for segment_id in lost_segments:
-            self._segments.pop(segment_id, None)
-            for priority, active in list(self._active.items()):
-                if active.segment_id == segment_id:
-                    del self._active[priority]
+            self._forget_segment(self._segments[segment_id])
         self.pages_purged += purged
         return purged
 
@@ -505,6 +588,9 @@ class ExtendedBufferPool:
             segment = server.segments.get(segment_id)
             if segment is None:
                 continue
+            if (segment_id not in self._segments
+                    and len(self._segments) >= self.max_segments):
+                continue  # the pool regrew to its limit meanwhile
             try:
                 self.client.cm.readopt_segment(
                     segment_id, server_id, segment.size,
@@ -514,11 +600,7 @@ class ExtendedBufferPool:
                 continue  # routed again already, or raced with cleanup
             server.unmark_stale(segment_id)
             yield from self.client.open(segment_id)
-            state = self._segments.get(segment_id)
-            if state is None:
-                state = _SegmentState(segment_id, self.segment_size)
-                state.sealed = True
-                self._segments[segment_id] = state
+            state = self._adopt(segment_id)
             for page_id, lsn, _seg, offset, length in entries:
                 current = self.index.get(page_id)
                 if current is not None and current.lsn >= lsn:
@@ -529,7 +611,6 @@ class ExtendedBufferPool:
                     lsn, segment_id, offset, length, self.priority_of(page_id)
                 )
                 state.live_bytes += length
-                self._lru_of(page_id)[page_id] = None
                 reclaimed += 1
         self.pages_reclaimed += reclaimed
         return reclaimed
@@ -542,8 +623,6 @@ class ExtendedBufferPool:
         copy of each page wins (paper Section V-E).  Returns entry count.
         """
         self.index.clear()
-        for lru in self._lru:
-            lru.clear()
         best: Dict[PageId, Tuple[int, int, int, int]] = {}
         for server in self.client.servers.values():
             if not server.alive:
@@ -562,14 +641,7 @@ class ExtendedBufferPool:
             self.index[page_id] = EbpEntry(
                 lsn, segment_id, offset, length, self.priority_of(page_id)
             )
-            state = self._segments.get(segment_id)
-            if state is None:
-                state = _SegmentState(segment_id, self.segment_size)
-                state.sealed = True
-                self._segments[segment_id] = state
-            state.live_bytes += length
-            lru = self._lru_of(page_id)
-            lru[page_id] = None
+            self._adopt(segment_id).live_bytes += length
         return len(self.index)
 
     # ------------------------------------------------------------------

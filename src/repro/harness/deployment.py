@@ -889,8 +889,6 @@ class Deployment:
         reg.gauge(prefix + "engine.log_flushes", lambda: engine.log.flushes)
         reg.gauge(prefix + "engine.records_flushed",
                   lambda: engine.log.records_flushed)
-        reg.gauge(prefix + "engine.ebp_writes_dropped",
-                  lambda: engine.ebp_writes_dropped)
         reg.gauge(prefix + "engine.lock_waits", lambda: engine.locks.waits)
         reg.gauge(prefix + "engine.lock_timeouts",
                   lambda: engine.locks.timeouts)
@@ -939,6 +937,12 @@ class Deployment:
             reg.gauge(prefix + "ebp.compactions", lambda: ebp.compactions)
             reg.gauge(prefix + "ebp.segments_released",
                       lambda: ebp.segments_released)
+            reg.gauge(prefix + "ebp.writes_dropped",
+                      lambda: ebp.writes_dropped)
+            reg.gauge(prefix + "ebp.append_failures",
+                      lambda: ebp.append_failures)
+            reg.gauge(prefix + "ebp.cleaner_waits",
+                      lambda: ebp.cleaner_waits)
             reg.gauge(prefix + "ebp.index_entries", lambda: len(ebp.index))
             reg.gauge(prefix + "ebp.live_bytes", lambda: ebp.live_bytes)
             reg.gauge(prefix + "ebp.allocated_bytes",

@@ -452,6 +452,11 @@ def with_timeout(env: "Environment", target, seconds: Optional[float],
     deadline = Timeout(env, seconds)
     yield AnyOf(env, [proc, deadline])
     if proc.triggered:
+        # The deadline stays in the heap until it fires (removing it would
+        # shift event order); drop its reference to the condition so it
+        # does not pin ``proc`` and the returned payload until then.
+        if deadline.callbacks is not None:
+            deadline.callbacks.clear()
         if not proc._ok:
             raise proc._value
         return proc._value

@@ -143,6 +143,33 @@ def test_write_is_append_only():
         run(env, do(env))
 
 
+def test_racing_appends_to_one_offset_only_one_lands():
+    """The append contract is re-checked when the write lands, so two
+    in-flight appends that both read the same tail cannot both succeed."""
+    env, server = make_server()
+    server.allocate_segment(1, 1 * MB, epoch=1)
+    outcomes = {}
+
+    def append(env, payload):
+        try:
+            yield from server.one_sided_write(1, 0, 512, payload)
+        except StorageError as exc:
+            outcomes[payload] = exc
+        else:
+            outcomes[payload] = "landed"
+
+    env.process(append(env, "a"))
+    env.process(append(env, "b"))
+    env.run()
+    winners = [p for p, outcome in outcomes.items() if outcome == "landed"]
+    assert len(winners) == 1
+    loser = "b" if winners == ["a"] else "a"
+    assert "non-append" in str(outcomes[loser])
+    segment = server.segments[1]
+    assert segment.entries[0].payload == winners[0]
+    assert segment.write_offset == 512
+
+
 def test_write_overflow_rejected():
     env, server = make_server()
     server.allocate_segment(1, 1 * MB, epoch=1)

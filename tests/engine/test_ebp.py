@@ -167,22 +167,150 @@ def test_priority_policy_evicts_low_priority_first():
     assert len(high) > len(low)  # victims were taken from low priority
 
 
-def test_compaction_reclaims_garbage_segments():
-    env, cluster, ebp = make_ebp(capacity=3 * MB, segment=1 * MB)
+def test_priority_policy_never_sacrifices_a_higher_priority_area():
+    env, cluster, ebp = make_ebp(
+        capacity=2 * MB, segment=1 * MB, policy="priority",
+        priorities={1: 0, 2: 5},
+    )
     pages_per_segment = (1 * MB) // PAGE_SIZE
 
     def do(env):
-        # Write pages, then overwrite all of them (making v1 garbage).
+        # High-priority pages own the whole pool ...
+        for number in range(pages_per_segment * 2):
+            ok = yield from ebp.cache_page(make_page(2, number, lsn=1))
+            assert ok
+        # ... so a low-priority page has no legal victim - not even the
+        # spare segment, which was taken from the high area - and fails
+        # fast.
+        before = (ebp.evictions, len(ebp.index), env.now)
+        ok = yield from ebp.cache_page(make_page(1, 0, lsn=1))
+        return ok, before
+
+    ok, (evictions, entries, started) = run(env, do(env))
+    assert ok is False
+    assert env.now - started < 1e-3
+    assert ebp.evictions == evictions
+    assert len(ebp.index) == entries
+    assert all(page_id.space_no == 2 for page_id in ebp.index)
+
+
+def test_concurrent_appends_land_on_distinct_offsets():
+    env, cluster, ebp = make_ebp()
+    results = []
+
+    def writer(env, number):
+        ok = yield from ebp.cache_page(make_page(1, number, lsn=10 + number))
+        results.append(ok)
+
+    def do(env):
+        yield env.all_of(
+            [env.process(writer(env, number)) for number in range(8)]
+        )
+        pages = []
+        for number in range(8):
+            pages.append((yield from ebp.get_page(PageId(1, number))))
+        return pages
+
+    pages = run(env, do(env))
+    assert results == [True] * 8
+    assert [(p.page_id, p.page_lsn) for p in pages] == [
+        (PageId(1, number), 10 + number) for number in range(8)
+    ]
+    assert len({entry.offset for entry in ebp.index.values()}) == 8
+    assert ebp.append_failures == 0
+    assert ebp.client.write_failures == 0  # no segment was frozen
+    assert len(ebp._segments) <= 2  # one append segment plus the spare
+
+
+def test_eviction_storm_stays_within_capacity_and_drops_nothing():
+    # 16 clients churn 25x the pool's 48 slots through 3 small segments.
+    env, cluster, ebp = make_ebp(capacity=192 * KB, segment=64 * KB)
+    assert ebp.max_segments == 3
+    results = []
+    done = []
+
+    def within_capacity():
+        assert len(ebp._segments) <= ebp.max_segments
+        assert ebp.allocated_bytes <= ebp.capacity_bytes
+
+    def client(env, index):
+        for round_no in range(75):
+            page = make_page(1, index * 1000 + round_no, lsn=1 + round_no)
+            results.append((yield from ebp.cache_page(page)))
+            within_capacity()
+        done.append(index)
+
+    def monitor(env):
+        while len(done) < 16:
+            within_capacity()
+            yield env.timeout(5e-6)
+
+    def do(env):
+        watcher = env.process(monitor(env))
+        yield env.all_of([env.process(client(env, i)) for i in range(16)])
+        yield watcher
+
+    run(env, do(env))
+    # The flat policy always leaves the cleaner a victim: nothing is shed.
+    assert results == [True] * (16 * 75)
+    assert ebp.append_failures == 0
+    assert ebp.client.write_failures == 0
+    assert ebp.segments_released > 0
+    assert ebp.cleaner_waits > 0
+    # Every index entry reads back as the page it names.
+    def verify(env):
+        for page_id, entry in list(ebp.index.items()):
+            page = yield from ebp.get_page(page_id)
+            assert page is not None
+            assert (page.page_id, page.page_lsn) == (page_id, entry.lsn)
+
+    misses = ebp.misses
+    run(env, verify(env))
+    assert ebp.misses == misses
+
+
+def test_payload_with_wrong_lsn_is_a_miss():
+    env, cluster, ebp = make_ebp()
+
+    def do(env):
+        yield from ebp.cache_page(make_page(1, 1, lsn=10))
+        # The index names a version the slot does not hold.
+        ebp.index[PageId(1, 1)].lsn = 11
+        return (yield from ebp.get_page(PageId(1, 1)))
+
+    assert run(env, do(env)) is None
+    assert ebp.misses == 1
+    assert PageId(1, 1) not in ebp.index
+
+
+def test_compaction_copies_live_pages_forward():
+    env, cluster, ebp = make_ebp(capacity=3 * MB, segment=1 * MB)
+    pages_per_segment = (1 * MB) // PAGE_SIZE
+    half = pages_per_segment // 2
+
+    def do(env):
+        # Fill one segment, then rewrite half of it (that half is garbage).
         for number in range(pages_per_segment):
             yield from ebp.cache_page(make_page(1, number, lsn=1))
-        for number in range(pages_per_segment):
+        for number in range(half):
             yield from ebp.cache_page(make_page(1, number, lsn=2))
-        released_before = ebp.segments_released
-        yield from ebp.run_compaction()
-        return released_before
+        # New pages until the pool is at its limit and the cleaner must
+        # recycle: the half-garbage segment is the victim.
+        for number in range(pages_per_segment, 2 * pages_per_segment):
+            yield from ebp.cache_page(make_page(1, number, lsn=1))
+        yield env.timeout(0.1)  # let the cleaner pass finish
+        survivors = 0
+        for number in range(half, pages_per_segment):
+            got = yield from ebp.get_page(PageId(1, number))
+            survivors += got is not None and got.page_lsn == 1
+        return survivors
 
-    released_before = run(env, do(env))
-    assert ebp.segments_released > released_before
+    survivors = run(env, do(env))
+    assert ebp.compactions == 1
+    assert ebp.segments_released == 1
+    assert ebp.evictions == 0
+    assert survivors == half  # the victim's live half was copied forward
+    assert len(ebp._segments) == ebp.max_segments
 
 
 def test_no_compaction_mode_releases_whole_segments():

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.common import KB, MB
+from repro.common import KB, MB, PageId
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
+from repro.engine.page import Page, PageOp, apply_op
 from repro.harness.deployment import Deployment, DeploymentConfig
 
 
@@ -42,8 +43,27 @@ def test_ebp_write_queue_sheds_load():
     dep.env.run_until_event(proc)
     # ~45 pages churned through a 4-page pool with a 2-deep queue and one
     # slow writer: some writes must have been shed, some must have landed.
-    assert engine.ebp_writes_dropped > 0
+    assert dep.ebp.writes_dropped > 0
     assert dep.ebp.pages_written > 0
+
+
+def test_ebp_writer_skips_pages_rewritten_while_queued():
+    """A queued copy older than the engine's latest version of the page
+    can never be served, so the writers do not spend an append on it."""
+    dep = Deployment(DeploymentConfig.astore_ebp(seed=9))
+    dep.start()
+    engine = dep.engine
+    outdated, current = PageId(7, 1), PageId(7, 2)
+    for page_id in (outdated, current):
+        page = Page(page_id)
+        apply_op(page, PageOp("insert", slot=0, row=b"row"), 5)
+        engine.page_versions[page_id] = 5
+        engine._on_evict(page)
+    engine.page_versions[outdated] = 9  # rewritten (and logged) since
+    dep.env.run(until=dep.env.now + 0.01)
+    assert current in dep.ebp.index
+    assert outdated not in dep.ebp.index
+    assert dep.ebp.client.writes == 1
 
 
 def test_ebp_writer_pool_size_respected():

@@ -7,7 +7,9 @@ order for simultaneous events, interrupt races, ``with_timeout`` defuse
 behaviour, linear AllOf fan-in work, and byte-identical same-seed reports.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -230,6 +232,33 @@ def test_with_timeout_propagates_early_failure():
     p = env.process(caller(env))
     env.run()
     assert p.value == "caught:boom"
+
+
+def test_with_timeout_completed_ops_do_not_pin_their_payload():
+    """A won race leaves the deadline in the heap for its full second;
+    it must not keep the finished process and its payload alive."""
+    env = Environment()
+
+    class Payload:
+        pass
+
+    def op(env):
+        yield env.timeout(20e-6)
+        return Payload()
+
+    def caller(env):
+        refs = []
+        for _ in range(1000):
+            payload = yield from with_timeout(env, op(env), 1.0, "op")
+            refs.append(weakref.ref(payload))
+            del payload
+        return refs
+
+    p = env.process(caller(env))
+    env.run_until_event(p)
+    assert env.now < 1.0  # every deadline is still pending
+    gc.collect()
+    assert not any(ref() is not None for ref in p.value)
 
 
 # ---------------------------------------------------------------------------

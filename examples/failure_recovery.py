@@ -14,13 +14,13 @@ Demonstrates the paper's recovery story (Section V-E):
 Run:  python examples/failure_recovery.py
 """
 
-from repro import Deployment, DeploymentConfig, MB
+from repro import Deployment, DeploymentSpec, MB
 from repro.engine import DECIMAL, INT, VARCHAR, Column, EngineConfig, Schema
 
 
 def main():
     deployment = Deployment(
-        DeploymentConfig.astore_ebp(
+        DeploymentSpec.astore_ebp(
             engine=EngineConfig(buffer_pool_bytes=16 * 16 * 1024),
             ebp_capacity_bytes=64 * MB,
         )

@@ -8,7 +8,7 @@ how much concurrency each needs to reach the target.
 Run:  python examples/order_processing.py
 """
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.sim.core import AllOf
 from repro.sim.metrics import LatencyRecorder, ThroughputMeter
 from repro.workloads import OrdersClient, OrdersConfig, OrdersDatabase
@@ -49,8 +49,8 @@ def main():
         print("%-22s %8s %10s %10s %10s" % ("deployment", "clients", "TPS",
                                             "p50 ms", "p95 ms"))
         for name, factory in (
-            ("stock veDB", DeploymentConfig.stock),
-            ("veDB + AStore", DeploymentConfig.astore_log),
+            ("stock veDB", DeploymentSpec.stock),
+            ("veDB + AStore", DeploymentSpec.astore_log),
         ):
             for clients in (8, 32, 64):
                 tps, latency = measure(factory, clients, kind)

@@ -8,7 +8,7 @@ instances", the expansion the paper sketches in Section VIII.
 Run:  python examples/standby_replica.py
 """
 
-from repro import MB, Deployment, DeploymentConfig
+from repro import MB, Deployment, DeploymentSpec
 from repro.common import KB
 from repro.engine import EngineConfig, StandbyReplica
 from repro.sim.core import AllOf
@@ -17,7 +17,7 @@ from repro.workloads import OrdersClient, OrdersConfig, OrdersDatabase
 
 def main():
     deployment = Deployment(
-        DeploymentConfig.astore_ebp(
+        DeploymentSpec.astore_ebp(
             engine=EngineConfig(buffer_pool_bytes=32 * 16 * KB),
             ebp_capacity_bytes=64 * MB,
         )

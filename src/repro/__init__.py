@@ -32,14 +32,13 @@ from .common import (
     StorageError,
     TransactionAborted,
 )
-from .harness.deployment import Deployment, DeploymentConfig, DeploymentSpec
+from .harness.deployment import Deployment, DeploymentSpec
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Deployment",
     "DeploymentSpec",
-    "DeploymentConfig",
     "PageId",
     "ReproError",
     "StorageError",

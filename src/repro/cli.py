@@ -12,7 +12,6 @@ Usage::
     python -m repro serve --seed 7 --replicas 2 --policy least-lag
     python -m repro serve --shards 4
     python -m repro views --seed 7
-    python -m repro perf --quick
     python -m repro all
 
 ``chaos`` runs the seeded chaos soak (:mod:`repro.harness.soak`): TPC-C
@@ -41,12 +40,6 @@ equivalence with fresh rescans — including after a forced REDO-feed
 overflow and a maintainer crash/rebuild.  It prints a deterministic
 JSON report and exits non-zero on any violation.
 
-``perf`` runs the wall-clock performance harness
-(:mod:`repro.harness.perfbench`): kernel microbench plus TPC-C/chaos/serve
-macro slices, reporting events/sec, sim-to-wall ratio, and peak RSS.  It
-writes ``benchmarks/BENCH_wallclock.json`` and exits non-zero if the
-same-seed determinism gate (double-run report digests) fails.
-
 ``trace`` runs a short TPC-C smoke workload with span tracing enabled and
 emits Chrome ``trace_event`` JSON (load it at ``chrome://tracing`` or
 https://ui.perfetto.dev).  The export is deterministic: the same seed
@@ -56,6 +49,9 @@ Each command runs the corresponding experiment from
 :mod:`repro.harness.experiments` and prints the paper-style table.
 Benchmarks under ``benchmarks/`` wrap the same runners with assertions;
 this CLI is for interactive exploration with custom parameters.
+Wall-clock performance is not measured here: ``python bench/run.py``
+(declared by ``BENCHMARK.json``, documented in ``bench/README.md``) is the
+one harness for that.
 """
 
 from __future__ import annotations
@@ -306,14 +302,6 @@ def cmd_views(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    """Run the wall-clock perf harness (kernel microbench + macro slices)."""
-    from .harness.perfbench import run_perf
-
-    return run_perf(quick=args.quick, profile=args.profile, out=args.out,
-                    gate=not args.no_gate)
-
-
 def cmd_trace(args) -> None:
     """Run a traced TPC-C smoke workload and dump Chrome trace JSON."""
     from .harness.deployment import DeploymentSpec
@@ -424,18 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="rows in the overflow-forcing burst txn")
     views_parser.add_argument("--no-crash", action="store_true",
                               help="skip the maintainer crash/rebuild phase")
-    perf_parser = sub.add_parser(
-        "perf", help="wall-clock perf harness: events/sec + determinism gate"
-    )
-    perf_parser.add_argument("--quick", action="store_true",
-                             help="fewer kernel reps (CI smoke mode)")
-    perf_parser.add_argument("--profile", action="store_true",
-                             help="print cProfile top frames of the microbench")
-    perf_parser.add_argument("--out", default="benchmarks/BENCH_wallclock.json",
-                             help="where to write the JSON report")
-    perf_parser.add_argument("--no-gate", action="store_true",
-                             help="skip the serve events/sec regression gate "
-                                  "against the committed baseline")
     trace_parser = sub.add_parser(
         "trace", help="emit a Chrome trace of a short TPC-C run"
     )
@@ -481,7 +457,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("  %-8s %s" % ("chaos", "seeded chaos soak with invariant audit"))
         print("  %-8s %s" % ("serve", "serving layer over a replica fleet"))
         print("  %-8s %s" % ("views", "incremental views with audits"))
-        print("  %-8s %s" % ("perf", "wall-clock perf harness (events/sec)"))
         return 0
     if args.command == "chaos":
         return cmd_chaos(args)
@@ -489,8 +464,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_serve(args)
     if args.command == "views":
         return cmd_views(args)
-    if args.command == "perf":
-        return cmd_perf(args)
     if args.command == "trace":
         cmd_trace(args)
         return 0

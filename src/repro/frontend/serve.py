@@ -185,15 +185,12 @@ def run_serving(
     write_limit: Optional[int] = None,
     queue_limit: Optional[int] = None,
     queue_timeout: Optional[float] = None,
-    _bench: Optional[Dict] = None,
 ) -> Dict:
     """Run one seeded serving scenario; returns a deterministic report.
 
     ``report["ok"]`` is True iff the read-your-writes audit saw zero
     stale or missing reads.  The admission overrides (``read_limit``
-    etc.) let overload experiments force shedding.  ``_bench`` is a
-    private sink the perf harness passes to collect kernel counters
-    (event count, statement totals) without touching the report schema.
+    etc.) let overload experiments force shedding.
 
     ``shards > 1`` runs the same scenario over a hash-sharded deployment:
     each shard gets its own primary, log, and replica fleet; TPC-C
@@ -458,13 +455,6 @@ def run_serving(
                 for index, stack in enumerate(dep.shards)
             },
         }
-    if _bench is not None:
-        _bench["events"] = env._seq
-        _bench["statements"] = (
-            total_reads + proxy.writes + report["tpcc"]["committed"]
-        )
-        _bench["parse_cache_hits"] = proxy.parse_cache.hits
-        _bench["parse_cache_misses"] = proxy.parse_cache.misses
     return report
 
 
@@ -576,7 +566,6 @@ def run_serving_mux(
     chaos: bool = True,
     queue_limit: Optional[int] = None,
     queue_timeout: Optional[float] = None,
-    _bench: Optional[Dict] = None,
 ) -> Dict:
     """Million-session-shaped serving: ``sessions`` parked descriptors
     multiplexed over ``lanes`` execution lanes with weighted-fair
@@ -721,7 +710,7 @@ def run_serving_mux(
                 fair = False
     proxy = dep.frontend
     all_executed = len(touched) == sessions
-    report = {
+    return {
         "seed": seed,
         "mode": "mux",
         "sessions": sessions,
@@ -762,9 +751,3 @@ def run_serving_mux(
         "ok": (stale_reads == 0 and missing_rows == 0
                and all_executed and fair),
     }
-    if _bench is not None:
-        _bench["events"] = env._seq
-        _bench["statements"] = total_statements
-        _bench["parse_cache_hits"] = proxy.parse_cache.hits
-        _bench["parse_cache_misses"] = proxy.parse_cache.misses
-    return report

@@ -1,13 +1,12 @@
 """Experiment harness: deployments, runners, chaos injection, stats."""
 from .chaos import ChaosEvent, ChaosInjector, ChaosMonkey, ChaosSchedule
-from .deployment import Deployment, DeploymentConfig, DeploymentSpec, ShardStack
+from .deployment import Deployment, DeploymentSpec, ShardStack
 from .soak import run_chaos_soak
 from .stats import collect_stats, format_stats
 
 __all__ = [
     "Deployment",
     "DeploymentSpec",
-    "DeploymentConfig",
     "ShardStack",
     "ChaosEvent",
     "ChaosSchedule",

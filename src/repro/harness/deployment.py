@@ -23,10 +23,6 @@ name                          log path    EBP    push-down
 (The PQ flag only marks intent; the query layer checks
 ``deployment.config.enable_pushdown``.)
 
-:class:`DeploymentConfig` remains as a thin backward-compatibility shim -
-an alias subclass of the spec - so code written against the original
-constructor keeps running unchanged.
-
 Every deployment owns an :class:`repro.obs.Observability` (exposed as
 ``deployment.obs`` / ``.registry`` / ``.tracer``): component counters are
 registered as registry gauges here, which is what makes
@@ -52,7 +48,7 @@ from ..sim.rand import SeedSequence
 from ..storage.logstore import LogStore
 from ..storage.pagestore import PageStoreService
 
-__all__ = ["Deployment", "DeploymentSpec", "DeploymentConfig", "ShardStack"]
+__all__ = ["Deployment", "DeploymentSpec", "ShardStack"]
 
 
 @dataclass
@@ -550,20 +546,6 @@ class DeploymentSpec:
         return cls(
             use_astore_log=True, use_ebp=True, enable_pushdown=True, **overrides
         )
-
-
-class DeploymentConfig(DeploymentSpec):
-    """Backward-compatibility alias for :class:`DeploymentSpec`.
-
-    Kept so pre-redesign call sites (``Deployment(DeploymentConfig.astore_pq())``)
-    run unchanged; new code should use :class:`DeploymentSpec`.
-
-    .. deprecated::
-        Wiring engines directly through ``DeploymentConfig`` is
-        deprecated: use the :class:`DeploymentSpec` builders
-        (``with_shards`` / ``with_replicas`` / ``with_astore`` / ...),
-        which are the only constructors that understand sharded stacks.
-    """
 
 
 class ShardStack:

@@ -28,7 +28,7 @@ from ..workloads.orders import OrdersClient, OrdersConfig, OrdersDatabase
 from ..workloads.sysbench import SysbenchClient, SysbenchConfig, SysbenchDatabase
 from ..workloads.tpcc import TpccClient, TpccConfig, run_tpcc
 from ..workloads.tpcch import CH_QUERIES, TpcchConfig, TpcchDatabase, ch_query_sql
-from .deployment import Deployment, DeploymentConfig
+from .deployment import Deployment, DeploymentSpec
 
 __all__ = [
     "table2_log_micro",
@@ -94,8 +94,8 @@ def fig6_fig7_tpcc_sweep(
     """
     points: List[TpccPoint] = []
     for name, factory in (
-        ("stock", DeploymentConfig.stock),
-        ("astore", DeploymentConfig.astore_log),
+        ("stock", DeploymentSpec.stock),
+        ("astore", DeploymentSpec.astore_log),
     ):
         for clients in clients_list:
             dep = Deployment(factory(seed=seed))
@@ -141,8 +141,8 @@ def fig8_order_processing(
 ) -> List[OrdersPoint]:
     points: List[OrdersPoint] = []
     for name, factory in (
-        ("stock", DeploymentConfig.stock),
-        ("astore", DeploymentConfig.astore_log),
+        ("stock", DeploymentSpec.stock),
+        ("astore", DeploymentSpec.astore_log),
     ):
         for kind in ("single_insert", "order_processing"):
             for clients in clients_list:
@@ -197,8 +197,8 @@ def fig9_advertisement(
     """Identical replayed traffic against stock veDB and veDB+AStore."""
     results: List[AdsResult] = []
     for name, factory in (
-        ("stock", DeploymentConfig.stock),
-        ("astore", DeploymentConfig.astore_log),
+        ("stock", DeploymentSpec.stock),
+        ("astore", DeploymentSpec.astore_log),
     ):
         dep = Deployment(factory(seed=seed))
         dep.start()
@@ -232,7 +232,7 @@ def fig9_advertisement(
 
 
 def _build_tpcch(
-    deployment_config: DeploymentConfig,
+    deployment_config: DeploymentSpec,
     config: Optional[TpcchConfig] = None,
 ):
     dep = Deployment(deployment_config)
@@ -275,7 +275,7 @@ def fig10_ap_impact(
     engine_config = EngineConfig(buffer_pool_bytes=48 * 16 * KB)
     for use_ebp in (False, True):
         factory = (
-            DeploymentConfig.astore_ebp if use_ebp else DeploymentConfig.astore_log
+            DeploymentSpec.astore_ebp if use_ebp else DeploymentSpec.astore_log
         )
         for ap_streams in ap_streams_list:
             dep, database, _config = _build_tpcch(
@@ -346,9 +346,9 @@ def fig11_ebp_query_speedup(
         timings: Dict[bool, Dict[int, float]] = {}
         for use_ebp in (False, True):
             factory = (
-                DeploymentConfig.astore_ebp
+                DeploymentSpec.astore_ebp
                 if use_ebp
-                else DeploymentConfig.astore_log
+                else DeploymentSpec.astore_log
             )
             kwargs = dict(seed=seed, engine=EngineConfig(buffer_pool_bytes=bp_bytes))
             if use_ebp:
@@ -416,7 +416,7 @@ def fig12_ebp_size_sweep(
         engine_config = EngineConfig(buffer_pool_bytes=32 * 16 * KB)
         if ebp_bytes:
             dep = Deployment(
-                DeploymentConfig.astore_ebp(
+                DeploymentSpec.astore_ebp(
                     seed=seed,
                     engine=engine_config,
                     ebp_capacity_bytes=ebp_bytes,
@@ -425,7 +425,7 @@ def fig12_ebp_size_sweep(
             )
         else:
             dep = Deployment(
-                DeploymentConfig.astore_log(seed=seed, engine=engine_config)
+                DeploymentSpec.astore_log(seed=seed, engine=engine_config)
             )
         dep.start()
         database = LookupDatabase(dep.engine, LookupConfig(rows=6000))
@@ -501,7 +501,7 @@ def fig13_sysbench_cost_equal(
             for name in ("stock", "astore"):
                 if name == "stock":
                     dep = Deployment(
-                        DeploymentConfig.stock(
+                        DeploymentSpec.stock(
                             seed=seed,
                             engine=EngineConfig(
                                 cores=cores,
@@ -511,7 +511,7 @@ def fig13_sysbench_cost_equal(
                     )
                 else:
                     dep = Deployment(
-                        DeploymentConfig.astore_ebp(
+                        DeploymentSpec.astore_ebp(
                             seed=seed,
                             engine=EngineConfig(
                                 cores=cores,
@@ -575,15 +575,15 @@ def fig14_pushdown_speedup(
     setups = {
         # (deployment factory kwargs, session kwargs)
         "baseline": (
-            DeploymentConfig.astore_log(seed=seed, engine=engine_config),
+            DeploymentSpec.astore_log(seed=seed, engine=engine_config),
             dict(enable_pushdown=False, force_hash_joins=False),
         ),
         "plan-change": (
-            DeploymentConfig.astore_log(seed=seed, engine=engine_config),
+            DeploymentSpec.astore_log(seed=seed, engine=engine_config),
             dict(enable_pushdown=False, force_hash_joins=True),
         ),
         "pq-ebp": (
-            DeploymentConfig.astore_pq(
+            DeploymentSpec.astore_pq(
                 seed=seed, engine=engine_config, ebp_capacity_bytes=128 * MB
             ),
             dict(enable_pushdown=True, force_hash_joins=True,

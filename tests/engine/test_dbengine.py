@@ -5,7 +5,7 @@ import pytest
 from repro.common import KB, MB, PageId, QueryError, TransactionAborted
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment, DeploymentSpec
 
 
 def account_schema():
@@ -19,7 +19,7 @@ def account_schema():
 
 
 def make_deployment(kind="astore_log", **engine_overrides):
-    factory = getattr(DeploymentConfig, kind)
+    factory = getattr(DeploymentSpec, kind)
     engine = EngineConfig(**engine_overrides) if engine_overrides else EngineConfig()
     dep = Deployment(factory(engine=engine))
     dep.start()
@@ -270,7 +270,7 @@ def test_crash_recovery_uncommitted_txn_rolled_back():
 
 def test_recovery_with_ebp_rebuild():
     dep = Deployment(
-        DeploymentConfig.astore_ebp(
+        DeploymentSpec.astore_ebp(
             engine=EngineConfig(buffer_pool_bytes=8 * 16 * KB),
             ebp_capacity_bytes=8 * MB,
         )

@@ -6,14 +6,14 @@ from repro.common import KB, MB, PageId
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.engine.page import Page, PageOp, apply_op
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment, DeploymentSpec
 
 
 def test_ebp_write_queue_sheds_load():
     """With a tiny queue bound, eviction bursts drop EBP writes instead of
     queueing unboundedly (the EBP is best-effort)."""
     dep = Deployment(
-        DeploymentConfig.astore_ebp(
+        DeploymentSpec.astore_ebp(
             seed=9,
             engine=EngineConfig(
                 buffer_pool_bytes=4 * 16 * KB,
@@ -50,7 +50,7 @@ def test_ebp_write_queue_sheds_load():
 def test_ebp_writer_skips_pages_rewritten_while_queued():
     """A queued copy older than the engine's latest version of the page
     can never be served, so the writers do not spend an append on it."""
-    dep = Deployment(DeploymentConfig.astore_ebp(seed=9))
+    dep = Deployment(DeploymentSpec.astore_ebp(seed=9))
     dep.start()
     engine = dep.engine
     outdated, current = PageId(7, 1), PageId(7, 2)
@@ -68,7 +68,7 @@ def test_ebp_writer_skips_pages_rewritten_while_queued():
 
 def test_ebp_writer_pool_size_respected():
     config = EngineConfig(ebp_writer_threads=3)
-    dep = Deployment(DeploymentConfig.astore_ebp(seed=9, engine=config))
+    dep = Deployment(DeploymentSpec.astore_ebp(seed=9, engine=config))
     dep.start()  # must not raise; three writer daemons armed
     assert dep.engine.config.ebp_writer_threads == 3
 
@@ -77,7 +77,7 @@ def test_pages_never_duplicate_frames_under_concurrent_misses():
     """Two processes missing the same page concurrently end up sharing one
     frame (the single-frame rule)."""
     dep = Deployment(
-        DeploymentConfig.astore_log(
+        DeploymentSpec.astore_log(
             seed=9, engine=EngineConfig(buffer_pool_bytes=4 * 16 * KB)
         )
     )

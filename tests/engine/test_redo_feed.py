@@ -1,13 +1,13 @@
 """Tests for the incremental REDO feed (push) vs full-rescan polling."""
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import DBEngine
 from repro.engine.standby import StandbyReplica
 
 
 def build():
-    dep = Deployment(DeploymentConfig.astore_ebp(seed=19))
+    dep = Deployment(DeploymentSpec.astore_ebp(seed=19))
     dep.start()
     engine = dep.engine
     engine.create_table(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.common import KB, MB
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
@@ -10,7 +10,7 @@ from repro.engine.standby import StandbyReplica
 
 
 def build(kind="astore_ebp", **kwargs):
-    factory = getattr(DeploymentConfig, kind)
+    factory = getattr(DeploymentSpec, kind)
     dep = Deployment(factory(seed=19, **kwargs))
     dep.start()
     engine = dep.engine

@@ -1,8 +1,10 @@
 """Tests for the ``python -m repro serve`` scenario (determinism, overload)."""
 
+import inspect
+
 import pytest
 
-from repro.frontend.serve import run_serving
+from repro.frontend.serve import run_serving, run_serving_mux
 
 # Small-but-real scenario: long enough to cross the chaos crash/restart
 # points (30% / 55% of the duration) with every driver class active.
@@ -55,6 +57,13 @@ def test_serve_chaos_cycle_recovers(small_report):
 def test_serve_is_deterministic(small_report):
     again = run_serving(**SMALL)
     assert again == small_report
+
+
+@pytest.mark.parametrize("scenario", [run_serving, run_serving_mux])
+def test_scenarios_take_no_private_parameters(scenario):
+    # A scenario's report is its only output: no caller-specific sinks.
+    for name in inspect.signature(scenario).parameters:
+        assert not name.startswith("_"), name
 
 
 def test_serve_seed_changes_report(small_report):

@@ -10,6 +10,7 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for name in COMMANDS:
         assert name in out
+    assert "perf" not in out  # performance lives in bench/run.py, not here
 
 
 def test_no_command_lists(capsys):
@@ -19,7 +20,8 @@ def test_no_command_lists(capsys):
 
 def test_parser_accepts_every_command():
     parser = build_parser()
-    for name in COMMANDS:
+    others = ["list", "all", "trace", "chaos", "serve", "views"]
+    for name in list(COMMANDS) + others:
         args = parser.parse_args([name])
         assert args.command == name
 
@@ -44,9 +46,11 @@ def test_fig12_command_runs(capsys):
     assert "no-EBP" in out
 
 
-def test_unknown_command_rejected():
+@pytest.mark.parametrize("name", ["not-a-figure", "perf"])
+def test_unknown_command_rejected(name, capsys):
     with pytest.raises(SystemExit):
-        main(["not-a-figure"])
+        main([name])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_chaos_parser_wiring():

@@ -6,7 +6,7 @@ from repro.common import KB, MB
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.engine.logbackends import AStoreLogBackend, SsdLogBackend
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment, DeploymentSpec
 
 
 def simple_schema():
@@ -14,7 +14,7 @@ def simple_schema():
 
 
 def test_stock_deployment_has_logstore_no_astore():
-    dep = Deployment(DeploymentConfig.stock())
+    dep = Deployment(DeploymentSpec.stock())
     assert dep.logstore is not None
     assert dep.astore is None
     assert dep.ring is None
@@ -23,7 +23,7 @@ def test_stock_deployment_has_logstore_no_astore():
 
 
 def test_astore_log_deployment_has_ring():
-    dep = Deployment(DeploymentConfig.astore_log())
+    dep = Deployment(DeploymentSpec.astore_log())
     assert dep.logstore is None
     assert dep.astore is not None
     assert dep.ring is not None
@@ -32,26 +32,26 @@ def test_astore_log_deployment_has_ring():
 
 
 def test_astore_ebp_deployment_has_both():
-    dep = Deployment(DeploymentConfig.astore_ebp())
+    dep = Deployment(DeploymentSpec.astore_ebp())
     assert dep.ring is not None
     assert dep.ebp is not None
     assert dep.engine.ebp is dep.ebp
 
 
 def test_pq_config_flag():
-    assert DeploymentConfig.astore_pq().enable_pushdown
-    assert not DeploymentConfig.astore_ebp().enable_pushdown
+    assert DeploymentSpec.astore_pq().enable_pushdown
+    assert not DeploymentSpec.astore_ebp().enable_pushdown
 
 
 def test_start_initializes_ring_segments():
-    dep = Deployment(DeploymentConfig.astore_log(log_ring_segments=4))
+    dep = Deployment(DeploymentSpec.astore_log(log_ring_segments=4))
     dep.start()
     assert len(dep.ring.segment_ids) == 4
     dep.start()  # idempotent
 
 
 def test_session_defaults_follow_deployment():
-    dep = Deployment(DeploymentConfig.astore_pq())
+    dep = Deployment(DeploymentSpec.astore_pq())
     dep.start()
     session = dep.new_session()
     assert session.planner_config.enable_pushdown
@@ -64,7 +64,7 @@ def test_same_seed_same_virtual_timing():
     """Determinism: identical runs produce identical virtual clocks."""
     results = []
     for _ in range(2):
-        dep = Deployment(DeploymentConfig.astore_ebp(seed=123))
+        dep = Deployment(DeploymentSpec.astore_ebp(seed=123))
         dep.start()
         engine = dep.engine
         engine.create_table("t", simple_schema(), ["id"])
@@ -85,7 +85,7 @@ def test_same_seed_same_virtual_timing():
 def test_different_seeds_differ():
     results = []
     for seed in (1, 2):
-        dep = Deployment(DeploymentConfig.astore_log(seed=seed))
+        dep = Deployment(DeploymentSpec.astore_log(seed=seed))
         dep.start()
         engine = dep.engine
         engine.create_table("t", simple_schema(), ["id"])
@@ -103,7 +103,7 @@ def test_different_seeds_differ():
 
 
 def test_log_recycling_gated_on_shipping():
-    dep = Deployment(DeploymentConfig.astore_log())
+    dep = Deployment(DeploymentSpec.astore_log())
     # Before the engine exists/ships, recycling is permissive; afterwards
     # it requires shipped_lsn to cover the segment.
     assert dep._can_recycle(0)
@@ -113,7 +113,7 @@ def test_log_recycling_gated_on_shipping():
 
 
 def test_ssd_log_backend_recovery_returns_retained_records():
-    dep = Deployment(DeploymentConfig.stock())
+    dep = Deployment(DeploymentSpec.stock())
     dep.start()
     engine = dep.engine
     engine.create_table("t", simple_schema(), ["id"])
@@ -139,7 +139,7 @@ def test_ssd_log_backend_recovery_returns_retained_records():
 
 def test_stock_crash_recovery_roundtrip():
     """Recovery works on the SSD backend too, not just AStore."""
-    dep = Deployment(DeploymentConfig.stock())
+    dep = Deployment(DeploymentSpec.stock())
     dep.start()
     engine = dep.engine
     engine.create_table("t", simple_schema(), ["id"])

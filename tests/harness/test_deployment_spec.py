@@ -3,7 +3,7 @@
 import pytest
 
 from repro import MB, DeploymentSpec
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment
 from repro.harness.stats import collect_stats, format_stats
 
 
@@ -50,9 +50,9 @@ def test_build_stands_up_a_deployment():
     assert dep.astore is not None
 
 
-def test_deployment_config_shim_still_works():
-    # Pre-redesign construction path must run unchanged.
-    dep = Deployment(DeploymentConfig.astore_pq(seed=5))
+def test_deployment_constructor_takes_a_spec():
+    # Direct construction is the same path as ``spec.build()``.
+    dep = Deployment(DeploymentSpec.astore_pq(seed=5))
     dep.start()
     assert isinstance(dep.config, DeploymentSpec)
     assert dep.config.enable_pushdown

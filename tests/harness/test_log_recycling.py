@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.common import KB, StorageError
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 
@@ -10,7 +10,7 @@ from repro.engine.codec import INT, VARCHAR, Column, Schema
 def tiny_ring_deployment(segments=3, segment_kb=24):
     """A deliberately tiny log ring that wraps within a few transactions."""
     dep = Deployment(
-        DeploymentConfig.astore_log(
+        DeploymentSpec.astore_log(
             seed=8,
             log_ring_segments=segments,
             log_segment_bytes=segment_kb * KB,

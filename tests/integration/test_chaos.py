@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.harness.chaos import ChaosEvent, ChaosInjector, ChaosSchedule
 from repro.harness.stats import collect_stats, format_stats
 from repro.sim.core import AllOf
@@ -15,7 +15,7 @@ SMALL = TpccConfig(
 
 
 def build(**kwargs):
-    dep = Deployment(DeploymentConfig.astore_ebp(seed=47, astore_servers=4,
+    dep = Deployment(DeploymentSpec.astore_ebp(seed=47, astore_servers=4,
                                                  **kwargs))
     dep.start()
     database = TpccDatabase(dep.engine, SMALL, dep.seeds.stream("load"))
@@ -125,7 +125,7 @@ def test_stats_report_covers_all_components():
 
 
 def test_stats_on_stock_deployment():
-    dep = Deployment(DeploymentConfig.stock(seed=3))
+    dep = Deployment(DeploymentSpec.stock(seed=3))
     dep.start()
     stats = collect_stats(dep)
     assert "logstore" in stats
@@ -147,7 +147,7 @@ def test_windowed_chaos_kinds_require_positive_duration():
 
 
 def test_overlapping_spikes_restore_baseline():
-    dep = Deployment(DeploymentConfig.astore_ebp(seed=9, astore_servers=4))
+    dep = Deployment(DeploymentSpec.astore_ebp(seed=9, astore_servers=4))
     dep.start()
     network = dep.pagestore.network
     baseline = network.spike_probability

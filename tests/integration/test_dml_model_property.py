@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.common import KB, MB
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
@@ -34,7 +34,7 @@ ops_strategy = st.lists(
 @settings(max_examples=12, deadline=None)
 def test_engine_matches_dict_model_and_survives_crash(ops, seed):
     dep = Deployment(
-        DeploymentConfig.astore_ebp(
+        DeploymentSpec.astore_ebp(
             seed=seed,
             # Tiny buffer pool: force real EBP/PageStore traffic.
             engine=EngineConfig(buffer_pool_bytes=4 * 16 * KB),

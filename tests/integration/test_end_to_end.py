@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.common import KB, MB
 from repro.engine.dbengine import EngineConfig
 from repro.sim.core import AllOf
@@ -14,7 +14,7 @@ SMALL = TpccConfig(
 )
 
 
-def build(config_factory=DeploymentConfig.astore_ebp, seed=31, **kwargs):
+def build(config_factory=DeploymentSpec.astore_ebp, seed=31, **kwargs):
     dep = Deployment(config_factory(seed=seed, **kwargs))
     dep.start()
     database = TpccDatabase(dep.engine, SMALL, dep.seeds.stream("load"))
@@ -131,7 +131,7 @@ def test_stock_and_astore_agree_on_data():
     """The two deployments are behaviourally identical: same workload seed,
     same final database state (timing differs, contents must not)."""
     states = []
-    for factory in (DeploymentConfig.stock, DeploymentConfig.astore_log):
+    for factory in (DeploymentSpec.stock, DeploymentSpec.astore_log):
         dep, database = build(config_factory=factory, seed=77)
         client = TpccClient(database, dep.seeds.stream("solo"))
 

@@ -9,7 +9,7 @@ reproduction implements as opt-ins:
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.common import KB, MB
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
@@ -27,7 +27,7 @@ def wide_schema():
 
 def build(rows=240, bp_pages=12, **kwargs):
     dep = Deployment(
-        DeploymentConfig.astore_pq(
+        DeploymentSpec.astore_pq(
             seed=5,
             engine=EngineConfig(buffer_pool_bytes=bp_pages * 16 * KB),
             ebp_capacity_bytes=64 * MB,
@@ -165,7 +165,7 @@ def test_warmup_respects_limit_and_missing_ebp():
 
     assert run(dep, recover(dep.env)) <= 3
     # Engines without an EBP warm zero pages.
-    stock = Deployment(DeploymentConfig.stock())
+    stock = Deployment(DeploymentSpec.stock())
     stock.start()
 
     def no_ebp(env):

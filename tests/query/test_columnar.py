@@ -10,7 +10,7 @@ import pytest
 
 from repro.common import KB, MB
 from repro.engine.dbengine import EngineConfig
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.ast import ColumnRef
 from repro.query.columnar import ColumnBatch, resolve_column
 from repro.query.plan import Aggregate, HashJoin, Project, SeqScan, explain
@@ -33,7 +33,7 @@ def ch_dep():
     # 4-page buffer pool: scans reach past DRAM, so marked fragments have
     # remote pages to dispatch storage-side.
     dep = Deployment(
-        DeploymentConfig.astore_pq(
+        DeploymentSpec.astore_pq(
             seed=11,
             engine=EngineConfig(buffer_pool_bytes=4 * 16 * KB),
             ebp_capacity_bytes=64 * MB,

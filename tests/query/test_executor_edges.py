@@ -4,11 +4,11 @@ import pytest
 
 from repro.common import QueryError
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment, DeploymentSpec
 
 
 def make_db():
-    dep = Deployment(DeploymentConfig.astore_log(seed=3))
+    dep = Deployment(DeploymentSpec.astore_log(seed=3))
     dep.start()
     engine = dep.engine
     engine.create_table(

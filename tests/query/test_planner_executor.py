@@ -4,14 +4,14 @@ import pytest
 
 from repro.common import QueryError
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.plan import Aggregate, HashJoin, IndexNLJoin, Limit, Project, SeqScan, Sort, explain
 from repro.query.planner import PlannerConfig
 
 
 def make_db(pushdown=False, rows=120):
-    dep = Deployment(DeploymentConfig.astore_pq() if pushdown
-                     else DeploymentConfig.astore_log())
+    dep = Deployment(DeploymentSpec.astore_pq() if pushdown
+                     else DeploymentSpec.astore_log())
     dep.start()
     engine = dep.engine
     engine.create_table(

@@ -234,10 +234,10 @@ def _query_dep():
     if "dep" not in _dep_cache:
         from repro.common import MB
         from repro.engine.dbengine import EngineConfig
-        from repro.harness.deployment import Deployment, DeploymentConfig
+        from repro.harness.deployment import Deployment, DeploymentSpec
 
         dep = Deployment(
-            DeploymentConfig.astore_pq(
+            DeploymentSpec.astore_pq(
                 seed=3,
                 engine=EngineConfig(buffer_pool_bytes=4 * 16 * KB),
                 ebp_capacity_bytes=16 * MB,

@@ -5,13 +5,13 @@ import pytest
 from repro.common import KB, MB
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment, DeploymentSpec
 
 
 def make_db(rows=300, bp_pages=16):
     """A PQ deployment with a tiny buffer pool so most pages live in EBP."""
     dep = Deployment(
-        DeploymentConfig.astore_pq(
+        DeploymentSpec.astore_pq(
             engine=EngineConfig(buffer_pool_bytes=bp_pages * 16 * KB),
             ebp_capacity_bytes=64 * MB,
         )

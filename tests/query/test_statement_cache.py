@@ -6,14 +6,14 @@ import pytest
 
 from repro.common import QueryError
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.ast import Literal, Select
 from repro.query.cache import ParseCache, bind_expr, parse_entry
 from repro.query.executor import QuerySession
 
 
 def make_db(rows=40):
-    dep = Deployment(DeploymentConfig.astore_log())
+    dep = Deployment(DeploymentSpec.astore_log())
     dep.start()
     engine = dep.engine
     engine.create_table(

@@ -5,14 +5,14 @@ from zlib import crc32
 import pytest
 
 from repro.engine.codec import INT, VARCHAR, Column, Schema
-from repro.harness.deployment import Deployment, DeploymentConfig
+from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query import parse
 from repro.shard import ShardKeySpec, ShardMap
 
 
 @pytest.fixture(scope="module")
 def catalog():
-    dep = Deployment(DeploymentConfig.stock())
+    dep = Deployment(DeploymentSpec.stock())
     dep.engine.create_table(
         "kv",
         Schema([Column("k", INT()), Column("v", INT()),

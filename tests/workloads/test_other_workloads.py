@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.sim.core import AllOf
 from repro.workloads.ads import AdsClient, AdsConfig, AdsDatabase
 from repro.workloads.lookup import LookupClient, LookupConfig, LookupDatabase
@@ -17,7 +17,7 @@ from repro.workloads.sysbench import SysbenchClient, SysbenchConfig, SysbenchDat
 
 
 def deployment(seed=13):
-    dep = Deployment(DeploymentConfig.astore_log(seed=seed))
+    dep = Deployment(DeploymentSpec.astore_log(seed=seed))
     dep.start()
     return dep
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.sim.core import AllOf
 from repro.workloads.tpcc import TpccClient, TpccConfig, TpccDatabase, _c_last
 
@@ -13,7 +13,7 @@ SMALL = TpccConfig(
 
 
 def build(config=SMALL, seed=11):
-    dep = Deployment(DeploymentConfig.astore_log(seed=seed))
+    dep = Deployment(DeploymentSpec.astore_log(seed=seed))
     dep.start()
     database = TpccDatabase(dep.engine, config, dep.seeds.stream("load"))
     proc = dep.env.process(database.load())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.query.parser import parse
 from repro.query.plan import Aggregate, SeqScan
 from repro.workloads.tpcch import CH_QUERIES, TpcchConfig, TpcchDatabase, ch_query_sql
@@ -21,7 +21,7 @@ TINY = TpcchConfig(
 
 
 def build(seed=23):
-    dep = Deployment(DeploymentConfig.astore_pq(seed=seed))
+    dep = Deployment(DeploymentSpec.astore_pq(seed=seed))
     dep.start()
     database = TpcchDatabase(dep.engine, TINY, dep.seeds.stream("load"))
     proc = dep.env.process(database.load())

@@ -1,17 +1,35 @@
-"""Row codec: schema-driven binary encoding of rows.
+"""Row codec: schema-compiled binary encoding of rows.
 
-Rows are stored in pages as real bytes.  The codec is struct-based with a
-compact layout: a null bitmap, fixed-width scalars, and length-prefixed
-strings.  Decimals are carried as scaled integers (``DECIMAL(p, s)`` with
-value * 10**s), which is both faithful to OLTP engines and keeps arithmetic
-exact for the TPC-C consistency checks.
+Rows are stored in pages as real bytes.  The layout is compact and
+little-endian with no padding: an 8-byte null bitmap (bit *i* set means
+column *i* is NULL and has no bytes), then the non-NULL columns in schema
+order - ``int`` 4 bytes, ``bigint``/``float`` 8, ``decimal`` as an 8-byte
+scaled integer (``DECIMAL(p, s)`` holds value * 10**s, which is both
+faithful to OLTP engines and keeps arithmetic exact for the TPC-C
+consistency checks), ``varchar`` as a 2-byte length and UTF-8 bytes.
+
+Nothing interprets that layout per column at run time.  Each
+:class:`Schema` generates Python source for its encode and decode kernels
+once, at construction: straight-line code with one ``struct.Struct`` per run
+of fixed-width columns (the length prefix of the varchar that ends the run
+folded into it, and on encode the bitmap too), decimal scaling inlined as a
+literal, and no branch on a type name.  NULLs are handled by specialisation
+rather than by branching: the entry kernels handle the all-present bitmap
+themselves and hand any other bitmap to a kernel generated for exactly that
+bitmap, built on first use and cached (see :class:`_KernelCache`).
+``decode`` accepts what ``encode`` produces, so a bitmap only ever marks
+nullable columns, and a schema without one never reads it.
+
+The byte format is pinned by the interpreted per-column reference codec in
+``tests/engine/codec_oracle.py``, which every kernel is property-tested
+against.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..common import QueryError
 
@@ -56,17 +74,280 @@ class Column:
     nullable: bool = False
 
 
+#: ``struct`` code of each type's fixed-width part (for a varchar, its
+#: length prefix).
+_STRUCT_CODES = {
+    "int": "i",
+    "bigint": "q",
+    "float": "d",
+    "decimal": "q",
+    "varchar": "H",
+}
+
+#: Kernels kept per schema and direction.  A workload uses a handful of
+#: NULL patterns per table; the cap only bounds what rows with arbitrary
+#: patterns over many nullable columns can make a schema hold on to.
+_KERNEL_CACHE_LIMIT = 256
+
+
+class _KernelCache(dict):
+    """Null bitmap -> the kernel specialised for it, compiled on first use
+    by ``build(columns, null_bits, cache)``."""
+
+    def __init__(self, build: Callable, columns: Sequence[Column]):
+        super().__init__()
+        self._build = build
+        self._columns = columns
+
+    def __missing__(self, null_bits: int) -> Callable:
+        if len(self) >= _KERNEL_CACHE_LIMIT:
+            self.clear()
+        kernel = self[null_bits] = self._build(self._columns, null_bits, self)
+        return kernel
+
+
+def _indent(lines: Iterable[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
+def _define(
+    columns: Sequence[Column],
+    name: str,
+    params: str,
+    body: List[str],
+    namespace: Dict[str, Any],
+) -> Callable:
+    """Compile ``def name(params): body`` with ``namespace`` as its globals.
+
+    The code object's file name carries this module's path and the column
+    names: profilers that bucket by path (``bench/run.py --trace 1``) then
+    charge a kernel's time to the codec whichever layer called it, and
+    ``pstats``, which keys on (file, line, name), keeps the kernels of
+    different schemas apart instead of letting one overwrite the other.
+    """
+    source = "def %s(%s):\n%s\n" % (name, params, "\n".join(_indent(body)))
+    filename = "<%s kernel for (%s)>" % (
+        __file__,
+        ", ".join(column.name for column in columns),
+    )
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _encode_kernel(
+    columns: Sequence[Column], null_bits: int, null_kernels: _KernelCache
+) -> Callable[[Sequence[Any]], bytes]:
+    """``encode(values)`` for rows whose NULL columns are exactly
+    ``null_bits``.
+
+    The all-present kernel (``null_bits == 0``) is the entry point: it also
+    checks the arity and routes a row holding any ``None`` to
+    ``null_kernels``.  Checks come in column order, so the first error a
+    row has is the one raised.
+    """
+    namespace: Dict[str, Any] = {
+        "QueryError": QueryError,
+        "null_kernels": null_kernels,
+    }
+    name = "encode_%x" % null_bits
+    values = ["v%d" % index for index in range(len(columns))]
+    body: List[str] = []
+    if not null_bits:
+        arity = "row has %%d values, schema has %d columns" % len(columns)
+        body += [
+            "if len(values) != %d:" % len(columns),
+            "    raise QueryError(%r %% len(values))" % arity,
+        ]
+    body.append("%s, = values" % ", ".join(values))
+    if not null_bits:
+        any_none = " or ".join("%s is None" % value for value in values)
+        bitmap = " | ".join(
+            "(%s is None) << %d" % (value, index)
+            for index, value in enumerate(values)
+        )
+        body += [
+            "if %s:" % any_none,
+            "    return null_kernels[%s](values)" % bitmap,
+        ]
+    parts: List[str] = []
+    fmt, args = "<Q", [str(null_bits)]
+
+    def flush() -> None:
+        nonlocal fmt, args
+        if args:
+            pack = "pack%d" % len(parts)
+            namespace[pack] = struct.Struct(fmt).pack
+            parts.append("%s(%s)" % (pack, ", ".join(args)))
+        fmt, args = "<", []
+
+    for index, (column, value) in enumerate(zip(columns, values)):
+        if null_bits >> index & 1:
+            if not column.nullable:
+                message = "column %s is not nullable" % column.name
+                body.append("raise QueryError(%r)" % message)
+                return _define(columns, name, "values", body, namespace)
+            continue
+        ctype = column.ctype
+        fmt += _STRUCT_CODES[ctype.name]
+        if ctype.name == "decimal":
+            args.append("int(round(%s * %d))" % (value, 10**ctype.scale))
+        elif ctype.name == "varchar":
+            raw = "r%d" % index
+            body.append("%s = %s.encode()" % (raw, value))
+            if ctype.max_length:
+                message = "value too long for %s(%d)" % (
+                    column.name,
+                    ctype.max_length,
+                )
+                body += [
+                    "if len(%s) > %d:" % (raw, ctype.max_length),
+                    "    raise QueryError(%r)" % message,
+                ]
+            args.append("len(%s)" % raw)
+            flush()
+            parts.append(raw)
+        else:
+            args.append(value)
+    flush()
+    body.append("return b''.join((%s,))" % ", ".join(parts))
+    return _define(columns, name, "values", body, namespace)
+
+
+def _decode_statements(
+    columns: Sequence[Column], null_bits: int, namespace: Dict[str, Any]
+) -> Tuple[List[str], str]:
+    """Statements decoding the row bytes in ``data``, and the expression
+    for the decoded value list, for rows whose NULL columns are exactly
+    ``null_bits``.  Struct unpackers are added to ``namespace``."""
+    statements: List[str] = []
+    values: List[str] = []
+    fmt = "<"
+    targets: List[str] = []
+    # The pending struct run starts at ``base + const``; ``base`` is the
+    # variable holding the end of the last varchar ("" before the first).
+    base, const = "", 8
+
+    def offset() -> str:
+        if not base:
+            return str(const)
+        return "%s + %d" % (base, const) if const else base
+
+    def flush() -> None:
+        nonlocal fmt, targets, const
+        if targets:
+            unpacker = struct.Struct(fmt)
+            unpack = "unpack%d" % len(namespace)
+            namespace[unpack] = unpacker.unpack_from
+            statements.append(
+                "%s, = %s(data, %s)" % (", ".join(targets), unpack, offset())
+            )
+            const += unpacker.size
+        fmt, targets = "<", []
+
+    for index, column in enumerate(columns):
+        if null_bits >> index & 1:
+            values.append("None")
+            continue
+        ctype = column.ctype
+        fmt += _STRUCT_CODES[ctype.name]
+        if ctype.name == "decimal":
+            targets.append("q%d" % index)
+            values.append("q%d / %d" % (index, 10**ctype.scale))
+        elif ctype.name == "varchar":
+            targets.append("n%d" % index)
+            flush()
+            start, end = offset(), "e%d" % index
+            statements += [
+                "%s = %s + n%d" % (end, start, index),
+                "v%d = data[%s:%s].decode()" % (index, start, end),
+            ]
+            base, const = end, 0
+            values.append("v%d" % index)
+        else:
+            targets.append("v%d" % index)
+            values.append("v%d" % index)
+    flush()
+    return statements, "[%s]" % ", ".join(values)
+
+
+def _bitmap_dispatch(
+    columns: Sequence[Column], on_nulls: List[str], namespace: Dict[str, Any]
+) -> List[str]:
+    """Statements that read the row's null bitmap and run ``on_nulls`` when
+    it is non-zero; none for a schema without a nullable column."""
+    if not any(column.nullable for column in columns):
+        return []
+    namespace["unpack_bitmap"] = struct.Struct("<Q").unpack_from
+    return ["bits, = unpack_bitmap(data, 0)", "if bits:"] + _indent(on_nulls)
+
+
+def _decode_kernel(
+    columns: Sequence[Column], null_bits: int, null_kernels: _KernelCache
+) -> Callable[[bytes], List[Any]]:
+    """``decode(data)`` for rows whose NULL columns are exactly ``null_bits``;
+    the all-present kernel hands every other bitmap to ``null_kernels``."""
+    namespace: Dict[str, Any] = {"null_kernels": null_kernels}
+    body: List[str] = []
+    if not null_bits:
+        body += _bitmap_dispatch(
+            columns, ["return null_kernels[bits](data)"], namespace
+        )
+    statements, result = _decode_statements(columns, null_bits, namespace)
+    body += statements + ["return " + result]
+    return _define(columns, "decode_%x" % null_bits, "data", body, namespace)
+
+
+def _decode_rows_kernel(
+    columns: Sequence[Column], null_kernels: _KernelCache
+) -> Callable[[Iterable[bytes]], List[List[Any]]]:
+    """``decode_rows(rows)``: the all-present decode statements inlined in a
+    loop, so a page of rows costs one Python call rather than one per row."""
+    namespace: Dict[str, Any] = {"null_kernels": null_kernels}
+    dispatch = _bitmap_dispatch(
+        columns, ["append(null_kernels[bits](data))", "continue"], namespace
+    )
+    statements, result = _decode_statements(columns, 0, namespace)
+    body = ["out = []", "append = out.append", "for data in rows:"]
+    body += _indent(dispatch + statements + ["append(%s)" % result])
+    body.append("return out")
+    return _define(columns, "decode_rows", "rows", body, namespace)
+
+
 class Schema:
-    """An ordered list of columns with encode/decode and key helpers."""
+    """An ordered list of columns with encode/decode and key helpers.
+
+    ``encode``, ``decode`` and ``decode_rows`` are kernels generated for
+    this schema (see the module docstring) and bound as instance
+    attributes, so a call pays no dispatch beyond the attribute lookup.
+    """
+
+    #: Encode one row (a sequence aligned with the schema) to bytes.
+    #: Raises :class:`QueryError` for a wrong arity, ``None`` in a
+    #: non-nullable column, or a varchar over its ``max_length``.
+    encode: Callable[[Sequence[Any]], bytes]
+    #: Decode bytes produced by :attr:`encode` back to a value list.
+    decode: Callable[[bytes], List[Any]]
+    #: Decode many encoded rows to a list of value lists, in input order.
+    decode_rows: Callable[[Iterable[bytes]], List[List[Any]]]
 
     def __init__(self, columns: Sequence[Column]):
         if not columns:
             raise QueryError("schema needs at least one column")
-        names = [c.name for c in columns]
+        names = tuple(c.name for c in columns)
         if len(set(names)) != len(names):
             raise QueryError("duplicate column names")
+        for column in columns:
+            if column.ctype.name not in _STRUCT_CODES:
+                raise QueryError("unsupported type %r" % column.ctype.name)
         self.columns: Tuple[Column, ...] = tuple(columns)
-        self._index: Dict[str, int] = {c.name: i for i, c in enumerate(columns)}
+        #: Column names in schema order.
+        self.names: Tuple[str, ...] = names
+        self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
+
+        decoders = _KernelCache(_decode_kernel, self.columns)
+        self.encode = _KernelCache(_encode_kernel, self.columns)[0]
+        self.decode = decoders[0]
+        self.decode_rows = _decode_rows_kernel(self.columns, decoders)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -80,120 +361,25 @@ class Schema:
     def has_column(self, name: str) -> bool:
         return name in self._index
 
-    @property
-    def names(self) -> List[str]:
-        return [c.name for c in self.columns]
+    def decode_rows_into(
+        self, rows: Iterable[bytes], arrays: Sequence[List[Any]]
+    ) -> int:
+        """Decode many encoded rows column-major: extend each column's
+        array (``arrays`` is aligned with the schema) with that column's
+        values, in input order.  Returns the row count.
 
-    # ------------------------------------------------------------------
-    # Encoding
-    # ------------------------------------------------------------------
-    def encode(self, values: Sequence[Any]) -> bytes:
-        """Encode one row (a sequence aligned with the schema) to bytes."""
-        if len(values) != len(self.columns):
-            raise QueryError(
-                "row has %d values, schema has %d columns"
-                % (len(values), len(self.columns))
-            )
-        null_bits = 0
-        parts: List[bytes] = []
-        for index, (column, value) in enumerate(zip(self.columns, values)):
-            if value is None:
-                if not column.nullable:
-                    raise QueryError("column %s is not nullable" % column.name)
-                null_bits |= 1 << index
-                continue
-            ctype = column.ctype
-            if ctype.name == "int":
-                parts.append(struct.pack("<i", value))
-            elif ctype.name == "bigint":
-                parts.append(struct.pack("<q", value))
-            elif ctype.name == "float":
-                parts.append(struct.pack("<d", value))
-            elif ctype.name == "decimal":
-                scaled = int(round(value * (10 ** ctype.scale)))
-                parts.append(struct.pack("<q", scaled))
-            elif ctype.name == "varchar":
-                raw = value.encode("utf-8")
-                if ctype.max_length and len(raw) > ctype.max_length:
-                    raise QueryError(
-                        "value too long for %s(%d)" % (column.name, ctype.max_length)
-                    )
-                parts.append(struct.pack("<H", len(raw)) + raw)
-            else:
-                raise QueryError("unsupported type %r" % ctype.name)
-        header = struct.pack("<Q", null_bits)
-        return header + b"".join(parts)
-
-    def decode(self, data: bytes) -> List[Any]:
-        """Decode bytes produced by :meth:`encode` back to a value list."""
-        (null_bits,) = struct.unpack_from("<Q", data, 0)
-        offset = 8
-        values: List[Any] = []
-        for index, column in enumerate(self.columns):
-            if null_bits & (1 << index):
-                values.append(None)
-                continue
-            ctype = column.ctype
-            if ctype.name == "int":
-                (value,) = struct.unpack_from("<i", data, offset)
-                offset += 4
-            elif ctype.name == "bigint":
-                (value,) = struct.unpack_from("<q", data, offset)
-                offset += 8
-            elif ctype.name == "float":
-                (value,) = struct.unpack_from("<d", data, offset)
-                offset += 8
-            elif ctype.name == "decimal":
-                (scaled,) = struct.unpack_from("<q", data, offset)
-                value = scaled / (10 ** ctype.scale)
-                offset += 8
-            elif ctype.name == "varchar":
-                (length,) = struct.unpack_from("<H", data, offset)
-                offset += 2
-                value = data[offset : offset + length].decode("utf-8")
-                offset += length
-            else:
-                raise QueryError("unsupported type %r" % ctype.name)
-            values.append(value)
-        return values
+        This is what builds structure-of-arrays column batches: the rows
+        are decoded by one kernel call and transposed in C.
+        """
+        decoded = self.decode_rows(rows)
+        for array, values in zip(arrays, zip(*decoded)):
+            array.extend(values)
+        return len(decoded)
 
     def decode_into(self, data: bytes, arrays: Sequence[List[Any]]) -> None:
-        """Decode one encoded row, appending each value to its column's
-        array (``arrays`` is aligned with the schema).
-
-        This is the column-major twin of :meth:`decode`, used by the
-        batch page decoder to build structure-of-arrays column batches
-        without materializing a per-row value list. The two methods must
-        stay byte-for-byte equivalent (covered by tests).
-        """
-        (null_bits,) = struct.unpack_from("<Q", data, 0)
-        offset = 8
-        for index, column in enumerate(self.columns):
-            if null_bits & (1 << index):
-                arrays[index].append(None)
-                continue
-            ctype = column.ctype
-            if ctype.name == "int":
-                (value,) = struct.unpack_from("<i", data, offset)
-                offset += 4
-            elif ctype.name == "bigint":
-                (value,) = struct.unpack_from("<q", data, offset)
-                offset += 8
-            elif ctype.name == "float":
-                (value,) = struct.unpack_from("<d", data, offset)
-                offset += 8
-            elif ctype.name == "decimal":
-                (scaled,) = struct.unpack_from("<q", data, offset)
-                value = scaled / (10 ** ctype.scale)
-                offset += 8
-            elif ctype.name == "varchar":
-                (length,) = struct.unpack_from("<H", data, offset)
-                offset += 2
-                value = data[offset : offset + length].decode("utf-8")
-                offset += length
-            else:
-                raise QueryError("unsupported type %r" % ctype.name)
-            arrays[index].append(value)
+        """Column-major twin of :attr:`decode` for one row: append each
+        value to its column's array."""
+        self.decode_rows_into((data,), arrays)
 
     def row_dict(self, values: Sequence[Any]) -> Dict[str, Any]:
         return dict(zip(self.names, values))

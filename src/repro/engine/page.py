@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, ItemsView, Optional, ValuesView
 
 from ..common import PAGE_SIZE, PageId, ReproError
 
@@ -73,7 +73,10 @@ class Page:
         self.page_id = page_id
         self.size = size
         self.page_lsn = 0
+        #: slot -> row.  Kept in slot order (see :meth:`_insert`), so a
+        #: scan iterates it as it is instead of sorting the slots.
         self._rows: Dict[int, bytes] = {}
+        self._slot_ordered = True
         self._next_slot = 0
         self._used = PAGE_HEADER_BYTES
 
@@ -100,10 +103,20 @@ class Page:
         except KeyError:
             raise KeyError("page %s has no slot %d" % (self.page_id, slot))
 
-    def slots(self) -> Iterator[Tuple[int, bytes]]:
-        """Iterate (slot, row) in slot order."""
-        for slot in sorted(self._rows):
-            yield slot, self._rows[slot]
+    def _in_slot_order(self) -> Dict[int, bytes]:
+        if not self._slot_ordered:
+            self._rows = dict(sorted(self._rows.items()))
+            self._slot_ordered = True
+        return self._rows
+
+    def slots(self) -> ItemsView[int, bytes]:
+        """``(slot, row)`` pairs in slot order.  A view: do not mutate the
+        page while iterating it."""
+        return self._in_slot_order().items()
+
+    def rows(self) -> ValuesView[bytes]:
+        """The live rows in slot order (a view, like :meth:`slots`)."""
+        return self._in_slot_order().values()
 
     # -- mutations (used only through apply_op) -------------------------------
     def _insert(self, slot: int, row: bytes) -> None:
@@ -118,6 +131,10 @@ class Page:
         self._used += need
         if slot >= self._next_slot:
             self._next_slot = slot + 1
+        else:
+            # A freed slot refilled (undo of a delete): the dict's
+            # insertion order is no longer slot order until re-sorted.
+            self._slot_ordered = False
 
     def _update(self, slot: int, row: bytes) -> None:
         old = self._rows.get(slot)
@@ -137,6 +154,7 @@ class Page:
 
     def _format(self) -> None:
         self._rows.clear()
+        self._slot_ordered = True
         self._next_slot = 0
         self._used = PAGE_HEADER_BYTES
 
@@ -150,6 +168,7 @@ class Page:
         other = Page(self.page_id, self.size)
         other.page_lsn = self.page_lsn
         other._rows = dict(self._rows)
+        other._slot_ordered = self._slot_ordered
         other._next_slot = self._next_slot
         other._used = self._used
         return other

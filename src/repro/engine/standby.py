@@ -115,7 +115,6 @@ class StandbyReplica:
         if self._subscribed:
             return
         self._subscribed = True
-        self._cursor = 0
         if self.use_feed:
             subscribe = getattr(self.primary, "subscribe_redo", None)
             if subscribe is not None:

@@ -134,6 +134,14 @@ class LockManager:
             self._locks[key] = lock
         return lock
 
+    def _release(self, key: Any, lock: Resource, request: Any) -> None:
+        """Release ``request`` and forget the lock once nobody holds or
+        waits for it, so the table holds only contended-or-held keys
+        rather than every key ever locked."""
+        lock.release(request)
+        if not lock.count and not lock.queue_length:
+            del self._locks[key]
+
     def acquire(self, txn: Transaction, key: Any):
         """Generator: take the row lock for ``key`` or abort on timeout.
 
@@ -162,7 +170,7 @@ class LockManager:
                 # same instant we timed out) and abort.
                 request.cancel()
                 if request.triggered:
-                    lock.release(request)
+                    self._release(key, lock, request)
                 if kill.triggered:
                     self.deadlocks += 1
                     raise TransactionAborted(
@@ -184,7 +192,7 @@ class LockManager:
                 del self._held[key]
             lock = self._locks.get(key)
             if lock is not None:
-                lock.release(request)
+                self._release(key, lock, request)
         txn.locks.clear()
 
     # -- global deadlock detection hooks -------------------------------

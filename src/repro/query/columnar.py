@@ -5,7 +5,7 @@ allocation per decoded row, dict probes per column reference, and a
 recursive ``Expr.eval`` walk per predicate evaluation. This module is
 the "columnar mandate" alternative: a :class:`ColumnBatch` holds one
 parallel Python list per column, decoded straight from page bytes by
-``Schema.decode_into``, and expressions compile (via
+``Schema.decode_rows_into``, and expressions compile (via
 ``repro.query.predicate``) to closures over the arrays where a column
 reference is a single ``list.__getitem__``.
 
@@ -166,9 +166,4 @@ def decode_page_into(schema, page, arrays: Sequence[List[Any]]) -> int:
     """Decode every live row of ``page`` column-major into ``arrays``
     (aligned with the schema), in slot order — the same row order the
     row executor's page scan produces. Returns the row count."""
-    count = 0
-    decode_into = schema.decode_into
-    for _slot, raw in page.slots():
-        decode_into(raw, arrays)
-        count += 1
-    return count
+    return schema.decode_rows_into(page.rows(), arrays)

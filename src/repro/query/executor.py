@@ -552,8 +552,7 @@ class QuerySession:
                 PAGE_CPU + ROW_CPU * page.row_count
             )
             self.pages_scanned += 1
-            for _slot, raw in page.slots():
-                values = table.schema.decode(raw)
+            for values in table.schema.decode_rows(page.rows()):
                 row = self._bind_row(scan.binding, table, values)
                 if predicate is None or predicate(row):
                     rows.append(row)

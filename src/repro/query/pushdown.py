@@ -149,9 +149,9 @@ def _execute_fragment_rowwise(fragment: PushdownFragment, pages: List[Page]):
         keys = fragment.batch_keys()
         rows: List[Dict[str, Any]] = []
         for page in pages:
-            for _slot, raw in page.slots():
+            for values in _decode_page(fragment, page):
                 scanned += 1
-                row = _bind(fragment, _decode(fragment, raw))
+                row = _bind(fragment, values)
                 if fragment.filter is None or fragment.filter.eval(row):
                     rows.append(row)
         key_tuples = [
@@ -164,9 +164,8 @@ def _execute_fragment_rowwise(fragment: PushdownFragment, pages: List[Page]):
     if fragment.partial_agg is None:
         rows = []
         for page in pages:
-            for _slot, raw in page.slots():
+            for values in _decode_page(fragment, page):
                 scanned += 1
-                values = _decode(fragment, raw)
                 row = _bind(fragment, values)
                 if fragment.filter is None or fragment.filter.eval(row):
                     rows.append(row)
@@ -175,9 +174,8 @@ def _execute_fragment_rowwise(fragment: PushdownFragment, pages: List[Page]):
     groups: Dict[Tuple, List[AggAccumulator]] = {}
     samples: Dict[Tuple, Dict[str, Any]] = {}
     for page in pages:
-        for _slot, raw in page.slots():
+        for values in _decode_page(fragment, page):
             scanned += 1
-            values = _decode(fragment, raw)
             row = _bind(fragment, values)
             if fragment.filter is not None and not fragment.filter.eval(row):
                 continue
@@ -192,13 +190,13 @@ def _execute_fragment_rowwise(fragment: PushdownFragment, pages: List[Page]):
     return ("partials", partials), scanned
 
 
-# The schema needed by _decode is carried out-of-band: fragments are shipped
-# with the schema object attached at dispatch time (a production system
-# serialises the schema with the fragment; here it rides along).
+# The schema needed by _decode_page is carried out-of-band: fragments are
+# shipped with the schema object attached at dispatch time (a production
+# system serialises the schema with the fragment; here it rides along).
 
 
-def _decode(fragment: PushdownFragment, raw: bytes):
-    return fragment._schema.decode(raw)  # type: ignore[attr-defined]
+def _decode_page(fragment: PushdownFragment, page: Page):
+    return fragment._schema.decode_rows(page.rows())  # type: ignore[attr-defined]
 
 
 def _bind(fragment: PushdownFragment, values) -> Dict[str, Any]:

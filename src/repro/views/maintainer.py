@@ -414,8 +414,7 @@ class ViewMaintainer:
                     if not self.alive or self.epoch != epoch:
                         return  # Crashed mid-scan; recovery rescans.
                     page_seen[page_id] = page.page_lsn
-                    for _slot, raw in page.slots():
-                        values = table.schema.decode(raw)
+                    for values in table.schema.decode_rows(page.rows()):
                         row = {
                             "%s.%s" % (table.name, name): value
                             for name, value in zip(table.schema.names, values)

@@ -215,6 +215,27 @@ def test_clone_is_deep():
     assert not clone.same_content(page)
 
 
+def test_rows_come_in_slot_order_after_a_freed_slot_is_refilled():
+    """Scans iterate the slot dict as it is; refilling a freed slot (the
+    undo of a delete) appends to the dict out of slot order, and the next
+    scan must still see slot order - on the page and on its clones."""
+    page = make_page()
+    for slot in range(4):
+        apply_op(page, PageOp("insert", slot=slot, row=b"r%d" % slot), lsn=slot + 1)
+    apply_op(page, PageOp("delete", slot=1), lsn=5)
+    apply_op(page, PageOp("insert", slot=1, row=b"again"), lsn=6)
+    stale_order = page.clone()
+    expected = [(0, b"r0"), (1, b"again"), (2, b"r2"), (3, b"r3")]
+    assert list(page.slots()) == expected
+    assert list(page.rows()) == [row for _slot, row in expected]
+    assert list(stale_order.slots()) == expected
+    apply_op(page, PageOp("insert", slot=page.allocate_slot(), row=b"r4"), lsn=7)
+    assert list(page.slots()) == expected + [(4, b"r4")]
+    apply_op(page, PageOp("format"), lsn=8)
+    apply_op(page, PageOp("insert", slot=0, row=b"new"), lsn=9)
+    assert list(page.slots()) == [(0, b"new")]
+
+
 def test_invalid_op_kind_rejected():
     with pytest.raises(ValueError):
         PageOp("truncate")

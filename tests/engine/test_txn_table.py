@@ -140,6 +140,37 @@ def test_three_way_deadlock_detected():
     assert outcomes.count("ok") == 2
 
 
+def test_lock_table_is_empty_once_every_transaction_has_finished():
+    """The table holds only held or waited-for keys: a mix of uncontended
+    keys, a FIFO queue on a hot key, a timed-out waiter and a deadlock
+    victim must all leave nothing behind."""
+    env = Environment()
+    locks = LockManager(env, wait_timeout=0.5)
+    outcomes = []
+
+    def worker(env, keys, hold):
+        txn = Transaction(env)
+        try:
+            for key in keys:
+                yield from locks.acquire(txn, key)
+                yield env.timeout(hold)
+            outcomes.append("ok")
+        except TransactionAborted:
+            outcomes.append("aborted")
+        locks.release_all(txn)
+
+    for index in range(20):  # private keys plus one hot key, queued FIFO
+        env.process(worker(env, [("cold", index), ("hot", 0)], 0.01))
+    env.process(worker(env, [("slow", 0)], 2.0))
+    env.process(worker(env, [("slow", 0)], 0.0))  # times out at 0.5
+    env.process(worker(env, [("x", 1), ("x", 2)], 0.1))
+    env.process(worker(env, [("x", 2), ("x", 1)], 0.1))  # deadlock victim
+    env.run()
+    assert outcomes.count("aborted") == 2 and locks.timeouts == 1
+    assert locks.deadlocks == 1
+    assert locks._locks == {} and locks._held == {} and locks._waiting_on == {}
+
+
 # ---------------------------------------------------------------------------
 # Tables and catalog
 # ---------------------------------------------------------------------------

@@ -10,10 +10,6 @@ statement; any token or prepared-state leakage across the park/bind
 cycle shows up as a stale read or rows diverging from the control's.
 """
 
-import pytest
-
-hypothesis = pytest.importorskip("hypothesis")
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine.codec import INT, VARCHAR, Column, Schema

@@ -1,11 +1,8 @@
 """Compiled predicates vs interpreted ``Expr.eval``, column-major decode,
-and (when hypothesis is installed) property tests over random queries.
-
-CI installs only pytest; the property tests skip cleanly there and run in
-dev environments that have hypothesis.
-"""
+and property tests over random queries."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common import KB, QueryError
 from repro.engine.codec import (
@@ -173,11 +170,8 @@ def test_decode_into_matches_decode_for_all_types():
 
 
 # ---------------------------------------------------------------------------
-# Property tests (optional dependency)
+# Property tests
 # ---------------------------------------------------------------------------
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 
 _num = st.sampled_from([A, B]) | st.integers(-10, 10).map(Literal)

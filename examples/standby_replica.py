@@ -31,7 +31,7 @@ def main():
 
     standby = StandbyReplica(deployment.env, engine,
                              buffer_pool_bytes=16 * 16 * 1024)
-    standby.start()
+    standby.applier.start()
 
     workers = [
         OrdersClient(database, deployment.seeds.stream("w%d" % i))

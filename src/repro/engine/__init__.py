@@ -10,6 +10,7 @@
 - :mod:`repro.engine.txn` - row locks and transaction state
 - :mod:`repro.engine.dbengine` - the engine itself
 - :mod:`repro.engine.logbackends` - LogStore vs AStore log adapters
+- :mod:`repro.engine.redo_applier` - the one REDO consumer (replicas, views)
 """
 
 from .bufferpool import BufferPool

@@ -94,14 +94,14 @@ class RedoFeed:
     """One subscriber's incremental REDO queue (host-side, bounded).
 
     Group commit publishes each durable batch once into every live
-    feed's queue (:meth:`DBEngine.subscribe_redo`); a standby drains its
-    queue instead of rescanning the whole retained log every poll.
-    ``stale`` means the queue no longer covers the subscriber's gap —
-    set initially, after an overflow, and by the subscriber on crash —
-    and tells the consumer to do one full rescan before going
-    incremental again.  Publishing skips stale feeds entirely (the
-    rescan re-reads everything durable anyway), so a dead subscriber
-    costs nothing and a bounded queue never grows past ``bound``.
+    feed's queue (:meth:`DBEngine.subscribe_redo`); the subscriber's
+    :class:`repro.engine.redo_applier.RedoApplier` drains it every poll.
+    ``stale`` means the queue no longer covers the subscriber's gap -
+    after an overflow, and set by the subscriber on crash - and tells
+    the applier to catch up by one PageStore scan before going
+    incremental again.  Publishing skips stale feeds entirely (the scan
+    re-reads everything durable anyway), so a dead subscriber costs
+    nothing and a bounded queue never grows past ``bound``.
 
     All of this is plain Python bookkeeping: no events, no virtual time.
     """
@@ -111,8 +111,8 @@ class RedoFeed:
     def __init__(self, env: Environment, bound: int = 65536):
         self.store = Store(env)
         self.bound = bound
-        #: True until the subscriber's first full rescan (and again
-        #: after crash/overflow): the queue must not be trusted.
+        #: True until the subscriber goes live (and again after
+        #: crash/overflow): the queue must not be trusted.
         self.stale = True
         self.published = 0
         self.overflows = 0
@@ -223,10 +223,11 @@ class DBEngine:
     def subscribe_redo(self, bound: int = 65536) -> RedoFeed:
         """Register a per-subscriber incremental REDO feed.
 
-        The feed starts ``stale`` (the subscriber owes itself one full
-        rescan to cover everything durable before subscription); after
-        that, group commit pushes each durable batch into the feed's
-        queue and the subscriber only ever sees new records.
+        The feed starts ``stale``: the subscriber marks it live once it
+        covers everything durable before the subscription (at once, if
+        that is nothing); after that, group commit pushes each durable
+        batch into the feed's queue and the subscriber only ever sees
+        new records.
         """
         feed = RedoFeed(self.env, bound=bound)
         self._redo_feeds.append(feed)
@@ -236,8 +237,8 @@ class DBEngine:
         """Aggregate per-subscriber feed pressure (deployment gauges).
 
         ``depth`` is the total queued-record backlog across subscribers;
-        ``overflows`` counts queue drops, each of which silently cost the
-        subscriber one full rescan.
+        ``overflows`` counts queue drops, each of which cost the
+        subscriber one catch-up scan.
         """
         feeds = self._redo_feeds
         return {
@@ -290,8 +291,8 @@ class DBEngine:
         # WAL rule satisfied: durable records may now ship to PageStore.
         # Commit/abort markers are log-only; PageStore applies page ops.
         self._ship_queue.extend(r for r in records if not r.is_marker)
-        # Publish the durable batch (markers included, matching the
-        # rescan view) to each live REDO feed.  Batches arrive in LSN
+        # Publish the durable batch (markers included) to each live
+        # REDO feed.  Batches arrive in LSN
         # order because submit() allocates LSNs in append order and the
         # writer flushes FIFO.
         if self._redo_feeds:
@@ -419,6 +420,32 @@ class DBEngine:
                     yield from self.pagestore.ship_records(batch)
                     self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
                 yield self.env.timeout(0.5 * MS)
+
+    def read_page_fresh(self, page_id: PageId, required_lsn: int):
+        """Generator: a page image at LSN >= ``required_lsn``, or StorageError.
+
+        PageStore can serve an image *behind* ``min_lsn`` while the
+        covering REDO still sits in the ship queue (only a parked replica
+        raises).  ``fetch_page`` re-checks staleness afterwards; a REDO
+        consumer's catch-up scan, its feed just cleared, cannot - so
+        force a ship and retry until the image is fresh.
+        """
+        attempts = 0
+        while True:
+            page = yield from self._read_from_pagestore(page_id, required_lsn)
+            if page.page_lsn >= required_lsn:
+                return page
+            attempts += 1
+            if attempts > 8:
+                raise StorageError(
+                    "page %s stuck at %d, need %d"
+                    % (page_id, page.page_lsn, required_lsn)
+                )
+            if self._ship_queue:
+                batch, self._ship_queue = self._ship_queue, []
+                yield from self.pagestore.ship_records(batch)
+                self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
+            yield self.env.timeout(0.5 * MS)
 
     def _new_page(self, table: Table) -> Tuple[Page, RedoRecord]:
         """Allocate and format a fresh heap page (logged)."""

@@ -9,10 +9,10 @@ round, or by the fleet's own sweep loop on stock deployments) *drains*
 it - no new reads are routed there until :meth:`restart` has replayed
 PageStore and the replica rejoins.
 
-Read-your-writes gating lives here too: :meth:`wait_for_lsn` parks a
-read on the virtual clock until the chosen replica's ``applied_lsn``
-reaches the session's commit token, giving up after a bounded wait so
-the proxy can bounce the read to the primary instead of stalling.
+Read-your-writes gating goes through here too: :meth:`wait_for_lsn`
+times the chosen replica's applier wait (bounded, so the proxy can
+bounce the read to the primary instead of stalling) into the fleet's
+latency series.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ReplicaHandle:
 
     @property
     def routable(self) -> bool:
-        return self.admitted and self.replica.alive
+        return self.admitted and self.replica.applier.alive
 
     def __repr__(self) -> str:
         return "<ReplicaHandle %s admitted=%s lag=%d>" % (
@@ -82,8 +82,6 @@ class ReplicaFleet:
         self.env = env
         self.primary = primary
         self.policy = policy
-        self.wait_poll = wait_poll
-        self.apply_intervals = apply_intervals
         self.handles: List[ReplicaHandle] = [
             ReplicaHandle(
                 index,
@@ -96,14 +94,15 @@ class ReplicaFleet:
             )
             for index in range(count)
         ]
+        for handle, interval in zip(self.handles, apply_intervals):
+            handle.replica.applier.poll_interval = interval
+            handle.replica.applier.wait_poll = wait_poll
         self._by_id: Dict[str, ReplicaHandle] = {
             handle.replica_id: handle for handle in self.handles
         }
         self.drains = 0
         self.rejoins = 0
         self.failed_restarts = 0
-        self.lsn_waits = 0
-        self.lsn_wait_timeouts = 0
         self._started = False
         self._wait_latency = obs_of(env).registry.latency(
             "frontend.fleet_lsn_wait"
@@ -128,8 +127,8 @@ class ReplicaFleet:
         if self._started:
             return
         self._started = True
-        for handle, interval in zip(self.handles, self.apply_intervals):
-            handle.replica.start(poll_interval=interval)
+        for handle in self.handles:
+            handle.replica.applier.start()
         if self_sweep_interval is not None:
             self.env.process(
                 self._sweep_loop(self_sweep_interval), name="fleet-health"
@@ -144,7 +143,7 @@ class ReplicaFleet:
         """Drain handles whose replica died; returns how many."""
         drained = 0
         for handle in self.handles:
-            if handle.admitted and not handle.replica.alive:
+            if handle.admitted and not handle.replica.applier.alive:
                 handle.admitted = False
                 self.drains += 1
                 drained += 1
@@ -164,7 +163,7 @@ class ReplicaFleet:
 
     def crash(self, replica_id: str) -> None:
         """Power-fail one replica (the next health sweep drains it)."""
-        self.handle_of(replica_id).replica.crash()
+        self.handle_of(replica_id).replica.applier.crash()
 
     def restart(self, replica_id: str) -> None:
         """Kick off background recovery; the replica rejoins when done."""
@@ -175,12 +174,14 @@ class ReplicaFleet:
 
     def _restart(self, handle: ReplicaHandle):
         try:
-            yield from handle.replica.recover()
+            pages = yield from handle.replica.applier.recover()
         except StorageError:
             # PageStore could not serve the rebuild (e.g. total outage
             # mid-recovery): stay drained rather than rejoin half-built.
             self.failed_restarts += 1
             return
+        if pages is None:
+            return  # Crashed again, or an earlier restart is rebuilding.
         handle.admitted = True
         self.rejoins += 1
 
@@ -194,25 +195,22 @@ class ReplicaFleet:
         """Policy pick among routable replicas (None -> use the primary)."""
         return self.policy.choose(self.routable_handles(), session)
 
-    def wait_for_lsn(self, handle: ReplicaHandle, lsn: int, max_wait: float):
-        """Generator: True once ``applied_lsn >= lsn``; False on timeout.
+    @property
+    def lsn_waits(self) -> int:
+        return sum(h.replica.applier.lsn_waits for h in self.handles)
 
-        Also returns False if the replica dies or is drained while we
-        wait, so the caller reroutes instead of stalling on a corpse.
-        """
-        if handle.replica.applied_lsn >= lsn:
-            return True
-        self.lsn_waits += 1
+    @property
+    def lsn_wait_timeouts(self) -> int:
+        return sum(h.replica.applier.lsn_wait_timeouts for h in self.handles)
+
+    def wait_for_lsn(self, handle: ReplicaHandle, lsn: int, max_wait: float):
+        """Generator: the replica applier's wait, timed."""
         start = self.env.now
-        deadline = start + max_wait
-        while handle.replica.applied_lsn < lsn:
-            if not handle.routable or self.env.now >= deadline:
-                self.lsn_wait_timeouts += 1
-                self._wait_latency.record(self.env.now - start)
-                return False
-            yield self.env.timeout(self.wait_poll)
+        caught_up = yield from handle.replica.applier.wait_for_lsn(
+            lsn, max_wait
+        )
         self._wait_latency.record(self.env.now - start)
-        return True
+        return caught_up
 
     def sync_catalogs(self) -> None:
         """Mirror tables created on the primary after fleet construction."""

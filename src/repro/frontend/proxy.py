@@ -596,8 +596,8 @@ class SqlProxy:
                         session, primary_fn, "no_replica", args
                     )
                 )
-            replica = handle.replica
-            if replica.applied_lsn < token:
+            applier = handle.replica.applier
+            if applier.watermark < token:
                 if cut_forced:
                     self.scatter_cut_waits += 1
                 # Only pay the wait generator when actually behind; the
@@ -614,7 +614,7 @@ class SqlProxy:
                             session, primary_fn, "lag_timeout", args
                         )
                     )
-            epoch = replica.epoch
+            epoch = applier.epoch
             handle.inflight += 1
             failed = False
             result = None
@@ -626,7 +626,7 @@ class SqlProxy:
                 failed = True
             finally:
                 handle.inflight -= 1
-            if failed or replica.epoch != epoch or not replica.alive:
+            if failed or applier.epoch != epoch or not applier.alive:
                 # The replica died under us: the result (even a
                 # non-exceptional one) may predate the crash or come from
                 # half-rebuilt state - discard and try the next route.
@@ -676,8 +676,8 @@ class SqlProxy:
         try:
             token = session.token.lsns[0]
             result = None
-            fresh = yield from views.wait_for_lsn(
-                view, token, self.wait_timeout
+            fresh = yield from view.applier.wait_for_lsn(
+                token, self.wait_timeout
             )
             if fresh:
                 result = yield from views.serve(view, statement, item_map)

@@ -396,13 +396,13 @@ def run_serving(
             "failed_restarts": fleet.failed_restarts,
             "replicas": {
                 handle.replica_id: {
-                    "alive": handle.replica.alive,
+                    "alive": handle.replica.applier.alive,
                     "admitted": handle.admitted,
                     "applied_lsn": handle.replica.applied_lsn,
                     "lag_lsn": handle.replica.lag_lsn,
                     "reads_served": handle.reads_served,
-                    "crashes": handle.replica.crashes,
-                    "recoveries": handle.replica.recoveries,
+                    "crashes": handle.replica.applier.crashes,
+                    "recoveries": handle.replica.applier.recoveries,
                 }
                 for handle in fleet.handles
             },

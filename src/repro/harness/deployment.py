@@ -817,7 +817,9 @@ class Deployment:
             for view in maintainer.views.values():
                 reg.gauge(
                     "views.%s" % view.definition.name,
-                    lambda v=view: v.stats(),
+                    lambda v=view: dict(
+                        v.stats(), rescan_causes=dict(v.applier.scans)
+                    ),
                 )
         if self.config.enable_pushdown:
             # PushdownRuntime increments these; pre-register so the report
@@ -965,14 +967,16 @@ class Deployment:
                 reg.gauge(
                     prefix + "frontend.replicas.%s" % handle.replica_id,
                     lambda h=handle: {
-                        "alive": h.replica.alive,
+                        "alive": h.replica.applier.alive,
                         "admitted": h.admitted,
                         "applied_lsn": h.replica.applied_lsn,
                         "lag_lsn": h.replica.lag_lsn,
                         "records_applied": h.replica.records_applied,
                         "reads_served": h.reads_served,
-                        "crashes": h.replica.crashes,
-                        "recoveries": h.replica.recoveries,
+                        "crashes": h.replica.applier.crashes,
+                        "recoveries": h.replica.applier.recoveries,
+                        "rescans": h.replica.applier.rescans,
+                        "rescan_causes": dict(h.replica.applier.scans),
                     },
                 )
         if stack.ring is not None:
@@ -986,10 +990,6 @@ class Deployment:
             ls = stack.logstore
             reg.gauge(prefix + "logstore.appends", lambda: ls.appends)
             reg.gauge(prefix + "logstore.bytes", lambda: ls.bytes_appended)
-
-    def _can_recycle(self, start_lsn: int) -> bool:
-        """A FULL log segment is recyclable once its REDO reached PageStore."""
-        return self.engine is None or self.engine.shipped_lsn >= start_lsn
 
     # ------------------------------------------------------------------
     # Lifecycle

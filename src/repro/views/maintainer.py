@@ -1,28 +1,24 @@
 """The view maintainer: REDO feed -> deltas -> materialized view state.
 
-One ``ViewMaintainer`` daemon owns every registered view.  Per view it
-subscribes one ``RedoFeed`` cursor on the primary, decodes each durable
-REDO record into +-1 Z-set deltas, and folds them into the view's state
-(group key -> weighted aggregate states, or a plain Z-set for
-projection views), stamped with an applied-LSN **watermark**: the state
-is exactly the view query's answer over all records with LSN <= the
-watermark.
+One ``ViewMaintainer`` daemon owns every registered view.  Each view is
+the *fold sink* of its own :class:`repro.engine.redo_applier.RedoApplier`
+(feed cursor, PageStore catch-up scan, watermark, crash/recover): it
+decodes each durable REDO record into +-1 Z-set deltas and folds them
+into its state (group key -> weighted aggregate states, or a plain Z-set
+for projection views).  The state is exactly the view query's answer
+over all records with LSN <= the applier's watermark.
 
 Decode needs before-images.  Ordinary updates/deletes log their
 ``undo_row``; the one exception is the CLR delete that compensates an
 aborted insert, which only names the insert's LSN (``compensates``).
-The maintainer therefore remembers insert images per LSN until the
-owning transaction's commit/abort marker, and resolves CLR deletes
-through that map.  Anything unresolvable flips ``needs_rescan``.
+The view therefore remembers insert images per LSN until the owning
+transaction's commit/abort marker, and resolves CLR deletes through that
+map.  Anything unresolvable stops the fold there and asks the applier
+for a rescan.
 
-Rescans (initial build, feed overflow, crash recovery, decode miss)
-reuse the standby lifecycle: clear the feed and mark it live, capture
-the durable tail, then fuzzily scan the base table's pages through the
-primary's degraded-read path.  Each scanned page records its page-LSN
-in ``page_seen`` so feed records already reflected in a scanned image
-are skipped (ARIES redo check), and any record not yet durable at the
-captured tail is guaranteed to arrive through the feed (unflushed
-records always carry LSNs above the persistent tail).
+A catch-up scan folds the base table's page images into fresh state;
+``page_seen`` keeps each image's LSN so feed records it already reflects
+are skipped (ARIES redo check).
 
 Serving is O(result): finalize the per-group states (or expand the
 Z-set), shape to the querying statement's items, apply its ORDER
@@ -37,9 +33,9 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..common import MS, US, PageId, QueryError, StorageError
+from ..engine.redo_applier import RedoApplier
 from ..query.ast import AggCall, ColumnRef, Select
 from ..query.executor import (
-    PAGE_CPU,
     ROW_CPU,
     QueryResult,
     _Reversible,
@@ -54,8 +50,6 @@ from .zset import ZSet
 
 __all__ = ["MaintainedView", "ViewMaintainer"]
 
-#: CPU charged per REDO record decoded + folded.
-FOLD_CPU = 3 * US
 #: Fixed CPU charged per view-served query (shape + dispatch).
 SERVE_CPU = 4 * US
 
@@ -83,48 +77,36 @@ def _fold_row(definition: ViewDefinition, groups, zset: ZSet,
     return True
 
 
+def _named_row(table, values) -> Dict[str, Any]:
+    return {
+        "%s.%s" % (table.name, name): value
+        for name, value in zip(table.schema.names, values)
+    }
+
+
 class MaintainedView:
-    """One view's live state plus its feed cursor and counters."""
+    """One view: live state, fold sink of its own ``applier``, counters."""
 
-    __slots__ = (
-        "definition",
-        "feed",
-        "watermark",
-        "groups",
-        "zset",
-        "page_seen",
-        "page_seen_max",
-        "needs_rescan",
-        "undo_images",
-        "txn_lsns",
-        "records_folded",
-        "deltas_applied",
-        "rescans",
-        "serves",
-        "decode_misses",
-    )
-
-    def __init__(self, definition: ViewDefinition):
+    def __init__(self, definition: ViewDefinition, catalog):
         self.definition = definition
-        self.feed = None
+        #: The source's catalog: maps a record's tablespace to its table.
+        self.catalog = catalog
+        self.applier: Optional[RedoApplier] = None
         self.records_folded = 0
         self.deltas_applied = 0
-        self.rescans = 0
         self.serves = 0
         self.decode_misses = 0
         self.reset()
 
     def reset(self) -> None:
         """Drop all volatile state (initial build and crash)."""
-        self.watermark = 0
         #: group key -> [surviving row weight, per-aggregate states].
         self.groups: "OrderedDict[tuple, list]" = OrderedDict()
         self.zset = ZSet()
-        #: page -> page-LSN captured by the last fuzzy rescan; feed
+        #: page -> page-LSN captured by the last catch-up scan; feed
         #: records at or below it are already in the scanned image.
         self.page_seen: Dict[PageId, int] = {}
         self.page_seen_max = 0
-        self.needs_rescan = True
         #: insert LSN -> row image, for resolving insert-compensating
         #: CLR deletes (the only records without a logged before-image).
         self.undo_images: Dict[int, bytes] = {}
@@ -135,22 +117,126 @@ class MaintainedView:
         return len(self.groups) if self.definition.is_aggregate else len(self.zset)
 
     def stats(self) -> Dict[str, int]:
-        feed = self.feed
+        applier = self.applier
+        feed = applier.feed
         return {
-            "watermark": self.watermark,
+            "watermark": applier.watermark,
             "size": self.size,
             "records_folded": self.records_folded,
             "deltas_applied": self.deltas_applied,
-            "rescans": self.rescans,
+            "rescans": applier.rescans,
             "serves": self.serves,
             "decode_misses": self.decode_misses,
             "feed_depth": len(feed) if feed is not None else 0,
             "feed_overflows": feed.overflows if feed is not None else 0,
         }
 
+    # ------------------------------------------------------------------
+    # REDO sink
+    # ------------------------------------------------------------------
+    def scan_tables(self):
+        name = self.definition.table  # Not created yet: nothing to scan.
+        return [self.catalog.table(name)] if name in self.catalog else []
+
+    def rebuild(self, scanned) -> None:
+        """Replace the state with the fold of the scanned page images."""
+        self.reset()
+        definition = self.definition
+        for table, page in scanned:
+            self.page_seen[page.page_id] = page.page_lsn
+            for values in table.schema.decode_rows(page.rows()):
+                _fold_row(definition, self.groups, self.zset,
+                          _named_row(table, values), 1)
+        self.page_seen_max = max(self.page_seen.values(), default=0)
+
+    def apply(self, batch) -> int:
+        """Decode and fold one LSN-ordered durable batch; records consumed.
+
+        Stops short at a record it cannot decode, so the watermark only
+        advances past records actually folded (or provably irrelevant):
+        the state still equals the fold of everything <= the watermark
+        and serving stays sound while the rescan is pending.
+        """
+        catalog = self.catalog
+        definition = self.definition
+        for consumed, record in enumerate(batch):
+            if record.is_marker:
+                self._evict_images(record)
+                continue
+            op = record.op
+            if op.kind == "format":
+                continue
+            try:
+                table = catalog.by_space(record.page_id.space_no)
+            except QueryError:
+                continue
+            if table.name != definition.table:
+                continue
+            if (
+                self.page_seen
+                and record.lsn <= self.page_seen.get(record.page_id, 0)
+            ):
+                # Fuzzy-scan overlap: the scanned image already holds
+                # this record's effect.  Still remember insert images -
+                # a post-scan CLR delete may compensate this insert.
+                if op.kind == "insert":
+                    self._remember(record)
+                continue
+            deltas = self._deltas_of(table, record)
+            if deltas is None:
+                self.decode_misses += 1
+                return consumed
+            for values, weight in deltas:
+                if _fold_row(definition, self.groups, self.zset,
+                             _named_row(table, values), weight):
+                    self.deltas_applied += 1
+            self.records_folded += 1
+        if self.page_seen and batch[-1].lsn >= self.page_seen_max:
+            # Every in-flight record from the scan window has drained.
+            self.page_seen.clear()
+        return len(batch)
+
+    def _deltas_of(self, table, record):
+        """(decoded values, weight) deltas for one record; None = miss."""
+        op = record.op
+        decode = table.schema.decode
+        if op.kind == "insert":
+            self._remember(record)
+            return [(decode(op.row), 1)]
+        if op.kind == "update":
+            old_row = record.undo_row
+            if old_row is None:
+                old_row = self._recall(record)
+                if old_row is None:
+                    return None
+            return [(decode(old_row), -1), (decode(op.row), 1)]
+        if op.kind == "delete":
+            old_row = record.undo_row
+            if old_row is None:
+                old_row = self._recall(record)
+                if old_row is None:
+                    return None
+            return [(decode(old_row), -1)]
+        return []
+
+    def _remember(self, record) -> None:
+        self.undo_images[record.lsn] = record.op.row
+        self.txn_lsns.setdefault(record.txn_id, []).append(record.lsn)
+
+    def _recall(self, record) -> Optional[bytes]:
+        if record.clr and record.compensates >= 0:
+            return self.undo_images.get(record.compensates)
+        return None
+
+    def _evict_images(self, marker) -> None:
+        lsns = self.txn_lsns.pop(marker.txn_id, None)
+        if lsns:
+            for lsn in lsns:
+                self.undo_images.pop(lsn, None)
+
 
 class ViewMaintainer:
-    """Drains one REDO feed per view and serves eligible SELECTs."""
+    """Owns the views; matches and serves eligible SELECTs from them."""
 
     def __init__(
         self,
@@ -163,273 +249,62 @@ class ViewMaintainer:
         cores: int = 2,
     ):
         self.env = env
-        self.engine = engine
         self.cpu = CpuPool(env, cores=cores)
-        self.feed_bound = feed_bound
-        self.poll_interval = poll_interval
-        self.wait_poll = wait_poll
         self.views: "OrderedDict[str, MaintainedView]" = OrderedDict()
         for definition in definitions:
             if definition.name in self.views:
                 raise QueryError("duplicate view name %r" % definition.name)
-            self.views[definition.name] = MaintainedView(definition)
-        #: False between :meth:`crash` and :meth:`recover`.
+            view = MaintainedView(definition, engine.catalog)
+            view.applier = RedoApplier(
+                env, engine, view, self.cpu,
+                name="view-%s" % definition.name,
+                feed_bound=feed_bound,
+                poll_interval=poll_interval,
+                wait_poll=wait_poll,
+            )
+            # A view's first state always comes from a scan (the
+            # "initial build" in every report), even at zero lag.
+            view.applier.request_scan("initial")
+            self.views[definition.name] = view
+        #: The daemon's power state; each view's applier comes back
+        #: alive on its own once rebuilt.
         self.alive = True
-        #: Bumped per crash; in-flight folds/scans/serves that straddle
-        #: a crash observe the bump and discard their work.
-        self.epoch = 0
         self.crashes = 0
         self.recoveries = 0
-        self.lsn_waits = 0
-        self.lsn_wait_timeouts = 0
-        self._started = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
         for view in self.views.values():
-            view.feed = self.engine.subscribe_redo(bound=self.feed_bound)
-            self.env.process(
-                self._apply_loop(view),
-                name="view-%s" % view.definition.name,
-            )
+            view.applier.start()
 
     def crash(self) -> None:
         """Lose all volatile view state (the standby crash model)."""
         if not self.alive:
             return
         self.alive = False
-        self.epoch += 1
         self.crashes += 1
         for view in self.views.values():
-            view.reset()
-            if view.feed is not None:
-                view.feed.stale = True
-                view.feed.clear()
+            view.applier.crash()
 
     def recover(self) -> None:
-        """Come back up; the apply loops rebuild every view by rescan."""
+        """Come back up: every view rebuilds by scan in the background."""
         if self.alive:
             return
         self.alive = True
         self.recoveries += 1
+        for view in self.views.values():
+            self.env.process(self._rebuild(view.applier), name="view-recover")
 
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def _apply_loop(self, view: MaintainedView):
-        env = self.env
-        while True:
-            yield env.timeout(self.poll_interval)
-            if not self.alive:
-                continue
-            if view.needs_rescan or view.feed.stale:
-                yield from self._rescan(view)
-                continue
-            batch = view.feed.drain()
-            if batch and batch[0].lsn <= view.watermark:
-                # Safety net: drop records a rescan already covered.
-                applied = view.watermark
-                batch = [r for r in batch if r.lsn > applied]
-            if not batch:
-                continue
-            epoch = self.epoch
-            yield from self.cpu.consume(FOLD_CPU * len(batch))
-            if not self.alive or self.epoch != epoch:
-                continue
-            self._fold(view, batch)
-
-    def _fold(self, view: MaintainedView, batch) -> None:
-        """Host-side: decode and fold one LSN-ordered durable batch.
-
-        The watermark only advances past records actually folded (or
-        provably irrelevant), so on a decode miss the state still equals
-        the fold of everything <= the watermark and serving stays sound
-        while the rescan is pending.
-        """
-        catalog = self.engine.catalog
-        definition = view.definition
-        for record in batch:
-            if record.is_marker:
-                self._evict_images(view, record)
-                view.watermark = max(view.watermark, record.lsn)
-                continue
-            op = record.op
-            if op.kind == "format":
-                view.watermark = max(view.watermark, record.lsn)
-                continue
+    def _rebuild(self, applier: RedoApplier):
+        while self.alive and not applier.alive:
             try:
-                table = catalog.by_space(record.page_id.space_no)
-            except QueryError:
-                table = None
-            if table is None or table.name != definition.table:
-                view.watermark = max(view.watermark, record.lsn)
-                continue
-            if (
-                view.page_seen
-                and record.lsn <= view.page_seen.get(record.page_id, 0)
-            ):
-                # Fuzzy-rescan overlap: the scanned image already holds
-                # this record's effect.  Still remember insert images —
-                # a post-rescan CLR delete may compensate this insert.
-                if op.kind == "insert":
-                    self._remember(view, record)
-                view.watermark = max(view.watermark, record.lsn)
-                continue
-            deltas = self._deltas_of(view, table, record)
-            if deltas is None:
-                view.decode_misses += 1
-                view.needs_rescan = True
-                return
-            for values, weight in deltas:
-                row = {
-                    "%s.%s" % (table.name, name): value
-                    for name, value in zip(table.schema.names, values)
-                }
-                if _fold_row(definition, view.groups, view.zset, row, weight):
-                    view.deltas_applied += 1
-            view.records_folded += 1
-            view.watermark = max(view.watermark, record.lsn)
-        if view.page_seen and view.watermark >= view.page_seen_max:
-            # Every in-flight record from the rescan window has drained.
-            view.page_seen.clear()
-
-    def _deltas_of(self, view, table, record):
-        """(decoded values, weight) deltas for one record; None = miss."""
-        op = record.op
-        decode = table.schema.decode
-        if op.kind == "insert":
-            self._remember(view, record)
-            return [(decode(op.row), 1)]
-        if op.kind == "update":
-            old_row = record.undo_row
-            if old_row is None:
-                old_row = self._recall(view, record)
-                if old_row is None:
-                    return None
-            return [(decode(old_row), -1), (decode(op.row), 1)]
-        if op.kind == "delete":
-            old_row = record.undo_row
-            if old_row is None:
-                old_row = self._recall(view, record)
-                if old_row is None:
-                    return None
-            return [(decode(old_row), -1)]
-        return []
-
-    @staticmethod
-    def _remember(view: MaintainedView, record) -> None:
-        view.undo_images[record.lsn] = record.op.row
-        view.txn_lsns.setdefault(record.txn_id, []).append(record.lsn)
-
-    @staticmethod
-    def _recall(view: MaintainedView, record) -> Optional[bytes]:
-        if record.clr and record.compensates >= 0:
-            return view.undo_images.get(record.compensates)
-        return None
-
-    @staticmethod
-    def _evict_images(view: MaintainedView, marker) -> None:
-        lsns = view.txn_lsns.pop(marker.txn_id, None)
-        if lsns:
-            for lsn in lsns:
-                view.undo_images.pop(lsn, None)
-
-    def _read_page_fresh(self, page_id: PageId, required: int):
-        """Generator: a page image at LSN >= ``required``, or StorageError.
-
-        The store can silently serve an image *behind* ``min_lsn`` while
-        the covering REDO still sits in the primary's ship queue (only a
-        parked replica raises).  ``fetch_page`` papers over that with a
-        staleness re-check; the standby tolerates it because its feed
-        still holds the gap records.  A rescan cannot — it just cleared
-        the feed — so force a ship and retry until the image is fresh.
-        """
-        engine = self.engine
-        attempts = 0
-        while True:
-            page = yield from engine._read_from_pagestore(page_id, required)
-            if page.page_lsn >= required:
-                return page
-            attempts += 1
-            if attempts > 8:
-                raise StorageError(
-                    "page %s stuck at %d, need %d"
-                    % (page_id, page.page_lsn, required)
-                )
-            if engine._ship_queue:
-                batch, engine._ship_queue = engine._ship_queue, []
-                yield from engine.pagestore.ship_records(batch)
-                engine.shipped_lsn = max(engine.shipped_lsn, batch[-1].lsn)
-            yield self.env.timeout(0.5 * MS)
-
-    def _rescan(self, view: MaintainedView):
-        """Generator: rebuild ``view`` by a fuzzy base-table page scan.
-
-        Mirrors ``StandbyReplica.recover``: clear the feed and mark it
-        live *in the same host-side step* as capturing the durable tail
-        (so no publish slips between), scan every page through the
-        primary's degraded-read path at its authoritative version, and
-        stamp the watermark with the captured tail.  Records seen by the
-        scan but not yet durable at the tail re-arrive via the feed and
-        are skipped by the per-page ``page_seen`` redo check.
-        """
-        engine = self.engine
-        while True:
-            epoch = self.epoch
-            feed = view.feed
-            feed.clear()
-            feed.stale = False
-            view.needs_rescan = False
-            recover_lsn = engine.log.persistent_lsn
-            view.rescans += 1
-            groups: "OrderedDict[tuple, list]" = OrderedDict()
-            zset = ZSet()
-            page_seen: Dict[PageId, int] = {}
-            definition = view.definition
-            try:
-                table = engine.catalog.table(definition.table)
-            except QueryError:
-                table = None  # Not created yet: the view starts empty.
-            if table is not None:
-                for page_no in sorted(table.page_nos):
-                    page_id = PageId(table.space_no, page_no)
-                    required = engine.page_versions.get(page_id, 0)
-                    try:
-                        page = yield from self._read_page_fresh(
-                            page_id, required
-                        )
-                    except StorageError:
-                        # Storage degraded: leave the old state serving
-                        # and retry on a later poll.
-                        view.needs_rescan = True
-                        return
-                    yield from self.cpu.consume(
-                        PAGE_CPU + FOLD_CPU * max(1, page.row_count)
-                    )
-                    if not self.alive or self.epoch != epoch:
-                        return  # Crashed mid-scan; recovery rescans.
-                    page_seen[page_id] = page.page_lsn
-                    for values in table.schema.decode_rows(page.rows()):
-                        row = {
-                            "%s.%s" % (table.name, name): value
-                            for name, value in zip(table.schema.names, values)
-                        }
-                        _fold_row(definition, groups, zset, row, 1)
-            if feed.stale:
-                continue  # Overflowed again while scanning; go around.
-            view.groups = groups
-            view.zset = zset
-            view.page_seen = page_seen
-            view.page_seen_max = max(page_seen.values()) if page_seen else 0
-            view.watermark = recover_lsn
-            view.undo_images.clear()
-            view.txn_lsns.clear()
-            return
+                if (yield from applier.recover()) is None:
+                    return  # A newer crash's rebuild owns the applier now.
+            except StorageError:
+                # Storage degraded: stay down and try again shortly.
+                yield self.env.timeout(applier.poll_interval)
 
     # ------------------------------------------------------------------
     # Serving
@@ -461,22 +336,6 @@ class ViewMaintainer:
             return view, mapping
         return None
 
-    def wait_for_lsn(self, view: MaintainedView, lsn: int, max_wait: float):
-        """Generator: True once the view watermark covers ``lsn``."""
-        if not self.alive:
-            return False
-        if view.watermark >= lsn:
-            return True
-        self.lsn_waits += 1
-        deadline = self.env.now + max_wait
-        while True:
-            yield self.env.timeout(self.wait_poll)
-            if self.alive and view.watermark >= lsn:
-                return True
-            if not self.alive or self.env.now >= deadline:
-                self.lsn_wait_timeouts += 1
-                return False
-
     def serve(self, view: MaintainedView, statement: Select,
               item_map: List[int]):
         """Generator: answer ``statement`` from view state, O(result).
@@ -488,14 +347,15 @@ class ViewMaintainer:
         ``_Reversible`` ORDER BY comparator.
         """
         definition = view.definition
-        epoch = self.epoch
+        applier = view.applier
+        epoch = applier.epoch
         units = view.size if view.size else 1
         if statement.order_by:
             import math
 
             units += units * max(1.0, math.log2(max(units, 2)))
         yield from self.cpu.consume(SERVE_CPU + ROW_CPU * units)
-        if not self.alive or self.epoch != epoch:
+        if applier.epoch != epoch:
             return None
         entries: List[Tuple[tuple, Dict[str, Any], Dict[AggCall, Any]]] = []
         if definition.is_aggregate:
@@ -556,16 +416,7 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     def caught_up(self) -> bool:
         """True when every view is live and folded to the durable tail."""
-        if not self.alive:
-            return False
-        tail = self.engine.log.persistent_lsn
-        for view in self.views.values():
-            feed = view.feed
-            if feed is None or feed.stale or view.needs_rescan:
-                return False
-            if len(feed) or view.watermark < tail:
-                return False
-        return True
+        return all(view.applier.caught_up() for view in self.views.values())
 
     def counters(self) -> Dict[str, int]:
         views = self.views.values()
@@ -574,11 +425,13 @@ class ViewMaintainer:
             "views": len(self.views),
             "crashes": self.crashes,
             "recoveries": self.recoveries,
-            "lsn_waits": self.lsn_waits,
-            "lsn_wait_timeouts": self.lsn_wait_timeouts,
+            "lsn_waits": sum(v.applier.lsn_waits for v in views),
+            "lsn_wait_timeouts": sum(
+                v.applier.lsn_wait_timeouts for v in views
+            ),
             "records_folded": sum(v.records_folded for v in views),
             "deltas_applied": sum(v.deltas_applied for v in views),
-            "rescans": sum(v.rescans for v in views),
+            "rescans": sum(v.applier.rescans for v in views),
             "serves": sum(v.serves for v in views),
             "decode_misses": sum(v.decode_misses for v in views),
         }

@@ -302,7 +302,7 @@ def run_views(
     # Phase 2: REDO-feed overflow -> fuzzy rescan.
     # ------------------------------------------------------------------
     overflows_before = sum(
-        view.feed.overflows for view in maintainer.views.values()
+        view.applier.feed.overflows for view in maintainer.views.values()
     )
 
     def burst(txn):
@@ -316,14 +316,17 @@ def run_views(
     # Stall the apply loops (an operator pause) so the burst's publishes
     # pile past the feed bound instead of being drained as they land —
     # the overflow, and the fuzzy rescan it forces, must really happen.
-    poll_before = maintainer.poll_interval
-    maintainer.poll_interval = 0.1
+    appliers = [view.applier for view in maintainer.views.values()]
+    poll_before = appliers[0].poll_interval
+    for applier in appliers:
+        applier.poll_interval = 0.1
     burst_session = proxy.session("views-burst")
     _run(dep, burst_session.write(burst), name="views-burst")
-    maintainer.poll_interval = poll_before
+    for applier in appliers:
+        applier.poll_interval = poll_before
     settled_overflow = _settle(dep, settle_timeout)
     overflows_after = sum(
-        view.feed.overflows for view in maintainer.views.values()
+        view.applier.feed.overflows for view in maintainer.views.values()
     )
     _equivalence_audit(dep, audit_session, "post-overflow", audits)
 

@@ -31,7 +31,7 @@ def run(dep, gen):
 
 def make_standby(dep, **kwargs):
     standby = StandbyReplica(dep.env, dep.engine, **kwargs)
-    standby.start()
+    standby.applier.start()
     return standby
 
 
@@ -50,7 +50,10 @@ def test_standby_applies_primary_inserts():
 
     row = run(dep, work(dep.env))
     assert row == [17, 1, "v17"]
-    assert standby.records_applied > 40
+    # Applied through the commit marker, off the feed alone (no scan).
+    assert standby.applied_lsn == engine.log.persistent_lsn
+    assert standby.lag_lsn == 0
+    assert standby.applier.rescans == 0
     assert standby.catalog.table("kv").row_count == 40
 
 
@@ -254,9 +257,9 @@ def test_standby_crash_loses_state_and_recover_rebuilds():
     run(dep, phase1(dep.env))
     assert standby.applied_lsn > 0
 
-    standby.crash()
-    assert not standby.alive
-    assert standby.epoch == 1
+    standby.applier.crash()
+    assert not standby.applier.alive
+    assert standby.applier.epoch == 1
     assert standby.applied_lsn == 0
     assert standby.pages == {}
     assert standby.catalog.table("kv").lookup((5,)) is None
@@ -272,10 +275,10 @@ def test_standby_crash_loses_state_and_recover_rebuilds():
 
     run(dep, while_down(dep.env))
 
-    pages_scanned = run(dep, standby.recover())
+    pages_scanned = run(dep, standby.applier.recover())
     assert pages_scanned > 0
-    assert standby.alive
-    assert standby.recoveries == 1
+    assert standby.applier.alive
+    assert standby.applier.recoveries == 1
     assert standby.applied_lsn > 0
 
     def verify(env):
@@ -302,8 +305,8 @@ def test_standby_keeps_applying_after_recovery():
         yield env.timeout(0.05)
 
     run(dep, phase1(dep.env))
-    standby.crash()
-    run(dep, standby.recover())
+    standby.applier.crash()
+    run(dep, standby.applier.recover())
     applied_at_recovery = standby.applied_lsn
 
     # The feed resumes: post-recovery commits replay incrementally (no
@@ -322,4 +325,45 @@ def test_standby_keeps_applying_after_recovery():
     assert three[1] == 42
     assert tagged == [3, 55]
     assert standby.applied_lsn > applied_at_recovery
-    assert standby.recoveries == 1
+    assert standby.applier.recoveries == 1
+    assert standby.applier.scans["crash"] == 1
+
+
+def test_table_created_on_primary_while_rebuild_in_flight():
+    # The rebuild scan spans many yields; a table the primary creates
+    # meanwhile (mirrored by any read's sync_catalog) must not disturb
+    # the scan's table list - it reaches the replica through the feed.
+    dep = build()
+    standby = make_standby(dep)
+    engine = dep.engine
+
+    def load(env):
+        txn = engine.begin()
+        for i in range(200):
+            yield from engine.insert(txn, "kv", [i, i % 4, "v" * 40])
+        yield from engine.commit(txn)
+        yield env.timeout(0.05)
+
+    run(dep, load(dep.env))
+    standby.applier.crash()
+    rebuild = dep.env.process(standby.applier.recover())
+    dep.run_for(20e-6)
+    assert not rebuild.triggered  # mid-scan
+    engine.create_table(
+        "late", Schema([Column("k", INT()), Column("v", INT())]), ["k"]
+    )
+    standby.sync_catalog()
+
+    def fill(env):
+        txn = engine.begin()
+        for i in range(5):
+            yield from engine.insert(txn, "late", [i, i * i])
+        yield from engine.commit(txn)
+
+    run(dep, fill(dep.env))
+    dep.env.run_until_event(rebuild)
+    dep.run_for(0.05)
+    assert standby.applier.alive and standby.lag_lsn == 0
+    assert run(dep, standby.read_row("late", (3,))) == [3, 9]
+    assert run(dep, standby.read_row("kv", (150,))) == [150, 2, "v" * 40]
+    assert standby.catalog.table("kv").row_count == 200

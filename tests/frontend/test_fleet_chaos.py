@@ -123,9 +123,9 @@ def test_replica_crash_mid_stream_no_stale_reads():
     assert counters["reads"] > 50
     assert dep.fleet.drains == 1
     assert dep.fleet.rejoins == 1
-    assert victim.replica.crashes == 1
-    assert victim.replica.recoveries == 1
-    assert victim.replica.alive
+    assert victim.replica.applier.crashes == 1
+    assert victim.replica.applier.recoveries == 1
+    assert victim.replica.applier.alive
     # Throughput recovered: the victim served reads before the crash
     # and again after the rejoin.
     assert recovery["reads_at_drain"] > 0
@@ -162,7 +162,7 @@ def test_crash_during_lsn_wait_reroutes():
 def test_detector_drains_dead_replica():
     dep = build()
     dep.run_for(0.05)
-    dep.fleet.handles[0].replica.crash()
+    dep.fleet.handles[0].replica.applier.crash()
     # No manual sweep: the AStore failure detector's heartbeat loop
     # notices on its next round.
     dep.run_for(0.1)
@@ -193,3 +193,21 @@ def test_failed_restart_stays_drained():
     assert dep.fleet.failed_restarts == 1
     assert dep.fleet.rejoins == 0
     assert not dep.fleet.handles[0].admitted
+
+
+def test_duplicate_restart_rebuilds_and_rejoins_once():
+    dep = build()
+    session = dep.frontend_session("writer")
+    load(dep, session, 400)
+    dep.run_for(0.05)
+    dep.fleet.crash("replica-0")
+    dep.fleet.health_sweep()
+
+    dep.fleet.restart("replica-0")
+    dep.fleet.restart("replica-0")  # an impatient operator
+    dep.run_for(0.1)
+    applier = dep.fleet.handles[0].replica.applier
+    assert applier.alive and dep.fleet.handles[0].admitted
+    assert applier.scans["crash"] == 1 and applier.recoveries == 1
+    assert dep.fleet.rejoins == 1 and dep.fleet.failed_restarts == 0
+    assert dep.fleet.handles[0].replica.catalog.table("kv").row_count == 400

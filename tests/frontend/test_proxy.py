@@ -135,11 +135,17 @@ def test_replica_gauges_in_stats_snapshot():
     snap = collect_stats(dep)
     replicas = snap["frontend"]["replicas"]
     assert set(replicas) == {"replica-0", "replica-1"}
+    tail = dep.engine.log.persistent_lsn
     for state in replicas.values():
         assert state["alive"] is True
-        assert state["applied_lsn"] > 0
-        assert state["lag_lsn"] >= 0
-        assert state["records_applied"] > 0
+        assert state["applied_lsn"] == tail > 0
+        assert state["lag_lsn"] == 0
+        assert "records_applied" in state
+        # Started at zero lag: live on the feed, never scanned.
+        assert state["rescans"] == 0
+        assert set(state["rescan_causes"]) == {
+            "initial", "overflow", "crash", "decode_miss"
+        }
     assert sum(s["reads_served"] for s in replicas.values()) == 1
     fleet = snap["frontend"]["fleet"]
     assert fleet["size"] == 2

@@ -106,10 +106,10 @@ def test_log_recycling_gated_on_shipping():
     dep = Deployment(DeploymentSpec.astore_log())
     # Before the engine exists/ships, recycling is permissive; afterwards
     # it requires shipped_lsn to cover the segment.
-    assert dep._can_recycle(0)
+    assert dep.ring.can_recycle(0)
     dep.engine.shipped_lsn = 50
-    assert dep._can_recycle(49)
-    assert not dep._can_recycle(51)
+    assert dep.ring.can_recycle(49)
+    assert not dep.ring.can_recycle(51)
 
 
 def test_ssd_log_backend_recovery_returns_retained_records():

@@ -97,3 +97,55 @@ def test_recycling_blocked_until_shipping_catches_up():
     proc = dep.env.process(work(dep.env))
     with pytest.raises(StorageError, match="un-applied|log space"):
         dep.env.run_until_event(proc)
+
+
+def wrap_ring_with_400_rows():
+    dep = tiny_ring_deployment()
+    engine = dep.engine
+
+    def work(env):
+        for i in range(400):
+            txn = engine.begin()
+            yield from engine.insert(txn, "t", [i, "x" * 60])
+            yield from engine.commit(txn)
+        yield env.timeout(0.05)
+
+    run(dep, work(dep.env))
+    assert dep.ring.segment_advances >= 3
+    return dep
+
+
+def test_standby_started_after_the_ring_wrapped_has_every_row():
+    """The log ring is a bounded window; PageStore is the only complete
+    history.  A replica that starts behind must catch up from PageStore:
+    reading the ring's live segments instead lost 121 of these rows."""
+    from repro.engine.standby import StandbyReplica
+
+    dep = wrap_ring_with_400_rows()
+    engine = dep.engine
+    standby = StandbyReplica(dep.env, engine)
+    standby.applier.start()
+    dep.run_for(0.1)
+    assert standby.lag_lsn == 0
+    for key in range(400):
+        expect = run(dep, engine.read_row(None, "t", (key,)))
+        assert expect == [key, "x" * 60]
+        assert run(dep, standby.read_row("t", (key,))) == expect
+    assert standby.catalog.table("t").row_count == 400
+    assert standby.applier.scans["initial"] == 1
+
+
+def test_view_started_after_the_ring_wrapped_counts_every_row():
+    """The control: a view's build always was a PageStore scan."""
+    from repro.views.definition import ViewDefinition
+    from repro.views.maintainer import ViewMaintainer
+
+    dep = wrap_ring_with_400_rows()
+    definition = ViewDefinition("cnt", "SELECT COUNT(*) AS n FROM t")
+    maintainer = ViewMaintainer(dep.env, dep.engine, [definition])
+    maintainer.start()
+    dep.run_for(0.1)
+    assert maintainer.caught_up()
+    view, item_map = maintainer.match(definition.select)
+    result = run(dep, maintainer.serve(view, definition.select, item_map))
+    assert result.rows == [(400,)]

@@ -108,8 +108,9 @@ def test_read_your_writes_waits_on_watermark():
     assert session.last_route == "view:by_grp"
     counts = {row[0]: row[1] for row in result.rows}
     assert counts[1] == 2 + 10  # k in {1, 5} from the seed rows, plus ours
-    assert dep.views.lsn_waits >= 1
-    assert dep.views.lsn_wait_timeouts == 0
+    counters = dep.views.counters()
+    assert counters["lsn_waits"] >= 1
+    assert counters["lsn_wait_timeouts"] == 0
 
 
 def test_aborted_transaction_leaves_view_unchanged():
@@ -141,18 +142,20 @@ def test_feed_overflow_forces_rescan_and_stays_exact():
     settle(dep)
     maintainer = dep.views
     view = maintainer.views["by_grp"]
-    rescans_before = view.rescans
+    applier = view.applier
+    rescans_before = applier.rescans
 
     # Stall the apply loop so publishes pile past the 16-record bound.
-    poll_before = maintainer.poll_interval
-    maintainer.poll_interval = 0.1
+    poll_before = applier.poll_interval
+    applier.poll_interval = 0.1
     insert_rows(dep, session, 120, start=1000)
     dep.run_for(0.12)
-    maintainer.poll_interval = poll_before
+    applier.poll_interval = poll_before
     settle(dep)
 
-    assert view.feed.overflows >= 1
-    assert view.rescans > rescans_before
+    assert applier.feed.overflows >= 1
+    assert applier.rescans > rescans_before
+    assert applier.scans["overflow"] >= 1
     parity(dep, session, QUERY)
     assert session.last_route == "view:by_grp"
 
@@ -180,6 +183,31 @@ def test_crash_bounces_reads_then_rebuilds():
     counters = dep.views.counters()
     assert counters["crashes"] == 1
     assert counters["recoveries"] == 1
+
+
+def test_second_crash_mid_rebuild_still_runs_one_scan_per_crash():
+    """The rebuild the second crash abandoned must not start another
+    scan beside the one the second recover() already runs."""
+    dep = build(views={"by_grp": VIEW_SQL})
+    session = dep.frontend_session("client")
+    insert_rows(dep, session, 1500)
+    settle(dep)
+    applier = dep.views.views["by_grp"].applier
+
+    dep.views.crash()
+    dep.views.recover()
+    dep.run_for(50e-6)  # mid-scan
+    assert not applier.alive
+    dep.views.crash()
+    dep.views.recover()
+    for wave in range(20):
+        insert_rows(dep, session, 5, start=10_000 + 5 * wave)
+        dep.run_for(0.3e-3)
+    settle(dep)
+
+    assert applier.scans["crash"] == 2 and applier.recoveries == 1
+    parity(dep, session, QUERY)
+    assert session.last_route == "view:by_grp"
 
 
 def test_prepared_statements_skip_view_routing():

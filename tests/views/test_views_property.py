@@ -114,8 +114,10 @@ def test_view_state_equals_fresh_replan_at_same_lsn(ops, seed):
     # Overflow the 32-record feed: stall the apply loops while one
     # transaction publishes a 100-row burst, forcing a fuzzy rescan.
     maintainer = dep.views
-    poll_before = maintainer.poll_interval
-    maintainer.poll_interval = 0.1
+    appliers = [view.applier for view in maintainer.views.values()]
+    poll_before = appliers[0].poll_interval
+    for applier in appliers:
+        applier.poll_interval = 0.1
 
     def burst():
         txn = engine.begin()
@@ -126,9 +128,10 @@ def test_view_state_equals_fresh_replan_at_same_lsn(ops, seed):
     proc = dep.env.process(burst(), name="views-prop-burst")
     dep.env.run_until_event(proc)
     dep.run_for(0.12)
-    maintainer.poll_interval = poll_before
+    for applier in appliers:
+        applier.poll_interval = poll_before
     _settle(dep)
-    assert any(v.feed.overflows for v in maintainer.views.values())
+    assert any(applier.feed.overflows for applier in appliers)
     _audit(dep, session, "after-overflow")
 
     # Crash the maintainer and rebuild from scratch.

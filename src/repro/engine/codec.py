@@ -20,6 +20,15 @@ bitmap, built on first use and cached (see :class:`_KernelCache`).
 ``decode`` accepts what ``encode`` produces, so a bitmap only ever marks
 nullable columns, and a schema without one never reads it.
 
+Scans decode column-major, and only what the plan reads: per projected
+column set (and, on first sight of a NULL that shifts one of its columns,
+per bitmap) a schema generates a kernel that appends those columns' values
+straight to the caller's arrays.  A fixed-width column outside the
+projection is pad bytes in a struct format, an unread varchar costs its
+length prefix, and nothing behind the last projected column is touched.
+"All columns" is the full position tuple - there is no separate
+full-width decode (see :meth:`Schema.decode_rows_into`).
+
 The byte format is pinned by the interpreted per-column reference codec in
 ``tests/engine/codec_oracle.py``, which every kernel is property-tested
 against.
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..common import QueryError
@@ -91,18 +101,19 @@ _KERNEL_CACHE_LIMIT = 256
 
 
 class _KernelCache(dict):
-    """Null bitmap -> the kernel specialised for it, compiled on first use
-    by ``build(columns, null_bits, cache)``."""
+    """Specialisation key (a null bitmap, or a tuple of projected column
+    positions) -> the kernel generated for it, compiled on first use by
+    ``build(columns, key, cache)``."""
 
     def __init__(self, build: Callable, columns: Sequence[Column]):
         super().__init__()
         self._build = build
         self._columns = columns
 
-    def __missing__(self, null_bits: int) -> Callable:
+    def __missing__(self, key: Any) -> Callable:
         if len(self) >= _KERNEL_CACHE_LIMIT:
             self.clear()
-        kernel = self[null_bits] = self._build(self._columns, null_bits, self)
+        kernel = self[key] = self._build(self._columns, key, self)
         return kernel
 
 
@@ -214,13 +225,21 @@ def _encode_kernel(
 
 
 def _decode_statements(
-    columns: Sequence[Column], null_bits: int, namespace: Dict[str, Any]
-) -> Tuple[List[str], str]:
-    """Statements decoding the row bytes in ``data``, and the expression
-    for the decoded value list, for rows whose NULL columns are exactly
-    ``null_bits``.  Struct unpackers are added to ``namespace``."""
+    columns: Sequence[Column],
+    positions: Sequence[int],
+    null_bits: int,
+    namespace: Dict[str, Any],
+) -> Tuple[List[str], List[str]]:
+    """Statements decoding the columns at ``positions`` from the row bytes
+    in ``data``, and the expression for each of those values (aligned with
+    ``positions``), for rows whose NULL columns are exactly ``null_bits``.
+
+    Only what is asked for is decoded: a fixed-width column nobody reads is
+    pad bytes in its run's struct, an unread varchar costs its length prefix
+    and no slice, and nothing after the last position is touched.  Struct
+    unpackers are added to ``namespace``."""
     statements: List[str] = []
-    values: List[str] = []
+    values: Dict[int, str] = {}
     fmt = "<"
     targets: List[str] = []
     # The pending struct run starts at ``base + const``; ``base`` is the
@@ -234,51 +253,69 @@ def _decode_statements(
 
     def flush() -> None:
         nonlocal fmt, targets, const
+        unpacker = struct.Struct(fmt)
         if targets:
-            unpacker = struct.Struct(fmt)
             unpack = "unpack%d" % len(namespace)
             namespace[unpack] = unpacker.unpack_from
             statements.append(
                 "%s, = %s(data, %s)" % (", ".join(targets), unpack, offset())
             )
-            const += unpacker.size
+        const += unpacker.size
         fmt, targets = "<", []
 
-    for index, column in enumerate(columns):
+    wanted = set(positions)
+    for index, column in enumerate(columns[: max(wanted, default=-1) + 1]):
+        values[index] = "v%d" % index
         if null_bits >> index & 1:
-            values.append("None")
+            values[index] = "None"
             continue
         ctype = column.ctype
-        fmt += _STRUCT_CODES[ctype.name]
-        if ctype.name == "decimal":
-            targets.append("q%d" % index)
-            values.append("q%d / %d" % (index, 10**ctype.scale))
-        elif ctype.name == "varchar":
+        code = _STRUCT_CODES[ctype.name]
+        if ctype.name == "varchar":
+            fmt += code
             targets.append("n%d" % index)
             flush()
             start, end = offset(), "e%d" % index
-            statements += [
-                "%s = %s + n%d" % (end, start, index),
-                "v%d = data[%s:%s].decode()" % (index, start, end),
-            ]
+            statements.append("%s = %s + n%d" % (end, start, index))
+            if index in wanted:
+                statements.append(
+                    "v%d = data[%s:%s].decode()" % (index, start, end)
+                )
             base, const = end, 0
-            values.append("v%d" % index)
+        elif index not in wanted:
+            fmt += "%dx" % struct.calcsize(code)
+        elif ctype.name == "decimal":
+            fmt += code
+            targets.append("q%d" % index)
+            values[index] = "q%d / %d" % (index, 10**ctype.scale)
         else:
+            fmt += code
             targets.append("v%d" % index)
-            values.append("v%d" % index)
     flush()
-    return statements, "[%s]" % ", ".join(values)
+    return statements, [values[position] for position in positions]
 
 
 def _bitmap_dispatch(
-    columns: Sequence[Column], on_nulls: List[str], namespace: Dict[str, Any]
+    columns: Sequence[Column],
+    upto: int,
+    on_nulls: List[str],
+    namespace: Dict[str, Any],
 ) -> List[str]:
     """Statements that read the row's null bitmap and run ``on_nulls`` when
-    it is non-zero; none for a schema without a nullable column."""
-    if not any(column.nullable for column in columns):
+    one of the first ``upto`` columns is NULL (a NULL beyond them moves
+    nothing a kernel reading only those columns touches); none when no
+    column among them is nullable."""
+    nullable = sum(
+        1 << index for index, column in enumerate(columns) if column.nullable
+    )
+    mask = nullable & ((1 << upto) - 1)
+    if not mask:
         return []
     namespace["unpack_bitmap"] = struct.Struct("<Q").unpack_from
-    return ["bits, = unpack_bitmap(data, 0)", "if bits:"] + _indent(on_nulls)
+    read = "bits, = unpack_bitmap(data, 0)"
+    if mask != nullable:
+        read = "bits = unpack_bitmap(data, 0)[0] & %d" % mask
+    return [read, "if bits:"] + _indent(on_nulls)
 
 
 def _decode_kernel(
@@ -290,10 +327,15 @@ def _decode_kernel(
     body: List[str] = []
     if not null_bits:
         body += _bitmap_dispatch(
-            columns, ["return null_kernels[bits](data)"], namespace
+            columns,
+            len(columns),
+            ["return null_kernels[bits](data)"],
+            namespace,
         )
-    statements, result = _decode_statements(columns, null_bits, namespace)
-    body += statements + ["return " + result]
+    statements, values = _decode_statements(
+        columns, range(len(columns)), null_bits, namespace
+    )
+    body += statements + ["return [%s]" % ", ".join(values)]
     return _define(columns, "decode_%x" % null_bits, "data", body, namespace)
 
 
@@ -304,13 +346,82 @@ def _decode_rows_kernel(
     loop, so a page of rows costs one Python call rather than one per row."""
     namespace: Dict[str, Any] = {"null_kernels": null_kernels}
     dispatch = _bitmap_dispatch(
-        columns, ["append(null_kernels[bits](data))", "continue"], namespace
+        columns,
+        len(columns),
+        ["append(null_kernels[bits](data))", "continue"],
+        namespace,
     )
-    statements, result = _decode_statements(columns, 0, namespace)
+    statements, values = _decode_statements(
+        columns, range(len(columns)), 0, namespace
+    )
     body = ["out = []", "append = out.append", "for data in rows:"]
-    body += _indent(dispatch + statements + ["append(%s)" % result])
+    body += _indent(
+        dispatch + statements + ["append([%s])" % ", ".join(values)]
+    )
     body.append("return out")
     return _define(columns, "decode_rows", "rows", body, namespace)
+
+
+def _decode_into_kernel(
+    columns: Sequence[Column],
+    null_bits: int,
+    null_kernels: _KernelCache,
+    positions: Tuple[int, ...],
+) -> Callable:
+    """The column-major kernel for the projection ``positions``.
+
+    The all-present kernel (``null_bits == 0``) is the entry point,
+    ``decode_into(rows, arrays)``: it loops over a page of rows, appends
+    each projected value straight to its column's array (``arrays`` is
+    aligned with ``positions``) and returns the row count.  A row with a
+    NULL at or before the last projected column goes to the kernel
+    generated for (this projection, that bitmap),
+    ``decode_into(data, *appends)``, which decodes that one row.
+    """
+    namespace: Dict[str, Any] = {"null_kernels": null_kernels}
+    projected = sum(1 << position for position in positions)
+    appends = ", ".join("append%d" % position for position in positions)
+    statements, values = _decode_statements(
+        columns, positions, null_bits, namespace
+    )
+    statements += [
+        "append%d(%s)" % pair for pair in zip(positions, values)
+    ]
+    if null_bits:
+        name = "decode_%x_into_%x" % (null_bits, projected)
+        return _define(columns, name, "data, " + appends, statements, namespace)
+    name = "decode_into_%x" % projected
+    if not positions:
+        body = ["return sum(1 for data in rows)"]
+        return _define(columns, name, "rows, arrays", body, namespace)
+    first = "a%d" % positions[0]
+    body = ["%s, = arrays" % ", ".join("a%d" % p for p in positions)]
+    body += ["append%d = a%d.append" % (p, p) for p in positions]
+    body += ["before = len(%s)" % first, "for data in rows:"]
+    body += _indent(
+        _bitmap_dispatch(
+            columns,
+            positions[-1] + 1,
+            ["null_kernels[bits](data, %s)" % appends, "continue"],
+            namespace,
+        )
+        + statements
+    )
+    body.append("return len(%s) - before" % first)
+    return _define(columns, name, "rows, arrays", body, namespace)
+
+
+def _projected_kernel(
+    columns: Sequence[Column], positions: Tuple[int, ...], _cache: _KernelCache
+) -> Callable[[Iterable[bytes], Sequence[List[Any]]], int]:
+    """The ``decode_into`` entry kernel for ``positions``, with its own
+    cache of per-bitmap kernels."""
+    if list(positions) != sorted(set(positions) & set(range(len(columns)))):
+        raise QueryError(
+            "projection %r is not ascending schema positions" % (positions,)
+        )
+    build = partial(_decode_into_kernel, positions=positions)
+    return build(columns, 0, _KernelCache(build, columns))
 
 
 class Schema:
@@ -319,6 +430,8 @@ class Schema:
     ``encode``, ``decode`` and ``decode_rows`` are kernels generated for
     this schema (see the module docstring) and bound as instance
     attributes, so a call pays no dispatch beyond the attribute lookup.
+    :meth:`decode_rows_into` is the column-major decode, generated per
+    projected column set on first use.
     """
 
     #: Encode one row (a sequence aligned with the schema) to bytes.
@@ -348,6 +461,7 @@ class Schema:
         self.encode = _KernelCache(_encode_kernel, self.columns)[0]
         self.decode = decoders[0]
         self.decode_rows = _decode_rows_kernel(self.columns, decoders)
+        self._projected = _KernelCache(_projected_kernel, self.columns)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -362,24 +476,21 @@ class Schema:
         return name in self._index
 
     def decode_rows_into(
-        self, rows: Iterable[bytes], arrays: Sequence[List[Any]]
+        self,
+        rows: Iterable[bytes],
+        positions: Tuple[int, ...],
+        arrays: Sequence[List[Any]],
     ) -> int:
-        """Decode many encoded rows column-major: extend each column's
-        array (``arrays`` is aligned with the schema) with that column's
-        values, in input order.  Returns the row count.
+        """Decode the columns at ``positions`` (ascending schema positions)
+        of many encoded rows column-major: append each row's value to that
+        column's array (``arrays`` is aligned with ``positions``), in input
+        order.  Returns the row count, also for the empty projection.
 
-        This is what builds structure-of-arrays column batches: the rows
-        are decoded by one kernel call and transposed in C.
+        This is what builds structure-of-arrays column batches.  A row
+        costs only what the projection reads of it; all columns is
+        ``tuple(range(len(schema)))``.
         """
-        decoded = self.decode_rows(rows)
-        for array, values in zip(arrays, zip(*decoded)):
-            array.extend(values)
-        return len(decoded)
-
-    def decode_into(self, data: bytes, arrays: Sequence[List[Any]]) -> None:
-        """Column-major twin of :attr:`decode` for one row: append each
-        value to its column's array."""
-        self.decode_rows_into((data,), arrays)
+        return self._projected[positions](rows, arrays)
 
     def row_dict(self, values: Sequence[Any]) -> Dict[str, Any]:
         return dict(zip(self.names, values))

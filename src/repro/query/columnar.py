@@ -4,23 +4,24 @@ The row executor pays Python interpreter overhead per row: a dict
 allocation per decoded row, dict probes per column reference, and a
 recursive ``Expr.eval`` walk per predicate evaluation. This module is
 the "columnar mandate" alternative: a :class:`ColumnBatch` holds one
-parallel Python list per column, decoded straight from page bytes by
-``Schema.decode_rows_into``, and expressions compile (via
+parallel Python list per column the plan reads, decoded straight from
+page bytes by ``Schema.decode_rows_into``, and expressions compile (via
 ``repro.query.predicate``) to closures over the arrays where a column
 reference is a single ``list.__getitem__``.
 
 Design points:
 
-- **Zero-copy projection.** ``project`` returns a new batch whose
-  arrays are the *same list objects* — column pruning never copies
-  values.
+- **Projection at the source.** A scan's batch is keyed by the planner's
+  ``SeqScan.projection`` (schema order): a column nothing downstream
+  reads is never decoded, so there is nothing to prune afterwards.
 - **Selection vectors.** Filters produce a list of surviving row
   indices; ``gather`` materializes the survivors. When every row
-  survives, the batch is returned unchanged (again zero-copy).
-- **Late materialization.** ``to_rows`` / ``row_dict`` build the exact
-  row dicts the row engine would have produced (same qualified
-  ``binding.name`` keys, same order), so results finalize byte-identical
-  and any operator can hand off to the row path at a batch boundary.
+  survives, the batch is returned unchanged (zero-copy).
+- **Late materialization.** ``to_rows`` / ``row_dict`` build the row
+  dicts the row engine would have produced, restricted to the batch's
+  columns (same qualified ``binding.name`` keys, same order), so every
+  ``QueryResult`` finalizes byte-identical and any operator can hand off
+  to the row path at a batch boundary.
 
 Column keys use the executor's qualified ``"binding.column"`` naming.
 Reference resolution (:func:`resolve_column`) mirrors
@@ -31,7 +32,7 @@ the interpreted row evaluator would have read.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ast import ColumnRef, Expr
 from .predicate import NotCompilable, compile_expr
@@ -41,7 +42,6 @@ __all__ = [
     "batch_accessor",
     "compile_batch_expr",
     "compile_batch_predicate",
-    "decode_page_into",
     "resolve_column",
 ]
 
@@ -51,8 +51,7 @@ class ColumnBatch:
 
     The row count is explicit (rather than ``len(arrays[0])``) because a
     batch may legitimately carry zero columns but nonzero rows — e.g. the
-    sample side of a global aggregate whose group sample is the empty
-    row dict.
+    scan under ``SELECT COUNT(*) FROM t``, which reads no column.
     """
 
     __slots__ = ("keys", "arrays", "n")
@@ -73,12 +72,6 @@ class ColumnBatch:
 
     def column(self, key: str) -> List[Any]:
         return self.arrays[self.keys.index(key)]
-
-    def project(self, keys: Sequence[str]) -> "ColumnBatch":
-        """Zero-copy column pruning: the returned batch shares this
-        batch's array objects."""
-        positions = [self.keys.index(k) for k in keys]
-        return ColumnBatch(keys, [self.arrays[p] for p in positions], self.n)
 
     def gather(self, selection: Sequence[int]) -> "ColumnBatch":
         """Apply a selection vector. Full selections return ``self``."""
@@ -160,10 +153,3 @@ def compile_batch_expr(expr: Expr, batch: ColumnBatch) -> Callable[[int], Any]:
 def compile_batch_predicate(expr: Expr, batch: ColumnBatch) -> Callable[[int], bool]:
     fn = compile_batch_expr(expr, batch)
     return lambda i: bool(fn(i))
-
-
-def decode_page_into(schema, page, arrays: Sequence[List[Any]]) -> int:
-    """Decode every live row of ``page`` column-major into ``arrays``
-    (aligned with the schema), in slot order — the same row order the
-    row executor's page scan produces. Returns the row count."""
-    return schema.decode_rows_into(page.rows(), arrays)

@@ -13,13 +13,15 @@ Execution modes
 
 With ``batch_mode`` on (the default), the Scan/HashJoin/Aggregate spine
 of a plan executes *vectorized* over :class:`~repro.query.columnar.ColumnBatch`
-structures: pages decode column-major, predicates and join/group keys run
-as compiled closures over parallel arrays (``repro.query.predicate``),
-and only the surviving rows materialize as dicts.  The materialized rows
-are — by construction — the exact dicts the row operators would have
-produced (same keys, same insertion order, same float accumulation
-order), so Project/Sort/Limit above the spine reuse the row operators
-unchanged and every result is byte-identical to row mode.  Anything the
+structures: pages decode column-major and only in the columns the plan
+reads (``SeqScan.projection``), predicates and join/group keys run as
+compiled closures over parallel arrays (``repro.query.predicate``), and
+only the surviving rows materialize as dicts.  The materialized rows are
+— by construction — the dicts the row operators would have produced,
+restricted to the projected columns (same key order, same row order, same
+float accumulation order), so Project/Sort/Limit above the spine reuse
+the row operators unchanged and every ``QueryResult`` is byte-identical
+to row mode, whose scan stays full-width as the oracle.  Anything the
 vectorizer cannot handle statically (IndexNLJoin, unresolvable column
 references, exotic expression nodes) falls back to row mode per subtree,
 decided before any page is fetched.  Simulated CPU charges are identical
@@ -35,6 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..common import US, QueryError
 from ..engine.dbengine import DBEngine
 from ..engine.table import Table
+from ..obs import obs_of
 from .ast import (
     AggCall,
     Between,
@@ -57,7 +60,6 @@ from .columnar import (
     ColumnBatch,
     compile_batch_expr,
     compile_batch_predicate,
-    decode_page_into,
     resolve_column,
 )
 from .predicate import NotCompilable, compile_row_predicate
@@ -76,12 +78,21 @@ from .planner import Planner, PlannerConfig
 
 __all__ = ["QuerySession", "QueryResult", "PreparedStatement",
            "AggAccumulator", "new_agg_states", "update_agg_states",
-           "merge_agg_states", "finalize_agg_states", "vector_group_by"]
+           "merge_agg_states", "finalize_agg_states", "vector_group_by",
+           "count_scan_cells"]
 
 #: CPU charged per row flowing through a tight operator loop.
 ROW_CPU = 0.25 * US
 #: CPU charged per page decode (slots -> row dicts).
 PAGE_CPU = 2.0 * US
+
+
+def count_scan_cells(registry, rows: int, decoded: int, stored: int) -> None:
+    """Account one scan (or one storage-side fragment task) of ``rows``
+    rows that decoded ``decoded`` of the table's ``stored`` columns: what
+    projection saves, as a count that repeats exactly for a seed."""
+    registry.incr("query.scan.cells_decoded", rows * decoded)
+    registry.incr("query.scan.cells_stored", rows * stored)
 
 
 @dataclass
@@ -293,6 +304,9 @@ class QuerySession:
         self.planner = Planner(engine.catalog, self.planner_config)
         self.pushdown_runtime = pushdown_runtime
         self.parse_cache = parse_cache
+        # ``engine`` may be a standby replica: only ``env`` is common.
+        self._registry = obs_of(engine.env).registry
+        count_scan_cells(self._registry, 0, 0, 0)  # present before any scan
         #: Columnar batch execution for the Scan/HashJoin/Aggregate spine
         #: (results stay byte-identical; off = pure row-at-a-time mode).
         self.batch_mode = batch_mode
@@ -537,7 +551,11 @@ class QuerySession:
 
     # -- scans ----------------------------------------------------------------
     def _run_scan(self, scan: SeqScan):
-        """Generator: return row dicts (or partial agg states if pushed)."""
+        """Generator: return row dicts (or partial agg states if pushed).
+
+        The engine-side row scan decodes and binds every column whatever
+        ``scan.projection`` says: it is the oracle the projected batch
+        and fragment scans are held to."""
         if scan.pushdown and self.pushdown_runtime is not None:
             result = yield from self.pushdown_runtime.run_scan(scan)
             return result
@@ -546,16 +564,20 @@ class QuerySession:
             compile_row_predicate(scan.filter) if scan.filter is not None else None
         )
         rows: List[Dict[str, Any]] = []
+        scanned = 0
         for page_no in list(table.page_nos):
             page = yield from self.engine.fetch_page(table.page_id(page_no))
             yield from self.engine.cpu.consume(
                 PAGE_CPU + ROW_CPU * page.row_count
             )
             self.pages_scanned += 1
+            scanned += page.row_count
             for values in table.schema.decode_rows(page.rows()):
                 row = self._bind_row(scan.binding, table, values)
                 if predicate is None or predicate(row):
                     rows.append(row)
+        width = len(table.schema)
+        count_scan_cells(self._registry, scanned, width, width)
         return rows
 
     def _run_index_lookup(self, node: IndexLookup):
@@ -642,11 +664,11 @@ class QuerySession:
         None when the subtree must run in row mode."""
         if isinstance(node, SeqScan):
             try:
-                table = self.engine.catalog.table(node.table_name)
+                self.engine.catalog.table(node.table_name)
             except QueryError:
                 return None
             keys = tuple(
-                "%s.%s" % (node.binding, name) for name in table.schema.names
+                "%s.%s" % (node.binding, name) for name in node.projection
             )
             if node.filter is not None and not self._exprs_vectorizable(
                 [node.filter], keys
@@ -730,16 +752,19 @@ class QuerySession:
             return result
         table = self.engine.catalog.table(scan.table_name)
         schema = table.schema
-        keys = tuple("%s.%s" % (scan.binding, name) for name in schema.names)
+        keys = tuple("%s.%s" % (scan.binding, name) for name in scan.projection)
+        positions = tuple(map(schema.position, scan.projection))
         arrays: List[List[Any]] = [[] for _ in keys]
+        scanned = 0
         for page_no in list(table.page_nos):
             page = yield from self.engine.fetch_page(table.page_id(page_no))
             yield from self.engine.cpu.consume(
                 PAGE_CPU + ROW_CPU * page.row_count
             )
             self.pages_scanned += 1
-            decode_page_into(schema, page, arrays)
-        batch = ColumnBatch(keys, arrays)
+            scanned += schema.decode_rows_into(page.rows(), positions, arrays)
+        count_scan_cells(self._registry, scanned, len(keys), len(schema))
+        batch = ColumnBatch(keys, arrays, scanned)
         if scan.filter is not None:
             predicate = compile_batch_predicate(scan.filter, batch)
             batch = batch.gather(
@@ -1030,15 +1055,21 @@ class QuerySession:
         return QueryResult(["inserted"], [(inserted,)])
 
     def _matching_keys(self, table: Table, where):
-        """Generator: PKs of rows matching ``where`` (via a scan)."""
+        """Generator: PKs of rows matching ``where`` (via a scan that
+        reads the key and the WHERE columns)."""
+        read = set(table.key_columns)
+        if where is not None:
+            read.update(key.rpartition(".")[2] for key in where.columns())
+        names = table.schema.names
         scan = SeqScan(
             estimated_rows=table.row_count,
             table_name=table.name,
             binding=table.name,
             filter=where,
-            projection=None,
+            projection=tuple(name for name in names if name in read),
+            stored_columns=len(names),
         )
-        rows = yield from self._run_scan(scan)
+        rows, _ = yield from self._run(scan)
         keys = []
         for row in rows:
             keys.append(

@@ -45,8 +45,14 @@ class SeqScan(PlanNode):
     table_name: str = ""
     binding: str = ""
     filter: Optional[Expr] = None
-    #: Columns actually needed downstream (None = all).
-    projection: Optional[List[str]] = None
+    #: Names of the columns anything reads - the scan's own filter
+    #: included - in schema order.  Never "all" by omission: ``SELECT *``
+    #: lists every name and ``SELECT COUNT(*) FROM t`` is ``()``.  The
+    #: batch executor and push-down fragments decode, carry and ship
+    #: exactly these.
+    projection: Tuple[str, ...] = ()
+    #: How many columns the table stores (EXPLAIN's ``cols=k/n``).
+    stored_columns: int = 0
     #: Marked for storage-side execution.
     pushdown: bool = False
     #: When the scan is the whole query, partial aggregation is pushed too:
@@ -157,8 +163,9 @@ def explain(node: PlanNode, depth: int = 0) -> str:
         if node.filter is not None:
             marks.append("filtered")
         suffix = (" [%s]" % ", ".join(marks)) if marks else ""
-        return "%sSeqScan(%s as %s)%s ~%d rows" % (
-            pad, node.table_name, node.binding, suffix, node.estimated_rows,
+        return "%sSeqScan(%s as %s) cols=%d/%d%s ~%d rows" % (
+            pad, node.table_name, node.binding, len(node.projection),
+            node.stored_columns, suffix, node.estimated_rows,
         )
     if isinstance(node, IndexLookup):
         suffix = " [filtered]" if node.residual is not None else ""

@@ -210,7 +210,12 @@ class Planner:
             else:
                 multi.append(conjunct)
 
-        # Projection pruning: which columns does anything downstream need?
+        # Projection pruning: which columns does anything read?  A
+        # reference claims the column(s) ``ColumnRef.eval`` could resolve
+        # it to against the joined row - ``binding.column`` when that
+        # exists, else every table's column of that name - so an ambiguous
+        # bare name stays ambiguous instead of binding to the one copy
+        # that survived pruning.
         needed: Dict[str, set] = {b: set() for b in binding_tables}
         if select.star:
             for binding, table in binding_tables.items():
@@ -219,30 +224,29 @@ class Planner:
             exprs: List[Expr] = [item.expr for item in select.items]
             exprs.extend(select.group_by)
             exprs.extend(expr for expr, _ in select.order_by)
-            exprs.extend(multi)
-            for b, conj in scan_filters.items():
-                exprs.extend(conj)
+            exprs.extend(conjuncts)
             for expr in exprs:
                 for key in expr.columns():
-                    if "." in key:
-                        binding, column = key.split(".", 1)
-                        if binding in needed:
+                    binding, _, column = key.rpartition(".")
+                    table = binding_tables.get(binding)
+                    if table is not None and table.schema.has_column(column):
+                        needed[binding].add(column)
+                        continue
+                    for binding, table in binding_tables.items():
+                        if table.schema.has_column(column):
                             needed[binding].add(column)
-                    else:
-                        for binding, table in binding_tables.items():
-                            if table.schema.has_column(key):
-                                needed[binding].add(key)
 
         def scan_of(binding: str) -> SeqScan:
             table = binding_tables[binding]
             filt = and_together(scan_filters[binding])
-            projection = sorted(needed[binding]) or None
+            names = table.schema.names
             return SeqScan(
                 estimated_rows=self._estimate_scan(table, scan_filters[binding]),
                 table_name=table.name,
                 binding=binding,
                 filter=filt,
-                projection=projection,
+                projection=tuple(n for n in names if n in needed[binding]),
+                stored_columns=len(names),
             )
 
         # Build the join tree left-deep in FROM order.  A single-table

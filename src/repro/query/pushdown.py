@@ -20,10 +20,12 @@ probe).  Pages a server cannot serve (entry cleaned, server crashed) are
 returned as failures and re-processed through the engine's normal read
 path - push-down never affects correctness.
 
-Fragments execute vectorized on the storage side (column-major decode +
-compiled predicates, the same machinery as the engine's batch executor);
-fragments whose expressions cannot compile fall back to the row loop,
-producing identical results.
+Fragments execute vectorized on the storage side (column-major decode of
+the fragment's projection + compiled predicates, the same machinery as the
+engine's batch executor), so a task neither decodes nor ships a column the
+plan does not read; fragments whose expressions cannot compile evaluate
+the interpreted expressions over the same decoded batch, producing
+identical results in the same shape.
 """
 
 from __future__ import annotations
@@ -41,16 +43,12 @@ from ..sim.core import AllOf, Environment
 from ..sim.network import RpcNetwork
 from ..storage.pagestore import PageStoreService, PageStoreServer
 from .ast import AggCall, Expr
-from .columnar import (
-    ColumnBatch,
-    compile_batch_expr,
-    compile_batch_predicate,
-    decode_page_into,
-)
+from .columnar import ColumnBatch, compile_batch_expr, compile_batch_predicate
 from .executor import (
     PAGE_CPU,
     ROW_CPU,
     AggAccumulator,
+    count_scan_cells,
     new_agg_states,
     update_agg_states,
     vector_group_by,
@@ -74,7 +72,9 @@ class PushdownFragment:
 
     table_name: str
     binding: str
-    schema_names: Tuple[str, ...]
+    #: The scan's ``SeqScan.projection``: the only columns a task decodes,
+    #: binds and returns.
+    projection: Tuple[str, ...]
     filter: Optional[Expr]
     partial_agg: Optional[Tuple[List[Expr], List[AggCall]]]
     #: Join-key expressions for a pushed hash build (mutually exclusive
@@ -84,8 +84,12 @@ class PushdownFragment:
 
     def batch_keys(self) -> Tuple[str, ...]:
         return tuple(
-            "%s.%s" % (self.binding, name) for name in self.schema_names
+            "%s.%s" % (self.binding, name) for name in self.projection
         )
+
+
+# The table schema rides along out-of-band as ``fragment._schema``, attached
+# at dispatch time (a production system serialises it with the fragment).
 
 
 def execute_fragment_on_pages(fragment: PushdownFragment, pages: List[Page]):
@@ -93,117 +97,90 @@ def execute_fragment_on_pages(fragment: PushdownFragment, pages: List[Page]):
 
     Returns one of
     ``("batch", ColumnBatch)`` (plain filtered scan),
-    ``("hash", (key_tuples, ColumnBatch))`` (pushed hash build),
-    ``("partials", [((key, sample), states), ...])`` (partial GROUP BY), or
-    ``("rows", [...])`` (row-loop fallback for non-compilable fragments),
+    ``("hash", (key_tuples, ColumnBatch))`` (pushed hash build) or
+    ``("partials", [((key, sample), states), ...])`` (partial GROUP BY),
     plus the number of rows scanned (for CPU accounting by the caller).
+    Batches and sample rows carry the fragment's projected columns only.
 
-    The vectorized paths produce exactly what the row loops would: same
-    row order (page order, slot order), same first-seen group order, same
-    float accumulation order.  Whether a fragment compiles depends only
-    on its expressions and schema, so every task of one fragment returns
-    the same result kind.
+    Expressions that cannot compile are interpreted over row dicts of the
+    same decoded batch, which produces exactly what the vectorized paths
+    do: same result kind and keys, same row order (page order, slot
+    order), same first-seen group order, same float accumulation order.
     """
     schema = fragment._schema  # type: ignore[attr-defined]
     keys = fragment.batch_keys()
+    positions = tuple(map(schema.position, fragment.projection))
     arrays: List[List[Any]] = [[] for _ in keys]
     scanned = 0
     for page in pages:
-        scanned += decode_page_into(schema, page, arrays)
+        scanned += schema.decode_rows_into(page.rows(), positions, arrays)
     batch = ColumnBatch(keys, arrays, scanned)
     try:
-        if fragment.filter is not None:
-            predicate = compile_batch_predicate(fragment.filter, batch)
-            batch = batch.gather(
-                [i for i in range(batch.n) if predicate(i)]
-            )
-        if fragment.hash_keys is not None:
-            key_fns = [
-                compile_batch_expr(expr, batch) for expr in fragment.hash_keys
-            ]
-            if len(key_fns) == 1:
-                fn = key_fns[0]
-                key_tuples = [(fn(i),) for i in range(batch.n)]
-            else:
-                key_tuples = [
-                    tuple(fn(i) for fn in key_fns) for i in range(batch.n)
-                ]
-            return ("hash", (key_tuples, batch)), scanned
-        if fragment.partial_agg is None:
-            return ("batch", batch), scanned
-        group_exprs, aggs = fragment.partial_agg
-        groups, sample_index = vector_group_by(batch, group_exprs, aggs)
-        partials = [
-            ((key, batch.row_dict(sample_index[key])), states)
-            for key, states in groups.items()
-        ]
-        return ("partials", partials), scanned
+        return _execute_fragment_vector(fragment, batch), scanned
     except NotCompilable:
-        return _execute_fragment_rowwise(fragment, pages)
+        return _execute_fragment_rowwise(fragment, batch), scanned
 
 
-def _execute_fragment_rowwise(fragment: PushdownFragment, pages: List[Page]):
-    """Row-loop fallback, semantically identical to the vector paths."""
-    scanned = 0
+def _execute_fragment_vector(fragment: PushdownFragment, batch: ColumnBatch):
+    """Compiled filter / key extraction / grouping over ``batch``; raises
+    NotCompilable before evaluating anything when an expression cannot
+    bind."""
+    if fragment.filter is not None:
+        predicate = compile_batch_predicate(fragment.filter, batch)
+        batch = batch.gather([i for i in range(batch.n) if predicate(i)])
     if fragment.hash_keys is not None:
-        keys = fragment.batch_keys()
-        rows: List[Dict[str, Any]] = []
-        for page in pages:
-            for values in _decode_page(fragment, page):
-                scanned += 1
-                row = _bind(fragment, values)
-                if fragment.filter is None or fragment.filter.eval(row):
-                    rows.append(row)
+        key_fns = [
+            compile_batch_expr(expr, batch) for expr in fragment.hash_keys
+        ]
+        if len(key_fns) == 1:
+            fn = key_fns[0]
+            key_tuples = [(fn(i),) for i in range(batch.n)]
+        else:
+            key_tuples = [
+                tuple(fn(i) for fn in key_fns) for i in range(batch.n)
+            ]
+        return ("hash", (key_tuples, batch))
+    if fragment.partial_agg is None:
+        return ("batch", batch)
+    group_exprs, aggs = fragment.partial_agg
+    groups, sample_index = vector_group_by(batch, group_exprs, aggs)
+    partials = [
+        ((key, batch.row_dict(sample_index[key])), states)
+        for key, states in groups.items()
+    ]
+    return ("partials", partials)
+
+
+def _execute_fragment_rowwise(fragment: PushdownFragment, batch: ColumnBatch):
+    """Interpreted fallback, semantically identical to the vector path."""
+    rows = batch.to_rows()
+    if fragment.filter is not None:
+        selection = [
+            i for i, row in enumerate(rows) if fragment.filter.eval(row)
+        ]
+        rows = [rows[i] for i in selection]
+        batch = batch.gather(selection)
+    if fragment.hash_keys is not None:
         key_tuples = [
             tuple(expr.eval(row) for expr in fragment.hash_keys)
             for row in rows
         ]
-        arrays = [[row[k] for row in rows] for k in keys]
-        batch = ColumnBatch(keys, arrays, len(rows))
-        return ("hash", (key_tuples, batch)), scanned
+        return ("hash", (key_tuples, batch))
     if fragment.partial_agg is None:
-        rows = []
-        for page in pages:
-            for values in _decode_page(fragment, page):
-                scanned += 1
-                row = _bind(fragment, values)
-                if fragment.filter is None or fragment.filter.eval(row):
-                    rows.append(row)
-        return ("rows", rows), scanned
+        return ("batch", batch)
     group_exprs, aggs = fragment.partial_agg
     groups: Dict[Tuple, List[AggAccumulator]] = {}
     samples: Dict[Tuple, Dict[str, Any]] = {}
-    for page in pages:
-        for values in _decode_page(fragment, page):
-            scanned += 1
-            row = _bind(fragment, values)
-            if fragment.filter is not None and not fragment.filter.eval(row):
-                continue
-            key = tuple(expr.eval(row) for expr in group_exprs)
-            states = groups.get(key)
-            if states is None:
-                states = new_agg_states(aggs)
-                groups[key] = states
-                samples[key] = row
-            update_agg_states(states, aggs, row)
+    for row in rows:
+        key = tuple(expr.eval(row) for expr in group_exprs)
+        states = groups.get(key)
+        if states is None:
+            states = new_agg_states(aggs)
+            groups[key] = states
+            samples[key] = row
+        update_agg_states(states, aggs, row)
     partials = [((key, samples[key]), states) for key, states in groups.items()]
-    return ("partials", partials), scanned
-
-
-# The schema needed by _decode_page is carried out-of-band: fragments are
-# shipped with the schema object attached at dispatch time (a production
-# system serialises the schema with the fragment; here it rides along).
-
-
-def _decode_page(fragment: PushdownFragment, page: Page):
-    return fragment._schema.decode_rows(page.rows())  # type: ignore[attr-defined]
-
-
-def _bind(fragment: PushdownFragment, values) -> Dict[str, Any]:
-    return {
-        "%s.%s" % (fragment.binding, name): value
-        for name, value in zip(fragment.schema_names, values)
-    }
+    return ("partials", partials)
 
 
 @dataclass
@@ -310,7 +287,7 @@ class PushdownRuntime:
         fragment = PushdownFragment(
             table_name=scan.table_name,
             binding=scan.binding,
-            schema_names=tuple(table.schema.names),
+            projection=scan.projection,
             filter=scan.filter,
             partial_agg=scan.partial_agg,
             hash_keys=list(scan.hash_keys) if hash_build else None,
@@ -471,8 +448,6 @@ class PushdownRuntime:
     @staticmethod
     def _result_bytes(result) -> int:
         kind, payload = result
-        if kind == "rows":
-            return 64 + ROW_WIRE_BYTES * len(payload)
         if kind == "batch":
             return 64 + ROW_WIRE_BYTES * payload.n
         if kind == "hash":
@@ -486,6 +461,17 @@ class PushdownRuntime:
             if state.distinct is not None
         )
         return 64 + GROUP_WIRE_BYTES * len(payload) + 8 * distinct_values
+
+    def _execute(self, fragment: PushdownFragment, pages: List[Page]):
+        """One task's compute, with its decoded-cell accounting."""
+        result, scanned = execute_fragment_on_pages(fragment, pages)
+        count_scan_cells(
+            self.obs.registry,
+            scanned,
+            len(fragment.projection),
+            len(fragment._schema),  # type: ignore[attr-defined]
+        )
+        return result, scanned
 
     def _run_on_astore(self, fragment: PushdownFragment, task: _Task):
         """Generator: PQ process on an AStore server, reading local PMem."""
@@ -510,7 +496,7 @@ class PushdownRuntime:
             # Local PMem read: no fabric hop, just media time.
             yield from server.pmem.read(entry.length)
             pages.append(payload[3])
-        result, scanned = execute_fragment_on_pages(fragment, pages)
+        result, scanned = self._execute(fragment, pages)
         yield from server.cpu.consume(
             PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned
         )
@@ -541,7 +527,7 @@ class PushdownRuntime:
                 pages.append(page)
             except StorageError:
                 failed.append((page_id, min_lsn))
-        result, scanned = execute_fragment_on_pages(fragment, pages)
+        result, scanned = self._execute(fragment, pages)
         yield from server.cpu.consume(
             PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned
         )
@@ -573,7 +559,7 @@ class PushdownRuntime:
                     failed.append((page_id, min_lsn))
                     continue
             pages.append(page)
-        result, scanned = execute_fragment_on_pages(fragment, pages)
+        result, scanned = self._execute(fragment, pages)
         yield from self.engine.cpu.consume(
             PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned
         )
@@ -584,57 +570,34 @@ class _Merge:
     """Accumulates task results into the fragment's output shape.
 
     Merge order is deterministic: local pages first, then dispatched
-    tasks in dispatch order, then fallback pages — identical whichever
-    result kind the fragment produces, so row-mode and batch-mode callers
-    see the same rows in the same order.
+    tasks in dispatch order, then fallback pages, and every task returns
+    the same result kind over the same projected keys, so row-mode and
+    batch-mode callers see the same rows in the same order.
     """
 
     def __init__(self, fragment: PushdownFragment):
         self.fragment = fragment
-        self.rows: List[Dict[str, Any]] = []
         self.partials: List = []
-        self.batch: Optional[ColumnBatch] = None
+        self.batch = ColumnBatch.empty(fragment.batch_keys())
         self.hash_keys: List[Tuple] = []
 
     def add(self, result) -> None:
         kind, payload = result
-        if kind == "rows":
-            self.rows.extend(payload)
-        elif kind == "partials":
+        if kind == "partials":
             self.partials.extend(payload)
         elif kind == "batch":
-            self._add_batch(payload)
+            self.batch.extend(payload)
         else:  # hash
             key_tuples, batch = payload
             self.hash_keys.extend(key_tuples)
-            self._add_batch(batch)
-
-    def _add_batch(self, batch: ColumnBatch) -> None:
-        if self.batch is None:
-            self.batch = batch
-        else:
             self.batch.extend(batch)
 
     def finish(self, as_batch: bool = False):
         fragment = self.fragment
         if fragment.hash_keys is not None:
-            batch = self.batch
-            if batch is None:
-                batch = ColumnBatch.empty(fragment.batch_keys())
-            return self.hash_keys, batch
+            return self.hash_keys, self.batch
         if fragment.partial_agg is not None:
             return ("partials", self.partials) if as_batch else self.partials
         if as_batch:
-            batch = self.batch
-            if batch is None:
-                # Row-loop fallback produced dict rows; columnarize them.
-                keys = fragment.batch_keys()
-                batch = ColumnBatch(
-                    keys,
-                    [[row[k] for row in self.rows] for k in keys],
-                    len(self.rows),
-                )
-            return ("batch", batch)
-        if self.batch is not None:
-            return self.batch.to_rows()
-        return self.rows
+            return ("batch", self.batch)
+        return self.batch.to_rows()

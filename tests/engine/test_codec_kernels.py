@@ -1,10 +1,12 @@
 """The generated codec kernels against the interpreted oracle.
 
 ``repro.engine.codec`` compiles straight-line encode/decode kernels per
-schema and per null bitmap; ``codec_oracle`` is the per-column interpreter
-they replaced.  Every entry point must agree with it byte for byte and
-value for value (types included: an ``int`` column decodes to ``int``, a
-``DECIMAL(0)`` to ``float``).
+schema and per null bitmap, and one column-major decode kernel per
+projected column set; ``codec_oracle`` is the per-column interpreter they
+replaced.  Every entry point must agree with it byte for byte and value for
+value (types included: an ``int`` column decodes to ``int``, a
+``DECIMAL(0)`` to ``float``), the projected kernels on exactly the columns
+they were asked for.
 """
 
 import itertools
@@ -25,7 +27,6 @@ from repro.engine.codec import (
     Schema,
 )
 from repro.engine.page import Page, PageOp, apply_op
-from repro.query.columnar import decode_page_into
 
 from . import codec_oracle as oracle
 
@@ -35,8 +36,29 @@ def typed(values):
     return [(type(value), value) for value in values]
 
 
-def assert_matches_oracle(schema, rows):
-    """Every codec entry point agrees with the oracle on ``rows``."""
+def every_projection(width):
+    """All ascending position tuples over ``width`` columns."""
+    return [
+        positions
+        for size in range(width + 1)
+        for positions in itertools.combinations(range(width), size)
+    ]
+
+
+def sampled_projections(width):
+    """Nothing, everything, each column alone, each prefix and suffix: the
+    shapes that decide where a kernel pads, skips a varchar and stops."""
+    everything = tuple(range(width))
+    sample = {(), everything}
+    for position in everything:
+        sample |= {(position,), everything[:position], everything[position:]}
+    return sorted(sample)
+
+
+def assert_matches_oracle(schema, rows, projections=None):
+    """Every codec entry point agrees with the oracle on ``rows``; the
+    column-major kernel for each of ``projections`` (default: every subset
+    of a narrow schema, a sample of a wide one) on the columns it names."""
     encoded = []
     for row in rows:
         data = schema.encode(row)
@@ -52,21 +74,30 @@ def assert_matches_oracle(schema, rows):
         typed(r) for r in expected_rows
     ]
 
-    one_by_one = [[] for _ in schema.columns]
-    for data in encoded:
-        schema.decode_into(data, one_by_one)
-    assert [typed(a) for a in one_by_one] == expected_columns
-
-    bulk = [["kept"] for _ in schema.columns]  # extends, never replaces
-    assert schema.decode_rows_into(iter(encoded), bulk) == len(rows)
-    assert [typed(a[1:]) for a in bulk] == expected_columns
-
     page = Page(PageId(1, 1), size=1024 * KB)
     for slot, data in enumerate(encoded):
         apply_op(page, PageOp("insert", slot=slot, row=data), lsn=slot + 1)
-    from_page = [[] for _ in schema.columns]
-    assert decode_page_into(schema, page, from_page) == len(rows)
-    assert [typed(a) for a in from_page] == expected_columns
+
+    if projections is None:
+        width = len(schema)
+        projections = (
+            every_projection(width) if width <= 6 else sampled_projections(width)
+        )
+    for positions in projections:
+        expected = [expected_columns[position] for position in positions]
+
+        bulk = [["kept"] for _ in positions]  # extends, never replaces
+        assert schema.decode_rows_into(iter(encoded), positions, bulk) == len(rows)
+        assert [typed(a[1:]) for a in bulk] == expected
+
+        one_by_one = [[] for _ in positions]
+        for data in encoded:
+            assert schema.decode_rows_into((data,), positions, one_by_one) == 1
+        assert [typed(a) for a in one_by_one] == expected
+
+        from_page = [[] for _ in positions]  # a page's rows, in slot order
+        assert schema.decode_rows_into(page.rows(), positions, from_page) == len(rows)
+        assert [typed(a) for a in from_page] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +144,21 @@ def schemas_with_rows(draw):
             for ctype, nullable in shape
         ]
     ).map(list)
-    return schema, draw(st.lists(row, min_size=1, max_size=12))
+    subset = st.sets(st.sampled_from(range(len(shape)))).map(sorted).map(tuple)
+    projections = draw(st.lists(subset, max_size=4))
+    return (
+        schema,
+        draw(st.lists(row, min_size=1, max_size=12)),
+        sampled_projections(len(shape)) + projections,
+    )
 
 
 @given(schemas_with_rows())
 @settings(max_examples=150)
-def test_kernels_match_oracle_on_random_schemas(schema_and_rows):
-    schema, rows = schema_and_rows
-    assert_matches_oracle(schema, rows)
+def test_kernels_match_oracle_on_random_schemas(schema_rows_projections):
+    schema, rows, projections = schema_rows_projections
+    assert_matches_oracle(schema, rows, projections)
+    assert len(schema._projected) <= codec._KERNEL_CACHE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +218,42 @@ def test_decode_rows_of_nothing():
     schema = Schema([Column("a", INT(), nullable=True)])
     arrays = [[]]
     assert schema.decode_rows([]) == []
-    assert schema.decode_rows_into([], arrays) == 0
+    assert schema.decode_rows_into([], (0,), arrays) == 0
     assert arrays == [[]]
+    assert schema.decode_rows_into([], (), []) == 0
+
+
+def test_empty_projection_counts_rows_and_reads_none():
+    schema = Schema([Column("a", INT()), Column("s", VARCHAR(4), nullable=True)])
+    # Not even valid rows: nothing of them is looked at.
+    assert schema.decode_rows_into(iter([b"", b"junk", b""]), (), []) == 3
+
+
+def test_unread_columns_are_never_materialised():
+    schema = Schema(
+        [Column("a", INT()), Column("s", VARCHAR(8)), Column("b", INT()),
+         Column("t", VARCHAR(8)), Column("c", INT())]
+    )
+    broken = b"\xff\xfe"  # not UTF-8: decoding it would raise
+    data = bytearray(schema.encode([1, "xx", 2, "yy", 3]))
+    data[data.index(b"xx"):data.index(b"xx") + 2] = broken
+    data[data.index(b"yy"):data.index(b"yy") + 2] = broken
+    arrays = [[], []]
+    assert schema.decode_rows_into([bytes(data)], (0, 2), arrays) == 1
+    assert arrays == [[1], [2]]
+    with pytest.raises(UnicodeDecodeError):
+        schema.decode_rows_into([bytes(data)], (1,), [[]])
+    # ... and the kernel stops at its last column: c's bytes may be missing.
+    assert schema.decode_rows_into([bytes(data[:-4])], (0, 2), arrays) == 1
+
+
+@pytest.mark.parametrize(
+    "positions", [(1, 0), (0, 0), (2,), (-1,), (0, 1, 2)]
+)
+def test_projection_must_be_ascending_schema_positions(positions):
+    schema = Schema([Column("a", INT()), Column("b", INT())])
+    with pytest.raises(QueryError, match="not ascending schema positions"):
+        schema.decode_rows_into([], positions, [[] for _ in positions])
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +323,24 @@ def test_null_kernels_are_compiled_once_per_bitmap(monkeypatch):
     # Two non-zero bitmaps, one kernel each way for each.
     assert sorted(built[3:]) == ["decode_1", "decode_2", "encode_1", "encode_2"]
 
+    # Column-major kernels: nothing until a projection is first used, then
+    # one per projection and one per (projection, bitmap it has to skip).
+    del built[:]
+    for _ in range(3):
+        for row in ([1, 2], [None, 2], [1, None]):
+            data = [schema.encode(row)]
+            first, second = [], []
+            schema.decode_rows_into(data, (0,), [first])
+            schema.decode_rows_into(data, (1,), [second])
+            assert [first, second] == [[row[0]], [row[1]]]
+    assert sorted(built) == [
+        "decode_1_into_1",  # a alone never looks at b's bit
+        "decode_1_into_2",
+        "decode_2_into_2",
+        "decode_into_1",
+        "decode_into_2",
+    ]
+
 
 def test_kernel_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(codec, "_KERNEL_CACHE_LIMIT", 8)
@@ -262,3 +352,8 @@ def test_kernel_cache_is_bounded(monkeypatch):
     assert_matches_oracle(schema, rows + rows[::-1])
     for function in (schema.encode, schema.decode):
         assert len(function.__globals__["null_kernels"]) <= 8
+    # 32 projections of 5 columns went through a cache of 8, each with its
+    # own cache of per-bitmap kernels.
+    assert 0 < len(schema._projected) <= 8
+    for kernel in schema._projected.values():
+        assert len(kernel.__globals__["null_kernels"]) <= 8

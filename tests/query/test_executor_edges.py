@@ -5,6 +5,7 @@ import pytest
 from repro.common import QueryError
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.harness.deployment import Deployment, DeploymentSpec
+from repro.query.plan import SeqScan, explain
 
 
 def make_db():
@@ -151,3 +152,160 @@ def test_arithmetic_divide_in_filter():
         dep, session, "SELECT id FROM t WHERE maybe / 10 = 2"
     )
     assert result.rows == [(5,)]
+
+
+# ---------------------------------------------------------------------------
+# Projection edges: the batch executor and push-down fragments decode only
+# the columns a plan reads; the answers are those of the full-width row scan.
+# ---------------------------------------------------------------------------
+
+MODES = {
+    "row": dict(enable_pushdown=False, batch_mode=False),
+    "batch+pq": dict(
+        enable_pushdown=True,
+        pushdown_row_threshold=1,  # mark every scan, however small
+        force_hash_joins=True,
+        batch_mode=True,
+    ),
+}
+
+
+def make_joined_db(mode):
+    """``t`` plus a table ``u`` that shares the column name ``name``."""
+    dep = Deployment(DeploymentSpec.astore_pq(seed=3))
+    dep.start()
+    engine = dep.engine
+    engine.create_table(
+        "t",
+        Schema(
+            [
+                Column("id", INT()),
+                Column("maybe", INT(), nullable=True),
+                Column("name", VARCHAR(16)),
+            ]
+        ),
+        ["id"],
+    )
+    engine.create_table(
+        "u",
+        Schema(
+            [
+                Column("u_id", INT()),
+                Column("t_id", INT()),
+                Column("name", VARCHAR(16)),
+                Column("w", INT()),
+            ]
+        ),
+        ["u_id"],
+    )
+
+    def load(env):
+        txn = engine.begin()
+        for row in [[1, 30, "c"], [2, None, "a"], [3, 10, "b"],
+                    [4, None, "d"], [5, 20, "e"]]:
+            yield from engine.insert(txn, "t", row)
+        for i in range(10):
+            yield from engine.insert(txn, "u", [i, i % 5 + 1, "u%d" % i, i * 2])
+        yield from engine.commit(txn)
+
+    dep.env.run_until_event(dep.env.process(load(dep.env)))
+    return dep, dep.new_session(**MODES[mode])
+
+
+def scans_of(node):
+    if isinstance(node, SeqScan):
+        return [node]
+    return [
+        scan
+        for attr in ("child", "left", "right", "outer")
+        if getattr(node, attr, None) is not None
+        for scan in scans_of(getattr(node, attr))
+    ]
+
+
+def cells(dep):
+    registry = dep.obs.registry
+    return (
+        registry.value("query.scan.cells_decoded"),
+        registry.value("query.scan.cells_stored"),
+    )
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_count_star_reads_no_column(mode):
+    dep, session = make_joined_db(mode)
+    plan = session.plan("SELECT COUNT(*) FROM t")
+    assert [scan.projection for scan in scans_of(plan)] == [()]
+    assert "SeqScan(t as t) cols=0/3" in explain(plan)
+    assert execute(dep, session, "SELECT COUNT(*) FROM t").rows == [(5,)]
+    decoded, stored = cells(dep)
+    # The row scan is the full-width oracle; the batch scan decodes nothing.
+    assert (decoded, stored) == ((15, 15) if mode == "row" else (0, 15))
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_select_star_over_a_join_lists_every_column(mode):
+    dep, session = make_joined_db(mode)
+    sql = "SELECT * FROM t JOIN u ON t_id = id ORDER BY u_id LIMIT 2"
+    assert [scan.projection for scan in scans_of(session.plan(sql))] == [
+        ("id", "maybe", "name"),
+        ("u_id", "t_id", "name", "w"),
+    ]
+    result = execute(dep, session, sql)
+    assert result.columns == [
+        "t.id", "t.maybe", "t.name", "u.name", "u.t_id", "u.u_id", "u.w"
+    ]
+    assert result.rows == [(1, 30, "c", "u0", 1, 0, 0), (2, None, "a", "u1", 2, 1, 2)]
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_join_reads_only_referenced_columns_in_schema_order(mode):
+    dep, session = make_joined_db(mode)
+    sql = "SELECT w, t.name FROM t JOIN u ON t_id = id WHERE maybe > 15 ORDER BY w"
+    assert [scan.projection for scan in scans_of(session.plan(sql))] == [
+        ("id", "maybe", "name"),
+        ("t_id", "w"),
+    ]
+    assert execute(dep, session, sql).rows == [
+        (0, "c"), (8, "e"), (10, "c"), (18, "e")
+    ]
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_shared_bare_name_never_binds_to_the_surviving_copy(mode):
+    """``name`` is a column of both ``t`` and ``u``.  Pruning one side's copy
+    must not turn the error into an answer read from the other side."""
+    dep, session = make_joined_db(mode)
+    with pytest.raises(QueryError, match="ambiguous column 'name'"):
+        execute(dep, session, "SELECT w FROM t JOIN u ON t_id = id WHERE name = 'a'")
+    for sql in (
+        "SELECT name FROM t JOIN u ON t_id = id",
+        "SELECT w FROM t JOIN u ON t_id = id ORDER BY name",
+    ):
+        with pytest.raises(QueryError, match="column 'name' not in row"):
+            execute(dep, session, sql)
+        # Both copies stay in the plan, so the reference stays ambiguous.
+        assert all(
+            "name" in scan.projection for scan in scans_of(session.plan(sql))
+        )
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_update_and_delete_where_non_key_columns(mode):
+    dep, session = make_joined_db(mode)
+    before = cells(dep)
+    assert execute(
+        dep, session, "UPDATE t SET name = 'z' WHERE maybe > 15"
+    ).rows == [(2,)]
+    decoded, stored = (now - was for now, was in zip(cells(dep), before))
+    # The matching scan reads the key and the WHERE column: 2 of 3.
+    assert (decoded, stored) == ((15, 15) if mode == "row" else (10, 15))
+    assert execute(dep, session, "SELECT id FROM t WHERE name = 'z' ORDER BY id").rows == [
+        (1,), (5,)
+    ]
+    assert execute(dep, session, "DELETE FROM t WHERE name = 'z'").rows == [(2,)]
+    assert execute(dep, session, "SELECT id, name FROM t ORDER BY id").rows == [
+        (2, "a"), (3, "b"), (4, "d")
+    ]
+    assert execute(dep, session, "DELETE FROM t").rows == [(3,)]
+    assert execute(dep, session, "SELECT COUNT(*) FROM t").rows == [(0,)]

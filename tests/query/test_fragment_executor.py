@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.common import KB, PageId
+from repro.common import KB, PageId, QueryError
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.page import Page, PageOp, apply_op
-from repro.query.ast import AggCall, BinOp, ColumnRef, Literal
+from repro.query.ast import AggCall, BinOp, ColumnRef, Expr, Literal
 from repro.query.executor import finalize_agg_states, merge_agg_states
 from repro.query.pushdown import PushdownFragment, execute_fragment_on_pages
 
@@ -31,11 +31,11 @@ def make_pages(rows, per_page=4):
     return pages
 
 
-def fragment(filter_expr=None, partial_agg=None):
+def fragment(filter_expr=None, partial_agg=None, projection=SCHEMA.names):
     frag = PushdownFragment(
         table_name="t",
         binding="t",
-        schema_names=tuple(SCHEMA.names),
+        projection=tuple(projection),
         filter=filter_expr,
         partial_agg=partial_agg,
     )
@@ -131,3 +131,82 @@ def test_hash_build_fragment_returns_keys_and_batch():
     assert batch.n == 10
     assert len(key_tuples) == batch.n
     assert key_tuples == [(r[1],) for r in ROWS if r[2] >= 10.0]
+
+
+# ---------------------------------------------------------------------------
+# Projection, and the interpreted fallback in the same shape
+# ---------------------------------------------------------------------------
+
+
+class Opaque(Expr):
+    """An expression node the predicate compiler has never heard of: it
+    raises NotCompilable, so the fragment is interpreted over row dicts."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def eval(self, row):
+        return self.inner.eval(row)
+
+    def columns(self):
+        return self.inner.columns()
+
+
+def test_fragment_decodes_and_returns_only_its_projection():
+    filt = BinOp(">=", ColumnRef("amount", "t"), Literal(15.0))
+    (kind, batch), scanned = execute_fragment_on_pages(
+        fragment(filt, projection=("id", "amount")), make_pages(ROWS)
+    )
+    assert (kind, scanned) == ("batch", 20)
+    assert batch.keys == ("t.id", "t.amount")
+    assert batch.to_rows() == [
+        {"t.id": i, "t.amount": float(i)} for i in range(15, 20)
+    ]
+    # No column at all still counts the rows.
+    (kind, batch), scanned = execute_fragment_on_pages(
+        fragment(projection=()), make_pages(ROWS)
+    )
+    assert (kind, scanned, batch.keys, batch.n) == ("batch", 20, (), 20)
+
+
+def test_fragment_cannot_read_outside_its_projection():
+    filt = BinOp(">=", ColumnRef("amount", "t"), Literal(15.0))
+    with pytest.raises(QueryError, match="column 't.amount' not in row"):
+        execute_fragment_on_pages(
+            fragment(filt, projection=("id", "grp")), make_pages(ROWS)
+        )
+
+
+@pytest.mark.parametrize("shape", ["batch", "hash", "partials"])
+def test_interpreted_fallback_returns_the_vector_paths_shape(shape):
+    """A fragment that raises NotCompilable gives the same kind of result,
+    over the same projected keys, with the same content."""
+    amount, grp = ColumnRef("amount", "t"), ColumnRef("grp", "t")
+    aggs = [AggCall("count", None), AggCall("sum", amount)]
+
+    def run(wrap):
+        frag = fragment(
+            wrap(BinOp(">=", amount, Literal(10.0))),
+            partial_agg=([grp], aggs) if shape == "partials" else None,
+            projection=("grp", "amount"),
+        )
+        if shape == "hash":
+            frag.hash_keys = [wrap(grp)]
+        (kind, payload), scanned = execute_fragment_on_pages(frag, make_pages(ROWS))
+        assert (kind, scanned) == (shape, 20)
+        return payload
+
+    vector, interpreted = run(lambda expr: expr), run(Opaque)
+    if shape == "partials":
+        assert [group for group, _ in interpreted] == [group for group, _ in vector]
+        assert interpreted[0][0][1] == {"t.grp": 1, "t.amount": 10.0}  # sample row
+        assert [finalize_agg_states(states, aggs) for _, states in interpreted] == [
+            finalize_agg_states(states, aggs) for _, states in vector
+        ]
+        return
+    if shape == "hash":
+        assert interpreted[0] == vector[0] == [(i % 3,) for i in range(10, 20)]
+        vector, interpreted = vector[1], interpreted[1]
+    assert interpreted.keys == vector.keys == ("t.grp", "t.amount")
+    assert interpreted.arrays == vector.arrays
+    assert interpreted.n == vector.n == 10

@@ -79,7 +79,7 @@ def test_plan_simple_scan_with_filter():
     scan = plan.child
     assert isinstance(scan, SeqScan)
     assert scan.filter is not None
-    assert scan.projection == ["grp", "name"]
+    assert scan.projection == ("grp", "name")  # the filter's column too
     assert not scan.pushdown  # push-down disabled in this session
 
 

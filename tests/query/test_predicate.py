@@ -161,10 +161,11 @@ def test_decode_into_matches_decode_for_all_types():
         [0, 0, 0.0, 0.0, "unicodeé"],
     ]
     arrays = [[] for _ in schema.names]
+    everything = tuple(range(len(schema)))
     for row in rows:
         data = schema.encode(list(row))
         assert schema.decode(data) == row
-        schema.decode_into(data, arrays)
+        assert schema.decode_rows_into([data], everything, arrays) == 1
     for position, _name in enumerate(schema.names):
         assert arrays[position] == [row[position] for row in rows]
 

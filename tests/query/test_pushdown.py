@@ -6,6 +6,7 @@ from repro.common import KB, MB
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
+from repro.query.plan import SeqScan
 
 
 def make_db(rows=300, bp_pages=16):
@@ -157,3 +158,76 @@ def test_pushdown_threshold_respected():
     pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=100000)
     execute(dep, pq, AGG_SQL)
     assert pq.pushdown_runtime.tasks_dispatched == 0
+
+
+def test_every_scan_path_carries_exactly_the_planned_projection():
+    """The engine's batch scan and a pushed fragment - on an AStore server,
+    on a PageStore server, over buffer-pool pages and over fallback pages -
+    all return the planner's projected columns, in schema order, and nothing
+    else."""
+    dep = make_db()
+    sql = "SELECT label, f_id FROM facts WHERE amount >= 10"
+    expected = ("facts.f_id", "facts.label", "facts.amount")
+
+    def run(generator):
+        proc = dep.env.process(generator)
+        dep.env.run_until_event(proc)
+        return proc.value
+
+    def scan_of(session):
+        node = session.plan(sql)
+        while not isinstance(node, SeqScan):
+            node = node.child
+        assert node.projection == ("f_id", "label", "amount")
+        return node
+
+    local = dep.new_session(enable_pushdown=False)
+    kind, engine_batch = run(local._vrun_scan(scan_of(local)))
+    assert (kind, engine_batch.keys) == ("batch", expected)
+
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=10)
+    runtime = pq.pushdown_runtime
+    scan = scan_of(pq)
+    assert scan.pushdown
+    seen = {}
+
+    def recording(path, task_runner):
+        def runner(fragment, *args, **kwargs):
+            result, failed = yield from task_runner(fragment, *args, **kwargs)
+            label = "fallback" if kwargs.get("via_engine") else path
+            seen.setdefault(label, []).append(result)
+            return result, failed
+
+        return runner
+
+    def dying(task_runner):
+        # The server loses power between dispatch and execution: every
+        # page of its task comes back failed and takes the engine path.
+        def runner(fragment, task):
+            runtime.ebp.client.servers[task.server_id].crash()
+            return (yield from task_runner(fragment, task))
+
+        return runner
+
+    runtime._run_on_astore = recording("astore", runtime._run_on_astore)
+    runtime._run_on_pagestore = recording("pagestore", runtime._run_on_pagestore)
+    runtime._run_local = recording("local", runtime._run_local)
+
+    def pushed_rows():
+        kind, batch = run(runtime.run_scan(scan, as_batch=True))
+        assert (kind, batch.keys) == ("batch", expected)
+        return sorted(batch.to_rows(), key=repr)
+
+    want = sorted(engine_batch.to_rows(), key=repr)
+    assert pushed_rows() == want  # AStore tasks + buffer-pool pages
+    assert runtime.pages_via_ebp > 0 and runtime.pages_local > 0
+    runtime._run_on_astore = dying(runtime._run_on_astore)
+    assert pushed_rows() == want  # every AStore task fails over
+    assert runtime.fallback_pages > 0
+    assert pushed_rows() == want  # no AStore server left: PageStore tasks
+    assert runtime.pages_via_pagestore > 0
+
+    assert sorted(seen) == ["astore", "fallback", "local", "pagestore"]
+    for path, results in seen.items():
+        for kind, batch in results:
+            assert (kind, batch.keys) == ("batch", expected), path

@@ -5,9 +5,9 @@ allocation per decoded row, dict probes per column reference, and a
 recursive ``Expr.eval`` walk per predicate evaluation. This module is
 the "columnar mandate" alternative: a :class:`ColumnBatch` holds one
 parallel Python list per column the plan reads, decoded straight from
-page bytes by ``Schema.decode_rows_into``, and expressions compile (via
-``repro.query.predicate``) to closures over the arrays where a column
-reference is a single ``list.__getitem__``.
+page bytes by ``Schema.decode_rows_into``, and the operators between scan
+and result run as generated loops over the arrays
+(``repro.query.kernels``) where a column reference is a loop variable.
 
 Design points:
 
@@ -26,24 +26,17 @@ Design points:
 Column keys use the executor's qualified ``"binding.column"`` naming.
 Reference resolution (:func:`resolve_column`) mirrors
 ``ColumnRef.eval``'s fallback chain — exact key, bare name, unique
-``.name`` suffix — so a compiled batch expression binds the same column
-the interpreted row evaluator would have read.
+``.name`` suffix — so a kernel binds the same column the interpreted row
+evaluator would have read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .ast import ColumnRef, Expr
-from .predicate import NotCompilable, compile_expr
+from .ast import ColumnRef
 
-__all__ = [
-    "ColumnBatch",
-    "batch_accessor",
-    "compile_batch_expr",
-    "compile_batch_predicate",
-    "resolve_column",
-]
+__all__ = ["ColumnBatch", "resolve_column"]
 
 
 class ColumnBatch:
@@ -52,23 +45,44 @@ class ColumnBatch:
     The row count is explicit (rather than ``len(arrays[0])``) because a
     batch may legitimately carry zero columns but nonzero rows — e.g. the
     scan under ``SELECT COUNT(*) FROM t``, which reads no column.
+
+    ``nullable[i]`` says whether column ``i`` may hold NULL.  Scans take
+    it from the schema (which the codec enforces on every encode); the
+    kernels drop the NULL handling of a column that cannot.  Unknown means
+    it may.
     """
 
-    __slots__ = ("keys", "arrays", "n")
+    __slots__ = ("keys", "arrays", "n", "nullable")
 
-    def __init__(self, keys: Sequence[str], arrays: Sequence[List[Any]], n: Optional[int] = None):
+    def __init__(
+        self,
+        keys: Sequence[str],
+        arrays: Sequence[List[Any]],
+        n: Optional[int] = None,
+        nullable: Optional[Sequence[bool]] = None,
+    ):
         self.keys: Tuple[str, ...] = tuple(keys)
         self.arrays: List[List[Any]] = list(arrays)
         if n is None:
             n = len(self.arrays[0]) if self.arrays else 0
         self.n = n
+        self.nullable: Tuple[bool, ...] = (
+            (True,) * len(self.keys) if nullable is None else tuple(nullable)
+        )
 
     def __len__(self) -> int:
         return self.n
 
     @classmethod
-    def empty(cls, keys: Sequence[str]) -> "ColumnBatch":
-        return cls(keys, [[] for _ in keys], 0)
+    def for_scan(cls, binding: str, schema, projection: Sequence[str]) -> "ColumnBatch":
+        """The empty batch a scan of ``projection`` (names, schema order)
+        under ``binding`` fills: qualified keys, the schema's nullability."""
+        return cls(
+            ["%s.%s" % (binding, name) for name in projection],
+            [[] for _ in projection],
+            0,
+            [schema.columns[schema.position(name)].nullable for name in projection],
+        )
 
     def column(self, key: str) -> List[Any]:
         return self.arrays[self.keys.index(key)]
@@ -77,8 +91,8 @@ class ColumnBatch:
         """Apply a selection vector. Full selections return ``self``."""
         if len(selection) == self.n:
             return self
-        arrays = [[arr[i] for i in selection] for arr in self.arrays]
-        return ColumnBatch(self.keys, arrays, len(selection))
+        arrays = [list(map(arr.__getitem__, selection)) for arr in self.arrays]
+        return ColumnBatch(self.keys, arrays, len(selection), self.nullable)
 
     def extend(self, other: "ColumnBatch") -> None:
         """Append ``other``'s rows in place (keys must match)."""
@@ -99,17 +113,6 @@ class ColumnBatch:
             return [{} for _ in range(self.n)]
         return [dict(zip(keys, values)) for values in zip(*self.arrays)]
 
-    def to_payload(self) -> Tuple[Tuple[str, ...], List[List[Any]], int]:
-        """Plain-tuple form for wire transport (push-down results)."""
-        return (self.keys, self.arrays, self.n)
-
-    @classmethod
-    def from_payload(
-        cls, payload: Tuple[Sequence[str], Sequence[List[Any]], int]
-    ) -> "ColumnBatch":
-        keys, arrays, n = payload
-        return cls(keys, arrays, n)
-
 
 def resolve_column(keys: Sequence[str], ref: ColumnRef) -> Optional[int]:
     """Resolve ``ref`` against a batch's key tuple, mirroring
@@ -128,28 +131,3 @@ def resolve_column(keys: Sequence[str], ref: ColumnRef) -> Optional[int]:
     if len(matches) == 1:
         return matches[0]
     return None
-
-
-def batch_accessor(batch: ColumnBatch) -> Callable[[ColumnRef], Callable[[int], Any]]:
-    """Accessor factory for :func:`repro.query.predicate.compile_expr`
-    where the evaluation context is a row index into ``batch``. Column
-    references bind to their array once, at compile time."""
-
-    def accessor(ref: ColumnRef) -> Callable[[int], Any]:
-        position = resolve_column(batch.keys, ref)
-        if position is None:
-            raise NotCompilable("column %r not in batch" % ref.key)
-        return batch.arrays[position].__getitem__
-
-    return accessor
-
-
-def compile_batch_expr(expr: Expr, batch: ColumnBatch) -> Callable[[int], Any]:
-    """Compile ``expr`` to ``fn(row_index) -> value`` over ``batch``.
-    Raises :class:`NotCompilable` when a reference cannot bind."""
-    return compile_expr(expr, batch_accessor(batch))
-
-
-def compile_batch_predicate(expr: Expr, batch: ColumnBatch) -> Callable[[int], bool]:
-    fn = compile_batch_expr(expr, batch)
-    return lambda i: bool(fn(i))

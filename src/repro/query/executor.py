@@ -14,14 +14,16 @@ Execution modes
 With ``batch_mode`` on (the default), the Scan/HashJoin/Aggregate spine
 of a plan executes *vectorized* over :class:`~repro.query.columnar.ColumnBatch`
 structures: pages decode column-major and only in the columns the plan
-reads (``SeqScan.projection``), predicates and join/group keys run as
-compiled closures over parallel arrays (``repro.query.predicate``), and
-only the surviving rows materialize as dicts.  The materialized rows are
-— by construction — the dicts the row operators would have produced,
-restricted to the projected columns (same key order, same row order, same
-float accumulation order), so Project/Sort/Limit above the spine reuse
-the row operators unchanged and every ``QueryResult`` is byte-identical
-to row mode, whose scan stays full-width as the oracle.  Anything the
+reads (``SeqScan.projection``), every filter, hash build, probe and
+group-by runs as one generated loop over the parallel arrays
+(``repro.query.kernels``), a join gathers only the columns something
+above it reads (``HashJoin.output``), and only the surviving rows
+materialize as dicts.  The materialized rows are — by construction — the
+dicts the row operators would have produced, restricted to the live
+columns (same row order, same float accumulation order), so
+Project/Sort/Limit above the spine reuse the row operators unchanged and
+every ``QueryResult`` is byte-identical to row mode, whose scans and
+joins stay full-width as the oracle.  Anything the
 vectorizer cannot handle statically (IndexNLJoin, unresolvable column
 references, exotic expression nodes) falls back to row mode per subtree,
 decided before any page is fetched.  Simulated CPU charges are identical
@@ -30,6 +32,7 @@ in both modes; the win is real (wall-clock) interpreter work.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -40,29 +43,22 @@ from ..engine.table import Table
 from ..obs import obs_of
 from .ast import (
     AggCall,
-    Between,
     BinOp,
     ColumnRef,
     Delete,
     Expr,
-    InList,
     Insert,
-    Like,
     Literal,
     Param,
     Select,
-    SelectItem,
     UnaryOp,
     Update,
+    binop_apply,
 )
+from . import kernels
 from .cache import ParseCache, bind_plan, bind_statement, parse_entry
-from .columnar import (
-    ColumnBatch,
-    compile_batch_expr,
-    compile_batch_predicate,
-    resolve_column,
-)
-from .predicate import NotCompilable, compile_row_predicate
+from .columnar import ColumnBatch
+from .predicate import compile_row_predicate
 from .plan import (
     Aggregate,
     HashJoin,
@@ -201,9 +197,9 @@ def eval_with_aggs(expr: Expr, row: Dict[str, Any],
                 eval_with_aggs(expr.right, row, agg_values)
             )
         left = eval_with_aggs(expr.left, row, agg_values)
-        right = eval_with_aggs(expr.right, row, agg_values)
-        rebuilt = BinOp(expr.op, ColumnRef("__l"), ColumnRef("__r"))
-        return rebuilt.eval({"__l": left, "__r": right})
+        return binop_apply(
+            expr.op, left, eval_with_aggs(expr.right, row, agg_values)
+        )
     if isinstance(expr, UnaryOp):
         value = eval_with_aggs(expr.operand, row, agg_values)
         return (not bool(value)) if expr.op == "not" else -value
@@ -214,64 +210,32 @@ def vector_group_by(
     batch: ColumnBatch,
     group_exprs: Sequence[Expr],
     aggs: Sequence[AggCall],
-) -> Tuple[Dict[Tuple, List[AggAccumulator]], Dict[Tuple, int]]:
-    """Vectorized grouping over a column batch.
+    predicate: Optional[Expr] = None,
+    registry=None,
+) -> Tuple[Dict[Tuple, List[AggAccumulator]], Dict[Tuple, int], int]:
+    """Vectorized grouping over the rows of a column batch that pass
+    ``predicate``.
 
-    Returns ``(groups, sample_index)``: accumulator states per group key
-    (dict insertion order = first-seen order) and, per key, the batch row
-    index of the group's first row (the row-mode "sample" row).  The
-    accumulation loop mirrors :func:`update_agg_states` row by row in
-    batch order, so float totals and min/max results are bit-identical to
-    row mode.  Shared with the storage-side push-down fragment executor.
-    Raises :class:`NotCompilable` when an expression cannot bind.
+    Returns ``(groups, sample_index, rows)``: accumulator states per group
+    key (dict insertion order = first-seen order), per key the batch row
+    index of the group's first row (the row-mode "sample" row), and how
+    many rows passed.  One generated loop (:func:`repro.query.kernels
+    .group_by`) filters, keys and accumulates, row by row in batch order
+    as :func:`update_agg_states` would, so float totals and min/max
+    results are bit-identical to row mode; its flat per-group states
+    become accumulators here, once per group.  Shared with the
+    storage-side push-down fragment executor.  Raises
+    :class:`~repro.query.predicate.NotCompilable` when an expression
+    cannot bind.
     """
-    key_fns = [compile_batch_expr(expr, batch) for expr in group_exprs]
-    specs = []
-    for agg in aggs:
-        arg_fn = (
-            compile_batch_expr(agg.argument, batch)
-            if agg.argument is not None
-            else None
-        )
-        specs.append((arg_fn, agg.distinct, agg.func))
-    groups: Dict[Tuple, List[AggAccumulator]] = {}
-    sample_index: Dict[Tuple, int] = {}
-    if len(key_fns) == 1:
-        key_fn = key_fns[0]
-        keys_of = lambda i: (key_fn(i),)  # noqa: E731 - hot path
-    elif not key_fns:
-        keys_of = lambda i: ()  # noqa: E731
-    else:
-        keys_of = lambda i: tuple(fn(i) for fn in key_fns)  # noqa: E731
-    for i in range(batch.n):
-        key = keys_of(i)
-        states = groups.get(key)
-        if states is None:
-            states = new_agg_states(aggs)
-            groups[key] = states
-            sample_index[key] = i
-        for state, (arg_fn, distinct, func) in zip(states, specs):
-            if arg_fn is None:  # COUNT(*)
-                state.count += 1
-                continue
-            value = arg_fn(i)
-            if value is None:
-                continue
-            if distinct:
-                state.distinct.add(value)
-                continue
-            state.count += 1
-            if func in ("sum", "avg"):
-                state.total += value
-            elif func == "min":
-                state.minimum = (
-                    value if state.minimum is None else min(state.minimum, value)
-                )
-            elif func == "max":
-                state.maximum = (
-                    value if state.maximum is None else max(state.maximum, value)
-                )
-    return groups, sample_index
+    flat, rows = kernels.group_by(batch, group_exprs, aggs, predicate, registry)
+    width = kernels.AGG_SLOTS
+    bases = range(1, 1 + width * len(aggs), width)
+    groups = {
+        key: [AggAccumulator(*state[base:base + width]) for base in bases]
+        for key, state in flat.items()
+    }
+    return groups, {key: state[0] for key, state in flat.items()}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +271,9 @@ class QuerySession:
         # ``engine`` may be a standby replica: only ``env`` is common.
         self._registry = obs_of(engine.env).registry
         count_scan_cells(self._registry, 0, 0, 0)  # present before any scan
+        for name in ("query.join.cells_joined", "query.join.cells_gathered",
+                     "query.kernels.compiled"):
+            self._registry.incr(name, 0)
         #: Columnar batch execution for the Scan/HashJoin/Aggregate spine
         #: (results stay byte-identical; off = pure row-at-a-time mode).
         self.batch_mode = batch_mode
@@ -512,7 +479,12 @@ class QuerySession:
             columns = sorted(
                 {k for row in rows for k in row if not k.startswith("__")}
             )
-        shaped = [tuple(row.get(c) for c in columns) for row in rows]
+        if rows and "__values__" in rows[0]:
+            # A Project's output rides positionally: two select items may
+            # share an output name.
+            shaped = [row["__values__"] for row in rows]
+        else:
+            shaped = [tuple(row.get(c) for c in columns) for row in rows]
         return QueryResult(columns, shaped)
 
     # ------------------------------------------------------------------
@@ -656,7 +628,7 @@ class QuerySession:
             exprs.extend(
                 agg.argument for agg in node.aggregates if agg.argument is not None
             )
-            return self._exprs_vectorizable(exprs, layout)
+            return kernels.compilable(layout, exprs)
         return self._batch_layout(node) is not None
 
     def _batch_layout(self, node: PlanNode) -> Optional[Tuple[str, ...]]:
@@ -670,8 +642,8 @@ class QuerySession:
             keys = tuple(
                 "%s.%s" % (node.binding, name) for name in node.projection
             )
-            if node.filter is not None and not self._exprs_vectorizable(
-                [node.filter], keys
+            if node.filter is not None and not kernels.compilable(
+                keys, [node.filter]
             ):
                 return None
             return keys
@@ -686,47 +658,23 @@ class QuerySession:
             right_keys = self._batch_layout(right)
             if left_keys is None or right_keys is None:
                 return None
-            if not self._exprs_vectorizable(node.left_keys, left_keys):
+            if not kernels.compilable(left_keys, node.left_keys):
                 return None
-            if not self._exprs_vectorizable(node.right_keys, right_keys):
+            if not kernels.compilable(right_keys, node.right_keys):
                 return None
-            out = tuple(
-                list(left_keys) + [k for k in right_keys if k not in left_keys]
+            joined = left_keys + tuple(
+                k for k in right_keys if k not in left_keys
             )
-            if node.residual is not None and not self._exprs_vectorizable(
-                [node.residual], out
+            if node.residual is not None and not kernels.compilable(
+                joined, [node.residual]
             ):
                 return None
-            return out
+            if node.output is None:
+                return joined
+            if not set(node.output) <= set(joined):
+                return None
+            return node.output
         return None  # IndexNLJoin and anything else: row mode
-
-    @staticmethod
-    def _exprs_vectorizable(exprs: Sequence[Expr], keys: Tuple[str, ...]) -> bool:
-        """Every node type compilable and every column reference resolvable
-        against the static layout (Param/AggCall compile to the same
-        lazily-raising behaviour row mode has)."""
-        stack = list(exprs)
-        while stack:
-            expr = stack.pop()
-            if isinstance(expr, ColumnRef):
-                if resolve_column(keys, expr) is None:
-                    return False
-            elif isinstance(expr, BinOp):
-                stack.append(expr.left)
-                stack.append(expr.right)
-            elif isinstance(expr, UnaryOp):
-                if expr.op not in ("not", "-"):
-                    return False
-                stack.append(expr.operand)
-            elif isinstance(expr, Between):
-                stack.extend((expr.operand, expr.low, expr.high))
-            elif isinstance(expr, (InList, Like)):
-                stack.append(expr.operand)
-            elif isinstance(expr, (Literal, Param, AggCall)):
-                pass
-            else:
-                return False
-        return True
 
     def _vrun(self, node: PlanNode):
         """Generator: vectorized subtree execution.
@@ -750,27 +698,47 @@ class QuerySession:
                 scan, as_batch=True
             )
             return result
+        batch = yield from self._scan_pages(scan)
+        if scan.filter is not None:
+            batch = batch.gather(
+                kernels.select(batch, scan.filter, self._registry)
+            )
+        return ("batch", batch)
+
+    def _scan_pages(self, scan: SeqScan):
+        """Generator: the projected columns of every row of a local scan,
+        its filter not applied."""
         table = self.engine.catalog.table(scan.table_name)
         schema = table.schema
-        keys = tuple("%s.%s" % (scan.binding, name) for name in scan.projection)
+        batch = ColumnBatch.for_scan(scan.binding, schema, scan.projection)
         positions = tuple(map(schema.position, scan.projection))
-        arrays: List[List[Any]] = [[] for _ in keys]
-        scanned = 0
         for page_no in list(table.page_nos):
             page = yield from self.engine.fetch_page(table.page_id(page_no))
             yield from self.engine.cpu.consume(
                 PAGE_CPU + ROW_CPU * page.row_count
             )
             self.pages_scanned += 1
-            scanned += schema.decode_rows_into(page.rows(), positions, arrays)
-        count_scan_cells(self._registry, scanned, len(keys), len(schema))
-        batch = ColumnBatch(keys, arrays, scanned)
-        if scan.filter is not None:
-            predicate = compile_batch_predicate(scan.filter, batch)
-            batch = batch.gather(
-                [i for i in range(batch.n) if predicate(i)]
+            batch.n += schema.decode_rows_into(
+                page.rows(), positions, batch.arrays
             )
-        return ("batch", batch)
+        count_scan_cells(self._registry, batch.n, len(batch.keys), len(schema))
+        return batch
+
+    def _vrun_unfiltered(self, node: PlanNode):
+        """Generator: ``_vrun`` for an operator whose kernel filters in its
+        own loop.  Returns ``(kind, payload, predicate)``: a local filtered
+        scan comes back unfiltered with its filter as ``predicate``
+        (sparing the gather of a batch only that loop reads), anything
+        else as ``_vrun`` gives it."""
+        if (
+            isinstance(node, SeqScan)
+            and node.filter is not None
+            and not (node.pushdown and self.pushdown_runtime is not None)
+        ):
+            batch = yield from self._scan_pages(node)
+            return "batch", batch, node.filter
+        kind, payload = yield from self._vrun(node)
+        return kind, payload, None
 
     def _vrun_hash_join(self, join: HashJoin):
         _, left = yield from self._vrun(join.left)
@@ -782,68 +750,64 @@ class QuerySession:
             and right_scan.partial_agg is None
             and self.pushdown_runtime is not None
         )
-        right_key_rows: Optional[List[Tuple]] = None
+        key_rows = predicate = None
         if hash_pushed:
-            right_key_rows, right = yield from self.pushdown_runtime.run_hash_build(
+            key_rows, right = yield from self.pushdown_runtime.run_hash_build(
                 right_scan
             )
         else:
-            _, right = yield from self._vrun(join.right)
-        yield from self.engine.cpu.consume(ROW_CPU * (left.n + right.n))
-        if right_key_rows is None:
-            key_fns = [compile_batch_expr(e, right) for e in join.right_keys]
-            if len(key_fns) == 1:
-                fn = key_fns[0]
-                right_key_rows = [(fn(j),) for j in range(right.n)]
-            else:
-                right_key_rows = [
-                    tuple(fn(j) for fn in key_fns) for j in range(right.n)
-                ]
-        build: Dict[Tuple, List[int]] = {}
-        for j, key in enumerate(right_key_rows):
-            bucket = build.get(key)
-            if bucket is None:
-                build[key] = [j]
-            else:
-                bucket.append(j)
-        left_fns = [compile_batch_expr(e, left) for e in join.left_keys]
-        left_sel: List[int] = []
-        right_sel: List[int] = []
-        if len(left_fns) == 1:
-            fn = left_fns[0]
-            for i in range(left.n):
-                matches = build.get((fn(i),))
-                if matches:
-                    for j in matches:
-                        left_sel.append(i)
-                        right_sel.append(j)
-        else:
-            for i in range(left.n):
-                matches = build.get(tuple(fn(i) for fn in left_fns))
-                if matches:
-                    for j in matches:
-                        left_sel.append(i)
-                        right_sel.append(j)
-        # Combined layout mirrors dict(left); update(right): left keys keep
-        # their position, duplicated keys take the right side's values.
-        out_keys = list(left.keys) + [k for k in right.keys if k not in left.keys]
-        right_pos = {k: p for p, k in enumerate(right.keys)}
-        out_arrays: List[List[Any]] = []
+            _, right, predicate = yield from self._vrun_unfiltered(join.right)
+        registry = self._registry
+        built, right_rows, unique = kernels.hash_build(
+            right, join.right_keys, kernels.nullable(left, join.left_keys),
+            self._keyed_build(join), predicate, key_rows, registry,
+        )
+        yield from self.engine.cpu.consume(ROW_CPU * (left.n + right_rows))
+        left_sel, right_sel, matched = kernels.probe(
+            left, join.left_keys, built, unique, right, join.residual, registry
+        )
+        # The joined layout mirrors dict(left); update(right): left keys
+        # keep their position, a duplicated key takes the right side's
+        # values.  Only the live columns of it are gathered.
+        right_at = {key: p for p, key in enumerate(right.keys)}
+        left_at = {key: p for p, key in enumerate(left.keys)}
+        out_keys = join.output
+        if out_keys is None:
+            out_keys = left.keys + tuple(
+                k for k in right.keys if k not in left_at
+            )
+        arrays: List[List[Any]] = []
+        nullable: List[bool] = []
         for key in out_keys:
-            if key in right_pos:
-                source = right.arrays[right_pos[key]]
-                out_arrays.append([source[j] for j in right_sel])
+            if key in right_at:
+                side, position, selection = right, right_at[key], right_sel
             else:
-                source = left.arrays[left.keys.index(key)]
-                out_arrays.append([source[i] for i in left_sel])
-        out = ColumnBatch(out_keys, out_arrays, len(left_sel))
-        if join.residual is not None:
-            predicate = compile_batch_predicate(join.residual, out)
-            out = out.gather([i for i in range(out.n) if predicate(i)])
-        return ("batch", out)
+                side, position, selection = left, left_at[key], left_sel
+            array = side.arrays[position]
+            if not isinstance(selection, range):  # else every row, once
+                array = list(map(array.__getitem__, selection))
+            arrays.append(array)
+            nullable.append(side.nullable[position])
+        registry.incr(
+            "query.join.cells_joined",
+            matched * (join.joined_columns or len(out_keys)),
+        )
+        registry.incr("query.join.cells_gathered", len(left_sel) * len(out_keys))
+        return ("batch", ColumnBatch(out_keys, arrays, len(left_sel), nullable))
+
+    def _keyed_build(self, join: HashJoin) -> bool:
+        """Whether the build side's join keys cover its table's primary
+        key: a quiescent scan then meets each key once, and the build can
+        expect (it still checks) unique keys."""
+        scan = join.right
+        if not isinstance(scan, SeqScan):
+            return False
+        names = {e.name for e in join.right_keys if isinstance(e, ColumnRef)}
+        table = self.engine.catalog.table(scan.table_name)
+        return names.issuperset(table.key_columns)
 
     def _vrun_aggregate(self, agg: Aggregate):
-        kind, payload = yield from self._vrun(agg.child)
+        kind, payload, predicate = yield from self._vrun_unfiltered(agg.child)
         groups: Dict[Tuple, List[AggAccumulator]] = {}
         samples: Dict[Tuple, Dict[str, Any]] = {}
         if kind == "partials":
@@ -864,10 +828,11 @@ class QuerySession:
             # An empty partials list degenerates to an empty input.
         else:
             batch = payload
-            yield from self.engine.cpu.consume(ROW_CPU * max(batch.n, 1))
-            groups, sample_index = vector_group_by(
-                batch, agg.group_exprs, agg.aggregates
+            groups, sample_index, rows = vector_group_by(
+                batch, agg.group_exprs, agg.aggregates, predicate,
+                self._registry,
             )
+            yield from self.engine.cpu.consume(ROW_CPU * max(rows, 1))
             samples = {
                 key: batch.row_dict(i) for key, i in sample_index.items()
             }
@@ -894,7 +859,8 @@ class QuerySession:
         build: Dict[Tuple, List[Dict[str, Any]]] = {}
         for row in right_rows:
             key = tuple(expr.eval(row) for expr in join.right_keys)
-            build.setdefault(key, []).append(row)
+            if None not in key:  # NULL = NULL is not true
+                build.setdefault(key, []).append(row)
         out: List[Dict[str, Any]] = []
         for row in left_rows:
             key = tuple(expr.eval(row) for expr in join.left_keys)
@@ -912,6 +878,8 @@ class QuerySession:
         for row in outer_rows:
             prefix = tuple(expr.eval(row) for expr in join.outer_keys)
             yield from self.engine.cpu.consume(ROW_CPU * 2)
+            if None in prefix:  # NULL = NULL is not true (nor orderable)
+                continue
             locators = []
             if join.index_name == "":
                 if len(prefix) == len(table.key_columns):
@@ -1004,22 +972,21 @@ class QuerySession:
         out_rows: List[Dict[str, Any]] = []
         for row in child_rows:
             agg_values = row.get("__aggs__", {})
-            out = {}
-            for item, name in zip(project.items, columns):
-                out[name] = eval_with_aggs(item.expr, row, agg_values)
-            # Retain source columns so ORDER BY can reference them.
-            for key, value in row.items():
-                if key != "__aggs__" and key not in out:
-                    out[key] = value
-            out["__columns__"] = columns
+            values = tuple(
+                eval_with_aggs(item.expr, row, agg_values)
+                for item in project.items
+            )
+            # ORDER BY resolves a name to the first select item bearing
+            # it, then to the source columns, retained for that.
+            out = dict(row)
+            out.update(zip(reversed(columns), reversed(values)))
             out["__aggs__"] = agg_values
+            out["__values__"] = values
             out_rows.append(out)
         return out_rows, columns
 
     def _run_sort(self, sort: Sort):
         child_rows, columns = yield from self._run(sort.child)
-        import math
-
         count = max(len(child_rows), 1)
         yield from self.engine.cpu.consume(
             ROW_CPU * count * max(1.0, math.log2(count))
@@ -1160,10 +1127,6 @@ def compile_point_plan(template: PlanNode, engine: DBEngine):
             return None
         positions.append(schema.position(expr.name))
         columns.append(item.output_name)
-    if len(set(columns)) != len(columns):
-        # Duplicate output names shape through the row dict in the
-        # generic path (last writer wins); keep that path authoritative.
-        return None
     return PointReadPlan(
         table_name=lookup.table_name,
         key_source=tuple(key_source),

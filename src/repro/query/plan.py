@@ -95,6 +95,15 @@ class HashJoin(PlanNode):
     right_keys: List[Expr] = field(default_factory=list)
     #: Residual non-equi condition evaluated on joined rows.
     residual: Optional[Expr] = None
+    #: The joined columns an operator above reads (qualified keys, left
+    #: side's first): all the batch executor gathers.  A column only the
+    #: join's own keys or residual read is not among them.  ``None`` (a
+    #: hand-built plan) is every column of both sides, which is also what
+    #: the row executor, the oracle, always produces.
+    output: Optional[Tuple[str, ...]] = None
+    #: How many columns both sides carry into the join, unpruned
+    #: (EXPLAIN's ``cols=k/n``).
+    joined_columns: int = 0
 
 
 @dataclass
@@ -173,8 +182,13 @@ def explain(node: PlanNode, depth: int = 0) -> str:
             pad, node.table_name, node.binding, suffix, node.estimated_rows,
         )
     if isinstance(node, HashJoin):
-        return "%sHashJoin ~%d rows\n%s\n%s" % (
+        cols = (
+            "" if node.output is None
+            else " cols=%d/%d" % (len(node.output), node.joined_columns)
+        )
+        return "%sHashJoin%s ~%d rows\n%s\n%s" % (
             pad,
+            cols,
             node.estimated_rows,
             explain(node.left, depth + 1),
             explain(node.right, depth + 1),

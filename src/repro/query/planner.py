@@ -216,25 +216,36 @@ class Planner:
         # exists, else every table's column of that name - so an ambiguous
         # bare name stays ambiguous instead of binding to the one copy
         # that survived pruning.
-        needed: Dict[str, set] = {b: set() for b in binding_tables}
-        if select.star:
-            for binding, table in binding_tables.items():
-                needed[binding].update(table.schema.names)
-        else:
-            exprs: List[Expr] = [item.expr for item in select.items]
-            exprs.extend(select.group_by)
-            exprs.extend(expr for expr, _ in select.order_by)
-            exprs.extend(conjuncts)
+        def claimed(exprs) -> set:
+            """The qualified ``binding.column`` keys ``exprs`` claim."""
+            claims = set()
             for expr in exprs:
                 for key in expr.columns():
                     binding, _, column = key.rpartition(".")
                     table = binding_tables.get(binding)
                     if table is not None and table.schema.has_column(column):
-                        needed[binding].add(column)
+                        claims.add(key)
                         continue
                     for binding, table in binding_tables.items():
                         if table.schema.has_column(column):
-                            needed[binding].add(column)
+                            claims.add("%s.%s" % (binding, column))
+            return claims
+
+        if select.star:
+            output = {
+                "%s.%s" % (binding, name)
+                for binding, table in binding_tables.items()
+                for name in table.schema.names
+            }
+        else:
+            exprs: List[Expr] = [item.expr for item in select.items]
+            exprs.extend(select.group_by)
+            exprs.extend(expr for expr, _ in select.order_by)
+            output = claimed(exprs)
+        needed: Dict[str, set] = {b: set() for b in binding_tables}
+        for key in output | claimed(conjuncts):
+            binding, _, column = key.rpartition(".")
+            needed[binding].add(column)
 
         def scan_of(binding: str) -> SeqScan:
             table = binding_tables[binding]
@@ -266,12 +277,7 @@ class Planner:
                 plan, binding, binding_tables, joined, multi, scan_of
             )
             joined.add(binding)
-        residual = and_together(
-            [c for c in multi if self._bindings_of(c, binding_tables) <= joined]
-        )
-        # Any leftover residual (shouldn't exist in a left-deep chain) is
-        # attached as a final filter through a degenerate hash join... not
-        # needed: _plan_join consumes conjuncts as bindings complete.
+        self._prune_joins(plan, output, claimed)
 
         # Aggregation.
         agg_calls = self._collect_aggregates(select)
@@ -393,6 +399,35 @@ class Planner:
             right_keys=right_keys,
             residual=and_together(residuals),
         )
+
+    def _prune_joins(self, node, live, claimed):
+        """Top-down liveness: set each ``HashJoin.output`` to the joined
+        columns something above the join reads (``live``, qualified keys;
+        ``claimed(exprs)`` gives those expressions read).  What a join's own
+        keys and residual read is live below it only.  Returns the columns
+        ``node`` would carry unpruned."""
+        if isinstance(node, SeqScan):
+            return tuple("%s.%s" % (node.binding, n) for n in node.projection)
+        if isinstance(node, HashJoin):
+            reads = node.left_keys + node.right_keys
+            if node.residual is not None:
+                reads = reads + [node.residual]
+            below = live | claimed(reads)
+            joined = self._prune_joins(node.left, below, claimed)
+            joined += self._prune_joins(node.right, below, claimed)
+            node.output = tuple(key for key in joined if key in live)
+            node.joined_columns = len(joined)
+            return joined
+        if isinstance(node, IndexNLJoin):
+            # Row mode: carries every outer column plus the whole inner row.
+            reads = list(node.outer_keys)
+            if node.residual is not None:
+                reads.append(node.residual)
+            names = self.catalog.table(node.inner_table).schema.names
+            return self._prune_joins(
+                node.outer, live | claimed(reads), claimed
+            ) + tuple("%s.%s" % (node.inner_binding, n) for n in names)
+        return ()
 
     def _as_equi_pair(self, conjunct, inner_binding, binding_tables):
         """(outer_expr, inner_column_ref) if the conjunct is outer = inner."""

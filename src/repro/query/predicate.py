@@ -1,25 +1,22 @@
-"""Compiled expression evaluation shared by every execution path.
+"""Compiled expression evaluation for the row executor.
 
-Row mode, the columnar batch executor, and storage-side push-down tasks
-all evaluate the same ``repro.query.ast`` algebra. Before this module
-each path walked the Expr tree per row, and the batch/storage rewrites
-risked re-implementing the NULL / LIKE / BETWEEN / IN semantics with
-subtle drift. ``compile_expr`` closes that hole: it lowers an Expr to a
-chain of closures *once per operator*, and the closures delegate the
-actual semantics to :func:`repro.query.ast.binop_apply` and
-:func:`repro.query.ast.like_match` — the same helpers ``Expr.eval``
-uses — so the three paths cannot diverge.
+The row executor evaluates a scan filter once per row; walking the Expr
+tree each time costs more than the comparison it ends in.
+``compile_expr`` lowers an Expr to a chain of closures *once per scan*,
+and the closures delegate the actual semantics to
+:func:`repro.query.ast.binop_apply` and :func:`repro.query.ast.like_match`
+- the same helpers ``Expr.eval`` uses - so they cannot diverge from it.
 
 The compiler is parameterized by an *accessor factory*: a callable that
-maps a :class:`ColumnRef` to ``fn(ctx) -> value``. For row mode the
-context is the row dict (see :func:`compile_row_predicate`); for the
-columnar path the accessor binds the batch's parallel array up front and
-the context is just the row index, so per-row evaluation is a couple of
-list indexes instead of dict probes (see ``repro.query.columnar``).
+maps a :class:`ColumnRef` to ``fn(row) -> value``; :func:`row_accessor`
+reads row dicts with ``ColumnRef.eval``'s fallback chain.  The columnar
+executor and storage-side fragments do not come through here: they run
+generated loops (``repro.query.kernels``), which raise this module's
+:class:`NotCompilable` for what they cannot lower.
 
 Accessors may raise :class:`NotCompilable` for a reference they cannot
-bind statically; callers fall back to interpreted ``Expr.eval`` (row
-mode) or to the row engine (batch mode), keeping behaviour identical.
+bind statically; callers fall back to interpreted ``Expr.eval``, keeping
+behaviour identical.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ returned as failures and re-processed through the engine's normal read
 path - push-down never affects correctness.
 
 Fragments execute vectorized on the storage side (column-major decode of
-the fragment's projection + compiled predicates, the same machinery as the
-engine's batch executor), so a task neither decodes nor ships a column the
-plan does not read; fragments whose expressions cannot compile evaluate
+the fragment's projection + the generated filter / key / group-by kernels
+of ``repro.query.kernels``, the same machinery as the engine's batch
+executor), so a task neither decodes nor ships a column the plan does not
+read; fragments whose expressions cannot compile evaluate
 the interpreted expressions over the same decoded batch, producing
 identical results in the same shape.
 """
@@ -42,8 +43,9 @@ from ..obs import obs_of
 from ..sim.core import AllOf, Environment
 from ..sim.network import RpcNetwork
 from ..storage.pagestore import PageStoreService, PageStoreServer
+from . import kernels
 from .ast import AggCall, Expr
-from .columnar import ColumnBatch, compile_batch_expr, compile_batch_predicate
+from .columnar import ColumnBatch
 from .executor import (
     PAGE_CPU,
     ROW_CPU,
@@ -82,9 +84,9 @@ class PushdownFragment:
     #: tuple alongside the filtered columns.
     hash_keys: Optional[List[Expr]] = None
 
-    def batch_keys(self) -> Tuple[str, ...]:
-        return tuple(
-            "%s.%s" % (self.binding, name) for name in self.projection
+    def empty_batch(self) -> ColumnBatch:
+        return ColumnBatch.for_scan(
+            self.binding, self._schema, self.projection  # type: ignore[attr-defined]
         )
 
 
@@ -92,8 +94,11 @@ class PushdownFragment:
 # at dispatch time (a production system serialises it with the fragment).
 
 
-def execute_fragment_on_pages(fragment: PushdownFragment, pages: List[Page]):
-    """Run the fragment over page images; pure compute, no timing.
+def execute_fragment_on_pages(
+    fragment: PushdownFragment, pages: List[Page], registry=None
+):
+    """Run the fragment over page images; pure compute, no timing
+    (``registry`` only counts kernel builds).
 
     Returns one of
     ``("batch", ColumnBatch)`` (plain filtered scan),
@@ -108,47 +113,39 @@ def execute_fragment_on_pages(fragment: PushdownFragment, pages: List[Page]):
     order), same first-seen group order, same float accumulation order.
     """
     schema = fragment._schema  # type: ignore[attr-defined]
-    keys = fragment.batch_keys()
     positions = tuple(map(schema.position, fragment.projection))
-    arrays: List[List[Any]] = [[] for _ in keys]
-    scanned = 0
+    batch = fragment.empty_batch()
     for page in pages:
-        scanned += schema.decode_rows_into(page.rows(), positions, arrays)
-    batch = ColumnBatch(keys, arrays, scanned)
+        batch.n += schema.decode_rows_into(page.rows(), positions, batch.arrays)
+    scanned = batch.n
     try:
-        return _execute_fragment_vector(fragment, batch), scanned
+        return _execute_fragment_vector(fragment, batch, registry), scanned
     except NotCompilable:
         return _execute_fragment_rowwise(fragment, batch), scanned
 
 
-def _execute_fragment_vector(fragment: PushdownFragment, batch: ColumnBatch):
-    """Compiled filter / key extraction / grouping over ``batch``; raises
-    NotCompilable before evaluating anything when an expression cannot
-    bind."""
-    if fragment.filter is not None:
-        predicate = compile_batch_predicate(fragment.filter, batch)
-        batch = batch.gather([i for i in range(batch.n) if predicate(i)])
-    if fragment.hash_keys is not None:
-        key_fns = [
-            compile_batch_expr(expr, batch) for expr in fragment.hash_keys
+def _execute_fragment_vector(
+    fragment: PushdownFragment, batch: ColumnBatch, registry
+):
+    """The fragment as generated kernels over ``batch``: filter and
+    grouping in one loop, or selection then key extraction; raises
+    NotCompilable when an expression cannot bind."""
+    if fragment.partial_agg is not None:
+        group_exprs, aggs = fragment.partial_agg
+        groups, sample_index, _ = vector_group_by(
+            batch, group_exprs, aggs, fragment.filter, registry
+        )
+        partials = [
+            ((key, batch.row_dict(sample_index[key])), states)
+            for key, states in groups.items()
         ]
-        if len(key_fns) == 1:
-            fn = key_fns[0]
-            key_tuples = [(fn(i),) for i in range(batch.n)]
-        else:
-            key_tuples = [
-                tuple(fn(i) for fn in key_fns) for i in range(batch.n)
-            ]
-        return ("hash", (key_tuples, batch))
-    if fragment.partial_agg is None:
-        return ("batch", batch)
-    group_exprs, aggs = fragment.partial_agg
-    groups, sample_index = vector_group_by(batch, group_exprs, aggs)
-    partials = [
-        ((key, batch.row_dict(sample_index[key])), states)
-        for key, states in groups.items()
-    ]
-    return ("partials", partials)
+        return ("partials", partials)
+    if fragment.filter is not None:
+        batch = batch.gather(kernels.select(batch, fragment.filter, registry))
+    if fragment.hash_keys is not None:
+        keys = kernels.key_tuples(batch, fragment.hash_keys, registry)
+        return ("hash", (keys, batch))
+    return ("batch", batch)
 
 
 def _execute_fragment_rowwise(fragment: PushdownFragment, batch: ColumnBatch):
@@ -464,7 +461,9 @@ class PushdownRuntime:
 
     def _execute(self, fragment: PushdownFragment, pages: List[Page]):
         """One task's compute, with its decoded-cell accounting."""
-        result, scanned = execute_fragment_on_pages(fragment, pages)
+        result, scanned = execute_fragment_on_pages(
+            fragment, pages, self.obs.registry
+        )
         count_scan_cells(
             self.obs.registry,
             scanned,
@@ -578,7 +577,7 @@ class _Merge:
     def __init__(self, fragment: PushdownFragment):
         self.fragment = fragment
         self.partials: List = []
-        self.batch = ColumnBatch.empty(fragment.batch_keys())
+        self.batch = fragment.empty_batch()
         self.hash_keys: List[Tuple] = []
 
     def add(self, result) -> None:

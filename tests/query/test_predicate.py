@@ -1,5 +1,5 @@
-"""Compiled predicates vs interpreted ``Expr.eval``, column-major decode,
-and property tests over random queries."""
+"""Compiled predicates and generated kernels vs interpreted ``Expr.eval``,
+column-major decode, and property tests over random queries."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,11 +25,8 @@ from repro.query.ast import (
     Param,
     UnaryOp,
 )
-from repro.query.columnar import (
-    ColumnBatch,
-    compile_batch_expr,
-    compile_batch_predicate,
-)
+from repro.query import kernels
+from repro.query.columnar import ColumnBatch
 from repro.query.predicate import (
     NotCompilable,
     compile_expr,
@@ -76,52 +73,101 @@ EXPRS = [
     Like(S, "%a"),
     Like(S, "%et%"),
     Like(S, "alpha"),
+    # NULL in either operand position, as a literal too.
+    BinOp("=", Literal(None), A),
+    BinOp("!=", B, Literal(None)),
+    BinOp("+", Literal(None), A),
+    BinOp("*", B, Literal(None)),
+    # Arithmetic (possibly NULL) nested under comparisons and predicates.
+    BinOp("<", BinOp("+", A, B), Literal(7)),
+    BinOp(">", Literal(3), BinOp("*", A, B)),
+    BinOp("<=", BinOp("+", A, B), BinOp("-", B, A)),
+    BinOp("=", BinOp("+", A, Literal(1)), BinOp("-", Literal(6), Literal(0))),
+    Between(BinOp("+", A, B), Literal(0), Literal(20)),
+    Between(A, B, Literal(10)),
+    Between(Literal(4), A, B),
+    InList(BinOp("+", A, Literal(1)), (2, 6)),
+    Like(BinOp("+", S, S), "a%"),
+    UnaryOp("-", BinOp("+", A, B)),
+    # Truthiness coercion of non-boolean operands.
+    BinOp("and", A, B),
+    BinOp("or", BinOp("+", A, B), S),
+    UnaryOp("not", A),
+    UnaryOp("not", BinOp("+", A, B)),
+    BinOp("and", BinOp("<", A, Literal(0)), BinOp("<", A, S)),
+    # Operands the row's types make fail: the same exception, not a value.
+    BinOp("<", A, S),
+    BinOp("+", S, B),
+    BinOp("/", A, B),
+    BinOp("or", BinOp(">", A, Literal(4)), BinOp("<", BinOp("+", A, S), B)),
 ]
 
 
-def batch_of(rows):
+def batch_of(rows, exact=False):
+    """A batch of ``rows``; ``exact`` declares a column nullable only if it
+    holds a NULL (as a schema would), else every column may."""
     keys = tuple(rows[0].keys())
-    return ColumnBatch(keys, [[row[k] for row in rows] for k in keys])
+    arrays = [[row[k] for row in rows] for k in keys]
+    nullable = [None in array for array in arrays] if exact else None
+    return ColumnBatch(keys, arrays, len(rows), nullable)
+
+
+def assert_same_outcome(expr, row, compute):
+    """``compute()`` gives ``expr.eval(row)``'s value *and type*, or raises
+    the same exception type."""
+    try:
+        want = expr.eval(row)
+    except Exception as error:  # noqa: BLE001 - whatever eval raises
+        with pytest.raises(type(error)):
+            compute()
+        return
+    got = compute()
+    assert got == want and type(got) is type(want), (row, got, want)
 
 
 @pytest.mark.parametrize("expr", EXPRS, ids=repr)
 def test_compiled_row_expr_matches_eval(expr):
     compiled = compile_row_expr(expr)
     for row in ROWS:
-        try:
-            want = expr.eval(row)
-        except TypeError:
-            with pytest.raises(TypeError):
-                compiled(row)
-            continue
-        assert compiled(row) == want, row
+        assert_same_outcome(expr, row, lambda: compiled(row))
 
 
 @pytest.mark.parametrize("expr", EXPRS, ids=repr)
 def test_compiled_batch_expr_matches_eval(expr):
-    batch = batch_of(ROWS)
-    compiled = compile_batch_expr(expr, batch)
-    for i, row in enumerate(ROWS):
-        try:
-            want = expr.eval(row)
-        except TypeError:
-            with pytest.raises(TypeError):
-                compiled(i)
-            continue
-        assert compiled(i) == want, row
+    # The generated kernels.  One row per batch (a row that raises must
+    # not hide the others), under both nullability declarations.
+    for row in ROWS:
+        for exact in (False, True):
+            batch = batch_of([row], exact)
+            assert_same_outcome(
+                expr, row, lambda: kernels.key_tuples(batch, [expr])[0][0]
+            )
+            try:
+                want = [0] if expr.eval(row) else []
+            except Exception:  # noqa: BLE001 - covered above
+                continue
+            assert kernels.select(batch, expr) == want, row
 
 
 def test_param_and_aggcall_compile_to_lazy_raisers():
+    empty = ColumnBatch(tuple(ROWS[0]), [[], [], []])
     for expr in (Param(0), AggCall("count", None)):
         compiled = compile_row_expr(expr)  # compiling must not raise
         with pytest.raises(QueryError):
             compiled(ROWS[0])
+        # A kernel raises only when a row is evaluated.
+        guarded = BinOp("or", BinOp("=", A, Literal(1)), expr)
+        assert kernels.select(empty, expr) == []
+        assert kernels.select(batch_of(ROWS[:1]), guarded) == [0]
+        with pytest.raises(QueryError):
+            kernels.select(batch_of(ROWS), guarded)
 
 
 def test_unresolved_batch_column_is_not_compilable():
-    batch = batch_of(ROWS)
+    # Decided before anything runs: the Param would raise on the first row.
+    expr = BinOp("and", Param(0), ColumnRef("missing"))
     with pytest.raises(NotCompilable):
-        compile_batch_expr(ColumnRef("missing"), batch)
+        kernels.select(batch_of(ROWS), expr)
 
 
 def test_compile_expr_rejects_unknown_nodes():
@@ -211,12 +257,10 @@ _row = st.fixed_dictionaries({"t.a": _value, "t.b": _value, "t.s": _text})
 @given(expr=_predicate, rows=st.lists(_row, min_size=1, max_size=6))
 def test_property_compiled_predicates_match_eval(expr, rows):
     compiled = compile_row_predicate(expr)
-    batch = batch_of(rows)
-    batch_compiled = compile_batch_predicate(expr, batch)
-    for i, row in enumerate(rows):
-        want = bool(expr.eval(row))
-        assert compiled(row) == want
-        assert batch_compiled(i) == want
+    want = [i for i, row in enumerate(rows) if expr.eval(row)]
+    assert [i for i, row in enumerate(rows) if compiled(row)] == want
+    assert kernels.select(batch_of(rows), expr) == want
+    assert kernels.select(batch_of(rows, exact=True), expr) == want
 
 
 # Query-level: random filters/projections/group-bys through the full SQL

@@ -87,6 +87,21 @@ def test_view_parity_across_insert_update_delete():
     assert session.last_route == "view:grp_one"
 
 
+def test_view_parity_when_two_items_share_an_output_name():
+    dep = build()
+    session = dep.frontend_session("client")
+    insert_rows(dep, session, 40)
+    settle(dep)
+    served = parity(
+        dep, session,
+        "SELECT grp, COUNT(*) AS grp, SUM(val) AS total FROM facts "
+        "GROUP BY grp ORDER BY grp",
+    )
+    assert session.last_route == "view:by_grp"
+    assert served.columns == ["grp", "grp", "total"]
+    assert [row[:2] for row in served.rows] == [(g, 10) for g in range(GROUPS)]
+
+
 def test_read_your_writes_waits_on_watermark():
     dep = build()
     session = dep.frontend_session("client")

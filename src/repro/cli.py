@@ -471,11 +471,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name, (_help, fn) in COMMANDS.items():
             start = time.time()
             fn(build_parser().parse_args([name]))
-            print("[%s took %.0fs]" % (name, time.time() - start))
+            print("[%s took %.0fs]" % (name, time.time() - start),
+                  file=sys.stderr)
         return 0
+    # Wall-clock lines go to stderr: a verb's stdout depends on its seed only.
     start = time.time()
     COMMANDS[args.command][1](args)
-    print("[%.0fs]" % (time.time() - start))
+    print("[%.0fs]" % (time.time() - start), file=sys.stderr)
     return 0
 
 

@@ -1080,7 +1080,6 @@ class Deployment:
         enable_pushdown: Optional[bool] = None,
         force_hash_joins: Optional[bool] = None,
         pushdown_row_threshold: Optional[int] = None,
-        pushdown_cost_based: bool = False,
         batch_mode: bool = True,
         shard: int = 0,
     ):
@@ -1091,8 +1090,10 @@ class Deployment:
         observation that PQ steers the optimizer toward hash joins).
         ``pushdown_row_threshold=None`` selects the planner's cost-based
         eligibility estimate; pass an explicit row count to restore the
-        flat-threshold behaviour.  ``batch_mode=False`` disables the
-        columnar executor (row-at-a-time Volcano operators only).
+        flat-threshold behaviour.  ``batch_mode`` is accepted and ignored:
+        there is one executor, but the frozen ``bench/workloads/
+        ch_analytics.py`` still passes the keyword; it goes when a
+        ``benchmark`` PR drops it there (ROADMAP 2c).
         """
         from ..query.executor import QuerySession
         from ..query.planner import PlannerConfig
@@ -1110,7 +1111,6 @@ class Deployment:
                 stack.engine,
                 stack.pagestore,
                 ebp=stack.ebp,
-                cost_based=pushdown_cost_based,
             )
         return QuerySession(
             stack.engine,
@@ -1120,5 +1120,4 @@ class Deployment:
                 pushdown_row_threshold=pushdown_row_threshold,
             ),
             pushdown_runtime=runtime,
-            batch_mode=batch_mode,
         )

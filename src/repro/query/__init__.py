@@ -4,7 +4,8 @@
 - :mod:`repro.query.ast` - expressions and statements
 - :mod:`repro.query.plan` / :mod:`repro.query.planner` - logical plans,
   join choice, push-down marking
-- :mod:`repro.query.executor` - single-threaded volcano executor
+- :mod:`repro.query.executor` - single-threaded executor over column
+  batches (:mod:`repro.query.columnar`, :mod:`repro.query.kernels`)
 - :mod:`repro.query.pushdown` - PQ task split/dispatch/merge
 """
 

@@ -122,10 +122,9 @@ def binop_apply(op: str, left: Any, right: Any) -> Any:
     """Null-safe binary operator semantics.
 
     Comparisons against NULL are False; arithmetic with NULL is NULL.
-    This is the single definition shared by :meth:`BinOp.eval` and the
-    compiled-predicate paths (:mod:`repro.query.predicate`), so row mode,
-    the columnar batch executor, and storage-side push-down tasks cannot
-    diverge.
+    :meth:`BinOp.eval`'s definition; the generated kernels
+    (:mod:`repro.query.kernels`) inline the same rules and are tested
+    against it.
     """
     if left is None or right is None:
         return False if op in _CMP_OPS else None
@@ -133,8 +132,7 @@ def binop_apply(op: str, left: Any, right: Any) -> Any:
 
 
 def like_match(value: Any, pattern: str) -> bool:
-    """LIKE with %-wildcards; the single definition shared by
-    :meth:`Like.eval` and the compiled-predicate paths."""
+    """LIKE with %-wildcards: :meth:`Like.eval`'s definition."""
     if value is None:
         return False
     if pattern.startswith("%") and pattern.endswith("%"):
@@ -205,6 +203,11 @@ class Between(Expr):
     def columns(self) -> List[str]:
         return self.operand.columns() + self.low.columns() + self.high.columns()
 
+    def contains_aggregate(self) -> bool:
+        return any(
+            e.contains_aggregate() for e in (self.operand, self.low, self.high)
+        )
+
 
 @dataclass(frozen=True)
 class InList(Expr):
@@ -216,6 +219,9 @@ class InList(Expr):
 
     def columns(self) -> List[str]:
         return self.operand.columns()
+
+    def contains_aggregate(self) -> bool:
+        return self.operand.contains_aggregate()
 
 
 @dataclass(frozen=True)
@@ -230,6 +236,9 @@ class Like(Expr):
 
     def columns(self) -> List[str]:
         return self.operand.columns()
+
+    def contains_aggregate(self) -> bool:
+        return self.operand.contains_aggregate()
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,10 @@
-"""Structure-of-arrays column batches for the analytic execution path.
+"""Structure-of-arrays column batches: what every plan operator returns.
 
-The row executor pays Python interpreter overhead per row: a dict
-allocation per decoded row, dict probes per column reference, and a
-recursive ``Expr.eval`` walk per predicate evaluation. This module is
-the "columnar mandate" alternative: a :class:`ColumnBatch` holds one
-parallel Python list per column the plan reads, decoded straight from
-page bytes by ``Schema.decode_rows_into``, and the operators between scan
-and result run as generated loops over the arrays
+A dict per row costs a dict allocation per decoded row, dict probes per
+column reference, and a recursive ``Expr.eval`` walk per evaluation.  A
+:class:`ColumnBatch` instead holds one parallel Python list per column,
+decoded straight from page bytes by ``Schema.decode_rows_into``, and the
+operators between scan and result run as generated loops over the arrays
 (``repro.query.kernels``) where a column reference is a loop variable.
 
 Design points:
@@ -17,22 +15,21 @@ Design points:
 - **Selection vectors.** Filters produce a list of surviving row
   indices; ``gather`` materializes the survivors. When every row
   survives, the batch is returned unchanged (zero-copy).
-- **Late materialization.** ``to_rows`` / ``row_dict`` build the row
-  dicts the row engine would have produced, restricted to the batch's
-  columns (same qualified ``binding.name`` keys, same order), so every
-  ``QueryResult`` finalizes byte-identical and any operator can hand off
-  to the row path at a batch boundary.
+- **Keys.** A source column is keyed by the executor's qualified
+  ``"binding.column"`` name, an Aggregate's result column by its
+  ``AggCall`` and a select item by its output name; keys need not be
+  unique - the first one wins, as the first select item bearing a name
+  does in ORDER BY.
 
-Column keys use the executor's qualified ``"binding.column"`` naming.
 Reference resolution (:func:`resolve_column`) mirrors
 ``ColumnRef.eval``'s fallback chain — exact key, bare name, unique
 ``.name`` suffix — so a kernel binds the same column the interpreted row
-evaluator would have read.
+evaluator (``tests/query/row_oracle.py``) reads.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .ast import ColumnRef
 
@@ -56,12 +53,12 @@ class ColumnBatch:
 
     def __init__(
         self,
-        keys: Sequence[str],
+        keys: Sequence[Hashable],
         arrays: Sequence[List[Any]],
         n: Optional[int] = None,
         nullable: Optional[Sequence[bool]] = None,
     ):
-        self.keys: Tuple[str, ...] = tuple(keys)
+        self.keys: Tuple[Hashable, ...] = tuple(keys)
         self.arrays: List[List[Any]] = list(arrays)
         if n is None:
             n = len(self.arrays[0]) if self.arrays else 0
@@ -84,15 +81,21 @@ class ColumnBatch:
             [schema.columns[schema.position(name)].nullable for name in projection],
         )
 
-    def column(self, key: str) -> List[Any]:
+    def column(self, key: Hashable) -> List[Any]:
         return self.arrays[self.keys.index(key)]
 
     def gather(self, selection: Sequence[int]) -> "ColumnBatch":
-        """Apply a selection vector. Full selections return ``self``."""
+        """Apply a selection vector (ascending row indices, each at most
+        once). Full selections return ``self``."""
         if len(selection) == self.n:
             return self
-        arrays = [list(map(arr.__getitem__, selection)) for arr in self.arrays]
-        return ColumnBatch(self.keys, arrays, len(selection), self.nullable)
+        return self.take(selection)
+
+    def take(self, indices: Sequence[int]) -> "ColumnBatch":
+        """The rows at ``indices``, in that order (a sort permutation, a
+        LIMIT's range, a join's repeats)."""
+        arrays = [list(map(arr.__getitem__, indices)) for arr in self.arrays]
+        return ColumnBatch(self.keys, arrays, len(indices), self.nullable)
 
     def extend(self, other: "ColumnBatch") -> None:
         """Append ``other``'s rows in place (keys must match)."""
@@ -106,20 +109,20 @@ class ColumnBatch:
         return {k: arr[i] for k, arr in zip(self.keys, self.arrays)}
 
     def to_rows(self) -> List[Dict[str, Any]]:
-        """Materialize dict-per-row form — the exact dicts (keys and
-        insertion order) the row executor builds."""
+        """The batch as one dict per row, for inspection; no operator
+        reads rows this way."""
         keys = self.keys
         if not keys:
             return [{} for _ in range(self.n)]
         return [dict(zip(keys, values)) for values in zip(*self.arrays)]
 
 
-def resolve_column(keys: Sequence[str], ref: ColumnRef) -> Optional[int]:
+def resolve_column(keys: Sequence[Hashable], ref: ColumnRef) -> Optional[int]:
     """Resolve ``ref`` against a batch's key tuple, mirroring
     ``ColumnRef.eval``: exact qualified key, then bare name, then a
-    unique ``.name`` suffix match. ``None`` when unresolvable (callers
-    fall back to row mode, where evaluation raises the same QueryError
-    the row path would)."""
+    unique ``.name`` suffix match. ``None`` when unresolvable or
+    ambiguous (a kernel then raises ``ColumnRef.eval``'s error, on the
+    first row it evaluates)."""
     key = ref.key
     if key in keys:
         return keys.index(key)
@@ -127,7 +130,9 @@ def resolve_column(keys: Sequence[str], ref: ColumnRef) -> Optional[int]:
     if name in keys:
         return keys.index(name)
     suffix = "." + name
-    matches = [i for i, k in enumerate(keys) if k.endswith(suffix)]
+    matches = [
+        i for i, k in enumerate(keys) if isinstance(k, str) and k.endswith(suffix)
+    ]
     if len(matches) == 1:
         return matches[0]
     return None

@@ -1,33 +1,22 @@
-"""Volcano-style single-threaded query executor with a columnar fast path.
+"""Single-threaded query executor: every plan node runs on column batches.
 
 veDB processes each query on one thread (paper Section VI): the whole plan
 runs inside the calling client's simulation process, so a large scan
 through remote storage serialises page fetch after page fetch - precisely
 the pathology push-down removes.
 
-Operators execute eagerly (OLAP-style materialisation); CPU is charged in
-per-page / per-batch quanta to keep event counts manageable.
-
-Execution modes
----------------
-
-With ``batch_mode`` on (the default), the Scan/HashJoin/Aggregate spine
-of a plan executes *vectorized* over :class:`~repro.query.columnar.ColumnBatch`
-structures: pages decode column-major and only in the columns the plan
-reads (``SeqScan.projection``), every filter, hash build, probe and
-group-by runs as one generated loop over the parallel arrays
-(``repro.query.kernels``), a join gathers only the columns something
-above it reads (``HashJoin.output``), and only the surviving rows
-materialize as dicts.  The materialized rows are — by construction — the
-dicts the row operators would have produced, restricted to the live
-columns (same row order, same float accumulation order), so
-Project/Sort/Limit above the spine reuse the row operators unchanged and
-every ``QueryResult`` is byte-identical to row mode, whose scans and
-joins stay full-width as the oracle.  Anything the
-vectorizer cannot handle statically (IndexNLJoin, unresolvable column
-references, exotic expression nodes) falls back to row mode per subtree,
-decided before any page is fetched.  Simulated CPU charges are identical
-in both modes; the win is real (wall-clock) interpreter work.
+Operators execute eagerly (OLAP-style materialisation) and each hands its
+parent one :class:`~repro.query.columnar.ColumnBatch`: pages decode
+column-major and only in the columns the plan reads
+(``SeqScan.projection``), every filter, hash build, probe, group-by,
+projection and sort key runs as one generated loop over the parallel
+arrays (``repro.query.kernels`` - the kernels storage-side fragments run
+too), a join gathers only the columns something above it reads
+(``HashJoin.output``), and rows become tuples once, in
+:meth:`QuerySession.execute_plan`.  CPU is charged in per-page / per-batch
+quanta to keep event counts manageable.  ``tests/query/row_oracle.py`` is
+the dict-at-a-time interpreter every ``QueryResult`` and every virtual-time
+charge is held to.
 """
 
 from __future__ import annotations
@@ -43,22 +32,25 @@ from ..engine.table import Table
 from ..obs import obs_of
 from .ast import (
     AggCall,
+    Between,
     BinOp,
     ColumnRef,
     Delete,
     Expr,
+    InList,
     Insert,
+    Like,
     Literal,
     Param,
     Select,
     UnaryOp,
     Update,
     binop_apply,
+    like_match,
 )
 from . import kernels
 from .cache import ParseCache, bind_plan, bind_statement, parse_entry
 from .columnar import ColumnBatch
-from .predicate import compile_row_predicate
 from .plan import (
     Aggregate,
     HashJoin,
@@ -73,13 +65,12 @@ from .plan import (
 from .planner import Planner, PlannerConfig
 
 __all__ = ["QuerySession", "QueryResult", "PreparedStatement",
-           "AggAccumulator", "new_agg_states", "update_agg_states",
-           "merge_agg_states", "finalize_agg_states", "vector_group_by",
-           "count_scan_cells"]
+           "AggAccumulator", "new_agg_states", "merge_agg_states",
+           "finalize_agg_states", "accumulators_of", "count_scan_cells"]
 
 #: CPU charged per row flowing through a tight operator loop.
 ROW_CPU = 0.25 * US
-#: CPU charged per page decode (slots -> row dicts).
+#: CPU charged per page decode (slots -> column arrays).
 PAGE_CPU = 2.0 * US
 
 
@@ -125,28 +116,6 @@ def new_agg_states(aggs: Sequence[AggCall]) -> List[AggAccumulator]:
     ]
 
 
-def update_agg_states(
-    states: List[AggAccumulator], aggs: Sequence[AggCall], row: Dict[str, Any]
-) -> None:
-    for state, agg in zip(states, aggs):
-        if agg.argument is None:  # COUNT(*)
-            state.count += 1
-            continue
-        value = agg.argument.eval(row)
-        if value is None:
-            continue
-        if agg.distinct:
-            state.distinct.add(value)
-            continue
-        state.count += 1
-        if agg.func in ("sum", "avg"):
-            state.total += value
-        elif agg.func == "min":
-            state.minimum = value if state.minimum is None else min(state.minimum, value)
-        elif agg.func == "max":
-            state.maximum = value if state.maximum is None else max(state.maximum, value)
-
-
 def merge_agg_states(
     into: List[AggAccumulator], other: List[AggAccumulator], aggs: Sequence[AggCall]
 ) -> None:
@@ -162,31 +131,58 @@ def merge_agg_states(
                 setattr(state, attr, theirs if mine is None else pick(mine, theirs))
 
 
+def _finalize(agg: AggCall, count, total, minimum, maximum, distinct) -> Any:
+    """One aggregate's value from its state (``AggAccumulator`` fields)."""
+    if agg.distinct:
+        return len(distinct)
+    if agg.func == "count":
+        return count
+    if agg.func == "sum":
+        return total if count else None
+    if agg.func == "avg":
+        return (total / count) if count else None
+    return minimum if agg.func == "min" else maximum
+
+
 def finalize_agg_states(
     states: List[AggAccumulator], aggs: Sequence[AggCall]
 ) -> Dict[AggCall, Any]:
-    values: Dict[AggCall, Any] = {}
-    for state, agg in zip(states, aggs):
-        if agg.distinct:
-            values[agg] = len(state.distinct)
-        elif agg.func == "count":
-            values[agg] = state.count
-        elif agg.func == "sum":
-            values[agg] = state.total if state.count else None
-        elif agg.func == "avg":
-            values[agg] = (state.total / state.count) if state.count else None
-        elif agg.func == "min":
-            values[agg] = state.minimum
-        elif agg.func == "max":
-            values[agg] = state.maximum
-    return values
+    return {
+        agg: _finalize(agg, s.count, s.total, s.minimum, s.maximum, s.distinct)
+        for s, agg in zip(states, aggs)
+    }
+
+
+def _flat_state(states: List[AggAccumulator]) -> List[Any]:
+    """Accumulators in the group-by kernel's flat layout (no first row)."""
+    flat: List[Any] = [None]
+    for s in states:
+        flat += (s.count, s.total, s.minimum, s.maximum, s.distinct)
+    return flat
+
+
+def accumulators_of(flat: List[Any]) -> List[AggAccumulator]:
+    """A group's flat state (:func:`repro.query.kernels.group_by`'s) as
+    accumulators, the wire format of partial aggregates."""
+    width = kernels.AGG_SLOTS
+    return [
+        AggAccumulator(*flat[base:base + width])
+        for base in range(1, len(flat), width)
+    ]
 
 
 def eval_with_aggs(expr: Expr, row: Dict[str, Any],
                    agg_values: Dict[AggCall, Any]) -> Any:
-    """Evaluate an expression that may embed aggregate results."""
+    """Evaluate an expression that may embed aggregate results.
+
+    What the engine's kernels compute over an Aggregate's output batch,
+    for the callers that shape a handful of merged groups row by row: the
+    scatter-gather merge, the view maintainer and the test oracle."""
     if isinstance(expr, AggCall):
-        return agg_values[expr]
+        try:
+            return agg_values[expr]
+        except KeyError:
+            return expr.eval(row)  # raises: no Aggregate computed it
     if isinstance(expr, BinOp):
         if expr.op == "and":
             return bool(eval_with_aggs(expr.left, row, agg_values)) and bool(
@@ -203,39 +199,19 @@ def eval_with_aggs(expr: Expr, row: Dict[str, Any],
     if isinstance(expr, UnaryOp):
         value = eval_with_aggs(expr.operand, row, agg_values)
         return (not bool(value)) if expr.op == "not" else -value
+    if isinstance(expr, Between):
+        value = eval_with_aggs(expr.operand, row, agg_values)
+        if value is None:
+            return False
+        low = eval_with_aggs(expr.low, row, agg_values)
+        return low <= value <= eval_with_aggs(expr.high, row, agg_values)
+    if isinstance(expr, InList):
+        return eval_with_aggs(expr.operand, row, agg_values) in expr.options
+    if isinstance(expr, Like):
+        return like_match(
+            eval_with_aggs(expr.operand, row, agg_values), expr.pattern
+        )
     return expr.eval(row)
-
-
-def vector_group_by(
-    batch: ColumnBatch,
-    group_exprs: Sequence[Expr],
-    aggs: Sequence[AggCall],
-    predicate: Optional[Expr] = None,
-    registry=None,
-) -> Tuple[Dict[Tuple, List[AggAccumulator]], Dict[Tuple, int], int]:
-    """Vectorized grouping over the rows of a column batch that pass
-    ``predicate``.
-
-    Returns ``(groups, sample_index, rows)``: accumulator states per group
-    key (dict insertion order = first-seen order), per key the batch row
-    index of the group's first row (the row-mode "sample" row), and how
-    many rows passed.  One generated loop (:func:`repro.query.kernels
-    .group_by`) filters, keys and accumulates, row by row in batch order
-    as :func:`update_agg_states` would, so float totals and min/max
-    results are bit-identical to row mode; its flat per-group states
-    become accumulators here, once per group.  Shared with the
-    storage-side push-down fragment executor.  Raises
-    :class:`~repro.query.predicate.NotCompilable` when an expression
-    cannot bind.
-    """
-    flat, rows = kernels.group_by(batch, group_exprs, aggs, predicate, registry)
-    width = kernels.AGG_SLOTS
-    bases = range(1, 1 + width * len(aggs), width)
-    groups = {
-        key: [AggAccumulator(*state[base:base + width]) for base in bases]
-        for key, state in flat.items()
-    }
-    return groups, {key: state[0] for key, state in flat.items()}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +237,6 @@ class QuerySession:
         pushdown_runtime=None,
         parse_cache: Optional[ParseCache] = None,
         plan_cache_size: int = 128,
-        batch_mode: bool = True,
     ):
         self.engine = engine
         self.planner_config = planner_config or PlannerConfig()
@@ -274,9 +249,6 @@ class QuerySession:
         for name in ("query.join.cells_joined", "query.join.cells_gathered",
                      "query.kernels.compiled"):
             self._registry.incr(name, 0)
-        #: Columnar batch execution for the Scan/HashJoin/Aggregate spine
-        #: (results stay byte-identical; off = pure row-at-a-time mode).
-        self.batch_mode = batch_mode
         self.queries_executed = 0
         self.pages_scanned = 0
         self.index_lookups = 0
@@ -389,34 +361,14 @@ class QuerySession:
             node = node.child
         if not isinstance(node, Aggregate):
             raise QueryError("statement has no aggregate to run partially")
-        agg = node
-        child_rows, _ = yield from self._run(agg.child)
-        yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
-        groups: Dict[Tuple, List[AggAccumulator]] = {}
-        samples: Dict[Tuple, Dict[str, Any]] = {}
-        if agg.from_partials and self._are_partials(child_rows):
-            for group_key, states in child_rows:
-                key, sample = group_key
-                if key not in groups:
-                    groups[key] = states
-                    samples[key] = sample
-                else:
-                    merge_agg_states(groups[key], states, agg.aggregates)
-        else:
-            if self._are_partials(child_rows):
-                raise QueryError("unexpected partial aggregates")
-            for row in child_rows:
-                key = tuple(expr.eval(row) for expr in agg.group_exprs)
-                states = groups.get(key)
-                if states is None:
-                    states = new_agg_states(agg.aggregates)
-                    groups[key] = states
-                    samples[key] = row
-                update_agg_states(states, agg.aggregates, row)
+        keys, samples, states = yield from self._group(node)
         self.queries_executed += 1
         return (
-            list(agg.aggregates),
-            [(key, samples[key], groups[key]) for key in groups],
+            list(node.aggregates),
+            [
+                (key, samples.row_dict(i), accumulators_of(state))
+                for i, (key, state) in enumerate(zip(keys, states))
+            ],
         )
 
     def execute_point(self, point: "PointReadPlan", params: Sequence[Any]):
@@ -471,41 +423,42 @@ class QuerySession:
 
     def execute_plan(self, plan: PlanNode):
         """Generator: run a logical plan; returns a QueryResult."""
-        rows, columns = yield from self._run(plan)
+        batch = yield from self._run(plan)
         self.queries_executed += 1
-        if columns is None:
-            # Plan without a Project on top (bare scan/join): expose the
-            # qualified column keys directly.
-            columns = sorted(
-                {k for row in rows for k in row if not k.startswith("__")}
-            )
-        if rows and "__values__" in rows[0]:
-            # A Project's output rides positionally: two select items may
-            # share an output name.
-            shaped = [row["__values__"] for row in rows]
+        node = plan
+        while isinstance(node, (Limit, Sort)):
+            node = node.child
+        if isinstance(node, Project) and not node.star:
+            # The select items lead the batch, positionally: two of them
+            # may share an output name.
+            columns = [item.output_name for item in node.items]
+            arrays = batch.arrays[: len(columns)]
         else:
-            shaped = [tuple(row.get(c) for c in columns) for row in rows]
-        return QueryResult(columns, shaped)
+            # The qualified column keys, as the rows' own dicts would list
+            # them: of the rows ``SELECT *`` read (its Project kept no key
+            # of an empty input), of the rows a plan without a Project on
+            # top (bare scan/join) returns.
+            columns = (
+                sorted(k for k in batch.keys if isinstance(k, str))
+                if batch.n or isinstance(node, Project) else []
+            )
+            arrays = [batch.column(key) for key in columns]
+        rows = list(zip(*arrays)) if arrays else [()] * batch.n
+        return QueryResult(columns, rows)
 
     # ------------------------------------------------------------------
-    # Plan walking
+    # Plan walking: every operator returns one ColumnBatch
     # ------------------------------------------------------------------
     def _run(self, node: PlanNode):
-        if (
-            self.batch_mode
-            and isinstance(node, (SeqScan, HashJoin, Aggregate))
-            and self._vector_ok(node)
-        ):
-            kind, payload = yield from self._vrun(node)
-            if kind == "batch":
-                return payload.to_rows(), None
-            return payload, None  # aggregate output rows, or partials
-        if isinstance(node, IndexLookup):
-            rows = yield from self._run_index_lookup(node)
-            return rows, None
         if isinstance(node, SeqScan):
-            rows = yield from self._run_scan(node)
-            return rows, None
+            batch, predicate = yield from self._scan(node)
+            if predicate is not None:
+                batch = batch.gather(
+                    kernels.select(batch, predicate, self._registry)
+                )
+            return batch
+        if isinstance(node, IndexLookup):
+            return (yield from self._run_index_lookup(node))
         if isinstance(node, HashJoin):
             return (yield from self._run_hash_join(node))
         if isinstance(node, IndexNLJoin):
@@ -517,197 +470,34 @@ class QuerySession:
         if isinstance(node, Sort):
             return (yield from self._run_sort(node))
         if isinstance(node, Limit):
-            rows, columns = yield from self._run(node.child)
-            return rows[: node.count], columns
+            batch = yield from self._run(node.child)
+            return batch.take(range(batch.n)[: node.count])
         raise QueryError("unknown plan node %r" % node)
 
+    def _unfiltered(self, node: PlanNode):
+        """Generator: ``(batch, predicate)`` for an operator whose kernel
+        filters in its own loop: a scan as :meth:`_scan` gives it (sparing
+        the gather of a batch only that loop reads), anything else run
+        whole."""
+        if isinstance(node, SeqScan):
+            return (yield from self._scan(node))
+        return (yield from self._run(node)), None
+
     # -- scans ----------------------------------------------------------------
-    def _run_scan(self, scan: SeqScan):
-        """Generator: return row dicts (or partial agg states if pushed).
+    def _pushed(self, scan: SeqScan) -> bool:
+        return scan.pushdown and self.pushdown_runtime is not None
 
-        The engine-side row scan decodes and binds every column whatever
-        ``scan.projection`` says: it is the oracle the projected batch
-        and fragment scans are held to."""
-        if scan.pushdown and self.pushdown_runtime is not None:
-            result = yield from self.pushdown_runtime.run_scan(scan)
-            return result
-        table = self.engine.catalog.table(scan.table_name)
-        predicate = (
-            compile_row_predicate(scan.filter) if scan.filter is not None else None
-        )
-        rows: List[Dict[str, Any]] = []
-        scanned = 0
-        for page_no in list(table.page_nos):
-            page = yield from self.engine.fetch_page(table.page_id(page_no))
-            yield from self.engine.cpu.consume(
-                PAGE_CPU + ROW_CPU * page.row_count
-            )
-            self.pages_scanned += 1
-            scanned += page.row_count
-            for values in table.schema.decode_rows(page.rows()):
-                row = self._bind_row(scan.binding, table, values)
-                if predicate is None or predicate(row):
-                    rows.append(row)
-        width = len(table.schema)
-        count_scan_cells(self._registry, scanned, width, width)
-        return rows
-
-    def _run_index_lookup(self, node: IndexLookup):
-        """Generator: fetch at most one row through the PK B-tree.
-
-        Produces the exact row dict the filtered SeqScan would (same
-        binding-qualified keys, same residual semantics) without paying
-        the full-table page decode.
-        """
-        table = self.engine.catalog.table(node.table_name)
-        key = tuple(expr.eval({}) for expr in node.key_exprs)
-        yield from self.engine.cpu.consume(ROW_CPU * 2)
-        self.index_lookups += 1
-        rows: List[Dict[str, Any]] = []
-        try:
-            locator = table.lookup(key)
-        except TypeError:
-            # Key incomparable with stored keys (e.g. NULL or a type
-            # mismatch): the scan's equality predicate would match
-            # nothing, so the lookup matches nothing.
-            locator = None
-        if locator is None:
-            return rows
-        page_no, slot = locator
-        page = yield from self.engine.fetch_page(table.page_id(page_no))
-        try:
-            raw = page.get(slot)
-        except KeyError:
-            return rows
-        values = table.schema.decode(raw)
-        row = self._bind_row(node.binding, table, values)
-        if node.residual is None or node.residual.eval(row):
-            rows.append(row)
-        return rows
-
-    @staticmethod
-    def _bind_row(binding: str, table: Table, values: List[Any]) -> Dict[str, Any]:
-        return {
-            "%s.%s" % (binding, name): value
-            for name, value in zip(table.schema.names, values)
-        }
-
-    # ------------------------------------------------------------------
-    # Vectorized (columnar) execution of the Scan/HashJoin/Aggregate spine
-    # ------------------------------------------------------------------
-    # The decision to vectorize is entirely static (plan shape + column
-    # resolution against the catalog), made before any page is fetched, so
-    # a fallback to row mode never leaves half-executed simulation side
-    # effects.  The verdict is cached on the plan node: cached plans and
-    # prepared-statement templates pay the check once.
-
-    def _vector_ok(self, node: PlanNode) -> bool:
-        cached = getattr(node, "_vector_ok_", None)
-        if cached is None:
-            cached = self._vector_check(node)
-            node._vector_ok_ = cached
-        return cached
-
-    def _vector_check(self, node: PlanNode) -> bool:
-        if isinstance(node, Aggregate):
-            child = node.child
-            layout = self._batch_layout(child)
-            if layout is None:
-                return False
-            child_partial = (
-                isinstance(child, SeqScan)
-                and child.partial_agg is not None
-                and child.pushdown
-                and self.pushdown_runtime is not None
-            )
-            if child_partial:
-                # Merge path: storage already grouped; no engine-side
-                # expression evaluation needed.
-                return True
-            exprs: List[Expr] = list(node.group_exprs)
-            exprs.extend(
-                agg.argument for agg in node.aggregates if agg.argument is not None
-            )
-            return kernels.compilable(layout, exprs)
-        return self._batch_layout(node) is not None
-
-    def _batch_layout(self, node: PlanNode) -> Optional[Tuple[str, ...]]:
-        """The static column-key tuple a vectorized subtree produces, or
-        None when the subtree must run in row mode."""
-        if isinstance(node, SeqScan):
-            try:
-                self.engine.catalog.table(node.table_name)
-            except QueryError:
-                return None
-            keys = tuple(
-                "%s.%s" % (node.binding, name) for name in node.projection
-            )
-            if node.filter is not None and not kernels.compilable(
-                keys, [node.filter]
-            ):
-                return None
-            return keys
-        if isinstance(node, HashJoin):
-            left, right = node.left, node.right
-            # Partial-aggregate scans cannot feed a join (row mode raises;
-            # falling back preserves the error).
-            for side in (left, right):
-                if isinstance(side, SeqScan) and side.partial_agg is not None:
-                    return None
-            left_keys = self._batch_layout(left)
-            right_keys = self._batch_layout(right)
-            if left_keys is None or right_keys is None:
-                return None
-            if not kernels.compilable(left_keys, node.left_keys):
-                return None
-            if not kernels.compilable(right_keys, node.right_keys):
-                return None
-            joined = left_keys + tuple(
-                k for k in right_keys if k not in left_keys
-            )
-            if node.residual is not None and not kernels.compilable(
-                joined, [node.residual]
-            ):
-                return None
-            if node.output is None:
-                return joined
-            if not set(node.output) <= set(joined):
-                return None
-            return node.output
-        return None  # IndexNLJoin and anything else: row mode
-
-    def _vrun(self, node: PlanNode):
-        """Generator: vectorized subtree execution.
-
-        Returns ``("batch", ColumnBatch)`` for scans/joins,
-        ``("partials", [...])`` for pushed partial-aggregate scans, and
-        ``("rows", [...])`` for aggregates (materialized row dicts,
-        identical to the row operator's output).
-        """
-        if isinstance(node, SeqScan):
-            return (yield from self._vrun_scan(node))
-        if isinstance(node, HashJoin):
-            return (yield from self._vrun_hash_join(node))
-        if isinstance(node, Aggregate):
-            return (yield from self._vrun_aggregate(node))
-        raise QueryError("plan node %r is not vectorizable" % node)
-
-    def _vrun_scan(self, scan: SeqScan):
-        if scan.pushdown and self.pushdown_runtime is not None:
-            result = yield from self.pushdown_runtime.run_scan(
-                scan, as_batch=True
-            )
-            return result
-        batch = yield from self._scan_pages(scan)
-        if scan.filter is not None:
-            batch = batch.gather(
-                kernels.select(batch, scan.filter, self._registry)
-            )
-        return ("batch", batch)
-
-    def _scan_pages(self, scan: SeqScan):
-        """Generator: the projected columns of every row of a local scan,
-        its filter not applied."""
+    def _scan(self, scan: SeqScan):
+        """Generator: ``(batch, predicate)`` - the projected columns of the
+        scan's rows and the filter still to apply to them: the scan's own
+        for a local scan, None for a pushed fragment (storage applied it)."""
+        if self._pushed(scan):
+            if scan.partial_agg is not None:
+                raise QueryError(
+                    "partial aggregates feed only an Aggregate that merges them"
+                )
+            _, batch = yield from self.pushdown_runtime.run_scan(scan)
+            return batch, None
         table = self.engine.catalog.table(scan.table_name)
         schema = table.schema
         batch = ColumnBatch.for_scan(scan.binding, schema, scan.projection)
@@ -722,56 +512,61 @@ class QuerySession:
                 page.rows(), positions, batch.arrays
             )
         count_scan_cells(self._registry, batch.n, len(batch.keys), len(schema))
+        return batch, scan.filter
+
+    def _run_index_lookup(self, node: IndexLookup):
+        """Generator: fetch at most one row through the PK B-tree.
+
+        Produces the row the filtered SeqScan would (same binding-qualified
+        keys, same residual semantics), full-width, without paying the
+        full-table page decode.
+        """
+        table = self.engine.catalog.table(node.table_name)
+        schema = table.schema
+        key = tuple(expr.eval({}) for expr in node.key_exprs)
+        yield from self.engine.cpu.consume(ROW_CPU * 2)
+        self.index_lookups += 1
+        batch = ColumnBatch.for_scan(node.binding, schema, schema.names)
+        try:
+            locator = table.lookup(key)
+        except TypeError:
+            # Key incomparable with stored keys (e.g. NULL or a type
+            # mismatch): the scan's equality predicate would match
+            # nothing, so the lookup matches nothing.
+            locator = None
+        if locator is None:
+            return batch
+        page_no, slot = locator
+        page = yield from self.engine.fetch_page(table.page_id(page_no))
+        try:
+            raw = page.get(slot)
+        except KeyError:
+            return batch
+        batch.n = schema.decode_rows_into(
+            [raw], tuple(range(len(schema))), batch.arrays
+        )
+        if node.residual is not None:
+            batch = batch.gather(
+                kernels.select(batch, node.residual, self._registry)
+            )
         return batch
 
-    def _vrun_unfiltered(self, node: PlanNode):
-        """Generator: ``_vrun`` for an operator whose kernel filters in its
-        own loop.  Returns ``(kind, payload, predicate)``: a local filtered
-        scan comes back unfiltered with its filter as ``predicate``
-        (sparing the gather of a batch only that loop reads), anything
-        else as ``_vrun`` gives it."""
-        if (
-            isinstance(node, SeqScan)
-            and node.filter is not None
-            and not (node.pushdown and self.pushdown_runtime is not None)
-        ):
-            batch = yield from self._scan_pages(node)
-            return "batch", batch, node.filter
-        kind, payload = yield from self._vrun(node)
-        return kind, payload, None
-
-    def _vrun_hash_join(self, join: HashJoin):
-        _, left = yield from self._vrun(join.left)
-        right_scan = join.right
-        hash_pushed = (
-            isinstance(right_scan, SeqScan)
-            and right_scan.pushdown
-            and right_scan.hash_keys
-            and right_scan.partial_agg is None
-            and self.pushdown_runtime is not None
-        )
-        key_rows = predicate = None
-        if hash_pushed:
-            key_rows, right = yield from self.pushdown_runtime.run_hash_build(
-                right_scan
-            )
-        else:
-            _, right, predicate = yield from self._vrun_unfiltered(join.right)
-        registry = self._registry
-        built, right_rows, unique = kernels.hash_build(
-            right, join.right_keys, kernels.nullable(left, join.left_keys),
-            self._keyed_build(join), predicate, key_rows, registry,
-        )
-        yield from self.engine.cpu.consume(ROW_CPU * (left.n + right_rows))
-        left_sel, right_sel, matched = kernels.probe(
-            left, join.left_keys, built, unique, right, join.residual, registry
-        )
-        # The joined layout mirrors dict(left); update(right): left keys
-        # keep their position, a duplicated key takes the right side's
-        # values.  Only the live columns of it are gathered.
+    # -- joins ----------------------------------------------------------------
+    @staticmethod
+    def _joined(
+        left: ColumnBatch,
+        left_sel: Sequence[int],
+        right: ColumnBatch,
+        right_sel: Sequence[int],
+        out_keys: Optional[Tuple[str, ...]] = None,
+    ) -> ColumnBatch:
+        """The joined rows ``(left_sel[i], right_sel[i])``, laid out as
+        ``dict(left).update(right)`` would: left keys keep their position,
+        a key both sides carry takes the right side's values.  Only
+        ``out_keys`` of it are gathered when given; a ``range`` selection
+        is every row of that side, once."""
         right_at = {key: p for p, key in enumerate(right.keys)}
         left_at = {key: p for p, key in enumerate(left.keys)}
-        out_keys = join.output
         if out_keys is None:
             out_keys = left.keys + tuple(
                 k for k in right.keys if k not in left_at
@@ -784,16 +579,43 @@ class QuerySession:
             else:
                 side, position, selection = left, left_at[key], left_sel
             array = side.arrays[position]
-            if not isinstance(selection, range):  # else every row, once
+            if not isinstance(selection, range):
                 array = list(map(array.__getitem__, selection))
             arrays.append(array)
             nullable.append(side.nullable[position])
+        return ColumnBatch(out_keys, arrays, len(left_sel), nullable)
+
+    def _run_hash_join(self, join: HashJoin):
+        left = yield from self._run(join.left)
+        right_scan = join.right
+        key_rows = predicate = None
+        if (
+            isinstance(right_scan, SeqScan)
+            and right_scan.hash_keys
+            and right_scan.partial_agg is None
+            and self._pushed(right_scan)
+        ):
+            key_rows, right = yield from self.pushdown_runtime.run_hash_build(
+                right_scan
+            )
+        else:
+            right, predicate = yield from self._unfiltered(join.right)
+        registry = self._registry
+        built, right_rows, unique = kernels.hash_build(
+            right, join.right_keys, kernels.nullable(left, join.left_keys),
+            self._keyed_build(join), predicate, key_rows, registry,
+        )
+        yield from self.engine.cpu.consume(ROW_CPU * (left.n + right_rows))
+        left_sel, right_sel, matched = kernels.probe(
+            left, join.left_keys, built, unique, right, join.residual, registry
+        )
+        joined = self._joined(left, left_sel, right, right_sel, join.output)
         registry.incr(
             "query.join.cells_joined",
-            matched * (join.joined_columns or len(out_keys)),
+            matched * (join.joined_columns or len(joined.keys)),
         )
-        registry.incr("query.join.cells_gathered", len(left_sel) * len(out_keys))
-        return ("batch", ColumnBatch(out_keys, arrays, len(left_sel), nullable))
+        registry.incr("query.join.cells_gathered", joined.n * len(joined.keys))
+        return joined
 
     def _keyed_build(self, join: HashJoin) -> bool:
         """Whether the build side's join keys cover its table's primary
@@ -806,83 +628,22 @@ class QuerySession:
         table = self.engine.catalog.table(scan.table_name)
         return names.issuperset(table.key_columns)
 
-    def _vrun_aggregate(self, agg: Aggregate):
-        kind, payload, predicate = yield from self._vrun_unfiltered(agg.child)
-        groups: Dict[Tuple, List[AggAccumulator]] = {}
-        samples: Dict[Tuple, Dict[str, Any]] = {}
-        if kind == "partials":
-            partials = payload
-            yield from self.engine.cpu.consume(
-                ROW_CPU * max(len(partials), 1)
-            )
-            if agg.from_partials and self._are_partials(partials):
-                for group_key, states in partials:
-                    key, sample = group_key
-                    if key not in groups:
-                        groups[key] = states
-                        samples[key] = sample
-                    else:
-                        merge_agg_states(groups[key], states, agg.aggregates)
-            elif self._are_partials(partials):
-                raise QueryError("unexpected partial aggregates")
-            # An empty partials list degenerates to an empty input.
-        else:
-            batch = payload
-            groups, sample_index, rows = vector_group_by(
-                batch, agg.group_exprs, agg.aggregates, predicate,
-                self._registry,
-            )
-            yield from self.engine.cpu.consume(ROW_CPU * max(rows, 1))
-            samples = {
-                key: batch.row_dict(i) for key, i in sample_index.items()
-            }
-        if not groups and not agg.group_exprs:
-            groups[()] = new_agg_states(agg.aggregates)
-            samples[()] = {}
-        out: List[Dict[str, Any]] = []
-        for key, states in groups.items():
-            agg_values = finalize_agg_states(states, agg.aggregates)
-            row = dict(samples[key])
-            row["__aggs__"] = agg_values
-            out.append(row)
-        return ("rows", out)
-
-    # -- joins ----------------------------------------------------------------
-    def _run_hash_join(self, join: HashJoin):
-        left_rows, _ = yield from self._run(join.left)
-        right_rows, _ = yield from self._run(join.right)
-        if self._are_partials(left_rows) or self._are_partials(right_rows):
-            raise QueryError("partial aggregates cannot feed a join")
-        yield from self.engine.cpu.consume(
-            ROW_CPU * (len(left_rows) + len(right_rows))
-        )
-        build: Dict[Tuple, List[Dict[str, Any]]] = {}
-        for row in right_rows:
-            key = tuple(expr.eval(row) for expr in join.right_keys)
-            if None not in key:  # NULL = NULL is not true
-                build.setdefault(key, []).append(row)
-        out: List[Dict[str, Any]] = []
-        for row in left_rows:
-            key = tuple(expr.eval(row) for expr in join.left_keys)
-            for match in build.get(key, ()):
-                joined = dict(row)
-                joined.update(match)
-                if join.residual is None or join.residual.eval(joined):
-                    out.append(joined)
-        return out, None
-
     def _run_nl_join(self, join: IndexNLJoin):
-        outer_rows, _ = yield from self._run(join.outer)
+        outer = yield from self._run(join.outer)
         table = self.engine.catalog.table(join.inner_table)
-        out: List[Dict[str, Any]] = []
-        for row in outer_rows:
-            prefix = tuple(expr.eval(row) for expr in join.outer_keys)
+        schema = table.schema
+        registry = self._registry
+        full_key = len(join.outer_keys) == len(table.key_columns)
+        outer_sel: List[int] = []
+        found: List[bytes] = []
+        prefixes = kernels.key_tuples(outer, join.outer_keys, registry)
+        for i, prefix in enumerate(prefixes):
             yield from self.engine.cpu.consume(ROW_CPU * 2)
             if None in prefix:  # NULL = NULL is not true (nor orderable)
                 continue
             locators = []
             if join.index_name == "":
-                if len(prefix) == len(table.key_columns):
+                if full_key:
                     locator = table.lookup(prefix)
                     if locator is not None:
                         locators.append(locator)
@@ -900,107 +661,132 @@ class QuerySession:
                     raw = page.get(slot)
                 except KeyError:
                     continue
-                values = table.schema.decode(raw)
-                inner = self._bind_row(join.inner_binding, table, values)
-                if join.inner_filter is not None and not join.inner_filter.eval(inner):
-                    continue
-                joined = dict(row)
-                joined.update(inner)
-                if join.residual is None or join.residual.eval(joined):
-                    out.append(joined)
-        return out, None
+                found.append(raw)
+                outer_sel.append(i)
+        # The inner rows, full-width (there is no scan node to project).
+        inner = ColumnBatch.for_scan(join.inner_binding, schema, schema.names)
+        inner.n = schema.decode_rows_into(
+            found, tuple(range(len(schema))), inner.arrays
+        )
+        if join.inner_filter is not None:
+            keep = kernels.select(inner, join.inner_filter, registry)
+            if len(keep) != inner.n:
+                inner = inner.take(keep)
+                outer_sel = list(map(outer_sel.__getitem__, keep))
+        joined = self._joined(outer, outer_sel, inner, range(inner.n))
+        if join.residual is not None:
+            joined = joined.gather(
+                kernels.select(joined, join.residual, registry)
+            )
+        return joined
 
     # -- aggregation -------------------------------------------------------------
-    @staticmethod
-    def _are_partials(rows: List[Any]) -> bool:
-        return bool(rows) and isinstance(rows[0], tuple) and len(rows[0]) == 2 and \
-            isinstance(rows[0][1], list) and (
-                not rows[0][1] or isinstance(rows[0][1][0], AggAccumulator)
+    def _group(self, agg: Aggregate):
+        """Generator: the grouping step of an Aggregate, finalize not
+        applied (:meth:`execute_partial_select` ships the states instead).
+
+        Returns ``(keys, samples, states)``, one entry per group in
+        first-seen order: the group key, the group's first row as a row of
+        the batch ``samples``, and its flat state in
+        :func:`repro.query.kernels.group_by`'s layout.  Partial states a
+        pushed scan produced storage-side are merged; anything else groups
+        here, in one kernel.
+        """
+        child, aggs = agg.child, agg.aggregates
+        if (
+            agg.from_partials
+            and isinstance(child, SeqScan)
+            and child.partial_agg is not None
+            and self._pushed(child)
+        ):
+            _, partials = yield from self.pushdown_runtime.run_scan(child)
+            yield from self.engine.cpu.consume(ROW_CPU * max(len(partials), 1))
+            merged: Dict[Tuple, List[AggAccumulator]] = {}
+            first: List[Dict[str, Any]] = []
+            for (key, sample), states in partials:
+                if key not in merged:
+                    merged[key] = states
+                    first.append(sample)
+                else:
+                    merge_agg_states(merged[key], states, aggs)
+            # Samples arrive as dicts keyed by the fragment's projection.
+            layout = ColumnBatch.for_scan(
+                child.binding,
+                self.engine.catalog.table(child.table_name).schema,
+                child.projection,
             )
+            samples = ColumnBatch(
+                layout.keys,
+                [[row[key] for row in first] for key in layout.keys],
+                len(first),
+                layout.nullable,
+            )
+            return list(merged), samples, list(map(_flat_state, merged.values()))
+        batch, predicate = yield from self._unfiltered(child)
+        flat, rows = kernels.group_by(
+            batch, agg.group_exprs, aggs, predicate, self._registry
+        )
+        yield from self.engine.cpu.consume(ROW_CPU * max(rows, 1))
+        states = list(flat.values())
+        return list(flat), batch.gather([state[0] for state in states]), states
 
     def _run_aggregate(self, agg: Aggregate):
-        child_rows, _ = yield from self._run(agg.child)
-        groups: Dict[Tuple, List[AggAccumulator]] = {}
-        group_samples: Dict[Tuple, Dict[str, Any]] = {}
-        if agg.from_partials and self._are_partials(child_rows):
-            # Secondary aggregation over storage-produced partials.
-            yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
-            for group_key, states in child_rows:
-                key, sample = group_key
-                if key not in groups:
-                    groups[key] = states
-                    group_samples[key] = sample
-                else:
-                    merge_agg_states(groups[key], states, agg.aggregates)
-        else:
-            if self._are_partials(child_rows):
-                raise QueryError("unexpected partial aggregates")
-            yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
-            for row in child_rows:
-                key = tuple(expr.eval(row) for expr in agg.group_exprs)
-                states = groups.get(key)
-                if states is None:
-                    states = new_agg_states(agg.aggregates)
-                    groups[key] = states
-                    group_samples[key] = row
-                update_agg_states(states, agg.aggregates, row)
-        if not groups and not agg.group_exprs:
-            # Global aggregate over zero rows still yields one output row.
-            groups[()] = new_agg_states(agg.aggregates)
-            group_samples[()] = {}
-        out: List[Dict[str, Any]] = []
-        for key, states in groups.items():
-            agg_values = finalize_agg_states(states, agg.aggregates)
-            row = dict(group_samples[key])
-            row["__aggs__"] = agg_values
-            out.append(row)
-        return out, None
+        """Generator: one row per group - the group's sample columns, then
+        one column per aggregate, keyed by its ``AggCall``."""
+        aggs = agg.aggregates
+        _, samples, states = yield from self._group(agg)
+        if not states and not agg.group_exprs:
+            # A global aggregate over zero rows still yields one row; it
+            # has no sample, so no column but the aggregates.
+            samples = ColumnBatch((), [], 1)
+            states = [_flat_state(new_agg_states(aggs))]
+        width = kernels.AGG_SLOTS
+        values = [
+            [_finalize(call, *state[base:base + width]) for state in states]
+            for call, base in zip(aggs, range(1, 1 + width * len(aggs), width))
+        ]
+        return ColumnBatch(
+            samples.keys + tuple(aggs),
+            samples.arrays + values,
+            len(states),
+            samples.nullable + (True,) * len(aggs),
+        )
 
     # -- projection / sort ----------------------------------------------------
     def _run_project(self, project: Project):
-        child_rows, _ = yield from self._run(project.child)
-        yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
+        """Generator: the select items' columns (positionally: execute_plan
+        zips them into the result), then the child's.  ORDER BY resolves a
+        name to the first select item bearing it, then to the source and
+        aggregate columns, retained for that."""
+        child = yield from self._run(project.child)
+        yield from self.engine.cpu.consume(ROW_CPU * max(child.n, 1))
         if project.star:
-            columns = (
-                sorted(k for k in child_rows[0] if not k.startswith("__"))
-                if child_rows
-                else []
-            )
-            # Keep dict shape so Sort above Project can evaluate keys.
-            return child_rows, columns
-        columns = [item.output_name for item in project.items]
-        out_rows: List[Dict[str, Any]] = []
-        for row in child_rows:
-            agg_values = row.get("__aggs__", {})
-            values = tuple(
-                eval_with_aggs(item.expr, row, agg_values)
-                for item in project.items
-            )
-            # ORDER BY resolves a name to the first select item bearing
-            # it, then to the source columns, retained for that.
-            out = dict(row)
-            out.update(zip(reversed(columns), reversed(values)))
-            out["__aggs__"] = agg_values
-            out["__values__"] = values
-            out_rows.append(out)
-        return out_rows, columns
+            return child if child.n else ColumnBatch((), [], 0)
+        items = project.items
+        values = kernels.key_tuples(
+            child, [item.expr for item in items], self._registry
+        )
+        columns = list(map(list, zip(*values))) if values else [[] for _ in items]
+        return ColumnBatch(
+            tuple(item.output_name for item in items) + child.keys,
+            columns + child.arrays,
+            child.n,
+            (True,) * len(items) + child.nullable,
+        )
 
     def _run_sort(self, sort: Sort):
-        child_rows, columns = yield from self._run(sort.child)
-        count = max(len(child_rows), 1)
+        batch = yield from self._run(sort.child)
+        count = max(batch.n, 1)
         yield from self.engine.cpu.consume(
             ROW_CPU * count * max(1.0, math.log2(count))
         )
-
-        def sort_key(row):
-            parts = []
-            for expr, desc in sort.order_by:
-                value = eval_with_aggs(expr, row, row.get("__aggs__", {}))
-                parts.append(_Reversible(value, desc))
-            return tuple(parts)
-
-        child_rows.sort(key=sort_key)
-        return child_rows, columns
+        keys = kernels.key_tuples(
+            batch, [expr for expr, _ in sort.order_by], self._registry
+        )
+        descending = [desc for _, desc in sort.order_by]
+        keys = [tuple(map(_Reversible, key, descending)) for key in keys]
+        # sorted() is stable: ties keep input order.
+        return batch.take(sorted(range(batch.n), key=keys.__getitem__))
 
     # ------------------------------------------------------------------
     # DML
@@ -1036,13 +822,10 @@ class QuerySession:
             projection=tuple(name for name in names if name in read),
             stored_columns=len(names),
         )
-        rows, _ = yield from self._run(scan)
-        keys = []
-        for row in rows:
-            keys.append(
-                tuple(row["%s.%s" % (table.name, c)] for c in table.key_columns)
-            )
-        return keys
+        batch = yield from self._run(scan)
+        return list(zip(*(
+            batch.column("%s.%s" % (table.name, c)) for c in table.key_columns
+        )))
 
     def _execute_update(self, stmt: Update):
         table = self.engine.catalog.table(stmt.table)

@@ -1,26 +1,29 @@
 """Generated operator kernels: one Python function per pipeline breaker.
 
-Between a scan and the result a vectorized plan has four loops that touch
-every row: a *selection* (filter -> selection vector), a *hash build*
-(filter -> key tuple -> dict), a *probe* (key -> lookup -> residual ->
-left/right selection vectors) and a *group-by* (filter -> key ->
-accumulate).  This module lowers the ``repro.query.ast`` algebra to Python
-**source** once per operator call and runs each of those loops as one
-generated function: a column reference is a loop variable fed by ``zip``
-over the column arrays, ``binop_apply``'s NULL rules are inlined (and
-dropped where the schema says a column cannot be NULL), and aggregates
-update a flat per-group state list specialised per (function, DISTINCT,
-nullable argument).  The engine's batch operators and the storage-side
-fragment executor both call these kernels, so they stay one
-implementation.
+A plan has five kinds of loop that touch every row: a *selection*
+(filter -> selection vector), a *hash build* (filter -> key tuple ->
+dict), a *probe* (key -> lookup -> residual -> left/right selection
+vectors), a *group-by* (filter -> key -> accumulate) and a *tuple
+extraction* (expressions -> one tuple per row: join and index-probe keys,
+a Project's values, a Sort's keys).  This module lowers the
+``repro.query.ast`` algebra to Python **source** once per operator call
+and runs each of those loops as one generated function: a column reference
+is a loop variable fed by ``zip`` over the column arrays, ``binop_apply``'s
+NULL rules are inlined (and dropped where the schema says a column cannot
+be NULL), and aggregates update a flat per-group state list specialised
+per (function, DISTINCT, nullable argument).  The engine's operators and
+the storage-side fragment executor both call these kernels, so they stay
+one implementation.
 
 The lowering follows ``Expr.eval`` exactly - operand order, which
 operands a short-circuit skips, ``TypeError`` from mismatched operand
-types, ``QueryError`` from an unbound ``Param`` or a stray ``AggCall``
-only when a row is actually evaluated - so a kernel returns the value
-*and type* the interpreter would.  Anything that cannot be lowered (an
-unknown node type, a column the batch lacks) raises
-:class:`~repro.query.predicate.NotCompilable` before any row is read.
+types, ``QueryError`` from an unbound ``Param``, a stray ``AggCall`` or a
+column the batch lacks (or holds twice under one bare name) only when a
+row is actually evaluated - so a kernel returns the value *and type* the
+interpreter would, and a zero-row input stays silent.  Over an
+Aggregate's output an ``AggCall`` is the column of that key.  An ``Expr``
+subclass the lowering has never heard of is a ``QueryError`` before any
+row is evaluated.
 
 Kernels are cached by their generated source.  Literals, bound
 parameters, IN lists and LIKE patterns are passed to the kernel as
@@ -51,11 +54,9 @@ from .ast import (
     UnaryOp,
 )
 from .columnar import ColumnBatch, resolve_column
-from .predicate import NotCompilable
 
 __all__ = [
     "AGG_SLOTS",
-    "compilable",
     "group_by",
     "hash_build",
     "key_tuples",
@@ -127,10 +128,13 @@ class _Columns:
         self.read: List[int] = []
         self.looped: List[int] = []
 
-    def __call__(self, ref: ColumnRef) -> Tuple[str, bool]:
+    def __call__(self, ref: ColumnRef) -> Optional[Tuple[str, bool]]:
+        """:meth:`at` the column ``ref`` names, if it names one."""
         position = resolve_column(self.batch.keys, ref)
-        if position is None:
-            raise NotCompilable("column %r not in batch" % ref.key)
+        return None if position is None else self.at(position)
+
+    def at(self, position: int) -> Tuple[str, bool]:
+        """``(loop variable, nullable)`` of column ``position``."""
         return self.variable(position), self.batch.nullable[position]
 
     def array(self, position: int) -> str:
@@ -174,11 +178,14 @@ class _Columns:
 class _Lowering:
     """Lowers expressions over ``batch`` to source: a column reference is
     the variable ``resolve`` hands out (``columns``' unless a kernel
-    overrides it); constants collect in ``consts`` and appear as ``k<i>``."""
+    overrides it), or a raise when it hands out none; constants collect in
+    ``consts`` and appear as ``k<i>``."""
 
     def __init__(self, batch: ColumnBatch):
         self.columns = _Columns(batch)
-        self.resolve: Callable[[ColumnRef], Tuple[str, bool]] = self.columns
+        self.resolve: Callable[
+            [ColumnRef], Optional[Tuple[str, bool]]
+        ] = self.columns
         self.consts: List[Any] = []
         self._temps = 0
 
@@ -201,10 +208,16 @@ class _Lowering:
         term = self.term(expr)
         return term.src if term.boolean else "bool(%s)" % term.src
 
+    def _raises(self, message: str) -> _Term:
+        """What ``Expr.eval`` would raise, once a row is evaluated."""
+        return _Term("_fail(%s)" % self.const(message), True)
+
     def term(self, expr: Expr) -> _Term:
         if isinstance(expr, ColumnRef):
-            name, may_be_null = self.resolve(expr)
-            return _Term(name, may_be_null, leaf=True)
+            bound = self.resolve(expr)
+            if bound is None:
+                return self._raises("column %r not in row" % expr.key)
+            return _Term(*bound, leaf=True)
         if isinstance(expr, Literal):
             return _Term(self.const(expr.value), expr.value is None, leaf=True)
         if isinstance(expr, BinOp):
@@ -219,7 +232,7 @@ class _Lowering:
                              boolean=True)
             if expr.op == "-":
                 return _Term("(-%s)" % self.term(expr.operand).src, False)
-            raise NotCompilable("unknown unary op %r" % expr.op)
+            raise QueryError("unknown unary op %r" % expr.op)
         if isinstance(expr, Between):
             operand = self.term(expr.operand)
             first, value = self._bound(operand)
@@ -244,14 +257,17 @@ class _Lowering:
                 test = "%s == %s" % (value, self.const(pattern))
             return self._unless_null(operand, first, test)
         if isinstance(expr, Param):
-            message = "unbound parameter ?%d (execute via a prepared statement)" % (
-                expr.index + 1
+            return self._raises(
+                "unbound parameter ?%d (execute via a prepared statement)"
+                % (expr.index + 1)
             )
-            return _Term("_fail(%s)" % self.const(message), True)
         if isinstance(expr, AggCall):
-            message = "aggregate evaluated outside Aggregate operator"
-            return _Term("_fail(%s)" % self.const(message), True)
-        raise NotCompilable("cannot compile %s" % type(expr).__name__)
+            columns = self.columns
+            keys = columns.batch.keys
+            if expr in keys:  # an Aggregate below computed it
+                return _Term(*columns.at(keys.index(expr)), leaf=True)
+            return self._raises("aggregate evaluated outside Aggregate operator")
+        raise QueryError("cannot evaluate %s" % type(expr).__name__)
 
     @staticmethod
     def _unless_null(operand: _Term, first: str, test: str) -> _Term:
@@ -308,16 +324,6 @@ def nullable(batch: ColumnBatch, exprs: Sequence[Expr]) -> List[bool]:
     return [lowering.term(expr).nullable for expr in exprs]
 
 
-def compilable(keys: Sequence[str], exprs: Sequence[Expr]) -> bool:
-    """Whether kernels over a batch laid out as ``keys`` can evaluate
-    ``exprs``: every node type lowers and every reference resolves."""
-    try:
-        nullable(ColumnBatch(keys, [[] for _ in keys]), exprs)
-    except NotCompilable:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Selection
 # ---------------------------------------------------------------------------
@@ -339,7 +345,9 @@ def select(batch: ColumnBatch, predicate: Expr, registry=None) -> List[int]:
 
 
 def key_tuples(batch: ColumnBatch, exprs: Sequence[Expr], registry=None) -> List[Tuple]:
-    """One key tuple per row (what a pushed hash build ships)."""
+    """One tuple of ``exprs`` per row: the key tuples a pushed hash build
+    ships or an index join probes with, a Project's value tuples, a Sort's
+    key tuples."""
     lowering = _Lowering(batch)
     columns = lowering.columns
     keys = columns.bare(exprs)
@@ -448,10 +456,10 @@ def probe(
     if residual is not None:
         joined = left.keys + tuple(k for k in right.keys if k not in left.keys)
 
-        def resolve(ref: ColumnRef) -> Tuple[str, bool]:
+        def resolve(ref: ColumnRef) -> Optional[Tuple[str, bool]]:
             position = resolve_column(joined, ref)
             if position is None:
-                raise NotCompilable("column %r not in join" % ref.key)
+                return None
             if joined[position] not in right.keys:
                 return columns.variable(position), left.nullable[position]
             position = right.keys.index(joined[position])

@@ -48,8 +48,8 @@ class SeqScan(PlanNode):
     #: Names of the columns anything reads - the scan's own filter
     #: included - in schema order.  Never "all" by omission: ``SELECT *``
     #: lists every name and ``SELECT COUNT(*) FROM t`` is ``()``.  The
-    #: batch executor and push-down fragments decode, carry and ship
-    #: exactly these.
+    #: executor and push-down fragments decode, carry and ship exactly
+    #: these.
     projection: Tuple[str, ...] = ()
     #: How many columns the table stores (EXPLAIN's ``cols=k/n``).
     stored_columns: int = 0
@@ -60,7 +60,7 @@ class SeqScan(PlanNode):
     partial_agg: Optional[Tuple[List[Expr], List[AggCall]]] = None
     #: Set on the build (right) side of a hash join: the join-key
     #: expressions, evaluated against this scan's rows.  When the scan is
-    #: also marked ``pushdown``, the batch executor ships the whole hash
+    #: also marked ``pushdown``, the executor ships the whole hash
     #: build storage-side (keys + filtered columns come back; the engine
     #: only builds the hash table and probes).
     hash_keys: Optional[List[Expr]] = None
@@ -96,10 +96,10 @@ class HashJoin(PlanNode):
     #: Residual non-equi condition evaluated on joined rows.
     residual: Optional[Expr] = None
     #: The joined columns an operator above reads (qualified keys, left
-    #: side's first): all the batch executor gathers.  A column only the
-    #: join's own keys or residual read is not among them.  ``None`` (a
-    #: hand-built plan) is every column of both sides, which is also what
-    #: the row executor, the oracle, always produces.
+    #: side's first): all the executor gathers.  A column only the join's
+    #: own keys or residual read is not among them.  ``None`` (a hand-built
+    #: plan) is every column of both sides, which is also what the test
+    #: oracle always produces.
     output: Optional[Tuple[str, ...]] = None
     #: How many columns both sides carry into the join, unpruned
     #: (EXPLAIN's ``cols=k/n``).

@@ -20,7 +20,7 @@ Planning steps (paper Section VI-A):
    explicit row-count override reproducing the paper's production
    behaviour).  A single-table aggregate query additionally pushes
    partial aggregation; the build side of a hash join carries its join
-   keys (``SeqScan.hash_keys``) so the batch executor can ship the hash
+   keys (``SeqScan.hash_keys``) so the executor can ship the hash
    build storage-side.
 """
 
@@ -419,7 +419,7 @@ class Planner:
             node.joined_columns = len(joined)
             return joined
         if isinstance(node, IndexNLJoin):
-            # Row mode: carries every outer column plus the whole inner row.
+            # Carries every outer column plus the whole inner row.
             reads = list(node.outer_keys)
             if node.residual is not None:
                 reads.append(node.residual)

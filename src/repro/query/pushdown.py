@@ -20,19 +20,16 @@ probe).  Pages a server cannot serve (entry cleaned, server crashed) are
 returned as failures and re-processed through the engine's normal read
 path - push-down never affects correctness.
 
-Fragments execute vectorized on the storage side (column-major decode of
-the fragment's projection + the generated filter / key / group-by kernels
-of ``repro.query.kernels``, the same machinery as the engine's batch
-executor), so a task neither decodes nor ships a column the plan does not
-read; fragments whose expressions cannot compile evaluate
-the interpreted expressions over the same decoded batch, producing
-identical results in the same shape.
+Fragments execute on the storage side exactly as the engine's operators
+do locally (column-major decode of the fragment's projection + the
+generated filter / key / group-by kernels of ``repro.query.kernels``), so
+a task neither decodes nor ships a column the plan does not read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..common import US, PageId, QueryError, StorageError
 from ..engine.dbengine import DBEngine
@@ -46,18 +43,9 @@ from ..storage.pagestore import PageStoreService, PageStoreServer
 from . import kernels
 from .ast import AggCall, Expr
 from .columnar import ColumnBatch
-from .executor import (
-    PAGE_CPU,
-    ROW_CPU,
-    AggAccumulator,
-    count_scan_cells,
-    new_agg_states,
-    update_agg_states,
-    vector_group_by,
-)
+from .executor import PAGE_CPU, ROW_CPU, accumulators_of, count_scan_cells
 from .plan import SeqScan
 from .planner import GROUP_WIRE_BYTES, ROW_WIRE_BYTES
-from .predicate import NotCompilable
 
 __all__ = ["PushdownRuntime", "PushdownFragment", "execute_fragment_on_pages"]
 
@@ -105,12 +93,10 @@ def execute_fragment_on_pages(
     ``("hash", (key_tuples, ColumnBatch))`` (pushed hash build) or
     ``("partials", [((key, sample), states), ...])`` (partial GROUP BY),
     plus the number of rows scanned (for CPU accounting by the caller).
-    Batches and sample rows carry the fragment's projected columns only.
-
-    Expressions that cannot compile are interpreted over row dicts of the
-    same decoded batch, which produces exactly what the vectorized paths
-    do: same result kind and keys, same row order (page order, slot
-    order), same first-seen group order, same float accumulation order.
+    Batches and sample rows carry the fragment's projected columns only;
+    rows keep page order then slot order, groups first-seen order.  The
+    kernels are the engine's: filter and grouping in one loop, or
+    selection then key extraction.
     """
     schema = fragment._schema  # type: ignore[attr-defined]
     positions = tuple(map(schema.position, fragment.projection))
@@ -118,66 +104,22 @@ def execute_fragment_on_pages(
     for page in pages:
         batch.n += schema.decode_rows_into(page.rows(), positions, batch.arrays)
     scanned = batch.n
-    try:
-        return _execute_fragment_vector(fragment, batch, registry), scanned
-    except NotCompilable:
-        return _execute_fragment_rowwise(fragment, batch), scanned
-
-
-def _execute_fragment_vector(
-    fragment: PushdownFragment, batch: ColumnBatch, registry
-):
-    """The fragment as generated kernels over ``batch``: filter and
-    grouping in one loop, or selection then key extraction; raises
-    NotCompilable when an expression cannot bind."""
     if fragment.partial_agg is not None:
         group_exprs, aggs = fragment.partial_agg
-        groups, sample_index, _ = vector_group_by(
+        groups, _ = kernels.group_by(
             batch, group_exprs, aggs, fragment.filter, registry
         )
         partials = [
-            ((key, batch.row_dict(sample_index[key])), states)
-            for key, states in groups.items()
+            ((key, batch.row_dict(state[0])), accumulators_of(state))
+            for key, state in groups.items()
         ]
-        return ("partials", partials)
+        return ("partials", partials), scanned
     if fragment.filter is not None:
         batch = batch.gather(kernels.select(batch, fragment.filter, registry))
     if fragment.hash_keys is not None:
         keys = kernels.key_tuples(batch, fragment.hash_keys, registry)
-        return ("hash", (keys, batch))
-    return ("batch", batch)
-
-
-def _execute_fragment_rowwise(fragment: PushdownFragment, batch: ColumnBatch):
-    """Interpreted fallback, semantically identical to the vector path."""
-    rows = batch.to_rows()
-    if fragment.filter is not None:
-        selection = [
-            i for i, row in enumerate(rows) if fragment.filter.eval(row)
-        ]
-        rows = [rows[i] for i in selection]
-        batch = batch.gather(selection)
-    if fragment.hash_keys is not None:
-        key_tuples = [
-            tuple(expr.eval(row) for expr in fragment.hash_keys)
-            for row in rows
-        ]
-        return ("hash", (key_tuples, batch))
-    if fragment.partial_agg is None:
-        return ("batch", batch)
-    group_exprs, aggs = fragment.partial_agg
-    groups: Dict[Tuple, List[AggAccumulator]] = {}
-    samples: Dict[Tuple, Dict[str, Any]] = {}
-    for row in rows:
-        key = tuple(expr.eval(row) for expr in group_exprs)
-        states = groups.get(key)
-        if states is None:
-            states = new_agg_states(aggs)
-            groups[key] = states
-            samples[key] = row
-        update_agg_states(states, aggs, row)
-    partials = [((key, samples[key]), states) for key, states in groups.items()]
-    return ("partials", partials)
+        return ("hash", (keys, batch)), scanned
+    return ("batch", batch), scanned
 
 
 @dataclass
@@ -191,16 +133,6 @@ class _Task:
 class PushdownRuntime:
     """Engine-side dispatcher plus the storage-side PQ executor model."""
 
-    #: Cost-model constants (seconds) for the cost-based PQ decision -
-    #: the paper's first future-work item.  They mirror the calibrated
-    #: storage paths: BP page scan, EBP RDMA read, PageStore RPC read,
-    #: per-task dispatch round trip.
-    COST_BP_PAGE = 4e-6
-    COST_EBP_PAGE = 28e-6
-    COST_PAGESTORE_PAGE = 1.0e-3
-    COST_TASK_DISPATCH = 0.35e-3
-    COST_SERVER_PAGE = 18e-6
-
     def __init__(
         self,
         env: Environment,
@@ -208,16 +140,11 @@ class PushdownRuntime:
         pagestore: PageStoreService,
         ebp: Optional[ExtendedBufferPool] = None,
         network: Optional[RpcNetwork] = None,
-        cost_based: bool = False,
     ):
         self.env = env
         self.engine = engine
         self.pagestore = pagestore
         self.ebp = ebp
-        #: Decide per fragment whether pushing actually wins (future work
-        #: in the paper; opt-in here).  With False, every marked fragment
-        #: is pushed - the paper's threshold-only production behaviour.
-        self.cost_based = cost_based
         from ..sim.rand import Rng
 
         self.network = network or RpcNetwork(env, Rng(1299827))
@@ -226,10 +153,11 @@ class PushdownRuntime:
         self.pages_via_pagestore = 0
         self.pages_local = 0
         self.fallback_pages = 0
-        self.cost_rejected = 0
         self.hash_build_fragments = 0
         # Counters accumulate in the environment-wide registry so fragment
-        # counts survive across sessions and land in the harness report.
+        # counts survive across sessions and land in the harness report
+        # (``cost_rejected`` stays 0: whether to push is the planner's call,
+        # and ``bench/layers.py`` reads the key).
         self.obs = obs_of(env)
         registry = self.obs.registry
         for key in (
@@ -247,20 +175,18 @@ class PushdownRuntime:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def run_scan(self, scan: SeqScan, as_batch: bool = False):
+    def run_scan(self, scan: SeqScan):
         """Generator: execute a marked scan fragment via PQ.
 
-        With ``as_batch`` False (row-mode callers) returns row dicts, or
-        partial-aggregate pairs when the fragment carries partial
-        aggregation.  With ``as_batch`` True (the vectorized executor)
-        returns tagged ``("batch", ColumnBatch)`` / ``("partials", [...])``.
+        Returns ``("batch", ColumnBatch)``, or ``("partials", [...])`` when
+        the fragment carries partial aggregation.
         """
         self.obs.registry.incr("query.pushdown.fragments")
         tracer = self.obs.tracer
         if not tracer.enabled:
-            return (yield from self._run_scan(scan, as_batch))
+            return (yield from self._run_scan(scan))
         with tracer.span("pq.scan", tags={"table": scan.table_name}):
-            return (yield from self._run_scan(scan, as_batch))
+            return (yield from self._run_scan(scan))
 
     def run_hash_build(self, scan: SeqScan):
         """Generator: push the build side of a hash join storage-side.
@@ -274,12 +200,11 @@ class PushdownRuntime:
         self.hash_build_fragments += 1
         tracer = self.obs.tracer
         if not tracer.enabled:
-            return (yield from self._run_scan(scan, True, hash_build=True))
+            return (yield from self._run_scan(scan, hash_build=True))
         with tracer.span("pq.hash_build", tags={"table": scan.table_name}):
-            return (yield from self._run_scan(scan, True, hash_build=True))
+            return (yield from self._run_scan(scan, hash_build=True))
 
-    def _run_scan(self, scan: SeqScan, as_batch: bool = False,
-                  hash_build: bool = False):
+    def _run_scan(self, scan: SeqScan, hash_build: bool = False):
         table = self.engine.catalog.table(scan.table_name)
         fragment = PushdownFragment(
             table_name=scan.table_name,
@@ -315,32 +240,6 @@ class PushdownRuntime:
             task.pages.append((page_id, required))
 
         all_tasks = list(astore_tasks.values()) + list(pagestore_tasks.values())
-        if self.cost_based and all_tasks and not self._push_wins(
-            local_pages, astore_tasks, pagestore_tasks
-        ):
-            # Cost model says the engine path is cheaper: run the whole
-            # fragment locally through the normal read path.
-            self.cost_rejected += 1
-            self.obs.registry.incr("query.pushdown.cost_rejected")
-            everything = [(pid, 0) for pid in local_pages]
-            for task in all_tasks:
-                for spec in task.pages:
-                    page_id = spec[0]
-                    everything.append(
-                        (page_id, self.engine.page_versions.get(page_id, 0))
-                    )
-            result, failed = yield from self._run_local(
-                fragment, everything, via_engine=True
-            )
-            if failed:
-                raise StorageError("pages unreadable locally: %r" % failed)
-            merged = _Merge(fragment)
-            merged.add(result)
-            self.pages_local += len(everything)
-            self.obs.registry.incr(
-                "query.pushdown.pages_local", len(everything)
-            )
-            return merged.finish(as_batch)
         procs = [
             self.env.process(self._dispatch(fragment, task)) for task in all_tasks
         ]
@@ -374,32 +273,7 @@ class PushdownRuntime:
         self.obs.registry.incr(
             "query.pushdown.tasks_dispatched", len(all_tasks)
         )
-        return merged.finish(as_batch)
-
-    def _push_wins(self, local_pages, astore_tasks, pagestore_tasks) -> bool:
-        """Estimate: is storage-side execution cheaper than the engine path?
-
-        Local cost is serial (the single-threaded executor pages through
-        storage one read at a time); pushed cost is the slowest task plus
-        one dispatch round trip per task batch (they run in parallel).
-        """
-        ebp_pages = sum(len(t.pages) for t in astore_tasks.values())
-        ps_pages = sum(len(t.pages) for t in pagestore_tasks.values())
-        local_cost = (
-            len(local_pages) * self.COST_BP_PAGE
-            + ebp_pages * self.COST_EBP_PAGE
-            + ps_pages * self.COST_PAGESTORE_PAGE
-        )
-        task_sizes = [
-            len(t.pages)
-            for t in list(astore_tasks.values()) + list(pagestore_tasks.values())
-        ]
-        pushed_cost = (
-            self.COST_TASK_DISPATCH
-            + max(task_sizes) * self.COST_SERVER_PAGE
-            + len(local_pages) * self.COST_BP_PAGE
-        )
-        return pushed_cost < local_cost
+        return merged.finish()
 
     def _astore_server_of(self, segment_id: int) -> Optional[str]:
         meta = self.ebp.client.open_segments.get(segment_id)
@@ -570,8 +444,7 @@ class _Merge:
 
     Merge order is deterministic: local pages first, then dispatched
     tasks in dispatch order, then fallback pages, and every task returns
-    the same result kind over the same projected keys, so row-mode and
-    batch-mode callers see the same rows in the same order.
+    the same result kind over the same projected keys.
     """
 
     def __init__(self, fragment: PushdownFragment):
@@ -591,12 +464,10 @@ class _Merge:
             self.hash_keys.extend(key_tuples)
             self.batch.extend(batch)
 
-    def finish(self, as_batch: bool = False):
+    def finish(self):
         fragment = self.fragment
         if fragment.hash_keys is not None:
             return self.hash_keys, self.batch
         if fragment.partial_agg is not None:
-            return ("partials", self.partials) if as_batch else self.partials
-        if as_batch:
-            return ("batch", self.batch)
-        return self.batch.to_rows()
+            return ("partials", self.partials)
+        return ("batch", self.batch)

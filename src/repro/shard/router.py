@@ -113,9 +113,12 @@ def merge_partial_results(stmt: ast.Select, results) -> QueryResult:
         entries.append((shaped, row, agg_values))
     if stmt.order_by:
         def sort_key(entry):
-            _shaped, row, agg_values = entry
+            shaped, row, agg_values = entry
+            # A key names a select item first, then a column of the
+            # group's sample row.
+            named = {**row, **_by_name(columns, shaped)}
             return tuple(
-                _Reversible(eval_with_aggs(expr, row, agg_values), desc)
+                _Reversible(eval_with_aggs(expr, named, agg_values), desc)
                 for expr, desc in stmt.order_by
             )
 
@@ -146,17 +149,41 @@ def _agg_positions(stmt: ast.Select) -> Dict[int, str]:
     }
 
 
+def _by_name(columns: Sequence[str], values: Sequence[Any]) -> Dict[str, Any]:
+    """Select-list values by output name; of two items sharing a name the
+    first wins, as in the engine's ORDER BY."""
+    return dict(zip(reversed(columns), reversed(values)))
+
+
 def _resort(stmt: ast.Select, columns: List[str],
             rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
+    """Re-apply ORDER BY and LIMIT to merged rows, as one engine would.
+
+    All there is to sort by is the select list: a column key resolves to
+    the first item bearing that output name, an aggregate key to the item
+    that computes it.  Any other key cannot be ordered across shards."""
     if stmt.order_by:
+        agg_at = {
+            item.expr: index
+            for index, item in enumerate(stmt.items)
+            if isinstance(item.expr, ast.AggCall)
+        }
+
+        def sort_key(row):
+            named = _by_name(columns, row)
+            aggs = {expr: row[index] for expr, index in agg_at.items()}
+            return tuple(
+                _Reversible(eval_with_aggs(expr, named, aggs), desc)
+                for expr, desc in stmt.order_by
+            )
+
         try:
-            for expr, desc in reversed(stmt.order_by):
-                rows.sort(
-                    key=lambda row: expr.eval(dict(zip(columns, row))),
-                    reverse=desc,
-                )
-        except (QueryError, TypeError):
-            pass  # unorderable across shards: keep shard-order concat
+            rows.sort(key=sort_key)
+        except QueryError as error:
+            raise QueryError(
+                "cannot scatter-gather: ORDER BY key is not in the select "
+                "list (%s)" % error
+            )
     if stmt.limit is not None:
         rows = rows[: stmt.limit]
     return rows

@@ -1,10 +1,11 @@
-"""Columnar batch execution: parity with row mode, and widened push-down.
+"""Columnar batch execution: parity with the row oracle, and widened
+push-down.
 
-The contract under test is exact: for every CH query, batch mode (with
-or without PQ) must produce byte-identical rows/columns to the row-mode
-Volcano executor, because the vectorized spine materializes the same rows
-in the same order - equal on the columns the plan reads, the only ones it
-decodes - before the row-mode Project/Sort/Limit tail.
+The contract under test is exact: for every CH query the engine, whatever
+joins the planner picks, must produce byte-identical rows/columns to
+``row_oracle.RowOracle`` - the dict-at-a-time interpreter - because every
+operator keeps its row order and float accumulation order; push-down may
+only permute ORDER BY ties and reassociate float sums.
 """
 
 import pytest
@@ -14,8 +15,10 @@ from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.ast import ColumnRef
 from repro.query.columnar import ColumnBatch, resolve_column
-from repro.query.plan import Aggregate, HashJoin, Project, SeqScan, explain
+from repro.query.plan import HashJoin, SeqScan, explain
 from repro.workloads.tpcch import CH_QUERIES, TpcchConfig, TpcchDatabase, ch_query_sql
+
+from .row_oracle import RowOracle, assert_parity, assert_rows_close, execute
 
 
 # Small but multi-page: order_line spills past the buffer pool so PQ has
@@ -51,12 +54,6 @@ def ch_dep():
     return dep
 
 
-def execute(dep, session, sql):
-    proc = dep.env.process(session.execute(sql))
-    dep.env.run_until_event(proc)
-    return proc.value
-
-
 # ---------------------------------------------------------------------------
 # ColumnBatch container
 # ---------------------------------------------------------------------------
@@ -72,9 +69,12 @@ def make_batch():
 def test_batch_gather_full_selection_returns_self():
     batch = make_batch()
     assert batch.gather([0, 1, 2]) is batch
-    picked = batch.gather([2, 0])
+    picked = batch.gather([0, 2])
     assert picked.n == 2
-    assert picked.column("t.b") == ["z", "x"]
+    assert picked.column("t.b") == ["x", "z"]
+    # A permutation is as long as the batch and is not the identity.
+    assert batch.take([2, 0, 1]).column("t.b") == ["z", "x", "y"]
+    assert batch.take(range(3)[:0]).n == 0
 
 
 def test_batch_extend_and_to_rows():
@@ -103,70 +103,13 @@ def test_resolve_column_mirrors_row_fallback_chain():
 
 
 # ---------------------------------------------------------------------------
-# CH-query parity: batch mode is byte-identical to row mode
+# CH-query parity: the engine is byte-identical to the row oracle
 # ---------------------------------------------------------------------------
-
-
-def _canonical(rows):
-    # Round floats so ulp drift cannot perturb the sort, then order rows
-    # canonically: ORDER BY ties break on input order, which pushdown's
-    # local-then-tasks merge legitimately permutes.
-    normal = [
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row)
-        for row in rows
-    ]
-    return sorted(normal, key=repr)
-
-
-def assert_rows_close(got, want, context):
-    """Order-insensitive row-set equality tolerating float last-ulp drift.
-
-    Used only across *pushdown configurations*: distributed partial
-    aggregation sums each task's rows independently before merging, which
-    reassociates float addition versus one sequential scan (inherent to
-    scatter-gather aggregation, and present before batch mode existed).
-    """
-    assert len(got) == len(want), context
-    for got_row, want_row in zip(_canonical(got), _canonical(want)):
-        for g, w in zip(got_row, want_row):
-            if isinstance(g, float) and isinstance(w, float):
-                assert g == pytest.approx(w, rel=1e-9, abs=1e-9), context
-            else:
-                assert g == w, context
 
 
 @pytest.mark.parametrize("query_no", sorted(CH_QUERIES))
 def test_ch_query_parity_across_modes(ch_dep, query_no):
-    dep = ch_dep
-    sessions = {
-        "row": dep.new_session(enable_pushdown=False, batch_mode=False),
-        "batch": dep.new_session(enable_pushdown=False, batch_mode=True),
-        "row-pq": dep.new_session(
-            enable_pushdown=True, force_hash_joins=True, batch_mode=False
-        ),
-        "batch-pq": dep.new_session(
-            enable_pushdown=True, force_hash_joins=True, batch_mode=True
-        ),
-    }
-    sql = ch_query_sql(query_no)
-    results = {label: execute(dep, s, sql) for label, s in sessions.items()}
-    for label in ("batch", "row-pq", "batch-pq"):
-        assert results[label].columns == results["row"].columns, label
-    # Batch execution is byte-identical to row execution under the same
-    # pushdown configuration: the vectorized spine materializes the same
-    # dicts in the same order.
-    assert results["batch"].rows == results["row"].rows, (
-        "CH Q%d: batch diverged from row mode" % query_no
-    )
-    assert results["batch-pq"].rows == results["row-pq"].rows, (
-        "CH Q%d: batch+PQ diverged from row+PQ" % query_no
-    )
-    # Across pushdown configurations only float summation order differs.
-    assert_rows_close(
-        results["batch-pq"].rows,
-        results["row"].rows,
-        "CH Q%d: pushdown changed results" % query_no,
-    )
+    assert_parity(ch_dep, ch_query_sql(query_no), "CH Q%d" % query_no)
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +119,13 @@ def test_ch_query_parity_across_modes(ch_dep, query_no):
 
 def test_groupby_pushdown_is_planned_and_matches(ch_dep):
     dep = ch_dep
-    session = dep.new_session(enable_pushdown=True, batch_mode=True)
+    session = dep.new_session(enable_pushdown=True)
     sql = ch_query_sql(1)  # single-table GROUP BY aggregate
     plan = session.plan(sql)
     assert "partial-agg" in explain(plan)
-    row_pq = execute(
-        dep, dep.new_session(enable_pushdown=True, batch_mode=False), sql
-    )
     pushed = execute(dep, session, sql)
-    assert pushed.rows == row_pq.rows
     assert_rows_close(
-        pushed.rows,
-        execute(
-            dep, dep.new_session(enable_pushdown=False, batch_mode=False), sql
-        ).rows,
-        "Q1 pushdown",
+        pushed.rows, execute(dep, RowOracle(dep.engine), sql).rows, "Q1 pushdown"
     )
     assert session.pushdown_runtime.tasks_dispatched > 0
 
@@ -201,13 +136,11 @@ def test_distinct_aggregate_is_pushable(ch_dep):
         "SELECT ol_number, count(DISTINCT ol_i_id) AS n_items "
         "FROM order_line GROUP BY ol_number ORDER BY ol_number"
     )
-    session = dep.new_session(enable_pushdown=True, batch_mode=True)
+    session = dep.new_session(enable_pushdown=True)
     plan = session.plan(sql)
     assert "partial-agg" in explain(plan)
     # DISTINCT merges value sets, not floats: exact across configurations.
-    row = execute(
-        dep, dep.new_session(enable_pushdown=False, batch_mode=False), sql
-    )
+    row = execute(dep, RowOracle(dep.engine), sql)
     pushed = execute(dep, session, sql)
     assert pushed.columns == row.columns
     assert pushed.rows == row.rows
@@ -236,7 +169,6 @@ def test_hash_build_pushdown_exercised(ch_dep):
         enable_pushdown=True,
         force_hash_joins=True,
         pushdown_row_threshold=1,  # force-mark every scan
-        batch_mode=True,
     )
     plan = session.plan(sql)
     join = _find_hash_join(plan)
@@ -245,23 +177,10 @@ def test_hash_build_pushdown_exercised(ch_dep):
     assert join.right.hash_keys
     assert join.right.pushdown
     assert "hash-build" in explain(plan)
-    row_pq = execute(
-        dep,
-        dep.new_session(
-            enable_pushdown=True,
-            force_hash_joins=True,
-            pushdown_row_threshold=1,
-            batch_mode=False,
-        ),
-        sql,
-    )
     pushed = execute(dep, session, sql)
-    assert pushed.rows == row_pq.rows
     assert_rows_close(
         pushed.rows,
-        execute(
-            dep, dep.new_session(enable_pushdown=False, batch_mode=False), sql
-        ).rows,
+        execute(dep, RowOracle(dep.engine, force_hash_joins=True), sql).rows,
         "hash-build pushdown",
     )
     assert session.pushdown_runtime.hash_build_fragments > 0

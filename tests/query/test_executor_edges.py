@@ -7,6 +7,8 @@ from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.plan import SeqScan, explain
 
+from .row_oracle import RowOracle
+
 
 def make_db():
     dep = Deployment(DeploymentSpec.astore_log(seed=3))
@@ -155,17 +157,16 @@ def test_arithmetic_divide_in_filter():
 
 
 # ---------------------------------------------------------------------------
-# Projection edges: the batch executor and push-down fragments decode only
-# the columns a plan reads; the answers are those of the full-width row scan.
+# Projection edges: the executor and push-down fragments decode only the
+# columns a plan reads; the answers are those of the full-width row oracle.
 # ---------------------------------------------------------------------------
 
 MODES = {
-    "row": dict(enable_pushdown=False, batch_mode=False),
+    "row": None,  # the oracle (SELECT only; its DML runs on the engine)
     "batch+pq": dict(
         enable_pushdown=True,
         pushdown_row_threshold=1,  # mark every scan, however small
         force_hash_joins=True,
-        batch_mode=True,
     ),
 }
 
@@ -209,6 +210,8 @@ def make_joined_db(mode):
         yield from engine.commit(txn)
 
     dep.env.run_until_event(dep.env.process(load(dep.env)))
+    if MODES[mode] is None:
+        return dep, RowOracle(dep.engine)
     return dep, dep.new_session(**MODES[mode])
 
 
@@ -239,7 +242,7 @@ def test_count_star_reads_no_column(mode):
     assert "SeqScan(t as t) cols=0/3" in explain(plan)
     assert execute(dep, session, "SELECT COUNT(*) FROM t").rows == [(5,)]
     decoded, stored = cells(dep)
-    # The row scan is the full-width oracle; the batch scan decodes nothing.
+    # The oracle's scan is full-width; the engine's decodes nothing.
     assert (decoded, stored) == ((15, 15) if mode == "row" else (0, 15))
 
 
@@ -293,19 +296,21 @@ def test_shared_bare_name_never_binds_to_the_surviving_copy(mode):
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_update_and_delete_where_non_key_columns(mode):
     dep, session = make_joined_db(mode)
+    # The oracle reads back what an engine-side session wrote.
+    writer = dep.new_session(enable_pushdown=False) if mode == "row" else session
     before = cells(dep)
     assert execute(
-        dep, session, "UPDATE t SET name = 'z' WHERE maybe > 15"
+        dep, writer, "UPDATE t SET name = 'z' WHERE maybe > 15"
     ).rows == [(2,)]
     decoded, stored = (now - was for now, was in zip(cells(dep), before))
     # The matching scan reads the key and the WHERE column: 2 of 3.
-    assert (decoded, stored) == ((15, 15) if mode == "row" else (10, 15))
+    assert (decoded, stored) == (10, 15)
     assert execute(dep, session, "SELECT id FROM t WHERE name = 'z' ORDER BY id").rows == [
         (1,), (5,)
     ]
-    assert execute(dep, session, "DELETE FROM t WHERE name = 'z'").rows == [(2,)]
+    assert execute(dep, writer, "DELETE FROM t WHERE name = 'z'").rows == [(2,)]
     assert execute(dep, session, "SELECT id, name FROM t ORDER BY id").rows == [
         (2, "a"), (3, "b"), (4, "d")
     ]
-    assert execute(dep, session, "DELETE FROM t").rows == [(3,)]
+    assert execute(dep, writer, "DELETE FROM t").rows == [(3,)]
     assert execute(dep, session, "SELECT COUNT(*) FROM t").rows == [(0,)]

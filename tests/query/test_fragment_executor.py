@@ -134,22 +134,8 @@ def test_hash_build_fragment_returns_keys_and_batch():
 
 
 # ---------------------------------------------------------------------------
-# Projection, and the interpreted fallback in the same shape
+# Projection, and expressions the kernels cannot lower
 # ---------------------------------------------------------------------------
-
-
-class Opaque(Expr):
-    """An expression node the predicate compiler has never heard of: it
-    raises NotCompilable, so the fragment is interpreted over row dicts."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def eval(self, row):
-        return self.inner.eval(row)
-
-    def columns(self):
-        return self.inner.columns()
 
 
 def test_fragment_decodes_and_returns_only_its_projection():
@@ -177,14 +163,27 @@ def test_fragment_cannot_read_outside_its_projection():
         )
 
 
+class Opaque(Expr):
+    """An expression node the lowering has never heard of."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def eval(self, row):
+        raise AssertionError("a fragment interprets no expression")
+
+    def columns(self):
+        return self.inner.columns()
+
+
 @pytest.mark.parametrize("shape", ["batch", "hash", "partials"])
-def test_interpreted_fallback_returns_the_vector_paths_shape(shape):
-    """A fragment that raises NotCompilable gives the same kind of result,
-    over the same projected keys, with the same content."""
+def test_unknown_expr_subclass_is_a_query_error(shape):
+    """There is one way to run a fragment - the generated kernels - and an
+    expression they cannot lower fails the fragment, rows or no rows."""
     amount, grp = ColumnRef("amount", "t"), ColumnRef("grp", "t")
     aggs = [AggCall("count", None), AggCall("sum", amount)]
 
-    def run(wrap):
+    def run(wrap, pages):
         frag = fragment(
             wrap(BinOp(">=", amount, Literal(10.0))),
             partial_agg=([grp], aggs) if shape == "partials" else None,
@@ -192,21 +191,10 @@ def test_interpreted_fallback_returns_the_vector_paths_shape(shape):
         )
         if shape == "hash":
             frag.hash_keys = [wrap(grp)]
-        (kind, payload), scanned = execute_fragment_on_pages(frag, make_pages(ROWS))
-        assert (kind, scanned) == (shape, 20)
-        return payload
+        (kind, _payload), scanned = execute_fragment_on_pages(frag, pages)
+        return kind, scanned
 
-    vector, interpreted = run(lambda expr: expr), run(Opaque)
-    if shape == "partials":
-        assert [group for group, _ in interpreted] == [group for group, _ in vector]
-        assert interpreted[0][0][1] == {"t.grp": 1, "t.amount": 10.0}  # sample row
-        assert [finalize_agg_states(states, aggs) for _, states in interpreted] == [
-            finalize_agg_states(states, aggs) for _, states in vector
-        ]
-        return
-    if shape == "hash":
-        assert interpreted[0] == vector[0] == [(i % 3,) for i in range(10, 20)]
-        vector, interpreted = vector[1], interpreted[1]
-    assert interpreted.keys == vector.keys == ("t.grp", "t.amount")
-    assert interpreted.arrays == vector.arrays
-    assert interpreted.n == vector.n == 10
+    assert run(lambda expr: expr, make_pages(ROWS)) == (shape, 20)
+    for pages in (make_pages(ROWS), []):
+        with pytest.raises(QueryError, match="cannot evaluate Opaque"):
+            run(Opaque, pages)

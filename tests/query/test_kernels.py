@@ -1,6 +1,7 @@
 """Generated operator kernels: group-by against the row accumulator, the
 hash-join kernels' NULL and uniqueness rules, live join-output columns,
-the kernel cache, and the two executor bug fixes in every session mode."""
+the kernel cache, and the two executor bug fixes under every session
+configuration, against the row oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,10 @@ from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query import kernels
 from repro.query.ast import AggCall, BinOp, ColumnRef, Literal
 from repro.query.columnar import ColumnBatch
-from repro.query.executor import (
-    new_agg_states,
-    update_agg_states,
-    vector_group_by,
-)
+from repro.query.executor import accumulators_of, new_agg_states
 from repro.query.plan import HashJoin, IndexNLJoin, explain
+
+from .row_oracle import RowOracle, execute, update_agg_states
 
 A, B, G = ColumnRef("a", "t"), ColumnRef("b", "t"), ColumnRef("g", "t")
 
@@ -51,8 +50,19 @@ _groups = st.sampled_from([[], [G], [G, BinOp("<", B, Literal(0))]])
 _filter = st.sampled_from([None, BinOp(">", B, Literal(-2)), BinOp("=", G, Literal(9))])
 
 
+def vector_group_by(batch, group_exprs, aggs, predicate=None):
+    """The group-by kernel's flat states as accumulators (what a fragment
+    ships), each group's first row index, and the rows that passed."""
+    flat, rows = kernels.group_by(batch, group_exprs, aggs, predicate)
+    return (
+        {key: accumulators_of(state) for key, state in flat.items()},
+        {key: state[0] for key, state in flat.items()},
+        rows,
+    )
+
+
 def row_group_by(rows, group_exprs, aggs, predicate):
-    """The row executor's grouping loop."""
+    """The row oracle's grouping loop."""
     groups, first = {}, {}
     for index, row in enumerate(rows):
         if predicate is not None and not predicate.eval(row):
@@ -175,10 +185,11 @@ def test_probe_residual_sees_the_joined_row():
     assert kernels.probe(left, lk, built, False, right, residual) == (
         [0, 0], [0, 1], 4
     )
-    from repro.query.predicate import NotCompilable
-    with pytest.raises(NotCompilable):
-        kernels.probe(left, lk, built, False, right,
-                      BinOp("<", ColumnRef("v"), Literal(6)))
+    # ...and raises as the joined row dict would, once a pair is evaluated.
+    ambiguous = BinOp("<", ColumnRef("v"), Literal(6))
+    with pytest.raises(QueryError, match="column 'v' not in row"):
+        kernels.probe(left, lk, built, False, right, ambiguous)
+    assert kernels.probe(left, lk, {}, False, right, ambiguous) == ([], [], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,24 +235,17 @@ def db():
 
 def sessions(dep, hash_joins=True):
     return {
-        "row": dep.new_session(
-            enable_pushdown=False, force_hash_joins=hash_joins, batch_mode=False),
+        "row": RowOracle(dep.engine, hash_joins),
         "batch": dep.new_session(
-            enable_pushdown=False, force_hash_joins=hash_joins, batch_mode=True),
+            enable_pushdown=False, force_hash_joins=hash_joins),
         "batch-pq": dep.new_session(
             enable_pushdown=True, force_hash_joins=hash_joins,
-            pushdown_row_threshold=1, batch_mode=True),
+            pushdown_row_threshold=1),
     }
 
 
-def execute(dep, session, sql):
-    proc = dep.env.process(session.execute(sql))
-    dep.env.run_until_event(proc)
-    return proc.value
-
-
 def everywhere(dep, sql, hash_joins=True):
-    """The one answer every session mode gives."""
+    """The one answer the oracle and every session configuration give."""
     results = {
         label: execute(dep, session, sql)
         for label, session in sessions(dep, hash_joins).items()
@@ -320,12 +324,8 @@ def test_join_output_is_exactly_the_live_columns(db):
     text = explain(plan)
     assert "HashJoin cols=2/5" in text and "HashJoin cols=2/3" in text
 
-    def run(node):
-        _kind, batch = yield from session._vrun(node)
-        return batch
-
     for node in (bottom, top):
-        proc = db.env.process(run(node))
+        proc = db.env.process(session._run(node))
         db.env.run_until_event(proc)
         assert proc.value.keys == node.output
     assert everywhere(db, sql).rows == [("p", 100.0), ("r", 300.0), ("t", 500.0)]
@@ -363,7 +363,7 @@ def test_ambiguous_bare_name_still_raises(db):
             with pytest.raises(QueryError) as raised:
                 execute(db, session, sql)
             errors.add(str(raised.value))
-        assert len(errors) == 1, errors  # row mode's error, in every mode
+        assert len(errors) == 1, errors  # the oracle's error, everywhere
 
 
 def test_select_star_over_a_join_keeps_every_column(db):
@@ -376,9 +376,9 @@ def test_select_star_over_a_join_keeps_every_column(db):
 
 
 def test_index_nl_join_above_a_vectorized_join(db):
-    # y has no index, so a-b is a hash join (vectorized); c's primary key
-    # takes the second join's key, so that one probes the index in row
-    # mode over the rows the first produced.
+    # y has no index, so a-b is a hash join; c's primary key takes the
+    # second join's key, so that one probes the index once per row of the
+    # batch the first produced.
     sql = ("SELECT a.name, b.tag, c.z FROM a JOIN b ON a.x = b.y "
            "JOIN c ON c.cid = b.id + 9 ORDER BY a.name")
     plan = sessions(db, hash_joins=False)["batch"].plan(sql)

@@ -1,5 +1,5 @@
-"""Compiled predicates and generated kernels vs interpreted ``Expr.eval``,
-column-major decode, and property tests over random queries."""
+"""Generated kernels vs interpreted ``Expr.eval``, column-major decode, and
+property tests over random queries against the row oracle."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,6 +19,7 @@ from repro.query.ast import (
     Between,
     BinOp,
     ColumnRef,
+    Expr,
     InList,
     Like,
     Literal,
@@ -27,12 +28,9 @@ from repro.query.ast import (
 )
 from repro.query import kernels
 from repro.query.columnar import ColumnBatch
-from repro.query.predicate import (
-    NotCompilable,
-    compile_expr,
-    compile_row_expr,
-    compile_row_predicate,
-)
+from repro.query.executor import eval_with_aggs
+
+from .row_oracle import assert_parity
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +125,27 @@ def assert_same_outcome(expr, row, compute):
 
 @pytest.mark.parametrize("expr", EXPRS, ids=repr)
 def test_compiled_row_expr_matches_eval(expr):
-    compiled = compile_row_expr(expr)
+    # As Project and Sort evaluate it: one kernel computing several
+    # expressions (it among columns it may share variables with) for every
+    # row of a batch - and as ``eval_with_aggs`` does for the callers that
+    # shape merged groups row by row.
+    items = [A, expr, S]
+    fine = []
     for row in ROWS:
-        assert_same_outcome(expr, row, lambda: compiled(row))
+        assert_same_outcome(expr, row, lambda: eval_with_aggs(expr, row, {}))
+        try:
+            expr.eval(row)
+        except Exception as error:  # noqa: BLE001 - whatever eval raises
+            with pytest.raises(type(error)):
+                kernels.key_tuples(batch_of(fine + [row]), items)
+        else:
+            fine.append(row)
+    for exact in (False, True):
+        values = kernels.key_tuples(batch_of(fine, exact), items) if fine else []
+        assert len(values) == len(fine)
+        for row, (a, value, s) in zip(fine, values):
+            assert (a, s) == (row["t.a"], row["t.s"])
+            assert_same_outcome(expr, row, lambda: value)
 
 
 @pytest.mark.parametrize("expr", EXPRS, ids=repr)
@@ -152,9 +168,6 @@ def test_compiled_batch_expr_matches_eval(expr):
 def test_param_and_aggcall_compile_to_lazy_raisers():
     empty = ColumnBatch(tuple(ROWS[0]), [[], [], []])
     for expr in (Param(0), AggCall("count", None)):
-        compiled = compile_row_expr(expr)  # compiling must not raise
-        with pytest.raises(QueryError):
-            compiled(ROWS[0])
         # A kernel raises only when a row is evaluated.
         guarded = BinOp("or", BinOp("=", A, Literal(1)), expr)
         assert kernels.select(empty, expr) == []
@@ -163,26 +176,64 @@ def test_param_and_aggcall_compile_to_lazy_raisers():
             kernels.select(batch_of(ROWS), guarded)
 
 
-def test_unresolved_batch_column_is_not_compilable():
-    # Decided before anything runs: the Param would raise on the first row.
+def test_unresolved_batch_column_raises_on_the_first_row():
+    two = ColumnBatch(("t.a", "u.a"), [[1, 0], [2, 3]])
+    for batch, ref in ((batch_of(ROWS), ColumnRef("missing")),
+                       (two, ColumnRef("a"))):  # ambiguous: t.a or u.a
+        with pytest.raises(QueryError) as interpreted:
+            ref.eval(batch.row_dict(0))
+        message = str(interpreted.value)
+        assert message == "column %r not in row" % ref.key
+        for expr in (ref, BinOp("<", ref, Literal(3)), Between(ref, A, B),
+                     InList(ref, (1,)), Like(ref, "a%"), UnaryOp("-", ref)):
+            with pytest.raises(QueryError) as compiled:
+                kernels.select(batch, expr)
+            assert str(compiled.value) == message
+            with pytest.raises(QueryError):
+                kernels.key_tuples(batch, [A, expr])
+            # Nothing is evaluated over zero rows, so nothing is raised.
+            nothing = batch.take([])
+            assert kernels.select(nothing, expr) == []
+            assert kernels.key_tuples(nothing, [expr]) == []
+        # A short-circuit that skips the reference skips the error.
+        first = ColumnRef("a", "t")
+        skipped = BinOp("or", BinOp("=", first, Literal(1)), ref)
+        assert kernels.select(batch.take([0]), skipped) == [0]
+    # An unbound parameter left of it raises first, as eval would.
     expr = BinOp("and", Param(0), ColumnRef("missing"))
-    with pytest.raises(NotCompilable):
+    with pytest.raises(QueryError, match="unbound parameter"):
         kernels.select(batch_of(ROWS), expr)
 
 
-def test_compile_expr_rejects_unknown_nodes():
-    class Exotic:
-        pass
+def test_an_aggregate_call_reads_the_column_an_aggregate_produced():
+    total = AggCall("sum", A)
+    batch = ColumnBatch(("t.g", total), [[1, 2, 3], [10.0, None, 30.0]])
+    assert kernels.select(batch, Between(total, Literal(5), Literal(15))) == [0]
+    assert kernels.key_tuples(
+        batch, [BinOp("*", total, Literal(2)), InList(total, (30.0,))]
+    ) == [(20.0, False), (None, False), (60.0, True)]
+    with pytest.raises(QueryError, match="outside Aggregate"):
+        kernels.select(batch, BinOp(">", AggCall("sum", B), Literal(0)))
 
-    with pytest.raises(NotCompilable):
-        compile_expr(Exotic(), lambda ref: None)
+
+def test_compile_expr_rejects_unknown_nodes():
+    class Exotic(Expr):
+        def eval(self, row):
+            return True
+
+    # Before any row is read: the lowering knows every node the parser
+    # builds, so there is no interpreted fallback to route this to.
+    empty = ColumnBatch(tuple(ROWS[0]), [[], [], []])
+    for expr in (Exotic(), BinOp("and", BinOp("=", A, Literal(1)), Exotic())):
+        with pytest.raises(QueryError, match="cannot evaluate Exotic"):
+            kernels.select(empty, expr)
 
 
 def test_compiled_predicate_coerces_truthiness():
-    predicate = compile_row_predicate(BinOp("+", A, B))
-    assert predicate({"t.a": 1, "t.b": 1}) is True
-    assert predicate({"t.a": 1, "t.b": -1}) is False
-    assert predicate({"t.a": None, "t.b": 4}) is False  # NULL arithmetic
+    rows = [{"t.a": 1, "t.b": 1, "t.s": None},
+            {"t.a": 1, "t.b": -1, "t.s": None},
+            {"t.a": None, "t.b": 4, "t.s": None}]  # NULL arithmetic
+    assert kernels.select(batch_of(rows), BinOp("+", A, B)) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +307,13 @@ _row = st.fixed_dictionaries({"t.a": _value, "t.b": _value, "t.s": _text})
 @settings(max_examples=200, deadline=None)
 @given(expr=_predicate, rows=st.lists(_row, min_size=1, max_size=6))
 def test_property_compiled_predicates_match_eval(expr, rows):
-    compiled = compile_row_predicate(expr)
     want = [i for i, row in enumerate(rows) if expr.eval(row)]
-    assert [i for i, row in enumerate(rows) if compiled(row)] == want
     assert kernels.select(batch_of(rows), expr) == want
     assert kernels.select(batch_of(rows, exact=True), expr) == want
 
 
 # Query-level: random filters/projections/group-bys through the full SQL
-# engine, row mode vs batch mode (and both again under push-down).
+# engine against the row oracle (engine-side exactly, and under push-down).
 
 _dep_cache = {}
 
@@ -311,17 +360,7 @@ def _query_dep():
 
         dep.env.run_until_event(dep.env.process(load(dep.env)))
         _dep_cache["dep"] = dep
-        _dep_cache["sessions"] = {
-            "row": dep.new_session(enable_pushdown=False, batch_mode=False),
-            "batch": dep.new_session(enable_pushdown=False, batch_mode=True),
-            "row-pq": dep.new_session(
-                enable_pushdown=True, pushdown_row_threshold=10, batch_mode=False
-            ),
-            "batch-pq": dep.new_session(
-                enable_pushdown=True, pushdown_row_threshold=10, batch_mode=True
-            ),
-        }
-    return _dep_cache["dep"], _dep_cache["sessions"]
+    return _dep_cache["dep"]
 
 
 _sql_filter = st.one_of(
@@ -384,15 +423,4 @@ _sql_query = st.one_of(
 )
 @given(sql=_sql_query)
 def test_property_random_queries_match_across_modes(sql):
-    dep, sessions = _query_dep()
-
-    def run(session):
-        proc = dep.env.process(session.execute(sql))
-        dep.env.run_until_event(proc)
-        return proc.value
-
-    results = {label: run(s) for label, s in sessions.items()}
-    assert results["batch"].columns == results["row"].columns, sql
-    assert results["batch"].rows == results["row"].rows, sql
-    assert results["batch-pq"].columns == results["row-pq"].columns, sql
-    assert results["batch-pq"].rows == results["row-pq"].rows, sql
+    assert_parity(_query_dep(), sql)

@@ -182,8 +182,8 @@ def test_every_scan_path_carries_exactly_the_planned_projection():
         return node
 
     local = dep.new_session(enable_pushdown=False)
-    kind, engine_batch = run(local._vrun_scan(scan_of(local)))
-    assert (kind, engine_batch.keys) == ("batch", expected)
+    engine_batch = run(local._run(scan_of(local)))
+    assert engine_batch.keys == expected
 
     pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=10)
     runtime = pq.pushdown_runtime
@@ -214,7 +214,7 @@ def test_every_scan_path_carries_exactly_the_planned_projection():
     runtime._run_local = recording("local", runtime._run_local)
 
     def pushed_rows():
-        kind, batch = run(runtime.run_scan(scan, as_batch=True))
+        kind, batch = run(runtime.run_scan(scan))
         assert (kind, batch.keys) == ("batch", expected)
         return sorted(batch.to_rows(), key=repr)
 

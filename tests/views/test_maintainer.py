@@ -83,6 +83,11 @@ def test_view_parity_across_insert_update_delete():
     run(dep, session.write(churn))
     settle(dep)
     parity(dep, session, QUERY)
+    # An aggregate as the sort key, DESC, cut by LIMIT: the engine's order.
+    top = parity(dep, session, VIEW_SQL + " ORDER BY SUM(val) DESC, grp LIMIT 2")
+    assert session.last_route == "view:by_grp"
+    assert [row[2] for row in top.rows] == sorted(
+        (row[2] for row in parity(dep, session, QUERY).rows), reverse=True)[:2]
     parity(dep, session, PROJ_SQL + " ORDER BY k")
     assert session.last_route == "view:grp_one"
 

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.query import kernels
 from repro.query.cache import parse_entry
+from repro.query.columnar import ColumnBatch
 from repro.query.executor import (
+    accumulators_of,
     finalize_agg_states,
     new_agg_states,
-    update_agg_states,
 )
 from repro.views.aggstate import (
     finalize_states,
@@ -76,9 +78,10 @@ def _rows_to_states(aggs, rows):
 
 
 def _executor_values(aggs, rows):
-    states = new_agg_states(aggs)
-    for row in rows:
-        update_agg_states(states, aggs, row)
+    """What the executor's group-by kernel accumulates and finalizes."""
+    batch = ColumnBatch(("t.v",), [[row["t.v"] for row in rows]])
+    groups, _ = kernels.group_by(batch, [], aggs)
+    states = accumulators_of(groups[()]) if groups else new_agg_states(aggs)
     return finalize_agg_states(states, aggs)
 
 

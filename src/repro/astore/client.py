@@ -377,7 +377,8 @@ class AStoreClient:
             if latch is not None:
                 held = latch.try_acquire()
                 if held is None:
-                    held = yield latch.request()
+                    held = latch.request()
+                    yield held
             for attempt in range(policy.max_attempts):
                 if meta.frozen:
                     raise SegmentFrozenError("segment %d frozen" % segment_id)
@@ -433,7 +434,7 @@ class AStoreClient:
                 return (offset, length)
         finally:
             if held is not None:
-                latch.release(held)
+                latch.give_back(held)
             if span is not None:
                 span.finish()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "KB",
@@ -38,18 +39,25 @@ MS = 1e-3
 PAGE_SIZE = 16 * KB
 
 
-@dataclass(frozen=True, order=True)
-class PageId:
+class PageId(NamedTuple):
     """Identifies a data page: (tablespace number, page number).
 
     The paper calls this pair the *page ID* and keys the EBP index with it.
+
+    A tuple, so hashing, equality and ordering run in C on every
+    ``page_versions`` / LRU / EBP-index probe; ``hash(page_id)`` is
+    ``hash((space_no, page_no))``, which the buffer pool's LRU striping
+    and PageStore's ``segment_of`` both depend on.  ``Table.page_id``
+    hands out one instance per page, so those probes usually hit by
+    identity.  (Being a tuple also means ``"%s" % page_id`` needs the
+    one-element-tuple form.)
     """
 
     space_no: int
     page_no: int
 
     def __str__(self) -> str:
-        return "%d:%d" % (self.space_no, self.page_no)
+        return "%d:%d" % self
 
 
 class ReproError(Exception):

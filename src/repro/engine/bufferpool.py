@@ -56,15 +56,13 @@ class BufferPool:
     def __contains__(self, page_id: PageId) -> bool:
         return page_id in self._where
 
-    def _list_of(self, page_id: PageId) -> OrderedDict:
-        return self._lists[hash(page_id) % len(self._lists)]
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     def get(self, page_id: PageId) -> Optional[Page]:
         """Return the cached page (promoting it to MRU) or None."""
-        lru = self._list_of(page_id)
+        lists = self._lists
+        lru = lists[hash(page_id) % len(lists)]
         page = lru.get(page_id)
         if page is None:
             self.misses += 1
@@ -75,23 +73,26 @@ class BufferPool:
 
     def peek(self, page_id: PageId) -> Optional[Page]:
         """Non-promoting lookup (used by background maintenance)."""
-        return self._list_of(page_id).get(page_id)
+        lists = self._lists
+        return lists[hash(page_id) % len(lists)].get(page_id)
 
     def put(self, page: Page) -> List[Page]:
         """Cache a page; returns any pages evicted to make room."""
-        lru = self._list_of(page.page_id)
-        if page.page_id in lru:
-            lru[page.page_id] = page
-            lru.move_to_end(page.page_id)
+        page_id = page.page_id
+        stripe = hash(page_id) % len(self._lists)
+        lru = self._lists[stripe]
+        if page_id in lru:
+            lru[page_id] = page
+            lru.move_to_end(page_id)
             return []
         evicted: List[Page] = []
         while len(self._where) >= self.capacity_pages:
-            victim = self._evict_one(prefer_not=page.page_id)
+            victim = self._evict_one(prefer_not=page_id)
             if victim is None:
                 break
             evicted.append(victim)
-        lru[page.page_id] = page
-        self._where[page.page_id] = hash(page.page_id) % len(self._lists)
+        lru[page_id] = page
+        self._where[page_id] = stripe
         return evicted
 
     def _evict_one(self, prefer_not: Optional[PageId] = None) -> Optional[Page]:
@@ -123,10 +124,9 @@ class BufferPool:
 
     def drop(self, page_id: PageId) -> None:
         """Remove a page without the eviction hook (e.g. table drop)."""
-        lru = self._list_of(page_id)
-        if page_id in lru:
-            del lru[page_id]
-            del self._where[page_id]
+        stripe = self._where.pop(page_id, None)
+        if stripe is not None:
+            del self._lists[stripe][page_id]
 
     def clear(self) -> None:
         """Empty the pool (crash simulation: DRAM contents are lost)."""

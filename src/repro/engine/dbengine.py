@@ -42,6 +42,9 @@ from .wal import LogBuffer, LsnAllocator, RedoRecord
 
 __all__ = ["DBEngine", "EngineConfig", "LogBackend", "RedoFeed"]
 
+#: Commit / abort / prepare / decision markers address no page.
+MARKER_PAGE = PageId(0, 0)
+
 
 @dataclass
 class EngineConfig:
@@ -355,14 +358,35 @@ class DBEngine:
         """Generator: get a page via BP -> EBP -> PageStore.
 
         Returns the buffer-pool-resident Page (shared, mutable only while
-        holding the relevant row locks).
+        holding the relevant row locks).  A hit schedules no event, so
+        the engine's own statements probe with :meth:`peek_page` first
+        and create no generator unless they have to wait.
         """
-        registry = self.obs.registry
+        hit = self.peek_page(page_id)
+        if hit is not None:
+            return hit[0]
+        return (yield from self._fetch_miss(page_id))
+
+    def peek_page(self, page_id: PageId):
+        """Synchronous buffer-pool probe: ``(page, extra_cpu)`` or None.
+
+        The one buffer-pool-hit leg (it charges no CPU of its own, hence
+        ``extra_cpu == 0.0``; a standby's local-image tier does): no
+        event, no generator.  On None the caller pays
+        :meth:`_fetch_miss`.
+        """
         page = self.buffer_pool.get(page_id)
         if page is not None:
-            registry.incr("engine.page_fetch.bp_hit")
-            return page
+            self.obs.registry.incr("engine.page_fetch.bp_hit")
+            return page, 0.0
+        return None
+
+    def _fetch_miss(self, page_id: PageId):
+        """Generator: the EBP -> PageStore -> frame-dedup tail of a fetch
+        whose buffer-pool probe (:meth:`peek_page`) just missed."""
+        registry = self.obs.registry
         required_lsn = self.page_versions.get(page_id, 0)
+        page = None
         if self.ebp is not None:
             page = yield from self.ebp.get_page(page_id, required_lsn)
         if page is not None:
@@ -384,20 +408,6 @@ class DBEngine:
             return (yield from self.fetch_page(page_id))
         self.buffer_pool.put(page)
         return page
-
-    def peek_page(self, page_id: PageId):
-        """Synchronous buffer-pool probe: ``(page, extra_cpu)`` or None.
-
-        Mirrors :meth:`fetch_page`'s BP-hit leg (which charges no CPU of
-        its own, hence ``extra_cpu == 0.0``) without touching the event
-        loop.  Point-read paths use it to fold the page access into
-        their one statement CPU charge.
-        """
-        page = self.buffer_pool.get(page_id)
-        if page is not None:
-            self.obs.registry.incr("engine.page_fetch.bp_hit")
-            return page, 0.0
-        return None
 
     def _read_from_pagestore(self, page_id: PageId, required_lsn: int):
         """Generator: PageStore read with force-ship retry.
@@ -447,7 +457,7 @@ class DBEngine:
                 self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
             yield self.env.timeout(0.5 * MS)
 
-    def _new_page(self, table: Table) -> Tuple[Page, RedoRecord]:
+    def _new_page(self, table: Table) -> Page:
         """Allocate and format a fresh heap page (logged)."""
         page_no = table.allocate_page()
         page_id = table.page_id(page_no)
@@ -458,18 +468,15 @@ class DBEngine:
         self.page_versions[page_id] = lsn
         self.buffer_pool.put(page)
         table.note_page(page_no, page.free_bytes)
-        record = RedoRecord(lsn=lsn, txn_id=0, page_id=page_id, op=op)
-        self.log.submit([record], wait=False)
+        self.log.append(RedoRecord(lsn=lsn, txn_id=0, page_id=page_id, op=op))
         return page
 
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
-        self._check_up()
-        txn = Transaction(self.env)
-        txn.epoch = self.epoch
-        return txn
+        self._check_live()
+        return Transaction(self.env, self.epoch)
 
     def lock_wait_edges(self):
         """Local wait-for edges for the global deadlock detector.
@@ -483,21 +490,38 @@ class DBEngine:
         """Abort one waiting transaction (global deadlock victim)."""
         return self.locks.kill_waiter(txn_id)
 
-    def _check_up(self) -> None:
+    def _check_live(self, txn: Optional[Transaction] = None) -> None:
+        """The engine is up and ``txn``, if given, began in this epoch.
+
+        Every statement re-runs this after a yield that may have
+        straddled a crash (and its recovery): a generator that slept
+        through one must not touch the rebuilt state.
+        """
         if self.crashed:
             raise StorageError("engine crashed")
-
-    def _check_epoch(self, txn: Transaction) -> None:
-        if getattr(txn, "epoch", self.epoch) != self.epoch:
+        if txn is not None and txn.epoch != self.epoch:
             raise TransactionAborted(
                 "txn %d predates engine restart" % txn.txn_id
             )
 
     def _check_active(self, txn: Transaction) -> None:
-        self._check_up()
-        self._check_epoch(txn)
-        if not txn.is_active:
+        self._check_live(txn)
+        if txn.status != "active":
             raise TransactionAborted("txn %d is %s" % (txn.txn_id, txn.status))
+
+    def _holds(self, txn: Transaction, key) -> bool:
+        """Does ``txn`` already own the row lock for ``key``?
+
+        The re-entrant leg of :meth:`_acquire` (read FOR UPDATE, then
+        update the row), answered from the lock table with the same
+        crash-window check and no generator - nothing waits, so no
+        event is due.  On False (always, after a crash: the lock table
+        is new) the caller pays :meth:`_acquire`.
+        """
+        if self.locks.owner_of(key) != txn.txn_id:
+            return False
+        self._check_live(txn)
+        return True
 
     def _acquire(self, txn: Transaction, key) -> Generator:
         """Generator: row lock with crash-window re-checks.
@@ -507,10 +531,9 @@ class DBEngine:
         Re-checking afterwards keeps stragglers from mutating rebuilt
         state with locks nobody tracks.
         """
-        self._check_up()
+        self._check_live()
         yield from self.locks.acquire(txn, key)
-        self._check_up()
-        self._check_epoch(txn)
+        self._check_live(txn)
 
     def _log_page_op(
         self,
@@ -533,20 +556,20 @@ class DBEngine:
         transactions block on.
         """
         if txn.txn_id != 0:
-            self._check_up()
-            self._check_epoch(txn)
+            self._check_live(txn)
+        page_id = page.page_id
         lsn = self.lsn.allocate(op.log_bytes)
         apply_op(page, op, lsn)
-        self.page_versions[page.page_id] = lsn
-        table.note_page(page.page_id.page_no, page.free_bytes)
+        self.page_versions[page_id] = lsn
+        table.note_page(page_id.page_no, page.free_bytes)
         record = RedoRecord(
-            lsn=lsn, txn_id=txn.txn_id, page_id=page.page_id, op=op,
+            lsn=lsn, txn_id=txn.txn_id, page_id=page_id, op=op,
             undo_row=undo_row, clr=clr, compensates=compensates,
         )
-        self.log.submit([record], wait=False)
+        self.log.append(record)
         txn.add_record(record, undo)
         if self.ebp is not None:
-            self.ebp.note_page_modified(page.page_id, lsn)
+            self.ebp.note_page_modified(page_id, lsn)
         return record
 
     # -- DML ----------------------------------------------------------------
@@ -556,15 +579,22 @@ class DBEngine:
         table = self.catalog.table(table_name)
         yield from self.cpu.consume(self.config.stmt_cpu + self.config.row_cpu)
         key = table.key_of(values)
-        yield from self._acquire(txn, (table_name, key))
+        lock_key = (table_name, key)
+        if not self._holds(txn, lock_key):
+            yield from self._acquire(txn, lock_key)
         if table.lookup(key) is not None:
             raise QueryError("duplicate key %r in %s" % (key, table_name))
-        row = table.schema.encode(list(values))
+        # One private copy: encoded now, kept by the undo entry.
+        values = list(values)
+        row = table.schema.encode(values)
         page_no = table.choose_page_for_insert(len(row))
         if page_no is None:
             page = self._new_page(table)
         else:
-            page = yield from self.fetch_page(table.page_id(page_no))
+            page_id = table.page_id(page_no)
+            hit = self.peek_page(page_id)
+            page = hit[0] if hit is not None else (
+                yield from self._fetch_miss(page_id))
             if not page.fits(row):
                 page = self._new_page(table)
         slot = page.allocate_slot()
@@ -576,44 +606,44 @@ class DBEngine:
             op,
             UndoEntry(
                 table_name,
-                page.page_id,
-                PageOp("delete", slot=slot),
                 None,
-                list(values),
+                values,
                 "insert",
             ),
         )
-        table.index_insert(values, (page.page_id.page_no, slot))
+        locator = (page.page_id.page_no, slot)
+        table.index_insert(values, locator)
         self.statements += 1
-        return (page.page_id.page_no, slot)
+        return locator
 
     def read_row(self, txn: Optional[Transaction], table_name: str,
                  key: Tuple[Any, ...], for_update: bool = False):
         """Generator: point read by primary key; returns values or None."""
-        self._check_up()
+        self._check_live()
         table = self.catalog.table(table_name)
         yield from self.cpu.consume(self.config.stmt_cpu)
         if for_update:
             if txn is None:
                 raise QueryError("FOR UPDATE requires a transaction")
             self._check_active(txn)
-            yield from self._acquire(txn, (table_name, key))
+            lock_key = (table_name, key)
+            if not self._holds(txn, lock_key):
+                yield from self._acquire(txn, lock_key)
         for _attempt in range(4):
             # The cpu/page yields may straddle a crash window: the wiped
             # index must surface as an error, not a phantom miss (and a
             # pre-crash locator must not decode rebuilt pages).
-            self._check_up()
-            if txn is not None:
-                self._check_epoch(txn)
+            self._check_live(txn)
             locator = table.lookup(key)
             if locator is None:
                 return None
             page_no, slot = locator
-            page = yield from self.fetch_page(table.page_id(page_no))
+            page_id = table.page_id(page_no)
+            hit = self.peek_page(page_id)
+            page = hit[0] if hit is not None else (
+                yield from self._fetch_miss(page_id))
             yield from self.cpu.consume(self.config.row_cpu)
-            self._check_up()
-            if txn is not None:
-                self._check_epoch(txn)
+            self._check_live(txn)
             try:
                 return table.schema.decode(page.get(slot))
             except KeyError:
@@ -628,12 +658,17 @@ class DBEngine:
         self._check_active(txn)
         table = self.catalog.table(table_name)
         yield from self.cpu.consume(self.config.stmt_cpu + self.config.row_cpu)
-        yield from self._acquire(txn, (table_name, key))
+        lock_key = (table_name, key)
+        if not self._holds(txn, lock_key):
+            yield from self._acquire(txn, lock_key)
         locator = table.lookup(key)
         if locator is None:
             raise QueryError("no row %r in %s" % (key, table_name))
         page_no, slot = locator
-        page = yield from self.fetch_page(table.page_id(page_no))
+        page_id = table.page_id(page_no)
+        hit = self.peek_page(page_id)
+        page = hit[0] if hit is not None else (
+            yield from self._fetch_miss(page_id))
         old_values = table.schema.decode(page.get(slot))
         new_values = list(old_values)
         for column, value in changes.items():
@@ -651,8 +686,6 @@ class DBEngine:
                 op,
                 UndoEntry(
                     table_name,
-                    page.page_id,
-                    PageOp("update", slot=slot, row=old_row),
                     old_values,
                     new_values,
                     "update",
@@ -671,8 +704,6 @@ class DBEngine:
                 PageOp("delete", slot=slot),
                 UndoEntry(
                     table_name,
-                    page.page_id,
-                    PageOp("insert", slot=slot, row=old_row),
                     old_values,
                     None,
                     "delete",
@@ -695,8 +726,6 @@ class DBEngine:
                 PageOp("insert", slot=new_slot, row=new_row),
                 UndoEntry(
                     table_name,
-                    target.page_id,
-                    PageOp("delete", slot=new_slot),
                     None,
                     new_values,
                     "insert",
@@ -711,12 +740,17 @@ class DBEngine:
         self._check_active(txn)
         table = self.catalog.table(table_name)
         yield from self.cpu.consume(self.config.stmt_cpu + self.config.row_cpu)
-        yield from self._acquire(txn, (table_name, key))
+        lock_key = (table_name, key)
+        if not self._holds(txn, lock_key):
+            yield from self._acquire(txn, lock_key)
         locator = table.lookup(key)
         if locator is None:
             raise QueryError("no row %r in %s" % (key, table_name))
         page_no, slot = locator
-        page = yield from self.fetch_page(table.page_id(page_no))
+        page_id = table.page_id(page_no)
+        hit = self.peek_page(page_id)
+        page = hit[0] if hit is not None else (
+            yield from self._fetch_miss(page_id))
         old_row = page.get(slot)
         old_values = table.schema.decode(old_row)
         op = PageOp("delete", slot=slot)
@@ -727,8 +761,6 @@ class DBEngine:
             op,
             UndoEntry(
                 table_name,
-                page.page_id,
-                PageOp("insert", slot=slot, row=old_row),
                 old_values,
                 None,
                 "delete",
@@ -759,12 +791,12 @@ class DBEngine:
                 marker = RedoRecord(
                     lsn=self.lsn.allocate(24),
                     txn_id=txn.txn_id,
-                    page_id=PageId(0, 0),
+                    page_id=MARKER_PAGE,
                     op=PageOp("format"),  # payload-free marker
                     commit=True,
                 )
                 txn.records.append(marker)
-                done = self.log.submit([marker], wait=True)
+                done = self.log.append(marker, wait=True)
                 yield done
             txn.status = "committed"
             self.committed += 1
@@ -791,20 +823,20 @@ class DBEngine:
             marker = RedoRecord(
                 lsn=self.lsn.allocate(24),
                 txn_id=txn.txn_id,
-                page_id=PageId(0, 0),
+                page_id=MARKER_PAGE,
                 op=PageOp("format"),
                 prepare=True,
                 gtid=gtid,
             )
             txn.records.append(marker)
-            done = self.log.submit([marker], wait=True)
+            done = self.log.append(marker, wait=True)
             yield done
         txn.status = "prepared"
         self.prepared += 1
 
     def commit_prepared(self, txn: Transaction):
         """Generator: 2PC phase 2 commit of a prepared transaction."""
-        self._check_up()
+        self._check_live()
         if not txn.is_prepared:
             raise TransactionAborted(
                 "txn %d is %s, not prepared" % (txn.txn_id, txn.status)
@@ -815,13 +847,13 @@ class DBEngine:
                 marker = RedoRecord(
                     lsn=self.lsn.allocate(24),
                     txn_id=txn.txn_id,
-                    page_id=PageId(0, 0),
+                    page_id=MARKER_PAGE,
                     op=PageOp("format"),
                     commit=True,
                     gtid=txn.gtid,
                 )
                 txn.records.append(marker)
-                done = self.log.submit([marker], wait=True)
+                done = self.log.append(marker, wait=True)
                 yield done
             txn.status = "committed"
             self.committed += 1
@@ -836,7 +868,7 @@ class DBEngine:
         which compensates every logged record and closes the transaction
         with an abort marker.
         """
-        self._check_up()
+        self._check_live()
         if not txn.is_prepared:
             raise TransactionAborted(
                 "txn %d is %s, not prepared" % (txn.txn_id, txn.status)
@@ -851,16 +883,16 @@ class DBEngine:
         durable, the global transaction must commit everywhere - recovery
         on any participant resolves the matching in-doubt txn to commit.
         """
-        self._check_up()
+        self._check_live()
         marker = RedoRecord(
             lsn=self.lsn.allocate(24),
             txn_id=0,
-            page_id=PageId(0, 0),
+            page_id=MARKER_PAGE,
             op=PageOp("format"),
             decision=True,
             gtid=gtid,
         )
-        done = self.log.submit([marker], wait=True)
+        done = self.log.append(marker, wait=True)
         yield done
         self.decisions_logged += 1
         return marker.lsn
@@ -876,7 +908,7 @@ class DBEngine:
         referencing the record it undoes; an abort marker closes the
         transaction so crash recovery knows it is fully resolved.
         """
-        if self.crashed or getattr(txn, "epoch", self.epoch) != self.epoch:
+        if self.crashed or txn.epoch != self.epoch:
             # Volatile state (locks, buffer pool) from the txn's epoch is
             # already gone; its durable records become losers (or in-doubt
             # txns) and recovery resolves them.  Nothing to do here.
@@ -901,7 +933,7 @@ class DBEngine:
                     yield from self._compensate(txn, undo)
             except (StorageError, TransactionAborted):
                 if (not self.crashed
-                        and getattr(txn, "epoch", self.epoch) == self.epoch):
+                        and txn.epoch == self.epoch):
                     raise
                 # Crash landed mid-rollback: the un-compensated records
                 # are durable losers and recovery undoes them.
@@ -912,11 +944,11 @@ class DBEngine:
                 marker = RedoRecord(
                     lsn=self.lsn.allocate(24),
                     txn_id=txn.txn_id,
-                    page_id=PageId(0, 0),
+                    page_id=MARKER_PAGE,
                     op=PageOp("format"),
                     abort=True,
                 )
-                self.log.submit([marker], wait=False)
+                self.log.append(marker)
             txn.status = "aborted"
             self.aborted += 1
         finally:
@@ -1067,7 +1099,7 @@ class DBEngine:
                 RedoRecord(
                     lsn=self.lsn.allocate(24),
                     txn_id=txn_id,
-                    page_id=PageId(0, 0),
+                    page_id=MARKER_PAGE,
                     op=PageOp("format"),
                     commit=commit,
                     abort=not commit,

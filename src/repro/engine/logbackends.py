@@ -19,7 +19,7 @@ from typing import List
 from ..astore.segment_ring import SegmentRing
 from ..storage.logstore import LogStore
 from .dbengine import LogBackend
-from .wal import RedoRecord
+from .wal import RedoRecord, encode_records_size
 
 __all__ = ["SsdLogBackend", "AStoreLogBackend"]
 
@@ -38,7 +38,7 @@ class SsdLogBackend(LogBackend):
     def recover(self):
         """Generator: scan the persisted log (one bulk read per replica
         blob; modelled as a single large device read)."""
-        total = sum(record.log_bytes for record in self._retained)
+        total = encode_records_size(self._retained)
         if total and self.logstore.servers:
             server = self.logstore.servers[0]
             yield from self.logstore.network.send(64)

@@ -43,20 +43,22 @@ class PageOp:
     kind: str
     slot: int = 0
     row: Optional[bytes] = None
+    #: Approximate serialized REDO size of this operation: a 40-byte op
+    #: header (lsn, page id, kind, slot) plus the row.  Sized once, here -
+    #: an op is never modified after construction.
+    log_bytes: int = field(init=False, repr=False, compare=False)
 
     VALID_KINDS = ("insert", "update", "delete", "format")
 
     def __post_init__(self):
         if self.kind not in self.VALID_KINDS:
             raise ValueError("unknown page op kind %r" % self.kind)
-        if self.kind in ("insert", "update") and self.row is None:
-            raise ValueError("%s op requires row bytes" % self.kind)
-
-    @property
-    def log_bytes(self) -> int:
-        """Approximate serialized REDO size of this operation."""
-        base = 40  # op header: lsn, page id, kind, slot
-        return base + (len(self.row) if self.row is not None else 0)
+        if self.row is None:
+            if self.kind in ("insert", "update"):
+                raise ValueError("%s op requires row bytes" % self.kind)
+            self.log_bytes = 40
+        else:
+            self.log_bytes = 40 + len(self.row)
 
 
 class Page:
@@ -94,7 +96,7 @@ class Page:
         return len(self._rows)
 
     def fits(self, row: bytes) -> bool:
-        return len(row) + SLOT_OVERHEAD <= self.free_bytes
+        return len(row) + SLOT_OVERHEAD <= self.size - self._used
 
     # -- row access -----------------------------------------------------------
     def get(self, slot: int) -> bytes:
@@ -123,7 +125,7 @@ class Page:
         if slot in self._rows:
             raise ReproError("slot %d already occupied" % slot)
         need = len(row) + SLOT_OVERHEAD
-        if need > self.free_bytes:
+        if need > self.size - self._used:
             raise PageFullError(
                 "row of %d bytes does not fit (%d free)" % (len(row), self.free_bytes)
             )
@@ -141,7 +143,7 @@ class Page:
         if old is None:
             raise ReproError("update of empty slot %d" % slot)
         delta = len(row) - len(old)
-        if delta > self.free_bytes:
+        if delta > self.size - self._used:
             raise PageFullError("updated row does not fit")
         self._rows[slot] = row
         self._used += delta

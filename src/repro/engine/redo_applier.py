@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..common import MS, US, PageId, StorageError
+from ..common import MS, US, StorageError
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
 
@@ -209,7 +209,7 @@ class RedoApplier:
             # only records above ``tail`` and arrives through the feed.
             for table in list(self.sink.scan_tables()):
                 for page_no in sorted(table.page_nos):
-                    page_id = PageId(table.space_no, page_no)
+                    page_id = table.page_id(page_no)
                     page = yield from source.read_page_fresh(
                         page_id, source.page_versions.get(page_id, 0)
                     )

@@ -259,7 +259,7 @@ class StandbyReplica:
             yield from self.cpu.consume(self.primary.config.stmt_cpu)
             return None
         page_no, slot = locator
-        page_id = PageId(table.space_no, page_no)
+        page_id = table.page_id(page_no)
         # Probe before charging so a resident page's fetch cost folds
         # into the statement's single CPU charge (same total virtual
         # time, half the event-loop trips on the hot path).

@@ -10,7 +10,8 @@ durable truth (via REDO).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..common import PageId, QueryError
 from .btree import BPlusTree
@@ -22,10 +23,44 @@ __all__ = ["Table", "Catalog", "RowLocator"]
 RowLocator = Tuple[int, int]  # (page_no, slot)
 
 
+def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence[Any]], Tuple]:
+    """``values -> tuple(values[p] for p in positions)``, compiled once.
+
+    ``itemgetter`` returns a bare value for a single position, hence the
+    one-column wrapper.
+    """
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    return itemgetter(*positions)
+
+
+class _PageIds(dict):
+    """``page_no -> PageId`` of one tablespace, one instance per page.
+
+    ``Table.page_id`` is this dict's ``__getitem__``: every caller gets
+    the same :class:`PageId` object for a page, so the dict probes keyed
+    by it (``page_versions``, LRU lists, EBP index) hit by identity.
+    """
+
+    __slots__ = ("space_no",)
+
+    def __init__(self, space_no: int):
+        super().__init__()
+        self.space_no = space_no
+
+    def __missing__(self, page_no: int) -> PageId:
+        page_id = self[page_no] = PageId(self.space_no, page_no)
+        return page_id
+
+
 @dataclass
 class _SecondaryIndex:
     name: str
     columns: Tuple[str, ...]
+    #: ``values -> secondary key``: the index columns, then the PK (which
+    #: keeps secondary keys unique).
+    key_of: Callable[[Sequence[Any]], Tuple]
     tree: BPlusTree = field(default_factory=lambda: BPlusTree(order=64))
 
 
@@ -51,6 +86,10 @@ class Table:
         #: EBP priority of this table's pages (paper Section V-C).
         self.priority = priority
         self._key_positions = [schema.position(c) for c in key_columns]
+        #: ``key_of(values)``: the row's primary-key tuple.
+        self.key_of = _tuple_getter(self._key_positions)
+        #: ``page_id(page_no)``: the interned :class:`PageId` of a heap page.
+        self.page_id = _PageIds(space_no).__getitem__
         self.pk_index = BPlusTree(order=64)
         self.secondary: Dict[str, _SecondaryIndex] = {}
         #: Allocated heap pages, in allocation order.
@@ -61,28 +100,16 @@ class Table:
         self.row_count = 0
 
     # ------------------------------------------------------------------
-    # Keys
-    # ------------------------------------------------------------------
-    def key_of(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        return tuple(values[pos] for pos in self._key_positions)
-
-    def page_id(self, page_no: int) -> PageId:
-        return PageId(self.space_no, page_no)
-
-    # ------------------------------------------------------------------
     # Secondary indexes
     # ------------------------------------------------------------------
     def add_secondary_index(self, name: str, columns: Sequence[str]) -> None:
         if name in self.secondary:
             raise QueryError("index %s already exists" % name)
-        for column in columns:
-            self.schema.position(column)
-        self.secondary[name] = _SecondaryIndex(name, tuple(columns))
-
-    def secondary_key(self, index: _SecondaryIndex, values: Sequence[Any]):
-        """Secondary keys append the PK to stay unique."""
-        positions = [self.schema.position(c) for c in index.columns]
-        return tuple(values[pos] for pos in positions) + self.key_of(values)
+        positions = [self.schema.position(c) for c in columns]  # validates
+        self.secondary[name] = _SecondaryIndex(
+            name, tuple(columns),
+            _tuple_getter(positions + self._key_positions),
+        )
 
     # ------------------------------------------------------------------
     # Index maintenance (called by the engine alongside page ops)
@@ -93,7 +120,7 @@ class Table:
             raise QueryError("duplicate key %r in %s" % (key, self.name))
         self.pk_index.insert(key, locator)
         for index in self.secondary.values():
-            index.tree.insert(self.secondary_key(index, values), locator)
+            index.tree.insert(index.key_of(values), locator)
         self.row_count += 1
 
     def index_delete(self, values: Sequence[Any]) -> None:
@@ -101,7 +128,7 @@ class Table:
         if not self.pk_index.delete(key):
             raise QueryError("missing key %r in %s" % (key, self.name))
         for index in self.secondary.values():
-            index.tree.delete(self.secondary_key(index, values))
+            index.tree.delete(index.key_of(values))
         self.row_count -= 1
 
     def index_update(
@@ -113,8 +140,8 @@ class Table:
         if self.key_of(old_values) != self.key_of(new_values):
             raise QueryError("primary key update not supported")
         for index in self.secondary.values():
-            old_key = self.secondary_key(index, old_values)
-            new_key = self.secondary_key(index, new_values)
+            old_key = index.key_of(old_values)
+            new_key = index.key_of(new_values)
             if old_key != new_key:
                 index.tree.delete(old_key)
                 index.tree.insert(new_key, locator)
@@ -129,8 +156,8 @@ class Table:
         (row migration when an update outgrows its page)."""
         self.pk_index.insert(self.key_of(new_values), new_locator)
         for index in self.secondary.values():
-            index.tree.delete(self.secondary_key(index, old_values))
-            index.tree.insert(self.secondary_key(index, new_values), new_locator)
+            index.tree.delete(index.key_of(old_values))
+            index.tree.insert(index.key_of(new_values), new_locator)
 
     def lookup(self, key: Tuple[Any, ...]) -> Optional[RowLocator]:
         return self.pk_index.get(key)

@@ -21,13 +21,12 @@ detector in :mod:`repro.shard.robustness`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..common import PageId, TransactionAborted
+from ..common import TransactionAborted
 from ..sim.core import AnyOf, Environment, Event
-from ..sim.resources import Resource
-from .page import PageOp
 from .wal import RedoRecord
 
 __all__ = ["LockManager", "Transaction", "UndoEntry"]
@@ -35,11 +34,14 @@ __all__ = ["LockManager", "Transaction", "UndoEntry"]
 
 @dataclass
 class UndoEntry:
-    """Inverse operation to apply if the transaction rolls back."""
+    """What to compensate if the transaction rolls back.
+
+    Undo is logical (``DBEngine._compensate`` finds the row by key,
+    wherever it lives by then), so an entry carries row values, not a
+    page address or an inverse page operation.
+    """
 
     table_name: str
-    page_id: PageId
-    inverse_op: PageOp
     old_values: Optional[List[Any]]
     new_values: Optional[List[Any]]
     kind: str  # original op kind: insert/update/delete
@@ -52,17 +54,23 @@ class UndoEntry:
 class Transaction:
     """Engine-side transaction state."""
 
-    def __init__(self, env: Environment):
+    __slots__ = ("txn_id", "env", "epoch", "start_time", "status", "gtid",
+                 "records", "undo", "locks")
+
+    def __init__(self, env: Environment, epoch: int = 0):
         # Ids are allocated per environment, not process-wide: within one
         # WAL stream they stay unique (recovery reuses the environment),
         # and two same-seed deployments number their transactions
         # identically - required for byte-identical trace exports.
-        ids = getattr(env, "_txn_ids", None)
-        if ids is None:
-            ids = itertools.count(1)
-            env._txn_ids = ids
+        try:
+            ids = env._txn_ids
+        except AttributeError:
+            ids = env._txn_ids = itertools.count(1)
         self.txn_id = next(ids)
         self.env = env
+        #: The engine's restart epoch at ``begin()``; operations on a txn
+        #: from an older epoch abort (see ``DBEngine._check_live``).
+        self.epoch = epoch
         self.start_time = env.now
         # active -> committed | aborted, or (two-phase commit participants)
         # active -> prepared -> committed | aborted.
@@ -72,7 +80,7 @@ class Transaction:
         self.gtid: Optional[str] = None
         self.records: List[RedoRecord] = []
         self.undo: List[UndoEntry] = []
-        self.locks: List[Tuple[Any, Any]] = []  # (key, request) pairs
+        self.locks: List[Any] = []  # keys held, in acquisition order
 
     @property
     def is_active(self) -> bool:
@@ -90,12 +98,21 @@ class Transaction:
 
 
 class LockManager:
-    """FIFO row locks with wait timeout."""
+    """FIFO row locks with wait timeout.
+
+    A lock is not an object.  ``_locks`` maps each taken key to the FIFO
+    of grant events queued behind its holder (``None`` until somebody
+    waits) and ``_held`` to the owning transaction; a release hands the
+    key to the oldest waiter, whose grant takes its sequence number
+    there, or forgets the key - so the table holds only held keys, not
+    every key ever locked, and an uncontended lock costs the one event
+    its holder yields on.
+    """
 
     def __init__(self, env: Environment, wait_timeout: float = 2.0):
         self.env = env
         self.wait_timeout = wait_timeout
-        self._locks: Dict[Any, Resource] = {}
+        self._locks: Dict[Any, Optional[Deque[Event]]] = {}
         self._held: Dict[Any, int] = {}  # key -> owner txn_id
         self._waiting_on: Dict[int, Any] = {}  # txn_id -> key it waits for
         #: txn_id -> kill event for its in-flight wait; an external
@@ -127,19 +144,12 @@ class LockManager:
                 return False
             current_key = next_key
 
-    def _lock_for(self, key: Any) -> Resource:
-        lock = self._locks.get(key)
-        if lock is None:
-            lock = Resource(self.env, capacity=1)
-            self._locks[key] = lock
-        return lock
-
-    def _release(self, key: Any, lock: Resource, request: Any) -> None:
-        """Release ``request`` and forget the lock once nobody holds or
-        waits for it, so the table holds only contended-or-held keys
-        rather than every key ever locked."""
-        lock.release(request)
-        if not lock.count and not lock.queue_length:
+    def _pass_on(self, key: Any) -> None:
+        """Hand ``key`` to its oldest waiter, or forget it."""
+        waiters = self._locks[key]
+        if waiters:
+            waiters.popleft().succeed()
+        else:
             del self._locks[key]
 
     def acquire(self, txn: Transaction, key: Any):
@@ -154,23 +164,28 @@ class LockManager:
             raise TransactionAborted(
                 "deadlock: txn %d waiting on %r" % (txn.txn_id, key)
             )
-        lock = self._lock_for(key)
-        request = lock.request()
-        if not request.triggered:
+        grant = Event(self.env)
+        locks = self._locks
+        if key not in locks:
+            locks[key] = None
+            yield grant.succeed()  # granted on the spot; consume the event
+        else:
+            waiters = locks[key]
+            if waiters is None:
+                waiters = locks[key] = deque()
+            waiters.append(grant)
             self.waits += 1
             self._waiting_on[txn.txn_id] = key
             kill = Event(self.env)
             self._kill_events[txn.txn_id] = kill
             timeout = self.env.timeout(self.wait_timeout)
-            yield AnyOf(self.env, [request, timeout, kill])
+            yield AnyOf(self.env, [grant, timeout, kill])
             self._waiting_on.pop(txn.txn_id, None)
             self._kill_events.pop(txn.txn_id, None)
-            if not request.triggered:
-                # Lost the race: withdraw (or release, if granted in the
-                # same instant we timed out) and abort.
-                request.cancel()
-                if request.triggered:
-                    self._release(key, lock, request)
+            if not grant.triggered:
+                # Lost the race: withdraw and abort.  (A grant landing in
+                # the instant we timed out has triggered, and wins.)
+                waiters.remove(grant)
                 if kill.triggered:
                     self.deadlocks += 1
                     raise TransactionAborted(
@@ -181,18 +196,17 @@ class LockManager:
                 raise TransactionAborted(
                     "lock wait timeout on %r (txn %d)" % (key, txn.txn_id)
                 )
-        else:
-            yield request  # already granted; consume the event
         self._held[key] = txn.txn_id
-        txn.locks.append((key, request))
+        txn.locks.append(key)
 
     def release_all(self, txn: Transaction) -> None:
-        for key, request in txn.locks:
-            if self._held.get(key) == txn.txn_id:
-                del self._held[key]
-            lock = self._locks.get(key)
-            if lock is not None:
-                self._release(key, lock, request)
+        held = self._held
+        for key in txn.locks:
+            # Ownership is the guard: after a crash the engine's lock
+            # table is a new one that knows nothing of this txn's keys.
+            if held.get(key) == txn.txn_id:
+                del held[key]
+                self._pass_on(key)
         txn.locks.clear()
 
     # -- global deadlock detection hooks -------------------------------
@@ -228,5 +242,5 @@ class LockManager:
         return self._held.get(key)
 
     def queue_length(self, key: Any) -> int:
-        lock = self._locks.get(key)
-        return lock.queue_length if lock is not None else 0
+        waiters = self._locks.get(key)
+        return len(waiters) if waiters else 0

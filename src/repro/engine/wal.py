@@ -15,8 +15,10 @@ the commit latency under load.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..common import PageId
 from ..sim.core import Environment, Event
@@ -58,21 +60,30 @@ class RedoRecord:
     prepare: bool = False
     decision: bool = False
     gtid: Optional[str] = None
+    #: Serialized size: the op, the before image, and 24 bytes of lsn +
+    #: txn + back-link framing.  Sized once, here - ``op`` and
+    #: ``undo_row`` never change after construction (``back_link`` does,
+    #: and is part of the fixed framing).
+    log_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        undo_row = self.undo_row
+        self.log_bytes = self.op.log_bytes + 24 + (
+            len(undo_row) if undo_row is not None else 0
+        )
 
     @property
     def is_marker(self) -> bool:
         """Markers live in the log only; PageStore never applies them."""
         return self.commit or self.abort or self.prepare or self.decision
 
-    @property
-    def log_bytes(self) -> int:
-        undo = len(self.undo_row) if self.undo_row is not None else 0
-        return self.op.log_bytes + undo + 24  # lsn + txn + backlink framing
+
+_log_bytes_of = attrgetter("log_bytes")
 
 
 def encode_records_size(records: List[RedoRecord]) -> int:
     """Total serialized size of a record batch."""
-    return sum(record.log_bytes for record in records)
+    return sum(map(_log_bytes_of, records))
 
 
 class LsnAllocator:
@@ -115,7 +126,7 @@ class LogBuffer:
         self.env = env
         self.flush_fn = flush_fn
         self.max_batch_bytes = max_batch_bytes
-        self._pending: List[Tuple[RedoRecord, Optional[Event]]] = []
+        self._pending: Deque[Tuple[RedoRecord, Optional[Event]]] = deque()
         self._wakeup: Optional[Event] = None
         self.persistent_lsn = 0
         self.flushes = 0
@@ -125,21 +136,28 @@ class LogBuffer:
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    def submit(self, records: List[RedoRecord], wait: bool = True) -> Optional[Event]:
-        """Queue records; returns an Event that fires once durable.
+    def append(self, record: RedoRecord, wait: bool = False) -> Optional[Event]:
+        """Queue one record; with ``wait`` returns an Event that fires
+        once it is durable.
 
-        With ``wait=False`` the records ride along with the next flush but
-        nobody blocks on them (non-commit records inside a transaction).
+        Without, the record rides along with the next flush and nobody
+        blocks on it (non-commit records inside a transaction).
         """
+        done = Event(self.env) if wait else None
+        self._pending.append((record, done))
+        wakeup = self._wakeup
+        if wakeup is not None and not wakeup.triggered:
+            wakeup.succeed()
+        return done
+
+    def submit(self, records: List[RedoRecord], wait: bool = True) -> Optional[Event]:
+        """Queue a batch in order; the Event (``wait``) is the last
+        record's, so it fires once the whole batch is durable."""
         if not records:
             raise ValueError("empty record batch")
-        done = Event(self.env) if wait else None
-        for index, record in enumerate(records):
-            is_last = index == len(records) - 1
-            self._pending.append((record, done if (wait and is_last) else None))
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
-        return done
+        for record in records[:-1]:
+            self.append(record)
+        return self.append(records[-1], wait)
 
     # ------------------------------------------------------------------
     # Log-writer process
@@ -152,24 +170,27 @@ class LogBuffer:
         self.env.process(self._writer_loop(), name="log-writer")
 
     def _writer_loop(self):
+        pending = self._pending
         while True:
-            if not self._pending:
+            if not pending:
                 self._wakeup = Event(self.env)
                 yield self._wakeup
                 self._wakeup = None
-            batch: List[Tuple[RedoRecord, Optional[Event]]] = []
+            records: List[RedoRecord] = []
+            waiters: List[Event] = []
             batch_bytes = 0
-            while self._pending and batch_bytes < self.max_batch_bytes:
-                record, done = self._pending.pop(0)
-                batch.append((record, done))
+            while pending and batch_bytes < self.max_batch_bytes:
+                record, done = pending.popleft()
+                records.append(record)
                 batch_bytes += record.log_bytes
-            records = [record for record, _ in batch]
+                if done is not None:
+                    waiters.append(done)
             yield from self.flush_fn(records, batch_bytes)
             self.flushes += 1
             self.records_flushed += len(records)
             self.persistent_lsn = max(self.persistent_lsn, records[-1].lsn)
-            for _, done in batch:
-                if done is not None and not done.triggered:
+            for done in waiters:
+                if not done.triggered:
                     done.succeed(self.persistent_lsn)
 
     @property

@@ -444,7 +444,7 @@ class Coordinator:
             return False
         engine = self.engines[shard]
         txn = dtxn.parts[shard]
-        if engine.crashed or getattr(txn, "epoch", 0) != engine.epoch:
+        if engine.crashed or txn.epoch != engine.epoch:
             return False
         try:
             yield from engine.commit_prepared(txn)
@@ -463,7 +463,7 @@ class Coordinator:
         for shard in dtxn.shard_set:
             engine = self.engines[shard]
             txn = dtxn.parts[shard]
-            stale = getattr(txn, "epoch", 0) != engine.epoch
+            stale = txn.epoch != engine.epoch
             try:
                 if txn.is_prepared and not engine.crashed and not stale:
                     yield from engine.abort_prepared(txn)
@@ -553,7 +553,7 @@ class Coordinator:
                     continue
                 engine = self.engines[shard]
                 if (engine.crashed
-                        or getattr(txn, "epoch", 0) != engine.epoch):
+                        or txn.epoch != engine.epoch):
                     # Crashed txn state: recovery owns resolution.  The
                     # shard's durable LSNs already cover the commit once
                     # it recovers; drop the stale handle.

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
+from operator import attrgetter
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -494,10 +495,9 @@ class Environment:
         self._seq = 0
         self._active_process: Optional[Process] = None
 
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+    #: Current virtual time in seconds.  Read on every statement, span and
+    #: latency sample, so the getter is C-level: no Python frame per read.
+    now = property(attrgetter("_now"), doc="Current virtual time in seconds.")
 
     @property
     def active_process(self) -> Optional[Process]:

@@ -103,15 +103,16 @@ class StorageDevice:
         )
         start = self.env.now
         req = self._channels.request()
-        yield req
-        wait = self.env.now - start
-        if wait > 0:
-            self.queue_wait_total += wait
-            self.obs.registry.add(self._qw_key, wait)
         try:
+            yield req
+            wait = self.env.now - start
+            if wait > 0:
+                self.queue_wait_total += wait
+                self.obs.registry.add(self._qw_key, wait)
             yield self.env.timeout(service)
         finally:
-            self._channels.release(req)
+            # An interrupt may land while still queued for a channel.
+            self._channels.give_back(req)
             if span is not None:
                 span.finish()
         self.reads += 1
@@ -129,15 +130,16 @@ class StorageDevice:
         )
         start = self.env.now
         req = self._channels.request()
-        yield req
-        wait = self.env.now - start
-        if wait > 0:
-            self.queue_wait_total += wait
-            self.obs.registry.add(self._qw_key, wait)
         try:
+            yield req
+            wait = self.env.now - start
+            if wait > 0:
+                self.queue_wait_total += wait
+                self.obs.registry.add(self._qw_key, wait)
             yield self.env.timeout(service)
         finally:
-            self._channels.release(req)
+            # An interrupt may land while still queued for a channel.
+            self._channels.give_back(req)
             if span is not None:
                 span.finish()
         self.writes += 1

@@ -39,7 +39,13 @@ __all__ = ["Resource", "PriorityResource", "Store", "CpuPool", "Mutex"]
 
 
 class _Request(Event):
-    """A pending claim on a resource; fires when the claim is granted."""
+    """A pending claim on a resource; fires when the claim is granted.
+
+    The request object is the token to pass to ``release``; the value it
+    fires with is None.  (It used to be the request itself - a reference
+    cycle, so every grant lived until the next pass of the cycle
+    collector.)
+    """
 
     __slots__ = ("resource", "cancelled")
 
@@ -107,7 +113,7 @@ class Resource:
             # created, so succeed()'s double-trigger guard is redundant)
             # and schedule straight onto the same-tick trampoline.
             self._users.append(req)
-            req._value = req
+            req._value = None
             seq = env._seq
             env._seq = seq + 1
             if _len(env._fast) < _FAST_BOUND:
@@ -124,9 +130,10 @@ class Resource:
         The token is a granted :class:`_Request` (pass it to
         :meth:`release` as usual) that was never yielded on, so the
         acquisition costs zero trips through the event loop.  Callers
-        that can be granted synchronously (e.g. ``CpuPool.consume`` on
-        an idle core) use this to halve their event footprint; when the
-        resource is busy they fall back to :meth:`request` + yield.
+        that can be granted synchronously (the EBP append latch in
+        ``astore/client.py``) use this to halve their event footprint;
+        when the resource is busy they fall back to :meth:`request` +
+        yield.
         """
         if _len(self._users) >= self.capacity:
             return None
@@ -134,7 +141,7 @@ class Resource:
         req = _new(_Request)
         req.env = env
         req.callbacks = []
-        req._value = req
+        req._value = None
         req._ok = True
         req._defused = False
         req.resource = self
@@ -158,7 +165,7 @@ class Resource:
             if req.cancelled:
                 continue
             users.append(req)
-            req._value = req
+            req._value = None
             seq = env._seq
             env._seq = seq + 1
             if _len(env._fast) < _FAST_BOUND:
@@ -175,7 +182,7 @@ class Resource:
             if req.cancelled:
                 continue
             users.append(req)
-            req._value = req
+            req._value = None
             seq = env._seq
             env._seq = seq + 1
             if len(env._fast) < _FAST_BOUND:
@@ -183,17 +190,30 @@ class Resource:
             else:
                 _heappush(env._queue, (env._now, seq, req))
 
+    def give_back(self, request: _Request) -> None:
+        """Release ``request`` if it was granted, withdraw it if it still
+        waits - what a ``finally`` needs when an interrupt (or a
+        ``with_timeout`` deadline) may land while the request is queued.
+
+        A grant scheduled in the same instant as the interrupt counts as
+        granted, so the slot is released straight on to the next waiter.
+        """
+        if request._value is _PENDING:
+            request.cancel()
+        else:
+            self.release(request)
+
     def locked(self, inner):
         """Run generator ``inner`` while holding one slot of the resource.
 
         Usage: ``result = yield from resource.locked(some_generator())``.
         """
         req = self.request()
-        yield req
         try:
+            yield req
             result = yield from inner
         finally:
-            self.release(req)
+            self.give_back(req)
         return result
 
 
@@ -223,7 +243,7 @@ class PriorityResource(Resource):
         req = _Request(self.env, self)
         if len(self._users) < self.capacity and not self._pq:
             self._users.append(req)
-            req._value = req
+            req._value = None
             self.env._schedule(req, 0.0)
         else:
             _heappush(self._pq, (priority, self._pseq, req))
@@ -243,7 +263,7 @@ class PriorityResource(Resource):
             if req.cancelled:
                 continue
             self._users.append(req)
-            req._value = req
+            req._value = None
             self.env._schedule(req, 0.0)
 
     @property
@@ -401,42 +421,60 @@ class CpuPool:
     reproduction charges per-operation CPU cost (parsing, page application,
     I/O scheduling) and is what produces the CPU-bound throughput plateaus
     the paper reports.
+
+    A core is not an object: the pool keeps a busy count and a FIFO of
+    grant events, one per queued ``consume``.  A release with waiters hands
+    its core to the oldest of them (the count does not move, and the grant
+    takes its sequence number at the release, as a ``Resource`` grant
+    would); an idle-core ``consume`` allocates nothing but its timeout.
     """
 
-    __slots__ = ("env", "cores", "_resource", "busy_time")
+    __slots__ = ("env", "cores", "_busy", "_grants", "busy_time")
 
     def __init__(self, env: Environment, cores: int):
         if cores < 1:
             raise ValueError("cores must be >= 1")
         self.env = env
         self.cores = cores
-        self._resource = Resource(env, capacity=cores)
+        self._busy = 0
+        self._grants: Deque[Event] = deque()
         self.busy_time = 0.0
 
     @property
     def in_use(self) -> int:
-        return self._resource.count
+        """Cores held, including one just handed to a waiter not yet resumed."""
+        return self._busy
 
     @property
     def queue_length(self) -> int:
-        return self._resource.queue_length
+        return len(self._grants)
 
     def consume(self, seconds: float):
         """Generator: hold one core for ``seconds`` of virtual time."""
         if seconds < 0:
             raise ValueError("negative CPU time")
-        resource = self._resource
-        # Idle-core fast path: grab the core synchronously so the only
-        # event this consume schedules is the timeout itself.
-        req = resource.try_acquire()
-        if req is None:
-            req = resource.request()
-            yield req
+        grant = None
+        if self._busy < self.cores:
+            self._busy += 1
+        else:
+            grant = Event(self.env)
+            self._grants.append(grant)
         try:
+            if grant is not None:
+                yield grant
             yield self.env.timeout(seconds)
             self.busy_time += seconds
         finally:
-            resource.release(req)
+            if grant is not None and grant._value is _PENDING:
+                # Interrupted while still queued (a ``with_timeout``
+                # deadline does exactly this): withdraw, no core was held.
+                # A grant that landed in the same instant counts as held
+                # and is passed on below.
+                self._grants.remove(grant)
+            elif self._grants:
+                self._grants.popleft().succeed()
+            else:
+                self._busy -= 1
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of total core-seconds consumed over ``elapsed`` seconds."""

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common import MS, US, PageId, StorageError
 from ..engine.page import Page, PageOp, apply_op
-from ..engine.wal import RedoRecord
+from ..engine.wal import RedoRecord, encode_records_size
 from ..sim.core import AllOf, Environment, Event
 from ..sim.devices import SsdDevice
 from ..sim.network import RpcNetwork
@@ -129,7 +129,7 @@ class PageStoreServer:
         """Generator: durably accept a shipped record batch (then async
         apply).  Ack means durable, not applied - no checkpointing needed."""
         self._check_alive()
-        nbytes = sum(r.log_bytes for r in records)
+        nbytes = encode_records_size(records)
         yield from self.cpu.consume(5 * US + 0.2 * US * len(records))
         yield from self.device.write(nbytes)
         replica = self.replica(segment_no)
@@ -237,7 +237,7 @@ class PageStoreService:
     # Placement
     # ------------------------------------------------------------------
     def segment_of(self, page_id: PageId) -> int:
-        return hash((page_id.space_no, page_id.page_no)) % self.num_segments
+        return hash(page_id) % self.num_segments
 
     def replicas_of(self, segment_no: int) -> List[PageStoreServer]:
         start = segment_no % len(self.servers)
@@ -271,7 +271,7 @@ class PageStoreService:
         self.ships += 1
 
     def _ship_segment(self, segment_no: int, batch: List[RedoRecord]):
-        nbytes = sum(r.log_bytes for r in batch)
+        nbytes = encode_records_size(batch)
         procs = []
         for server in self.replicas_of(segment_no):
             procs.append(
@@ -340,7 +340,9 @@ class PageStoreService:
                 return page
             except StorageError as exc:
                 last_error = exc
-        raise last_error or StorageError("no replica served page %s" % page_id)
+        raise last_error or StorageError(
+            "no replica served page %s" % (page_id,)
+        )
 
     # ------------------------------------------------------------------
     # Gossip

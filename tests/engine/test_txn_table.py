@@ -171,6 +171,64 @@ def test_lock_table_is_empty_once_every_transaction_has_finished():
     assert locks._locks == {} and locks._held == {} and locks._waiting_on == {}
 
 
+def test_lock_events_one_per_grant_scheduled_where_a_resource_did():
+    """An uncontended lock costs the one event its holder yields on; a
+    waiter's grant takes its sequence number at the release."""
+    env = Environment()
+    locks = LockManager(env)
+    seqs = {}
+
+    def first(env):
+        txn = Transaction(env)
+        before = env._seq
+        yield from locks.acquire(txn, ("t", 1))
+        seqs["uncontended"] = env._seq - before
+        yield from locks.acquire(txn, ("t", 1))  # re-entrant: nothing
+        seqs["reentrant"] = env._seq - before
+        waiter.append(env.process(second(env)))
+        yield env.timeout(1.0)
+        assert locks.queue_length(("t", 1)) == 1
+        before = env._seq
+        locks.release_all(txn)
+        seqs["release"] = env._seq - before
+        assert locks.owner_of(("t", 1)) is None  # handed over, not yet taken
+        assert locks.queue_length(("t", 1)) == 0
+
+    def second(env):
+        txn = Transaction(env)
+        yield env.timeout(0.5)
+        yield from locks.acquire(txn, ("t", 1))
+        assert locks.owner_of(("t", 1)) == txn.txn_id
+        locks.release_all(txn)
+        return env.now
+
+    waiter = []
+    env.process(first(env))
+    env.run()
+    assert seqs == {"uncontended": 1, "reentrant": 1, "release": 1}
+    assert waiter[0].value == 1.0 and locks.waits == 1
+    assert locks._locks == {} and locks._held == {}
+
+
+def test_release_all_on_a_lock_table_that_never_saw_the_txn_is_a_no_op():
+    """After an engine crash the lock table is a new one; a straggler's
+    release must not free a key somebody else now holds."""
+    env = Environment()
+    old, fresh = LockManager(env), LockManager(env)
+    stale, owner = Transaction(env), Transaction(env)
+
+    def work(env):
+        yield from old.acquire(stale, ("t", 1))
+        yield from fresh.acquire(owner, ("t", 1))
+        fresh.release_all(stale)
+        return fresh.owner_of(("t", 1))
+
+    p = env.process(work(env))
+    env.run()
+    assert p.value == owner.txn_id
+    assert stale.locks == []
+
+
 # ---------------------------------------------------------------------------
 # Tables and catalog
 # ---------------------------------------------------------------------------

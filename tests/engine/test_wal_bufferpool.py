@@ -100,6 +100,41 @@ def test_nowait_records_ride_along():
     assert log.records_flushed == 2
 
 
+def test_append_is_the_one_record_form_of_submit():
+    env = Environment()
+    log, flushes = make_log(env)
+    assert log.append(record(10)) is None  # rides along, nobody waits
+    assert log.queue_depth == 1
+
+    def committer(env):
+        persistent = yield log.append(record(20), wait=True)
+        return persistent
+
+    proc = env.process(committer(env))
+    env.run_until_event(proc)
+    assert proc.value == 20
+    assert [r.lsn for _, records, _ in flushes for r in records] == [10, 20]
+    assert sum(nbytes for _, _, nbytes in flushes) == (
+        record(10).log_bytes + record(20).log_bytes)
+    assert log.queue_depth == 0 and log.records_flushed == 2
+
+
+def test_batch_cap_splits_a_backlog_in_fifo_order():
+    env = Environment()
+    flushes = []
+
+    def flush(records, nbytes):
+        flushes.append([r.lsn for r in records])
+        yield env.timeout(0.001)
+
+    log = LogBuffer(env, flush, max_batch_bytes=2 * record(1).log_bytes)
+    done = log.submit([record(lsn) for lsn in (1, 2, 3, 4, 5)], wait=True)
+    log.start()
+    env.run_until_event(done)
+    assert flushes == [[1, 2], [3, 4], [5]]
+    assert done.value == 5
+
+
 def test_empty_submit_rejected():
     env = Environment()
     log, _ = make_log(env)

@@ -71,6 +71,48 @@ def test_device_channels_queue():
     assert done == [1.0, 1.0, 2.0, 2.0]
 
 
+def test_device_access_interrupted_while_queued_frees_no_channel_it_never_had():
+    """A deadline landing on an access still queued for a channel must
+    withdraw it: left queued, it is granted later and holds the channel
+    forever (a ``with_timeout`` around an AStore write does exactly this
+    to a saturated PMem device)."""
+    from repro.common import DeadlineExceededError
+    from repro.sim.core import with_timeout
+
+    env, seeds = make_env()
+    dev = StorageDevice(
+        env,
+        seeds.stream("dev"),
+        "d",
+        read_latency=1.0,
+        write_latency=1.0,
+        read_bandwidth=0,
+        write_bandwidth=0,
+        channels=1,
+        jitter_sigma=0.0,
+    )
+    done = []
+
+    def holder(env):
+        yield from dev.write(0)
+        done.append(("holder", env.now))
+
+    def impatient(env):
+        try:
+            yield from with_timeout(env, dev.write(0), 0.5, "write")
+        except DeadlineExceededError:
+            done.append(("deadline", env.now))
+        yield env.timeout(2.0)
+        yield from dev.read(0)
+        done.append(("retry", env.now))
+
+    env.process(holder(env))
+    env.process(impatient(env))
+    env.run()
+    assert done == [("deadline", 0.5), ("holder", 1.0), ("retry", 3.5)]
+    assert dev._channels.count == 0 and dev._channels.queue_length == 0
+
+
 def test_congestion_knee_stretches_service():
     env, seeds = make_env()
     dev = StorageDevice(

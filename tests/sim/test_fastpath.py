@@ -24,7 +24,7 @@ from repro.sim.core import (
     with_timeout,
 )
 from repro.sim.metrics import LatencyRecorder
-from repro.sim.resources import Resource
+from repro.sim.resources import CpuPool, Resource
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +106,239 @@ def test_uncontended_grants_fifo_with_timeouts():
     env.process(user(env, "c"))
     env.run()
     assert order == ["got-a", "got-b", "rel-a", "rel-b", "got-c", "rel-c"]
+
+
+# ---------------------------------------------------------------------------
+# CpuPool: a busy count and a FIFO of grant events, no per-consume token
+# ---------------------------------------------------------------------------
+
+def test_cpu_pool_contention_fifo_and_counters():
+    """Queueing order, ``in_use``, ``queue_length`` and ``busy_time`` as
+    the Resource-backed pool reported them."""
+    env = Environment()
+    pool = CpuPool(env, cores=2)
+    log = []
+
+    def job(env, tag, seconds):
+        yield from pool.consume(seconds)
+        log.append((tag, env.now, pool.in_use, pool.queue_length))
+
+    def probe(env):
+        yield env.timeout(0.5)
+        log.append(("probe", env.now, pool.in_use, pool.queue_length))
+
+    for tag, seconds in (("a", 1.0), ("b", 2.0), ("c", 1.0), ("d", 1.0),
+                         ("e", 0.5)):
+        env.process(job(env, tag, seconds))
+    env.process(probe(env))
+    env.run()
+    assert log == [
+        ("probe", 0.5, 2, 3),
+        # A finishing job hands its core to the oldest waiter: the count
+        # it reads back still includes that core.
+        ("a", 1.0, 2, 2),   # -> c
+        ("b", 2.0, 2, 1),   # -> d   (b before c: its timeout is older)
+        ("c", 2.0, 2, 0),   # -> e
+        ("e", 2.5, 1, 0),
+        ("d", 3.0, 0, 0),
+    ]
+    assert pool.busy_time == 5.5
+    assert pool.utilization(3.0) == 5.5 / 6.0
+
+
+def test_cpu_pool_idle_consume_schedules_one_event_and_no_grant():
+    env = Environment()
+    pool = CpuPool(env, cores=1)
+
+    def job(env):
+        before = env._seq
+        yield from pool.consume(1.0)
+        return env._seq - before
+
+    p = env.process(job(env))
+    env.run()
+    assert p.value == 1  # the timeout, nothing else
+    assert pool.in_use == 0 and pool.queue_length == 0
+
+
+def test_cpu_pool_grant_takes_its_sequence_number_at_the_release():
+    """A contended consume costs one more event than an idle one, and
+    that event is scheduled when the holder lets go - not at the request."""
+    env = Environment()
+    pool = CpuPool(env, cores=1)
+    seqs = {}
+
+    def holder(env):
+        yield from pool.consume(1.0)
+        seqs["holder-done"] = env._seq
+
+    def waiter(env):
+        seqs["before-request"] = env._seq
+        gen = pool.consume(1.0)
+        grant = next(gen)  # queued: a pending event, no sequence number
+        seqs["after-request"] = env._seq
+        assert not grant.triggered
+        yield grant
+        yield from gen
+
+    env.process(holder(env))
+    env.process(waiter(env))
+    env.run()
+    assert seqs["after-request"] == seqs["before-request"]
+    # holder's release scheduled the grant (one number) before it returned
+    assert seqs["holder-done"] == seqs["after-request"] + 1
+    assert env.now == 2.0 and pool.busy_time == 2.0
+
+
+def test_cpu_pool_waiter_interrupted_while_queued_withdraws():
+    """Seed bug: the interrupted waiter's token stayed queued, was granted
+    at the release and never given back - ``in_use == 1`` forever and the
+    next consume never ran."""
+    env = Environment()
+    pool = CpuPool(env, cores=1)
+    done = []
+
+    def job(env, tag, seconds):
+        try:
+            yield from pool.consume(seconds)
+            done.append((tag, env.now))
+        except Interrupt:
+            done.append((tag + "-interrupted", env.now))
+
+    def killer(env, victim):
+        yield env.timeout(0.5)
+        assert pool.queue_length == 1
+        victim.interrupt("deadline")
+
+    def late(env):
+        yield env.timeout(2.0)
+        yield from job(env, "late", 1.0)
+
+    env.process(job(env, "holder", 1.0))
+    victim = env.process(job(env, "waiter", 1.0))
+    env.process(killer(env, victim))
+    env.process(late(env))
+    env.run()
+    assert done == [("waiter-interrupted", 0.5), ("holder", 1.0),
+                    ("late", 3.0)]
+    assert pool.in_use == 0 and pool.queue_length == 0
+    assert pool.busy_time == 2.0
+
+
+def test_cpu_pool_grant_and_interrupt_in_one_instant_passes_the_core_on():
+    env = Environment()
+    pool = CpuPool(env, cores=1)
+    procs = {}
+    done = []
+
+    def job(env, tag, seconds):
+        try:
+            yield from pool.consume(seconds)
+            done.append((tag, env.now))
+        except Interrupt:
+            done.append((tag + "-interrupted", env.now, pool.in_use))
+
+    def killer(env):
+        # Spawned first, so at t=1.0 it resumes before the holder: the
+        # interrupt is scheduled, *then* the holder's release grants the
+        # victim, and the interrupt reaches a process whose grant has
+        # triggered but not fired.
+        yield env.timeout(1.0)
+        procs["victim"].interrupt("deadline")
+
+    env.process(killer(env))
+    env.process(job(env, "holder", 1.0))
+    procs["victim"] = env.process(job(env, "victim", 1.0))
+    env.process(job(env, "third", 1.0))
+    env.run()
+    # The victim held the core for an instant and handed it to ``third``.
+    assert done == [("holder", 1.0), ("victim-interrupted", 1.0, 1),
+                    ("third", 2.0)]
+    assert pool.in_use == 0 and pool.queue_length == 0
+    assert pool.busy_time == 2.0
+
+
+def test_with_timeout_deadline_on_a_target_waiting_for_cpu():
+    env = Environment()
+    pool = CpuPool(env, cores=1)
+
+    def hog(env):
+        yield from pool.consume(10.0)
+
+    def rpc(env):
+        yield from pool.consume(0.1)
+        return "served"
+
+    def caller(env):
+        try:
+            yield from with_timeout(env, rpc(env), 1.0, "rpc")
+        except DeadlineExceededError:
+            pass
+        yield env.timeout(10.0)  # the hog is done by now
+        return (yield from with_timeout(env, rpc(env), 1.0, "rpc"))
+
+    env.process(hog(env))
+    p = env.process(caller(env))
+    env.run()
+    assert p.value == "served"
+    assert pool.in_use == 0 and pool.queue_length == 0
+
+
+def test_resource_locked_interrupted_while_queued_withdraws():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    done = []
+
+    def hold(env, seconds):
+        yield env.timeout(seconds)
+
+    def job(env, tag, seconds):
+        try:
+            yield from res.locked(hold(env, seconds))
+            done.append((tag, env.now))
+        except Interrupt:
+            done.append((tag + "-interrupted", env.now))
+
+    def killer(env, victim):
+        yield env.timeout(0.5)
+        victim.interrupt("deadline")
+
+    def late(env):
+        yield env.timeout(2.0)
+        yield from job(env, "late", 1.0)
+
+    env.process(job(env, "holder", 1.0))
+    victim = env.process(job(env, "waiter", 1.0))
+    env.process(killer(env, victim))
+    env.process(late(env))
+    env.run()
+    assert done == [("waiter-interrupted", 0.5), ("holder", 1.0),
+                    ("late", 3.0)]
+    assert res.count == 0 and res.queue_length == 0
+
+
+def test_granted_request_is_freed_without_the_cycle_collector():
+    """A grant's value is None, not the request itself: a request that
+    points at itself lives until the next cyclic GC pass, and every row
+    lock and device access used to leave one behind."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+
+    def user(env):
+        for _ in range(50):
+            req = res.request()
+            value = yield req
+            assert value is None
+            res.release(req)
+
+    gc.collect()
+    gc.disable()
+    try:
+        env.process(user(env))
+        env.run()
+        assert gc.collect() == 0  # nothing only the collector could free
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

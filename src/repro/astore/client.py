@@ -18,7 +18,7 @@ additionally guarded by a CM lease.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..common import (
     DeadlineExceededError,

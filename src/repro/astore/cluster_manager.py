@@ -17,7 +17,7 @@ latency (milliseconds, vs the microsecond data plane).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..common import (

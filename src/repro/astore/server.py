@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..common import (
-    GB,
     MB,
     CapacityError,
     SegmentNotFoundError,

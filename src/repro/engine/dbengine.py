@@ -15,7 +15,7 @@ being scripted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..common import (
@@ -29,7 +29,7 @@ from ..common import (
     TransactionAborted,
 )
 from ..obs import obs_of
-from ..sim.core import Environment, Event
+from ..sim.core import Environment
 from ..sim.rand import SeedSequence
 from ..sim.resources import CpuPool, Store
 from ..storage.pagestore import PageStoreService

@@ -13,7 +13,6 @@ byte occupancy so fill factors and working-set sizes are honest.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, ItemsView, Optional, ValuesView
 

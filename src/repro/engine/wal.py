@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..common import PageId
 from ..sim.core import Environment, Event

@@ -47,13 +47,7 @@ from ..query.ast import Delete, Insert, Select, Update
 from ..query.cache import ParseCache, bind_statement
 from ..query.executor import QueryResult, QuerySession
 from ..query.planner import PlannerConfig
-from ..shard import (
-    InDoubtTransaction,
-    ShardVectorToken,
-    merge_partial_results,
-    merge_select_results,
-    scatter_needs_partials,
-)
+from ..shard import InDoubtTransaction, ShardVectorToken, merge
 from .admission import AdmissionController
 from .fleet import ReplicaFleet, ReplicaHandle
 
@@ -769,50 +763,27 @@ class SqlProxy:
                 cut = [
                     engine.log.persistent_lsn for engine in self.engines
                 ]
-            partials = scatter_needs_partials(statement)
-            results = []
+            # Each leg runs its shard's share (an aggregate statement's
+            # stops at partial groups); the merge shapes the one answer.
+            def replica_leg(handle, shard):
+                return self.replica_session(
+                    handle, shard).execute_partial_select(statement, sql)
+
+            def primary_leg(shard):
+                return self.primary_session_for(
+                    shard).execute_partial_select(statement, sql)
+
+            legs = []
             for shard in shards:
-                if partials:
-                    # AVG/DISTINCT/composite aggregates: each leg ships
-                    # pre-finalize accumulator states for a global merge.
-                    def replica_leg(handle, arg, shard=shard):
-                        return self.replica_session(
-                            handle, shard).execute_partial_select(arg)
-
-                    def primary_leg(arg, shard=shard):
-                        return self.primary_session_for(
-                            shard).execute_partial_select(arg)
-
-                    arg = statement
-                elif sql is not None:
-                    def replica_leg(handle, arg, shard=shard):
-                        return self.replica_session(handle, shard).execute(arg)
-
-                    def primary_leg(arg, shard=shard):
-                        return self.primary_session_for(shard).execute(arg)
-
-                    arg = sql
-                else:
-                    def replica_leg(handle, arg, shard=shard):
-                        return self.replica_session(
-                            handle, shard).execute_statement(arg)
-
-                    def primary_leg(arg, shard=shard):
-                        return self.primary_session_for(
-                            shard).execute_statement(arg)
-
-                    arg = statement
-                results.append((
+                legs.append((
                     yield from self._route(
-                        session, replica_leg, primary_leg, (arg,), shard,
+                        session, replica_leg, primary_leg, (shard,), shard,
                         min_lsn=None if cut is None else cut[shard],
                     )
                 ))
             self.scatter_selects += 1
             session.reads += 1
-            if partials:
-                return merge_partial_results(statement, results)
-            return merge_select_results(statement, results)
+            return merge(statement, legs, obs_of(self.env).registry)
         finally:
             if fenced:
                 fence.release_read()

@@ -10,7 +10,7 @@ where crossovers happen) are scale-invariant per DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common import KB, MB
@@ -20,7 +20,6 @@ from ..sim.metrics import LatencyRecorder, ThroughputMeter, geomean
 from ..workloads.ads import AdsClient, AdsConfig, AdsDatabase
 from ..workloads.lookup import LookupClient, LookupConfig, LookupDatabase
 from ..workloads.microbench import (
-    MicrobenchResult,
     run_astore_micro,
     run_logstore_micro,
 )

@@ -29,7 +29,7 @@ evaluator (``tests/query/row_oracle.py``) reads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from .ast import ColumnRef
 
@@ -104,17 +104,6 @@ class ColumnBatch:
         for arr, src in zip(self.arrays, other.arrays):
             arr.extend(src)
         self.n += other.n
-
-    def row_dict(self, i: int) -> Dict[str, Any]:
-        return {k: arr[i] for k, arr in zip(self.keys, self.arrays)}
-
-    def to_rows(self) -> List[Dict[str, Any]]:
-        """The batch as one dict per row, for inspection; no operator
-        reads rows this way."""
-        keys = self.keys
-        if not keys:
-            return [{} for _ in range(self.n)]
-        return [dict(zip(keys, values)) for values in zip(*self.arrays)]
 
 
 def resolve_column(keys: Sequence[Hashable], ref: ColumnRef) -> Optional[int]:

@@ -13,10 +13,17 @@ projection and sort key runs as one generated loop over the parallel
 arrays (``repro.query.kernels`` - the kernels storage-side fragments run
 too), a join gathers only the columns something above it reads
 (``HashJoin.output``), and rows become tuples once, in
-:meth:`QuerySession.execute_plan`.  CPU is charged in per-page / per-batch
-quanta to keep event counts manageable.  ``tests/query/row_oracle.py`` is
-the dict-at-a-time interpreter every ``QueryResult`` and every virtual-time
+:func:`batch_result`.  CPU is charged in per-page / per-batch quanta to keep
+event counts manageable.  ``tests/query/row_oracle.py`` is the
+dict-at-a-time interpreter every ``QueryResult`` and every virtual-time
 charge is held to.
+
+What follows an Aggregate's grouping - fold, finalize, Project, Sort, Limit,
+row zip - is the *answer tail*: pure functions over a ``ColumnBatch``
+(:func:`fold_groups` ... :func:`batch_result`).  The session's operators
+charge CPU and call them; the scatter-gather merge (``repro.shard.router``)
+and view serve (``repro.views.maintainer``) call the same ones, so there is
+one place an answer is shaped.
 """
 
 from __future__ import annotations
@@ -32,21 +39,15 @@ from ..engine.table import Table
 from ..obs import obs_of
 from .ast import (
     AggCall,
-    Between,
-    BinOp,
     ColumnRef,
     Delete,
     Expr,
-    InList,
     Insert,
-    Like,
     Literal,
     Param,
     Select,
-    UnaryOp,
+    SelectItem,
     Update,
-    binop_apply,
-    like_match,
 )
 from . import kernels
 from .cache import ParseCache, bind_plan, bind_statement, parse_entry
@@ -65,8 +66,8 @@ from .plan import (
 from .planner import Planner, PlannerConfig
 
 __all__ = ["QuerySession", "QueryResult", "PreparedStatement",
-           "AggAccumulator", "new_agg_states", "merge_agg_states",
-           "finalize_agg_states", "accumulators_of", "count_scan_cells"]
+           "fold_groups", "finalize_groups", "project_batch", "sort_batch",
+           "limit_batch", "batch_result", "count_scan_cells"]
 
 #: CPU charged per row flowing through a tight operator loop.
 ROW_CPU = 0.25 * US
@@ -95,44 +96,51 @@ class QueryResult:
 
 
 # ---------------------------------------------------------------------------
-# Aggregate accumulators (shared with the push-down runtime)
+# The answer tail: pure functions over partial groups and column batches
 # ---------------------------------------------------------------------------
+#
+# *Partial groups* have one shape wherever they are made, shipped or merged
+# (the group-by kernel, a storage-side fragment task, a scatter leg):
+# ``(keys, samples, states)`` - per group its key tuple, its first row as a
+# row of the ``ColumnBatch`` ``samples``, and its flat state in
+# :func:`repro.query.kernels.group_by`'s layout.
 
 
-@dataclass
-class AggAccumulator:
-    """Partial state for one aggregate call."""
-
-    count: int = 0
-    total: float = 0.0
-    minimum: Any = None
-    maximum: Any = None
-    distinct: Optional[set] = None
-
-
-def new_agg_states(aggs: Sequence[AggCall]) -> List[AggAccumulator]:
-    return [
-        AggAccumulator(distinct=set() if agg.distinct else None) for agg in aggs
-    ]
-
-
-def merge_agg_states(
-    into: List[AggAccumulator], other: List[AggAccumulator], aggs: Sequence[AggCall]
-) -> None:
-    for state, extra, agg in zip(into, other, aggs):
-        if agg.distinct:
-            state.distinct |= extra.distinct
+def fold_groups(
+    keys: Sequence[Tuple], samples: ColumnBatch, states: Sequence[List[Any]],
+    aggs: Sequence[AggCall],
+) -> Tuple[List[Tuple], ColumnBatch, List[List[Any]]]:
+    """Merge the partial groups that share a key (into the first one's
+    state, in place): groups keep first-seen order, a group's sample is the
+    first one seen.  COUNT / SUM / AVG add counts and totals in arrival
+    order, MIN / MAX keep the earlier of two equal values, DISTINCT unions
+    its value sets."""
+    merged: Dict[Tuple, List[Any]] = {}
+    first: List[int] = []
+    width = kernels.AGG_SLOTS
+    bases = range(1, 1 + width * len(aggs), width)
+    for i, (key, state) in enumerate(zip(keys, states)):
+        into = merged.setdefault(key, state)
+        if into is state:
+            first.append(i)
             continue
-        state.count += extra.count
-        state.total += extra.total
-        for attr, pick in (("minimum", min), ("maximum", max)):
-            mine, theirs = getattr(state, attr), getattr(extra, attr)
-            if theirs is not None:
-                setattr(state, attr, theirs if mine is None else pick(mine, theirs))
+        for agg, base in zip(aggs, bases):
+            if agg.distinct:
+                into[base + 4] |= state[base + 4]
+                continue
+            into[base] += state[base]
+            into[base + 1] += state[base + 1]
+            for slot, pick in ((base + 2, min), (base + 3, max)):
+                if state[slot] is not None:
+                    into[slot] = (
+                        state[slot] if into[slot] is None
+                        else pick(into[slot], state[slot])
+                    )
+    return list(merged), samples.gather(first), list(merged.values())
 
 
 def _finalize(agg: AggCall, count, total, minimum, maximum, distinct) -> Any:
-    """One aggregate's value from its state (``AggAccumulator`` fields)."""
+    """One aggregate's value from its :data:`kernels.AGG_SLOTS` slots."""
     if agg.distinct:
         return len(distinct)
     if agg.func == "count":
@@ -144,74 +152,88 @@ def _finalize(agg: AggCall, count, total, minimum, maximum, distinct) -> Any:
     return minimum if agg.func == "min" else maximum
 
 
-def finalize_agg_states(
-    states: List[AggAccumulator], aggs: Sequence[AggCall]
-) -> Dict[AggCall, Any]:
-    return {
-        agg: _finalize(agg, s.count, s.total, s.minimum, s.maximum, s.distinct)
-        for s, agg in zip(states, aggs)
-    }
-
-
-def _flat_state(states: List[AggAccumulator]) -> List[Any]:
-    """Accumulators in the group-by kernel's flat layout (no first row)."""
-    flat: List[Any] = [None]
-    for s in states:
-        flat += (s.count, s.total, s.minimum, s.maximum, s.distinct)
-    return flat
-
-
-def accumulators_of(flat: List[Any]) -> List[AggAccumulator]:
-    """A group's flat state (:func:`repro.query.kernels.group_by`'s) as
-    accumulators, the wire format of partial aggregates."""
+def finalize_groups(
+    samples: ColumnBatch, states: Sequence[List[Any]],
+    aggs: Sequence[AggCall], grouped: bool,
+) -> ColumnBatch:
+    """An Aggregate's output: one row per group - the group's sample
+    columns, then one column per aggregate, keyed by its ``AggCall``."""
+    if not states and not grouped:
+        # A global aggregate over zero rows still yields one row; it has
+        # no sample, so no column but the aggregates (of the empty state).
+        samples = ColumnBatch((), [], 1)
+        states = [[None] + [0, 0.0, None, None, ()] * len(aggs)]
     width = kernels.AGG_SLOTS
-    return [
-        AggAccumulator(*flat[base:base + width])
-        for base in range(1, len(flat), width)
+    values = [
+        [_finalize(call, *state[base:base + width]) for state in states]
+        for call, base in zip(aggs, range(1, 1 + width * len(aggs), width))
     ]
+    return ColumnBatch(
+        samples.keys + tuple(aggs),
+        samples.arrays + values,
+        len(states),
+        samples.nullable + (True,) * len(aggs),
+    )
 
 
-def eval_with_aggs(expr: Expr, row: Dict[str, Any],
-                   agg_values: Dict[AggCall, Any]) -> Any:
-    """Evaluate an expression that may embed aggregate results.
+def project_batch(
+    child: ColumnBatch, items: Sequence[SelectItem], star: bool, registry=None
+) -> ColumnBatch:
+    """A Project's output: the select items' columns (positionally:
+    :func:`batch_result` zips them into the rows), then the child's.  ORDER
+    BY resolves a name to the first select item bearing it, then to the
+    source and aggregate columns, retained for that."""
+    if star:
+        return child if child.n else ColumnBatch((), [], 0)
+    values = kernels.key_tuples(child, [item.expr for item in items], registry)
+    columns = list(map(list, zip(*values))) if values else [[] for _ in items]
+    return ColumnBatch(
+        tuple(item.output_name for item in items) + child.keys,
+        columns + child.arrays,
+        child.n,
+        (True,) * len(items) + child.nullable,
+    )
 
-    What the engine's kernels compute over an Aggregate's output batch,
-    for the callers that shape a handful of merged groups row by row: the
-    scatter-gather merge, the view maintainer and the test oracle."""
-    if isinstance(expr, AggCall):
-        try:
-            return agg_values[expr]
-        except KeyError:
-            return expr.eval(row)  # raises: no Aggregate computed it
-    if isinstance(expr, BinOp):
-        if expr.op == "and":
-            return bool(eval_with_aggs(expr.left, row, agg_values)) and bool(
-                eval_with_aggs(expr.right, row, agg_values)
-            )
-        if expr.op == "or":
-            return bool(eval_with_aggs(expr.left, row, agg_values)) or bool(
-                eval_with_aggs(expr.right, row, agg_values)
-            )
-        left = eval_with_aggs(expr.left, row, agg_values)
-        return binop_apply(
-            expr.op, left, eval_with_aggs(expr.right, row, agg_values)
+
+def sort_batch(
+    batch: ColumnBatch, order_by: Sequence[Tuple[Expr, bool]], registry=None
+) -> ColumnBatch:
+    """``batch`` in ORDER BY order: NULLs first ascending, last descending;
+    ``sorted`` is stable, so ties keep their input order."""
+    keys = kernels.key_tuples(batch, [expr for expr, _ in order_by], registry)
+    descending = [desc for _, desc in order_by]
+    keys = [tuple(map(_Reversible, key, descending)) for key in keys]
+    return batch.take(sorted(range(batch.n), key=keys.__getitem__))
+
+
+def limit_batch(batch: ColumnBatch, count: int) -> ColumnBatch:
+    """The first ``count`` rows."""
+    return batch.take(range(batch.n)[:count])
+
+
+def batch_result(
+    batch: ColumnBatch, items: Optional[Sequence[SelectItem]] = None,
+    star: bool = False,
+) -> "QueryResult":
+    """Rows become tuples here, once.  ``items`` and ``star`` are those of
+    the Project ``batch`` went through (None: it went through none)."""
+    if items is not None and not star:
+        # The select items lead the batch, positionally: two of them may
+        # share an output name.
+        columns = [item.output_name for item in items]
+        arrays = batch.arrays[: len(columns)]
+    else:
+        # The qualified column keys, as the rows' own dicts would list
+        # them: of the rows ``SELECT *`` read (its Project kept no key of
+        # an empty input), of the rows a plan without a Project on top
+        # (bare scan/join) returns.
+        columns = (
+            sorted(k for k in batch.keys if isinstance(k, str))
+            if batch.n or star else []
         )
-    if isinstance(expr, UnaryOp):
-        value = eval_with_aggs(expr.operand, row, agg_values)
-        return (not bool(value)) if expr.op == "not" else -value
-    if isinstance(expr, Between):
-        value = eval_with_aggs(expr.operand, row, agg_values)
-        if value is None:
-            return False
-        low = eval_with_aggs(expr.low, row, agg_values)
-        return low <= value <= eval_with_aggs(expr.high, row, agg_values)
-    if isinstance(expr, InList):
-        return eval_with_aggs(expr.operand, row, agg_values) in expr.options
-    if isinstance(expr, Like):
-        return like_match(
-            eval_with_aggs(expr.operand, row, agg_values), expr.pattern
-        )
-    return expr.eval(row)
+        arrays = [batch.column(key) for key in columns]
+    rows = list(zip(*arrays)) if arrays else [()] * batch.n
+    return QueryResult(columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +336,7 @@ class QuerySession:
         if isinstance(statement, Select):
             plan = self.cached_plan(sql, statement)
             return (yield from self.execute_plan(plan))
-        if isinstance(statement, Insert):
-            return (yield from self._execute_insert(statement))
-        if isinstance(statement, Update):
-            return (yield from self._execute_update(statement))
-        if isinstance(statement, Delete):
-            return (yield from self._execute_delete(statement))
-        raise QueryError("unsupported statement %r" % statement)
+        return (yield from self._dml(statement))
 
     def prepare(self, sql: str) -> "PreparedStatement":
         """Parse once; returns a reusable handle with parameter binding."""
@@ -337,39 +353,33 @@ class QuerySession:
         if isinstance(statement, Select):
             plan = self.planner.plan_select(statement)
             return (yield from self.execute_plan(plan))
-        if isinstance(statement, Insert):
-            return (yield from self._execute_insert(statement))
-        if isinstance(statement, Update):
-            return (yield from self._execute_update(statement))
-        if isinstance(statement, Delete):
-            return (yield from self._execute_delete(statement))
-        raise QueryError("unsupported statement %r" % statement)
+        return (yield from self._dml(statement))
 
-    def execute_partial_select(self, statement: Select):
-        """Generator: per-group *partial* aggregate states for one SELECT.
+    def execute_partial_select(self, statement: Select,
+                               sql: Optional[str] = None):
+        """Generator: this engine's share of a scattered SELECT, for
+        :func:`repro.shard.router.merge`.
 
-        The scatter-gather merge cannot recombine AVG or DISTINCT from
-        finalized per-shard values; it needs the pre-finalize states
-        (sum+count, distinct value sets).  This runs the plan up to and
-        including the Aggregate node's grouping but skips finalize,
-        returning ``(aggregates, [(key, sample_row, states), ...])`` for
-        the router to merge with :func:`merge_agg_states`.
+        An aggregate statement cannot be recombined from finalized
+        per-shard rows (AVG, DISTINCT, a LIMIT under ORDER BY <aggregate>),
+        so its plan runs up to and including the Aggregate's grouping and
+        stops: ``(aggregates, partial groups)``, the tail left to the merge.
+        Any other statement runs whole and returns its ``QueryResult``.
+        The plan is cached under ``sql`` when the caller has the text (a
+        bound AST re-plans, as in :meth:`execute_statement`).
         """
-        plan = self.planner.plan_select(statement)
+        if sql is not None:
+            plan = self.cached_plan(sql, statement)
+        else:
+            plan = self.planner.plan_select(statement)
         node = plan
         while isinstance(node, (Limit, Sort, Project)):
             node = node.child
         if not isinstance(node, Aggregate):
-            raise QueryError("statement has no aggregate to run partially")
-        keys, samples, states = yield from self._group(node)
+            return (yield from self.execute_plan(plan))
+        groups = yield from self._group(node)
         self.queries_executed += 1
-        return (
-            list(node.aggregates),
-            [
-                (key, samples.row_dict(i), accumulators_of(state))
-                for i, (key, state) in enumerate(zip(keys, states))
-            ],
-        )
+        return node.aggregates, groups
 
     def execute_point(self, point: "PointReadPlan", params: Sequence[Any]):
         """Generator: run a compiled prepared point read.
@@ -428,23 +438,9 @@ class QuerySession:
         node = plan
         while isinstance(node, (Limit, Sort)):
             node = node.child
-        if isinstance(node, Project) and not node.star:
-            # The select items lead the batch, positionally: two of them
-            # may share an output name.
-            columns = [item.output_name for item in node.items]
-            arrays = batch.arrays[: len(columns)]
-        else:
-            # The qualified column keys, as the rows' own dicts would list
-            # them: of the rows ``SELECT *`` read (its Project kept no key
-            # of an empty input), of the rows a plan without a Project on
-            # top (bare scan/join) returns.
-            columns = (
-                sorted(k for k in batch.keys if isinstance(k, str))
-                if batch.n or isinstance(node, Project) else []
-            )
-            arrays = [batch.column(key) for key in columns]
-        rows = list(zip(*arrays)) if arrays else [()] * batch.n
-        return QueryResult(columns, rows)
+        if isinstance(node, Project):
+            return batch_result(batch, node.items, node.star)
+        return batch_result(batch)
 
     # ------------------------------------------------------------------
     # Plan walking: every operator returns one ColumnBatch
@@ -470,8 +466,7 @@ class QuerySession:
         if isinstance(node, Sort):
             return (yield from self._run_sort(node))
         if isinstance(node, Limit):
-            batch = yield from self._run(node.child)
-            return batch.take(range(batch.n)[: node.count])
+            return limit_batch((yield from self._run(node.child)), node.count)
         raise QueryError("unknown plan node %r" % node)
 
     def _unfiltered(self, node: PlanNode):
@@ -683,14 +678,12 @@ class QuerySession:
     # -- aggregation -------------------------------------------------------------
     def _group(self, agg: Aggregate):
         """Generator: the grouping step of an Aggregate, finalize not
-        applied (:meth:`execute_partial_select` ships the states instead).
+        applied (:meth:`execute_partial_select` ships the groups instead).
 
-        Returns ``(keys, samples, states)``, one entry per group in
-        first-seen order: the group key, the group's first row as a row of
-        the batch ``samples``, and its flat state in
-        :func:`repro.query.kernels.group_by`'s layout.  Partial states a
-        pushed scan produced storage-side are merged; anything else groups
-        here, in one kernel.
+        Returns partial groups ``(keys, samples, states)``, one entry per
+        group in first-seen order.  The partial groups a pushed scan
+        produced storage-side, task by task, are folded; anything else
+        groups here, in one kernel.
         """
         child, aggs = agg.child, agg.aggregates
         if (
@@ -699,29 +692,11 @@ class QuerySession:
             and child.partial_agg is not None
             and self._pushed(child)
         ):
-            _, partials = yield from self.pushdown_runtime.run_scan(child)
-            yield from self.engine.cpu.consume(ROW_CPU * max(len(partials), 1))
-            merged: Dict[Tuple, List[AggAccumulator]] = {}
-            first: List[Dict[str, Any]] = []
-            for (key, sample), states in partials:
-                if key not in merged:
-                    merged[key] = states
-                    first.append(sample)
-                else:
-                    merge_agg_states(merged[key], states, aggs)
-            # Samples arrive as dicts keyed by the fragment's projection.
-            layout = ColumnBatch.for_scan(
-                child.binding,
-                self.engine.catalog.table(child.table_name).schema,
-                child.projection,
+            _, (keys, samples, states) = yield from self.pushdown_runtime.run_scan(
+                child
             )
-            samples = ColumnBatch(
-                layout.keys,
-                [[row[key] for row in first] for key in layout.keys],
-                len(first),
-                layout.nullable,
-            )
-            return list(merged), samples, list(map(_flat_state, merged.values()))
+            yield from self.engine.cpu.consume(ROW_CPU * max(len(keys), 1))
+            return fold_groups(keys, samples, states, aggs)
         batch, predicate = yield from self._unfiltered(child)
         flat, rows = kernels.group_by(
             batch, agg.group_exprs, aggs, predicate, self._registry
@@ -731,48 +706,16 @@ class QuerySession:
         return list(flat), batch.gather([state[0] for state in states]), states
 
     def _run_aggregate(self, agg: Aggregate):
-        """Generator: one row per group - the group's sample columns, then
-        one column per aggregate, keyed by its ``AggCall``."""
-        aggs = agg.aggregates
         _, samples, states = yield from self._group(agg)
-        if not states and not agg.group_exprs:
-            # A global aggregate over zero rows still yields one row; it
-            # has no sample, so no column but the aggregates.
-            samples = ColumnBatch((), [], 1)
-            states = [_flat_state(new_agg_states(aggs))]
-        width = kernels.AGG_SLOTS
-        values = [
-            [_finalize(call, *state[base:base + width]) for state in states]
-            for call, base in zip(aggs, range(1, 1 + width * len(aggs), width))
-        ]
-        return ColumnBatch(
-            samples.keys + tuple(aggs),
-            samples.arrays + values,
-            len(states),
-            samples.nullable + (True,) * len(aggs),
+        return finalize_groups(
+            samples, states, agg.aggregates, bool(agg.group_exprs)
         )
 
     # -- projection / sort ----------------------------------------------------
     def _run_project(self, project: Project):
-        """Generator: the select items' columns (positionally: execute_plan
-        zips them into the result), then the child's.  ORDER BY resolves a
-        name to the first select item bearing it, then to the source and
-        aggregate columns, retained for that."""
         child = yield from self._run(project.child)
         yield from self.engine.cpu.consume(ROW_CPU * max(child.n, 1))
-        if project.star:
-            return child if child.n else ColumnBatch((), [], 0)
-        items = project.items
-        values = kernels.key_tuples(
-            child, [item.expr for item in items], self._registry
-        )
-        columns = list(map(list, zip(*values))) if values else [[] for _ in items]
-        return ColumnBatch(
-            tuple(item.output_name for item in items) + child.keys,
-            columns + child.arrays,
-            child.n,
-            (True,) * len(items) + child.nullable,
-        )
+        return project_batch(child, project.items, project.star, self._registry)
 
     def _run_sort(self, sort: Sort):
         batch = yield from self._run(sort.child)
@@ -780,17 +723,21 @@ class QuerySession:
         yield from self.engine.cpu.consume(
             ROW_CPU * count * max(1.0, math.log2(count))
         )
-        keys = kernels.key_tuples(
-            batch, [expr for expr, _ in sort.order_by], self._registry
-        )
-        descending = [desc for _, desc in sort.order_by]
-        keys = [tuple(map(_Reversible, key, descending)) for key in keys]
-        # sorted() is stable: ties keep input order.
-        return batch.take(sorted(range(batch.n), key=keys.__getitem__))
+        return sort_batch(batch, sort.order_by, self._registry)
 
     # ------------------------------------------------------------------
     # DML
     # ------------------------------------------------------------------
+    def _dml(self, statement):
+        """The generator that runs one bound INSERT / UPDATE / DELETE."""
+        if isinstance(statement, Insert):
+            return self._execute_insert(statement)
+        if isinstance(statement, Update):
+            return self._execute_update(statement)
+        if isinstance(statement, Delete):
+            return self._execute_delete(statement)
+        raise QueryError("unsupported statement %r" % statement)
+
     def _execute_insert(self, stmt: Insert):
         table = self.engine.catalog.table(stmt.table)
         txn = self.engine.begin()
@@ -943,7 +890,7 @@ class PreparedStatement:
         self._template_token: Optional[tuple] = None
         self._point: Optional[PointReadPlan] = None
 
-    def _refresh_template(self, token: Optional[tuple]) -> PlanNode:
+    def _refresh_template(self, token: Optional[tuple]) -> None:
         template = self.session.planner.plan_select(self.statement)
         self._template = template
         self._template_token = token
@@ -951,17 +898,6 @@ class PreparedStatement:
             compile_point_plan(template, self.session.engine)
             if token is not None else None
         )
-        return template
-
-    def _select_plan(self, params: Tuple[Any, ...]) -> PlanNode:
-        session = self.session
-        token = session._stats_token(self.statement)
-        template = self._template
-        if template is None or token is None or token != self._template_token:
-            template = self._refresh_template(token)
-        if not params:
-            return template
-        return bind_plan(template, params)
 
     def execute(self, *params):
         """Generator: run with ``params`` bound; returns a QueryResult."""
@@ -985,13 +921,7 @@ class PreparedStatement:
             bind_statement(self.statement, params) if params
             else self.statement
         )
-        if isinstance(statement, Insert):
-            return (yield from session._execute_insert(statement))
-        if isinstance(statement, Update):
-            return (yield from session._execute_update(statement))
-        if isinstance(statement, Delete):
-            return (yield from session._execute_delete(statement))
-        raise QueryError("unsupported statement %r" % statement)
+        return (yield from session._dml(statement))
 
 
 class _Reversible:

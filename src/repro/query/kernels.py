@@ -70,9 +70,9 @@ __all__ = [
 _KERNEL_CACHE_LIMIT = 256
 _kernels: Dict[str, Callable] = {}
 
-#: Slots per aggregate in a group's flat state list, in
-#: ``AggAccumulator`` field order: count, total, minimum, maximum,
-#: distinct.  Slot 0 of the list is the group's first row index.
+#: Slots per aggregate in a group's flat state list: count, total, minimum,
+#: maximum, distinct (a value set, None unless DISTINCT).  Slot 0 of the
+#: list is the group's first row index.
 AGG_SLOTS = 5
 
 
@@ -519,9 +519,9 @@ def group_by(
 
     Returns ``(states, rows passed)``.  ``states`` maps each group key
     (first-seen order) to a flat list: the group's first row index, then
-    :data:`AGG_SLOTS` slots per aggregate in ``AggAccumulator`` field
-    order.  Rows accumulate in batch order exactly as
-    ``update_agg_states`` would, so float totals are bit-identical.
+    :data:`AGG_SLOTS` slots per aggregate.  Rows accumulate in batch order
+    exactly as the oracle's ``update_agg_states`` would, so float totals
+    are bit-identical.
     Without group expressions the state lives in local variables and the
     single ``()`` group exists only if a row passed.
     """

@@ -20,7 +20,7 @@ Grammar (simplified)::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..common import QueryError
 from .ast import (

@@ -15,7 +15,7 @@ runtime instead of pumping pages through the engine thread.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .ast import AggCall, Expr, SelectItem
 

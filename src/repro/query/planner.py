@@ -36,9 +36,7 @@ from .ast import (
     BinOp,
     ColumnRef,
     Expr,
-    JoinClause,
     Select,
-    SelectItem,
     TableRef,
 )
 from .plan import (

@@ -13,12 +13,13 @@ required page in the EBP index:
   executed against local SSD.
 
 Tasks are dispatched in parallel; each returns filtered column batches,
-partial aggregate states (full GROUP-BY partial aggregation, DISTINCT
-included), or the prepared build side of a hash join (join-key tuples +
-filtered columns), which the engine merges (secondary aggregation / hash
-probe).  Pages a server cannot serve (entry cleaned, server crashed) are
-returned as failures and re-processed through the engine's normal read
-path - push-down never affects correctness.
+partial groups (full GROUP-BY partial aggregation, DISTINCT included, in
+the executor's own ``(keys, samples, states)`` shape), or the prepared
+build side of a hash join (join-key tuples + filtered columns), which the
+engine merges (secondary aggregation / hash probe).  Pages a server cannot
+serve (entry cleaned, server crashed) are returned as failures and
+re-processed through the engine's normal read path - push-down never
+affects correctness.
 
 Fragments execute on the storage side exactly as the engine's operators
 do locally (column-major decode of the fragment's projection + the
@@ -31,11 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..common import US, PageId, QueryError, StorageError
+from ..common import PageId, StorageError
 from ..engine.dbengine import DBEngine
 from ..engine.ebp import EBP_PAGE_TAG, ExtendedBufferPool
 from ..engine.page import Page
-from ..engine.table import Table
 from ..obs import obs_of
 from ..sim.core import AllOf, Environment
 from ..sim.network import RpcNetwork
@@ -43,7 +43,7 @@ from ..storage.pagestore import PageStoreService, PageStoreServer
 from . import kernels
 from .ast import AggCall, Expr
 from .columnar import ColumnBatch
-from .executor import PAGE_CPU, ROW_CPU, accumulators_of, count_scan_cells
+from .executor import PAGE_CPU, ROW_CPU, count_scan_cells
 from .plan import SeqScan
 from .planner import GROUP_WIRE_BYTES, ROW_WIRE_BYTES
 
@@ -91,7 +91,8 @@ def execute_fragment_on_pages(
     Returns one of
     ``("batch", ColumnBatch)`` (plain filtered scan),
     ``("hash", (key_tuples, ColumnBatch))`` (pushed hash build) or
-    ``("partials", [((key, sample), states), ...])`` (partial GROUP BY),
+    ``("partials", (keys, samples, states))`` (partial GROUP BY: partial
+    groups as ``QuerySession._group`` makes them),
     plus the number of rows scanned (for CPU accounting by the caller).
     Batches and sample rows carry the fragment's projected columns only;
     rows keep page order then slot order, groups first-seen order.  The
@@ -109,11 +110,9 @@ def execute_fragment_on_pages(
         groups, _ = kernels.group_by(
             batch, group_exprs, aggs, fragment.filter, registry
         )
-        partials = [
-            ((key, batch.row_dict(state[0])), accumulators_of(state))
-            for key, state in groups.items()
-        ]
-        return ("partials", partials), scanned
+        states = list(groups.values())
+        samples = batch.gather([state[0] for state in states])
+        return ("partials", (list(groups), samples, states)), scanned
     if fragment.filter is not None:
         batch = batch.gather(kernels.select(batch, fragment.filter, registry))
     if fragment.hash_keys is not None:
@@ -178,8 +177,9 @@ class PushdownRuntime:
     def run_scan(self, scan: SeqScan):
         """Generator: execute a marked scan fragment via PQ.
 
-        Returns ``("batch", ColumnBatch)``, or ``("partials", [...])`` when
-        the fragment carries partial aggregation.
+        Returns ``("batch", ColumnBatch)``, or ``("partials", (keys,
+        samples, states))`` - every task's groups, unfolded - when the
+        fragment carries partial aggregation.
         """
         self.obs.registry.incr("query.pushdown.fragments")
         tracer = self.obs.tracer
@@ -324,14 +324,16 @@ class PushdownRuntime:
         if kind == "hash":
             _keys, batch = payload
             return 64 + (ROW_WIRE_BYTES + HASH_KEY_WIRE_BYTES) * batch.n
-        # partials: per-group state plus the shipped DISTINCT value sets.
+        # partials: per-group state plus the shipped DISTINCT value sets
+        # (the last slot of each aggregate in a flat state).
+        keys, _samples, states = payload
         distinct_values = sum(
-            len(state.distinct)
-            for _group, states in payload
+            len(values)
             for state in states
-            if state.distinct is not None
+            for values in state[kernels.AGG_SLOTS::kernels.AGG_SLOTS]
+            if values is not None
         )
-        return 64 + GROUP_WIRE_BYTES * len(payload) + 8 * distinct_values
+        return 64 + GROUP_WIRE_BYTES * len(keys) + 8 * distinct_values
 
     def _execute(self, fragment: PushdownFragment, pages: List[Page]):
         """One task's compute, with its decoded-cell accounting."""
@@ -449,25 +451,30 @@ class _Merge:
 
     def __init__(self, fragment: PushdownFragment):
         self.fragment = fragment
-        self.partials: List = []
+        #: Rows, or the sample rows of partial groups.
         self.batch = fragment.empty_batch()
-        self.hash_keys: List[Tuple] = []
+        #: Per row of ``batch``: its join-key tuple / its group key.
+        self.keys: List[Tuple] = []
+        self.states: List[List] = []
 
     def add(self, result) -> None:
         kind, payload = result
         if kind == "partials":
-            self.partials.extend(payload)
+            keys, samples, states = payload
+            self.keys.extend(keys)
+            self.batch.extend(samples)
+            self.states.extend(states)
         elif kind == "batch":
             self.batch.extend(payload)
         else:  # hash
             key_tuples, batch = payload
-            self.hash_keys.extend(key_tuples)
+            self.keys.extend(key_tuples)
             self.batch.extend(batch)
 
     def finish(self):
         fragment = self.fragment
         if fragment.hash_keys is not None:
-            return self.hash_keys, self.batch
+            return self.keys, self.batch
         if fragment.partial_agg is not None:
-            return ("partials", self.partials)
+            return ("partials", (self.keys, self.batch, self.states))
         return ("batch", self.batch)

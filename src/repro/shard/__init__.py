@@ -19,12 +19,7 @@ from .coordinator import (
     InDoubtTransaction,
 )
 from .robustness import CommitFence, FenceTimeout, GlobalDeadlockDetector
-from .router import (
-    merge_partial_results,
-    merge_select_results,
-    scatter_needs_partials,
-    scatter_unsupported_reason,
-)
+from .router import merge
 from .shardmap import ShardKeySpec, ShardMap
 from .token import ShardVectorToken
 
@@ -40,8 +35,5 @@ __all__ = [
     "ShardKeySpec",
     "ShardMap",
     "ShardVectorToken",
-    "merge_partial_results",
-    "merge_select_results",
-    "scatter_needs_partials",
-    "scatter_unsupported_reason",
+    "merge",
 ]

@@ -15,7 +15,7 @@ survives only as a thin accessor over component 0.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 __all__ = ["ShardVectorToken"]
 

@@ -24,7 +24,7 @@ from .devices import DramDevice, PMemDevice, SsdDevice, StorageDevice
 from .metrics import Counter, LatencyRecorder, ThroughputMeter, geomean, summarize
 from .network import RdmaFabric, RdmaVerb, RpcNetwork
 from .rand import Rng, SeedSequence, ZipfGenerator, nurand
-from .resources import CpuPool, Mutex, PriorityResource, Resource, Store
+from .resources import CpuPool, Mutex, Resource, Store
 
 __all__ = [
     "AllOf",
@@ -47,7 +47,6 @@ __all__ = [
     "ZipfGenerator",
     "nurand",
     "Resource",
-    "PriorityResource",
     "Mutex",
     "Store",
     "CpuPool",

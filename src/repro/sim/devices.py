@@ -15,8 +15,6 @@ All latencies are seconds; sizes are bytes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..obs import obs_of
 from .core import Environment
 from .rand import Rng

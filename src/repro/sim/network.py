@@ -16,7 +16,7 @@ All latencies are seconds; sizes are bytes.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
 from ..obs import obs_of
 from .core import Environment

@@ -17,7 +17,7 @@ or the :meth:`Resource.locked` context-generator helper used throughout the
 code base.
 
 Grant fast path: an uncontended ``request()`` (and every grant in
-``_grant_next``) triggers the request inline — setting ``_ok``/``_value``
+``release``) triggers the request inline — setting ``_ok``/``_value``
 directly instead of going through :meth:`Event.succeed`'s already-triggered
 guard — and the kernel routes the resulting delay-0 schedule through its
 same-tick trampoline.  The grant still consumes a sequence number at exactly
@@ -28,14 +28,14 @@ the slow path.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Deque, List, Optional, Tuple
+from heapq import heappush as _heappush
+from typing import Any, Deque, List
 
 from .core import PENDING as _PENDING
 from .core import Environment, Event, SimulationError
 from .core import _FAST_BOUND
 
-__all__ = ["Resource", "PriorityResource", "Store", "CpuPool", "Mutex"]
+__all__ = ["Resource", "Store", "CpuPool", "Mutex"]
 
 
 class _Request(Event):
@@ -154,9 +154,8 @@ class Resource:
             self._users.remove(request)
         except ValueError:
             raise SimulationError("release of a request that is not held")
-        # Inlined _grant_next() — release is as hot as request(), and the
-        # common case grants zero or one waiter.  PriorityResource overrides
-        # release() to route through its own grant loop.
+        # Grant inline: release is as hot as request(), and the common
+        # case grants zero or one waiter.
         waiting = self._waiting
         users = self._users
         env = self.env
@@ -169,23 +168,6 @@ class Resource:
             seq = env._seq
             env._seq = seq + 1
             if _len(env._fast) < _FAST_BOUND:
-                env._fast.append((env._now, seq, req, None))
-            else:
-                _heappush(env._queue, (env._now, seq, req))
-
-    def _grant_next(self) -> None:
-        waiting = self._waiting
-        users = self._users
-        env = self.env
-        while waiting and len(users) < self.capacity:
-            req = waiting.popleft()
-            if req.cancelled:
-                continue
-            users.append(req)
-            req._value = None
-            seq = env._seq
-            env._seq = seq + 1
-            if len(env._fast) < _FAST_BOUND:
                 env._fast.append((env._now, seq, req, None))
             else:
                 _heappush(env._queue, (env._now, seq, req))
@@ -224,51 +206,6 @@ class Mutex(Resource):
 
     def __init__(self, env: Environment):
         super().__init__(env, capacity=1)
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are served lowest-priority-value first.
-
-    Ties are FIFO (a sequence number preserves arrival order).
-    """
-
-    __slots__ = ("_pq", "_pseq")
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._pq: List[Tuple[float, int, _Request]] = []
-        self._pseq = 0
-
-    def request(self, priority: float = 0.0) -> _Request:  # type: ignore[override]
-        req = _Request(self.env, self)
-        if len(self._users) < self.capacity and not self._pq:
-            self._users.append(req)
-            req._value = None
-            self.env._schedule(req, 0.0)
-        else:
-            _heappush(self._pq, (priority, self._pseq, req))
-            self._pseq += 1
-        return req
-
-    def release(self, request: _Request) -> None:  # type: ignore[override]
-        try:
-            self._users.remove(request)
-        except ValueError:
-            raise SimulationError("release of a request that is not held")
-        self._grant_next()
-
-    def _grant_next(self) -> None:  # type: ignore[override]
-        while self._pq and len(self._users) < self.capacity:
-            _, _, req = _heappop(self._pq)
-            if req.cancelled:
-                continue
-            self._users.append(req)
-            req._value = None
-            self.env._schedule(req, 0.0)
-
-    @property
-    def queue_length(self) -> int:  # type: ignore[override]
-        return len(self._pq)
 
 
 class _StoreGet(Event):
@@ -405,12 +342,6 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def get_nowait(self) -> Optional[Any]:
-        """Pop an item if available, else None (no waiting)."""
-        if self._items:
-            return self._items.popleft()
-        return None
 
 
 class CpuPool:

@@ -12,7 +12,7 @@ compares the two directly.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..common import GB, KB, CapacityError
 from ..sim.core import AllOf, Environment

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..common import GB, KB, US
+from ..common import US
 from ..sim.core import AllOf, Environment
 from ..sim.devices import SsdDevice
 from ..sim.network import RpcNetwork

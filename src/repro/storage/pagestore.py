@@ -14,11 +14,10 @@ the number the EBP is designed to beat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..common import MS, US, PageId, StorageError
-from ..engine.page import Page, PageOp, apply_op
+from ..engine.page import Page, apply_op
 from ..engine.wal import RedoRecord, encode_records_size
 from ..sim.core import AllOf, Environment, Event
 from ..sim.devices import SsdDevice

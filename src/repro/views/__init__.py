@@ -21,7 +21,6 @@ base table per query:
 
 from .aggstate import (
     AggState,
-    finalize_states,
     merge_states,
     new_states,
     update_states,
@@ -36,7 +35,6 @@ __all__ = [
     "ViewDefinition",
     "ViewMaintainer",
     "ZSet",
-    "finalize_states",
     "merge_states",
     "new_states",
     "update_states",

@@ -1,8 +1,8 @@
 """Weight-aware, mergeable aggregate states for incremental views.
 
 Each state folds ``(value, weight)`` deltas (weight -1 retracts a prior
-+1) and finalizes to *exactly* the value the executor's
-``AggAccumulator`` path produces for the same multiset of rows:
++1) and finalizes to *exactly* the value the executor's group-by kernel
+and ``finalize_groups`` produce for the same multiset of rows:
 
 - ``COUNT`` counts contributing rows (``COUNT(*)`` counts every row,
   ``COUNT(expr)`` skips NULLs);
@@ -12,12 +12,13 @@ Each state folds ``(value, weight)`` deltas (weight -1 retracts a prior
 - ``MIN``/``MAX`` keep a value -> multiplicity map so retracting the
   current extreme re-exposes the runner-up;
 - ``DISTINCT`` keeps the same map and finalizes to the live-value count
-  (used by scatter-side partial aggregation; DISTINCT is non-linear
-  under deletion *of never-seen values* only, so the map handles it).
+  (DISTINCT is non-linear under deletion *of never-seen values* only, so
+  the map handles it; view definitions still refuse it).
 
-States also ``merge`` pairwise, which is what scatter-gather partial
-aggregation needs: each shard folds its local rows at weight +1, the
-router merges the states, and only then finalizes.
+States also ``merge`` pairwise (two folds of disjoint row sets combine
+into the fold of their union).  Serving calls ``finalize`` on each; the
+scatter-gather merge does not use these states - it folds the executor's
+own partial groups (``repro.shard.router``).
 
 Caveat (documented in DESIGN.md): SUM/AVG over float-valued columns is
 retraction-exact only when every intermediate total is exactly
@@ -43,7 +44,6 @@ __all__ = [
     "new_states",
     "update_states",
     "merge_states",
-    "finalize_states",
 ]
 
 
@@ -83,9 +83,9 @@ class CountState(AggState):
 class SumState(AggState):
     """SUM(expr): signed total plus contributing-row count.
 
-    ``total`` starts at ``0.0`` to mirror ``AggAccumulator.total`` -- an
-    integer-column SUM finalizes to a float either way, keeping served
-    answers byte-identical to executor rescans.
+    ``total`` starts at ``0.0`` to mirror the group-by kernel's total
+    slot -- an integer-column SUM finalizes to a float either way, keeping
+    served answers byte-identical to executor rescans.
     """
 
     __slots__ = ("count", "total")
@@ -185,7 +185,7 @@ def update_states(
 ) -> None:
     """Fold one weighted row into every aggregate's state.
 
-    NULL handling matches ``update_agg_states``: ``COUNT(*)`` counts the
+    NULL handling matches the group-by kernel: ``COUNT(*)`` counts the
     row unconditionally; any other aggregate skips NULL arguments.
     """
     for state, agg in zip(states, aggs):
@@ -201,10 +201,3 @@ def update_states(
 def merge_states(into: List[AggState], other: List[AggState]) -> None:
     for state, extra in zip(into, other):
         state.merge(extra)
-
-
-def finalize_states(
-    states: List[AggState], aggs: Sequence[AggCall]
-) -> Dict[AggCall, Any]:
-    """Finalized values keyed by AggCall, as ``eval_with_aggs`` expects."""
-    return {agg: state.finalize() for state, agg in zip(states, aggs)}

@@ -22,8 +22,6 @@ Two shapes remain, mirroring DBSP's linear operator class:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from ..common import QueryError
 from ..query.ast import AggCall, ColumnRef, Select
 from ..query.cache import parse_entry

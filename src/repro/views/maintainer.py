@@ -21,30 +21,28 @@ A catch-up scan folds the base table's page images into fresh state;
 are skipped (ARIES redo check).
 
 Serving is O(result): finalize the per-group states (or expand the
-Z-set), shape to the querying statement's items, apply its ORDER
-BY/LIMIT with the executor's own comparators, and return a
-``QueryResult`` byte-identical to a fresh executor rescan at the same
-LSN.
+Z-set) into the column batch the executor's Project would hand on for
+the querying statement, then run the executor's own Sort / Limit / row
+zip over it: a ``QueryResult`` byte-identical to a fresh executor rescan
+at the same LSN.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..common import MS, US, PageId, QueryError, StorageError
 from ..engine.redo_applier import RedoApplier
-from ..query.ast import AggCall, ColumnRef, Select
-from ..query.executor import (
-    ROW_CPU,
-    QueryResult,
-    _Reversible,
-    eval_with_aggs,
-)
+from ..obs import obs_of
+from ..query.ast import ColumnRef, Select
+from ..query.columnar import ColumnBatch
+from ..query.executor import ROW_CPU, batch_result, limit_batch, sort_batch
 from ..query.planner import match_view_select
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
-from .aggstate import finalize_states, new_states, update_states
+from .aggstate import new_states, update_states
 from .definition import ViewDefinition
 from .zset import ZSet
 
@@ -249,6 +247,7 @@ class ViewMaintainer:
         cores: int = 2,
     ):
         self.env = env
+        self._registry = obs_of(env).registry
         self.cpu = CpuPool(env, cores=cores)
         self.views: "OrderedDict[str, MaintainedView]" = OrderedDict()
         for definition in definitions:
@@ -343,73 +342,64 @@ class ViewMaintainer:
         Returns None if a crash lands mid-serve (caller reroutes).
         Output parity with the executor: identical finalized aggregate
         values (see :mod:`repro.views.aggstate`), the same identity row
-        for empty ungrouped aggregates, and the executor's own
-        ``_Reversible`` ORDER BY comparator.
+        for empty ungrouped aggregates, and the executor's own tail
+        (``sort_batch`` / ``limit_batch`` / ``batch_result``).
         """
         definition = view.definition
         applier = view.applier
         epoch = applier.epoch
         units = view.size if view.size else 1
         if statement.order_by:
-            import math
-
             units += units * max(1.0, math.log2(max(units, 2)))
         yield from self.cpu.consume(SERVE_CPU + ROW_CPU * units)
         if applier.epoch != epoch:
             return None
-        entries: List[Tuple[tuple, Dict[str, Any], Dict[AggCall, Any]]] = []
         if definition.is_aggregate:
-            group_rows = [
-                (key, finalize_states(entry[1], definition.aggregates))
-                for key, entry in view.groups.items()
-            ]
-            if not group_rows and not definition.group_by:
+            # What an Aggregate hands its Project: the group columns, then
+            # one column per aggregate keyed by its AggCall.
+            aggs, group_by = definition.aggregates, definition.group_by
+            groups = [(key, entry[1]) for key, entry in view.groups.items()]
+            if not groups and not group_by:
                 # Ungrouped aggregate over zero rows: one identity row.
-                group_rows = [(
-                    (),
-                    finalize_states(
-                        new_states(definition.aggregates),
-                        definition.aggregates,
-                    ),
-                )]
-            for key, agg_values in group_rows:
-                row = {
-                    group_expr.key: key[position]
-                    for position, group_expr in enumerate(definition.group_by)
-                }
-                shaped = []
-                for view_index in item_map:
-                    kind, index = definition.item_plan[view_index]
-                    if kind == "group":
-                        shaped.append(key[index])
-                    else:
-                        shaped.append(agg_values[definition.aggregates[index]])
-                entries.append((tuple(shaped), row, agg_values))
+                groups = [((), new_states(aggs))]
+            keys = tuple(expr.key for expr in group_by) + aggs
+            columns = [
+                [key[position] for key, _states in groups]
+                for position in range(len(group_by))
+            ] + [
+                [states[index].finalize() for _key, states in groups]
+                for index in range(len(aggs))
+            ]
+            stored = [
+                columns[index if kind == "group" else len(group_by) + index]
+                for kind, index in definition.item_plan
+            ]
+            count = len(groups)
         else:
-            for stored, weight in view.zset.items():
-                row = {
-                    item.expr.key: stored[index]
-                    for index, item in enumerate(definition.items)
-                    if isinstance(item.expr, ColumnRef)
-                }
-                shaped = tuple(stored[index] for index in item_map)
-                for _ in range(weight):
-                    entries.append((shaped, row, {}))
+            # What a scan hands its Project, as far as the view keeps it:
+            # the item tuples, of which the bare columns can be sorted by.
+            rows = [
+                row for row, weight in view.zset.items() for _ in range(weight)
+            ]
+            stored = (list(map(list, zip(*rows))) if rows
+                      else [[] for _ in definition.items])
+            at = [index for index, item in enumerate(definition.items)
+                  if isinstance(item.expr, ColumnRef)]
+            keys = tuple(definition.items[index].expr.key for index in at)
+            columns = [stored[index] for index in at]
+            count = len(rows)
+        # The Project's output: the statement's items lead, positionally.
+        batch = ColumnBatch(
+            tuple(item.output_name for item in statement.items) + keys,
+            [stored[index] for index in item_map] + columns,
+            count,
+        )
         if statement.order_by:
-            def sort_key(entry):
-                _shaped, row, agg_values = entry
-                return tuple(
-                    _Reversible(eval_with_aggs(expr, row, agg_values), desc)
-                    for expr, desc in statement.order_by
-                )
-
-            entries.sort(key=sort_key)
-        rows = [shaped for shaped, _row, _aggs in entries]
+            batch = sort_batch(batch, statement.order_by, self._registry)
         if statement.limit is not None:
-            rows = rows[: statement.limit]
+            batch = limit_batch(batch, statement.limit)
         view.serves += 1
-        columns = [item.output_name for item in statement.items]
-        return QueryResult(columns, rows)
+        return batch_result(batch, statement.items)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -11,7 +11,6 @@ against a stock veDB and a veDB+AStore deployment; so does this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 from ..common import TransactionAborted
 from ..engine.codec import BIGINT, DECIMAL, INT, VARCHAR, Column, Schema

@@ -14,12 +14,11 @@ paper's Figures 6-7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..common import QueryError, TransactionAborted
 from ..engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from ..engine.dbengine import DBEngine
-from ..sim.core import Environment
 from ..sim.metrics import LatencyRecorder, ThroughputMeter
 from ..sim.rand import Rng, nurand
 

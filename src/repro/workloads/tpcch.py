@@ -21,7 +21,7 @@ The paper-relevant structure is preserved exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from ..engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from ..engine.dbengine import DBEngine

@@ -6,7 +6,9 @@ plan node moved onto ``ColumnBatch`` kernels: one dict per row keyed
 ``binding.column``, plain ``Expr.eval`` per row, aggregates riding in an
 ``__aggs__`` entry.  It is full-width and engine-side only - it reads no
 ``pushdown`` mark, ``SeqScan.projection`` or ``HashJoin.output`` - so it is
-slow and obviously right; it must not be "optimised".
+slow and obviously right; it must not be "optimised".  It keeps its own
+aggregate accumulators and its own aggregate-aware expression evaluator:
+the engine's flat group states and generated kernels answer to them.
 
 It plans with the engine's own ``Planner`` and charges the same
 ``cpu.consume`` amounts and ``fetch_page`` calls in the same order as the
@@ -16,12 +18,25 @@ an engine run leave the virtual clock, ``pages_scanned`` and
 """
 
 import math
+from dataclasses import dataclass
+from typing import Any, Optional
 
 import pytest
 
 from repro.common import QueryError
 from repro.obs import obs_of
-from repro.query.ast import Select
+from repro.query import kernels
+from repro.query.ast import (
+    AggCall,
+    Between,
+    BinOp,
+    InList,
+    Like,
+    Select,
+    UnaryOp,
+    binop_apply,
+    like_match,
+)
 from repro.query.cache import parse_entry
 from repro.query.executor import (
     PAGE_CPU,
@@ -29,9 +44,6 @@ from repro.query.executor import (
     QueryResult,
     _Reversible,
     count_scan_cells,
-    eval_with_aggs,
-    finalize_agg_states,
-    new_agg_states,
 )
 from repro.query.plan import (
     Aggregate,
@@ -44,6 +56,89 @@ from repro.query.plan import (
     Sort,
 )
 from repro.query.planner import Planner, PlannerConfig
+
+
+@dataclass
+class AggAccumulator:
+    """Partial state for one aggregate call."""
+
+    count: int = 0
+    total: float = 0.0
+    minimum: Any = None
+    maximum: Any = None
+    distinct: Optional[set] = None
+
+
+def new_agg_states(aggs):
+    return [
+        AggAccumulator(distinct=set() if agg.distinct else None) for agg in aggs
+    ]
+
+
+def accumulators_of(flat):
+    """A group's flat state (``repro.query.kernels.group_by``'s layout:
+    first row index, then ``AGG_SLOTS`` slots per aggregate in
+    ``AggAccumulator`` field order) as accumulators, to compare."""
+    width = kernels.AGG_SLOTS
+    return [
+        AggAccumulator(*flat[base:base + width])
+        for base in range(1, len(flat), width)
+    ]
+
+
+def finalize_agg_states(states, aggs):
+    values = {}
+    for state, agg in zip(states, aggs):
+        if agg.distinct:
+            values[agg] = len(state.distinct)
+        elif agg.func == "count":
+            values[agg] = state.count
+        elif agg.func == "sum":
+            values[agg] = state.total if state.count else None
+        elif agg.func == "avg":
+            values[agg] = (state.total / state.count) if state.count else None
+        else:
+            values[agg] = state.minimum if agg.func == "min" else state.maximum
+    return values
+
+
+def eval_with_aggs(expr, row, agg_values):
+    """Evaluate an expression that may embed aggregate results: what the
+    engine's kernels compute over an Aggregate's output batch."""
+    if isinstance(expr, AggCall):
+        try:
+            return agg_values[expr]
+        except KeyError:
+            return expr.eval(row)  # raises: no Aggregate computed it
+    if isinstance(expr, BinOp):
+        if expr.op == "and":
+            return bool(eval_with_aggs(expr.left, row, agg_values)) and bool(
+                eval_with_aggs(expr.right, row, agg_values)
+            )
+        if expr.op == "or":
+            return bool(eval_with_aggs(expr.left, row, agg_values)) or bool(
+                eval_with_aggs(expr.right, row, agg_values)
+            )
+        left = eval_with_aggs(expr.left, row, agg_values)
+        return binop_apply(
+            expr.op, left, eval_with_aggs(expr.right, row, agg_values)
+        )
+    if isinstance(expr, UnaryOp):
+        value = eval_with_aggs(expr.operand, row, agg_values)
+        return (not bool(value)) if expr.op == "not" else -value
+    if isinstance(expr, Between):
+        value = eval_with_aggs(expr.operand, row, agg_values)
+        if value is None:
+            return False
+        low = eval_with_aggs(expr.low, row, agg_values)
+        return low <= value <= eval_with_aggs(expr.high, row, agg_values)
+    if isinstance(expr, InList):
+        return eval_with_aggs(expr.operand, row, agg_values) in expr.options
+    if isinstance(expr, Like):
+        return like_match(
+            eval_with_aggs(expr.operand, row, agg_values), expr.pattern
+        )
+    return expr.eval(row)
 
 
 def update_agg_states(states, aggs, row):

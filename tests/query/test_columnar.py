@@ -77,19 +77,20 @@ def test_batch_gather_full_selection_returns_self():
     assert batch.take(range(3)[:0]).n == 0
 
 
-def test_batch_extend_and_to_rows():
+def test_batch_extend():
     batch = make_batch()
     batch.extend(ColumnBatch(batch.keys, [[4], ["w"], [40]]))
     assert batch.n == 4
-    rows = batch.to_rows()
-    assert rows[3] == {"t.a": 4, "t.b": "w", "u.a": 40}
-    assert list(rows[0].keys()) == ["t.a", "t.b", "u.a"]
+    assert batch.keys == ("t.a", "t.b", "u.a")
+    assert [array[3] for array in batch.arrays] == [4, "w", 40]
+    with pytest.raises(ValueError, match="key mismatch"):
+        batch.extend(ColumnBatch(("t.a",), [[5]]))
 
 
 def test_batch_zero_columns_keeps_row_count():
     batch = ColumnBatch((), [], 5)
     assert batch.n == 5
-    assert batch.to_rows() == [{}] * 5
+    assert (batch.take([0, 3]).n, batch.gather(range(5))) == (2, batch)
 
 
 def test_resolve_column_mirrors_row_fallback_chain():

@@ -6,7 +6,7 @@ from repro.common import KB, PageId, QueryError
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.page import Page, PageOp, apply_op
 from repro.query.ast import AggCall, BinOp, ColumnRef, Expr, Literal
-from repro.query.executor import finalize_agg_states, merge_agg_states
+from repro.query.executor import finalize_groups, fold_groups
 from repro.query.pushdown import PushdownFragment, execute_fragment_on_pages
 
 
@@ -50,9 +50,8 @@ def test_plain_scan_returns_all_rows():
     (kind, batch), scanned = execute_fragment_on_pages(fragment(), make_pages(ROWS))
     assert kind == "batch"
     assert scanned == 20
-    rows = batch.to_rows()
-    assert len(rows) == 20
-    assert rows[0]["t.id"] == 0
+    assert batch.n == 20
+    assert batch.column("t.id")[0] == 0
 
 
 def test_filter_applies():
@@ -67,15 +66,18 @@ def test_filter_applies():
 def test_partial_aggregation_groups():
     aggs = [AggCall("count", None), AggCall("sum", ColumnRef("amount", "t"))]
     groups = [ColumnRef("grp", "t")]
-    (kind, partials), _ = execute_fragment_on_pages(
+    (kind, (keys, samples, states)), _ = execute_fragment_on_pages(
         fragment(partial_agg=(groups, aggs)), make_pages(ROWS)
     )
     assert kind == "partials"
-    assert len(partials) == 3  # grp in {0,1,2}
-    totals = {}
-    for (key, _sample), states in partials:
-        values = finalize_agg_states(states, aggs)
-        totals[key[0]] = (values[aggs[0]], values[aggs[1]])
+    assert keys == [(0,), (1,), (2,)]  # grp, first-seen order
+    # Each group's sample is its first row, in the fragment's projection.
+    assert samples.keys == ("t.id", "t.grp", "t.amount")
+    assert samples.arrays == [[0, 1, 2], [0, 1, 2], [0.0, 1.0, 2.0]]
+    final = finalize_groups(samples, states, aggs, True)
+    totals = dict(zip(
+        final.column("t.grp"), zip(final.column(aggs[0]), final.column(aggs[1]))
+    ))
     for grp in range(3):
         expected = [r for r in ROWS if r[1] == grp]
         assert totals[grp][0] == len(expected)
@@ -100,10 +102,16 @@ def test_partials_merge_across_tasks():
     (_, part_b), _ = execute_fragment_on_pages(
         fragment(partial_agg=(groups, aggs)), pages[2:]
     )
-    (key_a, _), states_a = part_a[0]
-    (_key_b, _), states_b = part_b[0]
-    merge_agg_states(states_a, states_b, aggs)
-    values = finalize_agg_states(states_a, aggs)
+    assert part_a[0] == part_b[0] == [()]
+    # What the dispatcher's _Merge and the engine's fold do with them.
+    samples = part_a[1]
+    samples.extend(part_b[1])
+    keys, samples, states = fold_groups(
+        part_a[0] + part_b[0], samples, part_a[2] + part_b[2], aggs
+    )
+    assert (keys, samples.column("t.id")) == ([()], [0])  # first-seen sample
+    final = finalize_groups(samples, states, aggs, False)
+    values = {agg: final.column(agg)[0] for agg in aggs}
     amounts = [r[2] for r in ROWS]
     assert values[aggs[0]] == 20
     assert values[aggs[1]] == pytest.approx(sum(amounts))
@@ -115,8 +123,7 @@ def test_partials_merge_across_tasks():
 def test_empty_pages():
     (kind, batch), scanned = execute_fragment_on_pages(fragment(), [])
     assert kind == "batch"
-    assert batch.n == 0
-    assert batch.to_rows() == []
+    assert (batch.n, batch.arrays) == (0, [[], [], []])
     assert scanned == 0
 
 
@@ -145,8 +152,8 @@ def test_fragment_decodes_and_returns_only_its_projection():
     )
     assert (kind, scanned) == ("batch", 20)
     assert batch.keys == ("t.id", "t.amount")
-    assert batch.to_rows() == [
-        {"t.id": i, "t.amount": float(i)} for i in range(15, 20)
+    assert batch.arrays == [
+        list(range(15, 20)), [float(i) for i in range(15, 20)]
     ]
     # No column at all still counts the rows.
     (kind, batch), scanned = execute_fragment_on_pages(

@@ -13,10 +13,15 @@ from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query import kernels
 from repro.query.ast import AggCall, BinOp, ColumnRef, Literal
 from repro.query.columnar import ColumnBatch
-from repro.query.executor import accumulators_of, new_agg_states
 from repro.query.plan import HashJoin, IndexNLJoin, explain
 
-from .row_oracle import RowOracle, execute, update_agg_states
+from .row_oracle import (
+    RowOracle,
+    accumulators_of,
+    execute,
+    new_agg_states,
+    update_agg_states,
+)
 
 A, B, G = ColumnRef("a", "t"), ColumnRef("b", "t"), ColumnRef("g", "t")
 
@@ -51,8 +56,8 @@ _filter = st.sampled_from([None, BinOp(">", B, Literal(-2)), BinOp("=", G, Liter
 
 
 def vector_group_by(batch, group_exprs, aggs, predicate=None):
-    """The group-by kernel's flat states as accumulators (what a fragment
-    ships), each group's first row index, and the rows that passed."""
+    """The group-by kernel's flat states as the oracle's accumulators, each
+    group's first row index, and the rows that passed."""
     flat, rows = kernels.group_by(batch, group_exprs, aggs, predicate)
     return (
         {key: accumulators_of(state) for key, state in flat.items()},

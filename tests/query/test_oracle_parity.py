@@ -26,11 +26,7 @@ from repro.query.plan import (
     Sort,
     explain,
 )
-from repro.shard import (
-    merge_partial_results,
-    merge_select_results,
-    scatter_needs_partials,
-)
+from repro.shard import merge
 from repro.workloads.tpcch import CH_QUERIES, TpcchDatabase, ch_query_sql
 
 from .row_oracle import RowOracle, assert_parity, execute
@@ -464,8 +460,7 @@ def t_deployment(rows):
 def scattered():
     """``t`` whole on one engine, and cut in two as a 2-shard scatter sees
     it.  ``scattered(sql)`` is the engine's answer (checked against the
-    oracle) and every merge of the two per-shard answers the proxy could
-    run: finalized rows, partial states, or both."""
+    oracle) and the proxy's merge of the two per-shard legs."""
     whole = t_deployment(T_ROWS)
     shards = [t_deployment(T_ROWS[:2]), t_deployment(T_ROWS[2:])]
 
@@ -474,17 +469,10 @@ def scattered():
         assert isinstance(statement, Select)
         one = assert_parity(whole, sql)
         legs = [(dep, dep.new_session(enable_pushdown=False)) for dep in shards]
-        merged = []
-        if not scatter_needs_partials(statement):
-            merged.append(merge_select_results(
-                statement, [run(dep, s.execute(sql)) for dep, s in legs]
-            ))
-        if statement.has_aggregates:
-            merged.append(merge_partial_results(
-                statement,
-                [run(dep, s.execute_partial_select(statement)) for dep, s in legs],
-            ))
-        return one, merged
+        return one, merge(statement, [
+            run(dep, session.execute_partial_select(statement, sql))
+            for dep, session in legs
+        ])
 
     return answers
 
@@ -500,8 +488,8 @@ def scattered():
 def test_aggregate_under_between_in_like_has_one_answer(scattered, item, value):
     one, merged = scattered("SELECT %s AS b FROM t" % item)
     assert (one.columns, one.rows) == (["b"], [(value,)])
-    # A composite aggregate item scatters as partial states, finalized once.
-    assert [(m.columns, m.rows) for m in merged] == [(one.columns, one.rows)]
+    # Legs ship partial groups; the merge finalizes once.
+    assert (merged.columns, merged.rows) == (one.columns, one.rows)
 
 
 @pytest.mark.parametrize("key, order", [
@@ -516,18 +504,17 @@ def test_aggregate_under_between_in_like_sorts_everywhere(scattered, key, order)
     )
     rows = {1: (1, 7, "ab"), 2: (2, 6, "ab"), 3: (3, 99, "ae")}
     assert one.rows == [rows[g] for g in order]
-    # From finalized per-shard rows, and from partial states.
-    assert [m.rows for m in merged] == [one.rows] * 2
+    assert merged.rows == one.rows
 
 
 def test_a_scattered_order_by_is_the_engines_order(scattered):
     # A NULL among the keys: it sorts first ascending, as on one engine.
     one, merged = scattered("SELECT a, b FROM t ORDER BY b, a DESC")
     assert one.rows == [(5, None), (1, None), (3, 1), (4, 5), (2, 5)]
-    assert [m.rows for m in merged] == [one.rows]
+    assert merged.rows == one.rows
     one, merged = scattered("SELECT a, b AS k FROM t ORDER BY k DESC, a LIMIT 3")
     assert one.rows == [(2, 5), (4, 5), (3, 1)]
-    assert [m.rows for m in merged] == [one.rows]
+    assert merged.rows == one.rows
     # An aggregate key is the select item that computes it.
     for key, first in (("sum(x) DESC", (3, 99, 1)), ("s DESC", (3, 99, 1)),
                        ("sum(x) * -1", (3, 99, 1)), ("count(*) DESC, g", (1, 7, 2))):
@@ -536,10 +523,134 @@ def test_a_scattered_order_by_is_the_engines_order(scattered):
             % key
         )
         assert one.rows == [first], key
-        assert [m.rows for m in merged] == [one.rows] * 2, key
-    # A key the select list does not carry cannot be ordered after the
-    # fact: a loud refusal, not shard-concat order.
-    for sql in ("SELECT a FROM t ORDER BY b",
-                "SELECT g, count(*) AS n FROM t GROUP BY g ORDER BY x"):
-        with pytest.raises(QueryError, match="cannot scatter-gather: ORDER BY"):
-            scattered(sql)
+        assert merged.rows == one.rows, key
+    # A group split across the shards: no leg may cut its groups by the
+    # statement's LIMIT (or rank them by a partial aggregate) before the
+    # merge.  Per-shard top-1s would be (1, -3.0) and (3, 1).
+    for sql, top in (
+        ("SELECT g, sum(x) AS s FROM t GROUP BY g ORDER BY s LIMIT 1", (2, 6.0)),
+        ("SELECT g, count(*) AS n FROM t GROUP BY g ORDER BY n DESC, g DESC "
+         "LIMIT 1", (2, 2)),
+    ):
+        one, merged = scattered(sql)
+        assert merged.rows == one.rows == [top], sql
+    # Whole rows came back from a plain select: a key the select list does
+    # not carry cannot be ordered after the fact.  A loud refusal, not
+    # shard-concat order.
+    with pytest.raises(QueryError, match="cannot scatter-gather: ORDER BY"):
+        scattered("SELECT a FROM t ORDER BY b")
+    # Groups bring their sample row: ordered by it, as on one engine.
+    one, merged = scattered("SELECT g, count(*) AS n FROM t GROUP BY g ORDER BY x")
+    assert merged.rows == one.rows == [(2, 2), (1, 2), (3, 1)]
+
+
+# ---------------------------------------------------------------------------
+# One tail, three entries: engine plan, scatter merge, view serve
+# ---------------------------------------------------------------------------
+
+TAIL_VIEWS = {
+    "by_g": "SELECT g, count(*), sum(x), avg(x), max(b) FROM t GROUP BY g",
+    "by_s": "SELECT s, min(b) FROM t GROUP BY s",
+    "none": "SELECT count(*), sum(x), min(s) FROM t WHERE a > 99",
+    "rows": "SELECT a, b, s FROM t",
+}
+#: (select list, FROM t ..., ORDER BY / LIMIT tail, view that serves it)
+TAIL_CASES = {
+    "alias-key": ("g, sum(x) AS s", "GROUP BY g", "ORDER BY s LIMIT 2", None),
+    "alias-key-plain": ("a AS k, b", "", "ORDER BY k DESC LIMIT 3", None),
+    "aggregate-key": ("g, count(*) AS n, avg(x)", "GROUP BY g",
+                      "ORDER BY count(*) DESC, g DESC LIMIT 1", "by_g"),
+    "aggregate-expression": ("g, sum(x) / count(*) AS mean, count(*)", "GROUP BY g",
+                             "ORDER BY sum(x) * -1 + count(*), g", None),
+    "desc-nulls": ("s, min(b) AS low", "GROUP BY s",
+                   "ORDER BY min(b) DESC, s DESC", "by_s"),
+    "desc-nulls-plain": ("a, b", "", "ORDER BY b DESC, a DESC LIMIT 4", "rows"),
+    "duplicate-names": ("g, count(*) AS g, sum(x) AS g", "GROUP BY g",
+                        "ORDER BY g DESC LIMIT 2", "by_g"),
+    "duplicate-names-plain": ("s, a AS s, b", "", "ORDER BY s DESC, b", "rows"),
+    # The first item named ``s`` is the key, though the view stores a column s.
+    "alias-shadows-column": ("a * 1 AS s, s", "", "ORDER BY s DESC LIMIT 2", None),
+    "alias-shadows-stored-column": ("a AS s, s", "", "ORDER BY s DESC LIMIT 2", "rows"),
+    "zero-rows": ("count(*), sum(x) AS total, min(s)", "WHERE a > 99", "", "none"),
+    "zero-rows-sorted": ("count(*), sum(x), min(s)", "WHERE a > 99",
+                         "ORDER BY sum(x) DESC LIMIT 5", "none"),
+    "limit-0": ("g, max(b)", "GROUP BY g", "ORDER BY g LIMIT 0", "by_g"),
+    "limit-0-plain": ("s, a", "", "LIMIT 0", "rows"),
+    "sample-row-key": ("g, count(*)", "GROUP BY g", "ORDER BY x DESC", None),
+    "unsorted": ("g, sum(x), avg(x)", "GROUP BY g", "", "by_g"),
+}
+
+
+@pytest.fixture(scope="module")
+def viewed():
+    """``t`` whole on an engine whose REDO feed maintains ``TAIL_VIEWS``."""
+    dep = Deployment(DeploymentSpec.astore_log(seed=3).with_views(TAIL_VIEWS))
+    dep.start()
+    dep.engine.create_table("t", Schema([
+        Column("a", INT()), Column("g", INT()), Column("x", INT()),
+        Column("b", INT(), nullable=True), Column("s", VARCHAR(8))]), ["a"])
+
+    def load(env):
+        txn = dep.engine.begin()
+        for row in T_ROWS:
+            yield from dep.engine.insert(txn, "t", row)
+        yield from dep.engine.commit(txn)
+        while not dep.views.caught_up():
+            yield env.timeout(0.002)
+
+    run(dep, load(dep.env))
+    return dep
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES))
+def test_engine_scatter_merge_and_view_serve_share_one_tail(scattered, viewed, case):
+    items, source, tail, view_name = TAIL_CASES[case]
+    sql = " ".join(("SELECT", items, "FROM t", source, tail)).strip()
+    one, merged = scattered(sql)
+    assert (merged.columns, merged.rows) == (one.columns, one.rows)
+    statement = parse_entry(sql)[0]
+    match = viewed.views.match(statement)
+    assert (match and match[0].definition.name) == view_name
+    if match is not None:
+        served = run(viewed, viewed.views.serve(match[0], statement, match[1]))
+        assert (served.columns, served.rows) == (one.columns, one.rows)
+    # Not vacuous: what the matrix is there to pin.
+    expected = {
+        "alias-key": [(2, 6.0), (1, 7.0)],
+        "aggregate-key": [(2, 2, 3.0)],
+        "desc-nulls": [("zz", 5), ("cd", 5), ("ae", 1), ("ab", None)],
+        "desc-nulls-plain": [(4, 5), (2, 5), (3, 1), (5, None)],
+        "duplicate-names": [(3, 1, 99.0), (2, 2, 6.0)],
+        "zero-rows": [(0, None, None)],
+        "limit-0": [],
+        "alias-shadows-stored-column": [(5, "ab"), (4, "zz")],
+    }
+    if case in expected:
+        assert one.rows == expected[case]
+
+
+def test_legs_that_plan_their_joins_differently_still_merge(db):
+    # One leg hashes (and gathers only the live columns), the other probes
+    # c's secondary index (and carries both tables whole): the samples the
+    # merge concatenates share exactly what the tail can read.
+    sql = ("SELECT b.tag, count(*) AS n, sum(c.z) AS z FROM b JOIN c "
+           "ON c.b_id = b.id GROUP BY b.tag ORDER BY b.y DESC")
+    statement = parse_entry(sql)[0]
+
+    def legs(*hash_joins):
+        return [
+            run(db, db.new_session(
+                enable_pushdown=False, force_hash_joins=hashed
+            ).execute_partial_select(statement, sql))
+            for hashed in hash_joins
+        ]
+
+    hashed, nested = (
+        set(samples.keys) for _aggs, (_, samples, _) in legs(True, False))
+    assert hashed == {"b.tag", "b.y", "c.z"} and hashed < nested
+    one = assert_parity(db, sql)
+    assert one.rows == [("w", 2, 300.0), ("y", 1, 500.0), ("u", 1, 100.0)]
+    # The same rows twice over: every count and sum doubles.
+    for order in ((True, False), (False, True)):
+        assert merge(statement, legs(*order)).rows == [
+            (tag, n * 2, z * 2) for tag, n, z in one.rows]

@@ -28,9 +28,8 @@ from repro.query.ast import (
 )
 from repro.query import kernels
 from repro.query.columnar import ColumnBatch
-from repro.query.executor import eval_with_aggs
 
-from .row_oracle import assert_parity
+from .row_oracle import assert_parity, eval_with_aggs
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +126,8 @@ def assert_same_outcome(expr, row, compute):
 def test_compiled_row_expr_matches_eval(expr):
     # As Project and Sort evaluate it: one kernel computing several
     # expressions (it among columns it may share variables with) for every
-    # row of a batch - and as ``eval_with_aggs`` does for the callers that
-    # shape merged groups row by row.
+    # row of a batch - and as the oracle's ``eval_with_aggs`` does row by
+    # row.
     items = [A, expr, S]
     fine = []
     for row in ROWS:
@@ -181,7 +180,7 @@ def test_unresolved_batch_column_raises_on_the_first_row():
     for batch, ref in ((batch_of(ROWS), ColumnRef("missing")),
                        (two, ColumnRef("a"))):  # ambiguous: t.a or u.a
         with pytest.raises(QueryError) as interpreted:
-            ref.eval(batch.row_dict(0))
+            ref.eval({k: array[0] for k, array in zip(batch.keys, batch.arrays)})
         message = str(interpreted.value)
         assert message == "column %r not in row" % ref.key
         for expr in (ref, BinOp("<", ref, Literal(3)), Between(ref, A, B),

@@ -216,9 +216,9 @@ def test_every_scan_path_carries_exactly_the_planned_projection():
     def pushed_rows():
         kind, batch = run(runtime.run_scan(scan))
         assert (kind, batch.keys) == ("batch", expected)
-        return sorted(batch.to_rows(), key=repr)
+        return sorted(zip(*batch.arrays), key=repr)
 
-    want = sorted(engine_batch.to_rows(), key=repr)
+    want = sorted(zip(*engine_batch.arrays), key=repr)
     assert pushed_rows() == want  # AStore tasks + buffer-pool pages
     assert runtime.pages_via_ebp > 0 and runtime.pages_local > 0
     runtime._run_on_astore = dying(runtime._run_on_astore)

@@ -141,6 +141,78 @@ def test_scatter_select_merges_across_shards():
     assert result.rows == [(40,)]
 
 
+def test_scattered_top_k_by_aggregate_is_the_one_engine_answer():
+    """``GROUP BY ... ORDER BY <aggregate> LIMIT k`` with a group split
+    across the shards: a leg that cut its groups by the LIMIT (or ranked
+    them by its share of the aggregate) before the merge would answer
+    (2, 4) - each shard's own top group - instead of (1, 6)."""
+    dep = build_sharded_frontend(seed=41)
+    home = {0: [], 1: []}
+    for k in range(40):
+        home[dep.shardmap.read_shard_of("kv", (k,))].append(k)
+    # v=1: three rows on each shard; v=2: four rows, all on shard 1.
+    rows = [(k, 1) for k in home[0][:3] + home[1][:3]]
+    rows += [(k, 2) for k in home[1][3:7]]
+    insert = "INSERT INTO kv VALUES %s" % ", ".join("(%d, %d)" % row for row in rows)
+    one = DeploymentSpec.astore_ebp(seed=41, astore_servers=3).build()
+    one.start()
+    one.engine.create_table(
+        "kv", Schema([Column("k", INT()), Column("v", INT())]), ["k"]
+    )
+    single = one.new_session()
+    run(one, single.execute(insert))
+    client = dep.frontend_session("client")
+    run(dep, client.execute(insert))
+    for sql, want in (
+        ("SELECT v, COUNT(*) AS n FROM kv GROUP BY v ORDER BY n DESC LIMIT 1",
+         [(1, 6)]),
+        ("SELECT v, COUNT(*) AS n FROM kv GROUP BY v ORDER BY n LIMIT 1",
+         [(2, 4)]),
+        ("SELECT v, COUNT(*), AVG(k) FROM kv GROUP BY v "
+         "ORDER BY COUNT(*) DESC, v LIMIT 1",
+         [(1, 6, sum(k for k, v in rows if v == 1) / 6)]),
+    ):
+        before = dep.frontend.scatter_selects
+        assert run(dep, client.execute(sql)).rows == want, sql
+        assert run(one, single.execute(sql)).rows == want, sql
+        assert dep.frontend.scatter_selects == before + 1
+    # The prepared path scatters the bound AST through the same legs.
+    prepared = client.prepare(
+        "SELECT v, COUNT(*) AS n FROM kv WHERE k >= ? GROUP BY v "
+        "ORDER BY n DESC LIMIT 1"
+    )
+    assert run(dep, prepared.execute(0)).rows == [(1, 6)]
+
+
+def test_repeated_scattered_aggregate_hits_the_plan_cache():
+    dep = build_sharded_frontend(seed=43)
+    client = dep.frontend_session("client")
+    values = ", ".join("(%d, %d)" % (k, k % 3) for k in range(12))
+    run(dep, client.execute("INSERT INTO kv VALUES %s" % values))
+    dep.run_for(0.5)  # replicas drain: the legs stay where they first ran
+    proxy = dep.frontend
+
+    def plan_cache():
+        sessions = list(proxy._primary_sessions.values())
+        sessions += proxy._replica_sessions.values()
+        return (sum(s.plan_cache_hits for s in sessions),
+                sum(s.plan_cache_misses for s in sessions))
+
+    sql = "SELECT v, COUNT(*), AVG(k) FROM kv GROUP BY v ORDER BY v"
+    first = run(dep, client.execute(sql))
+    assert first.rows == [(0, 4, 4.5), (1, 4, 5.5), (2, 4, 6.5)]
+    _hits, misses = plan_cache()
+    assert misses >= 2  # one plan per leg
+    routes = []
+    for _ in range(3):
+        hits, _ = plan_cache()
+        assert run(dep, client.execute(sql)).rows == first.rows
+        routes.append(plan_cache())
+        assert routes[-1][0] >= hits + 1
+    # Once every leg's session has seen the text, nothing re-plans.
+    assert routes[-1] == (routes[-2][0] + 2, routes[-2][1])
+
+
 def test_prepared_statement_routes_by_bound_parameter():
     dep = build_sharded_frontend(seed=37)
     client = dep.frontend_session("client")

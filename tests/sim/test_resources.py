@@ -1,9 +1,9 @@
-"""Tests for Resource, PriorityResource, Store, CpuPool, Mutex."""
+"""Tests for Resource, Store, CpuPool, Mutex."""
 
 import pytest
 
 from repro.sim.core import Environment
-from repro.sim.resources import CpuPool, Mutex, PriorityResource, Resource, Store
+from repro.sim.resources import CpuPool, Mutex, Resource, Store
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -78,33 +78,6 @@ def test_cancelled_request_is_skipped():
     assert not r2.triggered
 
 
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def user(env, name, priority):
-        req = res.request(priority=priority)
-        yield req
-        order.append(name)
-        yield env.timeout(1.0)
-        res.release(req)
-
-    def spawn(env):
-        # Occupy the resource first so later requests queue up.
-        req = res.request(priority=0)
-        yield req
-        env.process(user(env, "low", 5))
-        env.process(user(env, "high", 1))
-        env.process(user(env, "mid", 3))
-        yield env.timeout(1.0)
-        res.release(req)
-
-    env.process(spawn(env))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
 def test_store_put_then_get():
     env = Environment()
     store = Store(env)
@@ -152,15 +125,6 @@ def test_store_fifo_order():
     env.process(getter(env))
     env.run()
     assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_get_nowait():
-    env = Environment()
-    store = Store(env)
-    assert store.get_nowait() is None
-    store.put(7)
-    assert store.get_nowait() == 7
-    assert len(store) == 0
 
 
 def test_cpu_pool_serializes_beyond_cores():
@@ -250,7 +214,7 @@ def test_store_put_many_wakes_waiting_getters_fifo():
     env.process(putter(env))
     env.run()
     assert got == [("a", 10), ("b", 20)]
-    assert store.get_nowait() == 30
+    assert store.get().value == 30
 
 
 def test_store_put_many_skips_cancelled_getters():
@@ -315,7 +279,7 @@ def test_store_get_upto_woken_by_put_many():
     env.run()
     # A parked batched getter is woken with one item; the rest stay queued.
     assert p.value == ["a"]
-    assert store.get_nowait() == "b"
+    assert store.get().value == "b"
 
 
 def test_store_get_upto_rejects_bad_limit():

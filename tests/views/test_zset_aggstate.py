@@ -5,17 +5,8 @@ import pytest
 from repro.query import kernels
 from repro.query.cache import parse_entry
 from repro.query.columnar import ColumnBatch
-from repro.query.executor import (
-    accumulators_of,
-    finalize_agg_states,
-    new_agg_states,
-)
-from repro.views.aggstate import (
-    finalize_states,
-    merge_states,
-    new_states,
-    update_states,
-)
+from repro.query.executor import finalize_groups
+from repro.views.aggstate import merge_states, new_states, update_states
 from repro.views.zset import ZSet
 
 
@@ -70,6 +61,11 @@ AGG_SQL = (
 )
 
 
+def finalize_states(states, aggs):
+    """Finalized values keyed by AggCall, as view serve reads them."""
+    return {agg: state.finalize() for state, agg in zip(states, aggs)}
+
+
 def _rows_to_states(aggs, rows):
     states = new_states(aggs)
     for row in rows:
@@ -81,8 +77,10 @@ def _executor_values(aggs, rows):
     """What the executor's group-by kernel accumulates and finalizes."""
     batch = ColumnBatch(("t.v",), [[row["t.v"] for row in rows]])
     groups, _ = kernels.group_by(batch, [], aggs)
-    states = accumulators_of(groups[()]) if groups else new_agg_states(aggs)
-    return finalize_agg_states(states, aggs)
+    states = list(groups.values())
+    samples = batch.gather([state[0] for state in states])
+    final = finalize_groups(samples, states, aggs, False)
+    return {agg: final.column(agg)[0] for agg in aggs}
 
 
 ROWS = [

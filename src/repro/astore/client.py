@@ -30,7 +30,7 @@ from ..common import (
     StorageError,
 )
 from ..obs import obs_of
-from ..sim.core import AllOf, Environment, with_timeout
+from ..sim.core import Environment, FanOut, with_timeout
 from ..sim.network import RpcNetwork
 from ..sim.rand import Rng
 from .cluster_manager import ClusterManager, SegmentRoute
@@ -52,10 +52,6 @@ SDK_WRITE_PER_BYTE = 0.25e-9
 #: reports 10 us small reads / 20 us for a 16 KB page end to end).
 SDK_READ_BASE = 3e-6
 SDK_READ_PER_BYTE = 0.35e-9
-
-
-def _defuse(event) -> None:
-    event._defused = True
 
 
 class ClientSegmentMeta:
@@ -393,7 +389,7 @@ class AStoreClient:
                             % (server_id, segment_id, meta.written)
                         )
                 try:
-                    yield from self._replica_fanout_write(
+                    yield self._replica_fanout_write(
                         meta, segment_id, offset, length, payload
                     )
                 except StaleRouteError:
@@ -440,30 +436,21 @@ class AStoreClient:
 
     def _replica_fanout_write(self, meta: ClientSegmentMeta, segment_id: int,
                               offset: int, length: int, payload: Any):
-        """Generator: one parallel replica fan-out, per-op deadline applied."""
-        procs = []
-        for server_id in meta.route.replicas:
-            proc = self.env.process(
-                self.servers[server_id].one_sided_write(
-                    segment_id, offset, length, payload, epoch=meta.route.epoch
-                ),
-                name="write-%d@%s" % (segment_id, server_id),
-            )
-            # A sibling may fail after the AllOf has already failed (or
-            # after a timeout abandoned it); defuse so the orphaned
-            # failure cannot crash the event loop.
-            proc.callbacks.append(_defuse)
-            procs.append(proc)
-        condition = AllOf(self.env, procs)
-        condition.callbacks.append(_defuse)
-
-        def waiter():
-            return (yield condition)
-
-        return (yield from with_timeout(
-            self.env, waiter(), self.retry_policy.op_timeout,
+        """One parallel replica fan-out under the per-op deadline: an event
+        that fires once every replica acknowledged."""
+        servers = self.servers
+        epoch = meta.route.epoch
+        return FanOut(
+            self.env,
+            [
+                servers[server_id].one_sided_write(
+                    segment_id, offset, length, payload, epoch=epoch
+                )
+                for server_id in meta.route.replicas
+            ],
+            deadline=self.retry_policy.op_timeout,
             what="replica write fan-out",
-        ))
+        )
 
     def _freeze(self, meta: ClientSegmentMeta) -> None:
         meta.frozen = True
@@ -598,17 +585,13 @@ class AStoreClient:
         """Generator: in-place header rewrite on all replicas (SegmentRing)."""
         self._require_lease()
         meta = self._meta(segment_id)
-        procs = []
-        for server_id in meta.route.replicas:
-            if server_id not in self.servers:
-                continue
-            proc = self.env.process(
-                self.servers[server_id].overwrite_header(segment_id, length, payload)
-            )
-            proc.callbacks.append(_defuse)
-            procs.append(proc)
         try:
-            yield AllOf(self.env, procs)
+            yield FanOut(self.env, [
+                self.servers[server_id].overwrite_header(
+                    segment_id, length, payload)
+                for server_id in meta.route.replicas
+                if server_id in self.servers
+            ])
         except StorageError:
             self._freeze(meta)
             raise SegmentFrozenError("header write failed on %d" % segment_id)

@@ -293,7 +293,7 @@ class DBEngine:
         self._lat_log_flush.record(self.env.now - start)
         # WAL rule satisfied: durable records may now ship to PageStore.
         # Commit/abort markers are log-only; PageStore applies page ops.
-        self._ship_queue.extend(r for r in records if not r.is_marker)
+        self._ship_queue.extend([r for r in records if not r.is_marker])
         # Publish the durable batch (markers included) to each live
         # REDO feed.  Batches arrive in LSN
         # order because submit() allocates LSNs in append order and the

@@ -196,10 +196,16 @@ class ExtendedBufferPool:
 
     def _index_cs(self):
         """Generator: the serialised index critical section."""
-        req = self.index_mutex.request()
-        yield req
-        yield self.env.timeout(INDEX_CS_COST)
-        self.index_mutex.release(req)
+        mutex = self.index_mutex
+        held = mutex.try_acquire()
+        try:
+            if held is None:
+                held = mutex.request()
+                yield held
+            yield self.env.timeout(INDEX_CS_COST)
+        finally:
+            # An interrupt may land while queued for, or inside, the section.
+            mutex.give_back(held)
 
     def _adopt(self, segment_id: int) -> _SegmentState:
         """Account for a segment found on a server (never appended to

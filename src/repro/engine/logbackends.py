@@ -57,7 +57,9 @@ class AStoreLogBackend(LogBackend):
         # One SegmentRing append per batch: large writes are NOT split
         # (SegmentRing design point #1).
         last_lsn = records[-1].lsn
-        yield from self.ring.append(last_lsn, max(nbytes, 1), list(records))
+        # The writer hands over a batch list it never touches again, so
+        # that list itself is the segment entry's payload.
+        yield from self.ring.append(last_lsn, max(nbytes, 1), records)
 
     def recover(self):
         """Generator: binary-search the ring headers, read the live tail.

@@ -140,51 +140,57 @@ class StandbyReplica:
 
     def apply(self, batch: List[RedoRecord]) -> int:
         self.records_applied += len(batch)
+        pages = self.pages
+        drop = self.buffer_pool.drop
         for record in batch:
             if record.is_marker:
                 continue
-            page = self.pages.get(record.page_id)
+            page_id = record.page_id
+            lsn = record.lsn
+            page = pages.get(page_id)
             if page is None:
-                page = Page(record.page_id, size=self.primary.config.page_size)
-                self.pages[record.page_id] = page
-            elif page.page_lsn >= record.lsn:
+                page = Page(page_id, size=self.primary.config.page_size)
+                pages[page_id] = page
+            elif page.page_lsn >= lsn:
                 # ARIES-style redo check: the image (from a catch-up
                 # scan) already reflects this record, so the indexes
                 # rebuilt from it do too - skip maintenance.
                 continue
-            table = self._table_for(record.page_id)
+            table = self._table_for(page_id)
             op = record.op
+            kind = op.kind
             # Index maintenance BEFORE mutating the page (we may need the
             # pre-image still stored in the slot).
             if table is not None:
-                if op.kind == "insert":
+                if kind == "insert":
                     values = table.schema.decode(op.row)
                     if table.lookup(table.key_of(values)) is None:
-                        table.index_insert(
-                            values, (record.page_id.page_no, op.slot)
-                        )
-                elif op.kind == "update":
-                    old_row = self._before_image(page, record)
-                    new_values = table.schema.decode(op.row)
-                    if old_row is not None:
-                        old_values = table.schema.decode(old_row)
-                        table.index_update(
-                            old_values, new_values,
-                            (record.page_id.page_no, op.slot),
-                        )
-                elif op.kind == "delete":
+                        table.index_insert(values, (page_id.page_no, op.slot))
+                elif kind == "update":
+                    # An update moves neither the row nor its primary key
+                    # (the primary refuses one): without a secondary index
+                    # there is nothing to maintain, so nothing to decode.
+                    if table.secondary:
+                        old_row = self._before_image(page, record)
+                        if old_row is not None:
+                            table.index_update(
+                                table.schema.decode(old_row),
+                                table.schema.decode(op.row),
+                                (page_id.page_no, op.slot),
+                            )
+                elif kind == "delete":
                     old_row = self._before_image(page, record)
                     if old_row is not None:
                         old_values = table.schema.decode(old_row)
                         if table.lookup(table.key_of(old_values)) is not None:
                             table.index_delete(old_values)
-            apply_op(page, op, record.lsn)
+            apply_op(page, op, lsn)
             if table is not None:
                 # Keep page bookkeeping live so standby SQL sequential
                 # scans see the same page set the primary does.
-                table.note_page(record.page_id.page_no, page.free_bytes)
+                table.note_page(page_id.page_no, page.free_bytes)
             # Our page image supersedes any buffer-pool copy.
-            self.buffer_pool.drop(record.page_id)
+            drop(page_id)
         return len(batch)
 
     @staticmethod

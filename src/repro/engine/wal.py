@@ -65,17 +65,19 @@ class RedoRecord:
     #: ``undo_row`` never change after construction (``back_link`` does,
     #: and is part of the fixed framing).
     log_bytes: int = field(init=False, repr=False, compare=False)
+    #: Markers live in the log only; PageStore never applies them.  Every
+    #: consumer of the REDO feed asks once per record, so it is settled
+    #: here (the four flags are set at construction and never after).
+    is_marker: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         undo_row = self.undo_row
         self.log_bytes = self.op.log_bytes + 24 + (
             len(undo_row) if undo_row is not None else 0
         )
-
-    @property
-    def is_marker(self) -> bool:
-        """Markers live in the log only; PageStore never applies them."""
-        return self.commit or self.abort or self.prepare or self.decision
+        self.is_marker = (
+            self.commit or self.abort or self.prepare or self.decision
+        )
 
 
 _log_bytes_of = attrgetter("log_bytes")

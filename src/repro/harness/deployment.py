@@ -185,6 +185,17 @@ class DeploymentSpec:
                 "ebp_capacity_bytes (%d) below one segment (%d)"
                 % (self.ebp_capacity_bytes, self.ebp_segment_bytes)
             )
+        if (self.use_ebp
+                and self.ebp_capacity_bytes // self.ebp_segment_bytes < 3):
+            raise ValueError(
+                "ebp_capacity_bytes (%d) holds %d segment(s) of %d bytes; the "
+                "EBP cleaner keeps one segment spare, so fewer than 3 leaves "
+                "at most one segment of cache (raise the capacity or shrink "
+                "ebp_segment_bytes)"
+                % (self.ebp_capacity_bytes,
+                   self.ebp_capacity_bytes // self.ebp_segment_bytes,
+                   self.ebp_segment_bytes)
+            )
         if self.shards < 1:
             raise ValueError("shards must be >= 1, got %r" % self.shards)
         if self.deadlock_detect_interval <= 0:

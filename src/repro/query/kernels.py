@@ -63,6 +63,7 @@ __all__ = [
     "nullable",
     "probe",
     "select",
+    "weighted_fold",
 ]
 
 #: Kernels kept, by generated source.  A workload compiles a few per
@@ -302,20 +303,32 @@ class _Lowering:
         )
         return _Term(src, not compare, boolean=compare)
 
-    def run(self, kind: str, params: str, body: List[str], registry, *extra):
+    def bind(self, kind: str, params: str, body: List[str], registry
+             ) -> Callable[..., Any]:
         """Compile (or find) the kernel ``def kind(n, cols, k<params>)`` of
         ``body`` - ``n`` the row count, ``cols`` the arrays it reads, ``k``
-        its constants - and call it with ``extra`` for ``params``."""
-        columns = self.columns
+        its constants - as ``call(batch, *extra)`` over any batch shaped
+        like the one lowered against, ``extra`` filling ``params``."""
+        read = tuple(self.columns.read)
+        consts = self.consts
         head = []
-        if columns.read:
-            head.append("[%s] = cols" % ", ".join("c%d" % p for p in columns.read))
-        if self.consts:
+        if read:
+            head.append("[%s] = cols" % ", ".join("c%d" % p for p in read))
+        if consts:
             head.append(
-                "[%s] = k" % ", ".join("k%d" % i for i in range(len(self.consts)))
+                "[%s] = k" % ", ".join("k%d" % i for i in range(len(consts)))
             )
         kernel = _compile(kind, params, head + body, registry)
-        return kernel(columns.batch.n, columns.arrays(), self.consts, *extra)
+
+        def call(batch: ColumnBatch, *extra):
+            arrays = batch.arrays
+            return kernel(batch.n, [arrays[p] for p in read], consts, *extra)
+
+        return call
+
+    def run(self, kind: str, params: str, body: List[str], registry, *extra):
+        """:meth:`bind` and call at once, over the batch lowered against."""
+        return self.bind(kind, params, body, registry)(self.columns.batch, *extra)
 
 
 def nullable(batch: ColumnBatch, exprs: Sequence[Expr]) -> List[bool]:
@@ -582,3 +595,74 @@ def group_by(
     body.append("return groups, m")
     groups, passed = lowering.run("group_by", "", body, registry)
     return groups, (batch.n if predicate is None else passed)
+
+
+# ---------------------------------------------------------------------------
+# Weighted fold (incremental view maintenance)
+# ---------------------------------------------------------------------------
+
+
+def weighted_fold(
+    template: ColumnBatch,
+    predicate: Optional[Expr],
+    key_exprs: Sequence[Expr],
+    aggs: Optional[Sequence[AggCall]],
+    registry=None,
+) -> Callable[..., int]:
+    """Compile the fold of *signed* rows - ``+1`` an insert, ``-1`` the
+    retraction of one - into keyed state: :func:`group_by`'s retractable
+    sibling, lowered once per view and called per delta batch.
+
+    ``template`` is an (empty) batch of the shape every call passes.  Each
+    row passing ``predicate`` is keyed by the tuple of ``key_exprs``, rows
+    in order, and the returned function returns how many passed:
+
+    - ``aggs`` given - ``fold(batch, weights, groups, fresh)``: the key's
+      entry ``[weight, states]`` in ``groups`` (made with ``fresh()`` on
+      first sight, at the end of the dict) takes the row's weight, then
+      ``states[i].update(value, weight)`` per aggregate - ``COUNT(*)``
+      passes ``None``, any other aggregate skips a NULL argument, as the
+      group-by kernel does - and an entry whose weight is back to zero is
+      deleted.
+    - ``aggs`` None - ``fold(batch, weights, add)``: ``add(key, weight)``,
+      a Z-set's.
+    """
+    lowering = _Lowering(template)
+    loop: List[str] = []
+    if predicate is not None:
+        loop.append("if not %s: continue" % lowering.term(predicate).src)
+    loop.append("m += 1")
+    key = lowering.tuple_of(key_exprs)
+    if aggs is None:
+        kind, params = "fold_zset", ", weights, add"
+        loop.append("add(%s, w)" % key)
+    else:
+        kind, params = "fold_groups", ", weights, groups, fresh"
+        loop.extend([
+            "key = %s" % key,
+            "entry = get(key)",
+            "if entry is None: entry = groups[key] = [0, fresh()]",
+            "entry[0] += w",
+            "states = entry[1]",
+        ])
+        for number, agg in enumerate(aggs):
+            if agg.argument is None:  # COUNT(*)
+                loop.append("states[%d].update(None, w)" % number)
+                continue
+            argument = lowering.term(agg.argument)
+            value = argument.src
+            if not argument.leaf:
+                value = "x"
+                loop.append("x = %s" % argument.src)
+            update = "states[%d].update(%s, w)" % (number, value)
+            if argument.nullable:
+                update = "if %s is not None: %s" % (value, update)
+            loop.append(update)
+        loop.append("if not entry[0]: del groups[key]")
+    body = ["m = 0"]
+    if aggs is not None:
+        body.append("get = groups.get")
+    body.append(lowering.columns.loop(("w", "weights")) + ":")
+    body.extend("    " + line for line in loop)
+    body.append("return m")
+    return lowering.bind(kind, params, body, registry)

@@ -37,7 +37,7 @@ from ..engine.dbengine import DBEngine
 from ..engine.ebp import EBP_PAGE_TAG, ExtendedBufferPool
 from ..engine.page import Page
 from ..obs import obs_of
-from ..sim.core import AllOf, Environment
+from ..sim.core import Environment, FanOut
 from ..sim.network import RpcNetwork
 from ..storage.pagestore import PageStoreService, PageStoreServer
 from . import kernels
@@ -240,9 +240,9 @@ class PushdownRuntime:
             task.pages.append((page_id, required))
 
         all_tasks = list(astore_tasks.values()) + list(pagestore_tasks.values())
-        procs = [
-            self.env.process(self._dispatch(fragment, task)) for task in all_tasks
-        ]
+        dispatched = FanOut(
+            self.env, [self._dispatch(fragment, task) for task in all_tasks]
+        ) if all_tasks else None
         # Meanwhile the engine thread processes buffer-pool-resident pages.
         local_result, failed = yield from self._run_local(
             fragment, [(pid, 0) for pid in local_pages]
@@ -251,10 +251,8 @@ class PushdownRuntime:
         self.obs.registry.incr("query.pushdown.pages_local", len(local_pages))
         merged = _Merge(fragment)
         merged.add(local_result)
-        if procs:
-            results = yield AllOf(self.env, procs)
-            for proc in procs:
-                task_result, task_failed = proc.value
+        if dispatched is not None:
+            for task_result, task_failed in (yield dispatched):
                 merged.add(task_result)
                 failed.extend(task_failed)
         # Fallback: any failed page goes through the normal engine path.

@@ -32,6 +32,20 @@ and (for process resumptions) the throwaway ``Event`` allocation.  If the
 trampoline is full, entries overflow to the heap, which is merely slower,
 never different.
 
+Fan-out
+-------
+Parallel work that a caller joins - a replicated append, a quorum ship,
+striped I/O, dispatched query fragments - goes through one primitive,
+:class:`FanOut`: the legs are plain generators, started inside the
+constructor and driven by event callbacks, joined on k of N with an
+optional deadline.  A fan schedules one event of its own (its completion)
+on top of whatever moves the clock inside its legs; a spawned
+:class:`Process` per leg would add a bootstrap and a completion event
+each, plus a condition event for the join.  :func:`with_timeout` is the
+deadline alone, armed on the calling process.  The rule for removing an
+event: **only the event count may be able to see it** - same clock, same
+RNG draws, same resource order, same outputs on every seed.
+
 Example
 -------
 >>> env = Environment()
@@ -58,6 +72,7 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
+    "FanOut",
     "Interrupt",
     "SimulationError",
     "with_timeout",
@@ -427,44 +442,250 @@ class AnyOf(_Condition):
         self.succeed(self._collect())
 
 
-def _defuse(event: Event) -> None:
-    event._defused = True
+class _Leg:
+    """One generator of a :class:`FanOut`, driven by event callbacks.
 
-
-def with_timeout(env: "Environment", target, seconds: Optional[float],
-                 what: str = "operation"):
-    """Generator: wait for ``target``, but at most ``seconds`` virtual seconds.
-
-    ``target`` is a :class:`Process` or a plain generator (spawned here).
-    On timeout the in-flight process is interrupted and its eventual
-    failure defused (a failed event with no live waiter would otherwise
-    crash :meth:`Environment.step`), and ``DeadlineExceededError`` is
-    raised in the caller.  ``seconds=None`` waits without a deadline.
+    A leg is what a :class:`Process` would be without its two bookkeeping
+    events: it starts in the tick (and the host call) that creates it, and
+    its return goes straight to the join instead of through a completion
+    event of its own.  It registers *itself* in the callbacks of whatever
+    its generator yields, so a flush resumes it through ``__call__``.
     """
+
+    __slots__ = ("fan", "index", "_send", "_throw", "_target")
+
+    def __init__(self, fan: "FanOut", index: int, generator: Generator):
+        self.fan = fan
+        self.index = index
+        try:
+            self._send = generator.send
+            self._throw = generator.throw
+        except AttributeError:
+            raise TypeError("fan-out leg requires a generator, got %r"
+                            % (generator,))
+        self._target: Optional[Event] = None
+
+    def _detach(self) -> None:
+        """Stop waiting on the current target."""
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self)
+            except ValueError:
+                pass
+        self._target = None
+
+    def __call__(self, event: Event) -> None:
+        # Fired by the awaited event - or by a ``with_timeout`` expiry the
+        # leg armed, in which case it still sits in its target's callbacks.
+        if self._target is event:
+            self._target = None
+        else:
+            self._detach()
+        if event._ok:
+            self._advance(self._send, event._value)
+        else:
+            event._defused = True
+            self._advance(self._throw, event._value)
+
+    def _advance(self, step, value) -> None:
+        """Run the generator to its next pending event, or to its end."""
+        fan = self.fan
+        env = fan.env
+        outer = env._active_process
+        env._active_process = self
+        try:
+            while True:
+                try:
+                    result = step(value)
+                except StopIteration as stop:
+                    fan._leg_done(self.index, stop.value)
+                    return
+                except BaseException as exc:  # noqa: BLE001 - the join decides
+                    fan._leg_failed(exc)
+                    return
+                try:
+                    callbacks = result.callbacks
+                except AttributeError:
+                    step = self._throw
+                    value = SimulationError(
+                        "fan-out leg yielded non-event %r" % (result,))
+                    continue
+                if callbacks is not None:
+                    callbacks.append(self)
+                    self._target = result
+                    return
+                # Already processed: its outcome goes straight back in.
+                if result._ok:
+                    step = self._send
+                else:
+                    result._defused = True
+                    step = self._throw
+                value = result._value
+        finally:
+            env._active_process = outer
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the leg where it waits, now."""
+        if self._target is None:
+            return  # returned already (or is the leg running right now)
+        self._detach()
+        self._advance(self._throw, Interrupt(cause))
+
+
+class FanOut(Event):
+    """Start generator ``legs`` now and join on ``need`` of them.
+
+    The one fan-out primitive: every leg runs to its first pending event
+    inside the constructor (no bootstrap event), a leg's return is counted
+    by the join directly (no completion event), and the fan itself fires
+    exactly once - the single event a caller pays on top of whatever
+    moves the clock inside the legs.
+
+    - Succeeds, with the list of leg return values in leg order, as soon
+      as ``need`` legs have returned (default: all of them).  Legs still
+      running then run on in the background; ``values`` holds ``None``
+      for them, and a failure of theirs is survivable by definition.
+    - Fails with the exception of the leg whose failure left fewer than
+      ``need`` able to return, or with ``DeadlineExceededError`` once
+      ``deadline`` virtual seconds have passed.  Either way every leg
+      still waiting is interrupted on the spot - :class:`Interrupt` is
+      thrown where it waits, so its ``finally`` blocks hand channels,
+      cores and latches back - and legs not yet started never are.
+
+    The failure is delivered to whoever yields on the fan, whenever that
+    is (it is born defused): a caller may do other work between starting
+    the legs and joining them.
+    """
+
+    __slots__ = ("values", "_legs", "_need", "_spare", "_deadline", "_what")
+
+    def __init__(self, env: "Environment", legs: Iterable[Generator],
+                 need: Optional[int] = None,
+                 deadline: Optional[float] = None,
+                 what: str = "operation"):
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = True
+        generators = list(legs)
+        count = len(generators)
+        if need is None:
+            need = count
+        elif not 0 <= need <= count:
+            raise ValueError("need %d of %d legs" % (need, count))
+        self._need = need
+        self._spare = count - need
+        self._what = what
+        self.values: List[Any] = [None] * count
+        self._legs: List[_Leg] = []
+        self._deadline: Optional[Timeout] = None
+        if need == 0:
+            self.succeed(self.values)
+        elif deadline is not None:
+            self._deadline = timer = env.timeout(deadline)
+            timer.callbacks.append(self._expire)
+        for index, generator in enumerate(generators):
+            if self._value is not PENDING and not self._ok:
+                generator.close()  # never started: nothing to unwind
+                continue
+            leg = _Leg(self, index, generator)
+            self._legs.append(leg)
+            leg._advance(leg._send, None)
+
+    def _leg_done(self, index: int, value: Any) -> None:
+        if self._value is not PENDING:
+            return  # a straggler behind a join that already fired
+        self.values[index] = value
+        self._need -= 1
+        if self._need == 0:
+            self._disarm()
+            self._legs = []  # legs point back here: leave no cycle behind
+            self.succeed(self.values)
+
+    def _leg_failed(self, exc: BaseException) -> None:
+        if self._value is not PENDING:
+            return
+        if self._spare:
+            self._spare -= 1
+            return
+        self._abort(exc)
+
+    def _expire(self, _event: Event) -> None:
+        from ..common import DeadlineExceededError
+
+        self._abort(DeadlineExceededError(
+            "%s exceeded %.6fs deadline" % (self._what, self._deadline.delay)
+        ))
+
+    def _disarm(self) -> None:
+        # The deadline stays in the heap until it fires (removing it would
+        # shift event order); it just no longer points at anything.
+        timer = self._deadline
+        if timer is not None and timer.callbacks is not None:
+            timer.callbacks.clear()
+
+    def _abort(self, exc: BaseException) -> None:
+        self._disarm()
+        self.fail(exc)
+        legs, self._legs = self._legs, []
+        for leg in legs:
+            leg.interrupt(self._what)
+
+
+def with_timeout(env: "Environment", target: Generator,
+                 seconds: Optional[float], what: str = "operation"):
+    """Generator: run ``target`` inline, for at most ``seconds`` virtual
+    seconds.
+
+    ``target`` is a plain generator and runs in the *calling* process (or
+    fan-out leg): no process is spawned for it, the only event this costs
+    is the deadline itself.  When the deadline passes first,
+    :class:`Interrupt` is thrown into the caller where it waits inside
+    ``target`` - unwinding it through its ``finally`` blocks - and
+    surfaces from here as ``DeadlineExceededError``.  The throw happens
+    one same-tick hop after the deadline fires, so a target that completes
+    in the deadline's own tick still wins.  ``seconds=None`` waits without
+    a deadline.
+    """
+    if seconds is None:
+        return (yield from target)
     from ..common import DeadlineExceededError
 
-    proc = target if isinstance(target, Process) else env.process(target)
-    if seconds is None:
-        return (yield proc)
-    # Defuse up front: the process may fail in the same tick the timeout
-    # wins, before this generator gets a chance to resume.
-    if proc.callbacks is not None:
-        proc.callbacks.append(_defuse)
-    deadline = Timeout(env, seconds)
-    yield AnyOf(env, [proc, deadline])
-    if proc.triggered:
+    owner = env._active_process
+    if owner is None:
+        raise SimulationError("with_timeout outside a process")
+    signal = Interrupt("deadline exceeded")
+    armed: List[Event] = []
+
+    def expire(_event: Event) -> None:
+        expiry = Event(env)
+        expiry._ok = False
+        expiry._value = signal
+        expiry._defused = True
+        expiry.callbacks.append(owner)
+        armed.append(expiry)
+        env._schedule(expiry)
+
+    deadline = env.timeout(seconds)
+    deadline.callbacks.append(expire)
+    armed.append(deadline)
+    try:
+        return (yield from target)
+    except Interrupt as interrupt:
+        if interrupt is not signal:
+            raise
+        raise DeadlineExceededError(
+            "%s exceeded %.6fs deadline" % (what, seconds)
+        ) from None
+    finally:
         # The deadline stays in the heap until it fires (removing it would
-        # shift event order); drop its reference to the condition so it
-        # does not pin ``proc`` and the returned payload until then.
-        if deadline.callbacks is not None:
-            deadline.callbacks.clear()
-        if not proc._ok:
-            raise proc._value
-        return proc._value
-    proc.interrupt("deadline exceeded")
-    raise DeadlineExceededError(
-        "%s exceeded %.6fs deadline" % (what, seconds)
-    )
+        # shift event order); dropping its callback keeps it from pinning
+        # the caller and whatever ``target`` returned until then.
+        for event in armed:
+            if event.callbacks is not None:
+                event.callbacks.clear()
 
 
 class Environment:
@@ -493,14 +714,15 @@ class Environment:
         self._queue: List = []  # heap of (time, seq, event)
         self._fast: deque = deque()  # sorted (time, seq, obj, payload)
         self._seq = 0
-        self._active_process: Optional[Process] = None
+        #: The process - or fan-out leg - whose generator is running.
+        self._active_process: Any = None
 
     #: Current virtual time in seconds.  Read on every statement, span and
     #: latency sample, so the getter is C-level: no Python frame per read.
     now = property(attrgetter("_now"), doc="Current virtual time in seconds.")
 
     @property
-    def active_process(self) -> Optional[Process]:
+    def active_process(self) -> Any:
         return self._active_process
 
     # -- factories --------------------------------------------------------

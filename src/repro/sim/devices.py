@@ -100,13 +100,17 @@ class StorageDevice:
             else None
         )
         start = self.env.now
-        req = self._channels.request()
+        # A free channel is taken on the spot: only a queued access waits
+        # for (and pays the event of) a grant.
+        req = self._channels.try_acquire()
         try:
-            yield req
-            wait = self.env.now - start
-            if wait > 0:
-                self.queue_wait_total += wait
-                self.obs.registry.add(self._qw_key, wait)
+            if req is None:
+                req = self._channels.request()
+                yield req
+                wait = self.env.now - start
+                if wait > 0:
+                    self.queue_wait_total += wait
+                    self.obs.registry.add(self._qw_key, wait)
             yield self.env.timeout(service)
         finally:
             # An interrupt may land while still queued for a channel.
@@ -127,13 +131,17 @@ class StorageDevice:
             else None
         )
         start = self.env.now
-        req = self._channels.request()
+        # A free channel is taken on the spot: only a queued access waits
+        # for (and pays the event of) a grant.
+        req = self._channels.try_acquire()
         try:
-            yield req
-            wait = self.env.now - start
-            if wait > 0:
-                self.queue_wait_total += wait
-                self.obs.registry.add(self._qw_key, wait)
+            if req is None:
+                req = self._channels.request()
+                yield req
+                wait = self.env.now - start
+                if wait > 0:
+                    self.queue_wait_total += wait
+                    self.obs.registry.add(self._qw_key, wait)
             yield self.env.timeout(service)
         finally:
             # An interrupt may land while still queued for a channel.

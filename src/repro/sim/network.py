@@ -16,7 +16,7 @@ All latencies are seconds; sizes are bytes.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..obs import obs_of
 from .core import Environment
@@ -186,13 +186,13 @@ class RdmaFabric:
                 "%s.bytes_moved" % prefix, lambda: self.bytes_moved
             )
 
-    def _verb_time(self, verb: RdmaVerb) -> float:
-        nominal = self.verb_latency + verb.nbytes / self.bandwidth
+    def _verb_time(self, nbytes: int) -> float:
+        nominal = self.verb_latency + nbytes / self.bandwidth
         return self.rng.lognormal_around(nominal, self.jitter_sigma)
 
     def post(self, verb: RdmaVerb):
         """Generator: post a single verb (its own doorbell). Returns latency."""
-        total = self.doorbell_cost + self._verb_time(verb)
+        total = self.doorbell_cost + self._verb_time(verb.nbytes)
         tracer = self.obs.tracer
         if tracer.enabled:
             with tracer.span(
@@ -212,27 +212,31 @@ class RdmaFabric:
         trick to reduce MMIO cost on the persistent-write path.
         Returns total latency.
         """
-        verbs = list(verbs)
-        if not verbs:
+        return self._chain([verb.nbytes for verb in verbs])
+
+    def _chain(self, sizes: Sequence[int]):
+        """Generator: one doorbell, then a verb of each size in ``sizes``
+        back to back on the wire.  Returns total latency."""
+        if not sizes:
             return 0.0
         # One pass for the wire time (left to right from 0, as ``sum``
         # adds it) and the byte count.
         wire = 0
         nbytes = 0
-        for verb in verbs:
-            wire += self._verb_time(verb)
-            nbytes += verb.nbytes
+        for size in sizes:
+            wire += self._verb_time(size)
+            nbytes += size
         total = self.doorbell_cost + wire
         tracer = self.obs.tracer
         if tracer.enabled:
             with tracer.span(
                 self._chain_span,
-                tags={"verbs": len(verbs), "bytes": nbytes},
+                tags={"verbs": len(sizes), "bytes": nbytes},
             ):
                 yield self.env.timeout(total)
         else:
             yield self.env.timeout(total)
-        self.verbs_posted += len(verbs)
+        self.verbs_posted += len(sizes)
         self.bytes_moved += nbytes
         return total
 
@@ -250,10 +254,11 @@ class RdmaFabric:
         With DDIO disabled on the server, persistence is achieved by
         chaining:  WRITE (payload) + WRITE (length/commit word) + READ
         (flush to the PMem controller's ADR domain).  Returns latency.
+
+        Every log flush and EBP page write comes through here once per
+        replica: the chain runs in one generator frame, with no verb
+        objects.
         """
-        chain = [
-            RdmaVerb("write", nbytes),
-            RdmaVerb("write", 8),
-            RdmaVerb("read", 8),
-        ]
-        return (yield from self.post_chain(chain))
+        if nbytes < 0:
+            raise ValueError("negative size")
+        return self._chain((nbytes, 8, 8))

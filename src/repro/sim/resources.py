@@ -128,12 +128,11 @@ class Resource:
         """Uncontended grant without scheduling any event, else None.
 
         The token is a granted :class:`_Request` (pass it to
-        :meth:`release` as usual) that was never yielded on, so the
-        acquisition costs zero trips through the event loop.  Callers
-        that can be granted synchronously (the EBP append latch in
-        ``astore/client.py``) use this to halve their event footprint;
-        when the resource is busy they fall back to :meth:`request` +
-        yield.
+        :meth:`release` or :meth:`give_back` as usual) that was never
+        yielded on, so the acquisition costs zero trips through the event
+        loop.  Device channels, the EBP index mutex and the EBP append
+        latch are all taken this way; only when the resource is busy do
+        they fall back to :meth:`request` + yield.
         """
         if _len(self._users) >= self.capacity:
             return None

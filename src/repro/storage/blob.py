@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List
 
 from ..common import GB, KB, CapacityError
-from ..sim.core import AllOf, Environment
+from ..sim.core import Environment, FanOut
 from ..sim.devices import SsdDevice
 
 __all__ = ["Blob", "BlobGroup", "DEFAULT_IO_SIZE"]
@@ -101,12 +101,12 @@ class BlobGroup:
     def append(self, nbytes: int):
         """Generator: striped parallel append.  Returns stripe count."""
         sizes = self.split_sizes(nbytes)
-        procs = []
+        stripes = []
         for size in sizes:
             blob = self.blobs[self._next_blob]
             self._next_blob = (self._next_blob + 1) % len(self.blobs)
-            procs.append(self.env.process(blob.append(size)))
-        yield AllOf(self.env, procs)
+            stripes.append(blob.append(size))
+        yield FanOut(self.env, stripes)
         self.logical_appends += 1
         self.physical_ios += len(sizes)
         return len(sizes)

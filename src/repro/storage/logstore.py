@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List
 
 from ..common import US
-from ..sim.core import AllOf, Environment
+from ..sim.core import Environment, FanOut
 from ..sim.devices import SsdDevice
 from ..sim.network import RpcNetwork
 from ..sim.rand import Rng, SeedSequence
@@ -104,12 +104,11 @@ class LogStore:
             yield self.env.timeout(
                 self.rng.lognormal_around(self.SUBMIT_OVERHEAD, 0.35)
             )
-            procs = [
-                self.env.process(self._replica_write(server, nbytes))
+            yield FanOut(self.env, [
+                self._replica_write(server, nbytes)
                 for server in self.servers
                 if server.alive
-            ]
-            yield AllOf(self.env, procs)
+            ])
             yield self.env.timeout(
                 self.rng.lognormal_around(self.CALLBACK_OVERHEAD, 0.35)
             )

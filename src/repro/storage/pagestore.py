@@ -14,12 +14,13 @@ the number the EBP is designed to beat.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..common import MS, US, PageId, StorageError
 from ..engine.page import Page, apply_op
 from ..engine.wal import RedoRecord, encode_records_size
-from ..sim.core import AllOf, Environment, Event
+from ..sim.core import Environment, FanOut
 from ..sim.devices import SsdDevice
 from ..sim.network import RpcNetwork
 from ..sim.rand import Rng, SeedSequence
@@ -32,6 +33,20 @@ __all__ = ["PageStoreService", "PageStoreServer", "SegmentReplica"]
 PAGE_MATERIALIZE_COST = 350 * US
 #: CPU cost to apply one REDO record to a page.
 APPLY_COST_PER_RECORD = 2 * US
+
+_lsn_of = attrgetter("lsn")
+
+
+def _upper_bound(history: List[RedoRecord], lsn: int) -> int:
+    """Index of the first record of LSN-ordered ``history`` above ``lsn``."""
+    lo, hi = 0, len(history)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if history[mid].lsn <= lsn:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class SegmentReplica:
@@ -46,9 +61,11 @@ class SegmentReplica:
         self.to_apply: List[RedoRecord] = []
         #: Out-of-order records parked until the gap before them fills.
         self.parked: Dict[int, RedoRecord] = {}  # back_link -> record
-        #: Every record ever accepted, for serving gossip. (In production
-        #: this is the segment's on-disk log, GC'd after apply.)
-        self.history: Dict[int, RedoRecord] = {}
+        #: The chained records a peer may still ask gossip for, in chain
+        #: (= LSN) order: everything above the lowest ``chain_lsn`` among
+        #: the segment's replicas (:meth:`truncate_history`).  In production
+        #: this is the segment's on-disk log, GC'd the same way.
+        self.history: List[RedoRecord] = []
         self.applied_lsn = -1
 
     def accept(self, record: RedoRecord) -> bool:
@@ -57,8 +74,10 @@ class SegmentReplica:
         Returns True if the record extended the chain (possibly unparking
         successors), False if parked.
         """
-        if record.lsn in self.history:
-            return True  # duplicate delivery (gossip + direct ship)
+        if record.lsn <= self.chain_lsn:
+            # Duplicate delivery (gossip + direct ship): a segment's chain
+            # is in LSN order, so it already holds this record.
+            return True
         if record.back_link != self.chain_lsn:
             self.parked[record.back_link] = record
             return False
@@ -68,10 +87,51 @@ class SegmentReplica:
             self._extend(self.parked.pop(self.chain_lsn))
         return True
 
+    def accept_batch(self, records: List[RedoRecord]) -> None:
+        """:meth:`accept` each record in order; a batch that continues the
+        chain unbroken - what a healthy ship delivers - is taken in one
+        step."""
+        chain = self.chain_lsn
+        if not self.parked:
+            for record in records:
+                if record.back_link != chain or record.lsn <= chain:
+                    break
+                chain = record.lsn
+            else:
+                self.history.extend(records)
+                self.to_apply.extend(records)
+                self.chain_lsn = chain
+                return
+        for record in records:
+            self.accept(record)
+
     def _extend(self, record: RedoRecord) -> None:
-        self.history[record.lsn] = record
+        self.history.append(record)
         self.to_apply.append(record)
         self.chain_lsn = record.lsn
+
+    def truncate_history(self, floor: int) -> None:
+        """Forget chained records at or below ``floor``: no replica of the
+        segment is behind them, so no gossip will ask."""
+        history = self.history
+        if history and history[0].lsn <= floor:
+            del history[:_upper_bound(history, floor)]
+
+    def known_between(self, after_lsn: int, up_to: int) -> List[RedoRecord]:
+        """Held records in ``(after_lsn, up_to]`` by LSN: the chained ones,
+        then whichever parked ones fall in the range - a parked record is
+        durably received, merely not yet connectable *here*."""
+        history = self.history
+        records = history[
+            _upper_bound(history, after_lsn):_upper_bound(history, up_to)
+        ]
+        if self.parked:
+            records.extend(sorted(
+                (record for record in self.parked.values()
+                 if after_lsn < record.lsn <= up_to),
+                key=_lsn_of,
+            ))
+        return records
 
     def missing_range(self) -> Optional[Tuple[int, int]]:
         """(after_lsn, up_to_back_link) describing the earliest gap."""
@@ -131,9 +191,7 @@ class PageStoreServer:
         nbytes = encode_records_size(records)
         yield from self.cpu.consume(5 * US + 0.2 * US * len(records))
         yield from self.device.write(nbytes)
-        replica = self.replica(segment_no)
-        for record in records:
-            replica.accept(record)
+        self.replica(segment_no).accept_batch(records)
         self.records_received += len(records)
 
     # ------------------------------------------------------------------
@@ -151,24 +209,13 @@ class PageStoreServer:
 
     def serve_gossip(self, segment_no: int, after_lsn: int,
                      up_to: int) -> List[RedoRecord]:
-        """Return known records in (after_lsn, up_to] for a lagging peer.
-
-        Both chained history and locally *parked* records are served: a
-        parked record is durably received, merely not yet connectable on
-        this replica - a peer may be able to chain it immediately.
-        """
+        """Return known records in (after_lsn, up_to] for a lagging peer
+        (chained history and locally *parked* records alike)."""
         self._check_alive()
         replica = self.replicas.get(segment_no)
         if replica is None:
             return []
-        known: Dict[int, RedoRecord] = dict(replica.history)
-        for record in replica.parked.values():
-            known.setdefault(record.lsn, record)
-        records = [
-            record
-            for lsn, record in sorted(known.items())
-            if after_lsn < lsn <= up_to
-        ]
+        records = replica.known_between(after_lsn, up_to)
         self.gossip_served += len(records)
         return records
 
@@ -261,58 +308,52 @@ class PageStoreService:
             record.back_link = self._chain_tail[segment_no]
             self._chain_tail[segment_no] = record.lsn
             by_segment.setdefault(segment_no, []).append(record)
-        waits = []
-        for segment_no, batch in by_segment.items():
-            waits.append(
-                self.env.process(self._ship_segment(segment_no, batch))
-            )
-        yield AllOf(self.env, waits)
+        # Every segment's quorum ship starts now; waiting for them one
+        # after the other takes as long as the slowest.  An unreachable
+        # quorum fails the ship when its segment's turn comes.
+        quorums = [
+            self._ship_segment(segment_no, batch)
+            for segment_no, batch in by_segment.items()
+        ]
+        try:
+            for quorum in quorums:
+                yield quorum
+        except StorageError as exc:
+            raise StorageError("quorum unreachable: %s" % exc) from exc
+        for segment_no in by_segment:
+            self._truncate_histories(segment_no)
         self.ships += 1
 
-    def _ship_segment(self, segment_no: int, batch: List[RedoRecord]):
+    def _truncate_histories(self, segment_no: int) -> None:
+        """Drop, on every replica of the segment, the gossip history no
+        replica - alive or not - can still be missing."""
+        replicas = [
+            server.replicas.get(segment_no)
+            for server in self.replicas_of(segment_no)
+        ]
+        if None not in replicas:
+            floor = min(replica.chain_lsn for replica in replicas)
+            for replica in replicas:
+                replica.truncate_history(floor)
+
+    def _ship_segment(self, segment_no: int, batch: List[RedoRecord]) -> FanOut:
+        """Start shipping ``batch`` to every replica of the segment; the
+        event fires at the write quorum, stragglers finish behind it."""
         nbytes = encode_records_size(batch)
-        procs = []
-        for server in self.replicas_of(segment_no):
-            procs.append(
-                self.env.process(self._ship_to_server(server, segment_no,
-                                                      batch, nbytes))
-            )
-        yield from self._await_quorum(procs, self.quorum)
+        return FanOut(
+            self.env,
+            [
+                self._ship_to_server(server, segment_no, batch, nbytes)
+                for server in self.replicas_of(segment_no)
+            ],
+            need=self.quorum,
+        )
 
     def _ship_to_server(self, server: PageStoreServer, segment_no: int,
                         batch: List[RedoRecord], nbytes: int):
         yield from self.network.send(nbytes)
         yield from server.receive_records(segment_no, batch)
         yield from self.network.send(64)
-
-    def _await_quorum(self, procs, need: int):
-        """Generator: fires once ``need`` of the processes succeeded."""
-        done = Event(self.env)
-        state = {"ok": 0, "fail": 0}
-
-        def callback(event):
-            event._defused = True  # a failed replica is survivable
-            if done.triggered:
-                return
-            if event.ok:
-                state["ok"] += 1
-                if state["ok"] >= need:
-                    done.succeed(state["ok"])
-            else:
-                state["fail"] += 1
-                if len(procs) - state["fail"] < need:
-                    done.fail(
-                        StorageError("quorum unreachable (%d failures)"
-                                     % state["fail"])
-                    )
-
-        for proc in procs:
-            if proc.processed:
-                callback(proc)
-            else:
-                proc.callbacks.append(callback)
-        result = yield done
-        return result
 
     # ------------------------------------------------------------------
     # Reads

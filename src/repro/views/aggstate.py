@@ -1,4 +1,4 @@
-"""Weight-aware, mergeable aggregate states for incremental views.
+"""Weight-aware aggregate states for incremental views.
 
 Each state folds ``(value, weight)`` deltas (weight -1 retracts a prior
 +1) and finalizes to *exactly* the value the executor's group-by kernel
@@ -10,15 +10,13 @@ and ``finalize_groups`` produce for the same multiset of rows:
   the executor) and is ``None`` over zero contributing rows;
 - ``AVG`` is one ``total / count`` division;
 - ``MIN``/``MAX`` keep a value -> multiplicity map so retracting the
-  current extreme re-exposes the runner-up;
-- ``DISTINCT`` keeps the same map and finalizes to the live-value count
-  (DISTINCT is non-linear under deletion *of never-seen values* only, so
-  the map handles it; view definitions still refuse it).
+  current extreme re-exposes the runner-up.
 
-States also ``merge`` pairwise (two folds of disjoint row sets combine
-into the fold of their union).  Serving calls ``finalize`` on each; the
-scatter-gather merge does not use these states - it folds the executor's
-own partial groups (``repro.shard.router``).
+The view's compiled fold (``repro.query.kernels.weighted_fold``) calls
+``update`` per delta - ``COUNT(*)`` with ``None``, any other aggregate
+only with a non-NULL argument, as the group-by kernel accumulates - and
+serving calls ``finalize``.  DISTINCT aggregates have no state: view
+definitions refuse them.
 
 Caveat (documented in DESIGN.md): SUM/AVG over float-valued columns is
 retraction-exact only when every intermediate total is exactly
@@ -39,23 +37,17 @@ __all__ = [
     "SumState",
     "AvgState",
     "MinMaxState",
-    "DistinctState",
     "state_for",
     "new_states",
-    "update_states",
-    "merge_states",
 ]
 
 
 class AggState:
-    """Base: fold weighted values, merge with a peer, finalize."""
+    """Base: fold weighted values, finalize."""
 
     __slots__ = ()
 
     def update(self, value: Any, weight: int) -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "AggState") -> None:
         raise NotImplementedError
 
     def finalize(self) -> Any:
@@ -72,9 +64,6 @@ class CountState(AggState):
 
     def update(self, value: Any, weight: int) -> None:
         self.count += weight
-
-    def merge(self, other: "CountState") -> None:
-        self.count += other.count
 
     def finalize(self) -> int:
         return self.count
@@ -97,10 +86,6 @@ class SumState(AggState):
     def update(self, value: Any, weight: int) -> None:
         self.count += weight
         self.total += value * weight
-
-    def merge(self, other: "SumState") -> None:
-        self.count += other.count
-        self.total += other.total
 
     def finalize(self) -> Any:
         return self.total if self.count else None
@@ -131,35 +116,14 @@ class MinMaxState(AggState):
         else:
             del self.values[value]
 
-    def merge(self, other: "MinMaxState") -> None:
-        for value, weight in other.values.items():
-            self.update(value, weight)
-
     def finalize(self) -> Any:
         live = [value for value, weight in self.values.items() if weight > 0]
         return self.pick(live) if live else None
 
 
-class DistinctState(MinMaxState):
-    """DISTINCT aggregates: the number of live distinct values.
-
-    The executor finalizes every DISTINCT aggregate to
-    ``len(state.distinct)`` regardless of function, so one state serves
-    COUNT/SUM/AVG/MIN/MAX(DISTINCT ...) alike.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(None)
-
-    def finalize(self) -> int:
-        return sum(1 for weight in self.values.values() if weight > 0)
-
-
 def state_for(agg: AggCall) -> AggState:
     if agg.distinct:
-        return DistinctState()
+        raise QueryError("DISTINCT aggregates are not maintainable")
     if agg.func == "count":
         return CountState()
     if agg.func == "sum":
@@ -175,29 +139,3 @@ def state_for(agg: AggCall) -> AggState:
 
 def new_states(aggs: Sequence[AggCall]) -> List[AggState]:
     return [state_for(agg) for agg in aggs]
-
-
-def update_states(
-    states: List[AggState],
-    aggs: Sequence[AggCall],
-    row: Dict[str, Any],
-    weight: int = 1,
-) -> None:
-    """Fold one weighted row into every aggregate's state.
-
-    NULL handling matches the group-by kernel: ``COUNT(*)`` counts the
-    row unconditionally; any other aggregate skips NULL arguments.
-    """
-    for state, agg in zip(states, aggs):
-        if agg.argument is None:  # COUNT(*)
-            state.update(None, weight)
-            continue
-        value = agg.argument.eval(row)
-        if value is None:
-            continue
-        state.update(value, weight)
-
-
-def merge_states(into: List[AggState], other: List[AggState]) -> None:
-    for state, extra in zip(into, other):
-        state.merge(extra)

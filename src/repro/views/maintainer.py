@@ -31,18 +31,20 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 from ..common import MS, US, PageId, QueryError, StorageError
 from ..engine.redo_applier import RedoApplier
 from ..obs import obs_of
+from ..query import kernels
 from ..query.ast import ColumnRef, Select
 from ..query.columnar import ColumnBatch
 from ..query.executor import ROW_CPU, batch_result, limit_batch, sort_batch
 from ..query.planner import match_view_select
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
-from .aggstate import new_states, update_states
+from .aggstate import new_states
 from .definition import ViewDefinition
 from .zset import ZSet
 
@@ -52,34 +54,59 @@ __all__ = ["MaintainedView", "ViewMaintainer"]
 SERVE_CPU = 4 * US
 
 
-def _fold_row(definition: ViewDefinition, groups, zset: ZSet,
-              row: Dict[str, Any], weight: int) -> bool:
-    """Fold one weighted base row into view state; False if filtered out."""
-    if definition.where is not None and not definition.where.eval(row):
-        return False
-    if definition.is_aggregate:
-        key = tuple(expr.eval(row) for expr in definition.group_by)
-        entry = groups.get(key)
-        if entry is None:
-            entry = [0, new_states(definition.aggregates)]
-            groups[key] = entry
-        entry[0] += weight
-        update_states(entry[1], definition.aggregates, row, weight)
-        if entry[0] == 0:
-            # Annihilation: the group has no surviving base rows.
-            del groups[key]
-    else:
-        zset.add(
-            tuple(item.expr.eval(row) for item in definition.items), weight
+class _Fold:
+    """A view's compiled fold over the base-table columns it reads.
+
+    Built once per view from the base table's schema: the ascending
+    positions any of WHERE / GROUP BY / aggregate arguments / select items
+    names (all a delta is ever decoded for), and one generated loop
+    (:func:`repro.query.kernels.weighted_fold`) that filters, keys and
+    folds a batch of signed rows into the view's state.
+    """
+
+    __slots__ = ("_schema", "_positions", "_template", "_kernel", "_fresh")
+
+    def __init__(self, definition: ViewDefinition, table):
+        schema = table.schema
+        if definition.is_aggregate:
+            keys = definition.group_by
+            aggs = definition.aggregates
+            exprs = list(keys) + list(aggs)
+            self._fresh = partial(new_states, aggs)
+        else:
+            keys = [item.expr for item in definition.items]
+            aggs = None
+            exprs = list(keys)
+            self._fresh = None
+        if definition.where is not None:
+            exprs.append(definition.where)
+        named = {
+            key.rpartition(".")[2] for expr in exprs for key in expr.columns()
+        }
+        self._schema = schema
+        self._positions = tuple(
+            position for position, name in enumerate(schema.names)
+            if name in named
         )
-    return True
+        self._template = ColumnBatch.for_scan(
+            table.name, schema, [schema.names[p] for p in self._positions]
+        )
+        self._kernel = kernels.weighted_fold(
+            self._template, definition.where, keys, aggs
+        )
 
-
-def _named_row(table, values) -> Dict[str, Any]:
-    return {
-        "%s.%s" % (table.name, name): value
-        for name, value in zip(table.schema.names, values)
-    }
+    def __call__(self, view: "MaintainedView", rows, weights) -> int:
+        """Fold encoded ``rows`` with their ``weights``; rows that passed."""
+        template = self._template
+        batch = ColumnBatch(
+            template.keys, [[] for _ in self._positions], 0, template.nullable
+        )
+        batch.n = self._schema.decode_rows_into(
+            rows, self._positions, batch.arrays
+        )
+        if self._fresh is None:
+            return self._kernel(batch, weights, view.zset.add)
+        return self._kernel(batch, weights, view.groups, self._fresh)
 
 
 class MaintainedView:
@@ -89,6 +116,8 @@ class MaintainedView:
         self.definition = definition
         #: The source's catalog: maps a record's tablespace to its table.
         self.catalog = catalog
+        #: Compiled on the first rows to fold (the table may not exist yet).
+        self._fold: Optional[_Fold] = None
         self.applier: Optional[RedoApplier] = None
         self.records_folded = 0
         self.deltas_applied = 0
@@ -136,15 +165,18 @@ class MaintainedView:
         name = self.definition.table  # Not created yet: nothing to scan.
         return [self.catalog.table(name)] if name in self.catalog else []
 
+    def _fold_rows(self, table, rows, weights) -> int:
+        fold = self._fold
+        if fold is None:
+            fold = self._fold = _Fold(self.definition, table)
+        return fold(self, rows, weights)
+
     def rebuild(self, scanned) -> None:
         """Replace the state with the fold of the scanned page images."""
         self.reset()
-        definition = self.definition
         for table, page in scanned:
             self.page_seen[page.page_id] = page.page_lsn
-            for values in table.schema.decode_rows(page.rows()):
-                _fold_row(definition, self.groups, self.zset,
-                          _named_row(table, values), 1)
+            self._fold_rows(table, page.rows(), [1] * page.row_count)
         self.page_seen_max = max(self.page_seen.values(), default=0)
 
     def apply(self, batch) -> int:
@@ -153,69 +185,63 @@ class MaintainedView:
         Stops short at a record it cannot decode, so the watermark only
         advances past records actually folded (or provably irrelevant):
         the state still equals the fold of everything <= the watermark
-        and serving stays sound while the rescan is pending.
+        and serving stays sound while the rescan is pending.  The deltas
+        of the whole batch are folded in one kernel call, in LSN order.
         """
         catalog = self.catalog
-        definition = self.definition
-        for consumed, record in enumerate(batch):
+        view_table = self.definition.table
+        page_seen = self.page_seen
+        rows: List[bytes] = []
+        weights: List[int] = []
+        folded = 0
+        consumed = len(batch)
+        for index, record in enumerate(batch):
             if record.is_marker:
                 self._evict_images(record)
                 continue
             op = record.op
-            if op.kind == "format":
+            kind = op.kind
+            if kind == "format":
                 continue
             try:
                 table = catalog.by_space(record.page_id.space_no)
             except QueryError:
                 continue
-            if table.name != definition.table:
+            if table.name != view_table:
                 continue
-            if (
-                self.page_seen
-                and record.lsn <= self.page_seen.get(record.page_id, 0)
-            ):
+            if page_seen and record.lsn <= page_seen.get(record.page_id, 0):
                 # Fuzzy-scan overlap: the scanned image already holds
                 # this record's effect.  Still remember insert images -
                 # a post-scan CLR delete may compensate this insert.
-                if op.kind == "insert":
+                if kind == "insert":
                     self._remember(record)
                 continue
-            deltas = self._deltas_of(table, record)
-            if deltas is None:
-                self.decode_misses += 1
-                return consumed
-            for values, weight in deltas:
-                if _fold_row(definition, self.groups, self.zset,
-                             _named_row(table, values), weight):
-                    self.deltas_applied += 1
-            self.records_folded += 1
-        if self.page_seen and batch[-1].lsn >= self.page_seen_max:
+            if kind == "insert":
+                self._remember(record)
+            else:
+                old_row = record.undo_row
+                if old_row is None:
+                    old_row = self._recall(record)
+                    if old_row is None:
+                        self.decode_misses += 1
+                        consumed = index
+                        break
+                rows.append(old_row)
+                weights.append(-1)
+            if kind != "delete":
+                rows.append(op.row)
+                weights.append(1)
+            folded += 1
+        if rows:
+            self.deltas_applied += self._fold_rows(
+                catalog.table(view_table), rows, weights
+            )
+        self.records_folded += folded
+        if consumed == len(batch) and page_seen \
+                and batch[-1].lsn >= self.page_seen_max:
             # Every in-flight record from the scan window has drained.
-            self.page_seen.clear()
-        return len(batch)
-
-    def _deltas_of(self, table, record):
-        """(decoded values, weight) deltas for one record; None = miss."""
-        op = record.op
-        decode = table.schema.decode
-        if op.kind == "insert":
-            self._remember(record)
-            return [(decode(op.row), 1)]
-        if op.kind == "update":
-            old_row = record.undo_row
-            if old_row is None:
-                old_row = self._recall(record)
-                if old_row is None:
-                    return None
-            return [(decode(old_row), -1), (decode(op.row), 1)]
-        if op.kind == "delete":
-            old_row = record.undo_row
-            if old_row is None:
-                old_row = self._recall(record)
-                if old_row is None:
-                    return None
-            return [(decode(old_row), -1)]
-        return []
+            page_seen.clear()
+        return consumed
 
     def _remember(self, record) -> None:
         self.undo_images[record.lsn] = record.op.row

@@ -273,6 +273,7 @@ def test_recovery_with_ebp_rebuild():
         DeploymentSpec.astore_ebp(
             engine=EngineConfig(buffer_pool_bytes=8 * 16 * KB),
             ebp_capacity_bytes=8 * MB,
+            ebp_segment_bytes=2 * MB,
         )
     )
     dep.start()

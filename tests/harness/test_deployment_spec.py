@@ -38,8 +38,25 @@ def test_validation_rejects_bad_fields():
         DeploymentSpec(ebp_policy="lru")
     with pytest.raises(ValueError):
         DeploymentSpec(log_replication=5, astore_servers=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="below one segment"):
         DeploymentSpec(use_ebp=True, ebp_capacity_bytes=MB, ebp_segment_bytes=4 * MB)
+
+
+def test_validation_rejects_an_ebp_of_fewer_than_three_segments():
+    """One segment is always the cleaner's spare: a two-segment pool
+    caches half of what its capacity says, a one-segment pool nothing."""
+    for segments in (1, 2):
+        with pytest.raises(ValueError, match="one segment spare"):
+            DeploymentSpec(use_ebp=True, ebp_capacity_bytes=segments * 4 * MB,
+                           ebp_segment_bytes=4 * MB)
+        with pytest.raises(ValueError, match="one segment spare"):
+            DeploymentSpec.astore_ebp().with_ebp(segments * MB, segment_bytes=MB)
+    spec = DeploymentSpec(use_ebp=True, ebp_capacity_bytes=12 * MB,
+                          ebp_segment_bytes=4 * MB)
+    assert spec.ebp_capacity_bytes // spec.ebp_segment_bytes == 3
+    # Without an EBP the two fields are not read.
+    DeploymentSpec(use_ebp=False, ebp_capacity_bytes=4 * MB,
+                   ebp_segment_bytes=4 * MB)
 
 
 def test_build_stands_up_a_deployment():

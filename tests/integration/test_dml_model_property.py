@@ -39,6 +39,7 @@ def test_engine_matches_dict_model_and_survives_crash(ops, seed):
             # Tiny buffer pool: force real EBP/PageStore traffic.
             engine=EngineConfig(buffer_pool_bytes=4 * 16 * KB),
             ebp_capacity_bytes=8 * MB,
+            ebp_segment_bytes=2 * MB,
         )
     )
     dep.start()

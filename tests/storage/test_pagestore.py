@@ -235,3 +235,127 @@ def test_replication_validation():
         make_service(num_servers=2, replication=3)
     with pytest.raises(ValueError):
         make_service(quorum=5)
+
+
+@pytest.mark.parametrize("doomed_first", [False, True])
+def test_two_segment_ship_joins_its_quorums_in_ship_order(doomed_first):
+    """A ship waits on its segments' quorums one after the other, in the
+    order the batch first touched them: a segment whose quorum is
+    unreachable fails the ship when its turn comes - at once if it is
+    first, else only after every segment before it has reached quorum."""
+    env, service = make_service(num_servers=5, num_segments=5)
+    # Segment 0 lives on servers 0-2, segment 3 on servers 3, 4 and 0.
+    healthy = next(PageId(1, n) for n in range(64)
+                   if service.segment_of(PageId(1, n)) == 0)
+    doomed = next(PageId(1, n) for n in range(64)
+                  if service.segment_of(PageId(1, n)) == 3)
+    service.servers[3].alive = False
+    service.servers[4].alive = False
+    batch = [record(10, healthy, row=b"h" * 4096), record(20, doomed)]
+    if doomed_first:
+        batch.reverse()
+
+    def chained():
+        return sum(
+            1 for server in service.replicas_of(0)
+            if 0 in server.replicas and server.replicas[0].chain_lsn == 10
+        )
+
+    def do(env):
+        with pytest.raises(StorageError, match="quorum unreachable"):
+            yield from service.ship_records(batch)
+        return chained()
+
+    landed = run_until(env, do(env))
+    assert landed == 0 if doomed_first else landed >= service.quorum
+    assert service.ships == 0
+    env.run()  # the healthy segment's legs were left to finish
+    assert chained() == 3
+
+
+def test_gossip_history_stays_bounded_on_a_healthy_deployment():
+    """10 000 records through one healthy service: a replica keeps only
+    what some replica of the segment might still be missing - the last
+    few ships, while a straggler rides out a network stall - not every
+    record ever shipped (the parent kept all 10 000, on each of the three
+    replicas)."""
+    env, service = make_service()
+    pages = [PageId(1, page_no) for page_no in range(16)]
+    longest = 0
+
+    def do(env):
+        nonlocal longest
+        lsn = 0
+        for _ in range(500):
+            batch = []
+            for slot in range(20):
+                lsn += 10
+                batch.append(record(lsn, pages[slot % len(pages)], slot=lsn))
+            yield from service.ship_records(batch)
+            yield env.timeout(1 * MS)  # stragglers land, the daemon applies
+            longest = max(
+                longest,
+                max(len(replica.history) for server in service.servers
+                    for replica in server.replicas.values()),
+            )
+        return lsn
+
+    service.start_apply_daemon()
+    assert run_until(env, do(env)) == 100000
+    assert sum(s.records_received for s in service.servers) == 3 * 10000
+    assert 0 < longest <= 5 * 20
+
+
+def test_history_is_kept_for_a_replica_that_is_behind_alive_or_not():
+    env, service = make_service(num_segments=1)
+    page_id = PageId(1, 5)
+    replicas = service.replicas_of(0)
+    lagging = replicas[2]
+
+    def do(env):
+        yield from service.ship_records([record(10, page_id, slot=0)])
+        yield env.timeout(1 * MS)
+        lagging.alive = False
+        for step in range(1, 31):
+            yield from service.ship_records(
+                [record(10 + 10 * step, page_id, slot=step)])
+        yield env.timeout(1 * MS)
+        held = [len(server.replica(0).history) for server in replicas]
+        # Back up: the next ship parks behind the gap, gossip fills it
+        # from the history its peers kept, and only then is it dropped.
+        lagging.alive = True
+        yield from service.ship_records([record(1000, page_id, slot=99)])
+        yield env.timeout(1 * MS)
+        yield from service._gossip_fill(lagging, 0)
+        yield from service.ship_records([record(1010, page_id, slot=100)])
+        yield env.timeout(1 * MS)
+        return held
+
+    held = run_until(env, do(env))
+    # Everything above the dead replica's chain tail (lsn 10) was kept.
+    assert held[0] == held[1] == 30 and held[2] <= 1
+    assert [server.replica(0).chain_lsn for server in replicas] == [1010] * 3
+    assert all(len(server.replica(0).history) <= 2 for server in replicas)
+
+
+def test_serve_gossip_answers_from_the_requested_range_only():
+    env, service = make_service(num_segments=1)
+    page_id = PageId(1, 5)
+    server = service.replicas_of(0)[0]
+    service.replicas_of(0)[2].alive = False  # keeps the history around
+
+    def do(env):
+        for step in range(10):
+            yield from service.ship_records(
+                [record(10 + 10 * step, page_id, slot=step)])
+        yield env.timeout(1 * MS)
+
+    run_until(env, do(env))
+    assert [r.lsn for r in server.serve_gossip(0, 30, 60)] == [40, 50, 60]
+    assert [r.lsn for r in server.serve_gossip(0, 95, 500)] == [100]
+    assert server.serve_gossip(0, 100, 500) == []
+    # A parked record is served too, in LSN order behind the chain.
+    stray = record(130, page_id, slot=13)
+    stray.back_link = 120
+    assert server.replica(0).accept(stray) is False
+    assert [r.lsn for r in server.serve_gossip(0, 80, 500)] == [90, 100, 130]

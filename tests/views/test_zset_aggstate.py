@@ -2,12 +2,26 @@
 
 import pytest
 
+from repro.common import QueryError
 from repro.query import kernels
 from repro.query.cache import parse_entry
 from repro.query.columnar import ColumnBatch
 from repro.query.executor import finalize_groups
-from repro.views.aggstate import merge_states, new_states, update_states
+from repro.views.aggstate import new_states
 from repro.views.zset import ZSet
+
+
+def update_states(states, aggs, row, weight=1):
+    """Fold one weighted row dict into every aggregate's state, through
+    ``Expr.eval``: the reference for what the view's compiled fold
+    (``kernels.weighted_fold``) does per delta."""
+    for state, agg in zip(states, aggs):
+        if agg.argument is None:  # COUNT(*)
+            state.update(None, weight)
+            continue
+        value = agg.argument.eval(row)
+        if value is not None:
+            state.update(value, weight)
 
 
 def test_zset_add_and_annihilation():
@@ -55,10 +69,7 @@ def _aggs(sql):
     return [item.expr for item in statement.items]
 
 
-AGG_SQL = (
-    "SELECT COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v), "
-    "COUNT(DISTINCT v) FROM t"
-)
+AGG_SQL = "SELECT COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v) FROM t"
 
 
 def finalize_states(states, aggs):
@@ -126,19 +137,68 @@ def test_min_max_survive_retraction_of_current_extremum():
     assert list(values.values()) == [5, 5]
 
 
-def test_distinct_count_tracks_live_values_only():
+def _fold(sql, rows, weights, groups):
+    """Run the compiled fold of ``sql`` (an aggregate SELECT over t(g, v))
+    over row dicts; returns rows passed."""
+    statement, _ = parse_entry(sql)
+    aggs = [item.expr for item in statement.items]
+    batch = ColumnBatch(
+        ("t.g", "t.v"),
+        [[row["t.g"] for row in rows], [row["t.v"] for row in rows]],
+    )
+    fold = kernels.weighted_fold(
+        batch, statement.where, statement.group_by, aggs)
+    return fold(batch, weights, groups, lambda: new_states(aggs)), aggs
+
+
+def test_compiled_fold_equals_the_interpreted_fold():
+    sql = ("SELECT COUNT(*), COUNT(v), SUM(v + 1), MIN(v), MAX(v) FROM t "
+           "WHERE g < 3 GROUP BY g")
+    rows = [{"t.g": g, "t.v": v} for g, v in
+            [(1, 5), (2, None), (1, 7), (3, 9), (2, 4), (1, 5), (2, 4)]]
+    weights = [1, 1, 1, 1, 1, -1, -1]
+    groups = {}
+    passed, aggs = _fold(sql, rows, weights, groups)
+    statement, _ = parse_entry(sql)
+    expected = {}
+    for row, weight in zip(rows, weights):
+        if not statement.where.eval(row):
+            continue
+        key = tuple(expr.eval(row) for expr in statement.group_by)
+        entry = expected.setdefault(key, [0, new_states(aggs)])
+        entry[0] += weight
+        update_states(entry[1], aggs, row, weight)
+    assert passed == 6  # the g = 3 row is filtered out
+    assert list(groups) == list(expected) == [(1,), (2,)]
+    for key, (weight, states) in expected.items():
+        assert groups[key][0] == weight
+        assert finalize_states(groups[key][1], aggs) == finalize_states(
+            states, aggs)
+
+
+def test_compiled_fold_annihilates_a_group_and_recreates_it_last():
+    sql = "SELECT COUNT(*) FROM t GROUP BY g"
+    groups = {}
+    rows = [{"t.g": g, "t.v": 0} for g in (1, 2, 1, 1)]
+    _fold(sql, rows, [1, 1, -1, 1], groups)
+    # Group 1 vanished at weight zero, then came back behind group 2.
+    assert list(groups) == [(2,), (1,)]
+    assert [entry[0] for entry in groups.values()] == [1, 1]
+
+
+def test_compiled_fold_of_a_projection_feeds_a_zset():
+    statement, _ = parse_entry("SELECT v, g FROM t WHERE v > 1")
+    batch = ColumnBatch(("t.g", "t.v"), [[1, 2, 1], [5, 1, 5]])
+    fold = kernels.weighted_fold(
+        batch, statement.where, [item.expr for item in statement.items], None)
+    z = ZSet()
+    assert fold(batch, [1, 1, 1], z.add) == 2
+    assert dict(z.items()) == {(5, 1): 2}
+    assert fold(batch, [-1, -1, -1], z.add) == 2
+    assert len(z) == 0
+
+
+def test_distinct_aggregates_have_no_state():
     aggs = _aggs("SELECT COUNT(DISTINCT v) FROM t")
-    states = _rows_to_states(aggs, [{"t.v": 1}, {"t.v": 1}, {"t.v": 2}])
-    assert list(finalize_states(states, aggs).values()) == [2]
-    update_states(states, aggs, {"t.v": 1}, -1)
-    assert list(finalize_states(states, aggs).values()) == [2]  # one 1 left
-    update_states(states, aggs, {"t.v": 1}, -1)
-    assert list(finalize_states(states, aggs).values()) == [1]
-
-
-def test_merge_states_equals_single_fold():
-    aggs = _aggs(AGG_SQL)
-    left = _rows_to_states(aggs, ROWS[:2])
-    right = _rows_to_states(aggs, ROWS[2:])
-    merge_states(left, right)
-    assert finalize_states(left, aggs) == _executor_values(aggs, ROWS)
+    with pytest.raises(QueryError, match="DISTINCT"):
+        new_states(aggs)

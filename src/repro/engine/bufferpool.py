@@ -42,7 +42,10 @@ class BufferPool:
         self.on_evict = on_evict
         #: WAL guard: a page whose latest change is not yet durable must not
         #: leave the pool (it could not be reconstructed after a crash).
-        #: When no page is evictable the pool temporarily exceeds capacity.
+        #: When no page is evictable the pool temporarily exceeds capacity;
+        #: the guard is asked once per page it makes the scan skip, which is
+        #: where the engine demands that page's LSN from the log buffer, so
+        #: a later ``put`` finds it evictable and shrinks the pool back.
         self.can_evict = can_evict
         self._lists: List[OrderedDict] = [OrderedDict() for _ in range(lru_lists)]
         self._where: Dict[PageId, int] = {}

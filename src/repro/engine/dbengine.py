@@ -162,8 +162,7 @@ class DBEngine:
             config.buffer_pool_bytes,
             page_size=config.page_size,
             on_evict=self._on_evict,
-            # WAL rule: only pages whose changes are durable may leave DRAM.
-            can_evict=lambda page: page.page_lsn <= self.log.persistent_lsn,
+            can_evict=self._wal_allows_evict,
         )
         #: Authoritative latest LSN per page written by this engine.
         self.page_versions: Dict[PageId, int] = {}
@@ -321,6 +320,17 @@ class DBEngine:
             yield from self.pagestore.ship_records(batch)
             self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
 
+    def _wal_allows_evict(self, page: Page) -> bool:
+        """WAL rule: only pages whose changes are durable may leave DRAM.
+
+        A page skipped for it demands its LSN durable, so a long
+        transaction over a small pool drains instead of growing the pool
+        until it commits."""
+        if page.page_lsn <= self.log.persistent_lsn:
+            return True
+        self.log.flush_through(page.page_lsn, "wal_evict")
+        return False
+
     def _on_evict(self, page: Page) -> None:
         if self.ebp is None or self.crashed:
             return
@@ -438,8 +448,11 @@ class DBEngine:
         covering REDO still sits in the ship queue (only a parked replica
         raises).  ``fetch_page`` re-checks staleness afterwards; a REDO
         consumer's catch-up scan, its feed just cleared, cannot - so
-        force a ship and retry until the image is fresh.
+        force a ship and retry until the image is fresh.  An image ahead
+        of the durable tail (an open transaction's page) is demanded from
+        the log buffer first: nothing else would ever flush it.
         """
+        self.log.flush_through(required_lsn, "fresh_read")
         attempts = 0
         while True:
             page = yield from self._read_from_pagestore(page_id, required_lsn)
@@ -907,6 +920,12 @@ class DBEngine:
         at its current locator.  Every compensation is logged as a CLR
         referencing the record it undoes; an abort marker closes the
         transaction so crash recovery knows it is fully resolved.
+
+        Nobody waits on the CLRs or the marker.  If no record of the
+        transaction has left the log buffer they stay queued with it (a
+        crash loses all of them together); once one has - someone else's
+        commit took it along - every REDO consumer will apply it, so the
+        compensation is demanded out too, without blocking on it.
         """
         if self.crashed or txn.epoch != self.epoch:
             # Volatile state (locks, buffer pool) from the txn's epoch is
@@ -949,6 +968,8 @@ class DBEngine:
                     abort=True,
                 )
                 self.log.append(marker)
+                if txn.records[0].lsn <= self.log.taken_lsn:
+                    self.log.flush_through(marker.lsn, "rollback")
             txn.status = "aborted"
             self.aborted += 1
         finally:
@@ -1025,11 +1046,15 @@ class DBEngine:
     # Crash & recovery
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Lose all volatile state (buffer pool, indexes, locks, queue)."""
+        """Lose all volatile state (buffer pool, indexes, locks, the ship
+        queue and whatever the log buffer had not yet been asked to
+        flush - those records were never durable and their waiters, if
+        any, fail)."""
         self.crashed = True
         self.epoch += 1
         self.buffer_pool.clear()
         self._ship_queue.clear()
+        self.log.discard(StorageError("engine crashed"))
         for table in self.catalog.tables():
             table.clear_indexes()
             table.free_hints.clear()
@@ -1108,6 +1133,7 @@ class DBEngine:
             )
         if resolution_markers:
             self.log.submit(resolution_markers, wait=False)
+            self.log.flush_through(resolution_markers[-1].lsn, "recovery")
         data_records = [r for r in records if not r.is_marker]
         if data_records:
             # Re-ship everything durable (PageStore dedups what it already
@@ -1159,7 +1185,12 @@ class DBEngine:
             undone += 1
         if clrs:
             clrs.sort(key=lambda r: r.lsn)
-            self.log.submit(list(clrs), wait=False)
+            # WAL order: PageStore must never hold a record the log does
+            # not, so the CLRs are durable before they ship (the flush is
+            # counted as recovery's, not as a commit's).
+            durable = self.log.submit(list(clrs), wait=True)
+            self.log.flush_through(clrs[-1].lsn, "recovery")
+            yield durable
             yield from self.pagestore.ship_records(clrs)
         yield from self._rebuild_indexes()
         ebp_entries = 0

@@ -5,9 +5,14 @@ the *only* thing the engine persists.  Records carry page-level operations
 (:class:`~repro.engine.page.PageOp`); LSNs are byte offsets in a single
 conceptual log stream, allocated here.
 
-The :class:`LogBuffer` implements group commit: transactions deposit their
-records and wait; a single log-writer process drains the buffer, performs
-one storage write for the whole batch, and wakes every waiter.  Group
+The :class:`LogBuffer` implements group commit on demand: transactions
+deposit their records as pages mutate and wait only on their commit
+marker; a single log-writer process sleeps until a queued record has a
+waiter, the buffer is full, or the WAL rule, a fresh read, a rollback or
+recovery asks for an LSN to be durable - then performs one storage write
+for everything queued and wakes every waiter.  A MySQL-derived engine
+writes its log at commit, on a full log buffer, or when a page's LSN must
+be durable - not per mini-transaction - and neither does this one.  Group
 commit is what couples storage write latency to transaction throughput -
 the faster AStore completes a flush, the more batches per second, the lower
 the commit latency under load.
@@ -114,10 +119,27 @@ class LogBuffer:
     """Group-commit staging area in front of the log store.
 
     ``flush_fn(records, nbytes)`` is a generator performing the durable
-    write (either LogStore.append or SegmentRing.append); the writer
-    process batches whatever accumulated while the previous flush was in
-    flight - classic group commit, no timers needed.
+    write (either LogStore.append or SegmentRing.append).  The single
+    writer sleeps until somebody *needs* durability - never merely
+    because it is idle - and then one flush carries everything queued,
+    FIFO, up to ``max_batch_bytes``.  Three demands wake it:
+
+    - a queued record has a waiter (``append(wait=True)`` / ``submit``:
+      commit, prepare and decision markers) - counted ``commit``;
+    - the queued bytes reach ``max_batch_bytes`` - counted ``full``;
+    - :meth:`flush_through` asked for durability up to an LSN without
+      blocking on it (the WAL guard, a fresh read, a rollback,
+      recovery) - counted under the cause the caller names.
+
+    An un-waited ``append`` below the byte cap is host bookkeeping only:
+    it schedules no event, so an open transaction's page ops ride with
+    its own commit marker.  ``flush_demand`` counts flushes by what
+    demanded them.
     """
+
+    #: Every cause a flush can be counted under.
+    DEMANDS = ("commit", "full", "wal_evict", "fresh_read", "rollback",
+               "recovery")
 
     def __init__(
         self,
@@ -129,10 +151,22 @@ class LogBuffer:
         self.flush_fn = flush_fn
         self.max_batch_bytes = max_batch_bytes
         self._pending: Deque[Tuple[RedoRecord, Optional[Event]]] = deque()
+        #: Serialized size of the queued records.
+        self.pending_bytes = 0
+        #: Queued records somebody waits on.
+        self._waiters = 0
+        #: ``flush_through``'s high-water mark and who set it.
+        self._through_lsn = 0
+        self._through_cause = ""
+        #: Highest LSN the writer has taken out of the buffer: records up
+        #: to it are durable or in flight, and will reach every REDO
+        #: consumer whatever happens to the rest of their transaction.
+        self.taken_lsn = 0
         self._wakeup: Optional[Event] = None
         self.persistent_lsn = 0
         self.flushes = 0
         self.records_flushed = 0
+        self.flush_demand = dict.fromkeys(self.DEMANDS, 0)
         self._running = False
 
     # ------------------------------------------------------------------
@@ -140,16 +174,19 @@ class LogBuffer:
     # ------------------------------------------------------------------
     def append(self, record: RedoRecord, wait: bool = False) -> Optional[Event]:
         """Queue one record; with ``wait`` returns an Event that fires
-        once it is durable.
+        once it is durable, and the writer is woken for it.
 
-        Without, the record rides along with the next flush and nobody
-        blocks on it (non-commit records inside a transaction).
+        Without, the record stays queued until a demand takes it along
+        and nobody blocks on it (page ops inside a transaction).
         """
         done = Event(self.env) if wait else None
         self._pending.append((record, done))
-        wakeup = self._wakeup
-        if wakeup is not None and not wakeup.triggered:
-            wakeup.succeed()
+        self.pending_bytes += record.log_bytes
+        if wait:
+            self._waiters += 1
+            self._wake()
+        elif self.pending_bytes >= self.max_batch_bytes:
+            self._wake()
         return done
 
     def submit(self, records: List[RedoRecord], wait: bool = True) -> Optional[Event]:
@@ -160,6 +197,49 @@ class LogBuffer:
         for record in records[:-1]:
             self.append(record)
         return self.append(records[-1], wait)
+
+    def flush_through(self, lsn: int, cause: str) -> None:
+        """Demand durability of every queued record up to ``lsn`` without
+        blocking on it; ``cause`` (one of :attr:`DEMANDS`) is what the
+        resulting flush is counted under.  Nothing queued that low - it
+        is durable or in flight already - means nothing to do."""
+        if lsn <= self._through_lsn:
+            return
+        self._through_lsn = lsn
+        self._through_cause = cause
+        pending = self._pending
+        if pending and pending[0][0].lsn <= lsn:
+            self._wake()
+
+    def discard(self, error: BaseException) -> None:
+        """Crash: the buffer is volatile.  Queued records are lost and
+        their waiters fail with ``error``; a batch the writer already
+        took is on the wire and lands or not on its own."""
+        for _record, done in self._pending:
+            if done is not None and not done.triggered:
+                done._defused = True  # the waiter may be gone as well
+                done.fail(error)
+        self._pending.clear()
+        self.pending_bytes = 0
+        self._waiters = 0
+
+    def _wake(self) -> None:
+        wakeup = self._wakeup
+        if wakeup is not None and not wakeup.triggered:
+            wakeup.succeed()
+
+    def _due(self) -> Optional[str]:
+        """Why the queue must be flushed now, or None to let it sit."""
+        pending = self._pending
+        if not pending:
+            return None
+        if pending[0][0].lsn <= self._through_lsn:
+            return self._through_cause
+        if self._waiters:
+            return "commit"
+        if self.pending_bytes >= self.max_batch_bytes:
+            return "full"
+        return None
 
     # ------------------------------------------------------------------
     # Log-writer process
@@ -174,10 +254,12 @@ class LogBuffer:
     def _writer_loop(self):
         pending = self._pending
         while True:
-            if not pending:
+            cause = self._due()
+            if cause is None:
                 self._wakeup = Event(self.env)
                 yield self._wakeup
                 self._wakeup = None
+                continue
             records: List[RedoRecord] = []
             waiters: List[Event] = []
             batch_bytes = 0
@@ -187,8 +269,12 @@ class LogBuffer:
                 batch_bytes += record.log_bytes
                 if done is not None:
                     waiters.append(done)
+            self.pending_bytes -= batch_bytes
+            self._waiters -= len(waiters)
+            self.taken_lsn = max(self.taken_lsn, records[-1].lsn)
             yield from self.flush_fn(records, batch_bytes)
             self.flushes += 1
+            self.flush_demand[cause] += 1
             self.records_flushed += len(records)
             self.persistent_lsn = max(self.persistent_lsn, records[-1].lsn)
             for done in waiters:

@@ -884,6 +884,12 @@ class Deployment:
         reg.gauge(prefix + "engine.log_flushes", lambda: engine.log.flushes)
         reg.gauge(prefix + "engine.records_flushed",
                   lambda: engine.log.records_flushed)
+        # Why each group-commit flush happened, and what still sits in
+        # the log buffer waiting for a demand.
+        reg.gauge(prefix + "engine.log.flush_demand",
+                  lambda: dict(engine.log.flush_demand))
+        reg.gauge(prefix + "engine.log.pending_bytes",
+                  lambda: engine.log.pending_bytes)
         reg.gauge(prefix + "engine.lock_waits", lambda: engine.locks.waits)
         reg.gauge(prefix + "engine.lock_timeouts",
                   lambda: engine.locks.timeouts)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..common import QueryError
-from ..query.ast import Select
+from ..query.ast import ColumnRef, Select
 from ..query.columnar import ColumnBatch
 from ..query.executor import (
     QueryResult,
@@ -51,6 +51,27 @@ def _all_groups(legs: Sequence):
     return keys, ColumnBatch(names, arrays, len(keys)), states
 
 
+def _shadowed_order_key(statement: Select):
+    """A qualified ORDER BY column the legs' whole rows would answer
+    wrongly, or None.  The rows carry only the select list, so ``t.b``
+    falls back to the bare name ``b`` - right when that item *is* the
+    column, wrong when it is ``a AS b``: one engine sorts by the source
+    column, which never left the shard."""
+    shipped = {}
+    for item in statement.items:
+        shipped.setdefault(item.output_name, item.expr)
+    for expr, _ in statement.order_by:
+        for key in expr.columns():
+            table, qualified, name = key.rpartition(".")
+            source = shipped.get(name)
+            if not qualified or source is None:
+                continue
+            if not (isinstance(source, ColumnRef) and source.name == name
+                    and source.table in (None, table)):
+                return key
+    return None
+
+
 def merge(statement: Select, legs: Sequence, registry=None) -> QueryResult:
     """The global answer from per-shard ``execute_partial_select`` results
     (``registry`` only counts kernel builds)."""
@@ -61,6 +82,13 @@ def merge(statement: Select, legs: Sequence, registry=None) -> QueryResult:
         rows = [row for leg in legs for row in leg.rows]
         arrays = list(map(list, zip(*rows))) if rows else [[] for _ in columns]
         batch = ColumnBatch(columns, arrays, len(rows))
+        shadowed = _shadowed_order_key(statement)
+        if shadowed is not None:
+            raise QueryError(
+                "cannot scatter-gather: ORDER BY key is not in the select "
+                "list (%s names a column the select list aliases over)"
+                % shadowed
+            )
     else:
         aggs = legs[0][0]
         _, samples, states = fold_groups(*_all_groups(legs), aggs)

@@ -235,7 +235,9 @@ def test_crash_recovery_committed_data_survives():
     assert stats["committed_txns"] >= 2
 
 
-def test_crash_recovery_uncommitted_txn_rolled_back():
+def _crash_with_a_durable_loser(prepared_as=None):
+    """One committed row, one loser (optionally prepared) whose records
+    reached the log, then a crash."""
     dep = make_deployment()
     engine = dep.engine
 
@@ -247,14 +249,23 @@ def test_crash_recovery_uncommitted_txn_rolled_back():
         loser = engine.begin()
         yield from engine.insert(loser, "accounts", [2, "loser", 2.0])
         yield from engine.update(loser, "accounts", (1,), {"balance": 666.0})
-        # Force the log to flush the loser's records before the crash.
-        waiter = engine.begin()
-        yield from engine.insert(waiter, "accounts", [3, "flushed", 3.0])
-        yield from engine.commit(waiter)
+        if prepared_as is not None:
+            yield from engine.prepare(loser, prepared_as)
+        else:
+            # Someone else's commit takes the loser's records along.
+            waiter = engine.begin()
+            yield from engine.insert(waiter, "accounts", [3, "flushed", 3.0])
+            yield from engine.commit(waiter)
         yield env.timeout(0.05)
 
     run(dep, work(dep.env))
     engine.crash()
+    return dep
+
+
+def test_crash_recovery_uncommitted_txn_rolled_back():
+    dep = _crash_with_a_durable_loser()
+    engine = dep.engine
 
     def recovery(env):
         stats = yield from engine.recover()
@@ -266,6 +277,57 @@ def test_crash_recovery_uncommitted_txn_rolled_back():
     assert one == [1, "committed", 1.0]  # loser's update undone
     assert two is None  # loser's insert undone
     assert stats["losers_undone"] >= 2
+
+
+def test_recovery_makes_its_clrs_durable_before_it_ships_them():
+    """WAL order: PageStore must never hold a record the log does not."""
+    dep = _crash_with_a_durable_loser()
+    engine = dep.engine
+    ship = dep.pagestore.ship_records
+    seen = []  # (newest CLR in the batch, durable tail when it shipped)
+
+    def spy(records):
+        clrs = [r.lsn for r in records if r.clr]
+        if clrs:
+            seen.append((max(clrs), engine.log.persistent_lsn))
+        return ship(records)
+
+    dep.pagestore.ship_records = spy
+
+    def recovery(env):
+        return (yield from engine.recover())
+
+    stats = run(dep, recovery(dep.env))
+    assert stats["losers_undone"] == 2
+    assert seen and all(lsn <= durable for lsn, durable in seen)
+    # Idle engine, yet nothing recovery wrote is left queued or in flight.
+    log = engine.log
+    assert log.queue_depth == 0
+    assert log.persistent_lsn == log.taken_lsn == seen[-1][0]
+    assert log.flush_demand["recovery"] == 1
+
+
+@pytest.mark.parametrize("prepared_as", [None, "g-1"])
+def test_second_crash_right_after_recovery_repeats_no_undo(prepared_as):
+    dep = _crash_with_a_durable_loser(prepared_as)
+    engine = dep.engine
+
+    def recover_twice(env):
+        first = yield from engine.recover()
+        engine.crash()  # not one event later
+        second = yield from engine.recover()
+        one = yield from engine.read_row(None, "accounts", (1,))
+        two = yield from engine.read_row(None, "accounts", (2,))
+        return first, second, one, two
+
+    first, second, one, two = run(dep, recover_twice(dep.env))
+    assert first["losers_undone"] == 2
+    assert first["in_doubt"] == (1 if prepared_as else 0)
+    # Every CLR and the resolution marker were durable: nothing is in
+    # doubt or undone a second time, and nothing undone was lost.
+    assert second["losers_undone"] == 0 and second["in_doubt"] == 0
+    assert one == [1, "committed", 1.0]
+    assert two is None
 
 
 def test_recovery_with_ebp_rebuild():

@@ -129,6 +129,38 @@ def test_standby_ignores_rolled_back_txn():
     assert two is None
 
 
+def test_standby_converges_on_a_rollback_whose_update_already_left():
+    """A's update rides out with B's commit; when A then rolls back on an
+    otherwise idle primary nobody waits on the CLR or the abort marker,
+    yet the standby must not serve the rolled-back value for ever."""
+    dep = build()
+    standby = make_standby(dep)
+    engine = dep.engine
+
+    def work(env):
+        txn = engine.begin()
+        yield from engine.insert(txn, "kv", [1, 0, "orig1"])
+        yield from engine.commit(txn)
+        a = engine.begin()
+        yield from engine.update(a, "kv", (1,), {"v": "DIRTY"})
+        b = engine.begin()
+        yield from engine.insert(b, "kv", [2, 0, "b"])
+        yield from engine.commit(b)
+        assert a.records[0].lsn <= engine.log.persistent_lsn
+        before = env.now
+        yield from engine.rollback(a)
+        assert env.now == before  # demanded, not waited for
+        abort_marker_lsn = engine.lsn.current - 24  # the last LSN handed out
+        yield env.timeout(0.05)
+        return abort_marker_lsn, (yield from standby.read_row("kv", (1,)))
+
+    abort_marker_lsn, row = run(dep, work(dep.env))
+    assert row == [1, 0, "orig1"]
+    assert standby.applier.watermark == abort_marker_lsn
+    assert engine.log.flush_demand["rollback"] == 1
+    assert engine.log.queue_depth == 0
+
+
 def test_standby_lag_is_visible_and_shrinks():
     dep = build()
     standby = make_standby(dep)

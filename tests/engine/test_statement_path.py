@@ -63,22 +63,27 @@ def warmed_accounts():
 
 #: ``env._seq`` delta per verb, measured at the parent of the PR that made
 #: the path allocation-free (commit a0fa8e9) - except ``commit``, whose
-#: flush went on the event diet since (see tests/sim/test_event_budget.py).
+#: flush went on the event diet (see tests/sim/test_event_budget.py), and
+#: the three verbs that used to count the eager log writer's events as
+#: their own: since group commit is on demand an un-waited record wakes
+#: nobody, so ``insert`` and ``update`` are the statement's events alone
+#: and ``commit`` pays for one flush instead of the tail of the previous
+#: one plus its own.
 VERB_EVENTS = {
     "read_row": 2,                 # statement CPU, row CPU
     "read_row_missing_key": 1,     # statement CPU only
     "read_row_for_update": 3,      # + the lock grant
     "read_row_for_update_again": 2,  # re-entrant: no grant
-    "insert": 3,                   # CPU, lock grant, log-writer wake-up
-    "update": 2,                   # CPU + whatever the flush in flight did
+    "insert": 2,                   # CPU, lock grant (was 3: + writer wake-up)
+    "update": 1,                   # CPU (was 2: + the flush then in flight)
     "delete": 2,
-    "commit": 18,                  # the marker's group-commit flush (was 42)
+    "commit": 11,                  # one flush of all four records (was 18)
     "commit_read_only": 0,
     "rollback": 0,
 }
-#: ``(env._seq, env.now)`` once the verbs below have all run (678 events
-#: before the diet; the clock is what it was).
-VERBS_END = (426, 0.014945724765241078)
+#: ``(env._seq, env.now)`` once the verbs below have all run (parent:
+#: ``(426, 0.014945724765241078)``).
+VERBS_END = (334, 0.0148135702974133)
 
 
 def test_each_verb_schedules_exactly_the_events_it_did():
@@ -122,9 +127,10 @@ def test_each_verb_schedules_exactly_the_events_it_did():
 
 
 def test_tpcc_slice_ends_where_it_did():
-    """Eight terminals, 20 virtual ms, seed 1: clock, log position and
-    per-terminal commits as recorded at commit a0fa8e9; the event count is
-    the REDO path's (tests/sim/test_event_budget.py)."""
+    """Eight terminals, 20 virtual ms, seed 1: clock, event count, log
+    position and per-terminal commits.  Virtual time moves wherever a
+    transaction commits once the log writer flushes on demand, so these
+    were re-pinned then; the parent's values are kept below."""
     dep = Deployment(DeploymentSpec.astore_pq(seed=1))
     dep.start()
     database = TpccDatabase(
@@ -143,12 +149,14 @@ def test_tpcc_slice_ends_where_it_did():
         [t.committed for t in terminals],
         [t.aborted for t in terminals],
     ) == (
-        0.04731673419951458,
-        20379,
-        395013,
-        [18, 13, 18, 19, 28, 17, 21, 23],
+        0.047715429933425695,
+        16969,
+        416805,
+        [24, 13, 19, 21, 31, 16, 25, 24],
         [0] * 8,
     )
+    # Parent (eager log writer): 0.04731673419951458, 20379, 395013,
+    # [18, 13, 18, 19, 28, 17, 21, 23].
 
 
 # ---------------------------------------------------------------------------

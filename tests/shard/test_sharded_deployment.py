@@ -4,6 +4,8 @@ same-seed determinism of the sharded TPC-C driver."""
 
 import pytest
 
+from repro.common import QueryError
+
 from repro.engine.codec import INT, Column, Schema
 from repro.harness.deployment import DeploymentSpec
 from repro.shard import ShardKeySpec
@@ -139,6 +141,36 @@ def test_scatter_select_merges_across_shards():
     # Single-shard aggregates are unaffected.
     result = run(dep, client.execute("SELECT AVG(v) FROM kv WHERE k = 4"))
     assert result.rows == [(40,)]
+
+
+def test_scattered_order_by_source_column_under_an_alias_is_refused():
+    """``SELECT k AS v ... ORDER BY kv.v``: one engine sorts by the source
+    column ``v``; the merged rows carry only the select list, where the
+    bare-name fallback of ``kv.v`` would land on the alias (= ``k``)."""
+    dep = build_sharded_frontend(seed=47)
+    rows = [(k, 100 - k) for k in range(8)]  # v descends as k ascends
+    insert = "INSERT INTO kv VALUES %s" % ", ".join("(%d, %d)" % r for r in rows)
+    one = DeploymentSpec.astore_ebp(seed=47, astore_servers=3).build()
+    one.start()
+    one.engine.create_table(
+        "kv", Schema([Column("k", INT()), Column("v", INT())]), ["k"]
+    )
+    single = one.new_session()
+    run(one, single.execute(insert))
+    client = dep.frontend_session("client")
+    run(dep, client.execute(insert))
+    sql = "SELECT k AS v FROM kv ORDER BY kv.v"
+    assert run(one, single.execute(sql)).rows == [(k,) for k in range(7, -1, -1)]
+    with pytest.raises(QueryError, match="cannot scatter-gather: ORDER BY key "
+                                         "is not in the select list"):
+        run(dep, client.execute(sql))
+    # The alias itself, and a qualified name of a column that did ship,
+    # sort the merged rows as one engine does.
+    for sql in ("SELECT k AS v FROM kv ORDER BY v",
+                "SELECT kv.v, k FROM kv ORDER BY kv.v",
+                "SELECT v AS v, k FROM kv ORDER BY kv.v DESC"):
+        assert (run(dep, client.execute(sql)).rows
+                == run(one, single.execute(sql)).rows), sql
 
 
 def test_scattered_top_k_by_aggregate_is_the_one_engine_answer():

@@ -203,10 +203,20 @@ def cmd_fig14(args) -> None:
     print("geometric mean: %.2fx (paper: ~2.8x over all 22)" % mean)
 
 
-def cmd_chaos(args) -> int:
-    """Run the seeded chaos soak and print its deterministic report."""
+def _verdict(report, failure: str) -> int:
+    """Print a scenario's deterministic JSON report; unless it is ``ok``,
+    print ``failure`` to stderr and exit 1."""
     import json
 
+    print(json.dumps(report, sort_keys=True, indent=2))
+    if report["ok"]:
+        return 0
+    print(failure, file=sys.stderr)
+    return 1
+
+
+def cmd_chaos(args) -> int:
+    """Run the seeded chaos soak and print its deterministic report."""
     from .harness.soak import run_chaos_soak, run_sharded_soak
 
     if args.shards > 1:
@@ -215,21 +225,21 @@ def cmd_chaos(args) -> int:
         )
     else:
         report = run_chaos_soak(seed=args.seed, short=args.short)
-    print(json.dumps(report, sort_keys=True, indent=2))
-    if not report["ok"]:
-        print("chaos soak FAILED: %d invariant violation(s)"
-              % len(report["violations"]), file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(report, "chaos soak FAILED: %d invariant violation(s)"
+                    % len(report["violations"]))
 
 
 def cmd_serve(args) -> int:
     """Run the serving-layer scenario and print its deterministic report."""
-    import json
-
     from .frontend.serve import run_serving, run_serving_mux
 
     if args.mux:
+        # Flags of the unmultiplexed scenario: refuse them, don't drop them.
+        for flag, value, default in (("--shards", args.shards, 1),
+                                     ("--tenants", args.tenants, 1),
+                                     ("--read-limit", args.read_limit, None)):
+            if value != default:
+                raise ValueError("%s does not apply to --mux" % flag)
         report = run_serving_mux(
             seed=args.seed,
             sessions=args.sessions if args.sessions is not None else 10000,
@@ -240,20 +250,16 @@ def cmd_serve(args) -> int:
             chaos=not args.no_chaos,
             queue_limit=args.queue_limit,
         )
-        print(json.dumps(report, sort_keys=True, indent=2))
-        if not report["ok"]:
-            print(
-                "serve --mux FAILED: %d stale read(s), %d missing row(s), "
-                "%d/%d sessions executed, fairness %s"
-                % (report["consistency"]["stale_reads"],
-                   report["consistency"]["missing_rows"],
-                   report["mux"]["sessions_executed"],
-                   report["sessions"],
-                   "ok" if report["fairness"]["ok"] else "VIOLATED"),
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+        return _verdict(
+            report,
+            "serve --mux FAILED: %d stale read(s), %d missing row(s), "
+            "%d/%d sessions executed, fairness %s"
+            % (report["consistency"]["stale_reads"],
+               report["consistency"]["missing_rows"],
+               report["mux"]["sessions_executed"],
+               report["sessions"],
+               "ok" if report["fairness"]["ok"] else "VIOLATED"),
+        )
     report = run_serving(
         seed=args.seed,
         replicas=args.replicas,
@@ -266,22 +272,16 @@ def cmd_serve(args) -> int:
         read_limit=args.read_limit,
         queue_limit=args.queue_limit,
     )
-    print(json.dumps(report, sort_keys=True, indent=2))
-    if not report["ok"]:
-        print(
-            "serve FAILED: %d stale read(s), %d missing row(s)"
-            % (report["consistency"]["stale_reads"],
-               report["consistency"]["missing_rows"]),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _verdict(
+        report,
+        "serve FAILED: %d stale read(s), %d missing row(s)"
+        % (report["consistency"]["stale_reads"],
+           report["consistency"]["missing_rows"]),
+    )
 
 
 def cmd_views(args) -> int:
     """Run the incremental-views scenario and print its report."""
-    import json
-
     from .views.scenario import run_views
 
     report = run_views(
@@ -292,14 +292,9 @@ def cmd_views(args) -> int:
         burst_rows=args.burst_rows,
         crash_phase=not args.no_crash,
     )
-    print(json.dumps(report, sort_keys=True, indent=2))
-    if not report["ok"]:
-        print(
-            "views FAILED: %d violation(s)" % len(report["violations"]),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _verdict(
+        report, "views FAILED: %d violation(s)" % len(report["violations"])
+    )
 
 
 def cmd_trace(args) -> None:
@@ -329,6 +324,8 @@ def cmd_trace(args) -> None:
     if args.metrics:
         print(dep.registry.to_json(indent=2), file=sys.stderr)
 
+
+SCENARIOS = {"chaos": cmd_chaos, "serve": cmd_serve, "views": cmd_views}
 
 COMMANDS = {
     "table2": ("Table II log micro-benchmark", cmd_table2),
@@ -458,12 +455,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("  %-8s %s" % ("serve", "serving layer over a replica fleet"))
         print("  %-8s %s" % ("views", "incremental views with audits"))
         return 0
-    if args.command == "chaos":
-        return cmd_chaos(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "views":
-        return cmd_views(args)
+    scenario = SCENARIOS.get(args.command)
+    if scenario is not None:
+        try:
+            return scenario(args)
+        except ValueError as exc:
+            # Arguments are checked before anything is built or run.
+            print("python -m repro %s: error: %s" % (args.command, exc),
+                  file=sys.stderr)
+            return 2
     if args.command == "trace":
         cmd_trace(args)
         return 0

@@ -20,44 +20,36 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-from ..common import KB, MS, OverloadError, QueryError, TransactionAborted
+from ..common import MS, OverloadError, QueryError, TransactionAborted
 from ..engine.codec import INT, VARCHAR, Column, Schema
-from ..harness.chaos import ChaosInjector, ChaosSchedule
-from ..harness.deployment import DeploymentSpec
-from ..harness.stats import collect_stats
+from ..harness.scenario import (
+    SCENARIO_TPCC,
+    bump_version,
+    check_version,
+    latency_ms,
+    reads_section,
+    replica_chaos,
+    run,
+    scenario_spec,
+    storage_counters,
+    totals,
+    tpcc_driver,
+    tpcc_section,
+    tpcc_terminals,
+)
 from ..sim.core import AllOf
-from ..workloads.tpcc import TpccClient, TpccConfig, TpccDatabase
+from ..workloads.tpcc import TpccDatabase
 
 __all__ = ["run_serving", "run_serving_mux", "MUX_TENANTS"]
 
 #: Keys in the sysbench-style read table.
 SERVE_KEYS = 120
 
-SERVE_TPCC = TpccConfig(
-    warehouses=2, districts_per_warehouse=3,
-    customers_per_district=8, items=40,
-)
 
-
-def _stacked_stat(snapshot, dep, *path):
-    """Read a per-stack metric: unprefixed on one shard, summed over the
-    ``shardK.`` subtrees otherwise."""
-    if dep.config.shards == 1:
-        node = snapshot
-        for part in path:
-            node = node[part]
-        return node
-    total = 0
-    for index in range(dep.config.shards):
-        node = snapshot.get("shard%d" % index, {})
-        for part in path:
-            node = node.get(part, 0) if isinstance(node, dict) else 0
-        total += node
-    return total
-
-
-def _load_serve_table(dep) -> None:
-    """Create and preload the ``sbserve`` read table (version 0 rows)."""
+def _load_serve_table(dep) -> Dict[int, int]:
+    """Create, preload (version 0 rows) and sync the ``sbserve`` read
+    table; returns each shard's durable LSN, the consistency floor every
+    session inherits so routed reads see at least the preload."""
     engine = dep.shard_session(0) if dep.config.shards > 1 else dep.engine
     engine.create_table(
         "sbserve",
@@ -75,19 +67,13 @@ def _load_serve_table(dep) -> None:
             yield from engine.insert(txn, "sbserve", [k, 0, "x" * 40])
         yield from engine.commit(txn)
 
-    proc = dep.env.process(load(), name="serve-load")
-    dep.env.run_until_event(proc)
-
-
-def _tpcc_driver(env, session, client, duration, stats):
-    """TPC-C terminal writing through the proxy's write class."""
-    deadline = env.now + duration
-    while env.now < deadline:
-        try:
-            yield from session.run_write(client.run_one())
-        except OverloadError:
-            stats["shed"] += 1
-            yield env.timeout(1 * MS)
+    run(dep, load(), "serve-load")
+    for stack in dep.shards:
+        stack.fleet.sync_catalogs()
+    return {
+        index: stack.engine.log.persistent_lsn
+        for index, stack in enumerate(dep.shards)
+    }
 
 
 def _mixed_driver(env, session, engine, rng, duration, stats):
@@ -96,19 +82,10 @@ def _mixed_driver(env, session, engine, rng, duration, stats):
     deadline = env.now + duration
     while env.now < deadline:
         k = rng.randint(1, SERVE_KEYS)
-
-        def bump(txn, key=k):
-            row = yield from engine.read_row(
-                txn, "sbserve", (key,), for_update=True
-            )
-            next_version = row[1] + 1
-            yield from engine.update(
-                txn, "sbserve", (key,), {"version": next_version}
-            )
-            return next_version
-
         try:
-            version = yield from session.write(bump)
+            version = yield from session.write(
+                bump_version(engine, "sbserve", k)
+            )
         except OverloadError:
             stats["shed"] += 1
             yield env.timeout(1 * MS)
@@ -126,20 +103,9 @@ def _mixed_driver(env, session, engine, rng, duration, stats):
                 stats["shed"] += 1
                 continue
             stats["checks"] += 1
-            expect = last_written.get(read_key)
-            if row is None:
-                stats["missing_rows"] += 1
-                stats["violations"].append(
-                    "t=%.4f %s: key %d missing (route %s)"
-                    % (env.now, session.name, read_key, session.last_route)
-                )
-            elif expect is not None and row[1] < expect:
-                stats["stale_reads"] += 1
-                stats["violations"].append(
-                    "t=%.4f %s: key %d version %d < committed %d (route %s)"
-                    % (env.now, session.name, read_key, row[1], expect,
-                       session.last_route)
-                )
+            check_version(env, stats, session.name, read_key,
+                          None if row is None else row[1],
+                          last_written.get(read_key), session.last_route)
 
 
 def _read_driver(env, session, rng, duration, stats):
@@ -216,11 +182,7 @@ def run_serving(
     def tenant_of(index: int) -> str:
         return "tenant-%d" % (index % tenants) if tenants > 1 else "default"
 
-    spec = DeploymentSpec.astore_ebp(
-        seed=seed, astore_servers=4
-    ).with_shards(shards).with_engine(
-        buffer_pool_bytes=48 * 16 * KB
-    ).with_replicas(
+    spec = scenario_spec(seed, 48).with_shards(shards).with_replicas(
         replicas,
         policy=policy,
         apply_intervals=apply_intervals,
@@ -231,15 +193,13 @@ def run_serving(
         write_limit=write_limit,
         queue_limit=queue_limit,
         queue_timeout=queue_timeout,
-    ).with_fault_tolerance(
-        heartbeat_interval=0.05, failure_timeout=0.15, lease_duration=2.0
     )
     dep = spec.build()
     dep.start()
     env = dep.env
     proxy = dep.frontend
 
-    tpcc_config = SERVE_TPCC
+    tpcc_config = SCENARIO_TPCC
     if shards > 1:
         # Warehouse-partitioned TPC-C plus the sbserve read table
         # hash-sharded on its key; loads route through the coordinator.
@@ -247,7 +207,7 @@ def run_serving(
         from ..workloads.tpcc import register_tpcc_sharding
 
         tpcc_config = dataclasses.replace(
-            SERVE_TPCC, warehouses=2 * shards, remote_item_prob=0.10
+            SCENARIO_TPCC, warehouses=2 * shards, remote_item_prob=0.10
         )
         register_tpcc_sharding(dep.shardmap)
         dep.shardmap.set_table("sbserve", ShardKeySpec(column_pos=0))
@@ -256,42 +216,13 @@ def run_serving(
         load_engine = dep.engine
     database = TpccDatabase(load_engine, tpcc_config,
                             dep.seeds.stream("serve-tpcc-load"))
-    load = env.process(database.load(), name="serve-tpcc-load")
-    env.run_until_event(load)
-    _load_serve_table(dep)
-    for stack in dep.shards:
-        stack.fleet.sync_catalogs()
-    # Sessions inherit the preload as their consistency floor: every
-    # routed read must at least see the version-0 rows.
-    preload_lsns = {
-        index: stack.engine.log.persistent_lsn
-        for index, stack in enumerate(dep.shards)
-    }
+    run(dep, database.load(), "serve-tpcc-load")
+    preload_lsns = _load_serve_table(dep)
 
-    injector = None
-    victim = "replica-%d" % (replicas - 1)
-    if chaos:
-        schedule = ChaosSchedule()
-        schedule.add(duration * 0.30, "replica_crash", victim)
-        schedule.add(duration * 0.55, "replica_restart", victim)
-        injector = ChaosInjector(dep, schedule)
-        injector.start()
-
-    terminals = []
-    for i in range(write_terminals):
-        if shards > 1:
-            w_id = (i % tpcc_config.warehouses) + 1
-            terminals.append(TpccClient(
-                database, dep.seeds.stream("serve-terminal-%d" % i),
-                home_warehouse=w_id,
-                engine=dep.shard_session(
-                    dep.shardmap.read_shard_of("warehouse", (w_id,))
-                ),
-            ))
-        else:
-            terminals.append(TpccClient(
-                database, dep.seeds.stream("serve-terminal-%d" % i)
-            ))
+    chaos_log = replica_chaos(dep, duration) if chaos else []
+    terminals = tpcc_terminals(
+        dep, database, write_terminals, "serve-terminal-%d"
+    )
     tpcc_stats = {"shed": 0}
     mixed_stats = [
         {"writes": 0, "aborted": 0, "checks": 0, "stale_reads": 0,
@@ -308,7 +239,7 @@ def run_serving(
         session = proxy.session("tpcc-%d" % index)
         session.note_commit_map(preload_lsns)
         procs.append(env.process(
-            _tpcc_driver(env, session, client, duration, tpcc_stats),
+            tpcc_driver(env, session, client, duration, tpcc_stats),
             name="serve-tpcc-%d" % index,
         ))
     for index, stats in enumerate(mixed_stats):
@@ -333,20 +264,17 @@ def run_serving(
     # Settle: let replicas drain their lag and any restart finish.
     env.run(until=env.now + 0.5)
 
-    registry = dep.registry
-    read_latency = registry.latency("frontend.proxy_read")
     admission = dep.admission
     fleet = dep.fleet
     violations: List[str] = []
     for stats in mixed_stats:
         violations.extend(stats.pop("violations"))
-    total_reads = proxy.reads_replica + proxy.reads_primary
     stale_reads = sum(s["stale_reads"] for s in mixed_stats)
     missing_rows = (
         sum(s["missing_rows"] for s in mixed_stats)
         + sum(s["missing_rows"] for s in read_stats)
     )
-    stats_snapshot = collect_stats(dep)
+    reads = reads_section(proxy)
 
     report = {
         "seed": seed,
@@ -354,38 +282,21 @@ def run_serving(
         "replicas": replicas,
         "duration": duration,
         "chaos": bool(chaos),
-        "chaos_log": list(injector.log) if injector is not None else [],
+        "chaos_log": list(chaos_log),
         "virtual_end": round(env.now, 6),
-        "tpcc": {
-            "committed": sum(t.committed for t in terminals),
-            "aborted": sum(t.aborted for t in terminals),
-            "shed": tpcc_stats["shed"],
-        },
-        "mixed": {
-            "writes": sum(s["writes"] for s in mixed_stats),
-            "aborted": sum(s["aborted"] for s in mixed_stats),
-            "checks": sum(s["checks"] for s in mixed_stats),
-            "shed": sum(s["shed"] for s in mixed_stats),
-        },
-        "reads": {
-            "total": total_reads,
-            "replica": proxy.reads_replica,
-            "primary": proxy.reads_primary,
-            "per_replica": dict(proxy.per_replica_reads),
-            "bounces": dict(proxy.bounces),
-            "reroutes": proxy.reroutes,
-            "read_only_session_reads":
-                sum(s["reads"] for s in read_stats),
-            "read_qps": round(total_reads / duration, 3),
-            "read_p95_ms": round(read_latency.percentile(95) * 1000, 4),
-        },
+        "tpcc": tpcc_section(terminals, tpcc_stats),
+        "mixed": totals(mixed_stats, ("writes", "aborted", "checks", "shed")),
+        "reads": dict(
+            reads,
+            per_replica=dict(proxy.per_replica_reads),
+            read_only_session_reads=sum(s["reads"] for s in read_stats),
+            read_qps=round(reads["total"] / duration, 3),
+            read_p95_ms=latency_ms(dep, "frontend.proxy_read", 95),
+        ),
         "consistency": {
             "lsn_waits": fleet.lsn_waits,
             "lsn_wait_timeouts": fleet.lsn_wait_timeouts,
-            "lsn_wait_p95_ms": round(
-                registry.latency("frontend.fleet_lsn_wait")
-                .percentile(95) * 1000, 4
-            ),
+            "lsn_wait_p95_ms": latency_ms(dep, "frontend.fleet_lsn_wait", 95),
             "checks": sum(s["checks"] for s in mixed_stats),
             "stale_reads": stale_reads,
             "missing_rows": missing_rows,
@@ -413,34 +324,25 @@ def run_serving(
             "rejects": admission.rejects,
             "queue_full": admission.shed_queue_full,
             "deadline": admission.shed_deadline,
-            "wait_p95_ms": round(
-                registry.latency("frontend.admission_wait")
-                .percentile(95) * 1000, 4
-            ),
+            "wait_p95_ms": latency_ms(dep, "frontend.admission_wait", 95),
         },
-        "counters": {
-            "detector_replicas_drained":
-                dep.detector.replicas_drained if dep.detector else 0,
-            "ebp_hits": _stacked_stat(stats_snapshot, dep, "ebp", "hits"),
-            "pagestore_page_reads": _stacked_stat(
-                stats_snapshot, dep, "pagestore", "page_reads"),
-        },
+        "counters": dict(
+            storage_counters(dep),
+            detector_replicas_drained=(
+                dep.detector.replicas_drained if dep.detector else 0),
+        ),
         "violations": violations,
         "ok": stale_reads == 0 and missing_rows == 0,
     }
     if tenants > 1:
         breakdown: Dict[str, Dict[str, int]] = {}
-        for index, stats in enumerate(mixed_stats):
-            entry = breakdown.setdefault(
-                tenant_of(index), {"sessions": 0, "reads": 0, "writes": 0})
-            entry["sessions"] += 1
-            entry["reads"] += stats["checks"]
-            entry["writes"] += stats["writes"]
-        for index, stats in enumerate(read_stats):
-            entry = breakdown.setdefault(
-                tenant_of(index), {"sessions": 0, "reads": 0, "writes": 0})
-            entry["sessions"] += 1
-            entry["reads"] += stats["reads"]
+        for group, reads in ((mixed_stats, "checks"), (read_stats, "reads")):
+            for index, stats in enumerate(group):
+                entry = breakdown.setdefault(
+                    tenant_of(index), {"sessions": 0, "reads": 0, "writes": 0})
+                entry["sessions"] += 1
+                entry["reads"] += stats[reads]
+                entry["writes"] += stats.get("writes", 0)
         report["tenants"] = {
             name: breakdown[name] for name in sorted(breakdown)
         }
@@ -488,44 +390,24 @@ def _mux_worker(env, mux, engine, pool, rng, deadline, stats, audits,
     retry; a swept session retries until its statement lands.
     """
 
-    def audit_read(ms, key, version_seen):
-        expect = audits[ms.name].get(key)
-        if version_seen is None:
-            stats["missing_rows"] += 1
-        elif expect is not None and version_seen < expect:
-            stats["stale_reads"] += 1
-            stats["violations"].append(
-                "t=%.4f %s: key %d version %d < committed %d"
-                % (env.now, ms.name, key, version_seen, expect)
-            )
-
     def one_statement(ms, draw):
         key = rng.randint(1, SERVE_KEYS)
         if draw < 0.08:
-            def bump(txn, key=key):
-                row = yield from engine.read_row(
-                    txn, "sbserve", (key,), for_update=True
-                )
-                next_version = row[1] + 1
-                yield from engine.update(
-                    txn, "sbserve", (key,), {"version": next_version}
-                )
-                return next_version
-
-            version = yield from mux.write(ms, bump)
+            version = yield from mux.write(
+                ms, bump_version(engine, "sbserve", key)
+            )
             audits[ms.name][key] = version
             stats["writes"] += 1
-        elif draw < 0.70:
+            return
+        if draw < 0.70:
             prepared = mux.prepare(ms, _MUX_POINT_SQL)
             result = yield from prepared.execute(key)
-            stats["reads"] += 1
-            audit_read(
-                ms, key, result.rows[0][1] if result.rows else None
-            )
+            seen = result.rows[0][1] if result.rows else None
         else:
             row = yield from mux.read_row(ms, "sbserve", (key,))
-            stats["reads"] += 1
-            audit_read(ms, key, None if row is None else row[1])
+            seen = None if row is None else row[1]
+        stats["reads"] += 1
+        check_version(env, stats, ms.name, key, seen, audits[ms.name].get(key))
 
     # Phase 1: coverage sweep - every parked session serves a statement.
     for ms in pool:
@@ -585,27 +467,19 @@ def run_serving_mux(
         raise ValueError("sessions must be >= 1, got %r" % sessions)
     tenant_rows = list(tenants) if tenants is not None else list(MUX_TENANTS)
     weights = {name: weight for name, weight, _share in tenant_rows}
-    spec = DeploymentSpec.astore_ebp(
-        seed=seed, astore_servers=4
-    ).with_engine(
-        buffer_pool_bytes=48 * 16 * KB
-    ).with_replicas(
+    spec = scenario_spec(seed, 48).with_replicas(
         replicas, policy=policy
     ).with_multiplexing(
         lanes,
         weights,
         queue_limit=queue_limit,
         queue_timeout=queue_timeout,
-    ).with_fault_tolerance(
-        heartbeat_interval=0.05, failure_timeout=0.15, lease_duration=2.0
     )
     dep = spec.build()
     dep.start()
     env = dep.env
     mux = dep.mux
-    _load_serve_table(dep)
-    dep.fleet.sync_catalogs()
-    preload_lsn = dep.engine.log.persistent_lsn
+    preload_lsn = _load_serve_table(dep)[0]
 
     # Open the full parked-session population: descriptors only, no live
     # engine sessions - this is the O(active) claim under test.
@@ -623,14 +497,7 @@ def run_serving_mux(
             ms.lsns[0] = preload_lsn
             pools[name].append(ms)
 
-    injector = None
-    victim = "replica-%d" % (replicas - 1)
-    if chaos:
-        schedule = ChaosSchedule()
-        schedule.add(duration * 0.30, "replica_crash", victim)
-        schedule.add(duration * 0.55, "replica_restart", victim)
-        injector = ChaosInjector(dep, schedule)
-        injector.start()
+    chaos_log = replica_chaos(dep, duration) if chaos else []
 
     audits: Dict[str, Dict[int, int]] = {
         ms.name: {} for pool in pools.values() for ms in pool
@@ -666,19 +533,14 @@ def run_serving_mux(
     env.run_until_event(AllOf(env, procs))
     env.run(until=env.now + 0.5)
 
-    registry = dep.registry
     violations: List[str] = []
     for stats in tenant_stats.values():
         violations.extend(stats.pop("violations"))
-    stale_reads = sum(s["stale_reads"] for s in tenant_stats.values())
-    missing_rows = sum(s["missing_rows"] for s in tenant_stats.values())
-    total_statements = sum(
+    consistency = totals(tenant_stats.values(),
+                         ("stale_reads", "missing_rows"))
+    consistency["statements"] = sum(
         s["reads"] + s["writes"] for s in tenant_stats.values()
     )
-
-    def p99_ms(name: str, kind: str) -> float:
-        recorder = registry.latency("frontend.tenant.%s.%s" % (name, kind))
-        return round(recorder.percentile(99) * 1000, 4)
 
     tenant_report = {}
     for name, weight, _share in tenant_rows:
@@ -691,8 +553,10 @@ def run_serving_mux(
             "aborted": stats["aborted"],
             "shed": stats["shed"],
             "admitted": mux.wfq.admitted[name],
-            "wait_p99_ms": p99_ms(name, "wait"),
-            "statement_p99_ms": p99_ms(name, "statement"),
+            "wait_p99_ms":
+                latency_ms(dep, "frontend.tenant.%s.wait" % name, 99),
+            "statement_p99_ms":
+                latency_ms(dep, "frontend.tenant.%s.statement" % name, 99),
         }
     # Weighted-fairness check: a tenant with the larger lane weight must
     # not wait (P99) more than 2x any smaller-weight tenant - the DRR
@@ -718,7 +582,7 @@ def run_serving_mux(
         "replicas": replicas,
         "duration": duration,
         "chaos": bool(chaos),
-        "chaos_log": list(injector.log) if injector is not None else [],
+        "chaos_log": list(chaos_log),
         "virtual_end": round(env.now, 6),
         "mux": {
             "sessions_open": len(mux.sessions),
@@ -735,19 +599,10 @@ def run_serving_mux(
             "rule": "wait_p99(higher weight) <= 2x wait_p99(lower weight)",
             "ok": fair,
         },
-        "reads": {
-            "total": proxy.reads_replica + proxy.reads_primary,
-            "replica": proxy.reads_replica,
-            "primary": proxy.reads_primary,
-            "bounces": dict(proxy.bounces),
-            "reroutes": proxy.reroutes,
-        },
-        "consistency": {
-            "statements": total_statements,
-            "stale_reads": stale_reads,
-            "missing_rows": missing_rows,
-        },
+        "reads": reads_section(proxy),
+        "consistency": consistency,
         "violations": violations,
-        "ok": (stale_reads == 0 and missing_rows == 0
+        "ok": (consistency["stale_reads"] == 0
+               and consistency["missing_rows"] == 0
                and all_executed and fair),
     }

@@ -141,9 +141,9 @@ class ChaosInjector:
         if self._started:
             return
         self._started = True
-        self.deployment.env.process(self._run(), name="chaos-injector")
+        self.deployment.env.process(self._play(), name="chaos-injector")
 
-    def _run(self):
+    def _play(self):
         env = self.deployment.env
         start = env.now
         for event in self.schedule.sorted_events():

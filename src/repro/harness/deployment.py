@@ -409,6 +409,8 @@ class DeploymentSpec:
         replicas); ``wait_timeout`` bounds the read-your-writes wait
         before a read bounces to the primary.
         """
+        if n < 1:
+            raise ValueError("replicas must be >= 1, got %r" % n)
         changes: Dict[str, object] = {"replicas": n}
         if policy is not None:
             changes["replica_policy"] = policy
@@ -1053,8 +1055,9 @@ class Deployment:
             )
             self.deadlock_detector.start()
 
-    def run_until(self, event) -> None:
-        self.env.run_until_event(event)
+    def run_until(self, event):
+        """Run until ``event`` fires; returns its value."""
+        return self.env.run_until_event(event)
 
     def run_for(self, seconds: float) -> None:
         self.env.run(until=self.env.now + seconds)

@@ -25,9 +25,10 @@ from ..workloads.microbench import (
 )
 from ..workloads.orders import OrdersClient, OrdersConfig, OrdersDatabase
 from ..workloads.sysbench import SysbenchClient, SysbenchConfig, SysbenchDatabase
-from ..workloads.tpcc import TpccClient, TpccConfig, run_tpcc
+from ..workloads.tpcc import TpccConfig, run_tpcc
 from ..workloads.tpcch import CH_QUERIES, TpcchConfig, TpcchDatabase, ch_query_sql
 from .deployment import Deployment, DeploymentSpec
+from .scenario import run, run_all, tpcc_terminals
 
 __all__ = [
     "table2_log_micro",
@@ -48,6 +49,14 @@ __all__ = [
     "Fig14Row",
     "fig14_pushdown_speedup",
 ]
+
+
+def _merged_latency(clients) -> LatencyRecorder:
+    """One recorder holding every client's latency samples."""
+    latency = LatencyRecorder()
+    for client in clients:
+        latency.samples.extend(client.latencies.samples)
+    return latency
 
 
 # ---------------------------------------------------------------------------
@@ -148,22 +157,16 @@ def fig8_order_processing(
                 dep = Deployment(factory(seed=seed))
                 dep.start()
                 database = OrdersDatabase(dep.engine, OrdersConfig())
-                load = dep.env.process(database.load())
-                dep.env.run_until_event(load)
+                run(dep, database.load())
                 workers = [
                     OrdersClient(database, dep.seeds.stream("orders-%d" % i))
                     for i in range(clients)
                 ]
                 meter = ThroughputMeter()
                 meter.start(dep.env.now)
-                procs = [
-                    dep.env.process(w.run_for(duration, kind=kind, meter=meter))
-                    for w in workers
-                ]
-                dep.env.run_until_event(AllOf(dep.env, procs))
-                latency = LatencyRecorder()
-                for worker in workers:
-                    latency.samples.extend(worker.latencies.samples)
+                run_all(dep, (w.run_for(duration, kind=kind, meter=meter)
+                              for w in workers))
+                latency = _merged_latency(workers)
                 points.append(
                     OrdersPoint(
                         deployment=name,
@@ -202,17 +205,13 @@ def fig9_advertisement(
         dep = Deployment(factory(seed=seed))
         dep.start()
         database = AdsDatabase(dep.engine, AdsConfig())
-        load = dep.env.process(database.load())
-        dep.env.run_until_event(load)
+        run(dep, database.load())
         workers = [
             AdsClient(database, dep.seeds.stream("ads-%d" % i))
             for i in range(clients)
         ]
-        procs = [dep.env.process(w.run_for(duration)) for w in workers]
-        dep.env.run_until_event(AllOf(dep.env, procs))
-        latency = LatencyRecorder()
-        for worker in workers:
-            latency.samples.extend(worker.latencies.samples)
+        run_all(dep, (w.run_for(duration) for w in workers))
+        latency = _merged_latency(workers)
         results.append(
             AdsResult(
                 deployment=name,
@@ -245,9 +244,23 @@ def _build_tpcch(
         string_scale=1.0,  # full-width rows: working sets outgrow the BP
     )
     database = TpcchDatabase(dep.engine, config, dep.seeds.stream("ch-load"))
-    load = dep.env.process(database.load())
-    dep.env.run_until_event(load)
+    run(dep, database.load())
     return dep, database, config
+
+
+def _timed_query(dep, session, query_no: int, runs: int) -> float:
+    """Mean virtual seconds of CH query ``query_no`` over ``runs`` runs,
+    after one warm-up run (the paper's method)."""
+
+    def timed():
+        sql = ch_query_sql(query_no)
+        yield from session.execute(sql)
+        start = dep.env.now
+        for _ in range(runs):
+            yield from session.execute(sql)
+        return (dep.env.now - start) / runs
+
+    return run(dep, timed())
 
 
 @dataclass
@@ -283,10 +296,7 @@ def fig10_ap_impact(
                 if use_ebp
                 else factory(seed=seed, engine=engine_config)
             )
-            terminals = [
-                TpccClient(database, dep.seeds.stream("tp-%d" % i))
-                for i in range(tp_clients)
-            ]
+            terminals = tpcc_terminals(dep, database, tp_clients, "tp-%d")
             meter = ThroughputMeter()
             meter.start(dep.env.now)
             tp_procs = [
@@ -305,9 +315,7 @@ def fig10_ap_impact(
             for stream_no in range(ap_streams):
                 dep.env.process(ap_stream(dep.env, stream_no))
             dep.env.run_until_event(AllOf(dep.env, tp_procs))
-            latency = LatencyRecorder()
-            for terminal in terminals:
-                latency.samples.extend(terminal.latencies.samples)
+            latency = _merged_latency(terminals)
             points.append(
                 Fig10Point(
                     ebp=use_ebp,
@@ -354,20 +362,10 @@ def fig11_ebp_query_speedup(
                 kwargs["ebp_capacity_bytes"] = 128 * MB
             dep, database, _config = _build_tpcch(factory(**kwargs))
             session = dep.new_session(enable_pushdown=False)
-            timings[use_ebp] = {}
-
-            def run_query(env, query_no):
-                sql = ch_query_sql(query_no)
-                yield from session.execute(sql)  # warm-up
-                start = env.now
-                for _ in range(runs):
-                    yield from session.execute(sql)
-                return (env.now - start) / runs
-
-            for query_no in query_nos:
-                proc = dep.env.process(run_query(dep.env, query_no))
-                dep.env.run_until_event(proc)
-                timings[use_ebp][query_no] = proc.value
+            timings[use_ebp] = {
+                query_no: _timed_query(dep, session, query_no, runs)
+                for query_no in query_nos
+            }
         for query_no in query_nos:
             rows.append(
                 Fig11Row(
@@ -428,24 +426,17 @@ def fig12_ebp_size_sweep(
             )
         dep.start()
         database = LookupDatabase(dep.engine, LookupConfig(rows=6000))
-        load = dep.env.process(database.load())
-        dep.env.run_until_event(load)
+        run(dep, database.load())
         workers = [
             LookupClient(database, dep.seeds.stream("lk-%d" % i))
             for i in range(clients)
         ]
         # Warm the caches, then measure.
-        warm = [dep.env.process(w.run_count(lookups // (2 * clients)))
-                for w in workers]
-        dep.env.run_until_event(AllOf(dep.env, warm))
+        run_all(dep, (w.run_count(lookups // (2 * clients)) for w in workers))
         for worker in workers:
             worker.latencies = LatencyRecorder()
-        procs = [dep.env.process(w.run_count(lookups // clients))
-                 for w in workers]
-        dep.env.run_until_event(AllOf(dep.env, procs))
-        latency = LatencyRecorder()
-        for worker in workers:
-            latency.samples.extend(worker.latencies.samples)
+        run_all(dep, (w.run_count(lookups // clients) for w in workers))
+        latency = _merged_latency(workers)
         points.append(
             Fig12Point(
                 ebp_label=label,
@@ -524,18 +515,14 @@ def fig13_sysbench_cost_equal(
                 database = SysbenchDatabase(
                     dep.engine, SysbenchConfig(rows=rows)
                 )
-                load = dep.env.process(database.load())
-                dep.env.run_until_event(load)
+                run(dep, database.load())
                 workers = [
                     SysbenchClient(database, dep.seeds.stream("sb-%d" % i))
                     for i in range(clients)
                 ]
                 meter = ThroughputMeter()
                 meter.start(dep.env.now)
-                procs = [
-                    dep.env.process(w.run_for(duration, meter)) for w in workers
-                ]
-                dep.env.run_until_event(AllOf(dep.env, procs))
+                run_all(dep, (w.run_for(duration, meter) for w in workers))
                 qps[name] = meter.completed / duration
             points.append(
                 Fig13Point(
@@ -592,20 +579,10 @@ def fig14_pushdown_speedup(
     for label, (dep_config, session_kwargs) in setups.items():
         dep, database, _cfg = _build_tpcch(dep_config, config)
         session = dep.new_session(**session_kwargs)
-        timings[label] = {}
-
-        def run_query(env, query_no):
-            sql = ch_query_sql(query_no)
-            yield from session.execute(sql)  # warm-up (paper runs 3x)
-            start = env.now
-            for _ in range(runs):
-                yield from session.execute(sql)
-            return (env.now - start) / runs
-
-        for query_no in query_nos:
-            proc = dep.env.process(run_query(dep.env, query_no))
-            dep.env.run_until_event(proc)
-            timings[label][query_no] = proc.value
+        timings[label] = {
+            query_no: _timed_query(dep, session, query_no, runs)
+            for query_no in query_nos
+        }
     rows = [
         Fig14Row(
             query_no=query_no,

@@ -20,25 +20,24 @@ runs with the same seed produce byte-identical reports.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..common import KB, QueryError, StorageError, TransactionAborted
 from ..sim.core import AllOf, AnyOf
-from ..workloads.tpcc import (
-    TpccClient,
-    TpccConfig,
-    TpccDatabase,
-    register_tpcc_sharding,
-)
+from ..workloads.tpcc import TpccDatabase, register_tpcc_sharding
 from .chaos import ChaosInjector, ChaosMonkey
 from .deployment import DeploymentSpec
-from .stats import collect_stats
+from .scenario import (
+    SCENARIO_TPCC,
+    audit_tpcc_ledgers,
+    run,
+    run_all,
+    scenario_spec,
+    storage_counters,
+    tpcc_terminals,
+)
 
 __all__ = ["run_chaos_soak", "run_sharded_soak"]
-
-#: Float tolerance for YTD sums (amounts are rounded to cents on both
-#: sides; anything above this is a real lost or phantom update).
-CENTS = 0.01
 
 
 def run_chaos_soak(
@@ -55,30 +54,21 @@ def run_chaos_soak(
     """
     horizon = (3.5 if short else 10.0) if horizon is None else horizon
     terminals_n = (2 if short else 4) if terminals is None else terminals
-    tpcc = TpccConfig(
-        warehouses=2, districts_per_warehouse=3,
-        customers_per_district=8, items=40,
-    )
     # A deliberately tiny buffer pool: evictions populate the EBP, so a
     # purge after a server crash actually exercises the transparent
     # EBP-miss -> PageStore fallback on the read path.
-    spec = DeploymentSpec.astore_ebp(
-        seed=seed, astore_servers=4
-    ).with_engine(
-        buffer_pool_bytes=24 * 16 * KB
-    ).with_fault_tolerance(
-        heartbeat_interval=0.05, failure_timeout=0.15, lease_duration=2.0
-    )
     spec = dataclasses.replace(
-        spec, astore_route_refresh_period=0.2, astore_cleanup_period=1.0
+        scenario_spec(seed, 24),
+        astore_route_refresh_period=0.2, astore_cleanup_period=1.0,
     )
     dep = spec.build()
     dep.start()
     env = dep.env
 
-    database = TpccDatabase(dep.engine, tpcc, dep.seeds.stream("soak-load"))
-    load = env.process(database.load())
-    env.run_until_event(load)
+    database = TpccDatabase(
+        dep.engine, SCENARIO_TPCC, dep.seeds.stream("soak-load")
+    )
+    run(dep, database.load())
 
     monkey = ChaosMonkey(
         dep.seeds.stream("chaos-monkey"),
@@ -89,23 +79,17 @@ def run_chaos_soak(
     injector = ChaosInjector(dep, monkey.build())
     injector.start()
 
-    terminals = [
-        TpccClient(database, dep.seeds.stream("soak-client-%d" % index))
-        for index in range(terminals_n)
-    ]
-    procs = [env.process(t.run_for(horizon)) for t in terminals]
-    env.run_until_event(AllOf(env, procs))
+    terminals = tpcc_terminals(dep, database, terminals_n, "soak-client-%d")
+    run_all(dep, (t.run_for(horizon) for t in terminals))
 
     # Settle: let the detector finish purges/reclaims and the ring heal.
     env.run(until=env.now + 3.0)
 
     # The final blow: crash the engine itself and recover from the log.
     dep.engine.crash()
-    recovery = env.process(dep.engine.recover())
-    env.run_until_event(recovery)
+    run(dep, dep.engine.recover())
 
-    violations = _audit(dep, tpcc, terminals)
-    stats = collect_stats(dep)
+    violations = audit_tpcc_ledgers(dep, dep.engine, SCENARIO_TPCC, terminals)
     detector = dep.detector
     report = {
         "seed": seed,
@@ -133,8 +117,7 @@ def run_chaos_soak(
             "client_deadlines_exceeded": sum(
                 c.deadlines_exceeded for c in dep.astore.clients
             ),
-            "ebp_hits": stats["ebp"]["hits"],
-            "pagestore_page_reads": stats["pagestore"]["page_reads"],
+            **storage_counters(dep),
         },
         "violations": violations,
         "ok": not violations,
@@ -191,10 +174,8 @@ def run_sharded_soak(
     horizon = (3.0 if short else 8.0) if horizon is None else horizon
     terminals_n = (2 * shards if short else 4 * shards
                    ) if terminals is None else terminals
-    tpcc = TpccConfig(
-        warehouses=2 * shards, districts_per_warehouse=3,
-        customers_per_district=8, items=40,
-        remote_item_prob=0.25,
+    tpcc = dataclasses.replace(
+        SCENARIO_TPCC, warehouses=2 * shards, remote_item_prob=0.25
     )
     spec = DeploymentSpec.astore_ebp(
         seed=seed, astore_servers=4
@@ -209,8 +190,7 @@ def run_sharded_soak(
     register_tpcc_sharding(dep.shardmap)
     session0 = dep.shard_session(home=0)
     database = TpccDatabase(session0, tpcc, dep.seeds.stream("soak-load"))
-    load = env.process(database.load())
-    env.run_until_event(load)
+    run(dep, database.load())
 
     # Scatter-atomicity probe table: one counter row per shard (key k
     # hashes to shard k % shards for small ints), bumped in lock-step by
@@ -227,8 +207,7 @@ def run_sharded_soak(
             yield from coordinator.insert(txn, "scatter_probe", [k, 0])
         yield from coordinator.commit(txn)
 
-    seeding = env.process(seed_probe())
-    env.run_until_event(seeding)
+    run(dep, seed_probe())
 
     chaos_log: List[str] = []
     rng = dep.seeds.stream("shard-chaos")
@@ -360,14 +339,7 @@ def run_sharded_soak(
         env.process(probe_reader(), name="scatter-probe-reader"),
     ]
 
-    clients = []
-    for index in range(terminals_n):
-        w_id = (index % tpcc.warehouses) + 1
-        home = dep.shardmap.read_shard_of("warehouse", (w_id,))
-        clients.append(TpccClient(
-            database, dep.seeds.stream("soak-client-%d" % index),
-            home_warehouse=w_id, engine=dep.shard_session(home=home),
-        ))
+    clients = tpcc_terminals(dep, database, terminals_n, "soak-client-%d")
     procs = [env.process(c.run_for(horizon)) for c in clients]
 
     # Hung-transaction audit: every terminal and probe must finish
@@ -386,8 +358,7 @@ def run_sharded_soak(
         if not engine.crashed:
             engine.crash()
     for shard in range(shards - 1, -1, -1):
-        recovery = env.process(coordinator.recover_shard(shard))
-        env.run_until_event(recovery)
+        run(dep, coordinator.recover_shard(shard))
     note("final crash: recovered all %d shards participant-first" % shards)
 
     # Post-recovery probe state: one agreed value on every shard.
@@ -398,15 +369,13 @@ def run_sharded_soak(
             seqs.append(row[1])
         return seqs
 
-    final = env.process(final_probe())
-    env.run_until_event(final)
-    final_seqs = final.value
+    final_seqs = run(dep, final_probe())
     if len(set(final_seqs)) != 1:
         scatter_violations.append(
             "final probe state disagrees across shards: %s" % final_seqs
         )
 
-    violations = _audit_sharded(dep, tpcc, clients)
+    violations = audit_tpcc_ledgers(dep, session0, tpcc, clients)
     if hung:
         violations.append(
             "%d transaction process(es) still running %.1fs past the "
@@ -447,141 +416,3 @@ def run_sharded_soak(
         "ok": not violations,
     }
     return report
-
-
-def _ledgers(terminals: List[TpccClient]):
-    """Aggregate per-district committed and maybe ledgers."""
-    payments: Dict[Tuple[int, int], float] = {}
-    new_orders: Dict[Tuple[int, int], int] = {}
-    maybe_payments: Dict[Tuple[int, int], float] = {}
-    maybe_new_orders: Dict[Tuple[int, int], int] = {}
-    for terminal in terminals:
-        for key, amount in terminal.committed_payments.items():
-            payments[key] = round(payments.get(key, 0.0) + amount, 2)
-        for key, count in terminal.committed_new_orders.items():
-            new_orders[key] = new_orders.get(key, 0) + count
-        for key, amount in terminal.maybe_payments.items():
-            maybe_payments[key] = round(
-                maybe_payments.get(key, 0.0) + amount, 2
-            )
-        for key, count in terminal.maybe_new_orders.items():
-            maybe_new_orders[key] = maybe_new_orders.get(key, 0) + count
-    return payments, new_orders, maybe_payments, maybe_new_orders
-
-
-def _audit_sharded(dep, tpcc: TpccConfig,
-                   terminals: List[TpccClient]) -> List[str]:
-    """Durability audit with in-doubt tolerance: for every district the
-    database state must sit between the committed ledger and committed
-    plus maybe (in-doubt outcomes that commit at recovery)."""
-    payments, new_orders, maybe_payments, maybe_new_orders = (
-        _ledgers(terminals)
-    )
-    session = dep.shard_session(home=0)
-    violations: List[str] = []
-
-    def check():
-        for w_id in range(1, tpcc.warehouses + 1):
-            warehouse = yield from session.read_row(None, "warehouse", (w_id,))
-            district_total = 0.0
-            floor_total = 0.0
-            ceil_total = 0.0
-            for d_id in range(1, tpcc.districts_per_warehouse + 1):
-                district = yield from session.read_row(
-                    None, "district", (w_id, d_id)
-                )
-                district_total += district[6]
-                floor_ytd = payments.get((w_id, d_id), 0.0)
-                ceil_ytd = round(
-                    floor_ytd + maybe_payments.get((w_id, d_id), 0.0), 2
-                )
-                floor_total += floor_ytd
-                ceil_total += ceil_ytd
-                if not (floor_ytd - CENTS <= district[6]
-                        <= ceil_ytd + CENTS):
-                    violations.append(
-                        "district (%d,%d): D_YTD %.2f outside committed "
-                        "%.2f .. committed+maybe %.2f"
-                        % (w_id, d_id, district[6], floor_ytd, ceil_ytd)
-                    )
-                floor_orders = new_orders.get((w_id, d_id), 0)
-                ceil_orders = (
-                    floor_orders + maybe_new_orders.get((w_id, d_id), 0)
-                )
-                if not (floor_orders <= district[7] - 1 <= ceil_orders):
-                    violations.append(
-                        "district (%d,%d): d_next_o_id-1 = %d outside "
-                        "committed %d .. committed+maybe %d"
-                        % (w_id, d_id, district[7] - 1, floor_orders,
-                           ceil_orders)
-                    )
-            if abs(warehouse[7] - district_total) > CENTS:
-                violations.append(
-                    "warehouse %d: W_YTD %.2f != sum(D_YTD) %.2f"
-                    % (w_id, warehouse[7], district_total)
-                )
-            if not (floor_total - CENTS <= warehouse[7]
-                    <= ceil_total + CENTS):
-                violations.append(
-                    "warehouse %d: W_YTD %.2f outside committed %.2f .. "
-                    "committed+maybe %.2f"
-                    % (w_id, warehouse[7], floor_total, ceil_total)
-                )
-        return None
-
-    proc = dep.env.process(check())
-    dep.env.run_until_event(proc)
-    return violations
-
-
-def _audit(dep, tpcc: TpccConfig, terminals: List[TpccClient]) -> List[str]:
-    """Check the durability/lost-update invariants; returns violations."""
-    payments: Dict[Tuple[int, int], float] = {}
-    new_orders: Dict[Tuple[int, int], int] = {}
-    for terminal in terminals:
-        for key, amount in terminal.committed_payments.items():
-            payments[key] = round(payments.get(key, 0.0) + amount, 2)
-        for key, count in terminal.committed_new_orders.items():
-            new_orders[key] = new_orders.get(key, 0) + count
-
-    violations: List[str] = []
-
-    def check(env):
-        for w_id in range(1, tpcc.warehouses + 1):
-            warehouse = yield from dep.engine.read_row(None, "warehouse", (w_id,))
-            district_total = 0.0
-            committed_total = 0.0
-            for d_id in range(1, tpcc.districts_per_warehouse + 1):
-                district = yield from dep.engine.read_row(
-                    None, "district", (w_id, d_id)
-                )
-                district_total += district[6]
-                expect_ytd = payments.get((w_id, d_id), 0.0)
-                committed_total += expect_ytd
-                if abs(district[6] - expect_ytd) > CENTS:
-                    violations.append(
-                        "district (%d,%d): D_YTD %.2f != committed "
-                        "payments %.2f" % (w_id, d_id, district[6], expect_ytd)
-                    )
-                expect_orders = new_orders.get((w_id, d_id), 0)
-                if district[7] - 1 != expect_orders:
-                    violations.append(
-                        "district (%d,%d): d_next_o_id-1 = %d != committed "
-                        "new-orders %d"
-                        % (w_id, d_id, district[7] - 1, expect_orders)
-                    )
-            if abs(warehouse[7] - district_total) > CENTS:
-                violations.append(
-                    "warehouse %d: W_YTD %.2f != sum(D_YTD) %.2f"
-                    % (w_id, warehouse[7], district_total)
-                )
-            if abs(warehouse[7] - committed_total) > CENTS:
-                violations.append(
-                    "warehouse %d: W_YTD %.2f != committed payments %.2f"
-                    % (w_id, warehouse[7], committed_total)
-                )
-        return None
-
-    proc = dep.env.process(check(dep.env))
-    dep.env.run_until_event(proc)
-    return violations

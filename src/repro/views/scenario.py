@@ -26,11 +26,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..common import KB, MS, OverloadError, QueryError, TransactionAborted
+from ..common import MS, OverloadError, QueryError, TransactionAborted
 from ..engine.codec import INT, Column, Schema
-from ..harness.deployment import DeploymentSpec
+from ..harness.scenario import (
+    run,
+    scenario_spec,
+    totals,
+    tpcc_driver,
+    tpcc_section,
+    tpcc_terminals,
+)
 from ..sim.core import AllOf
-from ..workloads.tpcc import TpccClient, TpccConfig, TpccDatabase
+from ..workloads.tpcc import TpccConfig, TpccDatabase
 
 __all__ = ["run_views", "VIEWS"]
 
@@ -58,29 +65,15 @@ VIEWS = (
 )
 
 #: Queries the equivalence audit replays through the proxy and directly
-#: on the primary (ORDER BY the full group key so row order is total).
-AUDIT_QUERIES = (
-    (
-        "ch_ol_by_wh",
-        "SELECT ol_w_id, COUNT(*) AS cnt, SUM(ol_quantity) AS qty, "
-        "AVG(ol_quantity) AS avg_qty, MAX(ol_quantity) AS max_qty "
-        "FROM order_line GROUP BY ol_w_id ORDER BY ol_w_id",
-    ),
-    (
-        "vaudit_by_grp",
-        "SELECT grp, COUNT(*) AS n, SUM(val) AS total "
-        "FROM vaudit GROUP BY grp ORDER BY grp",
-    ),
+#: on the primary: each view ORDER BY its full (one-column) group key, so
+#: row order is total.
+AUDIT_QUERIES = tuple(
+    (name, "%s ORDER BY %s" % (sql, sql.rsplit(" ", 1)[1]))
+    for name, sql in VIEWS
 )
 
 #: Distinct vaudit groups (small, so every group keeps churning).
 AUDIT_GROUPS = 8
-
-
-def _run(dep, gen, name="views-step"):
-    proc = dep.env.process(gen, name=name)
-    dep.env.run_until_event(proc)
-    return proc.value
 
 
 def _settle(dep, timeout: float = 1.0) -> bool:
@@ -93,14 +86,18 @@ def _settle(dep, timeout: float = 1.0) -> bool:
     return dep.views.caught_up()
 
 
-def _tpcc_driver(env, session, client, duration, stats):
-    deadline = env.now + duration
-    while env.now < deadline:
-        try:
-            yield from session.run_write(client.run_one())
-        except OverloadError:
-            stats["shed"] += 1
-            yield env.timeout(1 * MS)
+def _vaudit_rows(engine, key_base: int, first: int, count: int):
+    """A ``session.write`` body inserting vaudit rows ``first`` ..
+    ``first + count - 1`` (keys offset by ``key_base``)."""
+
+    def insert(txn):
+        for seq in range(first, first + count):
+            yield from engine.insert(
+                txn, "vaudit", [key_base + seq, seq % AUDIT_GROUPS, seq % 23]
+            )
+        return True
+
+    return insert
 
 
 def _audit_driver(env, session, engine, index, rng, duration, stats):
@@ -117,19 +114,10 @@ def _audit_driver(env, session, engine, index, rng, duration, stats):
     sql = AUDIT_QUERIES[1][1]
     while env.now < deadline:
         rows = rng.randint(1, 3)
-
-        def work(txn, base=counter, rows=rows):
-            for offset in range(rows):
-                seq = base + offset
-                key = index * 1000000 + seq
-                yield from engine.insert(
-                    txn, "vaudit",
-                    [key, seq % AUDIT_GROUPS, seq % 23],
-                )
-            return True
-
         try:
-            yield from session.write(work)
+            yield from session.write(
+                _vaudit_rows(engine, index * 1000000, counter, rows)
+            )
         except OverloadError:
             stats["shed"] += 1
             yield env.timeout(1 * MS)
@@ -185,12 +173,10 @@ def _analyst_driver(env, session, duration, stats):
 def _equivalence_audit(dep, session, phase, audits):
     """Proxy answer vs fresh primary rescan, per audit query."""
     for name, sql in AUDIT_QUERIES:
-        served = _run(dep, session.execute(sql), name="views-audit")
+        served = run(dep, session.execute(sql), "views-audit")
         route = session.last_route
-        direct = _run(
-            dep, dep.frontend.primary_session.execute(sql),
-            name="views-audit-direct",
-        )
+        direct = run(dep, dep.frontend.primary_session.execute(sql),
+                     "views-audit-direct")
         audits["equivalence_checks"] += 1
         if route.startswith("view:"):
             audits["view_served"] += 1
@@ -222,13 +208,9 @@ def run_views(
     fuzzy-rescan path.
     """
     spec = (
-        DeploymentSpec.astore_ebp(seed=seed, astore_servers=4)
-        .with_engine(buffer_pool_bytes=48 * 16 * KB)
+        scenario_spec(seed, 48)
         .with_replicas(replicas)
         .with_views(VIEWS, feed_bound=feed_bound)
-        .with_fault_tolerance(
-            heartbeat_interval=0.05, failure_timeout=0.15, lease_duration=2.0
-        )
     )
     dep = spec.build()
     dep.start()
@@ -239,7 +221,7 @@ def run_views(
     database = TpccDatabase(
         dep.engine, VIEWS_TPCC, dep.seeds.stream("views-tpcc-load")
     )
-    _run(dep, database.load(), name="views-tpcc-load")
+    run(dep, database.load(), "views-tpcc-load")
     dep.engine.create_table(
         "vaudit",
         Schema([
@@ -259,10 +241,9 @@ def run_views(
     # ------------------------------------------------------------------
     # Phase 1: live traffic.
     # ------------------------------------------------------------------
-    terminals = [
-        TpccClient(database, dep.seeds.stream("views-terminal-%d" % i))
-        for i in range(write_terminals)
-    ]
+    terminals = tpcc_terminals(
+        dep, database, write_terminals, "views-terminal-%d"
+    )
     tpcc_stats = {"shed": 0}
     audit_stats = [
         {"writes": 0, "aborted": 0, "checks": 0, "view_served": 0,
@@ -277,7 +258,7 @@ def run_views(
     for index, client in enumerate(terminals):
         session = proxy.session("views-tpcc-%d" % index)
         procs.append(env.process(
-            _tpcc_driver(env, session, client, duration, tpcc_stats),
+            tpcc_driver(env, session, client, duration, tpcc_stats),
             name="views-tpcc-%d" % index,
         ))
     for index, stats in enumerate(audit_stats):
@@ -301,33 +282,22 @@ def run_views(
     # ------------------------------------------------------------------
     # Phase 2: REDO-feed overflow -> fuzzy rescan.
     # ------------------------------------------------------------------
-    overflows_before = sum(
-        view.applier.feed.overflows for view in maintainer.views.values()
-    )
-
-    def burst(txn):
-        for offset in range(burst_rows):
-            yield from dep.engine.insert(
-                txn, "vaudit",
-                [9000000 + offset, offset % AUDIT_GROUPS, offset % 23],
-            )
-        return True
+    appliers = [view.applier for view in maintainer.views.values()]
+    overflows_before = sum(applier.feed.overflows for applier in appliers)
 
     # Stall the apply loops (an operator pause) so the burst's publishes
     # pile past the feed bound instead of being drained as they land —
     # the overflow, and the fuzzy rescan it forces, must really happen.
-    appliers = [view.applier for view in maintainer.views.values()]
     poll_before = appliers[0].poll_interval
     for applier in appliers:
         applier.poll_interval = 0.1
     burst_session = proxy.session("views-burst")
-    _run(dep, burst_session.write(burst), name="views-burst")
+    burst = _vaudit_rows(dep.engine, 9000000, 0, burst_rows)
+    run(dep, burst_session.write(burst), "views-burst")
     for applier in appliers:
         applier.poll_interval = poll_before
     settled_overflow = _settle(dep, settle_timeout)
-    overflows_after = sum(
-        view.applier.feed.overflows for view in maintainer.views.values()
-    )
+    overflows_after = sum(applier.feed.overflows for applier in appliers)
     _equivalence_audit(dep, audit_session, "post-overflow", audits)
 
     # ------------------------------------------------------------------
@@ -357,7 +327,6 @@ def run_views(
             "overflow phase did not overflow the feed "
             "(burst %d rows, bound %d)" % (burst_rows, feed_bound)
         )
-    freshness_checks = sum(s["checks"] for s in audit_stats)
 
     report = {
         "seed": seed,
@@ -382,23 +351,10 @@ def run_views(
             "reads_replica": proxy.reads_replica,
             "reads_primary": proxy.reads_primary,
         },
-        "tpcc": {
-            "committed": sum(t.committed for t in terminals),
-            "aborted": sum(t.aborted for t in terminals),
-            "shed": tpcc_stats["shed"],
-        },
-        "freshness": {
-            "writes": sum(s["writes"] for s in audit_stats),
-            "aborted": sum(s["aborted"] for s in audit_stats),
-            "checks": freshness_checks,
-            "view_served": sum(s["view_served"] for s in audit_stats),
-            "shed": sum(s["shed"] for s in audit_stats),
-        },
-        "analysts": {
-            "queries": sum(s["queries"] for s in analyst_stats),
-            "view_served": sum(s["view_served"] for s in analyst_stats),
-            "shed": sum(s["shed"] for s in analyst_stats),
-        },
+        "tpcc": tpcc_section(terminals, tpcc_stats),
+        "freshness": totals(audit_stats, (
+            "writes", "aborted", "checks", "view_served", "shed")),
+        "analysts": totals(analyst_stats, ("queries", "view_served", "shed")),
         "equivalence": dict(audits),
         "overflow": {
             "feed_overflows": overflows_after,

@@ -6,6 +6,8 @@ import pytest
 
 from repro.frontend.serve import run_serving, run_serving_mux
 
+from ..digest import report_digest
+
 # Small-but-real scenario: long enough to cross the chaos crash/restart
 # points (30% / 55% of the duration) with every driver class active.
 SMALL = dict(
@@ -17,6 +19,28 @@ SMALL = dict(
 @pytest.fixture(scope="module")
 def small_report():
     return run_serving(**SMALL)
+
+
+def test_serve_report_is_pinned(small_report):
+    assert report_digest(small_report) == (
+        "454435f6d8daf1b9b004309e5387603ab59a50c4ae01479d84f89ea98c04175b"
+    )
+
+
+def test_sharded_serve_report_is_pinned():
+    report = run_serving(**SMALL, shards=2)
+    assert report["ok"] is True
+    assert report_digest(report) == (
+        "0141167428c7786186e3178e9876b2d6334653a8cfbb595e8c76c74d2dc4f531"
+    )
+
+
+def test_mux_serve_report_is_pinned():
+    report = run_serving_mux(seed=7, sessions=500, duration=0.1)
+    assert report["ok"] is True
+    assert report_digest(report) == (
+        "12093771d4e4685783aced2d56d8c14b7f2ef90c85f9e79eca187d64e4d1a121"
+    )
 
 
 def test_serve_report_is_consistent_and_ok(small_report):
@@ -91,3 +115,9 @@ def test_serve_overload_sheds_boundedly():
     # honoured its session token.
     assert report["ok"] is True
     assert report["reads"]["total"] > 0
+
+
+@pytest.mark.parametrize("scenario", [run_serving, run_serving_mux])
+def test_scenarios_refuse_zero_replicas(scenario):
+    with pytest.raises(ValueError, match="replicas must be >= 1"):
+        scenario(replicas=0)

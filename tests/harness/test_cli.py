@@ -90,3 +90,30 @@ def test_chaos_command_prints_report_and_exit_codes(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["ok"] is False
     assert "invariant violation" in captured.err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--shards", "2"], ["--tenants", "3"], ["--read-limit", "4"],
+])
+def test_serve_mux_refuses_unmultiplexed_flags(flag, capsys):
+    # These configure the unmultiplexed scenario only; --mux used to drop
+    # them silently and print an ok report for a run nobody asked for.
+    argv = ["serve", "--mux", "--sessions", "50", "--duration", "0.05"]
+    assert main(argv + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "python -m repro serve: error: %s does not apply to --mux\n" % flag[0]
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve"], ["serve", "--mux"], ["views"],
+])
+def test_zero_replicas_is_a_one_line_error(argv, capsys):
+    assert main(argv + ["--replicas", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "python -m repro %s: error: replicas must be >= 1, got 0\n" % argv[0]
+    )

@@ -40,6 +40,10 @@ def test_validation_rejects_bad_fields():
         DeploymentSpec(log_replication=5, astore_servers=3)
     with pytest.raises(ValueError, match="below one segment"):
         DeploymentSpec(use_ebp=True, ebp_capacity_bytes=MB, ebp_segment_bytes=4 * MB)
+    # A fleet of zero replicas is no fleet: the spec would build without
+    # a frontend that every caller of with_replicas goes on to use.
+    with pytest.raises(ValueError, match="replicas must be >= 1, got 0"):
+        DeploymentSpec.astore_ebp().with_replicas(0)
 
 
 def test_validation_rejects_an_ebp_of_fewer_than_three_segments():

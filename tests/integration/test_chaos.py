@@ -8,6 +8,8 @@ from repro.harness.stats import collect_stats, format_stats
 from repro.sim.core import AllOf
 from repro.workloads.tpcc import TpccClient, TpccConfig, TpccDatabase
 
+from ..digest import report_digest
+
 
 SMALL = TpccConfig(
     warehouses=2, districts_per_warehouse=3, customers_per_district=8, items=30
@@ -282,3 +284,16 @@ def test_chaos_soak_smoke_holds_invariants():
     assert len([l for l in report["chaos_log"] if "crashed AStore" in l]) >= 3
     assert any("cluster manager" in l for l in report["chaos_log"])
     assert any("partitioned" in l for l in report["chaos_log"])
+    assert report_digest(report) == (
+        "549634c39eb891da73dd04fb2b418399b6f4fb73edad459fe4976462d310e485"
+    )
+
+
+def test_sharded_soak_report_is_pinned():
+    from repro.harness.soak import run_sharded_soak
+
+    report = run_sharded_soak(seed=7, short=True, horizon=0.6)
+    assert report["ok"], report["violations"]
+    assert report_digest(report) == (
+        "9fceb4d55d4a42bf4fbc18b3add5e001a4b7a394e785917dc95b1b32c9367b32"
+    )

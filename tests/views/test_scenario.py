@@ -1,0 +1,21 @@
+"""Tests for the ``python -m repro views`` scenario."""
+
+import pytest
+
+from repro.views.scenario import run_views
+
+from ..digest import report_digest
+
+
+def test_views_report_is_pinned():
+    report = run_views(seed=7, duration=0.1, feed_bound=64, burst_rows=100)
+    assert report["ok"], report["violations"]
+    assert report["overflow"]["new_overflows"] > 0
+    assert report_digest(report) == (
+        "89fb8196cacbcc27f14a9d5b41db5a4e43b9cbabe641de7a6ff720ffb1c08438"
+    )
+
+
+def test_views_refuses_zero_replicas():
+    with pytest.raises(ValueError, match="replicas must be >= 1"):
+        run_views(replicas=0)

@@ -17,7 +17,7 @@ largest start LSN; scanning that segment yields the true log tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..common import (
     MB,
@@ -75,7 +75,7 @@ class SegmentRing:
         ring_size: int = 8,
         segment_size: int = 4 * MB,
         replication: int = 3,
-        can_recycle: Optional[Callable[[int], bool]] = None,
+        reclaim: Optional[Callable[[int], Generator]] = None,
     ):
         if ring_size < 2:
             raise ValueError("ring needs at least 2 segments")
@@ -83,11 +83,10 @@ class SegmentRing:
         self.ring_size = ring_size
         self.segment_size = segment_size
         self.replication = replication
-        #: can_recycle(start_lsn) -> True when every record of a FULL
-        #: segment starting at start_lsn has been applied by PageStore and
-        #: the segment may be reused.  Defaults to always-recyclable (the
-        #: paper notes REDO lifespan is short and GC is prompt).
-        self.can_recycle = can_recycle or (lambda start_lsn: True)
+        #: reclaim(lsn): generator returning once PageStore holds every
+        #: record below ``lsn`` (StorageError if it cannot); None: always
+        #: recyclable (the paper notes REDO lifespan is short, GC prompt).
+        self.reclaim = reclaim
         self.segment_ids: List[int] = []
         self.headers: List[SegmentHeader] = []
         self.current_index = 0
@@ -197,10 +196,10 @@ class SegmentRing:
     def _advance(self, next_lsn: int, full: bool):
         """Generator: freeze the current segment and move to the next.
 
-        A FULL next segment is recycled in place once PageStore has applied
-        its REDO.  If recycling fails (a replica died), the SDK does what
-        the paper describes: it *creates a new segment* from the CM - whose
-        placement avoids failed nodes - and swaps it into the ring slot.
+        A FULL next segment is recycled in place once PageStore holds its
+        REDO (the ring demands that ship and waits).  If recycling fails (a
+        replica died), the SDK does what the paper describes: it *creates a
+        new segment* from the CM - placed away from failed nodes - instead.
         """
         current = self.headers[self.current_index]
         current.status = SegmentStatus.FULL if full else SegmentStatus.ERROR
@@ -213,14 +212,15 @@ class SegmentRing:
         next_index = (self.current_index + 1) % self.ring_size
         next_header = self.headers[next_index]
         if next_header.status in (SegmentStatus.FULL, SegmentStatus.ERROR):
-            if (
-                next_header.status == SegmentStatus.FULL
-                and not self.can_recycle(next_header.start_lsn)
-            ):
-                raise RingExhaustedError(
-                    "ring wrapped onto un-applied segment (start_lsn=%d)"
-                    % next_header.start_lsn
-                )
+            if next_header.status == SegmentStatus.FULL and self.reclaim:
+                # Its records end where the segment after it starts.
+                after = self.headers[(next_index + 1) % self.ring_size]
+                try:
+                    yield from self.reclaim(after.start_lsn)
+                except StorageError as exc:
+                    raise RingExhaustedError(
+                        "ring wrapped onto un-applied segment (start_lsn=%d): %s"
+                        % (next_header.start_lsn, exc)) from exc
             try:
                 yield from self.client.reset(self.segment_ids[next_index])
             except StorageError:

@@ -29,7 +29,7 @@ from ..common import (
     TransactionAborted,
 )
 from ..obs import obs_of
-from ..sim.core import Environment
+from ..sim.core import Environment, Event
 from ..sim.rand import SeedSequence
 from ..sim.resources import CpuPool, Store
 from ..storage.pagestore import PageStoreService
@@ -38,7 +38,7 @@ from .ebp import ExtendedBufferPool
 from .page import Page, PageOp, apply_op
 from .table import Catalog, Table
 from .txn import LockManager, Transaction, UndoEntry
-from .wal import LogBuffer, LsnAllocator, RedoRecord
+from .wal import Demand, LogBuffer, LsnAllocator, RedoRecord
 
 __all__ = ["DBEngine", "EngineConfig", "LogBackend", "RedoFeed"]
 
@@ -57,10 +57,8 @@ class EngineConfig:
     stmt_cpu: float = 14 * US
     #: CPU charged per row touched (codec + index + page mutation).
     row_cpu: float = 3 * US
-    #: Group-commit batch cap in bytes.
+    #: Group-commit batch cap in bytes, and the unshipped log that ships.
     log_batch_bytes: int = 512 * 1024
-    #: Interval of the PageStore shipping daemon.
-    ship_interval: float = 1 * MS
     #: Interval for pushing EBP latest-LSN batches to AStore servers.
     ebp_lsn_flush_interval: float = 50 * MS
     #: Background threads writing evicted pages to the EBP, and the bound
@@ -166,10 +164,16 @@ class DBEngine:
         )
         #: Authoritative latest LSN per page written by this engine.
         self.page_versions: Dict[PageId, int] = {}
+        #: Durable page ops not yet shipped, the durable tail (markers
+        #: included) shipping them reaches, their log bytes, and the open
+        #: demands as (lsn, cause, event or None: nobody waits).
         self._ship_queue: List[RedoRecord] = []
+        self._ship_tail = self._ship_bytes = self.shipped_lsn = 0
+        self._ship_waiters: List[Tuple[int, str, Optional[Event]]] = []
+        self._shipper_demand = Demand(env, self._ship_due)
+        self.ship_demand = dict.fromkeys(("read", "ring", "recovery", "full"), 0)
         self._redo_feeds: List[RedoFeed] = []
         self._ebp_write_queue: Store = Store(env)
-        self.shipped_lsn = 0
         self.committed = 0
         self.aborted = 0
         self.prepared = 0
@@ -214,7 +218,7 @@ class DBEngine:
             return
         self._daemons_started = True
         self.log.start()
-        self.env.process(self._ship_loop(), name="redo-shipper")
+        self.env.process(self._shipper(), name="redo-shipper")
         if self.ebp is not None:
             for index in range(self.config.ebp_writer_threads):
                 self.env.process(
@@ -293,6 +297,9 @@ class DBEngine:
         # WAL rule satisfied: durable records may now ship to PageStore.
         # Commit/abort markers are log-only; PageStore applies page ops.
         self._ship_queue.extend([r for r in records if not r.is_marker])
+        self._ship_tail = records[-1].lsn
+        self._ship_bytes += nbytes
+        self._shipper_demand.poke()
         # Publish the durable batch (markers included) to each live
         # REDO feed.  Batches arrive in LSN
         # order because submit() allocates LSNs in append order and the
@@ -311,14 +318,57 @@ class DBEngine:
                 feed.store.put_many(records)
                 feed.published += len(records)
 
-    def _ship_loop(self):
+    # ------------------------------------------------------------------
+    # PageStore shipping on demand
+    # ------------------------------------------------------------------
+    def ship_through(self, lsn: int, cause: str):
+        """Generator: demand every durable record up to ``lsn`` in
+        PageStore and wait until ``shipped_lsn`` covers it, or raise the
+        StorageError of a ship that missed its quorum.  ``cause`` is the
+        ``ship_demand`` key the ship is counted under."""
+        if lsn > self.shipped_lsn:
+            done = Event(self.env)
+            self._ship_waiters.append((lsn, cause, done))
+            self._shipper_demand.poke()
+            yield done
+
+    def _ship_due(self) -> Optional[str]:
+        """Why the ship queue must go now, or None to let it sit."""
+        for lsn, cause, _done in self._ship_waiters:
+            if lsn <= self._ship_tail:
+                return cause
+        return "full" if self._ship_bytes >= self.config.log_batch_bytes else None
+
+    def _shipper(self):
+        """The one process that ships, and sets ``shipped_lsn``: it sleeps
+        until a demand names a durable LSN or the byte cap is reached,
+        ships the whole queue and answers every demand it covered.  A
+        missed quorum re-queues the batch and its bytes (its back-links
+        stamped, so a retry re-sends the same chain), fails those demands
+        and pauses a millisecond before shipping again."""
         while True:
-            yield self.env.timeout(self.config.ship_interval)
-            if self.crashed or not self._ship_queue:
-                continue
-            batch, self._ship_queue = self._ship_queue, []
-            yield from self.pagestore.ship_records(batch)
-            self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
+            cause = yield from self._shipper_demand.wait()
+            batch, through, nbytes = (
+                self._ship_queue, self._ship_tail, self._ship_bytes)
+            self._ship_queue, self._ship_bytes, error = [], 0, None
+            try:
+                if batch:
+                    yield from self.pagestore.ship_records(batch)
+                    self.ship_demand[cause] += 1
+                self.shipped_lsn = max(self.shipped_lsn, through)
+            except StorageError as exc:
+                self._ship_queue[:0], error = batch, exc
+                self._ship_bytes += nbytes
+            answered = [w for w in self._ship_waiters if w[0] <= through]
+            self._ship_waiters = [w for w in self._ship_waiters if w[0] > through]
+            for _lsn, _cause, done in answered:
+                if done is not None and error is None:
+                    done.succeed()
+                elif done is not None:
+                    done._defused = True  # the demander may be gone
+                    done.fail(error)
+            if error is not None:
+                yield self.env.timeout(1 * MS)  # an outage: do not spin
 
     def _wal_allows_evict(self, page: Page) -> bool:
         """WAL rule: only pages whose changes are durable may leave DRAM.
@@ -332,7 +382,14 @@ class DBEngine:
         return False
 
     def _on_evict(self, page: Page) -> None:
-        if self.ebp is None or self.crashed:
+        if self.crashed:
+            return
+        # Its next miss may read PageStore: demand its REDO shipped now
+        # (nobody waits) instead of when that read comes.
+        if page.page_lsn > self.shipped_lsn:
+            self._ship_waiters.append((page.page_lsn, "read", None))
+            self._shipper_demand.poke()
+        if self.ebp is None:
             return
         if len(self._ebp_write_queue) >= self.config.ebp_write_queue_limit:
             self.ebp.writes_dropped += 1  # best-effort cache: shed load
@@ -393,7 +450,9 @@ class DBEngine:
 
     def _fetch_miss(self, page_id: PageId):
         """Generator: the EBP -> PageStore -> frame-dedup tail of a fetch
-        whose buffer-pool probe (:meth:`peek_page`) just missed."""
+        whose buffer-pool probe (:meth:`peek_page`) just missed; not while
+        crashed (recovery re-ships the log first)."""
+        self._check_live()
         registry = self.obs.registry
         required_lsn = self.page_versions.get(page_id, 0)
         page = None
@@ -402,7 +461,7 @@ class DBEngine:
         if page is not None:
             registry.incr("engine.page_fetch.ebp_hit")
         else:
-            page = yield from self._read_from_pagestore(page_id, required_lsn)
+            page = yield from self.read_page(page_id, required_lsn)
             registry.incr("engine.page_fetch.pagestore_read")
         # Frame dedup: another process may have installed (and even
         # mutated) this page while our read was in flight.  Two live
@@ -419,56 +478,15 @@ class DBEngine:
         self.buffer_pool.put(page)
         return page
 
-    def _read_from_pagestore(self, page_id: PageId, required_lsn: int):
-        """Generator: PageStore read with force-ship retry.
-
-        The page's REDO may still sit in the ship queue (asynchronous
-        shipping); force a ship and retry before giving up.
-        """
-        attempts = 0
-        while True:
-            try:
-                return (
-                    yield from self.pagestore.read_page(page_id, min_lsn=required_lsn)
-                )
-            except StorageError:
-                attempts += 1
-                if attempts > 4:
-                    raise
-                if self._ship_queue:
-                    batch, self._ship_queue = self._ship_queue, []
-                    yield from self.pagestore.ship_records(batch)
-                    self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
-                yield self.env.timeout(0.5 * MS)
-
-    def read_page_fresh(self, page_id: PageId, required_lsn: int):
-        """Generator: a page image at LSN >= ``required_lsn``, or StorageError.
-
-        PageStore can serve an image *behind* ``min_lsn`` while the
-        covering REDO still sits in the ship queue (only a parked replica
-        raises).  ``fetch_page`` re-checks staleness afterwards; a REDO
-        consumer's catch-up scan, its feed just cleared, cannot - so
-        force a ship and retry until the image is fresh.  An image ahead
-        of the durable tail (an open transaction's page) is demanded from
-        the log buffer first: nothing else would ever flush it.
-        """
-        self.log.flush_through(required_lsn, "fresh_read")
-        attempts = 0
-        while True:
-            page = yield from self._read_from_pagestore(page_id, required_lsn)
-            if page.page_lsn >= required_lsn:
-                return page
-            attempts += 1
-            if attempts > 8:
-                raise StorageError(
-                    "page %s stuck at %d, need %d"
-                    % (page_id, page.page_lsn, required_lsn)
-                )
-            if self._ship_queue:
-                batch, self._ship_queue = self._ship_queue, []
-                yield from self.pagestore.ship_records(batch)
-                self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
-            yield self.env.timeout(0.5 * MS)
+    def read_page(self, page_id: PageId, min_lsn: int):
+        """Generator: the PageStore image of ``page_id`` at LSN >= ``min_lsn``,
+        the one PageStore read path.  An LSN ahead of ``shipped_lsn`` is
+        demanded from the log buffer (an open transaction's page: nothing
+        else would flush it) and the shipper, and the read waits for it."""
+        if min_lsn > self.shipped_lsn:
+            self.log.flush_through(min_lsn, "fresh_read")
+            yield from self.ship_through(min_lsn, "read")
+        return (yield from self.pagestore.read_page(page_id, min_lsn))
 
     def _new_page(self, table: Table) -> Page:
         """Allocate and format a fresh heap page (logged)."""
@@ -1053,7 +1071,8 @@ class DBEngine:
         self.crashed = True
         self.epoch += 1
         self.buffer_pool.clear()
-        self._ship_queue.clear()
+        self._ship_queue.clear()  # recovery re-ships it; demands wait
+        self._ship_tail, self._ship_bytes = self.shipped_lsn, 0
         self.log.discard(StorageError("engine crashed"))
         for table in self.catalog.tables():
             table.clear_indexes()
@@ -1090,6 +1109,10 @@ class DBEngine:
         records = yield from self.log_backend.recover()
         if records:
             self.lsn.advance_to(max(r.lsn for r in records))
+            # Re-queue what the crash left unshipped; the CLRs join below.
+            self._ship_queue = [r for r in records
+                                if not r.is_marker and r.lsn > self.shipped_lsn]
+            self._ship_tail = max(self._ship_tail, records[-1].lsn)
         committed_txns = {r.txn_id for r in records if r.commit}
         resolved_txns = {r.txn_id for r in records if r.abort}
         #: Durable commit decisions this engine logged as a coordinator.
@@ -1135,17 +1158,6 @@ class DBEngine:
             self.log.submit(resolution_markers, wait=False)
             self.log.flush_through(resolution_markers[-1].lsn, "recovery")
         data_records = [r for r in records if not r.is_marker]
-        if data_records:
-            # Re-ship everything durable (PageStore dedups what it already
-            # has; gaps from the crash get filled).  Fresh copies, so the
-            # normal path can restamp back-links.
-            yield from self.pagestore.ship_records(
-                [
-                    RedoRecord(r.lsn, r.txn_id, r.page_id, r.op,
-                               clr=r.clr, undo_row=r.undo_row)
-                    for r in data_records
-                ]
-            )
         # Loser undo.  A loser is a txn with data records but neither a
         # commit nor an abort marker.  CLRs reference the original record
         # they compensate, so a partially rolled back loser's compensated
@@ -1186,13 +1198,15 @@ class DBEngine:
         if clrs:
             clrs.sort(key=lambda r: r.lsn)
             # WAL order: PageStore must never hold a record the log does
-            # not, so the CLRs are durable before they ship (the flush is
-            # counted as recovery's, not as a commit's).
+            # not, so the CLRs join the ship queue only once durable (the
+            # flush is counted as recovery's, not as a commit's).
             durable = self.log.submit(list(clrs), wait=True)
             self.log.flush_through(clrs[-1].lsn, "recovery")
             yield durable
-            yield from self.pagestore.ship_records(clrs)
-        yield from self._rebuild_indexes()
+        yield from self.ship_through(self.log.persistent_lsn, "recovery")
+        # The rebuild reads no page behind its newest logged version.
+        yield from self._rebuild_indexes(
+            {r.page_id: r.lsn for r in data_records + clrs})
         ebp_entries = 0
         if self.ebp is not None:
             ebp_entries = yield from self.ebp.rebuild_index_after_crash()
@@ -1256,17 +1270,22 @@ class DBEngine:
             return PageOp("insert", slot=op.slot, row=record.undo_row)
         return None
 
-    def _rebuild_indexes(self):
-        """Generator: scan every table's pages and rebuild its B+-trees."""
+    def _rebuild_indexes(self, versions: Dict[PageId, int]):
+        """Generator: scan every table's pages and rebuild its B+-trees,
+        reading each page at no less than its ``versions`` LSN."""
         for table in self.catalog.tables():
             pages = self.pagestore.pages_of_space(table.space_no)
-            table.page_nos = sorted(p.page_id.page_no for p in pages)
+            page_nos = {p.page_id.page_no for p in pages}
+            page_nos.update(page_id.page_no for page_id in versions
+                            if page_id.space_no == table.space_no)
+            table.page_nos = sorted(page_nos)
             table._next_page_no = (
                 max(table.page_nos) + 1 if table.page_nos else 0
             )
             for page_no in table.page_nos:
                 page_id = table.page_id(page_no)
-                page = yield from self._read_from_pagestore(page_id, 0)
+                page = yield from self.read_page(
+                    page_id, versions.get(page_id, 0))
                 self.buffer_pool.put(page)
                 table.note_page(page_no, page.free_bytes)
                 self.page_versions[page_id] = page.page_lsn

@@ -14,13 +14,13 @@ equals the watermark is live at once - there is nothing to catch up.
 
 The applier reads its source only through ``subscribe_redo``,
 ``log.persistent_lsn``, ``catalog`` (via the sink's ``scan_tables``),
-``page_versions`` and ``read_page_fresh``; anything offering those five
-can feed a consumer.  A sink provides ``scan_tables()`` (source tables a
-catch-up must scan), ``rebuild(scanned)`` (replace all state from
-``[(table, page), ...]`` in one host step), ``apply(batch)`` (apply
-LSN-ordered durable records and return how many it consumed - fewer
-than ``len(batch)`` asks for a rescan) and ``reset()`` (drop volatile
-state on crash).
+``page_versions`` and ``read_page`` (which waits for the image's REDO
+to ship); anything offering those five can feed a consumer.  A sink
+provides ``scan_tables()`` (source tables a catch-up must scan),
+``rebuild(scanned)`` (replace all state from ``[(table, page), ...]`` in
+one host step), ``apply(batch)`` (apply LSN-ordered durable records and
+return how many it consumed - fewer than ``len(batch)`` asks for a
+rescan) and ``reset()`` (drop volatile state on crash).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class RedoApplier:
             for table in list(self.sink.scan_tables()):
                 for page_no in sorted(table.page_nos):
                     page_id = table.page_id(page_no)
-                    page = yield from source.read_page_fresh(
+                    page = yield from source.read_page(
                         page_id, source.page_versions.get(page_id, 0)
                     )
                     yield from self.cpu.consume(

@@ -14,8 +14,8 @@ cursor, the PageStore catch-up scan and the crash/recover lifecycle):
   them in one step, so readers see the old snapshot or the new one;
 - reads go through its own small DRAM buffer pool, then the *shared* EBP
   (read-only - the standby never writes pages back), then PageStore via
-  the primary's graceful-degradation read path (so an AStore outage
-  degrades the standby the same way it degrades the primary);
+  the primary's one read path, ``DBEngine.read_page`` (so an AStore
+  outage degrades the standby the same way it degrades the primary);
 - replication lag is explicit: reads are snapshot-consistent to
   ``applied_lsn``, the applier's watermark.
 
@@ -218,11 +218,10 @@ class StandbyReplica:
     def fetch_page(self, page_id: PageId):
         """Generator: local image -> BP -> shared EBP -> PageStore.
 
-        The PageStore leg reuses the primary's graceful-degradation read
-        (``DBEngine._read_from_pagestore``): when an EBP miss is caused by
-        an AStore server death, the force-ship + retry loop there rides
-        out REDO apply lag exactly as it does for the primary, instead of
-        failing the standby read.
+        The PageStore leg is the primary's :meth:`DBEngine.read_page`,
+        the same path the primary's own misses take: an EBP miss caused
+        by an AStore server death costs the standby one PageStore read,
+        with replica failover and gossip fill, not a failed read.
         """
         local = self.pages.get(page_id)
         if local is not None:
@@ -234,7 +233,8 @@ class StandbyReplica:
         if self.ebp is not None:
             page = yield from self.ebp.get_page(page_id, 0)
         if page is None:
-            page = yield from self.primary._read_from_pagestore(page_id, 0)
+            page = yield from self.primary.read_page(
+                page_id, self.primary.page_versions.get(page_id, 0))
         self.buffer_pool.put(page)
         return page
 

@@ -29,7 +29,8 @@ from ..common import PageId
 from ..sim.core import Environment, Event
 from .page import PageOp
 
-__all__ = ["RedoRecord", "LsnAllocator", "LogBuffer", "encode_records_size"]
+__all__ = ["RedoRecord", "LsnAllocator", "Demand", "LogBuffer",
+           "encode_records_size"]
 
 
 @dataclass
@@ -115,6 +116,28 @@ class LsnAllocator:
             self._next = lsn + 1
 
 
+class Demand:
+    """The wake-up of a daemon that works only when ``due()`` names why
+    (None: let the work sit) - the log writer's and the PageStore
+    shipper's.  :meth:`wait` sleeps until it does and returns the cause;
+    :meth:`poke` wakes the sleeper only then, and schedules nothing else.
+    """
+
+    def __init__(self, env: Environment, due: Callable[[], Optional[str]]):
+        self.env, self.due, self._wakeup = env, due, None
+
+    def poke(self) -> None:
+        wakeup = self._wakeup
+        if wakeup is not None and not wakeup.triggered and self.due():
+            wakeup.succeed()
+
+    def wait(self):
+        while (cause := self.due()) is None:
+            self._wakeup = Event(self.env)
+            yield self._wakeup
+        return cause
+
+
 class LogBuffer:
     """Group-commit staging area in front of the log store.
 
@@ -162,7 +185,7 @@ class LogBuffer:
         #: to it are durable or in flight, and will reach every REDO
         #: consumer whatever happens to the rest of their transaction.
         self.taken_lsn = 0
-        self._wakeup: Optional[Event] = None
+        self._demand = Demand(env, self._due)
         self.persistent_lsn = 0
         self.flushes = 0
         self.records_flushed = 0
@@ -184,9 +207,8 @@ class LogBuffer:
         self.pending_bytes += record.log_bytes
         if wait:
             self._waiters += 1
-            self._wake()
-        elif self.pending_bytes >= self.max_batch_bytes:
-            self._wake()
+        if wait or self.pending_bytes >= self.max_batch_bytes:
+            self._demand.poke()
         return done
 
     def submit(self, records: List[RedoRecord], wait: bool = True) -> Optional[Event]:
@@ -205,11 +227,8 @@ class LogBuffer:
         is durable or in flight already - means nothing to do."""
         if lsn <= self._through_lsn:
             return
-        self._through_lsn = lsn
-        self._through_cause = cause
-        pending = self._pending
-        if pending and pending[0][0].lsn <= lsn:
-            self._wake()
+        self._through_lsn, self._through_cause = lsn, cause
+        self._demand.poke()
 
     def discard(self, error: BaseException) -> None:
         """Crash: the buffer is volatile.  Queued records are lost and
@@ -222,11 +241,6 @@ class LogBuffer:
         self._pending.clear()
         self.pending_bytes = 0
         self._waiters = 0
-
-    def _wake(self) -> None:
-        wakeup = self._wakeup
-        if wakeup is not None and not wakeup.triggered:
-            wakeup.succeed()
 
     def _due(self) -> Optional[str]:
         """Why the queue must be flushed now, or None to let it sit."""
@@ -254,12 +268,7 @@ class LogBuffer:
     def _writer_loop(self):
         pending = self._pending
         while True:
-            cause = self._due()
-            if cause is None:
-                self._wakeup = Event(self.env)
-                yield self._wakeup
-                self._wakeup = None
-                continue
+            cause = yield from self._demand.wait()
             records: List[RedoRecord] = []
             waiters: List[Event] = []
             batch_bytes = 0

@@ -722,19 +722,16 @@ class Deployment:
             )
         if config.use_astore_log:
             client = stack.astore.new_client("log-client")
-
-            def can_recycle(start_lsn: int, stack: ShardStack = stack) -> bool:
-                # A FULL segment recycles once this shard's REDO reached
-                # its PageStore (engine is None mid-construction).
-                return (stack.engine is None
-                        or stack.engine.shipped_lsn >= start_lsn)
-
             stack.ring = SegmentRing(
                 client,
                 ring_size=config.log_ring_segments,
                 segment_size=config.log_segment_bytes,
                 replication=config.log_replication,
-                can_recycle=can_recycle,
+                # A FULL segment recycles once this shard's REDO reached
+                # its PageStore: the ring demands that ship and waits.  No
+                # more than is durable - the log writer is the one waiting.
+                reclaim=lambda lsn, stack=stack: stack.engine.ship_through(
+                    min(lsn, stack.engine.log.persistent_lsn), "ring"),
             )
             log_backend = AStoreLogBackend(stack.ring)
         else:
@@ -890,6 +887,9 @@ class Deployment:
         # the log buffer waiting for a demand.
         reg.gauge(prefix + "engine.log.flush_demand",
                   lambda: dict(engine.log.flush_demand))
+        # Why each PageStore ship happened (the causes sum to its ships).
+        reg.gauge(prefix + "engine.ship_demand",
+                  lambda: dict(engine.ship_demand))
         reg.gauge(prefix + "engine.log.pending_bytes",
                   lambda: engine.log.pending_bytes)
         reg.gauge(prefix + "engine.lock_waits", lambda: engine.locks.waits)

@@ -390,6 +390,8 @@ class PushdownRuntime:
                 continue
             segment_no = self.pagestore.segment_of(page_id)
             try:
+                # The first page ahead of shipped_lsn ships the whole queue.
+                yield from self.engine.ship_through(min_lsn, "read")
                 yield from server.catch_up(segment_no)
                 replica = server.replica(segment_no)
                 page = replica.pages.get(page_id)

@@ -7,15 +7,15 @@ of the preceding record of the same segment - letting a replica detect
 missing records and *gossip* with its peers to fetch them.
 
 Records are applied to pages asynchronously by an apply daemon; a page read
-at a required LSN forces catch-up for that segment first.  Reading a page
-from PageStore costs ~1 ms end to end (RPC + lookup + materialisation),
-the number the EBP is designed to beat.
+at a required LSN forces catch-up for that segment first and never serves
+an image behind it.  Reading a page costs ~1 ms end to end (RPC + lookup +
+materialisation), the number the EBP is designed to beat.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..common import MS, US, PageId, StorageError
 from ..engine.page import Page, apply_op
@@ -133,13 +133,6 @@ class SegmentReplica:
             ))
         return records
 
-    def missing_range(self) -> Optional[Tuple[int, int]]:
-        """(after_lsn, up_to_back_link) describing the earliest gap."""
-        if not self.parked:
-            return None
-        earliest = min(self.parked)
-        return (self.chain_lsn, earliest)
-
     def apply_all(self) -> int:
         """Apply every chained record to its page; returns count applied."""
         count = 0
@@ -225,9 +218,8 @@ class PageStoreServer:
     def read_page(self, segment_no: int, page_id: PageId, min_lsn: int):
         """Generator: materialise and return a page image (clone).
 
-        Catches the segment up first so the image reflects at least
-        ``min_lsn``.  Raises if the page is unknown or still behind
-        (caller retries after gossip).
+        Catches the segment up first so the image reflects everything
+        chained.  Raises if the page is unknown or still behind ``min_lsn``.
         """
         self._check_alive()
         yield from self.catch_up(segment_no)
@@ -236,13 +228,9 @@ class PageStoreServer:
         )
         replica = self.replica(segment_no)
         page = replica.pages.get(page_id)
-        if page is None:
-            raise StorageError("page %s unknown to %s" % (page_id, self.server_id))
-        if page.page_lsn < min_lsn and replica.parked:
-            raise StorageError(
-                "page %s behind (at %d, need %d) with gaps"
-                % (page_id, page.page_lsn, min_lsn)
-            )
+        if page is None or page.page_lsn < min_lsn:
+            raise StorageError("page %s unknown to %s or behind %d"
+                               % (page_id, self.server_id, min_lsn))
         yield from self.device.read(page.size)
         return page.clone()
 
@@ -300,13 +288,16 @@ class PageStoreService:
 
         Returns once every segment batch reached its quorum; remaining
         replicas complete in the background (and gossip can fill any that
-        fail).
+        fail).  A record an earlier ship stamped (a failed ship's, a
+        re-ship's after an engine crash) keeps its back-link.
         """
         by_segment: Dict[int, List[RedoRecord]] = {}
+        chain_tail = self._chain_tail
         for record in records:
             segment_no = self.segment_of(record.page_id)
-            record.back_link = self._chain_tail[segment_no]
-            self._chain_tail[segment_no] = record.lsn
+            if record.lsn > chain_tail[segment_no]:
+                record.back_link = chain_tail[segment_no]
+                chain_tail[segment_no] = record.lsn
             by_segment.setdefault(segment_no, []).append(record)
         # Every segment's quorum ship starts now; waiting for them one
         # after the other takes as long as the slowest.  An unreachable
@@ -361,18 +352,20 @@ class PageStoreService:
     def read_page(self, page_id: PageId, min_lsn: int = 0):
         """Generator: RPC page read with replica failover and gossip fill.
 
-        Returns a fresh :class:`Page` clone at LSN >= min_lsn.
+        Returns a fresh :class:`Page` clone at LSN >= min_lsn, never one
+        behind it: a replica short of ``min_lsn`` gossip-fills first, and
+        one still short fails over like any other replica error.
         """
         segment_no = self.segment_of(page_id)
         replicas = self.replicas_of(segment_no)
         last_error: Optional[StorageError] = None
-        for attempt, server in enumerate(replicas):
+        for server in replicas:
             if not server.alive:
                 continue
             try:
                 yield from self.network.send(96)
                 replica = server.replica(segment_no)
-                if replica.missing_range() is not None:
+                if replica.parked or replica.chain_lsn < min_lsn:
                     yield from self._gossip_fill(server, segment_no)
                 page = yield from server.read_page(segment_no, page_id, min_lsn)
                 yield from self.network.send(page.size)
@@ -398,8 +391,9 @@ class PageStoreService:
         """
         for _ in range(32):  # a gap may hide further gaps behind it
             replica = lagging.replica(segment_no)
-            gap = replica.missing_range()
-            if gap is None:
+            if replica.parked:  # the earliest interior gap ends here
+                up_to = min(replica.parked)
+            else:
                 # No interior gap - but quorum-2 shipping may have skipped
                 # this replica for the newest records, a silent *tail* gap
                 # its own back-links cannot reveal.  Peer chain tails are
@@ -411,8 +405,8 @@ class PageStoreService:
                             and segment_no in peer.replicas), default=-1)
                 if tail <= replica.chain_lsn:
                     return
-                gap = (replica.chain_lsn, tail)
-            after_lsn, up_to = gap
+                up_to = tail
+            after_lsn = replica.chain_lsn
             progressed = False
             for peer in self.replicas_of(segment_no):
                 if peer is lagging or not peer.alive:
@@ -448,9 +442,9 @@ class PageStoreService:
                     if not server.alive:
                         continue
                     # Snapshot: catch_up yields, and new segment replicas
-                    # may register while this generator is suspended.
+                    # may register (or the server die) meanwhile.
                     for segment_no, replica in list(server.replicas.items()):
-                        if replica.to_apply:
+                        if replica.to_apply and server.alive:
                             yield from server.catch_up(segment_no)
 
         self.env.process(loop(), name="pagestore-apply")
@@ -480,9 +474,3 @@ class PageStoreService:
                 if page_id.space_no == space_no:
                     pages[page_id] = page
         return list(pages.values())
-
-    def applied_lsn(self, page_id: PageId) -> int:
-        segment_no = self.segment_of(page_id)
-        server = self.replicas_of(segment_no)[0]
-        page = server.replica(segment_no).pages.get(page_id)
-        return page.page_lsn if page is not None else -1

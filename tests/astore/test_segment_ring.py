@@ -15,7 +15,7 @@ from repro.astore.segment_ring import (
 )
 
 
-def make_ring(ring_size=4, segment_size=4 * KB, can_recycle=None, num_servers=3):
+def make_ring(ring_size=4, segment_size=4 * KB, num_servers=3):
     env = Environment()
     seeds = SeedSequence(21)
     cluster = AStoreCluster(env, seeds, num_servers=num_servers,
@@ -26,7 +26,6 @@ def make_ring(ring_size=4, segment_size=4 * KB, can_recycle=None, num_servers=3)
         ring_size=ring_size,
         segment_size=segment_size,
         replication=3,
-        can_recycle=can_recycle,
     )
     return env, cluster, client, ring
 
@@ -107,9 +106,13 @@ def test_ring_wraps_and_recycles():
 
 
 def test_wrap_onto_unapplied_segment_fails():
-    env, cluster, client, ring = make_ring(
-        ring_size=2, segment_size=4 * KB, can_recycle=lambda lsn: False
-    )
+    env, cluster, client, ring = make_ring(ring_size=2, segment_size=4 * KB)
+    # The demanded ship cannot reach PageStore: the segment never frees.
+    def unreachable(lsn):
+        raise StorageError("quorum down")
+        yield  # pragma: no cover - makes this a generator
+
+    ring.reclaim = unreachable
 
     def do(env):
         yield from ring.initialize(first_lsn=0)

@@ -191,19 +191,36 @@ def test_deadlock_detected_and_victim_aborted():
 def test_pages_flow_to_pagestore():
     dep = make_deployment()
     engine = dep.engine
+    table = engine.catalog.table("accounts")
+
+    def stored_rows():
+        pages = dep.pagestore.pages_of_space(table.space_no)
+        return sum(page.row_count for page in pages)
 
     def work(env):
         txn = engine.begin()
         for i in range(50):
             yield from engine.insert(txn, "accounts", [i, "user", float(i)])
         yield from engine.commit(txn)
-        yield env.timeout(0.05)  # let the shipper run
+        yield env.timeout(0.05)
+        # Durable, but nobody needed it in PageStore yet: nothing shipped.
+        assert stored_rows() == 0 and engine.shipped_lsn == 0
+        yield from engine.ship_through(engine.log.persistent_lsn, "read")
+        return env.now
 
-    run(dep, work(dep.env))
-    table = engine.catalog.table("accounts")
-    pages = dep.pagestore.pages_of_space(table.space_no)
-    total_rows = sum(page.row_count for page in pages)
-    assert total_rows == 50
+    demanded_at = run(dep, work(dep.env))
+    assert stored_rows() == 50
+    assert engine.shipped_lsn == engine.log.persistent_lsn
+    assert engine.ship_demand == {"read": 1, "ring": 0, "recovery": 0,
+                                  "full": 0}
+    assert dep.pagestore.ships == 1
+    # A demand already covered waits for nothing, and an idle engine
+    # with nothing queued schedules no shipper wake-up.
+    seq = dep.env._seq
+    assert list(engine.ship_through(engine.shipped_lsn, "read")) == []
+    assert dep.env._seq == seq
+    dep.env.run(until=demanded_at + 0.05)
+    assert dep.pagestore.ships == 1
 
 
 def test_crash_recovery_committed_data_survives():

@@ -188,13 +188,14 @@ def test_fresh_read_of_an_unflushed_page_needs_no_commit():
         page_id = engine.catalog.table("wide").page_id(0)
         version = engine.page_versions[page_id]
         assert version > engine.log.persistent_lsn
-        page = yield from engine.read_page_fresh(page_id, version)
+        page = yield from engine.read_page(page_id, version)
         return page.page_lsn, version
 
     page_lsn, version = run(dep, work(dep.env))
     assert page_lsn == version
     assert engine.committed == 0
     assert no_demand_except(engine.log, fresh_read=1)
+    assert engine.ship_demand["read"] == 1 == dep.pagestore.ships
 
 
 def test_tpcc_flushes_only_on_demand():
@@ -247,7 +248,7 @@ def test_records_never_demanded_die_with_the_crash():
         txn = engine.begin()
         yield from engine.insert(txn, "wide", [50, "after"])
         yield from engine.commit(txn)  # nothing stale rides along
-        yield env.timeout(0.05)
+        yield from engine.ship_through(engine.log.persistent_lsn, "read")
         rows = []
         for key in (0, 1, 2, 3, 4, 50, 99):
             rows.append((yield from engine.read_row(None, "wide", (key,))))
@@ -259,6 +260,8 @@ def test_records_never_demanded_die_with_the_crash():
     assert rows == [[0, "v0"], [1, "v1"], [2, "v2"], [3, "v3"], [4, "v4"],
                     [50, "after"], None]
     assert loser.txn_id not in {r.txn_id for r in retained}
+    # Neither PageStore nor its ship queue ever saw the loser's records.
+    assert engine.ship_demand["recovery"] == 1
     table = engine.catalog.table("wide")
     stored = dep.pagestore.pages_of_space(table.space_no)
     assert sum(page.row_count for page in stored) == 6

@@ -240,8 +240,9 @@ def test_standby_works_on_stock_deployment_too():
 
 def test_standby_ebp_miss_after_astore_death_falls_back_to_pagestore():
     # Satellite of the serving layer: when AStore dies, a standby EBP
-    # miss must ride the primary's graceful-degradation read path
-    # (PageStore force-ship + retry) instead of failing the read.
+    # miss must ride the primary's PageStore read path instead of
+    # failing the read - demanding the page's REDO shipped, which
+    # nothing else has asked for yet.
     dep = build(engine=EngineConfig(buffer_pool_bytes=8 * 16 * KB))
     engine = dep.engine
 
@@ -250,7 +251,7 @@ def test_standby_ebp_miss_after_astore_death_falls_back_to_pagestore():
         for i in range(40):
             yield from engine.insert(txn, "kv", [i, 0, "v%d" % i])
         yield from engine.commit(txn)
-        yield env.timeout(0.2)  # ship everything to PageStore
+        yield env.timeout(0.2)
 
     run(dep, load(dep.env))
     # Fresh standby with NO local pages and no subscription: every read
@@ -272,6 +273,7 @@ def test_standby_ebp_miss_after_astore_death_falls_back_to_pagestore():
     row = run(dep, read(dep.env))
     assert row == [11, 0, "v11"]
     assert dep.pagestore.page_reads > reads_before
+    assert engine.ship_demand["read"] == 1
 
 
 def test_standby_crash_loses_state_and_recover_rebuilds():

@@ -181,13 +181,13 @@ def test_failed_restart_stays_drained():
     dep.fleet.crash("replica-0")
     dep.fleet.health_sweep()
 
-    # Recovery scans PageStore through the primary's degraded read path;
-    # make that path fail (a total outage) so the rebuild cannot finish.
-    def dead_read(page_id, required_lsn):
+    # Recovery scans PageStore through the primary's one read path; make
+    # that path fail (a total outage) so the rebuild cannot finish.
+    def dead_read(page_id, min_lsn):
         raise StorageError("pagestore unreachable")
         yield  # pragma: no cover - makes this a generator
 
-    dep.engine._read_from_pagestore = dead_read
+    dep.engine.read_page = dead_read
     dep.fleet.restart("replica-0")
     dep.run_for(0.2)
     assert dep.fleet.failed_restarts == 1

@@ -104,12 +104,27 @@ def test_different_seeds_differ():
 
 def test_log_recycling_gated_on_shipping():
     dep = Deployment(DeploymentSpec.astore_log())
-    # Before the engine exists/ships, recycling is permissive; afterwards
-    # it requires shipped_lsn to cover the segment.
-    assert dep.ring.can_recycle(0)
-    dep.engine.shipped_lsn = 50
-    assert dep.ring.can_recycle(49)
-    assert not dep.ring.can_recycle(51)
+    dep.start()
+    engine = dep.engine
+    # Before the engine ships anything, recycling is permissive; afterwards
+    # it requires shipped_lsn to cover the segment: the ring demands the
+    # ship and waits for it.
+    assert list(dep.ring.reclaim(0)) == []
+    engine.create_table("t", simple_schema(), ["id"])
+
+    def work(env):
+        txn = engine.begin()
+        yield from engine.insert(txn, "t", [1, "x"])
+        yield from engine.commit(txn)
+
+    dep.run_until(dep.env.process(work(dep.env)))
+    durable = engine.log.persistent_lsn
+    assert engine.shipped_lsn < durable
+    demand = dep.env.process(dep.ring.reclaim(durable))
+    dep.run_until(demand)
+    assert engine.shipped_lsn >= durable
+    assert list(dep.ring.reclaim(durable)) == []
+    assert engine.ship_demand["ring"] == 1 == dep.pagestore.ships
 
 
 def test_ssd_log_backend_recovery_returns_retained_records():

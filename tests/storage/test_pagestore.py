@@ -160,7 +160,7 @@ def test_gap_detection_and_gossip_fill():
     assert page.get(0) == b"third"
     assert service.gossip_rounds >= 1
     replica0 = replicas[0].replica(segment)
-    assert replica0.missing_range() is None  # gap healed
+    assert not replica0.parked  # gap healed
 
 
 def test_duplicate_delivery_is_idempotent():
@@ -359,3 +359,54 @@ def test_serve_gossip_answers_from_the_requested_range_only():
     stray.back_link = 120
     assert server.replica(0).accept(stray) is False
     assert [r.lsn for r in server.serve_gossip(0, 80, 500)] == [90, 100, 130]
+
+
+def _replica_zero_missed_the_second_ship(service, page_id):
+    """Generator: ship LSN 10 to all three replicas and LSN 20 while
+    replica 0 is down.  Replica 0 comes back with nothing parked: its
+    chain simply stops short at 10, a gap no back-link reveals."""
+    env = service.env
+    replicas = service.replicas_of(service.segment_of(page_id))
+    yield from service.ship_records([record(10, page_id, row=b"old")])
+    yield env.timeout(5 * MS)
+    replicas[0].alive = False
+    yield from service.ship_records(
+        [record(20, page_id, kind="update", slot=0, row=b"new")]
+    )
+    yield env.timeout(5 * MS)
+    replicas[0].alive = True
+    behind = replicas[0].replica(service.segment_of(page_id))
+    assert behind.chain_lsn == 10 and not behind.parked
+    return replicas
+
+
+def test_read_ahead_of_an_unparked_chain_serves_min_lsn_or_later():
+    """The read contract at its source: the preferred replica's chain
+    stops short of ``min_lsn`` with no gap to show for it, and the read
+    still returns an image at or above ``min_lsn`` - never the replica's
+    stale one."""
+    env, service = make_service(num_segments=1)
+    page_id = PageId(1, 1)
+
+    def do(env):
+        yield from _replica_zero_missed_the_second_ship(service, page_id)
+        return (yield from service.read_page(page_id, min_lsn=20))
+
+    page = run_until(env, do(env))
+    assert page.page_lsn >= 20
+    assert page.get(0) == b"new"
+
+
+def test_a_replica_that_cannot_cover_min_lsn_fails_over():
+    env, service = make_service(num_segments=1)
+    page_id = PageId(1, 1)
+
+    def do(env):
+        replicas = yield from _replica_zero_missed_the_second_ship(
+            service, page_id)
+        # The only replicas holding LSN 20 die: nobody can serve it.
+        replicas[1].alive = replicas[2].alive = False
+        yield from service.read_page(page_id, min_lsn=20)
+
+    with pytest.raises(StorageError, match="behind"):
+        run_until(env, do(env))

@@ -11,8 +11,10 @@ def test_views_report_is_pinned():
     report = run_views(seed=7, duration=0.1, feed_bound=64, burst_rows=100)
     assert report["ok"], report["violations"]
     assert report["overflow"]["new_overflows"] > 0
+    # Shipping on demand moved it (the 1 ms PageStore shipper:
+    # 89fb8196cacbcc27f14a9d5b41db5a4e43b9cbabe641de7a6ff720ffb1c08438).
     assert report_digest(report) == (
-        "89fb8196cacbcc27f14a9d5b41db5a4e43b9cbabe641de7a6ff720ffb1c08438"
+        "c235522cfd2eadd08b3d2a8893aacba5733bcd16c8651ba5eca6039dfcf4350b"
     )
 
 

@@ -4,7 +4,8 @@ Ties together the buffer pool, the (optional) extended buffer pool, the
 REDO log (group commit through either LogStore or an AStore SegmentRing),
 PageStore shipping, row locking, and crash recovery.
 
-Timing model: every statement charges CPU on the engine's core pool; every
+Timing model: every statement charges CPU on the engine's core pool (a
+read's at its transaction's next wait, see ``DBEngine._pay``); every
 page miss pays the storage path it actually takes (EBP over RDMA vs
 PageStore over RPC); commits wait on group commit whose flush latency is
 the log backend's.  All the paper's performance phenomena - log latency on
@@ -46,6 +47,15 @@ __all__ = ["DBEngine", "EngineConfig", "LogBackend", "RedoFeed"]
 MARKER_PAGE = PageId(0, 0)
 
 
+class _Tab:
+    """The CPU debt of a txn-less read: no later wait would pay it."""
+
+    __slots__ = ("cpu_debt",)
+
+    def __init__(self):
+        self.cpu_debt = 0.0
+
+
 @dataclass
 class EngineConfig:
     """Tunables for one DBEngine instance."""
@@ -54,6 +64,9 @@ class EngineConfig:
     buffer_pool_bytes: int = 64 * 1024 * 1024
     page_size: int = PAGE_SIZE
     #: CPU charged per SQL statement (parse + plan + execute bookkeeping).
+    #: A read's statement and row CPU are owed, not yielded on: they join
+    #: its transaction's debt, charged in one piece at its next lock,
+    #: miss, write or commit.
     stmt_cpu: float = 14 * US
     #: CPU charged per row touched (codec + index + page mutation).
     row_cpu: float = 3 * US
@@ -554,15 +567,33 @@ class DBEngine:
         self._check_live(txn)
         return True
 
-    def _acquire(self, txn: Transaction, key) -> Generator:
-        """Generator: row lock with crash-window re-checks.
+    def _pay(self, tab, cpu: float = 0.0):
+        """The generator charging ``tab``'s CPU debt, plus ``cpu`` of the
+        statement at hand, in one consume.
 
-        A crash may land while we sit in the lock queue; the wait then
-        completed against the pre-crash lock table, which was discarded.
-        Re-checking afterwards keeps stragglers from mutating rebuilt
-        state with locks nobody tracks.
+        A read adds its CPU to its transaction's ``cpu_debt`` instead of
+        yielding on it.  The debt is paid right before anything another
+        transaction can wait on or observe - a lock not yet held, a
+        miss's I/O, a write statement, commit / prepare / rollback - so
+        on an idle pool each of those happens at the instant it would if
+        every read had charged its own.  A crash may land while it runs:
+        the caller re-checks.  Never created for a zero charge.
         """
-        self._check_live()
+        debt, tab.cpu_debt = tab.cpu_debt + cpu, 0.0
+        return self.cpu.consume(debt)
+
+    def _acquire(self, txn: Transaction, key) -> Generator:
+        """Generator: pay the CPU debt, then take the row lock, with
+        crash-window re-checks.
+
+        A crash may land while we pay or sit in the lock queue; the wait
+        then completed against the pre-crash lock table, which was
+        discarded.  Re-checking afterwards keeps stragglers from
+        mutating rebuilt state with locks nobody tracks.
+        """
+        if txn.cpu_debt:
+            yield from self._pay(txn)
+        self._check_live(txn)
         yield from self.locks.acquire(txn, key)
         self._check_live(txn)
 
@@ -608,7 +639,7 @@ class DBEngine:
         """Generator: insert one row."""
         self._check_active(txn)
         table = self.catalog.table(table_name)
-        yield from self.cpu.consume(self.config.stmt_cpu + self.config.row_cpu)
+        yield from self._pay(txn, self.config.stmt_cpu + self.config.row_cpu)
         key = table.key_of(values)
         lock_key = (table_name, key)
         if not self._holds(txn, lock_key):
@@ -649,10 +680,18 @@ class DBEngine:
 
     def read_row(self, txn: Optional[Transaction], table_name: str,
                  key: Tuple[Any, ...], for_update: bool = False):
-        """Generator: point read by primary key; returns values or None."""
+        """Generator: point read by primary key; returns values or None.
+
+        Its statement and row CPU join ``txn``'s debt (:meth:`_pay`): a
+        resident read under a lock already held schedules no event, and
+        an unlocked read sees its row at the start of its CPU rather
+        than the end.  A txn-less read keeps a tab of its own, paid
+        before a miss's I/O and before it returns.
+        """
         self._check_live()
         table = self.catalog.table(table_name)
-        yield from self.cpu.consume(self.config.stmt_cpu)
+        tab = _Tab() if txn is None else txn
+        tab.cpu_debt += self.config.stmt_cpu
         if for_update:
             if txn is None:
                 raise QueryError("FOR UPDATE requires a transaction")
@@ -660,35 +699,44 @@ class DBEngine:
             lock_key = (table_name, key)
             if not self._holds(txn, lock_key):
                 yield from self._acquire(txn, lock_key)
+        row = None
         for _attempt in range(4):
-            # The cpu/page yields may straddle a crash window: the wiped
+            # The lock/page yields may straddle a crash window: the wiped
             # index must surface as an error, not a phantom miss (and a
             # pre-crash locator must not decode rebuilt pages).
             self._check_live(txn)
             locator = table.lookup(key)
             if locator is None:
-                return None
+                break
             page_no, slot = locator
             page_id = table.page_id(page_no)
             hit = self.peek_page(page_id)
-            page = hit[0] if hit is not None else (
-                yield from self._fetch_miss(page_id))
-            yield from self.cpu.consume(self.config.row_cpu)
-            self._check_live(txn)
+            if hit is not None:
+                page = hit[0]
+            else:
+                if tab.cpu_debt:
+                    yield from self._pay(tab)
+                page = yield from self._fetch_miss(page_id)
+                self._check_live(txn)
+            tab.cpu_debt += self.config.row_cpu
             try:
-                return table.schema.decode(page.get(slot))
+                row = table.schema.decode(page.get(slot))
+                break
             except KeyError:
                 # Unlocked read raced with a row migration (an update that
                 # outgrew the page moved the row); chase the fresh locator.
                 continue
-        return None
+        if txn is None:
+            yield from self._pay(tab)
+            self._check_live()
+        return row
 
     def update(self, txn: Transaction, table_name: str, key: Tuple[Any, ...],
                changes: Dict[str, Any]):
         """Generator: update columns of the row with ``key``."""
         self._check_active(txn)
         table = self.catalog.table(table_name)
-        yield from self.cpu.consume(self.config.stmt_cpu + self.config.row_cpu)
+        yield from self._pay(txn, self.config.stmt_cpu + self.config.row_cpu)
         lock_key = (table_name, key)
         if not self._holds(txn, lock_key):
             yield from self._acquire(txn, lock_key)
@@ -770,7 +818,7 @@ class DBEngine:
         """Generator: delete the row with ``key``."""
         self._check_active(txn)
         table = self.catalog.table(table_name)
-        yield from self.cpu.consume(self.config.stmt_cpu + self.config.row_cpu)
+        yield from self._pay(txn, self.config.stmt_cpu + self.config.row_cpu)
         lock_key = (table_name, key)
         if not self._holds(txn, lock_key):
             yield from self._acquire(txn, lock_key)
@@ -808,8 +856,12 @@ class DBEngine:
         The transaction's page-op records were logged as they happened;
         group commit's FIFO batching guarantees they are durable no later
         than the marker, so waiting on the marker alone is sufficient.
+        The reads' CPU debt is paid first, outside the measured wait.
         """
         self._check_active(txn)
+        if txn.cpu_debt:
+            yield from self._pay(txn)
+            self._check_live(txn)
         start = self.env.now
         tracer = self.obs.tracer
         span = (
@@ -849,6 +901,9 @@ class DBEngine:
         skip the marker - they have nothing to recover.
         """
         self._check_active(txn)
+        if txn.cpu_debt:
+            yield from self._pay(txn)
+            self._check_live(txn)
         txn.gtid = gtid
         if txn.records:
             marker = RedoRecord(
@@ -966,6 +1021,9 @@ class DBEngine:
         )
         try:
             try:
+                if txn.cpu_debt:
+                    yield from self._pay(txn)
+                    self._check_live(txn)
                 for undo in reversed(entries):
                     yield from self._compensate(txn, undo)
             except (StorageError, TransactionAborted):

@@ -55,7 +55,7 @@ class Transaction:
     """Engine-side transaction state."""
 
     __slots__ = ("txn_id", "env", "epoch", "start_time", "status", "gtid",
-                 "records", "undo", "locks")
+                 "records", "undo", "locks", "cpu_debt")
 
     def __init__(self, env: Environment, epoch: int = 0):
         # Ids are allocated per environment, not process-wide: within one
@@ -81,6 +81,10 @@ class Transaction:
         self.records: List[RedoRecord] = []
         self.undo: List[UndoEntry] = []
         self.locks: List[Any] = []  # keys held, in acquisition order
+        #: CPU seconds its reads have used but not yet charged to the
+        #: engine's pool: paid in one charge before its next wait
+        #: (``DBEngine._pay``).
+        self.cpu_debt = 0.0
 
     @property
     def is_active(self) -> bool:
@@ -105,8 +109,8 @@ class LockManager:
     waits) and ``_held`` to the owning transaction; a release hands the
     key to the oldest waiter, whose grant takes its sequence number
     there, or forgets the key - so the table holds only held keys, not
-    every key ever locked, and an uncontended lock costs the one event
-    its holder yields on.
+    every key ever locked.  A free key is granted on the spot, with no
+    event and no yield: only a waiter has a grant to wait for.
     """
 
     def __init__(self, env: Environment, wait_timeout: float = 2.0):
@@ -155,7 +159,8 @@ class LockManager:
     def acquire(self, txn: Transaction, key: Any):
         """Generator: take the row lock for ``key`` or abort on timeout.
 
-        Re-entrant for the owning transaction.
+        Re-entrant for the owning transaction; a free key is taken
+        without yielding.
         """
         if self._held.get(key) == txn.txn_id:
             return  # already ours
@@ -164,15 +169,14 @@ class LockManager:
             raise TransactionAborted(
                 "deadlock: txn %d waiting on %r" % (txn.txn_id, key)
             )
-        grant = Event(self.env)
         locks = self._locks
         if key not in locks:
             locks[key] = None
-            yield grant.succeed()  # granted on the spot; consume the event
         else:
             waiters = locks[key]
             if waiters is None:
                 waiters = locks[key] = deque()
+            grant = Event(self.env)
             waiters.append(grant)
             self.waits += 1
             self._waiting_on[txn.txn_id] = key

@@ -18,7 +18,9 @@ Two of them, kept apart on purpose:
 import inspect
 import sys
 
-from repro.common import PageId
+import pytest
+
+from repro.common import PageId, TransactionAborted
 from repro.engine.bufferpool import BufferPool
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.page import Page, PageOp
@@ -69,22 +71,31 @@ def warmed_accounts():
 #: nobody, so ``insert`` and ``update`` are the statement's events alone
 #: and ``commit`` pays for one flush instead of the tail of the previous
 #: one plus its own.
+#:
+#: Since a read's CPU is a debt paid at the transaction's next wait and a
+#: free row lock is granted without an event, a read schedules nothing of
+#: its own.  The parent's counts: ``read_row`` 2 (statement CPU, row
+#: CPU), ``read_row_for_update`` 3 (+ the lock grant),
+#: ``read_row_for_update_again`` 2, ``insert`` 2 (CPU, lock grant; 3
+#: with the eager writer's wake-up), ``delete`` 2.
 VERB_EVENTS = {
-    "read_row": 2,                 # statement CPU, row CPU
-    "read_row_missing_key": 1,     # statement CPU only
-    "read_row_for_update": 3,      # + the lock grant
-    "read_row_for_update_again": 2,  # re-entrant: no grant
-    "insert": 2,                   # CPU, lock grant (was 3: + writer wake-up)
+    "read_row": 0,                 # CPU owed
+    "read_row_missing_key": 1,     # txn-less: pays its statement CPU
+    "read_row_for_update": 1,      # pays the debt; the free lock is taken
+    "read_row_for_update_again": 0,  # re-entrant: nothing to pay for
+    "insert": 1,                   # CPU, the debt included
     "update": 1,                   # CPU (was 2: + the flush then in flight)
-    "delete": 2,
+    "delete": 1,
     "commit": 11,                  # one flush of all four records (was 18)
     "commit_read_only": 0,
     "rollback": 0,
 }
 #: ``(env._seq, env.now)`` once the verbs below have all run (parent of
 #: group commit on demand: ``(426, 0.014945724765241078)``; with the 1 ms
-#: PageStore shipper's idle wake-ups: ``(334, 0.0148135702974133)``).
-VERBS_END = (307, 0.0148135702974133)
+#: PageStore shipper's idle wake-ups: ``(334, 0.0148135702974133)``; with
+#: a charge per read and an event per lock: ``(307, 0.0148135702974133)``
+#: - paying a debt in one charge reassociates the sum, nothing more).
+VERBS_END = (258, 0.014813570297413302)
 
 
 def test_each_verb_schedules_exactly_the_events_it_did():
@@ -132,7 +143,10 @@ def test_tpcc_slice_ends_where_it_did():
     position and per-terminal commits.  Virtual time moves wherever a
     transaction commits once the log writer flushes on demand, so these
     were re-pinned then; the parent's values are kept below.  Shipping
-    on demand moved only the event count: 16969 with the 1 ms shipper."""
+    on demand moved only the event count: 16969 with the 1 ms shipper.
+    Paying the reads' CPU at the next wait, and granting free locks
+    without an event, moved the event count (14920 before) and the
+    clock's last digits (0.047715429933425695), nothing else."""
     dep = Deployment(DeploymentSpec.astore_pq(seed=1))
     dep.start()
     database = TpccDatabase(
@@ -151,14 +165,168 @@ def test_tpcc_slice_ends_where_it_did():
         [t.committed for t in terminals],
         [t.aborted for t in terminals],
     ) == (
-        0.047715429933425695,
-        14920,
+        0.04771542993342413,
+        7257,
         416805,
         [24, 13, 19, 21, 31, 16, 25, 24],
         [0] * 8,
     )
     # Parent (eager log writer): 0.04731673419951458, 20379, 395013,
     # [18, 13, 18, 19, 28, 17, 21, 23].
+
+
+# -- CPU debt: a read's CPU is paid at its transaction's next wait ----------
+
+#: Measured with a charge per read, before the debt: when the miss of
+#: :func:`test_a_miss_issues_its_read_where_it_did` leaves, and the pool's
+#: ``busy_time`` after :func:`test_the_pool_is_charged_what_each_read_charged_itself`
+#: (one charge per debt reassociates the sum: ``0.0008299999999999997`` now).
+MISS_ISSUED_AT = 0.014643214998673038
+POOL_BUSY_S = 0.0008299999999999995
+
+
+def test_unlocked_reads_pay_where_the_transaction_joins_a_lock_queue():
+    """(a) k unlocked reads, then FOR UPDATE on a held key: the
+    transaction queues once all k·(stmt + row) + stmt are paid."""
+    dep = warmed_accounts()
+    engine, env = dep.engine, dep.env
+    stmt, row, k = engine.config.stmt_cpu, engine.config.row_cpu, 5
+    lock_key = ("accounts", (7,))
+
+    def holder():
+        txn = engine.begin()
+        yield from engine.read_row(txn, "accounts", (7,), for_update=True)
+        yield env.timeout(0.001)
+        yield from engine.commit(txn)
+
+    def reader():
+        txn = engine.begin()
+        for key in range(1, k + 1):
+            yield from engine.read_row(txn, "accounts", (key,))
+        row7 = yield from engine.read_row(
+            txn, "accounts", (7,), for_update=True)
+        yield from engine.commit(txn)
+        return row7
+
+    start = env.now
+    env.process(holder())
+    proc = env.process(reader())
+    while not engine.locks.queue_length(lock_key):
+        env.step()
+    owed = 0.0  # summed in the order the reads add to the debt
+    for _ in range(k):
+        owed += stmt
+        owed += row
+    owed += stmt
+    assert owed == pytest.approx(k * (stmt + row) + stmt)
+    assert env.now == start + owed
+    assert dep.run_until(proc) == [7, "n7", 7.0]
+
+
+def test_a_miss_issues_its_read_where_it_did():
+    """(b) A miss pays the debt before its I/O, so the read leaves at the
+    instant it did when every read charged its own CPU: one resident
+    read and the missing read's statement after the start."""
+    dep = warmed_accounts()
+    engine, env = dep.engine, dep.env
+    page_id = engine.catalog.table("accounts").page_id(0)
+    issued = []
+    fetch_miss = engine._fetch_miss
+
+    def recorded(pid):
+        issued.append(env.now)
+        return (yield from fetch_miss(pid))
+
+    engine._fetch_miss = recorded
+
+    def reads():
+        txn = engine.begin()
+        yield from engine.read_row(txn, "accounts", (1,))
+        engine.buffer_pool.drop(page_id)
+        row = yield from engine.read_row(txn, "accounts", (2,))
+        yield from engine.commit(txn)
+        return row
+
+    assert run(dep, reads()) == [2, "n2", 2.0]
+    assert issued == [MISS_ISSUED_AT]
+
+
+def test_the_pool_is_charged_what_each_read_charged_itself():
+    """(c) Deferring a read's CPU moves no CPU: over reads paid by a
+    write, by a rollback and by a read-only commit, plus txn-less reads,
+    the pool is as busy as when every read charged its own."""
+    dep = warmed_accounts()
+    engine = dep.engine
+
+    def verbs():
+        txn = engine.begin()
+        for key in (1, 2, 3):
+            yield from engine.read_row(txn, "accounts", (key,))
+        yield from engine.read_row(None, "accounts", (4,))
+        yield from engine.read_row(None, "accounts", (999,))
+        yield from engine.update(txn, "accounts", (5,), {"balance": 2.5})
+        yield from engine.read_row(txn, "accounts", (6,), for_update=True)
+        yield from engine.read_row(txn, "accounts", (7,))
+        yield from engine.rollback(txn)
+        assert txn.cpu_debt == 0.0
+        txn = engine.begin()
+        yield from engine.read_row(txn, "accounts", (8,))
+        yield from engine.commit(txn)
+        assert txn.cpu_debt == 0.0
+
+    run(dep, verbs())
+    assert engine.cpu.busy_time == pytest.approx(POOL_BUSY_S, rel=1e-12)
+    # The read-only commit paid its read before its measured wait.
+    assert dep.registry.latency("engine.txn.commit_wait").samples[-1] == 0.0
+
+
+@pytest.mark.parametrize("payer", ["update", "commit", "rollback"])
+def test_a_crash_while_a_transaction_pays_raises_and_mutates_nothing(payer):
+    """(d) The crash lands, and recovery finishes, while a transaction
+    pays 34 ms of reads: its statement then raises (a rollback gives up
+    quietly, recovery having undone it), and the rebuilt engine
+    allocates no LSN, touches no page and holds no lock for it."""
+    dep = warmed_accounts()
+    engine, env = dep.engine, dep.env
+    seen = {}
+
+    def state():
+        return (env.now, engine.lsn.current, dict(engine.page_versions),
+                dict(engine.locks._held))
+
+    def crash_and_recover():
+        yield env.timeout(0.001)
+        engine.crash()
+        yield from engine.recover()
+        seen["recovered"] = state()
+
+    def pays():
+        txn = engine.begin()
+        yield from engine.update(txn, "accounts", (3,), {"balance": 9.0})
+        for _ in range(50):
+            for key in range(1, 41):
+                yield from engine.read_row(txn, "accounts", (key,))
+        env.process(crash_and_recover())
+        try:
+            if payer == "update":
+                yield from engine.update(
+                    txn, "accounts", (4,), {"balance": 0.5})
+            elif payer == "commit":
+                yield from engine.commit(txn)
+            else:
+                yield from engine.rollback(txn)
+        except TransactionAborted:
+            seen["raised"] = True
+        seen["paid"] = state()
+        yield from engine.rollback(txn)
+        return txn.status
+
+    assert run(dep, pays()) == "aborted"
+    assert ("raised" in seen) == (payer != "rollback")
+    assert seen["recovered"][0] < seen["paid"][0]
+    assert seen["paid"][1:] == seen["recovered"][1:]
+    assert engine.committed == 1  # the load's
+    assert run(dep, engine.read_row(None, "accounts", (3,))) == [3, "n3", 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +395,25 @@ def test_no_generator_where_nothing_waits():
     def statements():
         txn = engine.begin()
         yield from engine.read_row(txn, "accounts", (3,), for_update=True)
-        with _GeneratorCalls() as calls:
+        with _GeneratorCalls() as reads:
             # Every page is resident and the lock is already ours: the
-            # only waits left are the CPU charges.
+            # reads wait for nothing, and their CPU is owed, not charged.
             row = yield from engine.read_row(txn, "accounts", (3,))
             again = yield from engine.read_row(
                 txn, "accounts", (3,), for_update=True)
+        with _GeneratorCalls() as calls:
+            # The write pays the debt: the one wait left.
             yield from engine.update(
                 txn, "accounts", (3,), {"balance": 9.0})
         assert row == again == [3, "n3", 3.0]
         with _GeneratorCalls() as locking:
             yield from engine.delete(txn, "accounts", (6,))
         yield from engine.commit(txn)
-        return calls.names, locking.names
+        return reads.names, calls.names, locking.names
 
-    hit_names, locking_names = run(dep, statements())
-    assert {"read_row", "update", "consume"} <= hit_names
+    read_names, hit_names, locking_names = run(dep, statements())
+    assert read_names == {"read_row"}
+    assert {"update", "consume"} <= hit_names
     assert not hit_names & {"fetch_page", "_fetch_miss", "_acquire", "acquire"}
     # A lock somebody has to be granted still takes both generators.
     assert {"_acquire", "acquire"} <= locking_names

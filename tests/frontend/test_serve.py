@@ -33,9 +33,11 @@ def test_sharded_serve_report_is_pinned():
     report = run_serving(**SMALL, shards=2)
     assert report["ok"] is True
     # Shipping on demand moved it (the 1 ms PageStore shipper:
-    # 0141167428c7786186e3178e9876b2d6334653a8cfbb595e8c76c74d2dc4f531).
+    # 0141167428c7786186e3178e9876b2d6334653a8cfbb595e8c76c74d2dc4f531),
+    # and so did paying reads' CPU at the next wait (a charge per read:
+    # 04520a3f4bcc05a3b6c2418e5470b5eab6d290216960ee4377f85e0971be113e).
     assert report_digest(report) == (
-        "04520a3f4bcc05a3b6c2418e5470b5eab6d290216960ee4377f85e0971be113e"
+        "25da76eb5769938459d7812f236003b9e0149e3219f356c914bfe67098134e30"
     )
 
 

@@ -285,9 +285,11 @@ def test_chaos_soak_smoke_holds_invariants():
     assert any("cluster manager" in l for l in report["chaos_log"])
     assert any("partitioned" in l for l in report["chaos_log"])
     # Shipping on demand moved it (the 1 ms PageStore shipper:
-    # 549634c39eb891da73dd04fb2b418399b6f4fb73edad459fe4976462d310e485).
+    # 549634c39eb891da73dd04fb2b418399b6f4fb73edad459fe4976462d310e485),
+    # and so did paying reads' CPU at the next wait (a charge per read:
+    # 61bafe7d3c07be96d59a8941835ee567602fa67f94fb60a845fe31c1ccb11214).
     assert report_digest(report) == (
-        "61bafe7d3c07be96d59a8941835ee567602fa67f94fb60a845fe31c1ccb11214"
+        "fe9887f84fb19c9b06af64387c96f179dacaaf1767a4b7ea3ed07a924b53278b"
     )
 
 
@@ -297,7 +299,9 @@ def test_sharded_soak_report_is_pinned():
     report = run_sharded_soak(seed=7, short=True, horizon=0.6)
     assert report["ok"], report["violations"]
     # Shipping on demand moved it (the 1 ms PageStore shipper:
-    # 9fceb4d55d4a42bf4fbc18b3add5e001a4b7a394e785917dc95b1b32c9367b32).
+    # 9fceb4d55d4a42bf4fbc18b3add5e001a4b7a394e785917dc95b1b32c9367b32),
+    # and so did paying reads' CPU at the next wait (a charge per read:
+    # 0e63a515306de85b8ca207abee84d17195fb11d20a2984c3c8625c010244d427).
     assert report_digest(report) == (
-        "0e63a515306de85b8ca207abee84d17195fb11d20a2984c3c8625c010244d427"
+        "defc0325874160541790148cdccf1284aac46becb63408ec2dcf4c43e94a2e54"
     )

@@ -338,9 +338,10 @@ class AStoreClient:
 
         An append takes its offset from the tail it finds, so a segment
         with several concurrent appenders passes their shared ``latch``
-        (a :class:`~repro.sim.resources.Mutex`): the SDK overhead of the
-        appends still overlaps, only their wire portions are ordered.  A
-        single appender (SegmentRing) passes none and pays nothing.
+        (a capacity-1 :class:`~repro.sim.resources.Resource`): the SDK
+        overhead of the appends still overlaps, only their wire portions
+        are ordered.  A single appender (SegmentRing) passes none and pays
+        nothing.
 
         Returns (offset, length).
         """
@@ -363,7 +364,8 @@ class AStoreClient:
             else None
         )
         policy = self.retry_policy
-        held = None
+        latched = False
+        grant = None
         try:
             yield self.env.timeout(
                 self.rng.lognormal_around(
@@ -371,10 +373,10 @@ class AStoreClient:
                 )
             )
             if latch is not None:
-                held = latch.try_acquire()
-                if held is None:
-                    held = latch.request()
-                    yield held
+                grant = latch.acquire()
+                latched = True
+                if grant is not None:
+                    yield grant
             for attempt in range(policy.max_attempts):
                 if meta.frozen:
                     raise SegmentFrozenError("segment %d frozen" % segment_id)
@@ -429,8 +431,8 @@ class AStoreClient:
                 self._lat_write.record(self.env.now - start)
                 return (offset, length)
         finally:
-            if held is not None:
-                latch.give_back(held)
+            if latched:
+                latch.release(grant)
             if span is not None:
                 span.finish()
 

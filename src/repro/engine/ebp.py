@@ -44,7 +44,7 @@ from ..common import PAGE_SIZE, US, PageId, StorageError
 from ..astore.client import AStoreClient
 from ..obs import obs_of
 from ..sim.core import Environment, Event, Process
-from ..sim.resources import Mutex
+from ..sim.resources import Resource
 from .page import Page
 
 __all__ = ["ExtendedBufferPool", "EbpEntry", "EBP_PAGE_TAG"]
@@ -94,7 +94,7 @@ class _SegmentState:
         self.pins = 0
         self.unpinned: Optional[Event] = None
         #: Orders the wire portion of concurrent appends.
-        self.append_latch = Mutex(env)
+        self.append_latch = Resource(env)
 
     @property
     def garbage_ratio(self) -> float:
@@ -154,7 +154,7 @@ class ExtendedBufferPool:
         self._cleaner: Optional[Process] = None
         #: (priority, wake event) of writers parked for room.
         self._parked: List[Tuple[int, Event]] = []
-        self.index_mutex = Mutex(env)
+        self.index_mutex = Resource(env)
         #: Latest LSN per page as modified in the engine's local BP; batched
         #: to AStore servers for post-crash staleness pruning.
         self._dirty_lsns: Dict[PageId, int] = {}
@@ -197,15 +197,13 @@ class ExtendedBufferPool:
     def _index_cs(self):
         """Generator: the serialised index critical section."""
         mutex = self.index_mutex
-        held = mutex.try_acquire()
+        grant = mutex.acquire()
         try:
-            if held is None:
-                held = mutex.request()
-                yield held
+            if grant is not None:
+                yield grant
             yield self.env.timeout(INDEX_CS_COST)
         finally:
-            # An interrupt may land while queued for, or inside, the section.
-            mutex.give_back(held)
+            mutex.release(grant)
 
     def _adopt(self, segment_id: int) -> _SegmentState:
         """Account for a segment found on a server (never appended to

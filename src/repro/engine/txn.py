@@ -21,12 +21,12 @@ detector in :mod:`repro.shard.robustness`.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..common import TransactionAborted
 from ..sim.core import AnyOf, Environment, Event
+from ..sim.resources import Grant, WaitQueue
 from .wal import RedoRecord
 
 __all__ = ["LockManager", "Transaction", "UndoEntry"]
@@ -104,19 +104,20 @@ class Transaction:
 class LockManager:
     """FIFO row locks with wait timeout.
 
-    A lock is not an object.  ``_locks`` maps each taken key to the FIFO
-    of grant events queued behind its holder (``None`` until somebody
-    waits) and ``_held`` to the owning transaction; a release hands the
-    key to the oldest waiter, whose grant takes its sequence number
-    there, or forgets the key - so the table holds only held keys, not
-    every key ever locked.  A free key is granted on the spot, with no
-    event and no yield: only a waiter has a grant to wait for.
+    A lock is not an object.  ``_locks`` maps each taken key to the
+    :class:`~repro.sim.resources.WaitQueue` behind its holder (``None``
+    until somebody waits) and ``_held`` to the owning transaction; a
+    release hands the key to the oldest waiter, whose grant takes its
+    sequence number there, or forgets the key - so the table holds only
+    held keys, not every key ever locked.  A free key is granted on the
+    spot, with no event and no yield: only a waiter has a grant to wait
+    for.
     """
 
     def __init__(self, env: Environment, wait_timeout: float = 2.0):
         self.env = env
         self.wait_timeout = wait_timeout
-        self._locks: Dict[Any, Optional[Deque[Event]]] = {}
+        self._locks: Dict[Any, Optional[WaitQueue]] = {}
         self._held: Dict[Any, int] = {}  # key -> owner txn_id
         self._waiting_on: Dict[int, Any] = {}  # txn_id -> key it waits for
         #: txn_id -> kill event for its in-flight wait; an external
@@ -148,11 +149,14 @@ class LockManager:
                 return False
             current_key = next_key
 
-    def _pass_on(self, key: Any) -> None:
-        """Hand ``key`` to its oldest waiter, or forget it."""
+    def _release(self, key: Any, grant: Optional[Grant] = None) -> None:
+        """Withdraw ``grant`` if it is still pending; otherwise hand
+        ``key`` to its oldest waiter, or forget it."""
         waiters = self._locks[key]
+        if grant is not None and waiters.leave(grant):
+            return
         if waiters:
-            waiters.popleft().succeed()
+            waiters.pass_on()
         else:
             del self._locks[key]
 
@@ -175,21 +179,27 @@ class LockManager:
         else:
             waiters = locks[key]
             if waiters is None:
-                waiters = locks[key] = deque()
-            grant = Event(self.env)
-            waiters.append(grant)
+                waiters = locks[key] = WaitQueue()
+            grant = waiters.join(self.env)
             self.waits += 1
             self._waiting_on[txn.txn_id] = key
             kill = Event(self.env)
             self._kill_events[txn.txn_id] = kill
             timeout = self.env.timeout(self.wait_timeout)
-            yield AnyOf(self.env, [grant, timeout, kill])
-            self._waiting_on.pop(txn.txn_id, None)
-            self._kill_events.pop(txn.txn_id, None)
-            if not grant.triggered:
-                # Lost the race: withdraw and abort.  (A grant landing in
-                # the instant we timed out has triggered, and wins.)
-                waiters.remove(grant)
+            granted = False
+            try:
+                yield AnyOf(self.env, [grant, timeout, kill])
+                # A grant landing in the instant we timed out has
+                # triggered, and wins.
+                granted = grant.triggered
+            finally:
+                self._waiting_on.pop(txn.txn_id, None)
+                self._kill_events.pop(txn.txn_id, None)
+                if not granted:
+                    # Timed out, killed or interrupted: withdraw, or pass
+                    # on a grant that landed in the interrupt's instant.
+                    self._release(key, grant)
+            if not granted:
                 if kill.triggered:
                     self.deadlocks += 1
                     raise TransactionAborted(
@@ -210,7 +220,7 @@ class LockManager:
             # table is a new one that knows nothing of this txn's keys.
             if held.get(key) == txn.txn_id:
                 del held[key]
-                self._pass_on(key)
+                self._release(key)
         txn.locks.clear()
 
     # -- global deadlock detection hooks -------------------------------

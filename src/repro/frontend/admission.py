@@ -31,8 +31,8 @@ from typing import Any, Deque, Dict, List, Sequence, Tuple
 
 from ..common import OverloadError
 from ..obs import obs_of
-from ..sim.core import AnyOf, Environment, Event, Timeout
-from ..sim.resources import Resource
+from ..sim.core import AnyOf, Environment, Timeout
+from ..sim.resources import Resource, WaitQueue
 
 __all__ = ["AdmissionController", "TenantAdmission"]
 
@@ -111,7 +111,9 @@ class AdmissionController:
     def admit(self, cls: str):
         """Generator: returns an admission ticket or raises OverloadError.
 
-        Pass the ticket back to :meth:`release` when the request leaves.
+        The ticket (the class's slot pool; never None) goes back to
+        :meth:`release` when the request leaves.  A free slot is taken
+        without an event.
         """
         try:
             slots = self._slots[cls]
@@ -125,36 +127,36 @@ class AdmissionController:
                 % (cls, slots.queue_length)
             )
         start = self.env.now
-        ticket = slots.request()
-        if not ticket.triggered:
+        grant = slots.acquire()
+        if grant is not None:
             deadline = Timeout(self.env, self.queue_timeout)
-            yield AnyOf(self.env, [ticket, deadline])
-            # Queue wait is measured from enqueue: a waiter whose grant
-            # raced the deadline onto the same tick has already waited
-            # the full timeout and must be shed, not executed - its slot
-            # goes back to the pool (waking the next waiter in FIFO
-            # order) instead of running an expired request.
-            expired = (self.env.now - start) >= self.queue_timeout
-            if not ticket.triggered or expired:
-                if ticket.triggered:
-                    slots.release(ticket)
-                else:
-                    ticket.cancel()
+            expired = True
+            try:
+                yield AnyOf(self.env, [grant, deadline])
+                # Queue wait is measured from enqueue: a waiter whose
+                # grant raced the deadline onto the same tick has already
+                # waited the full timeout and must be shed, not executed.
+                expired = (not grant.triggered
+                           or self.env.now - start >= self.queue_timeout)
+            finally:
+                if expired:
+                    # Withdrawn, or the raced slot goes on to the next
+                    # waiter in FIFO order - also when interrupted.
+                    slots.release(grant)
+            if expired:
                 self.shed[cls] += 1
                 self.shed_deadline += 1
                 raise OverloadError(
                     "admission wait for %r exceeded %.3fs"
                     % (cls, self.queue_timeout)
                 )
-        else:
-            yield ticket
         self._wait.record(self.env.now - start)
         self.admitted[cls] += 1
-        return ticket
+        return slots
 
     def release(self, cls: str, ticket) -> None:
-        """Return the concurrency slot held by ``ticket``."""
-        self._slots[cls].release(ticket)
+        """Return the concurrency slot ``admit`` handed out as ``ticket``."""
+        ticket.release()
 
 
 class TenantAdmission:
@@ -163,8 +165,8 @@ class TenantAdmission:
     Used by the session mux to share its execution lanes: ``slots`` is
     the lane pool, ``tenants`` maps tenant name to an integer weight.
     :meth:`acquire` returns a free slot immediately when nobody is
-    queued; under contention each tenant waits in its own bounded FIFO
-    and a deficit-round-robin scheduler grants freed slots so that
+    queued; under contention each tenant waits in its own bounded
+    :class:`~repro.sim.resources.WaitQueue` and a deficit-round-robin scheduler grants freed slots so that
     backlogged tenants receive them in weight proportion.  Waiters are
     shed with :class:`~repro.common.OverloadError` when their tenant
     queue is full or their deadline passes.
@@ -210,15 +212,15 @@ class TenantAdmission:
         self._cursor = 0
         self._free: Deque[Any] = deque(slots)
         self.capacity = len(slots)
-        # Waiter entries are (event, enqueue_time); the dispatcher
-        # succeeds the event with a slot (grant) or _SHED (deadline).
-        self._queues: Dict[str, Deque[Tuple[Event, float]]] = {
-            name: deque() for name in tenants
+        # The dispatcher passes each waiter a slot, or _SHED once its
+        # grant's ``since`` is ``queue_timeout`` old.
+        self._queues: Dict[str, WaitQueue] = {
+            name: WaitQueue() for name in tenants
         }
         self._waiting = 0
         # Dispatch ring: (name, queue, weight) in declaration order, so
         # the DRR scan does no dict lookups on the grant hot path.
-        self._ring: List[Tuple[str, Deque[Tuple[Event, float]], int]] = [
+        self._ring: List[Tuple[str, WaitQueue, int]] = [
             (name, self._queues[name], self.weights[name])
             for name in self._order
         ]
@@ -275,16 +277,21 @@ class TenantAdmission:
                 "tenant %r admission queue full (%d waiting)"
                 % (tenant, len(queue))
             )
-        event = Event(self.env)
-        queue.append((event, start))
+        grant = queue.join(self.env)
         self._waiting += 1
         self._dispatch()
-        if event.triggered:
-            # Granted synchronously (a slot freed during enqueue); a
-            # brand-new waiter can never be expired, so this is a grant.
-            slot = event.value
-        else:
-            slot = yield event
+        try:
+            # Granted synchronously when a slot freed during enqueue (a
+            # brand-new waiter can never be expired, so this is a grant).
+            slot = grant.value if grant.triggered else (yield grant)
+        except BaseException:
+            # Interrupted: withdraw, or hand back a lane granted in the
+            # same instant.
+            if queue.leave(grant):
+                self._waiting -= 1
+            elif grant.value is not _SHED:
+                self.release(grant.value)
+            raise
         if slot is _SHED:
             raise OverloadError(
                 "tenant %r admission wait exceeded %.3fs"
@@ -329,17 +336,15 @@ class TenantAdmission:
         idle_visits = 0
         while free and self._waiting:
             name, queue, weight = ring[cursor]
-            while queue and (now - queue[0][1]) >= timeout:
-                event, _t = queue.popleft()
+            while queue and (now - queue[0].since) >= timeout:
                 self._waiting -= 1
                 self.shed[name] += 1
                 self.shed_deadline += 1
-                event.succeed(_SHED)
+                queue.pass_on(_SHED)
             if queue and deficit[name] >= 1.0:
                 deficit[name] -= 1.0
-                event, _t = queue.popleft()
                 self._waiting -= 1
-                event.succeed(free.popleft())
+                queue.pass_on(free.popleft())
                 idle_visits = 0
                 continue  # stay parked here while credit lasts
             # Out of credit (or queue empty): forfeit idle credit,

@@ -79,12 +79,8 @@ class DeploymentSpec:
     ebp_segment_bytes: int = 4 * MB
     ebp_policy: str = "flat"
     ebp_space_priorities: Optional[Dict[int, int]] = None
-    ebp_compaction: bool = True
     # AStore cluster.
     astore_servers: int = 3
-    astore_pmem_bytes: int = 1 * GB
-    astore_segment_slot_bytes: int = 4 * MB
-    astore_server_cores: int = 8
     # Fault tolerance: failure-detector cadence and client retry policy.
     astore_heartbeat_interval: float = 1.0
     astore_failure_timeout: float = 3.0
@@ -96,16 +92,10 @@ class DeploymentSpec:
     log_ring_segments: int = 8
     log_segment_bytes: int = 4 * MB
     log_replication: int = 3
-    # PageStore.
-    pagestore_servers: int = 3
-    pagestore_segments: int = 12
-    # Baseline LogStore.
-    logstore_replicas: int = 3
     # Serving layer (repro.frontend): replica fleet + proxy.
     replicas: int = 0
     replica_policy: str = "least-lag"
     replica_cores: int = 8
-    replica_buffer_pool_bytes: int = 16 * MB
     #: One REDO-poll interval per replica; None = 2 ms for all.
     replica_apply_intervals: Optional[Tuple[float, ...]] = None
     #: p2c bounded-staleness filter, in REDO bytes (None = unbounded).
@@ -162,15 +152,9 @@ class DeploymentSpec:
             ("ebp_capacity_bytes", self.ebp_capacity_bytes),
             ("ebp_segment_bytes", self.ebp_segment_bytes),
             ("astore_servers", self.astore_servers),
-            ("astore_pmem_bytes", self.astore_pmem_bytes),
-            ("astore_segment_slot_bytes", self.astore_segment_slot_bytes),
-            ("astore_server_cores", self.astore_server_cores),
             ("log_ring_segments", self.log_ring_segments),
             ("log_segment_bytes", self.log_segment_bytes),
             ("log_replication", self.log_replication),
-            ("pagestore_servers", self.pagestore_servers),
-            ("pagestore_segments", self.pagestore_segments),
-            ("logstore_replicas", self.logstore_replicas),
             ("astore_heartbeat_interval", self.astore_heartbeat_interval),
             ("astore_failure_timeout", self.astore_failure_timeout),
             ("astore_cleanup_period", self.astore_cleanup_period),
@@ -222,7 +206,6 @@ class DeploymentSpec:
                 )
             for name, value in (
                 ("replica_cores", self.replica_cores),
-                ("replica_buffer_pool_bytes", self.replica_buffer_pool_bytes),
                 ("replica_wait_timeout", self.replica_wait_timeout),
                 ("replica_wait_poll", self.replica_wait_poll),
                 ("admission_read_limit", self.admission_read_limit),
@@ -326,15 +309,12 @@ class DeploymentSpec:
     def with_astore(
         self,
         servers: Optional[int] = None,
-        pmem_bytes: Optional[int] = None,
         replication: Optional[int] = None,
     ) -> "DeploymentSpec":
         """Route the REDO log through an AStore SegmentRing."""
         changes: Dict[str, object] = {"use_astore_log": True}
         if servers is not None:
             changes["astore_servers"] = servers
-        if pmem_bytes is not None:
-            changes["astore_pmem_bytes"] = pmem_bytes
         if replication is not None:
             changes["log_replication"] = replication
         return dataclasses.replace(self, **changes)
@@ -396,7 +376,6 @@ class DeploymentSpec:
         n: int,
         policy: Optional[str] = None,
         cores: Optional[int] = None,
-        buffer_pool_bytes: Optional[int] = None,
         apply_intervals: Optional[Sequence[float]] = None,
         staleness_bound: Optional[int] = None,
         wait_timeout: Optional[float] = None,
@@ -416,8 +395,6 @@ class DeploymentSpec:
             changes["replica_policy"] = policy
         if cores is not None:
             changes["replica_cores"] = cores
-        if buffer_pool_bytes is not None:
-            changes["replica_buffer_pool_bytes"] = buffer_pool_bytes
         if apply_intervals is not None:
             changes["replica_apply_intervals"] = tuple(apply_intervals)
         if staleness_bound is not None:
@@ -696,24 +673,16 @@ class Deployment:
         """Construct one shard's stack on the shared environment."""
         config = self.config
         stack = ShardStack(index, seeds)
-        stack.pagestore = PageStoreService(
-            self.env,
-            seeds,
-            num_servers=config.pagestore_servers,
-            num_segments=config.pagestore_segments,
-        )
+        stack.pagestore = PageStoreService(self.env, seeds)
         if self._needs_astore:
             stack.astore = AStoreCluster(
                 self.env,
                 seeds,
                 num_servers=config.astore_servers,
-                pmem_capacity=config.astore_pmem_bytes,
+                pmem_capacity=1 * GB,
                 segment_slot_size=max(
-                    config.astore_segment_slot_bytes,
-                    config.log_segment_bytes,
-                    config.ebp_segment_bytes,
+                    4 * MB, config.log_segment_bytes, config.ebp_segment_bytes
                 ),
-                server_cpu_cores=config.astore_server_cores,
                 lease_duration=config.astore_lease_duration,
                 route_refresh_period=config.astore_route_refresh_period,
                 heartbeat_interval=config.astore_heartbeat_interval,
@@ -735,9 +704,7 @@ class Deployment:
             )
             log_backend = AStoreLogBackend(stack.ring)
         else:
-            stack.logstore = LogStore(
-                self.env, seeds, replicas=config.logstore_replicas
-            )
+            stack.logstore = LogStore(self.env, seeds)
             log_backend = SsdLogBackend(stack.logstore)
         if config.use_ebp:
             ebp_client = stack.astore.new_client("ebp-client")
@@ -749,7 +716,6 @@ class Deployment:
                 page_size=config.engine.page_size,
                 policy=config.ebp_policy,
                 space_priorities=config.ebp_space_priorities,
-                compaction_enabled=config.ebp_compaction,
             )
         stack.engine = DBEngine(
             self.env,
@@ -777,7 +743,6 @@ class Deployment:
                 count=config.replicas,
                 policy=policy,
                 use_ebp=config.use_ebp,
-                buffer_pool_bytes=config.replica_buffer_pool_bytes,
                 cores=config.replica_cores,
                 apply_intervals=config.replica_apply_intervals,
                 wait_poll=config.replica_wait_poll,

@@ -3,7 +3,7 @@
 Public surface:
 
 - :mod:`repro.sim.core` - event loop, processes, composite events
-- :mod:`repro.sim.resources` - contended resources (CPU pools, mutexes, queues)
+- :mod:`repro.sim.resources` - contended resources on one waiter queue (CPU pools, slots, message queues)
 - :mod:`repro.sim.devices` - PMem / SSD / DRAM device models
 - :mod:`repro.sim.network` - kernel RPC path vs one-sided RDMA fabric
 - :mod:`repro.sim.rand` - deterministic named random streams
@@ -24,7 +24,7 @@ from .devices import DramDevice, PMemDevice, SsdDevice, StorageDevice
 from .metrics import Counter, LatencyRecorder, ThroughputMeter, geomean, summarize
 from .network import RdmaFabric, RdmaVerb, RpcNetwork
 from .rand import Rng, SeedSequence, ZipfGenerator, nurand
-from .resources import CpuPool, Mutex, Resource, Store
+from .resources import CpuPool, Resource, Store, WaitQueue
 
 __all__ = [
     "AllOf",
@@ -47,8 +47,8 @@ __all__ = [
     "ZipfGenerator",
     "nurand",
     "Resource",
-    "Mutex",
     "Store",
+    "WaitQueue",
     "CpuPool",
     "LatencyRecorder",
     "ThroughputMeter",

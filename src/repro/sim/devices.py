@@ -102,19 +102,17 @@ class StorageDevice:
         start = self.env.now
         # A free channel is taken on the spot: only a queued access waits
         # for (and pays the event of) a grant.
-        req = self._channels.try_acquire()
+        grant = self._channels.acquire()
         try:
-            if req is None:
-                req = self._channels.request()
-                yield req
+            if grant is not None:
+                yield grant
                 wait = self.env.now - start
                 if wait > 0:
                     self.queue_wait_total += wait
                     self.obs.registry.add(self._qw_key, wait)
             yield self.env.timeout(service)
         finally:
-            # An interrupt may land while still queued for a channel.
-            self._channels.give_back(req)
+            self._channels.release(grant)
             if span is not None:
                 span.finish()
         self.reads += 1
@@ -133,19 +131,17 @@ class StorageDevice:
         start = self.env.now
         # A free channel is taken on the spot: only a queued access waits
         # for (and pays the event of) a grant.
-        req = self._channels.try_acquire()
+        grant = self._channels.acquire()
         try:
-            if req is None:
-                req = self._channels.request()
-                yield req
+            if grant is not None:
+                yield grant
                 wait = self.env.now - start
                 if wait > 0:
                     self.queue_wait_total += wait
                     self.obs.registry.add(self._qw_key, wait)
             yield self.env.timeout(service)
         finally:
-            # An interrupt may land while still queued for a channel.
-            self._channels.give_back(req)
+            self._channels.release(grant)
             if span is not None:
                 span.finish()
         self.writes += 1

@@ -98,9 +98,10 @@ class LogStore:
     def append(self, nbytes: int):
         """Generator: replicate one log append; returns total latency."""
         start = self.env.now
-        slot = self._submit_slots.request()
-        yield slot
+        grant = self._submit_slots.acquire()
         try:
+            if grant is not None:
+                yield grant
             yield self.env.timeout(
                 self.rng.lognormal_around(self.SUBMIT_OVERHEAD, 0.35)
             )
@@ -113,7 +114,7 @@ class LogStore:
                 self.rng.lognormal_around(self.CALLBACK_OVERHEAD, 0.35)
             )
         finally:
-            self._submit_slots.release(slot)
+            self._submit_slots.release(grant)
         self.appends += 1
         self.bytes_appended += nbytes
         return self.env.now - start

@@ -77,11 +77,11 @@ def assert_nothing_held(dep):
     for server in dep.astore.servers.values():
         assert server.pmem._channels.count == 0
         assert server.pmem._channels.queue_length == 0
-        assert server.cpu.in_use == 0 and server.cpu.queue_length == 0
+        assert server.cpu.count == 0 and server.cpu.queue_length == 0
     for server in dep.pagestore.servers:
         assert server.device._channels.count == 0
         assert server.device._channels.queue_length == 0
-        assert server.cpu.in_use == 0 and server.cpu.queue_length == 0
+        assert server.cpu.count == 0 and server.cpu.queue_length == 0
     ebp = dep.ebp
     assert ebp.index_mutex.count == 0 and ebp.index_mutex.queue_length == 0
     for segment in ebp._segments.values():

@@ -139,11 +139,20 @@ def test_failure_beyond_the_spare_fails_the_fan_and_interrupts_the_rest():
         finally:
             log.append(("cpu-leg-out", env.now))
 
+    def locked(inner):
+        grant = res.acquire()
+        try:
+            if grant is not None:
+                yield grant
+            return (yield from inner)
+        finally:
+            res.release(grant)
+
     def caller():
         try:
             yield FanOut(env, [
                 sleeper(env, 5.0, "slow", log),
-                res.locked(sleeper(env, 5.0, "locked", log)),
+                locked(sleeper(env, 5.0, "locked", log)),
                 queued_for_cpu(),
                 failing(env, 1.0, StorageError("boom")),
             ], what="test fan")
@@ -159,7 +168,7 @@ def test_failure_beyond_the_spare_fails_the_fan_and_interrupts_the_rest():
     assert res.count == 0 and res.queue_length == 0
     assert pool.queue_length == 0
     env.run()
-    assert pool.in_use == 0
+    assert pool.count == 0
 
 
 def test_a_leg_failing_at_its_start_leaves_later_legs_unstarted():

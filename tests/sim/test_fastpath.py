@@ -1,7 +1,7 @@
 """Kernel-semantics tests pinning the fast-path behaviour.
 
-The same-tick trampoline, the inline process resume, the uncontended
-resource grant, and the AllOf countdown are pure optimisations: this file
+The same-tick trampoline, the inline process resume, the on-the-spot
+resource slot, and the AllOf countdown are pure optimisations: this file
 pins the externally observable semantics they must preserve — schedule
 order for simultaneous events, interrupt races, ``with_timeout`` defuse
 behaviour, linear AllOf fan-in work, and byte-identical same-seed reports.
@@ -88,17 +88,19 @@ def test_trampoline_overflow_preserves_order():
 
 
 def test_uncontended_grants_fifo_with_timeouts():
-    """Grant events and zero-delay timeouts interleave in schedule order."""
+    """Free slots taken on the spot, a queued grant and zero-delay
+    timeouts interleave in schedule order."""
     env = Environment()
     res = Resource(env, capacity=2)
     order = []
 
     def user(env, tag):
-        req = res.request()
-        yield req
+        grant = res.acquire()
+        if grant is not None:
+            yield grant
         order.append("got-" + tag)
         yield env.timeout(0.0)
-        res.release(req)
+        res.release(grant)
         order.append("rel-" + tag)
 
     env.process(user(env, "a"))
@@ -109,7 +111,7 @@ def test_uncontended_grants_fifo_with_timeouts():
 
 
 # ---------------------------------------------------------------------------
-# CpuPool: a busy count and a FIFO of grant events, no per-consume token
+# CpuPool: a Resource of cores, no per-consume token
 # ---------------------------------------------------------------------------
 
 def test_cpu_pool_contention_fifo_and_counters():
@@ -121,11 +123,11 @@ def test_cpu_pool_contention_fifo_and_counters():
 
     def job(env, tag, seconds):
         yield from pool.consume(seconds)
-        log.append((tag, env.now, pool.in_use, pool.queue_length))
+        log.append((tag, env.now, pool.count, pool.queue_length))
 
     def probe(env):
         yield env.timeout(0.5)
-        log.append(("probe", env.now, pool.in_use, pool.queue_length))
+        log.append(("probe", env.now, pool.count, pool.queue_length))
 
     for tag, seconds in (("a", 1.0), ("b", 2.0), ("c", 1.0), ("d", 1.0),
                          ("e", 0.5)):
@@ -158,7 +160,7 @@ def test_cpu_pool_idle_consume_schedules_one_event_and_no_grant():
     p = env.process(job(env))
     env.run()
     assert p.value == 1  # the timeout, nothing else
-    assert pool.in_use == 0 and pool.queue_length == 0
+    assert pool.count == 0 and pool.queue_length == 0
 
 
 def test_cpu_pool_grant_takes_its_sequence_number_at_the_release():
@@ -221,7 +223,7 @@ def test_cpu_pool_waiter_interrupted_while_queued_withdraws():
     env.run()
     assert done == [("waiter-interrupted", 0.5), ("holder", 1.0),
                     ("late", 3.0)]
-    assert pool.in_use == 0 and pool.queue_length == 0
+    assert pool.count == 0 and pool.queue_length == 0
     assert pool.busy_time == 2.0
 
 
@@ -236,7 +238,7 @@ def test_cpu_pool_grant_and_interrupt_in_one_instant_passes_the_core_on():
             yield from pool.consume(seconds)
             done.append((tag, env.now))
         except Interrupt:
-            done.append((tag + "-interrupted", env.now, pool.in_use))
+            done.append((tag + "-interrupted", env.now, pool.count))
 
     def killer(env):
         # Spawned first, so at t=1.0 it resumes before the holder: the
@@ -254,7 +256,7 @@ def test_cpu_pool_grant_and_interrupt_in_one_instant_passes_the_core_on():
     # The victim held the core for an instant and handed it to ``third``.
     assert done == [("holder", 1.0), ("victim-interrupted", 1.0, 1),
                     ("third", 2.0)]
-    assert pool.in_use == 0 and pool.queue_length == 0
+    assert pool.count == 0 and pool.queue_length == 0
     assert pool.busy_time == 2.0
 
 
@@ -281,7 +283,7 @@ def test_with_timeout_deadline_on_a_target_waiting_for_cpu():
     p = env.process(caller(env))
     env.run()
     assert p.value == "served"
-    assert pool.in_use == 0 and pool.queue_length == 0
+    assert pool.count == 0 and pool.queue_length == 0
 
 
 def test_resource_locked_interrupted_while_queued_withdraws():
@@ -290,11 +292,17 @@ def test_resource_locked_interrupted_while_queued_withdraws():
     done = []
 
     def hold(env, seconds):
-        yield env.timeout(seconds)
+        grant = res.acquire()
+        try:
+            if grant is not None:
+                yield grant
+            yield env.timeout(seconds)
+        finally:
+            res.release(grant)
 
     def job(env, tag, seconds):
         try:
-            yield from res.locked(hold(env, seconds))
+            yield from hold(env, seconds)
             done.append((tag, env.now))
         except Interrupt:
             done.append((tag + "-interrupted", env.now))
@@ -318,24 +326,32 @@ def test_resource_locked_interrupted_while_queued_withdraws():
 
 
 def test_granted_request_is_freed_without_the_cycle_collector():
-    """A grant's value is None, not the request itself: a request that
+    """A grant's value is None, not the grant itself: a grant that
     points at itself lives until the next cyclic GC pass, and every row
     lock and device access used to leave one behind."""
     env = Environment()
     res = Resource(env, capacity=1)
+    granted = []
 
     def user(env):
         for _ in range(50):
-            req = res.request()
-            value = yield req
-            assert value is None
-            res.release(req)
+            grant = res.acquire()
+            try:
+                if grant is not None:
+                    value = yield grant
+                    assert value is None
+                    granted.append(1)
+                yield env.timeout(1.0)
+            finally:
+                res.release(grant)
 
     gc.collect()
     gc.disable()
     try:
         env.process(user(env))
+        env.process(user(env))
         env.run()
+        assert len(granted) >= 50  # the two users queued behind each other
         assert gc.collect() == 0  # nothing only the collector could free
     finally:
         gc.enable()

@@ -1,19 +1,20 @@
-"""Tests for Resource, Store, CpuPool, Mutex."""
+"""Tests for Resource, Store, CpuPool."""
 
 import pytest
 
 from repro.sim.core import Environment
-from repro.sim.resources import CpuPool, Mutex, Resource, Store
+from repro.sim.resources import CpuPool, Resource, Store
 
 
 def test_resource_grants_up_to_capacity_immediately():
     env = Environment()
     res = Resource(env, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
-    assert r1.triggered and r2.triggered
+    r1, r2, r3 = res.acquire(), res.acquire(), res.acquire()
+    assert r1 is None and r2 is None  # taken on the spot
     assert not r3.triggered
     assert res.count == 2
     assert res.queue_length == 1
+    assert env._seq == 0  # nothing scheduled
 
 
 def test_resource_fifo_ordering():
@@ -22,11 +23,12 @@ def test_resource_fifo_ordering():
     order = []
 
     def user(env, name, hold):
-        req = res.request()
-        yield req
+        grant = res.acquire()
+        if grant is not None:
+            yield grant
         order.append(("start", name, env.now))
         yield env.timeout(hold)
-        res.release(req)
+        res.release(grant)
 
     env.process(user(env, "a", 2.0))
     env.process(user(env, "b", 1.0))
@@ -38,12 +40,12 @@ def test_resource_fifo_ordering():
 def test_resource_release_unheld_rejected():
     env = Environment()
     res = Resource(env, capacity=1)
-    req = res.request()
-    res.release(req)
+    grant = res.acquire()
+    res.release(grant)
     from repro.sim.core import SimulationError
 
     with pytest.raises(SimulationError):
-        res.release(req)
+        res.release(grant)
 
 
 def test_resource_locked_helper_releases_on_exception():
@@ -54,9 +56,18 @@ def test_resource_locked_helper_releases_on_exception():
         yield env.timeout(1.0)
         raise ValueError("inner")
 
+    def locked(inner):
+        grant = res.acquire()
+        try:
+            if grant is not None:
+                yield grant
+            return (yield from inner)
+        finally:
+            res.release(grant)
+
     def proc(env):
         try:
-            yield from res.locked(inner_fail(env))
+            yield from locked(inner_fail(env))
         except ValueError:
             pass
         return res.count
@@ -67,15 +78,19 @@ def test_resource_locked_helper_releases_on_exception():
 
 
 def test_cancelled_request_is_skipped():
+    """Releasing a grant that is still pending withdraws it: the slot
+    passes over it to the next waiter."""
     env = Environment()
     res = Resource(env, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    r3 = res.request()
-    r2.cancel()
+    r1 = res.acquire()
+    r2 = res.acquire()
+    r3 = res.acquire()
+    res.release(r2)
+    assert res.queue_length == 1
     res.release(r1)
     assert r3.triggered
     assert not r2.triggered
+    assert res.count == 1 and res.queue_length == 0
 
 
 def test_store_put_then_get():
@@ -159,18 +174,19 @@ def test_cpu_pool_rejects_negative_time():
 
 def test_mutex_is_exclusive():
     env = Environment()
-    mutex = Mutex(env)
+    mutex = Resource(env)
     active = []
     max_active = []
 
     def critical(env):
-        req = mutex.request()
-        yield req
+        grant = mutex.acquire()
+        if grant is not None:
+            yield grant
         active.append(1)
         max_active.append(len(active))
         yield env.timeout(1.0)
         active.pop()
-        mutex.release(req)
+        mutex.release(grant)
 
     for _ in range(5):
         env.process(critical(env))
@@ -215,75 +231,3 @@ def test_store_put_many_wakes_waiting_getters_fifo():
     env.run()
     assert got == [("a", 10), ("b", 20)]
     assert store.get().value == 30
-
-
-def test_store_put_many_skips_cancelled_getters():
-    env = Environment()
-    store = Store(env)
-    first = store.get()
-    second = store.get()
-    first.cancelled = True
-    store.put_many(["x"])
-    env.run()
-    assert second.value == "x"
-
-
-def test_store_get_upto_takes_queued_batch():
-    env = Environment()
-    store = Store(env)
-    store.put_many([1, 2, 3, 4, 5])
-
-    def getter(env):
-        batch = yield store.get_upto(3)
-        rest = yield store.get_upto(10)
-        return batch, rest
-
-    p = env.process(getter(env))
-    env.run()
-    assert p.value == ([1, 2, 3], [4, 5])
-    assert len(store) == 0
-
-
-def test_store_get_upto_blocks_then_gets_single_item_list():
-    env = Environment()
-    store = Store(env)
-
-    def getter(env):
-        batch = yield store.get_upto(8)
-        return (env.now, batch)
-
-    def putter(env):
-        yield env.timeout(2.0)
-        store.put("solo")
-
-    p = env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    assert p.value == (2.0, ["solo"])
-
-
-def test_store_get_upto_woken_by_put_many():
-    env = Environment()
-    store = Store(env)
-
-    def getter(env):
-        batch = yield store.get_upto(4)
-        return batch
-
-    def putter(env):
-        yield env.timeout(1.0)
-        store.put_many(["a", "b"])
-
-    p = env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    # A parked batched getter is woken with one item; the rest stay queued.
-    assert p.value == ["a"]
-    assert store.get().value == "b"
-
-
-def test_store_get_upto_rejects_bad_limit():
-    env = Environment()
-    store = Store(env)
-    with pytest.raises(ValueError):
-        store.get_upto(0)

@@ -73,9 +73,6 @@ class SegmentBitmap:
             raise ValueError("slot %d is not allocated" % index)
         self._bits[index] = False
 
-    def is_allocated(self, index: int) -> bool:
-        return self._bits[index]
-
 
 @dataclass
 class _Entry:

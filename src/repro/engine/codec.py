@@ -491,6 +491,3 @@ class Schema:
         ``tuple(range(len(schema)))``.
         """
         return self._projected[positions](rows, arrays)
-
-    def row_dict(self, values: Sequence[Any]) -> Dict[str, Any]:
-        return dict(zip(self.names, values))

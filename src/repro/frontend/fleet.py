@@ -63,7 +63,6 @@ class ReplicaFleet:
         buffer_pool_bytes: int = 16 * 1024 * 1024,
         cores: int = 8,
         apply_intervals: Optional[Sequence[float]] = None,
-        wait_poll: float = 0.5 * MS,
     ):
         if count < 1:
             raise ValueError("a replica fleet needs at least one replica")
@@ -77,8 +76,6 @@ class ReplicaFleet:
             )
         if any(interval <= 0 for interval in apply_intervals):
             raise ValueError("apply intervals must be positive")
-        if wait_poll <= 0:
-            raise ValueError("wait_poll must be positive")
         self.env = env
         self.primary = primary
         self.policy = policy
@@ -96,7 +93,6 @@ class ReplicaFleet:
         ]
         for handle, interval in zip(self.handles, apply_intervals):
             handle.replica.applier.poll_interval = interval
-            handle.replica.applier.wait_poll = wait_poll
         self._by_id: Dict[str, ReplicaHandle] = {
             handle.replica_id: handle for handle in self.handles
         }

@@ -2,11 +2,16 @@
 
 :class:`SqlProxy` sits between clients and the deployment:
 
-- **classification**: SELECTs go to the replica fleet, everything else
-  (DML, explicit transactions) goes to the primary;
+- **classification**: the proxy's :class:`repro.shard.ShardMap` names
+  the shard(s) each statement touches; a 1-shard proxy is an N-shard
+  proxy with N = 1, so every statement kind has one path.  A SELECT on
+  one shard is a routed read to that shard's replica fleet, a SELECT on
+  several scatters and merges, and DML (one shard: a local transaction,
+  several: two-phase commit) and explicit transactions go to the
+  primaries;
 - **session consistency**: every :class:`ProxySession` carries its last
-  commit LSN as a *wait-for-LSN token*.  A routed read first parks on
-  the chosen replica until ``applied_lsn`` catches the token
+  commit LSN per shard as a *wait-for-LSN token*.  A routed read first
+  parks on the chosen replica until ``applied_lsn`` catches the token
   (``ReplicaFleet.wait_for_lsn``); if the replica cannot catch up within
   the bounded wait - or dies mid-read (epoch bump) - the read is
   rerouted, ultimately bouncing to the primary, so a session can never
@@ -14,18 +19,20 @@
 - **admission control**: reads and writes are admitted through the
   :class:`repro.frontend.admission.AdmissionController` per-class
   queues; shed requests surface as :class:`repro.common.OverloadError`
-  without touching the engine.
+  without touching the engine.  One wrapper, ``SqlProxy._admitted``,
+  admits, times, counts and releases every statement; a mux lane's
+  reads skip the read-class admit (the lane checkout admitted them).
 
 The statement fast path: a bounded LRU :class:`repro.query.ParseCache`
-is shared by classification, the primary session, the per-replica
-sessions, and prepared statements, so each distinct SQL text is parsed
-once per proxy while warm; ``session.prepare(sql)`` returns a
-:class:`PreparedProxyStatement` that also skips per-execution planning.
-Read routing is allocation-lean: the destination legs are bound methods
-taking the statement's arguments through ``routed_read`` (no per-read
-lambda closures), the LSN gate is checked inline before paying the
-``wait_for_lsn`` generator hop, and admission is a no-op branch when no
-controller is configured.
+is shared by classification, every primary and replica session, and
+prepared statements, so each distinct SQL text is parsed once per proxy
+while warm; ``session.prepare(sql)`` returns a
+:class:`PreparedProxyStatement` that keeps one plan template per
+destination session (its parameters only pick the shard).  Routing is
+allocation-lean: each statement kind has one pre-bound pair of
+destination legs taking the shard as an argument (no per-read closure),
+and the LSN gate is checked inline before paying the ``wait_for_lsn``
+generator hop.
 
 Routing decisions, bounces, and per-replica serve counts are exposed via
 the ``frontend.proxy`` gauge; reads/writes record latency at
@@ -45,9 +52,9 @@ from ..common import (
 from ..obs import obs_of
 from ..query.ast import Delete, Insert, Select, Update
 from ..query.cache import ParseCache, bind_statement
-from ..query.executor import QueryResult, QuerySession
+from ..query.executor import PreparedStatement, QueryResult, QuerySession
 from ..query.planner import PlannerConfig
-from ..shard import InDoubtTransaction, ShardVectorToken, merge
+from ..shard import InDoubtTransaction, ShardMap, ShardVectorToken, merge
 from .admission import AdmissionController
 from .fleet import ReplicaFleet, ReplicaHandle
 
@@ -86,13 +93,6 @@ class ProxySession:
         self.last_route: Optional[str] = None
         self.reads = 0
         self.writes = 0
-        # Pre-bound routing legs: one bound method per destination,
-        # reused for every read this session issues (the statement's
-        # arguments travel through routed_read instead of a closure).
-        self._replica_read_row = self._read_row_on_replica
-        self._primary_read_row = self._read_row_on_primary
-        self._replica_select = self._select_on_replica
-        self._primary_select = self._select_on_primary
 
     @property
     def last_commit_lsn(self) -> int:
@@ -107,71 +107,47 @@ class ProxySession:
         self.token.note_map(lsns)
 
     # -- read path -----------------------------------------------------
-    def _read_row_on_replica(self, handle: ReplicaHandle, table: str, key):
-        return handle.replica.read_row(table, key)
-
-    def _read_row_on_primary(self, table: str, key):
-        return self.proxy.engine.read_row(None, table, key)
-
-    def _select_on_replica(self, handle: ReplicaHandle, sql: str):
-        return self.proxy.replica_session(handle).execute(sql)
-
-    def _select_on_primary(self, sql: str):
-        return self.proxy.primary_session.execute(sql)
-
     def read_row(self, table: str, key):
         """Routed point read honouring the session token (generator)."""
         proxy = self.proxy
-        if proxy.nshards == 1:
-            return proxy.routed_read(
-                self, self._replica_read_row, self._primary_read_row,
-                table, key
-            )
-        shard = proxy.shardmap.read_shard_of(table, key)
-
-        def replica_leg(handle, table, key):
-            return handle.replica.read_row(table, key)
-
-        def primary_leg(table, key, shard=shard):
-            return proxy.engines[shard].read_row(None, table, key)
-
         return proxy._routed_read(
-            self, replica_leg, primary_leg, (table, key), shard
+            self, proxy._replica_read_row, proxy._primary_read_row,
+            (table, key), proxy.shardmap.read_shard_of(table, key)
         )
 
     def execute(self, sql: str):
-        """Classify one SQL statement and route it (generator)."""
+        """Classify one SQL statement and route it (generator).
+
+        A statement with unbound ``?`` placeholders raises
+        :class:`repro.common.QueryError` here, before admission.
+        """
         proxy = self.proxy
-        statement = proxy.parse_cache.get(sql)
-        if type(statement) is Select:
-            if proxy.nshards == 1:
-                if proxy.views is not None:
-                    match = proxy.views.match(statement)
-                    if match is not None:
-                        return proxy.view_read(self, sql, statement, match)
-                return proxy.routed_read(
-                    self, self._replica_select, self._primary_select, sql
-                )
-            shards = proxy.shardmap.shards_for_select(
-                statement, proxy.engine.catalog
+        statement, nparams = proxy.parse_cache.entry(sql)
+        if nparams:
+            raise QueryError(
+                "statement has %d unbound parameter(s); use prepare()"
+                % nparams
             )
-            if len(shards) == 1:
-                return proxy.single_shard_select(
-                    self, sql, next(iter(shards))
-                )
-            return proxy.scatter_select(self, sql, statement, sorted(shards))
-        if proxy.nshards == 1:
-            return self.run_write(self._primary_execute(sql))
-        return proxy.distributed_dml(self, statement)
+        if type(statement) is not Select:
+            return proxy.distributed_dml(self, statement)
+        if proxy.views is not None:
+            match = proxy.views.match(statement)
+            if match is not None:
+                return proxy.view_read(self, sql, statement, match)
+        shards = proxy.shardmap.shards_for_select(
+            statement, proxy.engine.catalog
+        )
+        if len(shards) == 1:
+            return proxy._routed_read(
+                self, proxy._replica_select, proxy._primary_select,
+                (sql,), next(iter(shards))
+            )
+        return proxy._scatter(self, statement, sorted(shards), sql)
 
     def prepare(self, sql: str) -> "PreparedProxyStatement":
         """Parse/classify once; returns a routable prepared handle."""
-        return PreparedProxyStatement(
-            self, sql, self.proxy.parse_cache.get(sql)
-        )
-
-    def _primary_execute(self, sql: str):
-        return (yield from self.proxy.primary_session.execute(sql))
+        statement, nparams = self.proxy.parse_cache.entry(sql)
+        return PreparedProxyStatement(self, sql, statement, nparams)
 
     # -- write path ----------------------------------------------------
     def write(self, work):
@@ -213,124 +189,110 @@ class ProxySession:
 
     def _write_once(self, work):
         """Generator: one attempt of the transactional write path."""
-        proxy = self.proxy
-        admission = proxy.admission
-        ticket = None
-        if admission is not None:
-            ticket = yield from admission.admit(SqlProxy.WRITE_CLASS)
-        engine = proxy.write_engine
-        start = proxy.env.now
+        return self.proxy._admitted(
+            self, SqlProxy.WRITE_CLASS, 0, self._transaction(work)
+        )
+
+    def _transaction(self, work):
+        engine = self.proxy.write_engine
+        txn = engine.begin()
         try:
-            txn = engine.begin()
-            try:
-                result = yield from work(txn)
-            except Exception:
-                yield from engine.rollback(txn)
-                raise
-            try:
-                yield from engine.commit(txn)
-            except Exception:
-                yield from engine.rollback(txn)
-                raise
-            commit_lsns = getattr(txn, "commit_lsns", None)
-            if commit_lsns is not None:
-                self.note_commit_map(commit_lsns)
-            else:
-                self.note_commit_lsn(
-                    max((record.lsn for record in txn.records),
-                        default=engine.log.persistent_lsn)
-                )
-            self.writes += 1
-            proxy.writes += 1
-            return result
-        finally:
-            proxy._write_latency.record(proxy.env.now - start)
-            if ticket is not None:
-                admission.release(SqlProxy.WRITE_CLASS, ticket)
+            result = yield from work(txn)
+        except Exception:
+            yield from engine.rollback(txn)
+            raise
+        try:
+            yield from engine.commit(txn)
+        except Exception:
+            yield from engine.rollback(txn)
+            raise
+        commit_lsns = getattr(txn, "commit_lsns", None)
+        if commit_lsns is not None:
+            self.note_commit_map(commit_lsns)
+        else:
+            self.note_commit_lsn(
+                max((record.lsn for record in txn.records),
+                    default=engine.log.persistent_lsn)
+            )
+        return result
 
     def run_write(self, gen):
         """Generator: admit an opaque write generator (e.g. a TPC-C
         transaction that begins/commits internally) as this session's
         write; the token advances to the durable tail afterwards."""
-        proxy = self.proxy
-        admission = proxy.admission
-        ticket = None
-        if admission is not None:
-            ticket = yield from admission.admit(SqlProxy.WRITE_CLASS)
-        start = proxy.env.now
-        try:
-            result = yield from gen
-            if proxy.nshards == 1:
-                self.note_commit_lsn(proxy.engine.log.persistent_lsn)
-            else:
-                # Opaque writes may have touched any shard: advance the
-                # token to every durable tail (conservative but correct).
-                self.note_commit_map({
-                    shard: engine.log.persistent_lsn
-                    for shard, engine in enumerate(proxy.engines)
-                })
-            self.writes += 1
-            proxy.writes += 1
-            return result
-        finally:
-            proxy._write_latency.record(proxy.env.now - start)
-            if ticket is not None:
-                admission.release(SqlProxy.WRITE_CLASS, ticket)
+        return self.proxy._admitted(
+            self, SqlProxy.WRITE_CLASS, 0, self._opaque_write(gen)
+        )
+
+    def _opaque_write(self, gen):
+        result = yield from gen
+        # Opaque writes may have touched any shard: advance the token to
+        # every durable tail (conservative but correct).
+        for shard, engine in enumerate(self.proxy.engines):
+            self.note_commit_lsn(engine.log.persistent_lsn, shard)
+        return result
 
 
 class PreparedProxyStatement:
     """A prepared statement routed like any other proxy statement.
 
-    SELECTs keep one :class:`repro.query.PreparedStatement` per
-    destination engine (primary or replica), each holding its own plan
-    template; DML executes through the session's write path.
+    A SELECT keeps one :class:`repro.query.PreparedStatement` - its plan
+    template - per destination :class:`QuerySession` (primary or
+    replica, any shard), built on first use there; the bound parameters
+    only choose the shard.  DML binds and runs through the proxy's DML
+    path like a text statement.
     """
 
-    def __init__(self, session: ProxySession, sql: str, statement):
+    def __init__(self, session: ProxySession, sql: str, statement,
+                 param_count: int):
         self.session = session
         self.sql = sql
         self.statement = statement
+        self.param_count = param_count
         self.is_select = type(statement) is Select
-        self._prepared: Dict[str, object] = {}
+        self._prepared: Dict[QuerySession, PreparedStatement] = {}
         self._replica_leg = self._execute_on_replica
         self._primary_leg = self._execute_on_primary
-        # Prepare the primary leg eagerly: it fixes the bind arity (so
-        # misuse surfaces at prepare time) and every statement can fall
-        # back to the primary anyway.
-        primary = session.proxy.primary_session.prepare(sql)
-        self._prepared["primary"] = primary
-        self.param_count = primary.param_count
 
-    def _prepared_for(self, qsession, key: str):
-        prepared = self._prepared.get(key)
+    def _execute_on(self, qsession: QuerySession, params):
+        prepared = self._prepared.get(qsession)
         if prepared is None:
-            prepared = qsession.prepare(self.sql)
-            self._prepared[key] = prepared
-        return prepared
-
-    def _execute_on_replica(self, handle: ReplicaHandle, params):
-        proxy = self.session.proxy
-        prepared = self._prepared_for(
-            proxy.replica_session(handle), handle.replica_id
-        )
+            prepared = self._prepared[qsession] = qsession.prepare(self.sql)
         return prepared.execute(*params)
 
-    def _execute_on_primary(self, params):
+    def _execute_on_replica(self, handle: ReplicaHandle, shard: int, params):
         proxy = self.session.proxy
-        prepared = self._prepared_for(proxy.primary_session, "primary")
-        return prepared.execute(*params)
+        return self._execute_on(proxy.replica_session(handle, shard), params)
+
+    def _execute_on_primary(self, shard: int, params):
+        proxy = self.session.proxy
+        return self._execute_on(proxy.primary_session_for(shard), params)
 
     def execute(self, *params):
         """Route one execution with ``params`` bound (generator)."""
+        if len(params) != self.param_count:
+            raise QueryError(
+                "prepared statement wants %d parameter(s), got %d"
+                % (self.param_count, len(params))
+            )
         session = self.session
         proxy = session.proxy
-        if proxy.nshards > 1:
-            return proxy.prepared_execute(self, session, params)
-        if self.is_select:
-            return proxy.routed_read(
-                session, self._replica_leg, self._primary_leg, params
+        if not self.is_select:
+            return proxy.distributed_dml(
+                session, bind_statement(self.statement, params)
             )
-        return session.run_write(self._prepared["primary"].execute(*params))
+        shards = proxy.shardmap.shards_for_select(
+            self.statement, proxy.engine.catalog, params
+        )
+        if len(shards) == 1:
+            return proxy._routed_read(
+                session, self._replica_leg, self._primary_leg, (params,),
+                next(iter(shards))
+            )
+        return proxy._scatter(
+            session, bind_statement(self.statement, params), sorted(shards),
+            None
+        )
 
 
 class SqlProxy:
@@ -368,7 +330,6 @@ class SqlProxy:
         self.env = env
         self.engine = engine
         self.fleet = fleet
-        self.admission = admission
         self.wait_timeout = wait_timeout
         #: Scatter SELECTs take the coordinator's commit fence plus a
         #: per-shard durable-LSN cut, making them atomic w.r.t. 2PC.
@@ -376,10 +337,10 @@ class SqlProxy:
         self.scatter_fence_timeout = scatter_fence_timeout
         self.write_retry = write_retry
         self.retry_rng = retry_rng
-        #: The deployment's ViewMaintainer (``with_views``), else None.
-        #: Eligible text SELECTs on a single-shard proxy are answered
-        #: from view state; prepared statements keep their per-engine
-        #: plan-template path and skip view routing.
+        #: The deployment's ViewMaintainer (``with_views``, single-shard
+        #: only), else None.  Eligible text SELECTs are answered from
+        #: view state; prepared statements keep their per-session plan
+        #: templates and skip view routing.
         self.views = views
         # Shard routing: one (engine, fleet, admission) target per shard.
         # An unsharded proxy is the one-target degenerate case, so every
@@ -391,7 +352,7 @@ class SqlProxy:
             raise ValueError(
                 "a sharded proxy needs both a shardmap and a coordinator"
             )
-        self.shardmap = shardmap
+        self.shardmap = ShardMap(1) if shardmap is None else shardmap
         self.coordinator = coordinator
         self.engines = [target[0] for target in shard_targets]
         self.fleets = [target[1] for target in shard_targets]
@@ -423,9 +384,19 @@ class SqlProxy:
         # Unsharded proxies write straight at the primary; sharded ones
         # build a CoordinatorSession lazily on first write.
         self._write_engine = engine if self.nshards == 1 else None
+        # One pre-bound leg pair per statement kind, shared by every
+        # session: the shard and the statement travel as arguments.
+        self._replica_read_row = self._read_row_on_replica
+        self._primary_read_row = self._read_row_on_primary
+        self._replica_select = self._select_on_replica
+        self._primary_select = self._select_on_primary
+        self._replica_partial = self._partial_on_replica
+        self._primary_partial = self._partial_on_primary
         registry = obs_of(env).registry
-        self._read_latency = registry.latency("frontend.proxy_read")
-        self._write_latency = registry.latency("frontend.proxy_write")
+        self._latency = {
+            self.READ_CLASS: registry.latency("frontend.proxy_read"),
+            self.WRITE_CLASS: registry.latency("frontend.proxy_write"),
+        }
         registry.gauge("frontend.proxy", lambda: {
             "sessions": len(self.sessions),
             "reads_replica": self.reads_replica,
@@ -519,52 +490,79 @@ class SqlProxy:
         return session
 
     # ------------------------------------------------------------------
-    # Admission plumbing
+    # The one statement wrapper
     # ------------------------------------------------------------------
-    def _admit(self, cls: str):
-        if self.admission is None:
-            return None
-        return (yield from self.admission.admit(cls))
+    def _admitted(self, session: ProxySession, cls: str, shard: int, body):
+        """Generator: run ``body`` as one ``cls`` statement of ``session``.
 
-    def _release(self, cls: str, ticket) -> None:
-        if ticket is not None:
-            self.admission.release(cls, ticket)
+        The only place a statement is admitted (on ``shard``'s
+        controller, once however many shards it touches), timed, counted
+        and released.  A mux lane's read skips the admit: the lane's
+        weighted-fair checkout already admitted it.
+        """
+        admission = self.admissions[shard]
+        reading = cls == self.READ_CLASS
+        ticket = None
+        if admission is not None and not (reading and session.lane_managed):
+            ticket = yield from admission.admit(cls)
+        start = self.env.now
+        try:
+            result = yield from body
+            if reading:
+                session.reads += 1
+            else:
+                session.writes += 1
+                self.writes += 1
+            return result
+        finally:
+            self._latency[cls].record(self.env.now - start)
+            if ticket is not None:
+                admission.release(cls, ticket)
+
+    # ------------------------------------------------------------------
+    # Destination legs: ``replica(handle, shard, *args)`` and
+    # ``primary(shard, *args)`` return the statement's generator there
+    # ------------------------------------------------------------------
+    def _read_row_on_replica(self, handle: ReplicaHandle, shard: int,
+                             table: str, key):
+        return handle.replica.read_row(table, key)
+
+    def _read_row_on_primary(self, shard: int, table: str, key):
+        return self.engines[shard].read_row(None, table, key)
+
+    def _select_on_replica(self, handle: ReplicaHandle, shard: int,
+                           sql: str):
+        return self.replica_session(handle, shard).execute(sql)
+
+    def _select_on_primary(self, shard: int, sql: str):
+        return self.primary_session_for(shard).execute(sql)
+
+    # Each scatter leg runs its shard's share (an aggregate statement's
+    # stops at partial groups); the merge shapes the one answer.
+    def _partial_on_replica(self, handle: ReplicaHandle, shard: int,
+                            statement: Select, sql: Optional[str]):
+        return self.replica_session(handle, shard).execute_partial_select(
+            statement, sql)
+
+    def _partial_on_primary(self, shard: int, statement: Select,
+                            sql: Optional[str]):
+        return self.primary_session_for(shard).execute_partial_select(
+            statement, sql)
 
     # ------------------------------------------------------------------
     # Read routing
     # ------------------------------------------------------------------
-    def routed_read(self, session: ProxySession, replica_fn, primary_fn,
-                    *args):
-        """Admit, route, and consistency-gate one read (shard 0).
-
-        ``replica_fn(handle, *args)`` / ``primary_fn(*args)`` are
-        generator factories for the two destinations; ``args`` carry the
-        statement so the factories can be reusable bound methods.
-        Returns the routing generator directly - no wrapper frame on the
-        per-read hot path.
-        """
-        return self._routed_read(session, replica_fn, primary_fn, args, 0)
-
     def _routed_read(self, session: ProxySession, replica_fn, primary_fn,
                      args, shard: int):
-        admission = self.admissions[shard]
-        ticket = None
-        if admission is not None and not session.lane_managed:
-            ticket = yield from admission.admit(self.READ_CLASS)
-        start = self.env.now
-        try:
-            result = yield from self._route(
-                session, replica_fn, primary_fn, args, shard
-            )
-            session.reads += 1
-            return result
-        finally:
-            self._read_latency.record(self.env.now - start)
-            if ticket is not None:
-                admission.release(self.READ_CLASS, ticket)
+        """Generator: admit, route and consistency-gate one read aimed at
+        ``shard``'s fleet and primary (``args`` carry the statement)."""
+        return self._admitted(
+            session, self.READ_CLASS, shard,
+            self._route(session, replica_fn, primary_fn, args, shard),
+        )
 
     def _route(self, session: ProxySession, replica_fn, primary_fn, args,
-               shard: int = 0, min_lsn: Optional[int] = None):
+               shard: int, min_lsn: Optional[int] = None):
         fleet = self.fleets[shard]
         token = session.token.lsns[shard]
         # A scatter cut can demand more than the session's own writes:
@@ -585,11 +583,8 @@ class SqlProxy:
             else:
                 handle = fleet.choose(session)
             if handle is None:
-                return (
-                    yield from self._primary_read(
-                        session, primary_fn, "no_replica", args
-                    )
-                )
+                return (yield from self._primary_read(
+                    session, primary_fn, "no_replica", shard, args))
             applier = handle.replica.applier
             if applier.watermark < token:
                 if cut_forced:
@@ -603,17 +598,14 @@ class SqlProxy:
                     if session.pin_route:
                         # Do not stay pinned to a chronic laggard.
                         session._pinned_handle = None
-                    return (
-                        yield from self._primary_read(
-                            session, primary_fn, "lag_timeout", args
-                        )
-                    )
+                    return (yield from self._primary_read(
+                        session, primary_fn, "lag_timeout", shard, args))
             epoch = applier.epoch
             handle.inflight += 1
             failed = False
             result = None
             try:
-                result = yield from replica_fn(handle, *args)
+                result = yield from replica_fn(handle, shard, *args)
             except (QueryError, StorageError, KeyError):
                 # A crash mid-read can yank catalog/index state out from
                 # under the executor; treat it like any other dead read.
@@ -630,24 +622,20 @@ class SqlProxy:
                 continue
             handle.reads_served += 1
             self.reads_replica += 1
-            if self.nshards == 1:
-                key = handle.replica_id
-            else:
-                key = "s%d:%s" % (shard, handle.replica_id)
+            key = self._replica_key(shard, handle.replica_id)
             self.per_replica_reads[key] += 1
             session.last_route = key
             return result
-        return (
-            yield from self._primary_read(session, primary_fn, "rerouted",
-                                          args)
-        )
+        return (yield from self._primary_read(
+            session, primary_fn, "rerouted", shard, args))
 
     def _primary_read(self, session: ProxySession, primary_fn, reason: str,
-                      args):
+                      shard: int, args):
+        """The primary leg's generator, counted as a ``reason`` bounce."""
         self.bounces[reason] += 1
         self.reads_primary += 1
         session.last_route = "primary"
-        return (yield from primary_fn(*args))
+        return primary_fn(shard, *args)
 
     def view_read(self, session: ProxySession, sql: str, statement, match):
         """Generator: serve an eligible SELECT from maintained view state.
@@ -660,74 +648,35 @@ class SqlProxy:
         falls back to the ordinary replica/primary route — the answer is
         never stale, only the fast path is lost.
         """
-        views = self.views
+        return self._admitted(
+            session, self.READ_CLASS, 0,
+            self._serve_view(session, sql, statement, match),
+        )
+
+    def _serve_view(self, session: ProxySession, sql: str, statement,
+                    match):
         view, item_map = match
-        admission = self.admission
-        ticket = None
-        if admission is not None:
-            ticket = yield from admission.admit(self.READ_CLASS)
-        start = self.env.now
-        try:
-            token = session.token.lsns[0]
-            result = None
-            fresh = yield from view.applier.wait_for_lsn(
-                token, self.wait_timeout
-            )
-            if fresh:
-                result = yield from views.serve(view, statement, item_map)
-            if result is not None:
-                self.views_served += 1
-                session.last_route = "view:%s" % view.definition.name
-            else:
-                self.views_bounced += 1
-                result = yield from self._route(
-                    session, session._replica_select,
-                    session._primary_select, (sql,), 0
-                )
-            session.reads += 1
+        result = None
+        fresh = yield from view.applier.wait_for_lsn(
+            session.token.lsns[0], self.wait_timeout
+        )
+        if fresh:
+            result = yield from self.views.serve(view, statement, item_map)
+        if result is not None:
+            self.views_served += 1
+            session.last_route = "view:%s" % view.definition.name
             return result
-        finally:
-            self._read_latency.record(self.env.now - start)
-            if ticket is not None:
-                admission.release(self.READ_CLASS, ticket)
-
-    # ------------------------------------------------------------------
-    # Sharded routing (nshards > 1)
-    # ------------------------------------------------------------------
-    def single_shard_select(self, session: ProxySession, sql: str,
-                            shard: int):
-        """A SELECT pinned to one shard: the classic routed read, aimed
-        at that shard's fleet/primary (generator)."""
-
-        def replica_leg(handle, sql):
-            return self.replica_session(handle, shard).execute(sql)
-
-        def primary_leg(sql):
-            return self.primary_session_for(shard).execute(sql)
-
-        return self._routed_read(
-            session, replica_leg, primary_leg, (sql,), shard
-        )
-
-    def scatter_select(self, session: ProxySession, sql: str, statement,
-                       shards):
-        """Generator: fan one SELECT out to ``shards`` and merge."""
-        return (
-            yield from self._scatter(session, statement, shards, sql=sql)
-        )
-
-    def scatter_statement(self, session: ProxySession, statement, shards):
-        """Generator: scatter an already-bound SELECT AST (prepared path)."""
-        return (
-            yield from self._scatter(session, statement, shards, sql=None)
-        )
+        self.views_bounced += 1
+        return (yield from self._route(
+            session, self._replica_select, self._primary_select, (sql,), 0))
 
     def _scatter(self, session: ProxySession, statement, shards, sql):
         """Generator: run one SELECT per target shard, merge the results.
 
         Admission is charged once (on the lowest target shard), not once
         per shard; each per-shard leg still gets the full routed-read
-        treatment (token wait, reroute, primary bounce).
+        treatment (token wait, reroute, primary bounce).  ``sql`` keys
+        the legs' plan caches (None: a bound prepared AST, re-planned).
 
         With ``consistent_scatter`` the fan-out is *atomic* w.r.t. every
         multi-shard commit: the read side of the coordinator's
@@ -741,11 +690,12 @@ class SqlProxy:
         doubt) fails with :class:`repro.shard.FenceTimeout` rather than
         returning a torn result.
         """
-        admission = self.admissions[shards[0]]
-        ticket = None
-        if admission is not None:
-            ticket = yield from admission.admit(self.READ_CLASS)
-        start = self.env.now
+        return self._admitted(
+            session, self.READ_CLASS, shards[0],
+            self._scatter_legs(session, statement, shards, sql),
+        )
+
+    def _scatter_legs(self, session: ProxySession, statement, shards, sql):
         fence = (
             self.coordinator.fence
             if self.consistent_scatter and self.coordinator is not None
@@ -763,105 +713,50 @@ class SqlProxy:
                 cut = [
                     engine.log.persistent_lsn for engine in self.engines
                 ]
-            # Each leg runs its shard's share (an aggregate statement's
-            # stops at partial groups); the merge shapes the one answer.
-            def replica_leg(handle, shard):
-                return self.replica_session(
-                    handle, shard).execute_partial_select(statement, sql)
-
-            def primary_leg(shard):
-                return self.primary_session_for(
-                    shard).execute_partial_select(statement, sql)
-
             legs = []
             for shard in shards:
                 legs.append((
                     yield from self._route(
-                        session, replica_leg, primary_leg, (shard,), shard,
+                        session, self._replica_partial,
+                        self._primary_partial, (statement, sql), shard,
                         min_lsn=None if cut is None else cut[shard],
                     )
                 ))
             self.scatter_selects += 1
-            session.reads += 1
             return merge(statement, legs, obs_of(self.env).registry)
         finally:
             if fenced:
                 fence.release_read()
-            self._read_latency.record(self.env.now - start)
-            if ticket is not None:
-                admission.release(self.READ_CLASS, ticket)
 
-    def prepared_execute(self, prepared: "PreparedProxyStatement",
-                         session: ProxySession, params):
-        """Route one sharded prepared execution (generator).
-
-        Binding must precede classification - the shard column is
-        usually a parameter - so sharded prepared statements dispatch
-        the bound AST and re-plan per execution instead of using the
-        per-destination plan templates of the unsharded path.
-        """
-        statement = (
-            bind_statement(prepared.statement, params) if params
-            else prepared.statement
-        )
-        if prepared.is_select:
-            shards = self.shardmap.shards_for_select(
-                statement, self.engine.catalog
-            )
-            if len(shards) == 1:
-                shard = next(iter(shards))
-
-                def replica_leg(handle, statement):
-                    return self.replica_session(
-                        handle, shard).execute_statement(statement)
-
-                def primary_leg(statement):
-                    return self.primary_session_for(
-                        shard).execute_statement(statement)
-
-                return self._routed_read(
-                    session, replica_leg, primary_leg, (statement,), shard
-                )
-            return self.scatter_statement(session, statement, sorted(shards))
-        return self.distributed_dml(session, statement)
-
+    # ------------------------------------------------------------------
+    # DML
+    # ------------------------------------------------------------------
     def distributed_dml(self, session: ProxySession, statement):
         """Generator: route one DML statement by its shard set.
 
-        A statement pinned to one shard runs as a plain local
-        transaction there - no prepare, no decision record - while
-        anything touching several shards runs through the coordinator as
-        two-phase commit.  Admission is charged once, on the lowest
-        target shard, so a multi-shard statement does not consume a
-        write slot per participant.
+        A statement pinned to one shard (every statement, on a 1-shard
+        proxy) runs as a plain local transaction there - no prepare, no
+        decision record - while anything touching several shards runs
+        through the coordinator as two-phase commit.  Admission is
+        charged once, on the lowest target shard, so a multi-shard
+        statement does not consume a write slot per participant.
         """
         shards = sorted(self.shardmap.shards_for_dml(
             statement, self.engine.catalog
         ))
-        admission = self.admissions[shards[0]]
-        ticket = None
-        if admission is not None:
-            ticket = yield from admission.admit(self.WRITE_CLASS)
-        start = self.env.now
-        try:
-            if len(shards) == 1:
-                shard = shards[0]
-                result = yield from self.primary_session_for(
-                    shard).execute_statement(statement)
-                session.note_commit_lsn(
-                    self.engines[shard].log.persistent_lsn, shard
-                )
-            else:
-                result = yield from self._two_phase_dml(
-                    session, statement, shards
-                )
-            session.writes += 1
-            self.writes += 1
-            return result
-        finally:
-            self._write_latency.record(self.env.now - start)
-            if ticket is not None:
-                admission.release(self.WRITE_CLASS, ticket)
+        if len(shards) == 1:
+            body = self._local_dml(session, statement, shards[0])
+        else:
+            body = self._two_phase_dml(session, statement, shards)
+        return self._admitted(session, self.WRITE_CLASS, shards[0], body)
+
+    def _local_dml(self, session: ProxySession, statement, shard: int):
+        result = yield from self.primary_session_for(
+            shard).execute_statement(statement)
+        session.note_commit_lsn(
+            self.engines[shard].log.persistent_lsn, shard
+        )
+        return result
 
     def _two_phase_dml(self, session: ProxySession, statement, shards):
         """Generator: run one multi-shard DML as a distributed txn.

@@ -148,7 +148,6 @@ def run_serving(
     staleness_bound: Optional[int] = None,
     replica_cores: Optional[int] = None,
     read_limit: Optional[int] = None,
-    write_limit: Optional[int] = None,
     queue_limit: Optional[int] = None,
     queue_timeout: Optional[float] = None,
 ) -> Dict:
@@ -190,7 +189,6 @@ def run_serving(
         cores=replica_cores,
     ).with_admission(
         read_limit=read_limit,
-        write_limit=write_limit,
         queue_limit=queue_limit,
         queue_timeout=queue_timeout,
     )

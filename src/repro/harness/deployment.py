@@ -103,10 +103,8 @@ class DeploymentSpec:
     #: How long a routed read waits for the replica to reach the
     #: session's commit LSN before bouncing to the primary.
     replica_wait_timeout: float = 0.02
-    replica_wait_poll: float = 0.5e-3
     # Admission control (active whenever replicas > 0).
     admission_read_limit: int = 64
-    admission_write_limit: int = 32
     admission_queue_limit: int = 64
     admission_queue_timeout: float = 0.02
     # Session multiplexing (repro.frontend.mux): dormant sessions are
@@ -136,12 +134,6 @@ class DeploymentSpec:
     views: Optional[Tuple[Tuple[str, str], ...]] = None
     #: Per-view REDO feed queue bound (overflow forces a rescan).
     view_feed_bound: int = 65536
-    #: View maintainer feed-poll cadence.
-    view_poll_interval: float = 2e-3
-    #: Poll used while a view-served read waits for its session LSN.
-    view_wait_poll: float = 0.5e-3
-    #: Cores of the maintainer's CPU pool (fold + serve work).
-    view_cores: int = 2
 
     def __post_init__(self) -> None:
         if self.ebp_policy not in ("flat", "priority"):
@@ -207,9 +199,7 @@ class DeploymentSpec:
             for name, value in (
                 ("replica_cores", self.replica_cores),
                 ("replica_wait_timeout", self.replica_wait_timeout),
-                ("replica_wait_poll", self.replica_wait_poll),
                 ("admission_read_limit", self.admission_read_limit),
-                ("admission_write_limit", self.admission_write_limit),
                 ("admission_queue_timeout", self.admission_queue_timeout),
             ):
                 if value <= 0:
@@ -264,16 +254,11 @@ class DeploymentSpec:
                 )
             if not self.views:
                 raise ValueError("views must register at least one view")
-            for name, value in (
-                ("view_feed_bound", self.view_feed_bound),
-                ("view_poll_interval", self.view_poll_interval),
-                ("view_wait_poll", self.view_wait_poll),
-                ("view_cores", self.view_cores),
-            ):
-                if value <= 0:
-                    raise ValueError(
-                        "%s must be positive, got %r" % (name, value)
-                    )
+            if self.view_feed_bound <= 0:
+                raise ValueError(
+                    "view_feed_bound must be positive, got %r"
+                    % self.view_feed_bound
+                )
             # Parse + validate every definition eagerly so spec errors
             # surface at construction, like every other spec field.
             from ..common import QueryError
@@ -432,9 +417,6 @@ class DeploymentSpec:
         self,
         views,
         feed_bound: Optional[int] = None,
-        poll_interval: Optional[float] = None,
-        wait_poll: Optional[float] = None,
-        cores: Optional[int] = None,
     ) -> "DeploymentSpec":
         """Register incremental materialized views (single-shard only).
 
@@ -454,12 +436,6 @@ class DeploymentSpec:
         changes: Dict[str, object] = {"views": pairs}
         if feed_bound is not None:
             changes["view_feed_bound"] = feed_bound
-        if poll_interval is not None:
-            changes["view_poll_interval"] = poll_interval
-        if wait_poll is not None:
-            changes["view_wait_poll"] = wait_poll
-        if cores is not None:
-            changes["view_cores"] = cores
         return dataclasses.replace(self, **changes)
 
     def with_multiplexing(
@@ -496,16 +472,13 @@ class DeploymentSpec:
     def with_admission(
         self,
         read_limit: Optional[int] = None,
-        write_limit: Optional[int] = None,
         queue_limit: Optional[int] = None,
         queue_timeout: Optional[float] = None,
     ) -> "DeploymentSpec":
-        """Tune the proxy's per-class admission limits and queue bound."""
+        """Tune the proxy's read admission limit and queue bound."""
         changes: Dict[str, object] = {}
         if read_limit is not None:
             changes["admission_read_limit"] = read_limit
-        if write_limit is not None:
-            changes["admission_write_limit"] = write_limit
         if queue_limit is not None:
             changes["admission_queue_limit"] = queue_limit
         if queue_timeout is not None:
@@ -613,9 +586,6 @@ class Deployment:
                 self.engine,
                 [ViewDefinition(name, sql) for name, sql in self.config.views],
                 feed_bound=self.config.view_feed_bound,
-                poll_interval=self.config.view_poll_interval,
-                wait_poll=self.config.view_wait_poll,
-                cores=self.config.view_cores,
             )
         self.frontend = None
         if self.config.replicas > 0:
@@ -745,13 +715,12 @@ class Deployment:
                 use_ebp=config.use_ebp,
                 cores=config.replica_cores,
                 apply_intervals=config.replica_apply_intervals,
-                wait_poll=config.replica_wait_poll,
             )
             stack.admission = AdmissionController(
                 self.env,
                 limits={
                     "read": config.admission_read_limit,
-                    "write": config.admission_write_limit,
+                    "write": 32,
                 },
                 queue_limit=config.admission_queue_limit,
                 queue_timeout=config.admission_queue_timeout,

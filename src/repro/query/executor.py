@@ -91,9 +91,6 @@ class QueryResult:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 # ---------------------------------------------------------------------------
 # The answer tail: pure functions over partial groups and column batches

@@ -34,6 +34,7 @@ from typing import (
 from zlib import crc32
 
 from ..query import ast
+from ..query.cache import bind_statement
 
 __all__ = ["ShardKeySpec", "ShardMap"]
 
@@ -79,10 +80,6 @@ class ShardMap:
     def spec_of(self, table: str) -> ShardKeySpec:
         return self._specs.get(table) or ShardKeySpec()
 
-    @property
-    def all_shards(self) -> FrozenSet[int]:
-        return self._all
-
     # ------------------------------------------------------------------
     # Key routing
     # ------------------------------------------------------------------
@@ -110,6 +107,8 @@ class ShardMap:
     def read_shard_of(self, table: str, key: Sequence[Any],
                       home: int = 0) -> int:
         """Concrete shard to read from; replicated tables read locally."""
+        if self.shards == 1:
+            return 0
         shard = self.shard_of(table, key)
         return home if shard is None else shard
 
@@ -192,15 +191,20 @@ class ShardMap:
             self.hash_value(v) % self.shards for v in values
         ) or self._all
 
-    def shards_for_select(self, stmt: ast.Select, catalog) -> FrozenSet[int]:
+    def shards_for_select(self, stmt: ast.Select, catalog,
+                          params: Sequence[Any] = ()) -> FrozenSet[int]:
         """Shard set a SELECT must visit.
 
         Replicated tables read from any one shard (shard 0 by
         convention); joins against partitioned tables scatter unless the
-        driving table's shard column is pinned.
+        driving table's shard column is pinned.  ``params`` are a
+        prepared statement's, bound into ``stmt`` only when there is a
+        shard to choose.
         """
         if self.shards == 1:
             return self._all
+        if params:
+            stmt = bind_statement(stmt, params)
         spec = self.spec_of(stmt.table.name)
         if spec.replicated and not stmt.joins:
             return frozenset((0,))

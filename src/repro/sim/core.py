@@ -246,10 +246,6 @@ class Process(Event):
         """Diagnostic name, resolved lazily (off the spawn hot path)."""
         return self._name or getattr(self._generator, "__name__", "process")
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is PENDING
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._value is not PENDING:
@@ -778,9 +774,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, _len=len) -> None:

@@ -34,7 +34,7 @@ from collections import OrderedDict
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from ..common import MS, US, PageId, QueryError, StorageError
+from ..common import US, PageId, QueryError, StorageError
 from ..engine.redo_applier import RedoApplier
 from ..obs import obs_of
 from ..query import kernels
@@ -268,13 +268,10 @@ class ViewMaintainer:
         engine,
         definitions,
         feed_bound: int = 65536,
-        poll_interval: float = 2 * MS,
-        wait_poll: float = 0.5 * MS,
-        cores: int = 2,
     ):
         self.env = env
         self._registry = obs_of(env).registry
-        self.cpu = CpuPool(env, cores=cores)
+        self.cpu = CpuPool(env, cores=2)
         self.views: "OrderedDict[str, MaintainedView]" = OrderedDict()
         for definition in definitions:
             if definition.name in self.views:
@@ -284,8 +281,6 @@ class ViewMaintainer:
                 env, engine, view, self.cpu,
                 name="view-%s" % definition.name,
                 feed_bound=feed_bound,
-                poll_interval=poll_interval,
-                wait_poll=wait_poll,
             )
             # A view's first state always comes from a scan (the
             # "initial build" in every report), even at zero lag.

@@ -80,11 +80,10 @@ def test_match_rejects_mismatches():
 
 def test_spec_with_views_round_trip():
     spec = DeploymentSpec.astore_ebp(seed=3).with_views(
-        {"v": VIEW.sql}, feed_bound=128, poll_interval=1e-3
+        {"v": VIEW.sql}, feed_bound=128
     )
     assert spec.views == (("v", VIEW.sql),)
     assert spec.view_feed_bound == 128
-    assert spec.view_poll_interval == 1e-3
 
 
 def test_spec_rejects_bad_view_configs():

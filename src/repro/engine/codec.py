@@ -29,6 +29,18 @@ length prefix, and nothing behind the last projected column is touched.
 "All columns" is the full position tuple - there is no separate
 full-width decode (see :meth:`Schema.decode_rows_into`).
 
+Scans decode a page once.  A page scan (the engine's local scan, a
+storage-side fragment task) goes through :meth:`Schema.decode_page_into`,
+which keeps each column it decodes on the page image itself
+(``Page.decoded``) and extends the caller's arrays from there: the next scan
+of that image, for any projection, decodes only the columns no scan has
+asked for yet.  The memo is stamped with the image's ``page_lsn``, which
+every mutation advances, so it lives and dies with one version of one image
+(clones share it until they diverge).  It saves host time only: what a scan
+is charged in virtual time is per page and per row read, memo or not.  Row
+lists that are not a page (view folds, index lookups, the NL-join inner
+side) decode through :meth:`Schema.decode_rows_into` directly.
+
 The byte format is pinned by the interpreted per-column reference codec in
 ``tests/engine/codec_oracle.py``, which every kernel is property-tested
 against.
@@ -431,7 +443,8 @@ class Schema:
     this schema (see the module docstring) and bound as instance
     attributes, so a call pays no dispatch beyond the attribute lookup.
     :meth:`decode_rows_into` is the column-major decode, generated per
-    projected column set on first use.
+    projected column set on first use; :meth:`decode_page_into` is the
+    same over a page image, through its decoded-column memo.
     """
 
     #: Encode one row (a sequence aligned with the schema) to bytes.
@@ -491,3 +504,34 @@ class Schema:
         ``tuple(range(len(schema)))``.
         """
         return self._projected[positions](rows, arrays)
+
+    def decode_page_into(
+        self,
+        page,
+        positions: Tuple[int, ...],
+        arrays: Sequence[List[Any]],
+    ) -> Tuple[int, int]:
+        """:meth:`decode_rows_into` over ``page.rows()``, through the page's
+        decoded-column memo (``Page.decoded``): only the positions the memo
+        lacks are decoded, by the projected kernel of just those, and kept;
+        then every array is extended from the memo (the memo's own lists
+        are never handed out).  Returns ``(rows, cells)``: the page's row
+        count and how many cells were decoded from its bytes.
+
+        The memo holds while its stamp is ``page.page_lsn`` and its schema is
+        this one; anything else starts a fresh memo."""
+        memo = page.decoded
+        if memo is None or memo[0] != page.page_lsn or memo[1] is not self:
+            columns: Dict[int, List[Any]] = {}
+            page.decoded = (page.page_lsn, self, columns)
+        else:
+            columns = memo[2]
+        missing = tuple(p for p in positions if p not in columns)
+        cells = 0
+        if missing:
+            fresh: List[List[Any]] = [[] for _ in missing]
+            cells = self._projected[missing](page.rows(), fresh) * len(missing)
+            columns.update(zip(missing, fresh))
+        for position, array in zip(positions, arrays):
+            array.extend(columns[position])
+        return page.row_count, cells

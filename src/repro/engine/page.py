@@ -9,12 +9,19 @@ checks that property directly.
 
 Rows are stored encoded (see :mod:`repro.engine.codec`); a page tracks real
 byte occupancy so fill factors and working-set sizes are honest.
+
+A page image also remembers the columns scans have decoded from it
+(:attr:`Page.decoded`, filled by :meth:`Schema.decode_page_into
+<repro.engine.codec.Schema.decode_page_into>`).  The memo is stamped with
+the ``page_lsn`` it was decoded at, and :func:`apply_op` - the only mutator -
+always advances ``page_lsn``, so a changed image never reads a stale column:
+its next scan starts a fresh memo.  Nothing on the write path touches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, ItemsView, Optional, ValuesView
+from typing import Any, Dict, ItemsView, List, Optional, Tuple, ValuesView
 
 from ..common import PAGE_SIZE, PageId, ReproError
 
@@ -66,6 +73,12 @@ class Page:
     Slots are small integers assigned by the page; deleting a slot frees
     its bytes.  ``page_lsn`` records the LSN of the last applied mutation,
     which is what the EBP index and PageStore use for staleness checks.
+
+    ``decoded`` is the image's decoded-column memo, ``(page_lsn, schema,
+    {position: values})``, or None.  :meth:`clone` shares it by reference:
+    the EBP's stored copy, the buffer-pool frame cloned from it and the copy
+    cached back at eviction decode a column once between them, until one
+    of them is mutated (its ``page_lsn`` then no longer matches the stamp).
     """
 
     def __init__(self, page_id: PageId, size: int = PAGE_SIZE):
@@ -74,6 +87,7 @@ class Page:
         self.page_id = page_id
         self.size = size
         self.page_lsn = 0
+        self.decoded: Optional[Tuple[int, Any, Dict[int, List[Any]]]] = None
         #: slot -> row.  Kept in slot order (see :meth:`_insert`), so a
         #: scan iterates it as it is instead of sorting the slots.
         self._rows: Dict[int, bytes] = {}
@@ -165,9 +179,11 @@ class Page:
 
     # -- copying ---------------------------------------------------------------
     def clone(self) -> "Page":
-        """Deep copy - used when shipping a page image across components."""
+        """Deep copy - used when shipping a page image across components.
+        The decoded-column memo is shared, not copied (see the class)."""
         other = Page(self.page_id, self.size)
         other.page_lsn = self.page_lsn
+        other.decoded = self.decoded
         other._rows = dict(self._rows)
         other._slot_ordered = self._slot_ordered
         other._next_slot = self._next_slot

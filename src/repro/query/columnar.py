@@ -3,9 +3,12 @@
 A dict per row costs a dict allocation per decoded row, dict probes per
 column reference, and a recursive ``Expr.eval`` walk per evaluation.  A
 :class:`ColumnBatch` instead holds one parallel Python list per column,
-decoded straight from page bytes by ``Schema.decode_rows_into``, and the
-operators between scan and result run as generated loops over the arrays
-(``repro.query.kernels``) where a column reference is a loop variable.
+filled by ``Schema.decode_page_into`` - from a page image's
+decoded-column memo, decoding from page bytes only what no scan of that
+image has decoded yet - and the operators between scan and result run as
+generated loops over the arrays (``repro.query.kernels``) where a column
+reference is a loop variable.  A batch owns its lists: nothing a kernel
+does to them reaches the memo.
 
 Design points:
 

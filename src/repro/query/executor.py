@@ -75,12 +75,21 @@ ROW_CPU = 0.25 * US
 PAGE_CPU = 2.0 * US
 
 
-def count_scan_cells(registry, rows: int, decoded: int, stored: int) -> None:
+def count_scan_cells(
+    registry, rows: int, decoded: int, stored: int, uncached: int
+) -> None:
     """Account one scan (or one storage-side fragment task) of ``rows``
-    rows that decoded ``decoded`` of the table's ``stored`` columns: what
-    projection saves, as a count that repeats exactly for a seed."""
+    rows that read ``decoded`` of the table's ``stored`` columns: what
+    projection saves, as a count that repeats exactly for a seed.
+
+    ``uncached`` is how many of those cells the codec decoded from page
+    bytes rather than took from the pages' decoded-column memos
+    (``Schema.decode_page_into``): what the memo saves the host.  Anything
+    the virtual clock charges per cell must use ``cells_decoded``, the
+    modelled scan's reads, never this."""
     registry.incr("query.scan.cells_decoded", rows * decoded)
     registry.incr("query.scan.cells_stored", rows * stored)
+    registry.incr("query.scan.cells_uncached", uncached)
 
 
 @dataclass
@@ -264,7 +273,7 @@ class QuerySession:
         self.parse_cache = parse_cache
         # ``engine`` may be a standby replica: only ``env`` is common.
         self._registry = obs_of(engine.env).registry
-        count_scan_cells(self._registry, 0, 0, 0)  # present before any scan
+        count_scan_cells(self._registry, 0, 0, 0, 0)  # present before any scan
         for name in ("query.join.cells_joined", "query.join.cells_gathered",
                      "query.kernels.compiled"):
             self._registry.incr(name, 0)
@@ -494,16 +503,19 @@ class QuerySession:
         schema = table.schema
         batch = ColumnBatch.for_scan(scan.binding, schema, scan.projection)
         positions = tuple(map(schema.position, scan.projection))
+        uncached = 0
         for page_no in list(table.page_nos):
             page = yield from self.engine.fetch_page(table.page_id(page_no))
             yield from self.engine.cpu.consume(
                 PAGE_CPU + ROW_CPU * page.row_count
             )
             self.pages_scanned += 1
-            batch.n += schema.decode_rows_into(
-                page.rows(), positions, batch.arrays
-            )
-        count_scan_cells(self._registry, batch.n, len(batch.keys), len(schema))
+            rows, cells = schema.decode_page_into(page, positions, batch.arrays)
+            batch.n += rows
+            uncached += cells
+        count_scan_cells(
+            self._registry, batch.n, len(batch.keys), len(schema), uncached
+        )
         return batch, scan.filter
 
     def _run_index_lookup(self, node: IndexLookup):
@@ -655,10 +667,13 @@ class QuerySession:
                     continue
                 found.append(raw)
                 outer_sel.append(i)
-        # The inner rows, full-width (there is no scan node to project).
-        inner = ColumnBatch.for_scan(join.inner_binding, schema, schema.names)
+        # The inner rows, in the columns anything reads of them.
+        inner = ColumnBatch.for_scan(
+            join.inner_binding, schema, join.inner_projection
+        )
         inner.n = schema.decode_rows_into(
-            found, tuple(range(len(schema))), inner.arrays
+            found, tuple(map(schema.position, join.inner_projection)),
+            inner.arrays,
         )
         if join.inner_filter is not None:
             keep = kernels.select(inner, join.inner_filter, registry)

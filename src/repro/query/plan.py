@@ -122,6 +122,10 @@ class IndexNLJoin(PlanNode):
     outer_keys: List[Expr] = field(default_factory=list)
     #: Inner columns matched against (index prefix order).
     inner_columns: List[str] = field(default_factory=list)
+    #: The inner columns anything reads - the inner filter, join keys and
+    #: residual included - in schema order: all the probed rows decode.
+    #: Like ``SeqScan.projection``, ``()`` is no column, not all.
+    inner_projection: Tuple[str, ...] = ()
     inner_filter: Optional[Expr] = None
     residual: Optional[Expr] = None
     #: Name of the inner index to probe ('' = primary key).

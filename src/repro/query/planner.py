@@ -261,7 +261,6 @@ class Planner:
         # Build the join tree left-deep in FROM order.  A single-table
         # query whose filter pins the whole primary key with constant
         # equalities becomes a unique point lookup instead of a scan.
-        self._inner_filters = scan_filters
         plan: PlanNode = None
         if len(order) == 1 and self.config.enable_index_lookup:
             plan = self._point_lookup(
@@ -370,8 +369,8 @@ class Planner:
         estimated = max(left.estimated_rows, 1)
         if use_nl:
             # The inner side has no scan node, so its single-table filter
-            # must ride the join and apply per probed row.
-            inner_filter = and_together(self._inner_filters[binding])
+            # and its projection ride the join and apply per probed row.
+            inner_scan = scan_of(binding)
             return IndexNLJoin(
                 estimated_rows=estimated,
                 outer=left,
@@ -379,7 +378,8 @@ class Planner:
                 inner_binding=binding,
                 outer_keys=[l for l, _ in equi_pairs],
                 inner_columns=inner_columns,
-                inner_filter=inner_filter,
+                inner_projection=inner_scan.projection,
+                inner_filter=inner_scan.filter,
                 residual=and_together(residuals),
                 index_name=index_name,
             )
@@ -417,14 +417,15 @@ class Planner:
             node.joined_columns = len(joined)
             return joined
         if isinstance(node, IndexNLJoin):
-            # Carries every outer column plus the whole inner row.
+            # Carries every outer column plus the inner projection.
             reads = list(node.outer_keys)
             if node.residual is not None:
                 reads.append(node.residual)
-            names = self.catalog.table(node.inner_table).schema.names
             return self._prune_joins(
                 node.outer, live | claimed(reads), claimed
-            ) + tuple("%s.%s" % (node.inner_binding, n) for n in names)
+            ) + tuple(
+                "%s.%s" % (node.inner_binding, n) for n in node.inner_projection
+            )
         return ()
 
     def _as_equi_pair(self, conjunct, inner_binding, binding_tables):

@@ -86,7 +86,8 @@ def execute_fragment_on_pages(
     fragment: PushdownFragment, pages: List[Page], registry=None
 ):
     """Run the fragment over page images; pure compute, no timing
-    (``registry`` only counts kernel builds).
+    (``registry``, when given, counts the scanned cells and kernel builds).
+    Pages decode through their decoded-column memos, as a local scan's do.
 
     Returns one of
     ``("batch", ColumnBatch)`` (plain filtered scan),
@@ -102,9 +103,16 @@ def execute_fragment_on_pages(
     schema = fragment._schema  # type: ignore[attr-defined]
     positions = tuple(map(schema.position, fragment.projection))
     batch = fragment.empty_batch()
+    uncached = 0
     for page in pages:
-        batch.n += schema.decode_rows_into(page.rows(), positions, batch.arrays)
+        rows, cells = schema.decode_page_into(page, positions, batch.arrays)
+        batch.n += rows
+        uncached += cells
     scanned = batch.n
+    if registry is not None:
+        count_scan_cells(
+            registry, scanned, len(positions), len(schema), uncached
+        )
     if fragment.partial_agg is not None:
         group_exprs, aggs = fragment.partial_agg
         groups, _ = kernels.group_by(
@@ -333,19 +341,6 @@ class PushdownRuntime:
         )
         return 64 + GROUP_WIRE_BYTES * len(keys) + 8 * distinct_values
 
-    def _execute(self, fragment: PushdownFragment, pages: List[Page]):
-        """One task's compute, with its decoded-cell accounting."""
-        result, scanned = execute_fragment_on_pages(
-            fragment, pages, self.obs.registry
-        )
-        count_scan_cells(
-            self.obs.registry,
-            scanned,
-            len(fragment.projection),
-            len(fragment._schema),  # type: ignore[attr-defined]
-        )
-        return result, scanned
-
     def _run_on_astore(self, fragment: PushdownFragment, task: _Task):
         """Generator: PQ process on an AStore server, reading local PMem."""
         server = self.ebp.client.servers[task.server_id]
@@ -369,7 +364,9 @@ class PushdownRuntime:
             # Local PMem read: no fabric hop, just media time.
             yield from server.pmem.read(entry.length)
             pages.append(payload[3])
-        result, scanned = self._execute(fragment, pages)
+        result, scanned = execute_fragment_on_pages(
+            fragment, pages, self.obs.registry
+        )
         yield from server.cpu.consume(
             PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned
         )
@@ -402,7 +399,9 @@ class PushdownRuntime:
                 pages.append(page)
             except StorageError:
                 failed.append((page_id, min_lsn))
-        result, scanned = self._execute(fragment, pages)
+        result, scanned = execute_fragment_on_pages(
+            fragment, pages, self.obs.registry
+        )
         yield from server.cpu.consume(
             PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned
         )
@@ -434,7 +433,9 @@ class PushdownRuntime:
                     failed.append((page_id, min_lsn))
                     continue
             pages.append(page)
-        result, scanned = self._execute(fragment, pages)
+        result, scanned = execute_fragment_on_pages(
+            fragment, pages, self.obs.registry
+        )
         yield from self.engine.cpu.consume(
             PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned
         )

@@ -240,7 +240,10 @@ class RowOracle:
                 if scan.filter is None or scan.filter.eval(row):
                     rows.append(row)
         width = len(table.schema)
-        count_scan_cells(self._registry, scanned, width, width)
+        # Every cell, decoded from the page bytes (no memo).
+        count_scan_cells(
+            self._registry, scanned, width, width, scanned * width
+        )
         return rows
 
     def _run_index_lookup(self, node):

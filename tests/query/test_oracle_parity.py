@@ -220,6 +220,46 @@ def test_select_star_over_an_nl_join_is_every_column_of_both_sides(db):
     assert result.rows == [(5, "t", 5, 5, "y", 7)]
 
 
+def test_nl_join_decodes_only_the_inner_columns_something_reads(monkeypatch):
+    dep = small_db()
+    wide = Schema([Column("id", INT())] + [
+        Column("c%d" % i, VARCHAR(8) if i % 2 else INT(), nullable=True)
+        for i in range(1, 11)
+    ])
+    dep.engine.create_table("w", wide, ["id"])
+
+    def load(env):
+        txn = dep.engine.begin()
+        for k in range(1, 8):
+            row = [k] + [("s%d" % (k * i)) if i % 2 else k * i for i in range(1, 11)]
+            yield from dep.engine.insert(txn, "w", row)
+        yield from dep.engine.commit(txn)
+
+    run(dep, load(dep.env))
+    sql = ("SELECT a.id, w.c3, w.c8 FROM a JOIN w ON w.id = a.x "
+           "WHERE w.c4 > 4 AND a.id < w.c10 ORDER BY a.id")
+    join = nl_join_of(dep, sql)
+    # The select list, the inner filter, the join key and the residual.
+    assert join.inner_projection == ("id", "c3", "c4", "c8", "c10")
+    decoded = []
+    decode = Schema.decode_rows_into
+
+    def recording(schema, rows, positions, arrays):
+        if schema is wide:
+            decoded.append(positions)
+        return decode(schema, rows, positions, arrays)
+
+    monkeypatch.setattr(Schema, "decode_rows_into", recording)
+    nested = execute(dep, dep.new_session(
+        enable_pushdown=False, force_hash_joins=False), sql)
+    assert decoded == [(0, 3, 4, 8, 10)]
+    hashed = execute(dep, dep.new_session(
+        enable_pushdown=False, force_hash_joins=True), sql)
+    assert (nested.columns, nested.rows) == (hashed.columns, hashed.rows)
+    assert nested.rows == [(1, "s15", 40), (3, "s21", 56), (5, "s15", 40)]
+    assert assert_parity(dep, sql).rows == nested.rows
+
+
 def test_a_slot_deleted_under_the_locator_joins_and_looks_up_nothing():
     dep = small_db()
     table = dep.engine.catalog.table("b")

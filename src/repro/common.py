@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 __all__ = [
@@ -13,6 +13,7 @@ __all__ = [
     "MS",
     "PAGE_SIZE",
     "PageId",
+    "slotted",
     "RetryPolicy",
     "ReproError",
     "StorageError",
@@ -58,6 +59,20 @@ class PageId(NamedTuple):
 
     def __str__(self) -> str:
         return "%d:%d" % self
+
+
+def slotted(cls):
+    """Rebuild a dataclass with ``__slots__`` for its fields and no
+    ``__dict__``: ``@dataclass(slots=True)`` on Pythons that lack it.  Use
+    it on classes the engine creates in bulk (a REDO record and its page
+    op), where a per-instance dict is most of the memory."""
+    names = tuple(f.name for f in fields(cls))
+    body = {key: value for key, value in cls.__dict__.items()
+            if key not in names and key not in ("__dict__", "__weakref__")}
+    body["__slots__"] = names
+    slotted_cls = type(cls)(cls.__name__, cls.__bases__, body)
+    slotted_cls.__qualname__ = cls.__qualname__
+    return slotted_cls
 
 
 class ReproError(Exception):

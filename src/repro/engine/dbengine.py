@@ -93,8 +93,9 @@ class LogBackend:
     """Interface the engine's group commit flushes into.
 
     ``flush(records, nbytes)`` is a generator that returns once the batch
-    is durable.  ``recover()`` is a generator returning the retained
-    records ``[(lsn, [RedoRecord, ...])]`` for crash recovery.
+    is durable, persisted as :func:`~repro.engine.wal.encode_batch` bytes.
+    ``recover()`` is a generator returning the persisted records, decoded
+    and in LSN order, for crash recovery.
     """
 
     def flush(self, records: List[RedoRecord], nbytes: int):

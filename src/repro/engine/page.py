@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, ItemsView, List, Optional, Tuple, ValuesView
 
-from ..common import PAGE_SIZE, PageId, ReproError
+from ..common import PAGE_SIZE, PageId, ReproError, slotted
 
 __all__ = ["Page", "PageOp", "apply_op", "PAGE_HEADER_BYTES", "SLOT_OVERHEAD"]
 
@@ -37,6 +37,7 @@ class PageFullError(ReproError):
     """The row does not fit in the page's free space."""
 
 
+@slotted
 @dataclass
 class PageOp:
     """One REDO-logged mutation of a single page.

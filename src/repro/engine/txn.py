@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..common import TransactionAborted
+from ..common import TransactionAborted, slotted
 from ..sim.core import AnyOf, Environment, Event
 from ..sim.resources import Grant, WaitQueue
 from .wal import RedoRecord
@@ -32,6 +32,7 @@ from .wal import RedoRecord
 __all__ = ["LockManager", "Transaction", "UndoEntry"]
 
 
+@slotted
 @dataclass
 class UndoEntry:
     """What to compensate if the transaction rolls back.

@@ -20,26 +20,31 @@ the commit latency under load.
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from ..common import PageId
+from ..common import PageId, slotted
 from ..sim.core import Environment, Event
 from .page import PageOp
 
 __all__ = ["RedoRecord", "LsnAllocator", "Demand", "LogBuffer",
-           "encode_records_size"]
+           "encode_records_size", "encode_batch", "decode_batch"]
 
 
+@slotted
 @dataclass
 class RedoRecord:
     """One page-level REDO record.
 
     ``txn_id`` groups records for undo decisions; ``back_link`` is the LSN
     of the previous record *of the same PageStore segment* - the paper's
-    mechanism for PageStore replicas to detect gaps and gossip.
+    mechanism for PageStore replicas to detect gaps and gossip.  It is
+    PageStore framing, stamped at ship time: the log never holds it
+    (:func:`encode_batch`), and two records that differ only in it are
+    equal.
 
     ``undo_row`` is the before image for update/delete records: the engine
     logs immediately (ARIES steal/no-force), so crash recovery must be able
@@ -50,7 +55,7 @@ class RedoRecord:
     txn_id: int
     page_id: PageId
     op: PageOp
-    back_link: int = -1
+    back_link: int = field(default=-1, compare=False)
     commit: bool = False  # commit marker record
     abort: bool = False  # abort marker (rollback fully compensated)
     clr: bool = False  # compensation record written by rollback
@@ -92,6 +97,90 @@ _log_bytes_of = attrgetter("log_bytes")
 def encode_records_size(records: List[RedoRecord]) -> int:
     """Total serialized size of a record batch."""
     return sum(map(_log_bytes_of, records))
+
+
+#: The fixed per-record header of an encoded batch, little-endian: lsn,
+#: txn id, page id (space, page), op kind (index into
+#: ``PageOp.VALID_KINDS``), flags, slot, compensates, then the byte
+#: lengths of the row, the before image and the gtid that follow it.
+_RECORD_HEADER = struct.Struct("<qqIIBBIqIIH")
+_KIND_CODE = {kind: code for code, kind in enumerate(PageOp.VALID_KINDS)}
+#: Flag bits: the four marker flags, ``clr``, and which of the three
+#: optional byte strings are present (None and ``b""`` differ).
+_COMMIT, _ABORT, _CLR, _PREPARE, _DECISION = 1, 2, 4, 8, 16
+_HAS_ROW, _HAS_UNDO, _HAS_GTID = 32, 64, 128
+
+
+def encode_batch(records: List[RedoRecord]) -> bytes:
+    """One group-commit batch as the bytes the log persists.
+
+    Per record, in order: the :data:`_RECORD_HEADER` struct, then the op's
+    row, the before image and the UTF-8 gtid, each as long as the header
+    says.  Every field recovery and 2PC harvesting read is kept;
+    ``back_link`` (PageStore framing) and the derived ``log_bytes`` /
+    ``is_marker`` are not.  The virtual clock is charged
+    :func:`encode_records_size`, not ``len()`` of this.
+    """
+    pack = _RECORD_HEADER.pack
+    kind_code = _KIND_CODE
+    parts: List[bytes] = []
+    append = parts.append
+    for record in records:
+        op = record.op
+        row, undo_row, gtid = op.row, record.undo_row, record.gtid
+        flags = record.clr << 2
+        if record.is_marker:
+            flags |= (record.commit | record.abort << 1
+                      | record.prepare << 3 | record.decision << 4)
+        if row is not None:
+            flags |= _HAS_ROW
+        else:
+            row = b""
+        if undo_row is not None:
+            flags |= _HAS_UNDO
+        else:
+            undo_row = b""
+        if gtid is not None:
+            flags |= _HAS_GTID
+            gtid = gtid.encode()
+        else:
+            gtid = b""
+        page_id = record.page_id
+        append(pack(record.lsn, record.txn_id, page_id[0], page_id[1],
+                    kind_code[op.kind], flags, op.slot, record.compensates,
+                    len(row), len(undo_row), len(gtid)))
+        append(row)
+        append(undo_row)
+        append(gtid)
+    return b"".join(parts)
+
+
+def decode_batch(blob: bytes) -> List[RedoRecord]:
+    """The records :func:`encode_batch` wrote, equal to the originals."""
+    unpack = _RECORD_HEADER.unpack_from
+    header_bytes = _RECORD_HEADER.size
+    kinds = PageOp.VALID_KINDS
+    records: List[RedoRecord] = []
+    pos, end = 0, len(blob)
+    while pos < end:
+        (lsn, txn_id, space_no, page_no, kind, flags, slot, compensates,
+         row_len, undo_len, gtid_len) = unpack(blob, pos)
+        pos += header_bytes
+        row = blob[pos:pos + row_len] if flags & _HAS_ROW else None
+        pos += row_len
+        undo_row = blob[pos:pos + undo_len] if flags & _HAS_UNDO else None
+        pos += undo_len
+        gtid = blob[pos:pos + gtid_len].decode() if flags & _HAS_GTID else None
+        pos += gtid_len
+        records.append(RedoRecord(
+            lsn, txn_id, PageId(space_no, page_no),
+            PageOp(kinds[kind], slot, row),
+            commit=bool(flags & _COMMIT), abort=bool(flags & _ABORT),
+            clr=bool(flags & _CLR), compensates=compensates,
+            undo_row=undo_row, prepare=bool(flags & _PREPARE),
+            decision=bool(flags & _DECISION), gtid=gtid,
+        ))
+    return records
 
 
 class LsnAllocator:

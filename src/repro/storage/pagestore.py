@@ -14,6 +14,7 @@ materialisation), the number the EBP is designed to beat.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Dict, List, Optional
 
@@ -261,8 +262,14 @@ class PageStoreService:
         self.num_segments = num_segments
         self.replication = replication
         self.quorum = quorum
-        #: Last shipped LSN per segment, for back-link stamping.
-        self._chain_tail: Dict[int, int] = {s: -1 for s in range(num_segments)}
+        #: Per segment, the LSNs shipped to it in chain order, from the
+        #: newest one every replica has chained (-1: none yet).  The last
+        #: is the back-link the next record is stamped with.  The log
+        #: never holds a back-link, so a record re-shipped after an engine
+        #: crash - decoded from the log - takes the LSN before its own,
+        #: and the chain it re-sends is the one first sent.
+        self._chains: Dict[int, List[int]] = {
+            s: [-1] for s in range(num_segments)}
         self.ships = 0
         self.page_reads = 0
         self.gossip_rounds = 0
@@ -289,15 +296,22 @@ class PageStoreService:
         Returns once every segment batch reached its quorum; remaining
         replicas complete in the background (and gossip can fill any that
         fail).  A record an earlier ship stamped (a failed ship's, a
-        re-ship's after an engine crash) keeps its back-link.
+        re-ship's after an engine crash) gets the back-link it was
+        stamped with.
         """
         by_segment: Dict[int, List[RedoRecord]] = {}
-        chain_tail = self._chain_tail
+        chains = self._chains
         for record in records:
             segment_no = self.segment_of(record.page_id)
-            if record.lsn > chain_tail[segment_no]:
-                record.back_link = chain_tail[segment_no]
-                chain_tail[segment_no] = record.lsn
+            chain, lsn = chains[segment_no], record.lsn
+            if lsn > chain[-1]:
+                record.back_link = chain[-1]
+                chain.append(lsn)
+            else:
+                index = bisect_left(chain, lsn)
+                if 0 < index < len(chain) and chain[index] == lsn:
+                    record.back_link = chain[index - 1]
+                # else every replica holds it: a duplicate wherever it lands
             by_segment.setdefault(segment_no, []).append(record)
         # Every segment's quorum ship starts now; waiting for them one
         # after the other takes as long as the slowest.  An unreachable
@@ -317,7 +331,8 @@ class PageStoreService:
 
     def _truncate_histories(self, segment_no: int) -> None:
         """Drop, on every replica of the segment, the gossip history no
-        replica - alive or not - can still be missing."""
+        replica - alive or not - can still be missing, and those records'
+        LSNs from the segment's chain."""
         replicas = [
             server.replicas.get(segment_no)
             for server in self.replicas_of(segment_no)
@@ -326,6 +341,10 @@ class PageStoreService:
             floor = min(replica.chain_lsn for replica in replicas)
             for replica in replicas:
                 replica.truncate_history(floor)
+            chain = self._chains[segment_no]
+            cut = bisect_right(chain, floor) - 1
+            if cut > 0:
+                del chain[:cut]
 
     def _ship_segment(self, segment_no: int, batch: List[RedoRecord]) -> FanOut:
         """Start shipping ``batch`` to every replica of the segment; the

@@ -127,3 +127,45 @@ def test_a_failed_ship_keeps_its_bytes_and_ships_when_full():
     assert engine.shipped_lsn == engine.log.persistent_lsn
     assert engine.ship_demand == only(full=1)
     assert engine._ship_bytes == 0
+
+
+def test_a_stamped_record_keeps_its_back_link_across_an_engine_crash():
+    # Two of three PageStore servers down: the byte-cap ship stamps its
+    # records' back-links and misses its quorum.  The engine crashes, the
+    # servers return and the engine recovers: the records it re-ships are
+    # decoded from the log, which never held a back-link, and PageStore
+    # stamps them as the failed ship did - so the returning servers chain
+    # every record as it arrives, with no parked record and no gossip.
+    dep = Deployment(DeploymentSpec.astore_pq(
+        seed=3, engine=EngineConfig(log_batch_bytes=16 * KB)))
+    dep.start()
+    engine, pagestore = dep.engine, dep.pagestore
+    engine.create_table(
+        "t", Schema([Column("id", INT()), Column("v", VARCHAR(256))]), ["id"])
+    down = pagestore.servers[:2]
+    for server in down:
+        server.alive = False
+
+    def work(env):
+        for key in range(100):
+            txn = engine.begin()
+            yield from engine.insert(txn, "t", [key, "x" * 200])
+            yield from engine.commit(txn)
+
+    run(dep, work(dep.env))
+    assert engine.shipped_lsn == 0 and engine._ship_bytes > 0
+    touched = [s for s, chain in pagestore._chains.items() if chain[-1] >= 0]
+    assert touched
+    gossip = pagestore.gossip_rounds
+    engine.crash()  # the ship queue is gone; only the log holds them
+    for server in down:
+        server.alive = True
+    run(dep, engine.recover())
+    dep.run_for(0.002)  # the straggler replica's copy lands
+    assert engine.shipped_lsn == engine.log.persistent_lsn
+    for segment_no in touched:
+        for server in pagestore.replicas_of(segment_no):
+            replica = server.replicas[segment_no]
+            assert replica.parked == {}
+            assert replica.chain_lsn == pagestore._chains[segment_no][-1]
+    assert pagestore.gossip_rounds == gossip

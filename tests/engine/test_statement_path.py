@@ -467,8 +467,9 @@ def test_redo_records_are_sized_once_and_as_before():
     # Shipping stamps the back-link afterwards; the framing is fixed-size.
     records[1].back_link = 1
     assert records[1].log_bytes == 154
-    # A plain attribute: reading it runs no code.
-    assert "log_bytes" in vars(records[0]) and "log_bytes" in vars(records[0].op)
+    # A plain slot: reading it runs no code.
+    assert "log_bytes" in RedoRecord.__slots__ and "log_bytes" in PageOp.__slots__
+    assert not hasattr(records[0], "__dict__")
 
 
 def test_key_of_is_compiled_per_table():

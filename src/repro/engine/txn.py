@@ -194,6 +194,7 @@ class LockManager:
                 # triggered, and wins.
                 granted = grant.triggered
             finally:
+                timeout.cancel()
                 self._waiting_on.pop(txn.txn_id, None)
                 self._kill_events.pop(txn.txn_id, None)
                 if not granted:

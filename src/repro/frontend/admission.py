@@ -139,6 +139,7 @@ class AdmissionController:
                 expired = (not grant.triggered
                            or self.env.now - start >= self.queue_timeout)
             finally:
+                deadline.cancel()
                 if expired:
                     # Withdrawn, or the raced slot goes on to the next
                     # waiter in FIFO order - also when interrupted.

@@ -105,9 +105,11 @@ class CommitFence:
                             "scatter read fenced out by an in-flight "
                             "2PC write"
                         )
-                    yield AnyOf(
-                        self.env, [gate, self.env.timeout(remaining)]
-                    )
+                    timer = self.env.timeout(remaining)
+                    try:
+                        yield AnyOf(self.env, [gate, timer])
+                    finally:
+                        timer.cancel()
         self.readers += 1
         self.read_holds += 1
 
@@ -139,9 +141,11 @@ class CommitFence:
                                 "commit fence timeout: scatter reads "
                                 "held the fence too long"
                             )
-                        yield AnyOf(
-                            self.env, [gate, self.env.timeout(remaining)]
-                        )
+                        timer = self.env.timeout(remaining)
+                        try:
+                            yield AnyOf(self.env, [gate, timer])
+                        finally:
+                            timer.cancel()
             finally:
                 self.writers_pending -= 1
         self.writers += 1

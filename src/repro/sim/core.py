@@ -46,6 +46,21 @@ deadline alone, armed on the calling process.  The rule for removing an
 event: **only the event count may be able to see it** - same clock, same
 RNG draws, same resource order, same outputs on every seed.
 
+Cancelled timers
+----------------
+A deadline that is met has nobody left to wake: :meth:`Timeout.cancel`
+withdraws it, and every waiter that stops waiting on a timer of its own
+(``with_timeout``, a :class:`FanOut` deadline, a row-lock, admission or
+commit-fence wait) calls it.  A cancelled timer never fires and never
+moves the clock, in ``run()``, ``step()`` and ``peek()`` alike.  It
+keeps the sequence number it took at creation, so every other event
+keeps its ``(time, seq)`` key and ``env._seq`` counts exactly what it
+counted before: the cancel rule is the removal rule above with the event
+count held fixed.  Its heap entry is deleted lazily, as asyncio's event
+loop does: skipped when it reaches the top, and dropped by a ``heapify``
+rebuild once cancelled entries outnumber live ones (above
+:data:`_CANCEL_FLOOR`).
+
 Example
 -------
 >>> env = Environment()
@@ -61,7 +76,8 @@ Example
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heapify as _heapify, heappop as _heappop
+from heapq import heappush as _heappush
 from operator import attrgetter
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -84,6 +100,11 @@ __all__ = [
 #: next to an already-bounded heap.
 _FAST_BOUND = 8192
 
+#: Cancelled heap entries always tolerated before a rebuild; above it the
+#: heap is rebuilt as soon as cancelled entries outnumber live ones, so it
+#: holds at most this many, or as many as live ones, that nobody waits for.
+_CANCEL_FLOOR = 64
+
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (double trigger, yield of non-event)."""
@@ -102,6 +123,8 @@ class Interrupt(Exception):
 
 
 PENDING = object()
+#: The ``_value`` of a cancelled timer: its heap entry is skipped, never fired.
+CANCELLED = object()
 
 
 class Event:
@@ -203,6 +226,27 @@ class Timeout(Event):
             env._fast.append((env._now, seq, self, None))
         else:
             _heappush(env._queue, (env._now + delay, seq, self))
+
+    def cancel(self) -> None:
+        """Withdraw the timer: it never fires and never moves the clock.
+
+        Its callbacks go at once; its heap entry keeps its ``(time, seq)``
+        key and is deleted lazily (see the module docstring).  Idempotent,
+        and a no-op once the timer has fired.  A zero-delay timer fires in
+        this very tick, so cancelling it only drops its callbacks.
+        """
+        callbacks = self.callbacks
+        if callbacks is None or self._value is CANCELLED:
+            return
+        callbacks.clear()
+        if self.delay == 0.0:
+            return
+        self._value = CANCELLED
+        env = self.env
+        env._cancelled += 1
+        if (env._cancelled > _CANCEL_FLOOR
+                and 2 * env._cancelled > len(env._queue)):
+            env._compact()
 
 
 class Process(Event):
@@ -616,11 +660,8 @@ class FanOut(Event):
         ))
 
     def _disarm(self) -> None:
-        # The deadline stays in the heap until it fires (removing it would
-        # shift event order); it just no longer points at anything.
-        timer = self._deadline
-        if timer is not None and timer.callbacks is not None:
-            timer.callbacks.clear()
+        if self._deadline is not None:
+            self._deadline.cancel()
 
     def _abort(self, exc: BaseException) -> None:
         self._disarm()
@@ -653,7 +694,7 @@ def with_timeout(env: "Environment", target: Generator,
     if owner is None:
         raise SimulationError("with_timeout outside a process")
     signal = Interrupt("deadline exceeded")
-    armed: List[Event] = []
+    expiries: List[Event] = []
 
     def expire(_event: Event) -> None:
         expiry = Event(env)
@@ -661,12 +702,11 @@ def with_timeout(env: "Environment", target: Generator,
         expiry._value = signal
         expiry._defused = True
         expiry.callbacks.append(owner)
-        armed.append(expiry)
+        expiries.append(expiry)
         env._schedule(expiry)
 
     deadline = env.timeout(seconds)
     deadline.callbacks.append(expire)
-    armed.append(deadline)
     try:
         return (yield from target)
     except Interrupt as interrupt:
@@ -676,12 +716,12 @@ def with_timeout(env: "Environment", target: Generator,
             "%s exceeded %.6fs deadline" % (what, seconds)
         ) from None
     finally:
-        # The deadline stays in the heap until it fires (removing it would
-        # shift event order); dropping its callback keeps it from pinning
-        # the caller and whatever ``target`` returned until then.
-        for event in armed:
-            if event.callbacks is not None:
-                event.callbacks.clear()
+        # A deadline not yet passed leaves the heap; an expiry already
+        # scheduled in this tick fires into nothing.
+        deadline.cancel()
+        for expiry in expiries:
+            if expiry.callbacks is not None:
+                expiry.callbacks.clear()
 
 
 class Environment:
@@ -697,19 +737,21 @@ class Environment:
       ``(ok, value, defused)`` triple for an allocation-free process resume.
 
     ``step`` services the globally smallest ``(time, seq)`` key across both,
-    so the drain order is identical to a single-heap kernel.
+    so the drain order is identical to a single-heap kernel.  ``_cancelled``
+    counts the heap entries of cancelled timers not yet deleted.
     """
 
     # Hot attributes live in slots; ``__dict__`` stays available as the
     # extension point upper layers rely on (``env.obs``, ``env._txn_ids``).
     __slots__ = ("_now", "_queue", "_fast", "_seq", "_active_process",
-                 "__dict__")
+                 "_cancelled", "__dict__")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: List = []  # heap of (time, seq, event)
         self._fast: deque = deque()  # sorted (time, seq, obj, payload)
         self._seq = 0
+        self._cancelled = 0
         #: The process - or fan-out leg - whose generator is running.
         self._active_process: Any = None
 
@@ -810,8 +852,28 @@ class Environment:
         event.callbacks.append(process)
         _heappush(self._queue, (self._now, seq, event))
 
+    def _compact(self) -> None:
+        """Rebuild the heap without its cancelled entries.
+
+        In place: the running event loop holds the list.  Keys are unique,
+        so the rebuilt heap pops the live entries in the same order.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue
+                    if entry[2]._value is not CANCELLED]
+        _heapify(queue)
+        self._cancelled = 0
+
+    def _drop_cancelled(self) -> None:
+        """Pop cancelled entries off the top of the heap."""
+        queue = self._queue
+        while queue and queue[0][2]._value is CANCELLED:
+            _heappop(queue)
+            self._cancelled -= 1
+
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
+        self._drop_cancelled()
         fast = self._fast
         queue = self._queue
         if fast:
@@ -822,6 +884,7 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next event."""
+        self._drop_cancelled()
         fast = self._fast
         queue = self._queue
         if fast:
@@ -875,7 +938,7 @@ class Environment:
         self._run_core(until, None)
 
     def _run_core(self, until: Optional[float], stop: Optional[Event],
-                  _PENDING=PENDING, _len=len) -> None:
+                  _PENDING=PENDING, _CANCELLED=CANCELLED, _len=len) -> None:
         """The event loop shared by :meth:`run` and :meth:`run_until_event`.
 
         One inlined body services both containers and — for the dominant
@@ -925,8 +988,11 @@ class Environment:
                     self._now = until
                     return
                 _heappop(queue)
-                self._now = head[0]
                 event = head[2]
+                if event._value is _CANCELLED:
+                    self._cancelled -= 1
+                    continue
+                self._now = head[0]
             # -- flush -----------------------------------------------------
             if event is not None:
                 callbacks = event.callbacks

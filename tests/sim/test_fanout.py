@@ -219,10 +219,11 @@ def test_deadline_interrupts_every_leg_and_costs_nothing_when_met():
         yield FanOut(env, [sleeper(env, 1.0)], deadline=2.0)
         return env.now, env._seq - before
 
-    # One timeout, the (disarmed) deadline, the completion.
+    # One timeout, the (cancelled) deadline, the completion.
     assert drive(env, met()) == (1.0, 3)
-    env.run()  # the deadline fires into nothing
-    assert env.now == 2.0
+    env.run()  # the met deadline left the heap: nothing fires, nothing moves
+    assert env.now == 1.0  # was 2.0 while a met deadline fired into nothing
+    assert env._queue == []
 
 
 def test_failure_reaches_a_caller_that_joins_late():

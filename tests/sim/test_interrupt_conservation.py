@@ -10,17 +10,20 @@ at the instant it would have been had the interrupted one never queued.
 
 Each case runs three workers on a one-slot queue - a holder, the victim
 queued behind it, a third queued behind the victim - and compares against
-the same run without the victim: no grant, draw or clock may move.
+the same run without the victim: no grant, draw or clock may move.  A
+waiter that armed a timer of its own (a ``with_timeout`` deadline, a row
+lock's wait timeout) must also take it out of the event heap: drained,
+the run ends when the last worker does.
 """
 
 import pytest
 
 from repro.engine.txn import LockManager, Transaction
 from repro.frontend.admission import AdmissionController, TenantAdmission
-from repro.sim.core import Environment
+from repro.sim.core import Environment, with_timeout
 from repro.sim.devices import StorageDevice
 from repro.sim.rand import SeedSequence
-from repro.sim.resources import CpuPool
+from repro.sim.resources import CpuPool, Resource
 from repro.storage.logstore import LogStore
 
 
@@ -55,11 +58,36 @@ class Cores:
         return pool.count, pool.queue_length
 
 
+class DeadlineSlot:
+    """A one-slot resource taken and held under a ``with_timeout``
+    deadline that outlives the whole run."""
+
+    def make(self, env):
+        return Resource(env)
+
+    def use(self, env, resource):
+        yield from with_timeout(env, self._hold(env, resource), 5.0)
+
+    def _hold(self, env, resource):
+        grant = resource.acquire()
+        try:
+            if grant is not None:
+                yield grant
+            yield from _hold(env, 1.0)
+        finally:
+            resource.release(grant)
+
+    def held(self, resource):
+        return resource.count, resource.queue_length
+
+
 class RowLock:
     KEY = ("t", 1)
 
     def make(self, env):
-        return LockManager(env)
+        # A wait timeout past the third worker's finish: one left in the
+        # heap would show as a drained run ending late.
+        return LockManager(env, wait_timeout=5.0)
 
     def use(self, env, locks):
         txn = Transaction(env)
@@ -119,6 +147,7 @@ class LogStoreSubmitSlot:
 KITS = {
     "device-channel": DeviceChannel(),
     "cpu-pool": Cores(),
+    "deadline-slot": DeadlineSlot(),
     "row-lock": RowLock(),
     "admission-slot": AdmissionSlot(),
     "mux-lane": MuxLane(),
@@ -126,9 +155,10 @@ KITS = {
 }
 
 
-def scenario(kit, victim, kill_at=None):
-    """Finish time (or ``(error, instant)``) of each worker, and what the
-    queue still holds ten virtual seconds later."""
+def scenario(kit, victim, kill_at=None, until=10.0):
+    """Finish time (or ``(error, instant)``) of each worker, what the
+    queue still holds at ``until`` (None: once no event is left), and the
+    clock then."""
     env = Environment()
     queue = kit.make(env)
     done = {}
@@ -153,15 +183,15 @@ def scenario(kit, victim, kill_at=None):
     if victim:
         procs["victim"] = env.process(worker("victim"))
     env.process(worker("third"))
-    env.run(until=10.0)
-    return done, kit.held(queue)
+    env.run(until=until)
+    return done, kit.held(queue), env.now
 
 
 @pytest.mark.parametrize("case", ["queued", "same-instant-as-grant"])
 @pytest.mark.parametrize("name", sorted(KITS))
 def test_interrupted_waiter_leaves_nothing_held(name, case):
     kit = KITS[name]
-    alone, idle = scenario(kit, victim=False)
+    alone, idle, _ = scenario(kit, victim=False)
     released = alone["holder"]
     assert alone["third"] > released and all(count == 0 for count in idle)
 
@@ -171,10 +201,24 @@ def test_interrupted_waiter_leaves_nothing_held(name, case):
     # victim resumes with the interrupt - it held for no time at all and
     # must pass the slot straight on.
     kill_at = released / 2 if case == "queued" else released
-    done, held = scenario(kit, victim=True, kill_at=kill_at)
+    done, held, _ = scenario(kit, victim=True, kill_at=kill_at)
     assert done == {
         "holder": released,
         "victim": ("Interrupt", kill_at),
         "third": alone["third"],
     }
+    assert all(count == 0 for count in held), held
+
+
+@pytest.mark.parametrize("case", ["queued", "same-instant-as-grant"])
+@pytest.mark.parametrize("name", ["deadline-slot", "row-lock"])
+def test_interrupted_waiter_leaves_no_timer_behind(name, case):
+    kit = KITS[name]
+    alone, _, end = scenario(kit, victim=False, until=None)
+    assert end == alone["third"]
+    kill_at = alone["holder"] / 2 if case == "queued" else alone["holder"]
+    done, held, end = scenario(kit, victim=True, kill_at=kill_at, until=None)
+    assert done["victim"] == ("Interrupt", kill_at)
+    # Each worker's 5 s timer used to keep the drained run going to 5.0.
+    assert end == done["third"] == alone["third"]
     assert all(count == 0 for count in held), held

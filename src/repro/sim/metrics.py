@@ -8,6 +8,7 @@ virtual time.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, Iterable, List, Optional
 
 __all__ = ["LatencyRecorder", "ThroughputMeter", "Counter", "summarize", "geomean"]
@@ -33,30 +34,22 @@ def _interpolate(ordered: List[float], pct: float) -> float:
 class LatencyRecorder:
     """Collects latency samples (seconds) and reports summary statistics.
 
-    Percentile queries sort at most once per batch of new samples: the
-    sorted view is cached and invalidated on :meth:`record` (and, as a
-    safety net, whenever the cache length no longer matches ``samples``,
-    so direct appends to the public list stay correct).  ``mean`` still
-    sums the samples in insertion order — summing the sorted view would
-    change the floating-point rounding of previously published reports.
+    ``samples`` is an ``array('d')``: 8 bytes a sample, no boxed float.
+    Nothing sorted is kept; each :meth:`percentile` and :meth:`summary`
+    sorts a throwaway copy (``summary`` once for all its statistics).
+    ``mean`` sums the samples in insertion order: summing the sorted copy
+    would change the rounding of published reports.  Readers may append
+    to, extend, slice and ``del samples[:]`` the array directly.
     """
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.samples: List[float] = []
-        self._sorted: Optional[List[float]] = None
+        self.samples = array("d")
 
     def record(self, latency: float) -> None:
-        if latency < 0:
-            raise ValueError("negative latency sample")
+        if not latency >= 0:
+            raise ValueError("negative or NaN latency sample: %r" % latency)
         self.samples.append(latency)
-        self._sorted = None
-
-    def _ordered(self) -> List[float]:
-        ordered = self._sorted
-        if ordered is None or len(ordered) != len(self.samples):
-            ordered = self._sorted = sorted(self.samples)
-        return ordered
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -73,13 +66,11 @@ class LatencyRecorder:
 
     @property
     def maximum(self) -> float:
-        ordered = self._ordered()
-        return ordered[-1] if ordered else 0.0
+        return max(self.samples) if self.samples else 0.0
 
     @property
     def minimum(self) -> float:
-        ordered = self._ordered()
-        return ordered[0] if ordered else 0.0
+        return min(self.samples) if self.samples else 0.0
 
     def percentile(self, pct: float) -> float:
         """Linear-interpolated percentile, pct in [0, 100]."""
@@ -87,7 +78,7 @@ class LatencyRecorder:
             return 0.0
         if not 0.0 <= pct <= 100.0:
             raise ValueError("percentile out of range: %r" % pct)
-        return _interpolate(self._ordered(), pct)
+        return _interpolate(sorted(self.samples), pct)
 
     @property
     def p50(self) -> float:
@@ -102,8 +93,8 @@ class LatencyRecorder:
         return self.percentile(99)
 
     def summary(self) -> Dict[str, float]:
-        """All summary statistics from one sorted pass (one sort, cached)."""
-        ordered = self._ordered()
+        """All summary statistics from one sort."""
+        ordered = sorted(self.samples)
         if not ordered:
             return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
                     "p99": 0.0, "max": 0.0}

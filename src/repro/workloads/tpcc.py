@@ -717,7 +717,7 @@ def _drive_terminals(deployment, terminals, duration: float, warmup: float):
             yield from client.run_for(warmup)
         client.latencies = LatencyRecorder()
         for recorder in client.per_type.values():
-            recorder.samples.clear()
+            del recorder.samples[:]
         meter.start(deployment.env.now)
         yield from client.run_for(duration, meter)
 

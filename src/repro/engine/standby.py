@@ -2,8 +2,9 @@
 
 The paper's second future-work item (Section VIII): "expand the usage of
 EBP ... it could be used by stand-by instances that serve read-only
-queries."  This module implements that standby as the *page-apply sink*
-of a :class:`repro.engine.redo_applier.RedoApplier` (which owns the feed
+queries."  This module implements the standby, not its use of the EBP:
+it is the *page-apply sink* of a
+:class:`repro.engine.redo_applier.RedoApplier` (which owns the feed
 cursor, the PageStore catch-up scan and the crash/recover lifecycle):
 
 - durable REDO records are applied to its own page images, maintaining
@@ -12,10 +13,12 @@ cursor, the PageStore catch-up scan and the crash/recover lifecycle):
   indexes correct without re-scanning;
 - a catch-up scan replaces every image and rebuilds the indexes from
   them in one step, so readers see the old snapshot or the new one;
-- reads go through its own small DRAM buffer pool, then the *shared* EBP
-  (read-only - the standby never writes pages back), then PageStore via
-  the primary's one read path, ``DBEngine.read_page`` (so an AStore
-  outage degrades the standby the same way it degrades the primary);
+- the replica is a full copy: the scan and the feed between them put
+  every page of every table into :attr:`StandbyReplica.pages`, and reads
+  come only from there.  A page that is missing means a crash cleared
+  the images under the read, which then fails (the proxy reroutes it);
+  it never falls through to the shared EBP or PageStore, whose images
+  are at the primary's version, not the replica's;
 - replication lag is explicit: reads are snapshot-consistent to
   ``applied_lsn``, the applier's watermark.
 
@@ -29,11 +32,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..common import US, PageId, QueryError
+from ..common import US, PageId, QueryError, StorageError
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
-from .bufferpool import BufferPool
-from .ebp import ExtendedBufferPool
 from .page import Page, apply_op
 from .redo_applier import RedoApplier
 from .table import Catalog, Table
@@ -45,26 +46,14 @@ __all__ = ["StandbyReplica"]
 class StandbyReplica:
     """A read-only compute node trailing the primary's REDO stream."""
 
-    def __init__(
-        self,
-        env: Environment,
-        primary,
-        buffer_pool_bytes: int = 16 * 1024 * 1024,
-        cores: int = 8,
-        use_ebp: bool = True,
-    ):
+    def __init__(self, env: Environment, primary, cores: int = 8):
         self.env = env
         self.primary = primary
-        self.ebp: Optional[ExtendedBufferPool] = (
-            primary.ebp if use_ebp else None
-        )
         self.cpu = CpuPool(env, cores=cores)
         self.catalog = Catalog()
         # Standby-local page images, applied from the REDO stream.
         self.pages: Dict[PageId, Page] = {}
         self.records_applied = 0
-        self.buffer_pool = BufferPool(buffer_pool_bytes,
-                                      page_size=primary.config.page_size)
         #: Lifecycle, ``alive``/``epoch`` and the poll cadences live here;
         #: readers snapshot ``epoch`` to discard a result a crash straddled.
         self.applier = RedoApplier(
@@ -117,7 +106,6 @@ class StandbyReplica:
 
     def reset(self) -> None:
         self.pages.clear()
-        self.buffer_pool.clear()
         for table in self.catalog.tables():
             table.clear_indexes()
             table.free_hints.clear()
@@ -141,7 +129,6 @@ class StandbyReplica:
     def apply(self, batch: List[RedoRecord]) -> int:
         self.records_applied += len(batch)
         pages = self.pages
-        drop = self.buffer_pool.drop
         for record in batch:
             if record.is_marker:
                 continue
@@ -189,8 +176,6 @@ class StandbyReplica:
                 # Keep page bookkeeping live so standby SQL sequential
                 # scans see the same page set the primary does.
                 table.note_page(page_id.page_no, page.free_bytes)
-            # Our page image supersedes any buffer-pool copy.
-            drop(page_id)
         return len(batch)
 
     @staticmethod
@@ -216,45 +201,30 @@ class StandbyReplica:
     # Read path (the DBEngine read subset, standby-flavoured)
     # ------------------------------------------------------------------
     def fetch_page(self, page_id: PageId):
-        """Generator: local image -> BP -> shared EBP -> PageStore.
+        """Generator: the replica's own image of ``page_id``.
 
-        The PageStore leg is the primary's :meth:`DBEngine.read_page`,
-        the same path the primary's own misses take: an EBP miss caused
-        by an AStore server death costs the standby one PageStore read,
-        with replica failover and gossip fill, not a failed read.
+        Raises :class:`StorageError` when the image is missing, which on
+        a started replica means a crash cleared ``pages`` under this read.
         """
-        local = self.pages.get(page_id)
-        if local is not None:
-            yield from self.cpu.consume(1 * US)
-            return local
-        page = self.buffer_pool.get(page_id)
-        if page is not None:
-            return page
-        if self.ebp is not None:
-            page = yield from self.ebp.get_page(page_id, 0)
+        page = self.pages.get(page_id)
         if page is None:
-            page = yield from self.primary.read_page(
-                page_id, self.primary.page_versions.get(page_id, 0))
-        self.buffer_pool.put(page)
+            raise StorageError("standby has no image of %s" % (page_id,))
+        yield from self.cpu.consume(1 * US)
         return page
 
     def peek_page(self, page_id: PageId):
-        """Synchronous probe of the local image / buffer pool.
+        """Synchronous probe of the local image.
 
         Returns ``(page, extra_cpu)`` when the page is resident -
         ``extra_cpu`` is the CPU charge :meth:`fetch_page` would have
-        made for that tier - else None.  Point-read paths use this to
-        coalesce the page charge into their statement charge (one
-        ``consume`` per statement instead of two); callers must charge
-        ``extra_cpu`` themselves.
+        made - else None.  Point-read paths use this to coalesce the page
+        charge into their statement charge (one ``consume`` per statement
+        instead of two); callers must charge ``extra_cpu`` themselves.
         """
-        local = self.pages.get(page_id)
-        if local is not None:
-            return local, 1 * US
-        page = self.buffer_pool.get(page_id)
-        if page is not None:
-            return page, 0.0
-        return None
+        page = self.pages.get(page_id)
+        if page is None:
+            return None
+        return page, 1 * US
 
     def read_row(self, table_name: str, key: Tuple[Any, ...]):
         """Generator: snapshot point read at the standby's applied LSN."""

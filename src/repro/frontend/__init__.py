@@ -2,7 +2,7 @@
 
 The paper stops at the storage/engine boundary; this package adds the
 serving path its future-work section gestures at ("stand-by instances
-that serve read-only queries" from the shared EBP):
+that serve read-only queries"; here each one is a full page copy):
 
 - :mod:`repro.frontend.fleet` - a :class:`ReplicaFleet` of
   :class:`repro.engine.standby.StandbyReplica` instances with health

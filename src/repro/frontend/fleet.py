@@ -59,8 +59,6 @@ class ReplicaFleet:
         primary,
         count: int,
         policy: RoutingPolicy,
-        use_ebp: bool = True,
-        buffer_pool_bytes: int = 16 * 1024 * 1024,
         cores: int = 8,
         apply_intervals: Optional[Sequence[float]] = None,
     ):
@@ -80,15 +78,7 @@ class ReplicaFleet:
         self.primary = primary
         self.policy = policy
         self.handles: List[ReplicaHandle] = [
-            ReplicaHandle(
-                index,
-                StandbyReplica(
-                    env, primary,
-                    buffer_pool_bytes=buffer_pool_bytes,
-                    cores=cores,
-                    use_ebp=use_ebp,
-                ),
-            )
+            ReplicaHandle(index, StandbyReplica(env, primary, cores=cores))
             for index in range(count)
         ]
         for handle, interval in zip(self.handles, apply_intervals):

@@ -712,7 +712,6 @@ class Deployment:
                 stack.engine,
                 count=config.replicas,
                 policy=policy,
-                use_ebp=config.use_ebp,
                 cores=config.replica_cores,
                 apply_intervals=config.replica_apply_intervals,
             )
@@ -925,6 +924,7 @@ class Deployment:
                         "applied_lsn": h.replica.applied_lsn,
                         "lag_lsn": h.replica.lag_lsn,
                         "records_applied": h.replica.records_applied,
+                        "pages": len(h.replica.pages),
                         "reads_served": h.reads_served,
                         "crashes": h.replica.applier.crashes,
                         "recoveries": h.replica.applier.recoveries,

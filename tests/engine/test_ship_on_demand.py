@@ -87,6 +87,42 @@ def test_ebp_eviction_workload_demands_ships_for_its_reads():
     assert dep.registry.value("engine.ship_demand") == engine.ship_demand
 
 
+def test_ebp_miss_after_astore_death_reads_pagestore():
+    # Every AStore server dead and the page out of the buffer pool: the
+    # EBP read fails and the fetch rides PageStore instead - demanding
+    # the page's REDO shipped, which nothing else has asked for yet.
+    dep = Deployment(DeploymentSpec.astore_ebp(
+        seed=19, engine=EngineConfig(buffer_pool_bytes=8 * 16 * KB)))
+    dep.start()
+    engine = dep.engine
+    table = engine.create_table(
+        "kv", Schema([Column("k", INT()), Column("v", VARCHAR(40))]), ["k"])
+
+    def load(env):
+        txn = engine.begin()
+        for key in range(40):
+            yield from engine.insert(txn, "kv", [key, "v%d" % key])
+        yield from engine.commit(txn)
+        yield env.timeout(0.2)
+
+    run(dep, load(dep.env))
+    engine.buffer_pool.clear()
+    for server in dep.astore.servers.values():
+        server.crash()
+    page_reads = dep.pagestore.page_reads
+    fetches = dep.registry.value("engine.page_fetch.pagestore_read")
+    page_no, slot = table.lookup((11,))
+
+    def read(env):
+        page = yield from engine.fetch_page(table.page_id(page_no))
+        return table.schema.decode(page.get(slot))
+
+    assert run(dep, read(dep.env)) == [11, "v11"]
+    assert dep.pagestore.page_reads > page_reads
+    assert dep.registry.value("engine.page_fetch.pagestore_read") > fetches
+    assert engine.ship_demand["read"] >= 1
+
+
 def test_a_failed_ship_keeps_its_bytes_and_ships_when_full():
     # Two of three PageStore servers down: the byte-cap ship misses its
     # quorum.  The batch goes back on the queue with its bytes, so once

@@ -3,9 +3,8 @@
 import pytest
 
 from repro import Deployment, DeploymentSpec
-from repro.common import KB, MB
+from repro.common import StorageError
 from repro.engine.codec import INT, VARCHAR, Column, Schema
-from repro.engine.dbengine import EngineConfig
 from repro.engine.standby import StandbyReplica
 
 
@@ -179,50 +178,6 @@ def test_standby_lag_is_visible_and_shrinks():
     assert lag_after == 0  # caught up
 
 
-def test_standby_reads_use_shared_ebp():
-    dep = build(
-        engine=EngineConfig(buffer_pool_bytes=8 * 16 * KB),
-        ebp_capacity_bytes=32 * MB,
-    )
-    engine = dep.engine
-    # Load wide rows through the primary WITHOUT a standby subscribed, so
-    # the standby later has no local page images and must hit EBP.
-    wide = engine.create_table(
-        "wide",
-        Schema([Column("k", INT()), Column("pad", VARCHAR(2100))]),
-        ["k"],
-    )
-
-    def load(env):
-        for chunk in range(0, 120, 40):
-            txn = engine.begin()
-            for i in range(chunk, chunk + 40):
-                yield from engine.insert(txn, "wide", [i, "p" * 2048])
-            yield from engine.commit(txn)
-        yield env.timeout(0.2)
-
-    run(dep, load(dep.env))
-    assert len(dep.ebp.index) > 0
-    standby = StandbyReplica(dep.env, engine, use_ebp=True)
-    # Not started: no REDO subscription, so pages must come from EBP/PS.
-    hits_before = dep.ebp.hits
-
-    def read(env):
-        table = standby.catalog.table("wide")
-        # The standby has no indexes (never subscribed): read via primary
-        # locator but through the standby's page path.
-        primary_table = engine.catalog.table("wide")
-        locator = primary_table.lookup((5,))
-        page = yield from standby.fetch_page(
-            primary_table.page_id(locator[0])
-        )
-        return page.get(locator[1])
-
-    raw = run(dep, read(dep.env))
-    assert raw is not None
-    assert dep.ebp.hits >= hits_before  # EBP served (or PageStore fallback)
-
-
 def test_standby_works_on_stock_deployment_too():
     dep = build(kind="stock")
     standby = make_standby(dep)
@@ -238,42 +193,95 @@ def test_standby_works_on_stock_deployment_too():
     assert run(dep, work(dep.env)) == [7, 1, "ssd-path"]
 
 
-def test_standby_ebp_miss_after_astore_death_falls_back_to_pagestore():
-    # Satellite of the serving layer: when AStore dies, a standby EBP
-    # miss must ride the primary's PageStore read path instead of
-    # failing the read - demanding the page's REDO shipped, which
-    # nothing else has asked for yet.
-    dep = build(engine=EngineConfig(buffer_pool_bytes=8 * 16 * KB))
+def load_wide(dep, rows):
+    """Create ``wide`` (seven rows a page, indexed by tag) and commit
+    ``rows`` rows into it."""
     engine = dep.engine
+    table = engine.create_table(
+        "wide",
+        Schema([Column("k", INT()), Column("tag", INT()),
+                Column("pad", VARCHAR(2100))]),
+        ["k"],
+    )
+    table.add_secondary_index("by_tag", ["tag"])
 
     def load(env):
         txn = engine.begin()
-        for i in range(40):
-            yield from engine.insert(txn, "kv", [i, 0, "v%d" % i])
+        for i in range(rows):
+            yield from engine.insert(txn, "wide", [i, i % 5, "p" * 2048])
         yield from engine.commit(txn)
-        yield env.timeout(0.2)
+        yield env.timeout(0.05)
 
     run(dep, load(dep.env))
-    # Fresh standby with NO local pages and no subscription: every read
-    # must fetch pages remotely.
-    standby = StandbyReplica(dep.env, engine, use_ebp=True,
-                             buffer_pool_bytes=64 * KB)
-    for server in dep.astore.servers.values():
-        server.crash()
-    reads_before = dep.pagestore.page_reads
+    return table
 
-    def read(env):
-        primary_table = engine.catalog.table("kv")
-        locator = primary_table.lookup((11,))
-        page = yield from standby.fetch_page(
-            primary_table.page_id(locator[0])
-        )
-        return primary_table.schema.decode(page.get(locator[1]))
 
-    row = run(dep, read(dep.env))
-    assert row == [11, 0, "v11"]
-    assert dep.pagestore.page_reads > reads_before
-    assert engine.ship_demand["read"] == 1
+def test_crash_mid_read_never_leaves_the_replica():
+    # A crash clears the page images under an in-flight read; the read
+    # fails (the proxy reroutes it) instead of fetching an image at the
+    # primary's version from the shared EBP or PageStore.
+    dep = build()
+    standby = make_standby(dep)
+    table = load_wide(dep, 40)
+    page_id = table.page_id(table.page_nos[-1])
+    assert len(table.page_nos) > 1 and page_id in standby.pages
+    standby.applier.crash()
+    ebp_probes = dep.ebp.hits + dep.ebp.misses
+    page_reads = dep.pagestore.page_reads
+    with pytest.raises(StorageError):
+        run(dep, standby.fetch_page(page_id))
+    assert dep.ebp.hits + dep.ebp.misses == ebp_probes
+    assert dep.pagestore.page_reads == page_reads
+
+
+def test_standby_is_a_full_copy_of_the_primary():
+    # The feed and the catch-up scan between them hold every page of
+    # every table, so a started replica reads only its own images.
+    dep = build()
+    standby = make_standby(dep)
+    engine = dep.engine
+    load_wide(dep, 60)
+
+    def churn(env, keys, tag):
+        txn = engine.begin()
+        for k in keys:
+            if k % 3 == 0:
+                yield from engine.delete(txn, "wide", (k,))
+            elif k % 3 == 1:
+                yield from engine.update(txn, "wide", (k,), {"tag": tag})
+            else:
+                yield from engine.update(txn, "wide", (k,), {"pad": "q" * 1500})
+        yield from engine.commit(txn)
+        yield env.timeout(0.05)
+
+    def grow(env, keys):
+        txn = engine.begin()
+        for k in keys:
+            yield from engine.insert(txn, "wide", [k, k % 5, "n" * 2048])
+        yield from engine.commit(txn)
+        yield env.timeout(0.05)
+
+    run(dep, churn(dep.env, range(0, 30), 7))
+    standby.applier.crash()
+    run(dep, standby.applier.recover())
+    run(dep, grow(dep.env, range(60, 80)))
+    run(dep, churn(dep.env, range(30, 70), 8))
+    assert standby.lag_lsn == 0
+
+    assert set(standby.pages) == {
+        t.page_id(n) for t in engine.catalog.tables() for n in t.page_nos
+    }
+
+    def compare(env):
+        keys = [key for key, _ in engine.catalog.table("wide").pk_index.items()]
+        for key in keys:
+            primary_row = yield from engine.read_row(None, "wide", key)
+            assert (yield from standby.read_row("wide", key)) == primary_row
+        return len(keys)
+
+    assert run(dep, compare(dep.env)) == standby.catalog.table("wide").row_count
+    tagged = standby.catalog.table("wide").lookup_secondary("by_tag", (7,))
+    assert sorted(k[-1] for k, _ in tagged) == list(range(1, 30, 3))
 
 
 def test_standby_crash_loses_state_and_recover_rebuilds():

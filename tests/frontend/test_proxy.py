@@ -136,11 +136,13 @@ def test_replica_gauges_in_stats_snapshot():
     replicas = snap["frontend"]["replicas"]
     assert set(replicas) == {"replica-0", "replica-1"}
     tail = dep.engine.log.persistent_lsn
+    pages = sum(len(t.page_nos) for t in dep.engine.catalog.tables())
     for state in replicas.values():
         assert state["alive"] is True
         assert state["applied_lsn"] == tail > 0
         assert state["lag_lsn"] == 0
         assert "records_applied" in state
+        assert state["pages"] == pages > 0
         # Started at zero lag: live on the feed, never scanned.
         assert state["rescans"] == 0
         assert set(state["rescan_causes"]) == {

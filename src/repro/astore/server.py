@@ -30,6 +30,7 @@ from ..common import (
     SegmentNotFoundError,
     StaleRouteError,
     StorageError,
+    slotted,
 )
 from ..obs import obs_of
 from ..sim.core import Environment
@@ -74,6 +75,7 @@ class SegmentBitmap:
         self._bits[index] = False
 
 
+@slotted
 @dataclass
 class _Entry:
     """One appended record inside a segment."""

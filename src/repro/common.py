@@ -64,8 +64,8 @@ class PageId(NamedTuple):
 def slotted(cls):
     """Rebuild a dataclass with ``__slots__`` for its fields and no
     ``__dict__``: ``@dataclass(slots=True)`` on Pythons that lack it.  Use
-    it on classes the engine creates in bulk (a REDO record and its page
-    op), where a per-instance dict is most of the memory."""
+    it on classes created in bulk (a REDO record and its page op, an
+    AStore entry), where a per-instance dict is most of the memory."""
     names = tuple(f.name for f in fields(cls))
     body = {key: value for key, value in cls.__dict__.items()
             if key not in names and key not in ("__dict__", "__weakref__")}

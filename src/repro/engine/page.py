@@ -8,7 +8,11 @@ buffer-pool copy) and by PageStore (replaying the log).  The test suite
 checks that property directly.
 
 Rows are stored encoded (see :mod:`repro.engine.codec`); a page tracks real
-byte occupancy so fill factors and working-set sizes are honest.
+byte occupancy so fill factors and working-set sizes are honest.  A page's
+rows live in a slot array - a list indexed by slot, None where a slot was
+freed - because each page image is held four to six times over (buffer pool
+or EBP clone, three PageStore replicas, each standby's copy): a list costs
+~9 B a slot where a slot -> row dict cost ~45 B.
 
 A page image also remembers the columns scans have decoded from it
 (:attr:`Page.decoded`, filled by :meth:`Schema.decode_page_into
@@ -21,7 +25,7 @@ its next scan starts a fresh memo.  Nothing on the write path touches it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, ItemsView, List, Optional, Tuple, ValuesView
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..common import PAGE_SIZE, PageId, ReproError, slotted
 
@@ -60,6 +64,8 @@ class PageOp:
     def __post_init__(self):
         if self.kind not in self.VALID_KINDS:
             raise ValueError("unknown page op kind %r" % self.kind)
+        if self.slot < 0:
+            raise ValueError("negative slot %d" % self.slot)
         if self.row is None:
             if self.kind in ("insert", "update"):
                 raise ValueError("%s op requires row bytes" % self.kind)
@@ -71,9 +77,12 @@ class PageOp:
 class Page:
     """A slotted page holding encoded rows.
 
-    Slots are small integers assigned by the page; deleting a slot frees
-    its bytes.  ``page_lsn`` records the LSN of the last applied mutation,
-    which is what the EBP index and PageStore use for staleness checks.
+    ``_rows`` is the slot array: the row at index ``slot``, None for a freed
+    slot, and ``len(_rows)`` the next slot an insert takes.  Slots are
+    therefore in slot order by construction; deleting a slot frees its
+    bytes and leaves None behind (the undo of a delete refills it).
+    ``page_lsn`` records the LSN of the last applied mutation, which is
+    what the EBP index and PageStore use for staleness checks.
 
     ``decoded`` is the image's decoded-column memo, ``(page_lsn, schema,
     {position: values})``, or None.  :meth:`clone` shares it by reference:
@@ -82,6 +91,9 @@ class Page:
     of them is mutated (its ``page_lsn`` then no longer matches the stamp).
     """
 
+    __slots__ = ("page_id", "size", "page_lsn", "decoded", "_rows", "_live",
+                 "_used")
+
     def __init__(self, page_id: PageId, size: int = PAGE_SIZE):
         if size <= PAGE_HEADER_BYTES:
             raise ValueError("page size too small")
@@ -89,11 +101,9 @@ class Page:
         self.size = size
         self.page_lsn = 0
         self.decoded: Optional[Tuple[int, Any, Dict[int, List[Any]]]] = None
-        #: slot -> row.  Kept in slot order (see :meth:`_insert`), so a
-        #: scan iterates it as it is instead of sorting the slots.
-        self._rows: Dict[int, bytes] = {}
-        self._slot_ordered = True
-        self._next_slot = 0
+        self._rows: List[Optional[bytes]] = []
+        #: Slots of ``_rows`` holding a row (not None).
+        self._live = 0
         self._used = PAGE_HEADER_BYTES
 
     # -- occupancy ----------------------------------------------------------
@@ -107,7 +117,7 @@ class Page:
 
     @property
     def row_count(self) -> int:
-        return len(self._rows)
+        return self._live
 
     def fits(self, row: bytes) -> bool:
         return len(row) + SLOT_OVERHEAD <= self.size - self._used
@@ -115,68 +125,77 @@ class Page:
     # -- row access -----------------------------------------------------------
     def get(self, slot: int) -> bytes:
         try:
-            return self._rows[slot]
-        except KeyError:
+            row = self._rows[slot]
+        except IndexError:
+            row = None
+        # A negative slot is no slot: the list would alias one from its end.
+        if row is None or slot < 0:
             raise KeyError("page %s has no slot %d" % (self.page_id, slot))
+        return row
 
-    def _in_slot_order(self) -> Dict[int, bytes]:
-        if not self._slot_ordered:
-            self._rows = dict(sorted(self._rows.items()))
-            self._slot_ordered = True
-        return self._rows
+    def slots(self) -> Iterator[Tuple[int, bytes]]:
+        """``(slot, row)`` pairs of the live slots, in slot order.  Do not
+        mutate the page while iterating it."""
+        return ((slot, row) for slot, row in enumerate(self._rows)
+                if row is not None)
 
-    def slots(self) -> ItemsView[int, bytes]:
-        """``(slot, row)`` pairs in slot order.  A view: do not mutate the
-        page while iterating it."""
-        return self._in_slot_order().items()
+    def rows(self) -> List[bytes]:
+        """The live rows in slot order: the slot array itself when no slot
+        is freed (read it, never mutate it), else a fresh list."""
+        rows = self._rows
+        if self._live == len(rows):
+            return rows  # type: ignore[return-value]
+        return [row for row in rows if row is not None]
 
-    def rows(self) -> ValuesView[bytes]:
-        """The live rows in slot order (a view, like :meth:`slots`)."""
-        return self._in_slot_order().values()
-
-    # -- mutations (used only through apply_op) -------------------------------
+    # -- mutations (used only through apply_op; PageOp refuses slot < 0) ------
     def _insert(self, slot: int, row: bytes) -> None:
-        if slot in self._rows:
+        rows = self._rows
+        end = len(rows)
+        if slot < end and rows[slot] is not None:
             raise ReproError("slot %d already occupied" % slot)
         need = len(row) + SLOT_OVERHEAD
         if need > self.size - self._used:
             raise PageFullError(
                 "row of %d bytes does not fit (%d free)" % (len(row), self.free_bytes)
             )
-        self._rows[slot] = row
-        self._used += need
-        if slot >= self._next_slot:
-            self._next_slot = slot + 1
+        if slot == end:
+            rows.append(row)
+        elif slot < end:
+            rows[slot] = row  # a freed slot refilled (undo of a delete)
         else:
-            # A freed slot refilled (undo of a delete): the dict's
-            # insertion order is no longer slot order until re-sorted.
-            self._slot_ordered = False
+            rows.extend([None] * (slot - end))
+            rows.append(row)
+        self._live += 1
+        self._used += need
 
     def _update(self, slot: int, row: bytes) -> None:
-        old = self._rows.get(slot)
+        rows = self._rows
+        old = rows[slot] if slot < len(rows) else None
         if old is None:
             raise ReproError("update of empty slot %d" % slot)
         delta = len(row) - len(old)
         if delta > self.size - self._used:
             raise PageFullError("updated row does not fit")
-        self._rows[slot] = row
+        rows[slot] = row
         self._used += delta
 
     def _delete(self, slot: int) -> None:
-        old = self._rows.pop(slot, None)
+        rows = self._rows
+        old = rows[slot] if slot < len(rows) else None
         if old is None:
             raise ReproError("delete of empty slot %d" % slot)
+        rows[slot] = None
+        self._live -= 1
         self._used -= len(old) + SLOT_OVERHEAD
 
     def _format(self) -> None:
-        self._rows.clear()
-        self._slot_ordered = True
-        self._next_slot = 0
+        self._rows = []
+        self._live = 0
         self._used = PAGE_HEADER_BYTES
 
     def allocate_slot(self) -> int:
         """Next slot an insert would use (engine-side helper)."""
-        return self._next_slot
+        return len(self._rows)
 
     # -- copying ---------------------------------------------------------------
     def clone(self) -> "Page":
@@ -185,17 +204,19 @@ class Page:
         other = Page(self.page_id, self.size)
         other.page_lsn = self.page_lsn
         other.decoded = self.decoded
-        other._rows = dict(self._rows)
-        other._slot_ordered = self._slot_ordered
-        other._next_slot = self._next_slot
+        other._rows = self._rows[:]
+        other._live = self._live
         other._used = self._used
         return other
 
     def same_content(self, other: "Page") -> bool:
+        """Same page, same ``page_lsn`` and the same live ``(slot, row)``
+        pairs - a trailing freed slot on one side does not count."""
         return (
             self.page_id == other.page_id
             and self.page_lsn == other.page_lsn
-            and self._rows == other._rows
+            and self._live == other._live
+            and list(self.slots()) == list(other.slots())
         )
 
     def __repr__(self) -> str:

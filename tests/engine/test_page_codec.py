@@ -216,9 +216,9 @@ def test_clone_is_deep():
 
 
 def test_rows_come_in_slot_order_after_a_freed_slot_is_refilled():
-    """Scans iterate the slot dict as it is; refilling a freed slot (the
-    undo of a delete) appends to the dict out of slot order, and the next
-    scan must still see slot order - on the page and on its clones."""
+    """Refilling a freed slot (the undo of a delete) puts the row back in
+    its place in the slot array: scans see slot order - on the page and on
+    its clones - and the next append takes the slot after the last."""
     page = make_page()
     for slot in range(4):
         apply_op(page, PageOp("insert", slot=slot, row=b"r%d" % slot), lsn=slot + 1)

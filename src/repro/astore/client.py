@@ -324,8 +324,9 @@ class AStoreClient:
             raise StorageError("segment %d is not open" % segment_id)
         return meta
 
-    def write(self, segment_id: int, length: int, payload: Any, latch=None):
-        """Generator: append ``payload`` to the segment on every replica.
+    def write(self, segment_id: int, length: int, payload: Any,
+              offset: Optional[int] = None):
+        """Generator: write ``payload`` to the segment on every replica.
 
         Replica writes are issued in parallel (the client posts to each
         server's NIC) and carry the cached route epoch, so replicas fence
@@ -336,19 +337,26 @@ class AStoreClient:
         :class:`SegmentFrozenError` - the caller reacts by opening a
         fresh segment (paper Section IV-B).
 
-        An append takes its offset from the tail it finds, so a segment
-        with several concurrent appenders passes their shared ``latch``
-        (a capacity-1 :class:`~repro.sim.resources.Resource`): the SDK
-        overhead of the appends still overlaps, only their wire portions
-        are ordered.  A single appender (SegmentRing) passes none and pays
-        nothing.
+        With no ``offset`` the write is an append: it lands on the tail
+        it finds, so it suits a segment with one appender (SegmentRing).
+        Several concurrent writers into one segment each reserve their
+        own slot and pass its ``offset``: the write is one-sided at that
+        offset, nothing orders it against the others, and the servers
+        refuse it if the slot was written since the segment's last reset
+        or a reset lands while it is in flight.
 
         Returns (offset, length).
         """
         self._require_lease()
         meta = self._meta(segment_id)
-        if length > meta.free_space:
-            raise StorageError("segment %d full" % segment_id)
+        if offset is None:
+            if length > meta.free_space:
+                raise StorageError("segment %d full" % segment_id)
+        elif offset < 0 or offset + length > meta.route.size:
+            raise StorageError(
+                "write (%d, %d) past the end of segment %d"
+                % (offset, length, segment_id)
+            )
         start = self.env.now
         tracer = self.obs.tracer
         span = (
@@ -364,23 +372,17 @@ class AStoreClient:
             else None
         )
         policy = self.retry_policy
-        latched = False
-        grant = None
+        positional = offset is not None
         try:
             yield self.env.timeout(
                 self.rng.lognormal_around(
                     SDK_WRITE_BASE + SDK_WRITE_PER_BYTE * length, 0.20
                 )
             )
-            if latch is not None:
-                grant = latch.acquire()
-                latched = True
-                if grant is not None:
-                    yield grant
             for attempt in range(policy.max_attempts):
                 if meta.frozen:
                     raise SegmentFrozenError("segment %d frozen" % segment_id)
-                offset = meta.written
+                at = offset if positional else meta.written
                 for server_id in meta.route.replicas:
                     server = self.servers.get(server_id)
                     if server is None or not server.reachable_from(self.client_id):
@@ -392,7 +394,7 @@ class AStoreClient:
                         )
                 try:
                     yield self._replica_fanout_write(
-                        meta, segment_id, offset, length, payload
+                        meta, segment_id, at, length, payload, positional
                     )
                 except StaleRouteError:
                     # Fenced: the CM rebuilt this segment since we cached
@@ -426,18 +428,18 @@ class AStoreClient:
                         "replica write failed; segment %d frozen at %d"
                         % (segment_id, meta.written)
                     )
-                meta.written = offset + length
+                if meta.written < at + length:
+                    meta.written = at + length
                 self.writes += 1
                 self._lat_write.record(self.env.now - start)
-                return (offset, length)
+                return (at, length)
         finally:
-            if latched:
-                latch.release(grant)
             if span is not None:
                 span.finish()
 
     def _replica_fanout_write(self, meta: ClientSegmentMeta, segment_id: int,
-                              offset: int, length: int, payload: Any):
+                              offset: int, length: int, payload: Any,
+                              positional: bool = False):
         """One parallel replica fan-out under the per-op deadline: an event
         that fires once every replica acknowledged."""
         servers = self.servers
@@ -446,7 +448,8 @@ class AStoreClient:
             self.env,
             [
                 servers[server_id].one_sided_write(
-                    segment_id, offset, length, payload, epoch=epoch
+                    segment_id, offset, length, payload, epoch=epoch,
+                    positional=positional,
                 )
                 for server_id in meta.route.replicas
             ],

@@ -92,6 +92,8 @@ class ServerSegment:
     ``entries`` maps append offset to the stored record.  AStore's external
     interface is append-only over (offset, length) pairs - reads must address
     a previously written entry exactly, matching the paper's read API.
+    ``write_offset`` is the end of the furthest entry; positional writes
+    may leave unwritten holes below it.  ``generation`` counts the resets.
     """
 
     segment_id: int
@@ -99,6 +101,7 @@ class ServerSegment:
     size: int
     epoch: int
     write_offset: int = 0
+    generation: int = 0
     frozen: bool = False
     stale: bool = False
     entries: Dict[int, _Entry] = field(default_factory=dict)
@@ -284,9 +287,29 @@ class AStoreServer:
                 "non-append write at %d (tail is %d)" % (offset, segment.write_offset)
             )
 
+    @staticmethod
+    def _check_slot(segment: ServerSegment, offset: int,
+                    generation: int) -> None:
+        """The positional contract: unfrozen, the same generation the write
+        was issued in, and nothing written at ``offset`` since the last
+        reset."""
+        if segment.frozen:
+            raise StorageError("segment %d is frozen" % segment.segment_id)
+        if segment.generation != generation:
+            raise StorageError(
+                "segment %d was reset under a write at %d"
+                % (segment.segment_id, offset)
+            )
+        if offset in segment.entries:
+            raise StorageError(
+                "slot %d of segment %d already written"
+                % (offset, segment.segment_id)
+            )
+
     def one_sided_write(self, segment_id: int, offset: int, length: int,
-                        payload: Any, epoch: Optional[int] = None):
-        """Generator: client-driven persistent append via chained verbs.
+                        payload: Any, epoch: Optional[int] = None,
+                        positional: bool = False):
+        """Generator: client-driven persistent write via chained verbs.
 
         Charges RDMA chain latency plus PMem media time; consumes zero
         server CPU.  Returns the (offset, length) the data landed at.
@@ -295,6 +318,11 @@ class AStoreServer:
         an epoch older than the replica's is fenced with
         :class:`StaleRouteError` (the CM rebuilt the segment since the
         client cached its route).
+
+        An append (the default) must land on the tail.  A ``positional``
+        write lands on a slot the client reserved itself: it must fit the
+        segment, find the segment unfrozen and the slot unwritten, and no
+        :meth:`reset_segment` may fall between its issue and its landing.
         """
         segment = self._segment_for_io(segment_id)
         if epoch is not None and epoch < segment.epoch:
@@ -302,8 +330,12 @@ class AStoreServer:
                 "segment %d write fenced: route epoch %d < replica epoch %d"
                 % (segment_id, epoch, segment.epoch)
             )
-        self._check_append(segment, offset)
-        if offset + length > segment.size:
+        generation = segment.generation
+        if positional:
+            self._check_slot(segment, offset, generation)
+        else:
+            self._check_append(segment, offset)
+        if offset < 0 or offset + length > segment.size:
             raise CapacityError("segment %d overflow" % segment_id)
         tracer = self.obs.tracer
         if tracer.enabled:
@@ -317,12 +349,17 @@ class AStoreServer:
             yield from self.fabric.persistent_write(length)
             yield from self.pmem.write(length)
         # Re-validate when the write lands: the segment may have been
-        # cleaned, frozen, or appended to by a racing writer while this one
-        # was in flight - two appends to one offset never both succeed.
+        # cleaned, frozen, reset, or written at this offset by a racing
+        # writer while this one was in flight - two writes to one offset
+        # never both succeed.
         segment = self._segment_for_io(segment_id)
-        self._check_append(segment, offset)
+        if positional:
+            self._check_slot(segment, offset, generation)
+        else:
+            self._check_append(segment, offset)
         segment.entries[offset] = _Entry(offset, length, payload)
-        segment.write_offset = offset + length
+        if segment.write_offset < offset + length:
+            segment.write_offset = offset + length
         return (offset, length)
 
     def one_sided_read(self, segment_id: int, offset: int, length: int):
@@ -381,6 +418,7 @@ class AStoreServer:
         segment.entries.clear()
         segment.write_offset = 0
         segment.frozen = False
+        segment.generation += 1
 
     # ------------------------------------------------------------------
     # EBP recovery support (RPC; consumes server CPU)

@@ -176,6 +176,8 @@ class DBEngine:
             on_evict=self._on_evict,
             can_evict=self._wal_allows_evict,
         )
+        if ebp is not None:
+            ebp.resident = self.buffer_pool.__contains__
         #: Authoritative latest LSN per page written by this engine.
         self.page_versions: Dict[PageId, int] = {}
         #: Durable page ops not yet shipped, the durable tail (markers

@@ -13,20 +13,27 @@ Implemented behaviours, each with its paper anchor:
 - **Capacity policies**: ``flat`` (one shared space) vs ``priority``
   (spaces carry priorities; high-priority pages may occupy any same-or-
   lower-priority room, and victims are taken lowest-priority-first).
-- **Ordered concurrent appends**: the engine's writer pool appends in
+- **Positional concurrent appends**: the engine's writer pool appends in
   parallel.  Each writer reserves its page slot in the area's append
   segment up front (a full segment rolls to the next one, it is never
-  frozen), the ~58 us SDK overhead of the appends overlaps, and only their
-  wire portions are ordered by a per-segment latch, so every append lands
-  on its own offset.
+  frozen) and writes one-sided at that offset: nothing orders the writes
+  against each other, and the AStore server refuses one whose slot was
+  already written or whose segment was reset under it.
+- **Only pages that can hit hold space**: a copy older than a DRAM write
+  of its page can never be served, so it becomes garbage the moment the
+  engine modifies the page (``dropped_dead``), not at its stale hit.
 - **Background cleaner**: no writer ever issues a control-plane RPC.  One
   cleaner process keeps an empty segment ready: it grows the pool up to
   ``max_segments`` (CM create, milliseconds) and from then on picks a
-  victim - lowest priority area, then most garbage - copies its live pages
-  forward when its garbage ratio reaches ``compaction_threshold``
-  (*compaction*) or drops them otherwise, and recycles it in place with
-  one server reset RPC.  Writers that find no room park until the cleaner
-  wakes them, and fail only when the priority rule leaves no legal victim.
+  victim - lowest priority area, then most garbage - and recycles it in
+  place with one server reset RPC.  Copies of pages the DRAM buffer pool
+  holds (the engine's ``resident`` probe) duplicate DRAM, so they count
+  as garbage towards ``compaction_threshold``: at or above it the victim
+  is compacted - resident copies are dropped (``dropped_resident``; the
+  page is cached again when DRAM evicts it) and the others are copied
+  forward - and below it every live page is dropped.  Writers that find
+  no room park until the cleaner wakes them, and fail only when the
+  priority rule leaves no legal victim.
 - **Index lock contention**: index mutations serialise on a mutex whose
   hold time is charged in sim time - the cause of the diminishing returns
   at 256 clients in Fig. 13, and called out as future work in the paper.
@@ -38,7 +45,7 @@ Implemented behaviours, each with its paper anchor:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..common import PAGE_SIZE, US, PageId, StorageError
 from ..astore.client import AStoreClient
@@ -80,8 +87,7 @@ class _SegmentState:
     higher priority may fill it.
     """
 
-    def __init__(self, env: Environment, segment_id: int, size: int,
-                 priority: float = 0):
+    def __init__(self, segment_id: int, size: int, priority: float = 0):
         self.segment_id = segment_id
         self.size = size
         self.priority = priority
@@ -93,8 +99,6 @@ class _SegmentState:
         #: only at zero, waiting on ``unpinned`` until then.
         self.pins = 0
         self.unpinned: Optional[Event] = None
-        #: Orders the wire portion of concurrent appends.
-        self.append_latch = Resource(env)
 
     @property
     def garbage_ratio(self) -> float:
@@ -106,6 +110,10 @@ class _SegmentState:
         if not self.pins and self.unpinned is not None:
             self.unpinned.succeed()
             self.unpinned = None
+
+
+def _never(page_id: PageId) -> bool:
+    return False
 
 
 def describe_ebp_payload(payload: Any) -> Optional[Tuple[PageId, int]]:
@@ -155,6 +163,10 @@ class ExtendedBufferPool:
         #: (priority, wake event) of writers parked for room.
         self._parked: List[Tuple[int, Event]] = []
         self.index_mutex = Resource(env)
+        #: Residency probe of the DRAM buffer pool in front of this EBP
+        #: (the engine sets it): the cleaner drops rather than keeps
+        #: copies of pages it answers True for.
+        self.resident: Callable[[PageId], bool] = _never
         #: Latest LSN per page as modified in the engine's local BP; batched
         #: to AStore servers for post-crash staleness pruning.
         self._dirty_lsns: Dict[PageId, int] = {}
@@ -163,6 +175,10 @@ class ExtendedBufferPool:
         self.stale_hits = 0
         self.pages_written = 0
         self.evictions = 0
+        #: Copies dropped because a DRAM write made them dead, and because
+        #: DRAM held their page when the cleaner compacted their segment.
+        self.dropped_dead = 0
+        self.dropped_resident = 0
         self.compactions = 0
         self.segments_released = 0
         self.pages_purged = 0
@@ -210,7 +226,7 @@ class ExtendedBufferPool:
         again until the cleaner has recycled it)."""
         state = self._segments.get(segment_id)
         if state is None:
-            state = _SegmentState(self.env, segment_id, self.segment_size)
+            state = _SegmentState(segment_id, self.segment_size)
             self._segments[segment_id] = state
         return state
 
@@ -251,7 +267,7 @@ class ExtendedBufferPool:
         old = self.index.get(page_id)
         if old is not None and old.lsn >= page.page_lsn:
             return True  # already cached at this version or newer
-        while (segment := self._reserve_slot(priority)) is None:
+        while (slot := self._reserve_slot(priority)) is None:
             # No room without cleaning: park until the cleaner reports.
             self.cleaner_waits += 1
             room = self.env.event()
@@ -259,12 +275,12 @@ class ExtendedBufferPool:
             self._kick_cleaner()
             if not (yield room):
                 return False
+        segment, offset = slot
         try:
             payload = (EBP_PAGE_TAG, page_id, page.page_lsn, page.clone())
             try:
-                offset, length = yield from self.client.write(
-                    segment.segment_id, self.page_size, payload,
-                    latch=segment.append_latch,
+                _, length = yield from self.client.write(
+                    segment.segment_id, self.page_size, payload, offset
                 )
             except StorageError:
                 self.append_failures += 1
@@ -290,11 +306,13 @@ class ExtendedBufferPool:
         finally:
             segment.unpin()
 
-    def _reserve_slot(self, priority: int) -> Optional[_SegmentState]:
+    def _reserve_slot(self, priority: int
+                      ) -> Optional[Tuple[_SegmentState, int]]:
         """Pin this area's append segment with one page slot reserved.
 
         A full segment is retired and the area rolls onto a spare one.
-        Returns None when that takes cleaning first.
+        Returns (segment, slot offset), or None when that takes cleaning
+        first.
         """
         active = self._active.get(priority)
         if active is not None and active.reserved + self.page_size > active.size:
@@ -311,9 +329,10 @@ class ExtendedBufferPool:
             self._active[priority] = active
             if not self._spares:
                 self._kick_cleaner()
+        offset = active.reserved
         active.reserved += self.page_size
         active.pins += 1
-        return active
+        return active, offset
 
     def _retire(self, segment: _SegmentState) -> None:
         """Stop appending to ``segment``; it becomes a candidate victim."""
@@ -376,11 +395,19 @@ class ExtendedBufferPool:
     def note_page_modified(self, page_id: PageId, lsn: int) -> None:
         """Record that the engine modified a page that the EBP caches.
 
-        The (page_id, lsn) pairs are pushed to AStore servers in batches
-        so a post-crash index rebuild can prune stale copies.
+        A copy older than ``lsn`` can never be served again, so it leaves
+        the index as garbage now.  The (page_id, lsn) pairs are pushed to
+        AStore servers in batches so a post-crash index rebuild can prune
+        the copy all the same.
         """
-        if page_id in self.index:
-            self._dirty_lsns[page_id] = lsn
+        entry = self.index.get(page_id)
+        if entry is None:
+            return
+        self._dirty_lsns[page_id] = lsn
+        if entry.lsn < lsn:
+            del self.index[page_id]
+            self._mark_garbage(entry)
+            self.dropped_dead += 1
 
     def flush_dirty_lsns(self):
         """Generator: push the batched latest-LSN map to every server."""
@@ -455,9 +482,7 @@ class ExtendedBufferPool:
                 )
             except StorageError:
                 return False
-            spare = _SegmentState(
-                self.env, segment_id, self.segment_size, _UNOWNED
-            )
+            spare = _SegmentState(segment_id, self.segment_size, _UNOWNED)
             self._segments[segment_id] = spare
             self._spares.append(spare)
             return True
@@ -465,12 +490,22 @@ class ExtendedBufferPool:
         if victim is None:
             return False
         self._retire(victim)
-        if (
-            self.compaction_enabled
-            and victim.garbage_ratio >= self.compaction_threshold
-        ):
-            yield from self._copy_forward(victim)
-            self.compactions += 1
+        if self.compaction_enabled:
+            # Copies of DRAM-resident pages duplicate DRAM: count them
+            # with the garbage, and drop rather than copy them.
+            duplicates = [
+                (page_id, entry) for page_id, entry in self._entries_in(victim)
+                if self.resident(page_id)
+            ]
+            reclaimable = victim.garbage_bytes + sum(
+                entry.length for _, entry in duplicates)
+            total = victim.live_bytes + victim.garbage_bytes
+            if (reclaimable / total if total else 0.0) >= self.compaction_threshold:
+                for page_id, entry in duplicates:
+                    self._drop_entry(page_id, entry)
+                    self.dropped_resident += 1
+                yield from self._copy_forward(victim)
+                self.compactions += 1
         while True:
             # Appends still in flight index their page when they land, so
             # drop again once the last pin is gone.
@@ -519,16 +554,16 @@ class ExtendedBufferPool:
         for page_id, entry in self._entries_in(victim):
             if self.index.get(page_id) is not entry:
                 continue  # superseded while earlier pages were copied
-            target = self._reserve_slot(entry.priority)
-            if target is None:
+            slot = self._reserve_slot(entry.priority)
+            if slot is None:
                 return
+            target, offset = slot
             try:
                 payload = yield from self.client.read(
                     entry.segment_id, entry.offset, entry.length
                 )
-                offset, length = yield from self.client.write(
-                    target.segment_id, entry.length, payload,
-                    latch=target.append_latch,
+                _, length = yield from self.client.write(
+                    target.segment_id, entry.length, payload, offset
                 )
             except StorageError:
                 return

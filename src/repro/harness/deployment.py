@@ -870,6 +870,9 @@ class Deployment:
                       lambda: round(ebp.hit_ratio, 4))
             reg.gauge(prefix + "ebp.pages_written", lambda: ebp.pages_written)
             reg.gauge(prefix + "ebp.evictions", lambda: ebp.evictions)
+            reg.gauge(prefix + "ebp.dropped_dead", lambda: ebp.dropped_dead)
+            reg.gauge(prefix + "ebp.dropped_resident",
+                      lambda: ebp.dropped_resident)
             reg.gauge(prefix + "ebp.compactions", lambda: ebp.compactions)
             reg.gauge(prefix + "ebp.segments_released",
                       lambda: ebp.segments_released)

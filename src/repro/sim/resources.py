@@ -6,8 +6,8 @@ latches, and message queues.
 One waiter queue
 ----------------
 Every place a process queues behind a holder - a core, a device channel,
-the EBP append latch and index mutex, a row lock, an admission slot, a mux
-lane, a message - is a :class:`WaitQueue` of grant events.  A waiter
+the EBP index mutex, a row lock, an admission slot, a mux lane, a
+message - is a :class:`WaitQueue` of grant events.  A waiter
 *joins* (and yields on its pending grant); whoever lets go *passes on* to
 the oldest waiter, whose grant takes its sequence number right there; a
 waiter that gives up *leaves*.  :class:`Resource` is a slot count over one

@@ -255,6 +255,134 @@ def test_reset_segment_recycles_in_place():
     assert server.bitmap.used == 1
 
 
+# ---------------------------------------------------------------------------
+# Positional writes (concurrent appenders that reserved their own slots)
+# ---------------------------------------------------------------------------
+
+
+def positional(server, offset, payload, length=512):
+    return server.one_sided_write(1, offset, length, payload, positional=True)
+
+
+def test_positional_writes_land_in_any_order():
+    env, server = make_server()
+    server.allocate_segment(1, 1 * MB, epoch=1)
+
+    def do(env):
+        yield from positional(server, 512, "second slot")
+        yield from positional(server, 0, "first slot")
+        return (yield from server.scan_entries(1))
+
+    entries = run(env, do(env))
+    assert [(e[0], e[2]) for e in entries] == [
+        (0, "first slot"), (512, "second slot")]
+    assert server.segments[1].write_offset == 1024
+
+
+def test_positional_write_refused_on_a_written_slot():
+    env, server = make_server()
+    server.allocate_segment(1, 1 * MB, epoch=1)
+
+    def do(env):
+        yield from positional(server, 512, "a")
+        yield from positional(server, 512, "b")
+
+    with pytest.raises(StorageError, match="already written"):
+        run(env, do(env))
+    assert server.segments[1].entries[512].payload == "a"
+
+
+def test_racing_positional_writes_to_one_slot_only_one_lands():
+    env, server = make_server()
+    server.allocate_segment(1, 1 * MB, epoch=1)
+    outcomes = {}
+
+    def write(env, payload):
+        try:
+            yield from positional(server, 0, payload)
+        except StorageError as exc:
+            outcomes[payload] = str(exc)
+        else:
+            outcomes[payload] = "landed"
+
+    env.process(write(env, "a"))
+    env.process(write(env, "b"))
+    env.run()
+    winners = [p for p, outcome in outcomes.items() if outcome == "landed"]
+    assert len(winners) == 1
+    loser = "b" if winners == ["a"] else "a"
+    assert "already written" in outcomes[loser]
+    assert server.segments[1].entries[0].payload == winners[0]
+
+
+def test_positional_write_refused_past_the_end():
+    env, server = make_server()
+    server.allocate_segment(1, 1 * MB, epoch=1)
+
+    def do(env):
+        yield from positional(server, 1 * MB - 256, "straddles the end")
+
+    with pytest.raises(CapacityError):
+        run(env, do(env))
+    assert server.segments[1].entries == {}
+
+
+def test_positional_write_refused_on_a_frozen_segment():
+    env, server = make_server()
+    server.allocate_segment(1, 1 * MB, epoch=1)
+    server.segments[1].frozen = True
+
+    def do(env):
+        yield from positional(server, 0, "x")
+
+    with pytest.raises(StorageError, match="frozen"):
+        run(env, do(env))
+
+
+def test_positional_write_refused_when_a_reset_lands_under_it():
+    """A write issued before reset_segment must not land in the recycled
+    segment: the slot it reserved belongs to the old generation."""
+    env, server = make_server()
+    server.allocate_segment(1, 1 * MB, epoch=1)
+    outcome = []
+
+    def write(env):
+        try:
+            yield from positional(server, 0, "old generation")
+        except StorageError as exc:
+            outcome.append(str(exc))
+
+    def reset(env):
+        yield env.timeout(1e-6)  # the write is on the wire
+        server.reset_segment(1)
+
+    env.process(write(env))
+    env.process(reset(env))
+    env.run()
+    assert outcome and "reset" in outcome[0]
+    assert server.segments[1].entries == {}
+    assert server.segments[1].generation == 1
+
+    def rewrite(env):
+        return (yield from positional(server, 0, "new generation"))
+
+    assert run(env, rewrite(env)) == (0, 512)
+
+
+def test_scan_tolerates_a_reserved_slot_never_written():
+    env, server = make_server()
+    server.allocate_segment(1, 1 * MB, epoch=1)
+
+    def do(env):
+        yield from positional(server, 0, "slot 0")
+        # Slot 1 was reserved by a writer that never landed.
+        yield from positional(server, 1024, "slot 2")
+        return (yield from server.scan_entries(1))
+
+    entries = run(env, do(env))
+    assert [(e[0], e[2]) for e in entries] == [(0, "slot 0"), (1024, "slot 2")]
+
+
 def test_overwrite_header_in_place():
     env, server = make_server()
     server.allocate_segment(1, 1 * MB, epoch=1)

@@ -222,6 +222,131 @@ def test_concurrent_appends_land_on_distinct_offsets():
     assert len(ebp._segments) <= 2  # one append segment plus the spare
 
 
+def test_concurrent_appends_into_one_segment_overlap_on_the_wire():
+    """Positional appends take no latch: two writers' server-side writes
+    overlap in virtual time, so both finish in about one write."""
+    env, cluster, ebp = make_ebp()
+    spans = []
+
+    def record(server):
+        write = server.one_sided_write
+
+        def timed(*args, **kwargs):
+            start = env.now
+            result = yield from write(*args, **kwargs)
+            spans.append((start, env.now))
+            return result
+
+        server.one_sided_write = timed
+
+    for server in cluster.servers.values():
+        record(server)
+
+    def do(env):
+        yield from ebp.cache_page(make_page(1, 100))
+        yield env.timeout(0.1)  # the cleaner readies a spare segment
+        start = env.now
+        yield from ebp.cache_page(make_page(1, 101))
+        one = env.now - start
+        del spans[:]
+        start = env.now
+        yield env.all_of([
+            env.process(ebp.cache_page(make_page(1, number)))
+            for number in (1, 2)
+        ])
+        return one, env.now - start
+
+    one, two = run(env, do(env))
+    assert len({ebp.index[PageId(1, n)].segment_id for n in (1, 2)}) == 1
+    (start_a, end_a), (start_b, end_b) = spans
+    assert max(start_a, start_b) < min(end_a, end_b)  # on the wire together
+    assert two < 1.25 * one
+
+
+def test_rebuild_tolerates_a_reserved_slot_never_written():
+    env, cluster, ebp = make_ebp()
+
+    def do(env):
+        yield from ebp.cache_page(make_page(1, 1, lsn=5))
+        # A writer reserves the next slot and dies before its write lands.
+        segment, hole = ebp._reserve_slot(0)
+        segment.unpin()
+        yield from ebp.cache_page(make_page(1, 2, lsn=5))
+        ebp.index.clear()
+        count = yield from ebp.rebuild_index_after_crash()
+        return hole, count
+
+    hole, count = run(env, do(env))
+    assert count == 2
+    assert hole not in {entry.offset for entry in ebp.index.values()}
+    assert ebp.index[PageId(1, 2)].offset > hole
+
+
+def test_dram_modification_drops_the_older_copy_at_once():
+    env, cluster, ebp = make_ebp()
+    page_id = PageId(1, 1)
+
+    def do(env):
+        yield from ebp.cache_page(make_page(1, 1, lsn=5))
+        ebp.note_page_modified(page_id, 8)
+        return (yield from ebp.get_page(page_id, required_lsn=8))
+
+    assert run(env, do(env)) is None
+    assert page_id not in ebp.index
+    assert ebp.dropped_dead == 1
+    assert ebp.stale_hits == 0 and ebp.misses == 1
+    assert sum(s.garbage_bytes for s in ebp._segments.values()) == PAGE_SIZE
+    assert ebp._dirty_lsns == {page_id: 8}  # still pruned after a crash
+
+
+def fill_then_recycle(ebp, env, live, resident):
+    """Fill one 1 MB segment, leave ``live`` of its pages live (the rest
+    rewritten elsewhere), mark ``resident`` as held by DRAM, then cache new
+    pages until the cleaner recycles that segment."""
+    per_segment = (1 * MB) // PAGE_SIZE
+    ebp.resident = lambda page_id: page_id.page_no in resident
+    for number in range(per_segment):
+        yield from ebp.cache_page(make_page(1, number, lsn=1))
+    victim = ebp.index[PageId(1, 0)].segment_id
+    for number in range(per_segment):
+        if number not in live:
+            yield from ebp.cache_page(make_page(1, number, lsn=2))
+    # Rolling onto the last spare segment kicks the cleaner.
+    for number in range(per_segment, 2 * per_segment + 1):
+        yield from ebp.cache_page(make_page(1, number, lsn=1))
+    yield env.timeout(0.1)  # let the cleaner pass finish
+    return victim
+
+
+def test_compaction_copies_forward_only_pages_dram_does_not_hold():
+    env, cluster, ebp = make_ebp(capacity=3 * MB, segment=1 * MB)
+    live = {10, 20}
+
+    victim = run(env, fill_then_recycle(ebp, env, live, resident={10}))
+    assert ebp.compactions == 1 and ebp.segments_released == 1
+    assert ebp.dropped_resident == 1 and ebp.evictions == 0
+    assert PageId(1, 10) not in ebp.index
+    copied = ebp.index[PageId(1, 20)]
+    assert copied.lsn == 1 and copied.segment_id != victim
+
+
+def test_resident_copies_count_towards_the_compaction_threshold():
+    """No garbage at all, but 40 % of the victim duplicates DRAM: that is
+    past the 0.35 threshold, so the victim is compacted, not dropped."""
+    env, cluster, ebp = make_ebp(capacity=3 * MB, segment=1 * MB)
+    per_segment = (1 * MB) // PAGE_SIZE
+    everything = set(range(per_segment))
+    resident = set(range(int(per_segment * 0.4)))
+
+    run(env, fill_then_recycle(ebp, env, everything, resident))
+    assert ebp.compactions == 1
+    assert ebp.dropped_resident == len(resident)
+    assert ebp.evictions == 0
+    kept = {page_id.page_no for page_id in ebp.index
+            if page_id.page_no < per_segment}
+    assert kept == everything - resident
+
+
 def test_eviction_storm_stays_within_capacity_and_drops_nothing():
     # 16 clients churn 25x the pool's 48 slots through 3 small segments.
     env, cluster, ebp = make_ebp(capacity=192 * KB, segment=64 * KB)

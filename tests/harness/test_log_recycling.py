@@ -119,12 +119,12 @@ def test_segment_frozen_on_its_first_write_recycles_the_full_one():
     write, frozen = ring.client.write, []
 
     def freeze_first_write_after_advance(segment_id, length, payload,
-                                         latch=None):
+                                         offset=None):
         if ring.segment_advances == 1 and not frozen:
             frozen.append((ring.headers[ring.current_index].start_lsn,
                            engine.log.persistent_lsn))
             raise SegmentFrozenError("replica lost")
-        return (yield from write(segment_id, length, payload, latch))
+        return (yield from write(segment_id, length, payload, offset))
 
     ring.client.write = freeze_first_write_after_advance
 

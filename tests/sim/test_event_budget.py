@@ -13,7 +13,7 @@
 The fault cases pin the same two things for the fan-out primitive under
 failure: the virtual instant the error surfaces is the parent's, and
 afterwards nothing is left held - no device channel, no queue entry, no
-EBP latch, no pin.
+EBP index mutex, no pin.
 """
 
 import pytest
@@ -86,8 +86,6 @@ def assert_nothing_held(dep):
     assert ebp.index_mutex.count == 0 and ebp.index_mutex.queue_length == 0
     for segment in ebp._segments.values():
         assert segment.pins == 0
-        assert segment.append_latch.count == 0
-        assert segment.append_latch.queue_length == 0
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +284,7 @@ def test_ebp_paths_hand_back_latch_pins_and_mutex_when_cut_short():
     assert_nothing_held(dep)
 
     # Every AStore operation timing out: the write is dropped, the read
-    # is a miss, and both leave the segment unpinned and unlatched.
+    # is a miss, and both leave the segment unpinned.
     ebp.client.retry_policy = RetryPolicy(op_timeout=2e-6, max_attempts=1)
     assert run(dep, ebp.cache_page(ebp_page(PageId(7, 1)))) is False
     assert ebp.append_failures == 1

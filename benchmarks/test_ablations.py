@@ -10,6 +10,9 @@ asserts qualitatively:
    flush-per-commit (Section V-B's run-to-completion model).
 4. EBP priority vs flat policy under a repeated-scan (PQ-style) workload:
    priority keeps the hot table's pages cached (Section VI-B).
+5. Projection push-down: a pushed fragment that ships only the columns
+   the plan reads moves fewer result bytes, and finishes the CH queries
+   no later, than one shipping every column (Section VI).
 """
 
 from conftest import print_table
@@ -237,3 +240,81 @@ def test_ablation_ebp_priority_policy(benchmark):
     # Priority keeps (almost) the whole hot table; flat loses much of it.
     assert results["priority"] > results["flat"]
     assert results["priority"] >= 80
+
+
+def test_ablation_projection_pushdown(benchmark):
+    """Pushed CH fragments shipping their projection vs every column."""
+    from repro.harness.deployment import DeploymentSpec
+    from repro.harness.scenario import run
+    from repro.query.plan import PlanNode, SeqScan
+    from repro.workloads.tpcch import (
+        CH_QUERIES,
+        TpcchConfig,
+        TpcchDatabase,
+        ch_query_sql,
+    )
+
+    config = TpcchConfig(
+        warehouses=2, customers_per_district=30, items=400,
+        initial_orders_per_district=30, suppliers=100, string_scale=1.0,
+    )
+
+    def widen(node, catalog):
+        """Every pushed scan under ``node`` reads every column."""
+        if isinstance(node, SeqScan):
+            if node.pushdown:
+                node.projection = catalog.table(node.table_name).schema.names
+            return
+        for attr in ("child", "left", "right", "outer"):
+            child = getattr(node, attr, None)
+            if isinstance(child, PlanNode):
+                widen(child, catalog)
+
+    def run_variant(full):
+        dep = (
+            DeploymentSpec.astore_pq(seed=5)
+            .with_engine(buffer_pool_bytes=16 * 16 * KB)
+            .with_ebp(128 * MB)
+            .build()
+        )
+        dep.start()
+        database = TpcchDatabase(dep.engine, config, dep.seeds.stream("ch"))
+
+        def load(env):
+            yield from database.load()
+            yield env.timeout(0.3)  # eviction populates the EBP
+
+        run(dep, load(dep.env))
+        session = dep.new_session(enable_pushdown=True, force_hash_joins=True)
+        registry = dep.obs.registry
+        shipped = registry.value("query.pushdown.result_bytes")
+        start = dep.env.now
+        for query_no in sorted(CH_QUERIES):
+            plan = session.plan(ch_query_sql(query_no))
+            if full:
+                widen(plan, dep.engine.catalog)
+            run(dep, session.execute_plan(plan))
+        return (
+            registry.value("query.pushdown.result_bytes") - shipped,
+            dep.env.now - start,
+        )
+
+    def run_both():
+        return {
+            label: run_variant(full)
+            for label, full in (("projected", False), ("every column", True))
+        }
+
+    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    print_table(
+        "Ablation - projection push-down: result bytes and virtual time "
+        "of the 22 CH queries",
+        ["fragments ship", "result bytes", "virtual s"],
+        [
+            (label, shipped, "%.4f" % seconds)
+            for label, (shipped, seconds) in results.items()
+        ],
+    )
+    projected, full = results["projected"], results["every column"]
+    assert projected[0] <= full[0]
+    assert projected[1] <= full[1]

@@ -55,7 +55,8 @@ from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..common import QueryError
 
-__all__ = ["Column", "Schema", "INT", "BIGINT", "DECIMAL", "VARCHAR", "FLOAT"]
+__all__ = ["Column", "Schema", "INT", "BIGINT", "DECIMAL", "VARCHAR", "FLOAT",
+           "WIDTHS", "NULL_BITMAP_BYTES"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,14 @@ _STRUCT_CODES = {
     "decimal": "q",
     "varchar": "H",
 }
+
+#: Bytes of each type's fixed-width part, as encoded (for a varchar, its
+#: length prefix; its UTF-8 bytes follow).
+WIDTHS: Dict[str, int] = {
+    name: struct.calcsize("<" + code) for name, code in _STRUCT_CODES.items()
+}
+#: Bytes of the null bitmap that leads every encoded row.
+NULL_BITMAP_BYTES = struct.calcsize("<Q")
 
 #: Kernels kept per schema and direction.  A workload uses a handful of
 #: NULL patterns per table; the cap only bounds what rows with arbitrary

@@ -64,6 +64,10 @@ class SeqScan(PlanNode):
     #: build storage-side (keys + filtered columns come back; the engine
     #: only builds the hash table and probes).
     hash_keys: Optional[List[Expr]] = None
+    #: How the planner priced pushing the scan: (the result bytes its
+    #: fragment would ship, the page bytes the engine would pull instead).
+    #: None when push-down was not considered.
+    wire: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -163,7 +167,9 @@ class Limit(PlanNode):
 
 
 def explain(node: PlanNode, depth: int = 0) -> str:
-    """Human-readable plan tree (used by tests and examples)."""
+    """Human-readable plan tree (used by tests and examples).  A scan the
+    planner priced for push-down shows ``wire=<result>B/<page>B``: what
+    its fragment would ship against the page bytes it saves."""
     pad = "  " * depth
     if isinstance(node, SeqScan):
         marks = []
@@ -176,6 +182,8 @@ def explain(node: PlanNode, depth: int = 0) -> str:
         if node.filter is not None:
             marks.append("filtered")
         suffix = (" [%s]" % ", ".join(marks)) if marks else ""
+        if node.wire is not None:
+            suffix += " wire=%dB/%dB" % node.wire
         return "%sSeqScan(%s as %s) cols=%d/%d%s ~%d rows" % (
             pad, node.table_name, node.binding, len(node.projection),
             node.stored_columns, suffix, node.estimated_rows,

@@ -22,14 +22,23 @@ Planning steps (paper Section VI-A):
    partial aggregation; the build side of a hash join carries its join
    keys (``SeqScan.hash_keys``) so the executor can ship the hash
    build storage-side.
+
+Result wire bytes come from one width-aware model, :func:`wire_bytes`,
+which the push-down runtime also charges a task's result with: a shipped
+row costs the codec's null bitmap plus each projected column's codec
+width, a varchar its length prefix plus its observed mean length.  A
+narrow projection of a big table is cheap to ship and a wide one dear, so
+the decision follows what the fragment actually returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..common import PAGE_SIZE, QueryError
+from ..engine.codec import NULL_BITMAP_BYTES, WIDTHS
+from ..engine.page import PAGE_HEADER_BYTES, SLOT_OVERHEAD
 from ..engine.table import Catalog, Table
 from .ast import (
     AggCall,
@@ -51,15 +60,77 @@ from .plan import (
     Sort,
 )
 
-__all__ = ["Planner", "PlannerConfig", "match_view_select",
-           "ROW_WIRE_BYTES", "GROUP_WIRE_BYTES"]
+__all__ = ["Planner", "PlannerConfig", "match_view_select", "wire_bytes"]
 
-#: Approximate wire size of one projected row shipped back from storage.
-#: Canonical here (the planner's cost model and the push-down runtime's
-#: dispatch accounting must agree); re-exported by ``pushdown``.
-ROW_WIRE_BYTES = 48
-#: Approximate wire size of one partial-aggregate group.
-GROUP_WIRE_BYTES = 96
+#: Framing of one fragment result on the wire.
+RESULT_HEADER_BYTES = 64
+#: One aggregate's state in a shipped partial group: count, total, minimum
+#: and maximum, 8 B each (a DISTINCT value set ships per value).
+AGG_STATE_BYTES = 32
+#: One shipped DISTINCT value.
+DISTINCT_VALUE_BYTES = 8
+
+
+def column_widths(table: Table) -> List[float]:
+    """Per schema position, the bytes one value of that column ships as:
+    its codec width, and for a varchar its length prefix plus its mean
+    length.  The varchar mean is observed from statistics the table keeps -
+    its page fill (``free_hints``) over its row count gives the mean
+    encoded row, whose bytes beyond the fixed widths the table's varchars
+    share in proportion to their declared lengths - or, while the table
+    holds no rows, half the declared length."""
+    columns = table.schema.columns
+    widths = [float(WIDTHS[c.ctype.name]) for c in columns]
+    varchars = [i for i, c in enumerate(columns) if c.ctype.name == "varchar"]
+    if not varchars:
+        return widths
+    declared = [columns[i].ctype.max_length for i in varchars]
+    fills = table.free_hints.values()
+    if table.row_count > 0 and fills:
+        used = sum(PAGE_SIZE - PAGE_HEADER_BYTES - free for free in fills)
+        mean_row = used / table.row_count - SLOT_OVERHEAD
+        text = max(0.0, mean_row - NULL_BITMAP_BYTES - sum(widths))
+        total = sum(declared) or len(declared)
+        means = [text * (length or 1) / total for length in declared]
+    else:
+        means = [length / 2 for length in declared]
+    for position, mean in zip(varchars, means):
+        widths[position] += mean
+    return widths
+
+
+def wire_bytes(table: Table, positions: Iterable[int], rows: int = 1,
+               aggregates: int = 0, distinct_values: int = 0) -> int:
+    """Bytes a push-down result of ``rows`` rows of ``table`` ships back,
+    each carrying the columns at ``positions``: a result header, then per
+    row the codec's null bitmap and the :func:`column_widths` of those
+    columns.  Partial groups also ship ``AGG_STATE_BYTES`` per aggregate
+    each, and ``distinct_values`` DISTINCT values ride along.  The
+    planner's push-down eligibility and the runtime's result sizing both
+    price a result here."""
+    widths = column_widths(table)
+    row = NULL_BITMAP_BYTES + sum(map(widths.__getitem__, positions))
+    row += AGG_STATE_BYTES * aggregates
+    return (RESULT_HEADER_BYTES + round(row * rows)
+            + DISTINCT_VALUE_BYTES * distinct_values)
+
+
+def fragment_wire_bytes(table: Table, scan, rows: int,
+                        distinct_values: int = 0) -> int:
+    """:func:`wire_bytes` of ``rows`` result rows of a pushed ``scan`` (a
+    ``SeqScan`` or a ``PushdownFragment``): its projection, and its
+    aggregates when it aggregates.  A hash build's join key that is a
+    column rides in that projected column; a computed key ships its value,
+    priced as the columns it reads."""
+    position = table.schema.position
+    positions = list(map(position, scan.projection))
+    for expr in scan.hash_keys or ():
+        if not isinstance(expr, ColumnRef):
+            positions.extend(
+                position(key.rpartition(".")[2]) for key in expr.columns()
+            )
+    aggregates = 0 if scan.partial_agg is None else len(scan.partial_agg[1])
+    return wire_bytes(table, positions, rows, aggregates, distinct_values)
 
 
 @dataclass
@@ -279,34 +350,23 @@ class Planner:
         # Aggregation.
         agg_calls = self._collect_aggregates(select)
         if agg_calls or select.group_by:
-            single_scan = isinstance(plan, SeqScan)
-            pushable_aggs = single_scan and self._aggs_are_pushable(agg_calls)
             groups_estimate = max(1, len(select.group_by) * 10)
-            if (
-                single_scan
-                and pushable_aggs
-                and self._scan_pushable(
-                    plan,
-                    binding_tables[plan.binding],
-                    groups_estimate=groups_estimate,
-                )
-            ):
-                plan.pushdown = True
+            from_partials = False
+            if isinstance(plan, SeqScan):
+                # Priced as the partial groups it would ship.
                 plan.partial_agg = (list(select.group_by), agg_calls)
-                plan = Aggregate(
-                    estimated_rows=max(1, len(select.group_by) * 10),
-                    child=plan,
-                    group_exprs=list(select.group_by),
-                    aggregates=agg_calls,
-                    from_partials=True,
+                from_partials = plan.pushdown = self._scan_pushable(
+                    plan, binding_tables[plan.binding], groups_estimate
                 )
-            else:
-                plan = Aggregate(
-                    estimated_rows=max(1, len(select.group_by) * 10),
-                    child=plan,
-                    group_exprs=list(select.group_by),
-                    aggregates=agg_calls,
-                )
+                if not from_partials:
+                    plan.partial_agg = None
+            plan = Aggregate(
+                estimated_rows=groups_estimate,
+                child=plan,
+                group_exprs=list(select.group_by),
+                aggregates=agg_calls,
+                from_partials=from_partials,
+            )
         # Mark remaining scans for plain (non-aggregating) push-down.
         self._mark_scans(plan, binding_tables)
 
@@ -512,12 +572,6 @@ class Planner:
             walk(item.expr)
         return calls
 
-    def _aggs_are_pushable(self, aggs: List[AggCall]) -> bool:
-        """All supported aggregates partially aggregate now: DISTINCT
-        states ship their value sets (mergeable, like the scatter-gather
-        path), accounted per value in the wire model."""
-        return True
-
     def _estimate_scan(self, table: Table, filters: List[Expr]) -> int:
         rows = max(table.row_count, 1)
         # Crude selectivity: each conjunct keeps ~1/3 of rows.
@@ -525,16 +579,18 @@ class Planner:
             rows = max(1, rows // 3)
         return rows
 
-    def _scan_pushable(
-        self,
-        scan: SeqScan,
-        table: Table,
-        groups_estimate: Optional[int] = None,
-    ) -> bool:
+    def _scan_pushable(self, scan: SeqScan, table: Table, rows: int) -> bool:
+        """Whether to push ``scan``, whose fragment would return ``rows``
+        rows (groups, when it carries ``partial_agg``).  Records the
+        priced result on ``scan.wire``."""
         if not self.config.enable_pushdown:
             return False
         if scan.filter is not None and scan.filter.contains_aggregate():
             return False
+        pages = max(1, len(table.page_nos))
+        scan.wire = (
+            fragment_wire_bytes(table, scan, max(1, rows)), pages * PAGE_SIZE
+        )
         threshold = self.config.pushdown_row_threshold
         if threshold is not None:
             # The paper thresholds on rows *scanned* by the fragment
@@ -547,20 +603,17 @@ class Planner:
         # storage, and the scan spans enough pages to amortize a task
         # dispatch round trip.  Partial aggregation ships groups, not
         # rows, so grouped fragments almost always win once big enough.
-        pages = max(1, len(table.page_nos))
         if pages < self.config.pushdown_min_pages:
             return False
-        if groups_estimate is not None:
-            out_bytes = GROUP_WIRE_BYTES * max(1, groups_estimate)
-        else:
-            out_bytes = ROW_WIRE_BYTES * max(1, scan.estimated_rows)
-        return out_bytes <= pages * PAGE_SIZE * self.config.pushdown_wire_ratio
+        return scan.wire[0] <= scan.wire[1] * self.config.pushdown_wire_ratio
 
     def _mark_scans(self, node: PlanNode, binding_tables: Dict[str, Table]):
         if isinstance(node, SeqScan):
             if not node.pushdown:
                 table = binding_tables[node.binding]
-                node.pushdown = self._scan_pushable(node, table)
+                node.pushdown = self._scan_pushable(
+                    node, table, node.estimated_rows
+                )
             return
         for attr in ("child", "left", "right", "outer"):
             child = getattr(node, attr, None)

@@ -16,19 +16,23 @@ Tasks are dispatched in parallel; each returns filtered column batches,
 partial groups (full GROUP-BY partial aggregation, DISTINCT included, in
 the executor's own ``(keys, samples, states)`` shape), or the prepared
 build side of a hash join (join-key tuples + filtered columns), which the
-engine merges (secondary aggregation / hash probe).  Pages a server cannot
-serve (entry cleaned, server crashed) are returned as failures and
-re-processed through the engine's normal read path - push-down never
-affects correctness.
+engine merges (secondary aggregation / hash probe).  Merged rows keep the
+table's page order, as a local scan's do.  Pages a server cannot serve
+(entry cleaned, server crashed) are returned as failures and re-processed
+through the engine's normal read path - push-down never affects
+correctness.
 
 Fragments execute on the storage side exactly as the engine's operators
 do locally (column-major decode of the fragment's projection + the
 generated filter / key / group-by kernels of ``repro.query.kernels``), so
-a task neither decodes nor ships a column the plan does not read.
+a task neither decodes nor ships a column the plan does not read.  What a
+task's result costs on the wire is the planner's width-aware
+``wire_bytes`` of what it holds - the same model that decided to push.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -36,6 +40,7 @@ from ..common import PageId, StorageError
 from ..engine.dbengine import DBEngine
 from ..engine.ebp import EBP_PAGE_TAG, ExtendedBufferPool
 from ..engine.page import Page
+from ..engine.table import Table
 from ..obs import obs_of
 from ..sim.core import Environment, FanOut
 from ..sim.network import RpcNetwork
@@ -45,14 +50,12 @@ from .ast import AggCall, Expr
 from .columnar import ColumnBatch
 from .executor import PAGE_CPU, ROW_CPU, count_scan_cells
 from .plan import SeqScan
-from .planner import GROUP_WIRE_BYTES, ROW_WIRE_BYTES
+from .planner import fragment_wire_bytes
 
 __all__ = ["PushdownRuntime", "PushdownFragment", "execute_fragment_on_pages"]
 
 #: Serialized plan-fragment size.
 FRAGMENT_WIRE_BYTES = 600
-#: Wire size of one hash-build join-key tuple riding with its row.
-HASH_KEY_WIRE_BYTES = 16
 
 
 @dataclass
@@ -71,6 +74,9 @@ class PushdownFragment:
     #: with ``partial_agg``): the server returns each surviving row's key
     #: tuple alongside the filtered columns.
     hash_keys: Optional[List[Expr]] = None
+    #: Filled as tasks run: the rows each executed page put in a plain or
+    #: hash-build result (how the merge restores page order).
+    page_rows: Dict[PageId, int] = field(default_factory=dict)
 
     def empty_batch(self) -> ColumnBatch:
         return ColumnBatch.for_scan(
@@ -88,6 +94,9 @@ def execute_fragment_on_pages(
     """Run the fragment over page images; pure compute, no timing
     (``registry``, when given, counts the scanned cells and kernel builds).
     Pages decode through their decoded-column memos, as a local scan's do.
+    A plain or hash-build result records each page's row count in
+    ``fragment.page_rows``: its decoded rows, less those the filter's
+    selection vector drops.
 
     Returns one of
     ``("batch", ColumnBatch)`` (plain filtered scan),
@@ -104,9 +113,11 @@ def execute_fragment_on_pages(
     positions = tuple(map(schema.position, fragment.projection))
     batch = fragment.empty_batch()
     uncached = 0
+    ends: List[int] = []
     for page in pages:
         rows, cells = schema.decode_page_into(page, positions, batch.arrays)
         batch.n += rows
+        ends.append(batch.n)
         uncached += cells
     scanned = batch.n
     if registry is not None:
@@ -122,7 +133,13 @@ def execute_fragment_on_pages(
         samples = batch.gather([state[0] for state in states])
         return ("partials", (list(groups), samples, states)), scanned
     if fragment.filter is not None:
-        batch = batch.gather(kernels.select(batch, fragment.filter, registry))
+        selection = kernels.select(batch, fragment.filter, registry)
+        batch = batch.gather(selection)
+        ends = [bisect_left(selection, end) for end in ends]
+    start = 0
+    for page, end in zip(pages, ends):
+        fragment.page_rows[page.page_id] = end - start
+        start = end
     if fragment.hash_keys is not None:
         keys = kernels.key_tuples(batch, fragment.hash_keys, registry)
         return ("hash", (keys, batch)), scanned
@@ -176,6 +193,7 @@ class PushdownRuntime:
             "query.pushdown.pages_local",
             "query.pushdown.fallback_pages",
             "query.pushdown.cost_rejected",
+            "query.pushdown.result_bytes",
         ):
             registry.incr(key, 0)
 
@@ -223,11 +241,13 @@ class PushdownRuntime:
             hash_keys=list(scan.hash_keys) if hash_build else None,
         )
         fragment._schema = table.schema  # type: ignore[attr-defined]
+        merged = _Merge(fragment)
         local_pages: List[PageId] = []
         astore_tasks: Dict[str, _Task] = {}
         pagestore_tasks: Dict[str, _Task] = {}
         for page_no in list(table.page_nos):
             page_id = table.page_id(page_no)
+            merged.rank[page_id] = len(merged.rank)
             required = self.engine.page_versions.get(page_id, 0)
             if page_id in self.engine.buffer_pool:
                 local_pages.append(page_id)
@@ -249,7 +269,8 @@ class PushdownRuntime:
 
         all_tasks = list(astore_tasks.values()) + list(pagestore_tasks.values())
         dispatched = FanOut(
-            self.env, [self._dispatch(fragment, task) for task in all_tasks]
+            self.env,
+            [self._dispatch(fragment, task, table) for task in all_tasks],
         ) if all_tasks else None
         # Meanwhile the engine thread processes buffer-pool-resident pages.
         local_result, failed = yield from self._run_local(
@@ -257,11 +278,11 @@ class PushdownRuntime:
         )
         self.pages_local += len(local_pages)
         self.obs.registry.incr("query.pushdown.pages_local", len(local_pages))
-        merged = _Merge(fragment)
-        merged.add(local_result)
+        merged.add(local_result, local_pages)
         if dispatched is not None:
-            for task_result, task_failed in (yield dispatched):
-                merged.add(task_result)
+            results = yield dispatched
+            for task, (task_result, task_failed) in zip(all_tasks, results):
+                merged.add(task_result, [pid for pid, _ in task.pages])
                 failed.extend(task_failed)
         # Fallback: any failed page goes through the normal engine path.
         if failed:
@@ -274,7 +295,7 @@ class PushdownRuntime:
                 raise StorageError(
                     "pages unreadable even via engine path: %r" % still_failed
                 )
-            merged.add(fallback_result)
+            merged.add(fallback_result, [pid for pid, _ in failed])
         self.tasks_dispatched += len(all_tasks)
         self.obs.registry.incr(
             "query.pushdown.tasks_dispatched", len(all_tasks)
@@ -294,8 +315,9 @@ class PushdownRuntime:
     # ------------------------------------------------------------------
     # Task execution
     # ------------------------------------------------------------------
-    def _dispatch(self, fragment: PushdownFragment, task: _Task):
-        """Generator: RPC a task to its server and execute it there."""
+    def _dispatch(self, fragment: PushdownFragment, task: _Task, table: Table):
+        """Generator: RPC a task to its server, execute it there and ship
+        its result back."""
         tracer = self.obs.tracer
         span = (
             tracer.span(
@@ -316,22 +338,25 @@ class PushdownRuntime:
                 result, failed = yield from self._run_on_astore(fragment, task)
             else:
                 result, failed = yield from self._run_on_pagestore(fragment, task)
-            yield from self.network.send(self._result_bytes(result))
+            result_bytes = self._result_bytes(table, fragment, result)
+            self.obs.registry.incr("query.pushdown.result_bytes", result_bytes)
+            yield from self.network.send(result_bytes)
         finally:
             if span is not None:
                 span.finish()
         return result, failed
 
     @staticmethod
-    def _result_bytes(result) -> int:
+    def _result_bytes(table: Table, fragment: PushdownFragment, result) -> int:
+        """What ``result`` costs on the wire: ``fragment_wire_bytes`` of
+        the rows (partial groups) it holds."""
         kind, payload = result
         if kind == "batch":
-            return 64 + ROW_WIRE_BYTES * payload.n
+            return fragment_wire_bytes(table, fragment, payload.n)
         if kind == "hash":
-            _keys, batch = payload
-            return 64 + (ROW_WIRE_BYTES + HASH_KEY_WIRE_BYTES) * batch.n
-        # partials: per-group state plus the shipped DISTINCT value sets
-        # (the last slot of each aggregate in a flat state).
+            return fragment_wire_bytes(table, fragment, payload[1].n)
+        # partials: the shipped DISTINCT value sets are the last slot of
+        # each aggregate in a flat state.
         keys, _samples, states = payload
         distinct_values = sum(
             len(values)
@@ -339,7 +364,7 @@ class PushdownRuntime:
             for values in state[kernels.AGG_SLOTS::kernels.AGG_SLOTS]
             if values is not None
         )
-        return 64 + GROUP_WIRE_BYTES * len(keys) + 8 * distinct_values
+        return fragment_wire_bytes(table, fragment, len(keys), distinct_values)
 
     def _run_on_astore(self, fragment: PushdownFragment, task: _Task):
         """Generator: PQ process on an AStore server, reading local PMem."""
@@ -445,37 +470,60 @@ class PushdownRuntime:
 class _Merge:
     """Accumulates task results into the fragment's output shape.
 
-    Merge order is deterministic: local pages first, then dispatched
-    tasks in dispatch order, then fallback pages, and every task returns
-    the same result kind over the same projected keys.
+    Results arrive local pages first, then dispatched tasks in dispatch
+    order, then fallback pages, each over the same projected keys.  Partial
+    groups merge in that order.  Rows of plain and hash-build results are
+    laid out in the table's page order instead, as a local scan returns
+    them, by each executed page's row count (``fragment.page_rows``).
     """
 
     def __init__(self, fragment: PushdownFragment):
         self.fragment = fragment
-        #: Rows, or the sample rows of partial groups.
+        #: Each heap page's position in the table's page order.
+        self.rank: Dict[PageId, int] = {}
+        #: The sample rows of partial groups, their group keys and states.
         self.batch = fragment.empty_batch()
-        #: Per row of ``batch``: its join-key tuple / its group key.
         self.keys: List[Tuple] = []
         self.states: List[List] = []
+        #: Plain / hash-build results: (join-key tuples or None, rows).
+        self.results: List[Tuple[Optional[List[Tuple]], ColumnBatch]] = []
+        #: ``(page rank, result, first row, rows)`` per executed page.
+        self.spans: List[Tuple[int, int, int, int]] = []
 
-    def add(self, result) -> None:
+    def add(self, result, page_ids: List[PageId]) -> None:
+        """Take ``result``, produced from those of ``page_ids`` (in page
+        order) that executed: a page that failed here has no row count
+        yet, and its rows come with the fallback's result."""
         kind, payload = result
         if kind == "partials":
             keys, samples, states = payload
             self.keys.extend(keys)
             self.batch.extend(samples)
             self.states.extend(states)
-        elif kind == "batch":
-            self.batch.extend(payload)
-        else:  # hash
-            key_tuples, batch = payload
-            self.keys.extend(key_tuples)
-            self.batch.extend(batch)
+            return
+        index = len(self.results)
+        self.results.append(payload if kind == "hash" else (None, payload))
+        start = 0
+        page_rows = self.fragment.page_rows
+        for page_id in page_ids:
+            rows = page_rows.get(page_id)
+            if rows is not None:
+                self.spans.append((self.rank[page_id], index, start, rows))
+                start += rows
 
     def finish(self):
         fragment = self.fragment
-        if fragment.hash_keys is not None:
-            return self.keys, self.batch
         if fragment.partial_agg is not None:
             return ("partials", (self.keys, self.batch, self.states))
-        return ("batch", self.batch)
+        batch, keys = self.batch, self.keys
+        for _, index, start, rows in sorted(self.spans):
+            piece_keys, piece = self.results[index]
+            stop = start + rows
+            for array, source in zip(batch.arrays, piece.arrays):
+                array.extend(source[start:stop])
+            if piece_keys is not None:
+                keys.extend(piece_keys[start:stop])
+            batch.n += rows
+        if fragment.hash_keys is not None:
+            return keys, batch
+        return ("batch", batch)

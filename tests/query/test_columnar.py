@@ -216,11 +216,17 @@ def test_cost_based_skips_small_table(ch_dep):
 
 
 def test_cost_based_skips_wide_open_row_fragment(ch_dep):
-    # An unfiltered row fragment returns every row over the wire: the
-    # estimated result bytes exceed the page bytes saved, so no push.
+    # An unfiltered fragment returns every row over the wire, priced by
+    # what it carries: every column costs about what its pages hold, so
+    # no push; one column costs a fraction of it, so push.
     session = ch_dep.new_session(enable_pushdown=True)
-    plan = session.plan("SELECT ol_amount FROM order_line")
-    assert not _scan_of(plan).pushdown
+    wide = _scan_of(session.plan("SELECT * FROM order_line"))
+    assert not wide.pushdown
+    ratio = session.planner.config.pushdown_wire_ratio
+    assert wide.wire[0] > wide.wire[1] * ratio
+    narrow = _scan_of(session.plan("SELECT ol_amount FROM order_line"))
+    assert narrow.pushdown
+    assert narrow.wire[1] == wide.wire[1] and narrow.wire[0] < wide.wire[0] / 3
 
 
 def test_explicit_threshold_overrides_cost_model(ch_dep):

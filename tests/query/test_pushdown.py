@@ -6,7 +6,9 @@ from repro.common import KB, MB
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
+from repro.query.ast import ColumnRef
 from repro.query.plan import SeqScan
+from repro.query.planner import wire_bytes
 
 
 def make_db(rows=300, bp_pages=16):
@@ -231,3 +233,89 @@ def test_every_scan_path_carries_exactly_the_planned_projection():
     for path, results in seen.items():
         for kind, batch in results:
             assert (kind, batch.keys) == ("batch", expected), path
+
+
+def test_pushed_rows_keep_the_local_scans_page_order():
+    """Buffer-pool pages, AStore tasks and fallback pages all feed one
+    result, yet a pushed scan returns exactly the rows a local scan does,
+    in the same order - plain and hash-build fragments alike."""
+    dep = make_db()
+    local = dep.new_session(enable_pushdown=False)
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    for sql in ("SELECT f_id FROM facts", FILTER_SQL.split(" ORDER BY")[0]):
+        want = execute(dep, local, sql)
+        tasks, pages_local = runtime.tasks_dispatched, runtime.pages_local
+        assert execute(dep, pq, sql).rows == want.rows
+        assert runtime.tasks_dispatched > tasks
+        assert runtime.pages_local > pages_local
+
+    def run(generator):
+        proc = dep.env.process(generator)
+        dep.env.run_until_event(proc)
+        return proc.value
+
+    sql = "SELECT f_id, label FROM facts WHERE amount >= 10"
+    scan = pq.plan(sql).child
+    assert scan.pushdown
+    scan.hash_keys = [ColumnRef("f_id")]
+    want = run(local._run(local.plan(sql).child))
+    keys, batch = run(runtime.run_hash_build(scan))
+    assert batch.keys == want.keys and batch.arrays == want.arrays
+    assert keys == [(f_id,) for f_id in want.column("facts.f_id")]
+
+
+def test_shipped_result_bytes_are_the_wire_model_of_each_result():
+    """Every dispatched task ships back ``wire_bytes`` of what it returned:
+    its rows (groups) over the columns they carry."""
+    dep = make_db()
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    table = dep.engine.catalog.table("facts")
+    sent, returned = [], []
+    send = runtime.network.send
+
+    def recording_send(nbytes):
+        sent.append(nbytes)
+        return (yield from send(nbytes))
+
+    def recording(task_runner):
+        def runner(fragment, task):
+            result, failed = yield from task_runner(fragment, task)
+            returned.append((fragment, result))
+            return result, failed
+
+        return runner
+
+    runtime.network.send = recording_send
+    runtime._run_on_astore = recording(runtime._run_on_astore)
+    runtime._run_on_pagestore = recording(runtime._run_on_pagestore)
+    registry = dep.obs.registry
+    before = registry.value("query.pushdown.result_bytes")
+    execute(dep, pq, FILTER_SQL)
+    execute(dep, pq, AGG_SQL)
+    scan = pq.plan(FILTER_SQL).child.child
+    scan.hash_keys = [ColumnRef("f_id")]
+    proc = dep.env.process(runtime.run_hash_build(scan))
+    dep.env.run_until_event(proc)
+
+    def positions(batch):
+        return [table.schema.position(key.split(".")[1]) for key in batch.keys]
+
+    expected = []
+    for fragment, (kind, payload) in returned:
+        if kind == "batch":
+            shipped = wire_bytes(table, positions(payload), payload.n)
+        elif kind == "hash":
+            _keys, batch = payload
+            shipped = wire_bytes(table, positions(batch), batch.n)
+        else:
+            keys, samples, _states = payload
+            aggregates = len(fragment.partial_agg[1])
+            shipped = wire_bytes(
+                table, positions(samples), len(keys), aggregates=aggregates
+            )
+        expected.append(shipped)
+    assert {kind for _, (kind, _) in returned} == {"batch", "hash", "partials"}
+    assert all(shipped in sent for shipped in expected)
+    assert registry.value("query.pushdown.result_bytes") - before == sum(expected)

@@ -13,6 +13,9 @@ asserts qualitatively:
 5. Projection push-down: a pushed fragment that ships only the columns
    the plan reads moves fewer result bytes, and finishes the CH queries
    no later, than one shipping every column (Section VI).
+6. PQ morsels: a push-down task split into per-core morsels finishes the
+   CH queries sooner than one core a task, from storage-side CPU the
+   one-sided data plane leaves idle (Section VI).
 """
 
 from conftest import print_table
@@ -242,22 +245,41 @@ def test_ablation_ebp_priority_policy(benchmark):
     assert results["priority"] >= 80
 
 
-def test_ablation_projection_pushdown(benchmark):
-    """Pushed CH fragments shipping their projection vs every column."""
+def _loaded_ch_deployment():
+    """A seed-5 PQ deployment (16-page buffer pool, 128 MB EBP) holding a
+    small CH database whose eviction has populated the EBP, and a pushing
+    session on it."""
     from repro.harness.deployment import DeploymentSpec
     from repro.harness.scenario import run
-    from repro.query.plan import PlanNode, SeqScan
-    from repro.workloads.tpcch import (
-        CH_QUERIES,
-        TpcchConfig,
-        TpcchDatabase,
-        ch_query_sql,
-    )
+    from repro.workloads.tpcch import TpcchConfig, TpcchDatabase
 
     config = TpcchConfig(
         warehouses=2, customers_per_district=30, items=400,
         initial_orders_per_district=30, suppliers=100, string_scale=1.0,
     )
+    dep = (
+        DeploymentSpec.astore_pq(seed=5)
+        .with_engine(buffer_pool_bytes=16 * 16 * KB)
+        .with_ebp(128 * MB)
+        .build()
+    )
+    dep.start()
+    database = TpcchDatabase(dep.engine, config, dep.seeds.stream("ch"))
+
+    def load(env):
+        yield from database.load()
+        yield env.timeout(0.3)  # eviction populates the EBP
+
+    run(dep, load(dep.env))
+    session = dep.new_session(enable_pushdown=True, force_hash_joins=True)
+    return dep, session
+
+
+def test_ablation_projection_pushdown(benchmark):
+    """Pushed CH fragments shipping their projection vs every column."""
+    from repro.harness.scenario import run
+    from repro.query.plan import PlanNode, SeqScan
+    from repro.workloads.tpcch import CH_QUERIES, ch_query_sql
 
     def widen(node, catalog):
         """Every pushed scan under ``node`` reads every column."""
@@ -271,21 +293,7 @@ def test_ablation_projection_pushdown(benchmark):
                 widen(child, catalog)
 
     def run_variant(full):
-        dep = (
-            DeploymentSpec.astore_pq(seed=5)
-            .with_engine(buffer_pool_bytes=16 * 16 * KB)
-            .with_ebp(128 * MB)
-            .build()
-        )
-        dep.start()
-        database = TpcchDatabase(dep.engine, config, dep.seeds.stream("ch"))
-
-        def load(env):
-            yield from database.load()
-            yield env.timeout(0.3)  # eviction populates the EBP
-
-        run(dep, load(dep.env))
-        session = dep.new_session(enable_pushdown=True, force_hash_joins=True)
+        dep, session = _loaded_ch_deployment()
         registry = dep.obs.registry
         shipped = registry.value("query.pushdown.result_bytes")
         start = dep.env.now
@@ -318,3 +326,51 @@ def test_ablation_projection_pushdown(benchmark):
     projected, full = results["projected"], results["every column"]
     assert projected[0] <= full[0]
     assert projected[1] <= full[1]
+
+
+def test_ablation_pq_morsels(benchmark):
+    """Push-down tasks split into per-core morsels vs one core a task."""
+    from repro.harness.scenario import run
+    from repro.sim.resources import CpuPool
+    from repro.workloads.tpcch import CH_QUERIES, ch_query_sql
+
+    def run_variant(single_core):
+        dep, session = _loaded_ch_deployment()
+        if single_core:
+            # Every storage server keeps one core, so each task is one
+            # morsel: reads, then one charge, as before the split.
+            for server in list(dep.astore.servers.values()) + list(
+                dep.pagestore.servers
+            ):
+                server.cpu = CpuPool(dep.env, 1)
+        times = {}
+        for query_no in sorted(CH_QUERIES):
+            start = dep.env.now
+            run(dep, session.execute(ch_query_sql(query_no)))
+            times[query_no] = dep.env.now - start
+        return times
+
+    def run_both():
+        return {
+            label: run_variant(single_core)
+            for label, single_core in (("morsels", False), ("1 core", True))
+        }
+
+    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    morsels, single = results["morsels"], results["1 core"]
+    print_table(
+        "Ablation - PQ morsels: virtual ms per CH query, storage servers "
+        "at their cores vs one core each",
+        ["query", "morsels ms", "1 core ms", "speedup"],
+        [
+            ("Q%d" % query_no, "%.3f" % (morsels[query_no] * 1e3),
+             "%.3f" % (single[query_no] * 1e3),
+             "%.2fx" % (single[query_no] / morsels[query_no]))
+            for query_no in sorted(morsels)
+        ] + [("total", "%.3f" % (sum(morsels.values()) * 1e3),
+              "%.3f" % (sum(single.values()) * 1e3),
+              "%.2fx" % (sum(single.values()) / sum(morsels.values())))],
+    )
+    assert sum(morsels.values()) < sum(single.values())
+    for query_no in (1, 6, 22):
+        assert single[query_no] >= 2 * morsels[query_no], query_no

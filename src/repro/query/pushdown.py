@@ -12,15 +12,19 @@ required page in the EBP index:
 - all remaining pages form one task per PageStore (primary) server,
   executed against local SSD.
 
-Tasks are dispatched in parallel; each returns filtered column batches,
-partial groups (full GROUP-BY partial aggregation, DISTINCT included, in
-the executor's own ``(keys, samples, states)`` shape), or the prepared
-build side of a hash join (join-key tuples + filtered columns), which the
-engine merges (secondary aggregation / hash probe).  Merged rows keep the
-table's page order, as a local scan's do.  Pages a server cannot serve
-(entry cleaned, server crashed) are returned as failures and re-processed
-through the engine's normal read path - push-down never affects
-correctness.
+Tasks are dispatched in parallel, and a task uses its server's cores: its
+pages split into at most one contiguous morsel per core, and each morsel
+reads its pages and charges their scan CPU on a core of its own - the
+core-seconds of one charge for the whole task, spread across the cores.
+The task then runs the fragment once over every page its morsels read and
+returns filtered column batches, partial groups (full GROUP-BY partial
+aggregation, DISTINCT included, in the executor's own ``(keys, samples,
+states)`` shape), or the prepared build side of a hash join (join-key
+tuples + filtered columns), which the engine merges (secondary
+aggregation / hash probe).  Merged rows keep the table's page order, as a
+local scan's do.  Pages a server cannot serve (entry cleaned, server
+crashed) are returned as failures and re-processed through the engine's
+normal read path - push-down never affects correctness.
 
 Fragments execute on the storage side exactly as the engine's operators
 do locally (column-major decode of the fragment's projection + the
@@ -44,6 +48,7 @@ from ..engine.table import Table
 from ..obs import obs_of
 from ..sim.core import Environment, FanOut
 from ..sim.network import RpcNetwork
+from ..sim.resources import CpuPool
 from ..storage.pagestore import PageStoreService, PageStoreServer
 from . import kernels
 from .ast import AggCall, Expr
@@ -152,6 +157,8 @@ class _Task:
     server_id: str
     #: For astore: [(page_id, entry)]; for pagestore: [(page_id, min_lsn)].
     pages: List[Tuple] = field(default_factory=list)
+    #: The task's ``pq.dispatch`` span while tracing: its morsels' parent.
+    span: object = None
 
 
 class PushdownRuntime:
@@ -194,6 +201,7 @@ class PushdownRuntime:
             "query.pushdown.fallback_pages",
             "query.pushdown.cost_rejected",
             "query.pushdown.result_bytes",
+            "query.pushdown.morsels",
         ):
             registry.incr(key, 0)
 
@@ -331,6 +339,7 @@ class PushdownRuntime:
             if tracer.enabled
             else None
         )
+        task.span = span
         try:
             request_bytes = FRAGMENT_WIRE_BYTES + 24 * len(task.pages)
             yield from self.network.send(request_bytes)
@@ -369,12 +378,11 @@ class PushdownRuntime:
     def _run_on_astore(self, fragment: PushdownFragment, task: _Task):
         """Generator: PQ process on an AStore server, reading local PMem."""
         server = self.ebp.client.servers[task.server_id]
-        pages: List[Page] = []
-        failed: List[Tuple[PageId, int]] = []
-        for page_id, entry in task.pages:
+
+        def read(spec):
+            page_id, entry = spec
             if not server.alive:
-                failed.append((page_id, entry.lsn))
-                continue
+                return None
             segment = server.segments.get(entry.segment_id)
             stored = segment.entries.get(entry.offset) if segment else None
             payload = stored.payload if stored else None
@@ -384,27 +392,32 @@ class PushdownRuntime:
                 or payload[1] != page_id
                 or payload[2] != entry.lsn
             ):
-                failed.append((page_id, entry.lsn))
-                continue
+                return None
             # Local PMem read: no fabric hop, just media time.
             yield from server.pmem.read(entry.length)
-            pages.append(payload[3])
-        result, scanned = execute_fragment_on_pages(
-            fragment, pages, self.obs.registry
+            return payload[3]
+
+        items = [(spec, (spec[0], spec[1].lsn)) for spec in task.pages]
+        pages, failed = yield from self._run_morsels(
+            task, server.cpu, items, read
         )
-        yield from server.cpu.consume(
-            PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned
+        result, _ = execute_fragment_on_pages(
+            fragment, pages, self.obs.registry
         )
         self.pages_via_ebp += len(pages)
         self.obs.registry.incr("query.pushdown.pages_via_ebp", len(pages))
         return result, failed
 
     def _run_on_pagestore(self, fragment: PushdownFragment, task: _Task):
-        """Generator: PQ process on a PageStore server, reading local SSD."""
+        """Generator: PQ process on a PageStore server, reading local SSD.
+
+        Shipping, catch-up and the image lookup stay serial in page order
+        (so no two catch-ups of one segment overlap); only the SSD reads
+        and the scan CPU run as morsels."""
         server: PageStoreServer = next(
             s for s in self.pagestore.servers if s.server_id == task.server_id
         )
-        pages: List[Page] = []
+        found: List[Tuple[Page, Tuple[PageId, int]]] = []
         failed: List[Tuple[PageId, int]] = []
         for page_id, min_lsn in task.pages:
             if not server.alive:
@@ -415,26 +428,94 @@ class PushdownRuntime:
                 # The first page ahead of shipped_lsn ships the whole queue.
                 yield from self.engine.ship_through(min_lsn, "read")
                 yield from server.catch_up(segment_no)
-                replica = server.replica(segment_no)
-                page = replica.pages.get(page_id)
-                if page is None or page.page_lsn < min_lsn:
-                    failed.append((page_id, min_lsn))
-                    continue
-                yield from server.device.read(page.size)
-                pages.append(page)
+                page = server.replica(segment_no).pages.get(page_id)
             except StorageError:
+                page = None
+            if page is None or page.page_lsn < min_lsn:
                 failed.append((page_id, min_lsn))
-        result, scanned = execute_fragment_on_pages(
-            fragment, pages, self.obs.registry
+            else:
+                found.append((page, (page_id, min_lsn)))
+
+        def read(page):
+            if not server.alive:
+                return None
+            yield from server.device.read(page.size)
+            return page
+
+        pages, unread = yield from self._run_morsels(
+            task, server.cpu, found, read
         )
-        yield from server.cpu.consume(
-            PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned
+        failed.extend(unread)
+        result, _ = execute_fragment_on_pages(
+            fragment, pages, self.obs.registry
         )
         self.pages_via_pagestore += len(pages)
         self.obs.registry.incr(
             "query.pushdown.pages_via_pagestore", len(pages)
         )
         return result, failed
+
+    def _run_morsels(
+        self, task: _Task, cpu: CpuPool, items: List[Tuple], read
+    ):
+        """Generator: read a task's pages as per-core morsels.
+
+        ``items`` is ``[(spec, failure)]`` in page order; ``read(spec)`` is a
+        generator returning the page image, or None when the page cannot be
+        served (it is then reported as ``failure``).  The items split into
+        at most ``cpu.cores`` contiguous runs, run as legs of one
+        ``FanOut``: each leg reads its pages, then makes one charge on its
+        own core for what it read, so the task's core-seconds are those of
+        one charge for all its pages, spread over the server's cores.  A
+        1-core server runs one leg.  Returns ``(pages, failed)`` in page
+        order.
+        """
+        count = max(1, min(cpu.cores, len(items)))
+        size, extra = divmod(len(items), count)
+        legs = []
+        start = 0
+        for index in range(count):
+            stop = start + size + (index < extra)
+            legs.append(self._morsel(task, cpu, items[start:stop], read))
+            start = stop
+        pages: List[Page] = []
+        failed: List[Tuple[PageId, int]] = []
+        for leg_pages, leg_failed in (yield FanOut(self.env, legs)):
+            pages.extend(leg_pages)
+            failed.extend(leg_failed)
+        return pages, failed
+
+    def _morsel(self, task: _Task, cpu: CpuPool, items: List[Tuple], read):
+        """Generator: one leg of :meth:`_run_morsels`."""
+        self.obs.registry.incr("query.pushdown.morsels")
+        tracer = self.obs.tracer
+        span = (
+            tracer.span(
+                "pq.morsel",
+                parent=task.span,
+                tags={"server": task.server_id, "pages": len(items)},
+            )
+            if tracer.enabled
+            else None
+        )
+        try:
+            pages: List[Page] = []
+            failed: List[Tuple[PageId, int]] = []
+            rows = 0
+            for spec, failure in items:
+                page = yield from read(spec)
+                if page is None:
+                    failed.append(failure)
+                    continue
+                pages.append(page)
+                rows += page.row_count
+            yield from cpu.consume(
+                PAGE_CPU * max(len(pages), 1) + ROW_CPU * rows
+            )
+        finally:
+            if span is not None:
+                span.finish()
+        return pages, failed
 
     def _run_local(self, fragment: PushdownFragment, page_specs, via_engine=False):
         """Generator: process pages on the engine thread.

@@ -7,8 +7,11 @@ from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.ast import ColumnRef
+from repro.query.executor import PAGE_CPU, ROW_CPU
 from repro.query.plan import SeqScan
 from repro.query.planner import wire_bytes
+from repro.sim.resources import CpuPool
+from repro.storage.pagestore import APPLY_COST_PER_RECORD
 
 
 def make_db(rows=300, bp_pages=16):
@@ -319,3 +322,250 @@ def test_shipped_result_bytes_are_the_wire_model_of_each_result():
     assert {kind for _, (kind, _) in returned} == {"batch", "hash", "partials"}
     assert all(shipped in sent for shipped in expected)
     assert registry.value("query.pushdown.result_bytes") - before == sum(expected)
+
+
+# ----------------------------------------------------------------------
+# Per-core morsels
+# ----------------------------------------------------------------------
+MORSEL_SQL = "SELECT f_id, label FROM facts WHERE amount >= 10"
+
+
+def run(dep, generator):
+    proc = dep.env.process(generator)
+    dep.env.run_until_event(proc)
+    return proc.value
+
+
+def scan_of(session, sql):
+    node = session.plan(sql)
+    while not isinstance(node, SeqScan):
+        node = node.child
+    return node
+
+
+def recording_tasks(runtime, kind="astore"):
+    """Wrap ``runtime``'s task runner of ``kind``: every task it runs is
+    appended as ``(fragment, task, virtual seconds, failed)``."""
+    tasks = []
+    attribute = "_run_on_%s" % kind
+    task_runner = getattr(runtime, attribute)
+
+    def runner(fragment, task):
+        start = runtime.env.now
+        result, failed = yield from task_runner(fragment, task)
+        tasks.append((fragment, task, runtime.env.now - start, failed))
+        return result, failed
+
+    setattr(runtime, attribute, runner)
+    return tasks
+
+
+class PeakPool(CpuPool):
+    """A ``CpuPool`` that remembers the most cores it ever had taken."""
+
+    def __init__(self, env, cores):
+        super().__init__(env, cores)
+        self.peak = 0
+
+    def acquire(self):
+        grant = super().acquire()
+        self.peak = max(self.peak, self.count)
+        return grant
+
+
+def test_eight_morsels_return_one_cores_result_in_a_quarter_of_the_time():
+    """Morsels change how long a task takes, not what it returns or what
+    CPU it burns: same rows, page row counts, shipped bytes and
+    core-seconds as on a 1-core server, at most a quarter of the time."""
+    dep = make_db(rows=600)
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    scan = scan_of(pq, MORSEL_SQL)
+    tasks = recording_tasks(runtime)
+    registry = dep.obs.registry
+    seen = {}
+    for cores in (1, 8):
+        for server in dep.astore.servers.values():
+            server.cpu = CpuPool(dep.env, cores)
+        result_bytes = registry.value("query.pushdown.result_bytes")
+        morsels = registry.value("query.pushdown.morsels")
+        del tasks[:]
+        kind, batch = run(dep, runtime.run_scan(scan))
+        (fragment, task, seconds, failed), = tasks
+        assert len(task.pages) >= 64 and not failed
+        assert registry.value("query.pushdown.morsels") - morsels == cores
+        seen[cores] = (
+            seconds,
+            (kind, batch.arrays),
+            dict(fragment.page_rows),
+            registry.value("query.pushdown.result_bytes") - result_bytes,
+            dep.astore.servers[task.server_id].cpu.busy_time,
+        )
+    (one_s, *one), (eight_s, *eight) = seen[1], seen[8]
+    assert eight[:3] == one[:3]
+    assert eight[3] == pytest.approx(one[3], rel=1e-12)
+    assert eight_s <= one_s / 4
+
+
+def test_a_traced_morsel_is_a_pq_morsel_span_under_its_dispatch():
+    """Traced, each morsel is one ``pq.morsel`` span whose parent is its
+    task's ``pq.dispatch``, tagged with the server and its page count."""
+    dep = make_db(rows=600)
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    tracer = dep.obs.enable_tracing(dep.env)
+    morsels = dep.obs.registry.value("query.pushdown.morsels")
+    run(dep, runtime.run_scan(scan_of(pq, MORSEL_SQL)))
+    morsels = dep.obs.registry.value("query.pushdown.morsels") - morsels
+    dispatches = {
+        span.span_id: span for span in tracer.spans
+        if span.name == "pq.dispatch"
+    }
+    legs = [span for span in tracer.spans if span.name == "pq.morsel"]
+    assert dispatches and len(legs) == morsels >= 8
+    for dispatch in dispatches.values():
+        under = [leg for leg in legs if leg.parent_id == dispatch.span_id]
+        assert all(
+            leg.tags["server"] == dispatch.tags["server"] for leg in under
+        )
+        assert sum(leg.tags["pages"] for leg in under) == dispatch.tags["pages"]
+        assert all(
+            dispatch.start <= leg.start <= leg.end <= dispatch.end
+            for leg in under
+        )
+    assert {leg.parent_id for leg in legs} == set(dispatches)
+
+
+def test_a_server_dying_mid_task_fails_over_every_morsels_unread_pages():
+    """The server crashes while its morsels are reading: each morsel's
+    pages not yet read come back failed and take the engine path, and the
+    merged rows still equal the local scan's, in page order."""
+    dep = make_db(rows=600)
+    local = dep.new_session(enable_pushdown=False)
+    want = run(dep, local._run(scan_of(local, MORSEL_SQL)))
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    scan = scan_of(pq, MORSEL_SQL)
+    tasks = recording_tasks(runtime)
+    table = dep.engine.catalog.table("facts")
+    entry = next(filter(None, map(runtime.ebp.index.get,
+                                  map(table.page_id, table.page_nos))))
+    server = dep.astore.servers[runtime._astore_server_of(entry.segment_id)]
+    reads = []
+    pmem_read = server.pmem.read
+
+    def crashing_read(length):
+        yield from pmem_read(length)
+        reads.append(length)
+        if len(reads) == 12:
+            server.crash()
+
+    server.pmem.read = crashing_read
+    kind, batch = run(dep, runtime.run_scan(scan))
+    assert (kind, batch.keys, batch.arrays) == ("batch", want.keys, want.arrays)
+    (_fragment, task, _seconds, failed), = tasks
+    assert 12 <= len(reads) < len(task.pages)
+    unread = len(task.pages) - len(reads)
+    assert runtime.fallback_pages == len(failed) == unread
+    # Every morsel read the head of its run and failed the rest: the
+    # failed pages form one run per morsel in the task's page order.
+    failing = [(pid, spec.lsn) in failed for pid, spec in task.pages]
+    runs = sum(
+        1 for i, fails in enumerate(failing)
+        if fails and (i == 0 or not failing[i - 1])
+    )
+    assert runs == server.cpu.cores == 8
+
+
+def test_concurrent_fragments_queue_their_morsels_on_one_servers_cores():
+    """Two fragments at once on one server: their morsels share its cores
+    FIFO - never more taken than it has - and burn exactly the
+    core-seconds of the two run alone."""
+    dep = make_db(rows=600)
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    scans = [
+        scan_of(pq, MORSEL_SQL),
+        scan_of(pq, "SELECT f_id, amount FROM facts WHERE dim = 3"),
+    ]
+    tasks = recording_tasks(runtime)
+    servers = list(dep.astore.servers.values())
+
+    def fresh_pools():
+        for server in servers:
+            server.cpu = PeakPool(dep.env, server.cpu.cores)
+
+    solo = []
+    for scan in scans:
+        fresh_pools()
+        run(dep, runtime.run_scan(scan))
+        solo.append(sum(s.cpu.busy_time for s in servers))
+    fresh_pools()
+    del tasks[:]
+    procs = [dep.env.process(runtime.run_scan(scan)) for scan in scans]
+    for proc in procs:
+        dep.env.run_until_event(proc)
+    (_, first, _, _), (_, second, _, _) = tasks
+    assert first.server_id == second.server_id
+    pool = dep.astore.servers[first.server_id].cpu
+    busy = sum(s.cpu.busy_time for s in servers)
+    assert busy == pytest.approx(sum(solo), rel=1e-12)
+    assert pool.peak == pool.cores == 8
+    assert pool.count == 0
+
+
+def test_morsels_add_no_catch_up_of_a_pagestore_segment():
+    """A pushed PageStore task catches each of its segments up serially,
+    in page order, before its morsels read: every record its server
+    applies is charged ``APPLY_COST_PER_RECORD`` exactly once."""
+    dep = make_db(rows=600)
+    engine = dep.engine
+
+    def update_and_ship(env):
+        txn = engine.begin()
+        for f_id in range(0, 600, 3):
+            yield from engine.update(txn, "facts", (f_id,), {"amount": 1.0})
+        yield from engine.commit(txn)
+        yield from engine.ship_through(engine.log.persistent_lsn, "read")
+
+    run(dep, update_and_ship(dep.env))
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    runtime.ebp = None  # no EBP copy to read: every task goes to PageStore
+    scan = scan_of(pq, MORSEL_SQL)
+    tasks = recording_tasks(runtime, "pagestore")
+    servers = dep.pagestore.servers
+    pending = {
+        server.server_id: {
+            segment_no: len(replica.to_apply)
+            for segment_no, replica in server.replicas.items()
+        }
+        for server in servers
+    }
+    busy = {server.server_id: server.cpu.busy_time for server in servers}
+    morsels = dep.obs.registry.value("query.pushdown.morsels")
+    run(dep, runtime.run_scan(scan))
+    morsels = dep.obs.registry.value("query.pushdown.morsels") - morsels
+    assert morsels >= 2 * len(tasks)
+    segment_of = dep.pagestore.segment_of
+    for _fragment, task, _seconds, failed in tasks:
+        server = next(s for s in servers if s.server_id == task.server_id)
+        segments = {segment_of(page_id) for page_id, _ in task.pages}
+        # The background apply daemon catches other segments up meanwhile:
+        # count every record the server applied.
+        before = pending[server.server_id]
+        applied = sum(
+            before.get(segment_no, 0) - len(replica.to_apply)
+            for segment_no, replica in server.replicas.items()
+        )
+        rows = sum(
+            server.replicas[segment_of(page_id)].pages[page_id].row_count
+            for page_id, _ in task.pages
+        )
+        assert len(segments) >= 2 and applied > 0 and not failed
+        assert server.cpu.busy_time - busy[server.server_id] == pytest.approx(
+            APPLY_COST_PER_RECORD * applied
+            + PAGE_CPU * len(task.pages)
+            + ROW_CPU * rows,
+            rel=1e-12,
+        )

@@ -16,6 +16,10 @@ asserts qualitatively:
 6. PQ morsels: a push-down task split into per-core morsels finishes the
    CH queries sooner than one core a task, from storage-side CPU the
    one-sided data plane leaves idle (Section VI).
+7. Runtime filters: a hash join's build keys filtering its probe-side scan
+   (storage-side when that scan is pushed) finish the CH join queries
+   sooner, probing fewer rows (selection before data crosses the wire,
+   Section VI).
 """
 
 from conftest import print_table
@@ -374,3 +378,63 @@ def test_ablation_pq_morsels(benchmark):
     assert sum(morsels.values()) < sum(single.values())
     for query_no in (1, 6, 22):
         assert single[query_no] >= 2 * morsels[query_no], query_no
+
+
+def test_ablation_runtime_filters(benchmark):
+    """Hash joins filtering their probe-side scans vs every plan's runtime
+    filter cleared."""
+    from repro.harness.scenario import run
+    from repro.query.plan import HashJoin, PlanNode
+    from repro.workloads.tpcch import CH_QUERIES, ch_query_sql
+
+    def clear(node):
+        """Take every hash join's runtime filter under ``node`` off."""
+        if isinstance(node, HashJoin):
+            node.runtime_filter = None
+        for attr in ("child", "left", "right", "outer"):
+            child = getattr(node, attr, None)
+            if isinstance(child, PlanNode):
+                clear(child)
+
+    def run_variant(unfiltered):
+        dep, session = _loaded_ch_deployment()
+        registry = dep.obs.registry
+        probed = registry.value("query.join.rows_probed")
+        times = {}
+        for query_no in sorted(CH_QUERIES):
+            plan = session.plan(ch_query_sql(query_no))
+            if unfiltered:
+                clear(plan)
+            start = dep.env.now
+            run(dep, session.execute_plan(plan))
+            times[query_no] = dep.env.now - start
+        return times, registry.value("query.join.rows_probed") - probed
+
+    def run_both():
+        return {
+            label: run_variant(unfiltered)
+            for label, unfiltered in (("filtered", False), ("cleared", True))
+        }
+
+    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    (filtered, probed), (cleared, cleared_probed) = (
+        results["filtered"], results["cleared"]
+    )
+    print_table(
+        "Ablation - runtime filters: virtual ms per CH query, build keys "
+        "filtering the probe-side scan vs cleared (rows probed %d vs %d)"
+        % (probed, cleared_probed),
+        ["query", "filtered ms", "cleared ms", "speedup"],
+        [
+            ("Q%d" % query_no, "%.3f" % (filtered[query_no] * 1e3),
+             "%.3f" % (cleared[query_no] * 1e3),
+             "%.2fx" % (cleared[query_no] / filtered[query_no]))
+            for query_no in sorted(filtered)
+        ] + [("total", "%.3f" % (sum(filtered.values()) * 1e3),
+              "%.3f" % (sum(cleared.values()) * 1e3),
+              "%.2fx" % (sum(cleared.values()) / sum(filtered.values())))],
+    )
+    assert sum(filtered.values()) < sum(cleared.values())
+    assert probed < cleared_probed
+    for query_no in (5, 7):
+        assert cleared[query_no] >= 2 * filtered[query_no], query_no

@@ -33,7 +33,7 @@ def main():
     print(
         "Aggregation push-down (Q1, Q6, Q22) and selective filters "
         "(Q11, Q13, Q15, Q20) gain the most;\nsmall-working-set joins "
-        "(Q16) barely move - matching the paper's Figure 14."
+        "(Q16) gain the least - matching the paper's Figure 14."
     )
 
 

@@ -13,8 +13,12 @@ projection and sort key runs as one generated loop over the parallel
 arrays (``repro.query.kernels`` - the kernels storage-side fragments run
 too), a join gathers only the columns something above it reads
 (``HashJoin.output``), and rows become tuples once, in
-:func:`batch_result`.  CPU is charged in per-page / per-batch quanta to keep
-event counts manageable.  ``tests/query/row_oracle.py`` is the
+:func:`batch_result`.  A hash join builds first, so its build keys can
+filter its probe side: the one scan below it that produces every probe
+key (``HashJoin.runtime_filter``) drops the rows no build row can match,
+in its selection step or - pushed - inside its fragment, and every join
+above sees fewer rows.  CPU is charged in per-page / per-batch quanta to
+keep event counts manageable.  ``tests/query/row_oracle.py`` is the
 dict-at-a-time interpreter every ``QueryResult`` and every virtual-time
 charge is held to.
 
@@ -31,7 +35,10 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Any, Container, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..common import US, QueryError
 from ..engine.dbengine import DBEngine
@@ -63,11 +70,11 @@ from .plan import (
     SeqScan,
     Sort,
 )
-from .planner import Planner, PlannerConfig
+from .planner import Planner, PlannerConfig, key_set_wire_bytes
 
 __all__ = ["QuerySession", "QueryResult", "PreparedStatement",
-           "fold_groups", "finalize_groups", "project_batch", "sort_batch",
-           "limit_batch", "batch_result", "count_scan_cells"]
+           "RuntimeFilter", "fold_groups", "finalize_groups", "project_batch",
+           "sort_batch", "limit_batch", "batch_result", "count_scan_cells"]
 
 #: CPU charged per row flowing through a tight operator loop.
 ROW_CPU = 0.25 * US
@@ -90,6 +97,26 @@ def count_scan_cells(
     registry.incr("query.scan.cells_decoded", rows * decoded)
     registry.incr("query.scan.cells_stored", rows * stored)
     registry.incr("query.scan.cells_uncached", uncached)
+
+
+class RuntimeFilter(NamedTuple):
+    """A hash join's build keys, handed to the probe-side scan that produces
+    every probe key (``HashJoin.runtime_filter``): that scan keeps only the
+    rows whose key tuple of ``exprs`` is among ``keys``."""
+
+    #: The join's left keys, bare columns of the target scan.
+    exprs: List[Expr]
+    #: The built hash table; only membership is read.
+    keys: Container
+    #: What shipping the key set costs on the wire.
+    wire: int
+    #: The build side's binding (trace tags).
+    build: str
+
+
+#: Runtime filters in force, by target scan binding.
+Filters = Mapping[str, Tuple[RuntimeFilter, ...]]
+_NO_FILTERS: Filters = MappingProxyType({})
 
 
 @dataclass
@@ -275,7 +302,11 @@ class QuerySession:
         self._registry = obs_of(engine.env).registry
         count_scan_cells(self._registry, 0, 0, 0, 0)  # present before any scan
         for name in ("query.join.cells_joined", "query.join.cells_gathered",
-                     "query.kernels.compiled"):
+                     "query.join.rows_probed", "query.kernels.compiled",
+                     "query.runtime_filter.derived",
+                     "query.runtime_filter.rows_dropped.storage",
+                     "query.runtime_filter.rows_dropped.engine",
+                     "query.runtime_filter.bytes_shipped"):
             self._registry.incr(name, 0)
         self.queries_executed = 0
         self.pages_scanned = 0
@@ -451,9 +482,12 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Plan walking: every operator returns one ColumnBatch
     # ------------------------------------------------------------------
-    def _run(self, node: PlanNode):
+    def _run(self, node: PlanNode, filters: Filters = _NO_FILTERS):
+        """Generator: ``node``'s output.  ``filters`` are the runtime
+        filters of the hash joins above, which reach scans through hash
+        joins only."""
         if isinstance(node, SeqScan):
-            batch, predicate = yield from self._scan(node)
+            batch, predicate = yield from self._scan(node, filters)
             if predicate is not None:
                 batch = batch.gather(
                     kernels.select(batch, predicate, self._registry)
@@ -462,7 +496,7 @@ class QuerySession:
         if isinstance(node, IndexLookup):
             return (yield from self._run_index_lookup(node))
         if isinstance(node, HashJoin):
-            return (yield from self._run_hash_join(node))
+            return (yield from self._run_hash_join(node, filters))
         if isinstance(node, IndexNLJoin):
             return (yield from self._run_nl_join(node))
         if isinstance(node, Aggregate):
@@ -475,29 +509,35 @@ class QuerySession:
             return limit_batch((yield from self._run(node.child)), node.count)
         raise QueryError("unknown plan node %r" % node)
 
-    def _unfiltered(self, node: PlanNode):
+    def _unfiltered(self, node: PlanNode, filters: Filters = _NO_FILTERS):
         """Generator: ``(batch, predicate)`` for an operator whose kernel
         filters in its own loop: a scan as :meth:`_scan` gives it (sparing
         the gather of a batch only that loop reads), anything else run
         whole."""
         if isinstance(node, SeqScan):
-            return (yield from self._scan(node))
-        return (yield from self._run(node)), None
+            return (yield from self._scan(node, filters))
+        return (yield from self._run(node, filters)), None
 
     # -- scans ----------------------------------------------------------------
     def _pushed(self, scan: SeqScan) -> bool:
         return scan.pushdown and self.pushdown_runtime is not None
 
-    def _scan(self, scan: SeqScan):
+    def _scan(self, scan: SeqScan, filters: Filters = _NO_FILTERS):
         """Generator: ``(batch, predicate)`` - the projected columns of the
         scan's rows and the filter still to apply to them: the scan's own
-        for a local scan, None for a pushed fragment (storage applied it)."""
+        for a local scan, None for a pushed fragment (storage applied it).
+        A local scan that runtime filters target applies its own filter,
+        then theirs, and returns no predicate; a pushed one hands them to
+        its fragment."""
+        targeting = filters.get(scan.binding, ())
         if self._pushed(scan):
             if scan.partial_agg is not None:
                 raise QueryError(
                     "partial aggregates feed only an Aggregate that merges them"
                 )
-            _, batch = yield from self.pushdown_runtime.run_scan(scan)
+            _, batch = yield from self.pushdown_runtime.run_scan(
+                scan, targeting
+            )
             return batch, None
         table = self.engine.catalog.table(scan.table_name)
         schema = table.schema
@@ -513,10 +553,22 @@ class QuerySession:
             rows, cells = schema.decode_page_into(page, positions, batch.arrays)
             batch.n += rows
             uncached += cells
+        registry = self._registry
         count_scan_cells(
-            self._registry, batch.n, len(batch.keys), len(schema), uncached
+            registry, batch.n, len(batch.keys), len(schema), uncached
         )
-        return batch, scan.filter
+        if not targeting:
+            return batch, scan.filter
+        if scan.filter is not None:
+            batch = batch.gather(kernels.select(batch, scan.filter, registry))
+        passed = batch.n
+        batch = batch.gather(kernels.semi_join(
+            batch, [(f.exprs, f.keys) for f in targeting], registry
+        ))
+        registry.incr(
+            "query.runtime_filter.rows_dropped.engine", passed - batch.n
+        )
+        return batch, None
 
     def _run_index_lookup(self, node: IndexLookup):
         """Generator: fetch at most one row through the PK B-tree.
@@ -589,8 +641,11 @@ class QuerySession:
             nullable.append(side.nullable[position])
         return ColumnBatch(out_keys, arrays, len(left_sel), nullable)
 
-    def _run_hash_join(self, join: HashJoin):
-        left = yield from self._run(join.left)
+    def _run_hash_join(self, join: HashJoin, filters: Filters = _NO_FILTERS):
+        """Generator: build, then probe.  The build side runs first, so its
+        key set can filter the probe side: a join with a
+        ``runtime_filter`` adds it to ``filters`` for the scan it targets
+        below."""
         right_scan = join.right
         key_rows = predicate = None
         if (
@@ -600,15 +655,25 @@ class QuerySession:
             and self._pushed(right_scan)
         ):
             key_rows, right = yield from self.pushdown_runtime.run_hash_build(
-                right_scan
+                right_scan, filters.get(right_scan.binding, ())
             )
         else:
-            right, predicate = yield from self._unfiltered(join.right)
+            right, predicate = yield from self._unfiltered(join.right, filters)
         registry = self._registry
         built, right_rows, unique = kernels.hash_build(
-            right, join.right_keys, kernels.nullable(left, join.left_keys),
+            right, join.right_keys,
+            kernels.nullable(self._shape(join.left), join.left_keys),
             self._keyed_build(join), predicate, key_rows, registry,
         )
+        target = join.runtime_filter
+        if target is not None:
+            registry.incr("query.runtime_filter.derived")
+            filters = dict(filters)
+            filters[target] = filters.get(target, ()) + (
+                self._runtime_filter(join, built),
+            )
+        left = yield from self._run(join.left, filters)
+        registry.incr("query.join.rows_probed", left.n)
         yield from self.engine.cpu.consume(ROW_CPU * (left.n + right_rows))
         left_sel, right_sel, matched = kernels.probe(
             left, join.left_keys, built, unique, right, join.residual, registry
@@ -620,6 +685,41 @@ class QuerySession:
         )
         registry.incr("query.join.cells_gathered", joined.n * len(joined.keys))
         return joined
+
+    def _runtime_filter(self, join: HashJoin, built: Dict) -> RuntimeFilter:
+        """The filter ``join``'s build keys put on its target scan, the key
+        set priced as ``built``'s keys over the build scan's table."""
+        build = join.right
+        wire = key_set_wire_bytes(
+            self.engine.catalog.table(build.table_name), join.right_keys,
+            len(built),
+        )
+        return RuntimeFilter(join.left_keys, built, wire, build.binding)
+
+    def _shape(self, node: PlanNode) -> ColumnBatch:
+        """An empty batch keyed and typed as ``node``'s output would be, from
+        the plan and the schemas: what a hash join knows of its probe side
+        before running it.  A node that is no scan or join has no known
+        columns (every key of it may be NULL)."""
+        catalog = self.engine.catalog
+        if isinstance(node, SeqScan):
+            schema = catalog.table(node.table_name).schema
+            return ColumnBatch.for_scan(node.binding, schema, node.projection)
+        if isinstance(node, IndexLookup):
+            schema = catalog.table(node.table_name).schema
+            return ColumnBatch.for_scan(node.binding, schema, schema.names)
+        if isinstance(node, HashJoin):
+            return self._joined(
+                self._shape(node.left), [], self._shape(node.right), [],
+                node.output,
+            )
+        if isinstance(node, IndexNLJoin):
+            schema = catalog.table(node.inner_table).schema
+            inner = ColumnBatch.for_scan(
+                node.inner_binding, schema, node.inner_projection
+            )
+            return self._joined(self._shape(node.outer), [], inner, range(0))
+        return ColumnBatch((), [], 0)
 
     def _keyed_build(self, join: HashJoin) -> bool:
         """Whether the build side's join keys cover its table's primary

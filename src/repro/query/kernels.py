@@ -1,7 +1,8 @@
 """Generated operator kernels: one Python function per pipeline breaker.
 
 A plan has five kinds of loop that touch every row: a *selection*
-(filter -> selection vector), a *hash build* (filter -> key tuple ->
+(filter -> selection vector; a *semi-join* selects the rows whose key a
+hash join's build side holds), a *hash build* (filter -> key tuple ->
 dict), a *probe* (key -> lookup -> residual -> left/right selection
 vectors), a *group-by* (filter -> key -> accumulate) and a *tuple
 extraction* (expressions -> one tuple per row: join and index-probe keys,
@@ -36,7 +37,9 @@ kernel's time to the query layer.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 from zlib import crc32
 
 from ..common import QueryError
@@ -63,6 +66,7 @@ __all__ = [
     "nullable",
     "probe",
     "select",
+    "semi_join",
     "weighted_fold",
 ]
 
@@ -349,6 +353,35 @@ def select(batch: ColumnBatch, predicate: Expr, registry=None) -> List[int]:
     loop = lowering.columns.loop(("i", "range(n)"))
     return lowering.run(
         "select", "", ["return [i %s if %s]" % (loop, test)], registry
+    )
+
+
+def semi_join(
+    batch: ColumnBatch,
+    filters: Sequence[Tuple[Sequence[Expr], Container]],
+    registry=None,
+) -> List[int]:
+    """The selection vector of the rows that pass every runtime filter
+    ``(exprs, keys)``: whose key tuple of ``exprs`` is among ``keys`` (a
+    hash join's build keys).  A key with a NULL component passes none,
+    because NULL = NULL is not true."""
+    lowering = _Lowering(batch)
+    tests = []
+    for number, (exprs, _keys) in enumerate(filters):
+        terms = [lowering.term(expr) for expr in exprs]
+        key = "(%s)" % "".join("%s, " % term.src for term in terms)
+        if any(term.nullable for term in terms):
+            tests.append("None not in (r%d := %s) and r%d in s%d"
+                         % (number, key, number, number))
+        else:
+            tests.append("%s in s%d" % (key, number))
+    loop = lowering.columns.loop(("i", "range(n)"))
+    body = [
+        "[%s] = sets" % ", ".join("s%d" % i for i in range(len(filters))),
+        "return [i %s if %s]" % (loop, " and ".join(tests)),
+    ]
+    return lowering.run(
+        "semi_join", ", sets", body, registry, [keys for _, keys in filters]
     )
 
 

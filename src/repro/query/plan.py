@@ -10,6 +10,8 @@ projection.
 executor hands the scan (plus its filter/projection and, when the whole
 query is a single-table aggregate, partial aggregation) to the push-down
 runtime instead of pumping pages through the engine thread.
+``HashJoin.runtime_filter`` names the scan of a join's probe side that its
+build keys filter at run time.
 """
 
 from __future__ import annotations
@@ -108,6 +110,12 @@ class HashJoin(PlanNode):
     #: How many columns both sides carry into the join, unpruned
     #: (EXPLAIN's ``cols=k/n``).
     joined_columns: int = 0
+    #: The binding of the one ``SeqScan`` in the left (probe) subtree that
+    #: produces every left key as a bare column, reached through hash
+    #: joins only: the executor builds first and hands that scan the
+    #: build's key set, so it drops the rows no build key can match.
+    #: ``None``: no such scan.  Set only over a ``SeqScan`` build side.
+    runtime_filter: Optional[str] = None
 
 
 @dataclass
@@ -166,11 +174,13 @@ class Limit(PlanNode):
     count: int = 0
 
 
-def explain(node: PlanNode, depth: int = 0) -> str:
+def explain(node: PlanNode, depth: int = 0, _filters=None) -> str:
     """Human-readable plan tree (used by tests and examples).  A scan the
     planner priced for push-down shows ``wire=<result>B/<page>B``: what
-    its fragment would ship against the page bytes it saves."""
+    its fragment would ship against the page bytes it saves; a scan a hash
+    join's build side filters shows ``runtime-filter<-<build binding>``."""
     pad = "  " * depth
+    filters = _filters or {}
     if isinstance(node, SeqScan):
         marks = []
         if node.pushdown:
@@ -181,6 +191,10 @@ def explain(node: PlanNode, depth: int = 0) -> str:
             marks.append("hash-build")
         if node.filter is not None:
             marks.append("filtered")
+        marks.extend(
+            "runtime-filter<-%s" % build
+            for build in filters.get(node.binding, ())
+        )
         suffix = (" [%s]" % ", ".join(marks)) if marks else ""
         if node.wire is not None:
             suffix += " wire=%dB/%dB" % node.wire
@@ -198,12 +212,16 @@ def explain(node: PlanNode, depth: int = 0) -> str:
             "" if node.output is None
             else " cols=%d/%d" % (len(node.output), node.joined_columns)
         )
+        target = node.runtime_filter
+        if target is not None:
+            filters = dict(filters)
+            filters[target] = filters.get(target, ()) + (node.right.binding,)
         return "%sHashJoin%s ~%d rows\n%s\n%s" % (
             pad,
             cols,
             node.estimated_rows,
-            explain(node.left, depth + 1),
-            explain(node.right, depth + 1),
+            explain(node.left, depth + 1, filters),
+            explain(node.right, depth + 1, filters),
         )
     if isinstance(node, IndexNLJoin):
         return "%sIndexNLJoin(inner=%s as %s) ~%d rows\n%s" % (

@@ -22,6 +22,11 @@ Planning steps (paper Section VI-A):
    partial aggregation; the build side of a hash join carries its join
    keys (``SeqScan.hash_keys``) so the executor can ship the hash
    build storage-side.
+5. Name each hash join's runtime-filter target (``HashJoin.runtime_filter``):
+   the scan of its probe side that produces every probe key as a bare
+   column, reached through hash joins only.  The executor builds first
+   and hands that scan the build's key set; a pushed target carries it in
+   its fragment, priced by :func:`key_set_wire_bytes`.
 
 Result wire bytes come from one width-aware model, :func:`wire_bytes`,
 which the push-down runtime also charges a task's result with: a shipped
@@ -60,7 +65,8 @@ from .plan import (
     Sort,
 )
 
-__all__ = ["Planner", "PlannerConfig", "match_view_select", "wire_bytes"]
+__all__ = ["Planner", "PlannerConfig", "key_set_wire_bytes",
+           "match_view_select", "wire_bytes"]
 
 #: Framing of one fragment result on the wire.
 RESULT_HEADER_BYTES = 64
@@ -131,6 +137,18 @@ def fragment_wire_bytes(table: Table, scan, rows: int,
             )
     aggregates = 0 if scan.partial_agg is None else len(scan.partial_agg[1])
     return wire_bytes(table, positions, rows, aggregates, distinct_values)
+
+
+def key_set_wire_bytes(table: Table, exprs: Iterable[Expr], keys: int) -> int:
+    """:func:`wire_bytes` of a runtime filter's key set: ``keys`` tuples of
+    a hash join's build keys ``exprs`` over ``table``, each key priced as
+    the columns it reads."""
+    position = table.schema.position
+    positions = [
+        position(key.rpartition(".")[2])
+        for expr in exprs for key in expr.columns()
+    ]
+    return wire_bytes(table, positions, keys)
 
 
 @dataclass
@@ -445,6 +463,7 @@ class Planner:
             )
         right_scan = scan_of(binding)
         right_keys = [r for _, r in equi_pairs]
+        left_keys = [l for l, _ in equi_pairs]
         # Planner metadata for the widened push-down: the build side of a
         # hash join knows its join keys, so a marked build scan can be
         # executed storage-side as a hash-build fragment.
@@ -453,10 +472,37 @@ class Planner:
             estimated_rows=max(estimated, right_scan.estimated_rows),
             left=left,
             right=right_scan,
-            left_keys=[l for l, _ in equi_pairs],
+            left_keys=left_keys,
             right_keys=right_keys,
             residual=and_together(residuals),
+            runtime_filter=self._filter_target(
+                left, left_keys, binding_tables
+            ),
         )
+
+    def _filter_target(self, left, left_keys, binding_tables) -> Optional[str]:
+        """The binding of the scan a hash join's build keys can filter:
+        every left key a bare column of one binding, whose ``SeqScan`` is
+        reached from ``left`` through hash joins only and aggregates
+        nothing.  Its rows then carry the left keys unchanged up to the
+        join, so a row whose key no build row has can never match."""
+        bindings = set()
+        for expr in left_keys:
+            if not isinstance(expr, ColumnRef):
+                return None
+            bindings |= self._bindings_of(expr, binding_tables)
+        if len(bindings) != 1:
+            return None
+        (binding,) = bindings
+        pending = [left]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, HashJoin):
+                pending.extend((node.left, node.right))
+            elif (isinstance(node, SeqScan) and node.binding == binding
+                    and node.partial_agg is None):
+                return binding
+        return None
 
     def _prune_joins(self, node, live, claimed):
         """Top-down liveness: set each ``HashJoin.output`` to the joined

@@ -26,6 +26,12 @@ local scan's do.  Pages a server cannot serve (entry cleaned, server
 crashed) are returned as failures and re-processed through the engine's
 normal read path - push-down never affects correctness.
 
+A scan that a hash join's build side filters (``HashJoin.runtime_filter``)
+carries the build's key set in its fragment and drops, after its own
+filter, the rows whose key is not in it - on storage tasks, buffer-pool
+pages and fallback pages alike - unless shipping the key set would cost
+more than the scan's planned result.
+
 Fragments execute on the storage side exactly as the engine's operators
 do locally (column-major decode of the fragment's projection + the
 generated filter / key / group-by kernels of ``repro.query.kernels``), so
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common import PageId, StorageError
 from ..engine.dbengine import DBEngine
@@ -53,7 +59,7 @@ from ..storage.pagestore import PageStoreService, PageStoreServer
 from . import kernels
 from .ast import AggCall, Expr
 from .columnar import ColumnBatch
-from .executor import PAGE_CPU, ROW_CPU, count_scan_cells
+from .executor import PAGE_CPU, ROW_CPU, RuntimeFilter, count_scan_cells
 from .plan import SeqScan
 from .planner import fragment_wire_bytes
 
@@ -79,6 +85,9 @@ class PushdownFragment:
     #: with ``partial_agg``): the server returns each surviving row's key
     #: tuple alongside the filtered columns.
     hash_keys: Optional[List[Expr]] = None
+    #: The key sets of hash joins above that this scan feeds: a row
+    #: passing ``filter`` is kept only if its key is in every one.
+    runtime_filters: Sequence[RuntimeFilter] = ()
     #: Filled as tasks run: the rows each executed page put in a plain or
     #: hash-build result (how the merge restores page order).
     page_rows: Dict[PageId, int] = field(default_factory=dict)
@@ -94,14 +103,16 @@ class PushdownFragment:
 
 
 def execute_fragment_on_pages(
-    fragment: PushdownFragment, pages: List[Page], registry=None
+    fragment: PushdownFragment, pages: List[Page], registry=None,
+    side: str = "storage",
 ):
     """Run the fragment over page images; pure compute, no timing
-    (``registry``, when given, counts the scanned cells and kernel builds).
+    (``registry``, when given, counts the scanned cells, kernel builds and
+    the rows runtime filters drop on ``side``, ``storage`` or ``engine``).
     Pages decode through their decoded-column memos, as a local scan's do.
     A plain or hash-build result records each page's row count in
-    ``fragment.page_rows``: its decoded rows, less those the filter's
-    selection vector drops.
+    ``fragment.page_rows``: its decoded rows, less those the filter's and
+    then the runtime filters' selection vectors drop.
 
     Returns one of
     ``("batch", ColumnBatch)`` (plain filtered scan),
@@ -112,7 +123,7 @@ def execute_fragment_on_pages(
     Batches and sample rows carry the fragment's projected columns only;
     rows keep page order then slot order, groups first-seen order.  The
     kernels are the engine's: filter and grouping in one loop, or
-    selection then key extraction.
+    selection, then the runtime filters' semi-join, then key extraction.
     """
     schema = fragment._schema  # type: ignore[attr-defined]
     positions = tuple(map(schema.position, fragment.projection))
@@ -141,6 +152,18 @@ def execute_fragment_on_pages(
         selection = kernels.select(batch, fragment.filter, registry)
         batch = batch.gather(selection)
         ends = [bisect_left(selection, end) for end in ends]
+    if fragment.runtime_filters:
+        passed = batch.n
+        selection = kernels.semi_join(
+            batch, [(f.exprs, f.keys) for f in fragment.runtime_filters],
+            registry,
+        )
+        batch = batch.gather(selection)
+        ends = [bisect_left(selection, end) for end in ends]
+        if registry is not None:
+            registry.incr(
+                "query.runtime_filter.rows_dropped." + side, passed - batch.n
+            )
     start = 0
     for page, end in zip(pages, ends):
         fragment.page_rows[page.page_id] = end - start
@@ -208,37 +231,59 @@ class PushdownRuntime:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def run_scan(self, scan: SeqScan):
-        """Generator: execute a marked scan fragment via PQ.
+    def run_scan(self, scan: SeqScan,
+                 filters: Sequence[RuntimeFilter] = ()):
+        """Generator: execute a marked scan fragment via PQ, ``filters``
+        the runtime filters targeting it (see :meth:`_shipped`).
 
         Returns ``("batch", ColumnBatch)``, or ``("partials", (keys,
         samples, states))`` - every task's groups, unfolded - when the
         fragment carries partial aggregation.
         """
         self.obs.registry.incr("query.pushdown.fragments")
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return (yield from self._run_scan(scan))
-        with tracer.span("pq.scan", tags={"table": scan.table_name}):
-            return (yield from self._run_scan(scan))
+        return (yield from self._traced("pq.scan", scan, filters, False))
 
-    def run_hash_build(self, scan: SeqScan):
+    def run_hash_build(self, scan: SeqScan,
+                       filters: Sequence[RuntimeFilter] = ()):
         """Generator: push the build side of a hash join storage-side.
 
-        The fragment filters the scan and extracts join-key tuples on the
-        storage servers; the engine only builds the hash table and probes.
-        Returns ``(key_tuples, ColumnBatch)``.
+        The fragment filters the scan (``filters`` as :meth:`run_scan`'s)
+        and extracts join-key tuples on the storage servers; the engine
+        only builds the hash table and probes.  Returns ``(key_tuples,
+        ColumnBatch)``.
         """
         self.obs.registry.incr("query.pushdown.fragments")
         self.obs.registry.incr("query.pushdown.hash_fragments")
         self.hash_build_fragments += 1
+        return (yield from self._traced("pq.hash_build", scan, filters, True))
+
+    def _traced(self, name: str, scan: SeqScan,
+                filters: Sequence[RuntimeFilter], hash_build: bool):
+        """Generator: :meth:`_run_scan` under a ``name`` span while tracing,
+        tagged ``query.runtime_filter`` with the build sides whose key sets
+        it carries."""
+        shipped = self._shipped(scan, filters)
         tracer = self.obs.tracer
         if not tracer.enabled:
-            return (yield from self._run_scan(scan, hash_build=True))
-        with tracer.span("pq.hash_build", tags={"table": scan.table_name}):
-            return (yield from self._run_scan(scan, hash_build=True))
+            return (yield from self._run_scan(scan, shipped, hash_build))
+        tags = {"table": scan.table_name}
+        if shipped:
+            tags["query.runtime_filter"] = ",".join(f.build for f in shipped)
+        with tracer.span(name, tags=tags):
+            return (yield from self._run_scan(scan, shipped, hash_build))
 
-    def _run_scan(self, scan: SeqScan, hash_build: bool = False):
+    @staticmethod
+    def _shipped(scan: SeqScan, filters: Sequence[RuntimeFilter]):
+        """The runtime filters worth shipping with ``scan``'s fragment: a
+        key set that costs more on the wire than the planner's estimate of
+        the whole result (``scan.wire[0]``) stays behind, and its rows
+        reach the join's probe unfiltered."""
+        if scan.wire is None:
+            return tuple(filters)
+        return tuple(f for f in filters if f.wire <= scan.wire[0])
+
+    def _run_scan(self, scan: SeqScan, filters: Sequence[RuntimeFilter],
+                  hash_build: bool):
         table = self.engine.catalog.table(scan.table_name)
         fragment = PushdownFragment(
             table_name=scan.table_name,
@@ -247,6 +292,7 @@ class PushdownRuntime:
             filter=scan.filter,
             partial_agg=scan.partial_agg,
             hash_keys=list(scan.hash_keys) if hash_build else None,
+            runtime_filters=filters,
         )
         fragment._schema = table.schema  # type: ignore[attr-defined]
         merged = _Merge(fragment)
@@ -341,7 +387,14 @@ class PushdownRuntime:
         )
         task.span = span
         try:
-            request_bytes = FRAGMENT_WIRE_BYTES + 24 * len(task.pages)
+            # Each task's request carries the fragment's key sets.
+            key_set_bytes = sum(f.wire for f in fragment.runtime_filters)
+            self.obs.registry.incr(
+                "query.runtime_filter.bytes_shipped", key_set_bytes
+            )
+            request_bytes = (
+                FRAGMENT_WIRE_BYTES + 24 * len(task.pages) + key_set_bytes
+            )
             yield from self.network.send(request_bytes)
             if task.kind == "astore":
                 result, failed = yield from self._run_on_astore(fragment, task)
@@ -540,7 +593,7 @@ class PushdownRuntime:
                     continue
             pages.append(page)
         result, scanned = execute_fragment_on_pages(
-            fragment, pages, self.obs.registry
+            fragment, pages, self.obs.registry, side="engine"
         )
         yield from self.engine.cpu.consume(
             PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned

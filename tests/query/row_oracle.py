@@ -6,7 +6,10 @@ plan node moved onto ``ColumnBatch`` kernels: one dict per row keyed
 ``binding.column``, plain ``Expr.eval`` per row, aggregates riding in an
 ``__aggs__`` entry.  It is full-width and engine-side only - it reads no
 ``pushdown`` mark, ``SeqScan.projection`` or ``HashJoin.output`` - so it is
-slow and obviously right; it must not be "optimised".  It keeps its own
+slow and obviously right; it must not be "optimised".  Like the engine it
+builds a hash join's right side first and lets the build keys filter the
+scan a ``HashJoin.runtime_filter`` names, a semantic step (it decides
+which rows the join above sees), not a shortcut.  It keeps its own
 aggregate accumulators and its own aggregate-aware expression evaluator:
 the engine's flat group states and generated kernels answer to them.
 
@@ -201,15 +204,19 @@ class RowOracle:
             shaped = [tuple(row.get(c) for c in columns) for row in rows]
         return QueryResult(columns, shaped)
 
-    def _run(self, node):
+    def _run(self, node, filters=None):
+        """``filters``: ``{target binding: [(left keys, build dict)]}`` of
+        the hash joins above."""
         if isinstance(node, IndexLookup):
             rows = yield from self._run_index_lookup(node)
             return rows, None
         if isinstance(node, SeqScan):
-            rows = yield from self._run_scan(node)
+            rows = yield from self._run_scan(
+                node, (filters or {}).get(node.binding, ())
+            )
             return rows, None
         if isinstance(node, HashJoin):
-            return (yield from self._run_hash_join(node))
+            return (yield from self._run_hash_join(node, filters))
         if isinstance(node, IndexNLJoin):
             return (yield from self._run_nl_join(node))
         if isinstance(node, Aggregate):
@@ -224,7 +231,7 @@ class RowOracle:
         raise QueryError("unknown plan node %r" % node)
 
     # -- scans ----------------------------------------------------------------
-    def _run_scan(self, scan):
+    def _run_scan(self, scan, filters=()):
         table = self.engine.catalog.table(scan.table_name)
         rows = []
         scanned = 0
@@ -237,7 +244,9 @@ class RowOracle:
             scanned += page.row_count
             for values in table.schema.decode_rows(page.rows()):
                 row = self._bind_row(scan.binding, table, values)
-                if scan.filter is None or scan.filter.eval(row):
+                if scan.filter is not None and not scan.filter.eval(row):
+                    continue
+                if all(self._may_match(row, *f) for f in filters):
                     rows.append(row)
         width = len(table.schema)
         # Every cell, decoded from the page bytes (no memo).
@@ -274,6 +283,11 @@ class RowOracle:
         return rows
 
     @staticmethod
+    def _may_match(row, exprs, build):
+        key = tuple(expr.eval(row) for expr in exprs)
+        return None not in key and key in build  # NULL = NULL is not true
+
+    @staticmethod
     def _bind_row(binding, table, values):
         return {
             "%s.%s" % (binding, name): value
@@ -281,17 +295,22 @@ class RowOracle:
         }
 
     # -- joins ----------------------------------------------------------------
-    def _run_hash_join(self, join):
-        left_rows, _ = yield from self._run(join.left)
-        right_rows, _ = yield from self._run(join.right)
-        yield from self.engine.cpu.consume(
-            ROW_CPU * (len(left_rows) + len(right_rows))
-        )
+    def _run_hash_join(self, join, filters=None):
+        right_rows, _ = yield from self._run(join.right, filters)
         build = {}
         for row in right_rows:
             key = tuple(expr.eval(row) for expr in join.right_keys)
             if None not in key:  # NULL = NULL is not true
                 build.setdefault(key, []).append(row)
+        if join.runtime_filter is not None:
+            filters = dict(filters or {})
+            filters[join.runtime_filter] = list(
+                filters.get(join.runtime_filter, ())
+            ) + [(join.left_keys, build)]
+        left_rows, _ = yield from self._run(join.left, filters)
+        yield from self.engine.cpu.consume(
+            ROW_CPU * (len(left_rows) + len(right_rows))
+        )
         out = []
         for row in left_rows:
             key = tuple(expr.eval(row) for expr in join.left_keys)

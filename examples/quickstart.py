@@ -83,13 +83,13 @@ def main():
     proc = deployment.env.process(work(deployment.env))
     deployment.run_until(proc)
     print("\nvirtual time elapsed: %.3f ms" % (proc.value * 1000))
-    runtime = session.pushdown_runtime
+    registry = deployment.obs.registry
     print(
         "push-down tasks: %d (pages via EBP: %d, via PageStore: %d)"
-        % (
-            runtime.tasks_dispatched,
-            runtime.pages_via_ebp,
-            runtime.pages_via_pagestore,
+        % tuple(
+            registry.value("query.pushdown." + name)
+            for name in ("tasks_dispatched", "pages_via_ebp",
+                         "pages_via_pagestore")
         )
     )
 

@@ -6,21 +6,23 @@ through remote storage serialises page fetch after page fetch - precisely
 the pathology push-down removes.
 
 Operators execute eagerly (OLAP-style materialisation) and each hands its
-parent one :class:`~repro.query.columnar.ColumnBatch`: pages decode
-column-major and only in the columns the plan reads
-(``SeqScan.projection``), every filter, hash build, probe, group-by,
-projection and sort key runs as one generated loop over the parallel
-arrays (``repro.query.kernels`` - the kernels storage-side fragments run
-too), a join gathers only the columns something above it reads
-(``HashJoin.output``), and rows become tuples once, in
-:func:`batch_result`.  A hash join builds first, so its build keys can
-filter its probe side: the one scan below it that produces every probe
-key (``HashJoin.runtime_filter``) drops the rows no build row can match,
-in its selection step or - pushed - inside its fragment, and every join
-above sees fewer rows.  CPU is charged in per-page / per-batch quanta to
-keep event counts manageable.  ``tests/query/row_oracle.py`` is the
-dict-at-a-time interpreter every ``QueryResult`` and every virtual-time
-charge is held to.
+parent one :class:`~repro.query.columnar.ColumnBatch`.  Every scan is a
+:class:`PushdownFragment` run through one :class:`ScanPipeline` - on this
+thread over the pages it fetches, or storage-side when the scan is pushed
+(``repro.query.pushdown``): pages decode column-major, through each page's
+decoded-column memo and only in the columns the plan reads
+(``SeqScan.projection``), then the scan's filter, then the runtime filters,
+then rows, join-key tuples or partial groups.  Every filter, hash build,
+probe, group-by, projection and sort key runs as one generated loop over
+the parallel arrays (``repro.query.kernels``), a join gathers only the
+columns something above it reads (``HashJoin.output``), and rows become
+tuples once, in :func:`batch_result`.  A hash join builds first, so its
+build keys can filter its probe side: the one scan below it that produces
+every probe key (``HashJoin.runtime_filter``) drops the rows no build row
+can match, and every join above sees fewer rows.  CPU is charged in
+per-page / per-batch quanta to keep event counts manageable.
+``tests/query/row_oracle.py`` is the dict-at-a-time interpreter every
+``QueryResult`` and every virtual-time charge is held to.
 
 What follows an Aggregate's grouping - fold, finalize, Project, Sort, Limit,
 row zip - is the *answer tail*: pure functions over a ``ColumnBatch``
@@ -33,6 +35,7 @@ one place an answer is shaped.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -40,8 +43,10 @@ from typing import (
     Any, Container, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from ..common import US, QueryError
+from ..common import US, PageId, QueryError
+from ..engine.codec import Schema
 from ..engine.dbengine import DBEngine
+from ..engine.page import Page
 from ..engine.table import Table
 from ..obs import obs_of
 from .ast import (
@@ -73,8 +78,9 @@ from .plan import (
 from .planner import Planner, PlannerConfig, key_set_wire_bytes
 
 __all__ = ["QuerySession", "QueryResult", "PreparedStatement",
-           "RuntimeFilter", "fold_groups", "finalize_groups", "project_batch",
-           "sort_batch", "limit_batch", "batch_result", "count_scan_cells"]
+           "RuntimeFilter", "PushdownFragment", "ScanPipeline",
+           "fold_groups", "finalize_groups", "project_batch", "sort_batch",
+           "limit_batch", "batch_result", "count_scan_cells"]
 
 #: CPU charged per row flowing through a tight operator loop.
 ROW_CPU = 0.25 * US
@@ -117,6 +123,157 @@ class RuntimeFilter(NamedTuple):
 #: Runtime filters in force, by target scan binding.
 Filters = Mapping[str, Tuple[RuntimeFilter, ...]]
 _NO_FILTERS: Filters = MappingProxyType({})
+
+
+@dataclass
+class PushdownFragment:
+    """A scan as the unit one :class:`ScanPipeline` runs: scan + filter +
+    projection + runtime filters, then plain rows, hash-build key
+    extraction or partial aggregation.  The serialisable unit push-down
+    ships to storage; the engine runs the same one over the pages it
+    scans itself."""
+
+    table_name: str
+    binding: str
+    #: The scan's ``SeqScan.projection``: the only columns the pipeline
+    #: decodes, binds and returns.
+    projection: Tuple[str, ...]
+    filter: Optional[Expr]
+    partial_agg: Optional[Tuple[List[Expr], List[AggCall]]]
+    #: Join-key expressions of a hash build (mutually exclusive with
+    #: ``partial_agg``): each surviving row's key tuple comes back
+    #: alongside the filtered columns.
+    hash_keys: Optional[List[Expr]] = None
+    #: The key sets of hash joins above that this scan feeds: a row
+    #: passing ``filter`` is kept only if its key is in every one.
+    runtime_filters: Sequence[RuntimeFilter] = ()
+    #: Filled as pages run: the rows each executed page put in a plain or
+    #: hash-build result (how a push-down merge restores page order).
+    page_rows: Dict[PageId, int] = field(default_factory=dict)
+    #: The table's schema (a production system serialises it with the
+    #: fragment).
+    schema: Optional[Schema] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(
+        cls, scan: SeqScan, schema: Schema, hash_build: bool = False,
+        partial_agg: Optional[Tuple[List[Expr], List[AggCall]]] = None,
+        runtime_filters: Sequence[RuntimeFilter] = (),
+    ) -> "PushdownFragment":
+        """``scan``'s fragment: its rows, ``(key tuples, rows)`` of its
+        ``hash_keys`` with ``hash_build``, or its ``partial_agg`` groups."""
+        return cls(
+            table_name=scan.table_name,
+            binding=scan.binding,
+            projection=scan.projection,
+            filter=scan.filter,
+            partial_agg=partial_agg,
+            hash_keys=list(scan.hash_keys) if hash_build else None,
+            runtime_filters=tuple(runtime_filters),
+            schema=schema,
+        )
+
+    def empty_batch(self) -> ColumnBatch:
+        return ColumnBatch.for_scan(self.binding, self.schema, self.projection)
+
+
+class ScanPipeline:
+    """A fragment's one page pipeline: :meth:`feed` decodes a page into
+    the projection through its decoded-column memo, so the scan sees the
+    page as it was when fed; :meth:`finish` applies the scan's filter,
+    then the runtime filters, and makes the output.  Pure compute: the
+    caller charges.  ``registry``, when given, counts the scanned cells,
+    kernel builds and the rows runtime filters drop on ``side``
+    (``storage`` or ``engine``)."""
+
+    def __init__(self, fragment: PushdownFragment, registry=None,
+                 side: str = "storage"):
+        schema = fragment.schema
+        self.fragment = fragment
+        self.registry = registry
+        self.side = side
+        self.positions = tuple(map(schema.position, fragment.projection))
+        #: Every fed page's rows, in feeding order.
+        self.decoded = fragment.empty_batch()
+        self.uncached = 0
+        #: Per fed page: its id, and the rows decoded through it.
+        self.pages: List[PageId] = []
+        self.ends: List[int] = []
+        #: The rows that reached the output (set by :meth:`finish`).
+        self.passed = 0
+
+    def feed(self, page: Page) -> None:
+        decoded = self.decoded
+        rows, cells = self.fragment.schema.decode_page_into(
+            page, self.positions, decoded.arrays
+        )
+        decoded.n += rows
+        self.uncached += cells
+        self.pages.append(page.page_id)
+        self.ends.append(decoded.n)
+
+    def finish(self):
+        """The fragment's output over every fed page: ``("batch",
+        ColumnBatch)``, ``("hash", (key_tuples, ColumnBatch))`` or
+        ``("partials", (keys, samples, states))`` - partial groups as
+        :meth:`QuerySession._group` makes them.  Batches and sample rows
+        carry the projected columns only; rows keep page order then slot
+        order, groups first-seen order.  A plain or hash-build result
+        records each page's rows in ``fragment.page_rows``.  Grouping with
+        no runtime filters evaluates the scan's filter in its own loop."""
+        fragment, registry, batch = self.fragment, self.registry, self.decoded
+        if registry is not None:
+            count_scan_cells(
+                registry, batch.n, len(self.positions), len(fragment.schema),
+                self.uncached,
+            )
+        ends = self.ends
+        predicate, filters = fragment.filter, fragment.runtime_filters
+        if predicate is not None and (filters or fragment.partial_agg is None):
+            selection = kernels.select(batch, predicate, registry)
+            batch = batch.gather(selection)
+            ends = [bisect_left(selection, end) for end in ends]
+            predicate = None
+        if filters:
+            passed = batch.n
+            selection = kernels.semi_join(
+                batch, [(f.exprs, f.keys) for f in filters], registry
+            )
+            batch = batch.gather(selection)
+            ends = [bisect_left(selection, end) for end in ends]
+            if registry is not None:
+                registry.incr(
+                    "query.runtime_filter.rows_dropped." + self.side,
+                    passed - batch.n,
+                )
+        if fragment.partial_agg is not None:
+            groups, self.passed = _partial_groups(
+                batch, *fragment.partial_agg, predicate, registry
+            )
+            return "partials", groups
+        self.passed = batch.n
+        start = 0
+        for page_id, end in zip(self.pages, ends):
+            fragment.page_rows[page_id] = end - start
+            start = end
+        if fragment.hash_keys is not None:
+            keys = kernels.key_tuples(batch, fragment.hash_keys, registry)
+            return "hash", (keys, batch)
+        return "batch", batch
+
+
+def _partial_groups(
+    batch: ColumnBatch, group_exprs: Sequence[Expr], aggs: Sequence[AggCall],
+    predicate: Optional[Expr] = None, registry=None,
+) -> Tuple[Tuple[List[Tuple], ColumnBatch, List[List[Any]]], int]:
+    """``((keys, samples, states), rows passed)``: the partial groups of
+    ``batch``'s rows passing ``predicate``, in one group-by kernel."""
+    groups, passed = kernels.group_by(
+        batch, group_exprs, aggs, predicate, registry
+    )
+    states = list(groups.values())
+    samples = batch.gather([state[0] for state in states])
+    return (list(groups), samples, states), passed
 
 
 @dataclass
@@ -308,7 +465,6 @@ class QuerySession:
                      "query.runtime_filter.rows_dropped.engine",
                      "query.runtime_filter.bytes_shipped"):
             self._registry.incr(name, 0)
-        self.queries_executed = 0
         self.pages_scanned = 0
         self.index_lookups = 0
         self.plan_cache_hits = 0
@@ -415,7 +571,6 @@ class QuerySession:
         if not isinstance(node, Aggregate):
             return (yield from self.execute_plan(plan))
         groups = yield from self._group(node)
-        self.queries_executed += 1
         return node.aggregates, groups
 
     def execute_point(self, point: "PointReadPlan", params: Sequence[Any]):
@@ -433,7 +588,6 @@ class QuerySession:
             for is_param, source in point.key_source
         )
         self.index_lookups += 1
-        self.queries_executed += 1
         rows: List[Tuple[Any, ...]] = []
         try:
             locator = table.lookup(key)
@@ -471,7 +625,6 @@ class QuerySession:
     def execute_plan(self, plan: PlanNode):
         """Generator: run a logical plan; returns a QueryResult."""
         batch = yield from self._run(plan)
-        self.queries_executed += 1
         node = plan
         while isinstance(node, (Limit, Sort)):
             node = node.child
@@ -487,12 +640,7 @@ class QuerySession:
         filters of the hash joins above, which reach scans through hash
         joins only."""
         if isinstance(node, SeqScan):
-            batch, predicate = yield from self._scan(node, filters)
-            if predicate is not None:
-                batch = batch.gather(
-                    kernels.select(batch, predicate, self._registry)
-                )
-            return batch
+            return (yield from self._scan(node, filters))
         if isinstance(node, IndexLookup):
             return (yield from self._run_index_lookup(node))
         if isinstance(node, HashJoin):
@@ -509,66 +657,49 @@ class QuerySession:
             return limit_batch((yield from self._run(node.child)), node.count)
         raise QueryError("unknown plan node %r" % node)
 
-    def _unfiltered(self, node: PlanNode, filters: Filters = _NO_FILTERS):
-        """Generator: ``(batch, predicate)`` for an operator whose kernel
-        filters in its own loop: a scan as :meth:`_scan` gives it (sparing
-        the gather of a batch only that loop reads), anything else run
-        whole."""
-        if isinstance(node, SeqScan):
-            return (yield from self._scan(node, filters))
-        return (yield from self._run(node, filters)), None
-
     # -- scans ----------------------------------------------------------------
     def _pushed(self, scan: SeqScan) -> bool:
         return scan.pushdown and self.pushdown_runtime is not None
 
-    def _scan(self, scan: SeqScan, filters: Filters = _NO_FILTERS):
-        """Generator: ``(batch, predicate)`` - the projected columns of the
-        scan's rows and the filter still to apply to them: the scan's own
-        for a local scan, None for a pushed fragment (storage applied it).
-        A local scan that runtime filters target applies its own filter,
-        then theirs, and returns no predicate; a pushed one hands them to
-        its fragment."""
+    def _scan(self, scan: SeqScan, filters: Filters = _NO_FILTERS,
+              hash_build: bool = False):
+        """Generator: the rows of ``scan``'s fragment - ``(key tuples,
+        rows)`` of its ``hash_keys`` with ``hash_build`` - run storage-side
+        when the scan is pushed, on this thread otherwise, the runtime
+        filters targeting it applied after its own filter."""
         targeting = filters.get(scan.binding, ())
         if self._pushed(scan):
             if scan.partial_agg is not None:
                 raise QueryError(
                     "partial aggregates feed only an Aggregate that merges them"
                 )
-            _, batch = yield from self.pushdown_runtime.run_scan(
-                scan, targeting
-            )
-            return batch, None
+            runtime = self.pushdown_runtime
+            if hash_build:
+                return (yield from runtime.run_hash_build(scan, targeting))
+            return (yield from runtime.run_scan(scan, targeting))[1]
+        pipeline = yield from self._scan_here(
+            scan, hash_build=hash_build, runtime_filters=targeting
+        )
+        return pipeline.finish()[1]
+
+    def _scan_here(self, scan: SeqScan, **output):
+        """Generator: feed every page of ``scan``'s table, on this thread,
+        to the pipeline of ``PushdownFragment.of(scan, schema, **output)``,
+        each page as soon as it is fetched and charged (``PAGE_CPU +
+        ROW_CPU`` a row).  Returns the pipeline, ready to finish."""
         table = self.engine.catalog.table(scan.table_name)
-        schema = table.schema
-        batch = ColumnBatch.for_scan(scan.binding, schema, scan.projection)
-        positions = tuple(map(schema.position, scan.projection))
-        uncached = 0
+        pipeline = ScanPipeline(
+            PushdownFragment.of(scan, table.schema, **output),
+            self._registry, "engine",
+        )
         for page_no in list(table.page_nos):
             page = yield from self.engine.fetch_page(table.page_id(page_no))
             yield from self.engine.cpu.consume(
                 PAGE_CPU + ROW_CPU * page.row_count
             )
             self.pages_scanned += 1
-            rows, cells = schema.decode_page_into(page, positions, batch.arrays)
-            batch.n += rows
-            uncached += cells
-        registry = self._registry
-        count_scan_cells(
-            registry, batch.n, len(batch.keys), len(schema), uncached
-        )
-        if not targeting:
-            return batch, scan.filter
-        if scan.filter is not None:
-            batch = batch.gather(kernels.select(batch, scan.filter, registry))
-        passed = batch.n
-        batch = batch.gather(kernels.semi_join(
-            batch, [(f.exprs, f.keys) for f in targeting], registry
-        ))
-        registry.incr(
-            "query.runtime_filter.rows_dropped.engine", passed - batch.n
-        )
-        return batch, None
+            pipeline.feed(page)
+        return pipeline
 
     def _run_index_lookup(self, node: IndexLookup):
         """Generator: fetch at most one row through the PK B-tree.
@@ -646,25 +777,14 @@ class QuerySession:
         key set can filter the probe side: a join with a
         ``runtime_filter`` adds it to ``filters`` for the scan it targets
         below."""
-        right_scan = join.right
-        key_rows = predicate = None
-        if (
-            isinstance(right_scan, SeqScan)
-            and right_scan.hash_keys
-            and right_scan.partial_agg is None
-            and self._pushed(right_scan)
-        ):
-            key_rows, right = yield from self.pushdown_runtime.run_hash_build(
-                right_scan, filters.get(right_scan.binding, ())
-            )
-        else:
-            right, predicate = yield from self._unfiltered(join.right, filters)
+        key_rows, right = yield from self._scan(join.right, filters, True)
         registry = self._registry
-        built, right_rows, unique = kernels.hash_build(
+        built, unique = kernels.hash_build(
             right, join.right_keys,
             kernels.nullable(self._shape(join.left), join.left_keys),
-            self._keyed_build(join), predicate, key_rows, registry,
+            key_rows, self._keyed_build(join), registry,
         )
+        del key_rows  # not held through the probe side: ``built`` has them
         target = join.runtime_filter
         if target is not None:
             registry.incr("query.runtime_filter.derived")
@@ -674,7 +794,7 @@ class QuerySession:
             )
         left = yield from self._run(join.left, filters)
         registry.incr("query.join.rows_probed", left.n)
-        yield from self.engine.cpu.consume(ROW_CPU * (left.n + right_rows))
+        yield from self.engine.cpu.consume(ROW_CPU * (left.n + right.n))
         left_sel, right_sel, matched = kernels.probe(
             left, join.left_keys, built, unique, right, join.residual, registry
         )
@@ -726,8 +846,6 @@ class QuerySession:
         key: a quiescent scan then meets each key once, and the build can
         expect (it still checks) unique keys."""
         scan = join.right
-        if not isinstance(scan, SeqScan):
-            return False
         names = {e.name for e in join.right_keys if isinstance(e, ColumnRef)}
         table = self.engine.catalog.table(scan.table_name)
         return names.issuperset(table.key_columns)
@@ -793,29 +911,34 @@ class QuerySession:
         applied (:meth:`execute_partial_select` ships the groups instead).
 
         Returns partial groups ``(keys, samples, states)``, one entry per
-        group in first-seen order.  The partial groups a pushed scan
-        produced storage-side, task by task, are folded; anything else
-        groups here, in one kernel.
+        group in first-seen order.  A local scan groups in its own
+        pipeline; the partial groups a pushed scan produced storage-side,
+        task by task, are folded; anything else groups here, in one
+        kernel.
         """
         child, aggs = agg.child, agg.aggregates
-        if (
-            agg.from_partials
-            and isinstance(child, SeqScan)
-            and child.partial_agg is not None
-            and self._pushed(child)
-        ):
+        if isinstance(child, SeqScan) and not self._pushed(child):
+            pipeline = yield from self._scan_here(
+                child, partial_agg=(agg.group_exprs, aggs)
+            )
+            _, groups = pipeline.finish()
+            yield from self.engine.cpu.consume(
+                ROW_CPU * max(pipeline.passed, 1)
+            )
+            return groups
+        if (agg.from_partials and isinstance(child, SeqScan)
+                and child.partial_agg is not None):
             _, (keys, samples, states) = yield from self.pushdown_runtime.run_scan(
                 child
             )
             yield from self.engine.cpu.consume(ROW_CPU * max(len(keys), 1))
             return fold_groups(keys, samples, states, aggs)
-        batch, predicate = yield from self._unfiltered(child)
-        flat, rows = kernels.group_by(
-            batch, agg.group_exprs, aggs, predicate, self._registry
+        batch = yield from self._run(child)
+        groups, rows = _partial_groups(
+            batch, agg.group_exprs, aggs, registry=self._registry
         )
         yield from self.engine.cpu.consume(ROW_CPU * max(rows, 1))
-        states = list(flat.values())
-        return list(flat), batch.gather([state[0] for state in states]), states
+        return groups
 
     def _run_aggregate(self, agg: Aggregate):
         _, samples, states = yield from self._group(agg)

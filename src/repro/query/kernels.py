@@ -2,19 +2,20 @@
 
 A plan has five kinds of loop that touch every row: a *selection*
 (filter -> selection vector; a *semi-join* selects the rows whose key a
-hash join's build side holds), a *hash build* (filter -> key tuple ->
-dict), a *probe* (key -> lookup -> residual -> left/right selection
-vectors), a *group-by* (filter -> key -> accumulate) and a *tuple
-extraction* (expressions -> one tuple per row: join and index-probe keys,
-a Project's values, a Sort's keys).  This module lowers the
+hash join's build side holds), a *hash build* (key tuple -> dict), a
+*probe* (key -> lookup -> residual -> left/right selection vectors), a
+*group-by* (filter -> key -> accumulate) and a *tuple extraction*
+(expressions -> one tuple per row: join, build and index-probe keys, a
+Project's values, a Sort's keys).  This module lowers the
 ``repro.query.ast`` algebra to Python **source** once per operator call
 and runs each of those loops as one generated function: a column reference
 is a loop variable fed by ``zip`` over the column arrays, ``binop_apply``'s
 NULL rules are inlined (and dropped where the schema says a column cannot
 be NULL), and aggregates update a flat per-group state list specialised
 per (function, DISTINCT, nullable argument).  The engine's operators and
-the storage-side fragment executor both call these kernels, so they stay
-one implementation.
+every scan's one pipeline (``repro.query.executor.ScanPipeline``, on the
+engine or on a storage server) call these kernels, so they stay one
+implementation.
 
 The lowering follows ``Expr.eval`` exactly - operand order, which
 operands a short-circuit skips, ``TypeError`` from mismatched operand
@@ -408,48 +409,31 @@ def hash_build(
     batch: ColumnBatch,
     exprs: Sequence[Expr],
     probe_nullable: Sequence[bool],
+    key_rows: Sequence[Tuple],
     unique: bool = False,
-    predicate: Optional[Expr] = None,
-    key_rows: Optional[Sequence[Tuple]] = None,
     registry=None,
-) -> Tuple[Dict[Tuple, Any], int, bool]:
-    """Hash the build side over the rows passing ``predicate``.
+) -> Tuple[Dict[Tuple, Any], bool]:
+    """Hash the build side ``batch``: ``key_rows`` are its rows' key tuples
+    of ``exprs``, one per row (its scan's fragment extracted them).
 
-    Returns ``(built, rows passed, unique)``: ``built`` maps each key
-    tuple to the list of its row indices (ascending) or, when ``unique``,
-    to its one row index.  ``unique`` is the caller's expectation that
-    no key repeats; it is checked, and a build that finds a repeat falls
-    back to lists and says so.
+    Returns ``(built, unique)``: ``built`` maps each key tuple to the list
+    of its row indices (ascending) or, when ``unique``, to its one row
+    index.  ``unique`` is the caller's expectation that no key repeats; it
+    is checked, and a build that finds a repeat falls back to lists and
+    says so.
 
     NULL = NULL is not true: a key with NULL in a component that can be
     NULL on the probe side too (``probe_nullable``, per component) is
     left out, so no probe finds it; where either side cannot be NULL
-    nothing needs checking.  ``key_rows`` are ready-made key tuples, one
-    per (already filtered) row - a pushed build ships them; without them
-    bare-column keys come off ``zip`` and anything else is evaluated in
-    the loop.
+    nothing needs checking.
     """
-    lowering = _Lowering(batch)
-    columns = lowering.columns
     null_checked = [
         component
         for component, both in enumerate(zip(probe_nullable, nullable(batch, exprs)))
         if all(both)
     ]
     unique = unique and not null_checked  # a skipped key hides a repeat
-    loop: List[str] = []
-    keys = "rows" if key_rows is not None else None
-    if keys is None and predicate is None:
-        keys = columns.bare(exprs)
-    if keys is not None:
-        head = "for j, key in enumerate(%s):" % keys
-    else:
-        if predicate is not None:
-            loop.append("if not %s: continue" % lowering.term(predicate).src)
-            loop.append("m += 1")
-        loop.append("key = %s" % lowering.tuple_of(exprs))
-        head = columns.loop(("j", "range(n)")) + ":"
-    loop.extend("if key[%d] is None: continue" % c for c in null_checked)
+    loop = ["if key[%d] is None: continue" % c for c in null_checked]
     if unique:
         loop.append("built[key] = j")
     else:
@@ -458,17 +442,17 @@ def hash_build(
             "if bucket is None: built[key] = [j]",
             "else: bucket.append(j)",
         ])
-    body = ["built = {}", "m = 0", head]
+    body = ["built = {}", "for j, key in enumerate(rows):"]
     body.extend("    " + line for line in loop)
-    body.append("return built, m")
-    built, passed = lowering.run("hash_build", ", rows", body, registry, key_rows)
-    if predicate is None:
-        passed = batch.n
-    if unique and len(built) != passed:
+    body.append("return built")
+    built = _compile("hash_build", ", rows", body, registry)(
+        batch.n, [], [], key_rows
+    )
+    if unique and len(built) != len(key_rows):
         return hash_build(
-            batch, exprs, probe_nullable, False, predicate, key_rows, registry
+            batch, exprs, probe_nullable, key_rows, False, registry
         )
-    return built, passed, unique
+    return built, unique
 
 
 def probe(

@@ -32,17 +32,19 @@ filter, the rows whose key is not in it - on storage tasks, buffer-pool
 pages and fallback pages alike - unless shipping the key set would cost
 more than the scan's planned result.
 
-Fragments execute on the storage side exactly as the engine's operators
-do locally (column-major decode of the fragment's projection + the
-generated filter / key / group-by kernels of ``repro.query.kernels``), so
-a task neither decodes nor ships a column the plan does not read.  What a
-task's result costs on the wire is the planner's width-aware
-``wire_bytes`` of what it holds - the same model that decided to push.
+A fragment runs through the engine's one scan pipeline
+(``repro.query.executor.ScanPipeline``) wherever it runs - on a storage
+task, over buffer-pool pages or over fallback pages, as a local scan does:
+column-major decode of the fragment's projection, its filter, its runtime
+filters, then rows, key tuples or partial groups, through the generated
+kernels of ``repro.query.kernels``.  So a task neither decodes nor ships a
+column the plan does not read.  What a task's result costs on the wire is
+the planner's width-aware ``wire_bytes`` of what it holds - the same model
+that decided to push.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,121 +59,29 @@ from ..sim.network import RpcNetwork
 from ..sim.resources import CpuPool
 from ..storage.pagestore import PageStoreService, PageStoreServer
 from . import kernels
-from .ast import AggCall, Expr
 from .columnar import ColumnBatch
-from .executor import PAGE_CPU, ROW_CPU, RuntimeFilter, count_scan_cells
+from .executor import (
+    PAGE_CPU, ROW_CPU, PushdownFragment, RuntimeFilter, ScanPipeline,
+)
 from .plan import SeqScan
 from .planner import fragment_wire_bytes
 
-__all__ = ["PushdownRuntime", "PushdownFragment", "execute_fragment_on_pages"]
+__all__ = ["PushdownRuntime", "execute_fragment_on_pages"]
 
 #: Serialized plan-fragment size.
 FRAGMENT_WIRE_BYTES = 600
 
 
-@dataclass
-class PushdownFragment:
-    """The serialisable unit shipped to storage: scan + filter + projection
-    (+ partial aggregation, or hash-build key extraction)."""
-
-    table_name: str
-    binding: str
-    #: The scan's ``SeqScan.projection``: the only columns a task decodes,
-    #: binds and returns.
-    projection: Tuple[str, ...]
-    filter: Optional[Expr]
-    partial_agg: Optional[Tuple[List[Expr], List[AggCall]]]
-    #: Join-key expressions for a pushed hash build (mutually exclusive
-    #: with ``partial_agg``): the server returns each surviving row's key
-    #: tuple alongside the filtered columns.
-    hash_keys: Optional[List[Expr]] = None
-    #: The key sets of hash joins above that this scan feeds: a row
-    #: passing ``filter`` is kept only if its key is in every one.
-    runtime_filters: Sequence[RuntimeFilter] = ()
-    #: Filled as tasks run: the rows each executed page put in a plain or
-    #: hash-build result (how the merge restores page order).
-    page_rows: Dict[PageId, int] = field(default_factory=dict)
-
-    def empty_batch(self) -> ColumnBatch:
-        return ColumnBatch.for_scan(
-            self.binding, self._schema, self.projection  # type: ignore[attr-defined]
-        )
-
-
-# The table schema rides along out-of-band as ``fragment._schema``, attached
-# at dispatch time (a production system serialises it with the fragment).
-
-
 def execute_fragment_on_pages(
     fragment: PushdownFragment, pages: List[Page], registry=None,
-    side: str = "storage",
 ):
-    """Run the fragment over page images; pure compute, no timing
-    (``registry``, when given, counts the scanned cells, kernel builds and
-    the rows runtime filters drop on ``side``, ``storage`` or ``engine``).
-    Pages decode through their decoded-column memos, as a local scan's do.
-    A plain or hash-build result records each page's row count in
-    ``fragment.page_rows``: its decoded rows, less those the filter's and
-    then the runtime filters' selection vectors drop.
-
-    Returns one of
-    ``("batch", ColumnBatch)`` (plain filtered scan),
-    ``("hash", (key_tuples, ColumnBatch))`` (pushed hash build) or
-    ``("partials", (keys, samples, states))`` (partial GROUP BY: partial
-    groups as ``QuerySession._group`` makes them),
-    plus the number of rows scanned (for CPU accounting by the caller).
-    Batches and sample rows carry the fragment's projected columns only;
-    rows keep page order then slot order, groups first-seen order.  The
-    kernels are the engine's: filter and grouping in one loop, or
-    selection, then the runtime filters' semi-join, then key extraction.
-    """
-    schema = fragment._schema  # type: ignore[attr-defined]
-    positions = tuple(map(schema.position, fragment.projection))
-    batch = fragment.empty_batch()
-    uncached = 0
-    ends: List[int] = []
+    """Run the fragment's pipeline over a storage task's page images; pure
+    compute, no timing.  Returns :meth:`ScanPipeline.finish`'s result and
+    the number of rows scanned (for CPU accounting by the caller)."""
+    pipeline = ScanPipeline(fragment, registry)
     for page in pages:
-        rows, cells = schema.decode_page_into(page, positions, batch.arrays)
-        batch.n += rows
-        ends.append(batch.n)
-        uncached += cells
-    scanned = batch.n
-    if registry is not None:
-        count_scan_cells(
-            registry, scanned, len(positions), len(schema), uncached
-        )
-    if fragment.partial_agg is not None:
-        group_exprs, aggs = fragment.partial_agg
-        groups, _ = kernels.group_by(
-            batch, group_exprs, aggs, fragment.filter, registry
-        )
-        states = list(groups.values())
-        samples = batch.gather([state[0] for state in states])
-        return ("partials", (list(groups), samples, states)), scanned
-    if fragment.filter is not None:
-        selection = kernels.select(batch, fragment.filter, registry)
-        batch = batch.gather(selection)
-        ends = [bisect_left(selection, end) for end in ends]
-    if fragment.runtime_filters:
-        passed = batch.n
-        selection = kernels.semi_join(
-            batch, [(f.exprs, f.keys) for f in fragment.runtime_filters],
-            registry,
-        )
-        batch = batch.gather(selection)
-        ends = [bisect_left(selection, end) for end in ends]
-        if registry is not None:
-            registry.incr(
-                "query.runtime_filter.rows_dropped." + side, passed - batch.n
-            )
-    start = 0
-    for page, end in zip(pages, ends):
-        fragment.page_rows[page.page_id] = end - start
-        start = end
-    if fragment.hash_keys is not None:
-        keys = kernels.key_tuples(batch, fragment.hash_keys, registry)
-        return ("hash", (keys, batch)), scanned
-    return ("batch", batch), scanned
+        pipeline.feed(page)
+    return pipeline.finish(), pipeline.decoded.n
 
 
 @dataclass
@@ -202,12 +112,6 @@ class PushdownRuntime:
         from ..sim.rand import Rng
 
         self.network = network or RpcNetwork(env, Rng(1299827))
-        self.tasks_dispatched = 0
-        self.pages_via_ebp = 0
-        self.pages_via_pagestore = 0
-        self.pages_local = 0
-        self.fallback_pages = 0
-        self.hash_build_fragments = 0
         # Counters accumulate in the environment-wide registry so fragment
         # counts survive across sessions and land in the harness report
         # (``cost_rejected`` stays 0: whether to push is the planner's call,
@@ -254,7 +158,6 @@ class PushdownRuntime:
         """
         self.obs.registry.incr("query.pushdown.fragments")
         self.obs.registry.incr("query.pushdown.hash_fragments")
-        self.hash_build_fragments += 1
         return (yield from self._traced("pq.hash_build", scan, filters, True))
 
     def _traced(self, name: str, scan: SeqScan,
@@ -285,16 +188,9 @@ class PushdownRuntime:
     def _run_scan(self, scan: SeqScan, filters: Sequence[RuntimeFilter],
                   hash_build: bool):
         table = self.engine.catalog.table(scan.table_name)
-        fragment = PushdownFragment(
-            table_name=scan.table_name,
-            binding=scan.binding,
-            projection=scan.projection,
-            filter=scan.filter,
-            partial_agg=scan.partial_agg,
-            hash_keys=list(scan.hash_keys) if hash_build else None,
-            runtime_filters=filters,
+        fragment = PushdownFragment.of(
+            scan, table.schema, hash_build, scan.partial_agg, filters
         )
-        fragment._schema = table.schema  # type: ignore[attr-defined]
         merged = _Merge(fragment)
         local_pages: List[PageId] = []
         astore_tasks: Dict[str, _Task] = {}
@@ -330,7 +226,6 @@ class PushdownRuntime:
         local_result, failed = yield from self._run_local(
             fragment, [(pid, 0) for pid in local_pages]
         )
-        self.pages_local += len(local_pages)
         self.obs.registry.incr("query.pushdown.pages_local", len(local_pages))
         merged.add(local_result, local_pages)
         if dispatched is not None:
@@ -340,7 +235,6 @@ class PushdownRuntime:
                 failed.extend(task_failed)
         # Fallback: any failed page goes through the normal engine path.
         if failed:
-            self.fallback_pages += len(failed)
             self.obs.registry.incr("query.pushdown.fallback_pages", len(failed))
             fallback_result, still_failed = yield from self._run_local(
                 fragment, failed, via_engine=True
@@ -350,7 +244,6 @@ class PushdownRuntime:
                     "pages unreadable even via engine path: %r" % still_failed
                 )
             merged.add(fallback_result, [pid for pid, _ in failed])
-        self.tasks_dispatched += len(all_tasks)
         self.obs.registry.incr(
             "query.pushdown.tasks_dispatched", len(all_tasks)
         )
@@ -457,7 +350,6 @@ class PushdownRuntime:
         result, _ = execute_fragment_on_pages(
             fragment, pages, self.obs.registry
         )
-        self.pages_via_ebp += len(pages)
         self.obs.registry.incr("query.pushdown.pages_via_ebp", len(pages))
         return result, failed
 
@@ -502,7 +394,6 @@ class PushdownRuntime:
         result, _ = execute_fragment_on_pages(
             fragment, pages, self.obs.registry
         )
-        self.pages_via_pagestore += len(pages)
         self.obs.registry.incr(
             "query.pushdown.pages_via_pagestore", len(pages)
         )
@@ -571,13 +462,15 @@ class PushdownRuntime:
         return pages, failed
 
     def _run_local(self, fragment: PushdownFragment, page_specs, via_engine=False):
-        """Generator: process pages on the engine thread.
+        """Generator: process pages on the engine thread, each fed to the
+        fragment's pipeline as soon as it is read, then one charge for
+        them all.
 
         ``page_specs`` is [(page_id, min_lsn)].  With ``via_engine`` the
         pages go through the full fetch path (fallback); otherwise only
         buffer-pool residents are read.
         """
-        pages: List[Page] = []
+        pipeline = ScanPipeline(fragment, self.obs.registry, "engine")
         failed: List[Tuple[PageId, int]] = []
         for page_id, min_lsn in page_specs:
             if via_engine:
@@ -591,12 +484,10 @@ class PushdownRuntime:
                 if page is None:
                     failed.append((page_id, min_lsn))
                     continue
-            pages.append(page)
-        result, scanned = execute_fragment_on_pages(
-            fragment, pages, self.obs.registry, side="engine"
-        )
+            pipeline.feed(page)
+        result = pipeline.finish()
         yield from self.engine.cpu.consume(
-            PAGE_CPU * max(len(pages), 1) + ROW_CPU * scanned
+            PAGE_CPU * max(len(pipeline.pages), 1) + ROW_CPU * pipeline.decoded.n
         )
         return result, failed
 

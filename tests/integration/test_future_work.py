@@ -71,29 +71,38 @@ def test_cost_based_pq_pushes_large_remote_scans():
     # planner's estimate marks the fragment without any row threshold.
     dep = build(rows=700, bp_pages=12)
     session = dep.new_session()
+    registry = dep.obs.registry
+    tasks = registry.value("query.pushdown.tasks_dispatched")
 
     def work(env):
         return (yield from session.execute(SCAN_SQL))
 
     result = run(dep, work(dep.env))
     assert result.rows[0][0] == 700
-    assert session.pushdown_runtime.tasks_dispatched > 0
+    assert registry.value("query.pushdown.tasks_dispatched") > tasks
 
 
 def test_cost_based_equals_threshold_results():
     dep = build()
     cost_session = dep.new_session()
     naive_session = dep.new_session(pushdown_row_threshold=10)
+    registry = dep.obs.registry
+    dispatched = []
 
     def work(env):
-        a = yield from cost_session.execute(SCAN_SQL)
-        b = yield from naive_session.execute(SCAN_SQL)
-        return a, b
+        results = []
+        for session in (cost_session, naive_session):
+            tasks = registry.value("query.pushdown.tasks_dispatched")
+            results.append((yield from session.execute(SCAN_SQL)))
+            dispatched.append(
+                registry.value("query.pushdown.tasks_dispatched") - tasks
+            )
+        return results
 
     a, b = run(dep, work(dep.env))
     assert a.rows == b.rows
-    for session in (cost_session, naive_session):
-        assert session.pushdown_runtime.tasks_dispatched > 0
+    for tasks in dispatched:
+        assert tasks > 0
 
 
 # ---------------------------------------------------------------------------

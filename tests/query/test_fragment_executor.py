@@ -6,8 +6,10 @@ from repro.common import KB, PageId, QueryError
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.page import Page, PageOp, apply_op
 from repro.query.ast import AggCall, BinOp, ColumnRef, Expr, Literal
-from repro.query.executor import finalize_groups, fold_groups
-from repro.query.pushdown import PushdownFragment, execute_fragment_on_pages
+from repro.query.executor import (
+    PushdownFragment, RuntimeFilter, finalize_groups, fold_groups,
+)
+from repro.query.pushdown import execute_fragment_on_pages
 
 
 SCHEMA = Schema(
@@ -38,8 +40,8 @@ def fragment(filter_expr=None, partial_agg=None, projection=SCHEMA.names):
         projection=tuple(projection),
         filter=filter_expr,
         partial_agg=partial_agg,
+        schema=SCHEMA,
     )
-    frag._schema = SCHEMA
     return frag
 
 
@@ -118,6 +120,21 @@ def test_partials_merge_across_tasks():
     assert values[aggs[2]] == min(amounts)
     assert values[aggs[3]] == max(amounts)
     assert values[aggs[4]] == pytest.approx(sum(amounts) / len(amounts))
+
+
+def test_partial_aggregation_applies_runtime_filters():
+    """Every output comes after the runtime filters: partial groups too."""
+    aggs = [AggCall("count", None)]
+    frag = fragment(partial_agg=([ColumnRef("grp", "t")], aggs))
+    frag.runtime_filters = (
+        RuntimeFilter([ColumnRef("id", "t")], {(1,), (2,), (4,)}, 0, "b"),
+    )
+    (kind, (keys, samples, states)), scanned = execute_fragment_on_pages(
+        frag, make_pages(ROWS)
+    )
+    assert (kind, scanned, keys) == ("partials", 20, [(1,), (2,)])
+    assert samples.column("t.id") == [1, 2]
+    assert finalize_groups(samples, states, aggs, True).column(aggs[0]) == [2, 1]
 
 
 def test_empty_pages():

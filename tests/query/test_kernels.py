@@ -131,10 +131,10 @@ def test_group_by_all_null_argument_and_zero_groups():
 
 def join(left, right, left_keys, right_keys, unique=False, residual=None):
     """(left row, right row) index pairs through the build/probe kernels."""
-    built, rows, unique = kernels.hash_build(
-        right, right_keys, kernels.nullable(left, left_keys), unique
+    built, unique = kernels.hash_build(
+        right, right_keys, kernels.nullable(left, left_keys),
+        kernels.key_tuples(right, right_keys), unique,
     )
-    assert rows == right.n
     left_sel, right_sel, _ = kernels.probe(
         left, left_keys, built, unique, right, residual
     )
@@ -154,7 +154,9 @@ def test_null_key_components_match_nothing():
     # A side the schema says cannot be NULL needs no check: nothing built
     # can equal a NULL probe key.
     sure = ColumnBatch(("r.x", "r.y"), [[1, 2], [1, 1]], 2, [False, False])
-    assert kernels.hash_build(sure, keys("r"), [True, True])[0] == {
+    assert kernels.hash_build(
+        sure, keys("r"), [True, True], kernels.key_tuples(sure, keys("r"))
+    )[0] == {
         (1, 1): [0], (2, 1): [1]}
     assert join(left, sure, keys("l"), keys("r"))[0] == [(0, 0)]
 
@@ -175,7 +177,9 @@ def test_unique_build_is_checked_and_equals_the_list_build(residual):
         assert expected == listed
     # Every left row joining exactly once is the identity selection.
     full = ColumnBatch(("l.k",), [[2, 1, 1, 3]])
-    built, _, unique = kernels.hash_build(once, rk, [False], True)
+    built, unique = kernels.hash_build(
+        once, rk, [False], kernels.key_tuples(once, rk), True
+    )
     left_sel, right_sel, matched = kernels.probe(full, lk, built, unique, once)
     assert (left_sel, right_sel, matched) == (range(4), [1, 0, 0, 2], 4)
 
@@ -186,7 +190,7 @@ def test_probe_residual_sees_the_joined_row():
     right = ColumnBatch(("r.k", "r.v"), [[1, 1], [6, 6]])
     lk, rk = [ColumnRef("k", "l")], [ColumnRef("k", "r")]
     residual = BinOp("<", ColumnRef("v", "l"), ColumnRef("v", "r"))
-    built, _, _ = kernels.hash_build(right, rk, [False])
+    built, _ = kernels.hash_build(right, rk, [False], kernels.key_tuples(right, rk))
     assert kernels.probe(left, lk, built, False, right, residual) == (
         [0, 0], [0, 1], 4
     )

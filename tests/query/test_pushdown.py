@@ -56,6 +56,11 @@ def make_db(rows=300, bp_pages=16):
     return dep
 
 
+def pushdown_count(dep, name):
+    """The environment-wide ``query.pushdown.<name>`` count."""
+    return dep.obs.registry.value("query.pushdown." + name)
+
+
 def execute(dep, session, sql):
     proc = dep.env.process(session.execute(sql))
     dep.env.run_until_event(proc)
@@ -83,10 +88,12 @@ def test_pushdown_results_equal_local_execution():
 def test_pushdown_uses_storage_side_execution():
     dep = make_db()
     pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=10)
+    before = {name: pushdown_count(dep, name) for name in (
+        "tasks_dispatched", "pages_via_ebp", "pages_via_pagestore")}
     execute(dep, pq, AGG_SQL)
-    runtime = pq.pushdown_runtime
-    assert runtime.tasks_dispatched > 0
-    assert runtime.pages_via_ebp + runtime.pages_via_pagestore > 0
+    delta = {name: pushdown_count(dep, name) - n for name, n in before.items()}
+    assert delta["tasks_dispatched"] > 0
+    assert delta["pages_via_ebp"] + delta["pages_via_pagestore"] > 0
 
 
 def test_pushdown_partial_agg_numbers():
@@ -161,8 +168,44 @@ def test_pushdown_sees_fresh_buffer_pool_pages():
 def test_pushdown_threshold_respected():
     dep = make_db(rows=50)
     pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=100000)
+    tasks = pushdown_count(dep, "tasks_dispatched")
     execute(dep, pq, AGG_SQL)
-    assert pq.pushdown_runtime.tasks_dispatched == 0
+    assert pushdown_count(dep, "tasks_dispatched") - tasks == 0
+
+
+def test_a_local_scan_returns_each_page_as_it_was_when_fetched(monkeypatch):
+    """A local scan decodes each page as soon as it is fetched and charged:
+    a row a writer updates on page 0 while the scan waits on a later page
+    comes back as page 0 held it when fetched."""
+    dep = make_db(rows=60)
+    engine = dep.engine
+    table = engine.catalog.table("facts")
+    first, later = (table.page_id(no) for no in list(table.page_nos)[:2])
+    assert table.page_id(table.lookup((0,))[0]) == first
+    fetched = {}
+
+    def writer():
+        txn = engine.begin()
+        yield from engine.update(txn, "facts", (0,), {"amount": 9999.0})
+        yield from engine.commit(txn)
+
+    fetch = engine.fetch_page
+
+    def fetch_page(page_id):
+        if page_id == later:  # the scan waits here while the writer commits
+            yield dep.env.process(writer())
+            # The writer changed the very page image the scan fetched.
+            assert engine.buffer_pool.get(first) is fetched[first]
+        page = yield from fetch(page_id)
+        fetched[page_id] = page
+        return page
+
+    monkeypatch.setattr(engine, "fetch_page", fetch_page)
+    local = dep.new_session(enable_pushdown=False)
+    sql = "SELECT f_id, amount FROM facts WHERE f_id < 3"
+    assert execute(dep, local, sql).rows == [(0, 0.0), (1, 1.0), (2, 2.0)]
+    monkeypatch.undo()
+    assert execute(dep, local, sql).rows[0] == (0, 9999.0)
 
 
 def test_every_scan_path_carries_exactly_the_planned_projection():
@@ -223,14 +266,21 @@ def test_every_scan_path_carries_exactly_the_planned_projection():
         assert (kind, batch.keys) == ("batch", expected)
         return sorted(zip(*batch.arrays), key=repr)
 
+    names = ("pages_via_ebp", "pages_local", "fallback_pages",
+             "pages_via_pagestore")
+    before = {name: pushdown_count(dep, name) for name in names}
+
+    def counted(name):
+        return pushdown_count(dep, name) - before[name]
+
     want = sorted(zip(*engine_batch.arrays), key=repr)
     assert pushed_rows() == want  # AStore tasks + buffer-pool pages
-    assert runtime.pages_via_ebp > 0 and runtime.pages_local > 0
+    assert counted("pages_via_ebp") > 0 and counted("pages_local") > 0
     runtime._run_on_astore = dying(runtime._run_on_astore)
     assert pushed_rows() == want  # every AStore task fails over
-    assert runtime.fallback_pages > 0
+    assert counted("fallback_pages") > 0
     assert pushed_rows() == want  # no AStore server left: PageStore tasks
-    assert runtime.pages_via_pagestore > 0
+    assert counted("pages_via_pagestore") > 0
 
     assert sorted(seen) == ["astore", "fallback", "local", "pagestore"]
     for path, results in seen.items():
@@ -248,10 +298,11 @@ def test_pushed_rows_keep_the_local_scans_page_order():
     runtime = pq.pushdown_runtime
     for sql in ("SELECT f_id FROM facts", FILTER_SQL.split(" ORDER BY")[0]):
         want = execute(dep, local, sql)
-        tasks, pages_local = runtime.tasks_dispatched, runtime.pages_local
+        tasks = pushdown_count(dep, "tasks_dispatched")
+        pages_local = pushdown_count(dep, "pages_local")
         assert execute(dep, pq, sql).rows == want.rows
-        assert runtime.tasks_dispatched > tasks
-        assert runtime.pages_local > pages_local
+        assert pushdown_count(dep, "tasks_dispatched") > tasks
+        assert pushdown_count(dep, "pages_local") > pages_local
 
     def run(generator):
         proc = dep.env.process(generator)
@@ -461,12 +512,14 @@ def test_a_server_dying_mid_task_fails_over_every_morsels_unread_pages():
             server.crash()
 
     server.pmem.read = crashing_read
+    fallback_pages = pushdown_count(dep, "fallback_pages")
     kind, batch = run(dep, runtime.run_scan(scan))
+    fallback_pages = pushdown_count(dep, "fallback_pages") - fallback_pages
     assert (kind, batch.keys, batch.arrays) == ("batch", want.keys, want.arrays)
     (_fragment, task, _seconds, failed), = tasks
     assert 12 <= len(reads) < len(task.pages)
     unread = len(task.pages) - len(reads)
-    assert runtime.fallback_pages == len(failed) == unread
+    assert fallback_pages == len(failed) == unread
     # Every morsel read the head of its run and failed the rest: the
     # failed pages form one run per morsel in the task's page order.
     failing = [(pid, spec.lsn) in failed for pid, spec in task.pages]

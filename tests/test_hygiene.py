@@ -80,3 +80,28 @@ def test_every_imported_name_is_used_exported_or_reexported():
         if name not in needed[module]
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _calls_under(package, name):
+    """``file:line`` of every call of a function or method ``name`` in the
+    modules of ``package``."""
+    sites = []
+    for module, path in MODULES.items():
+        if module != package and not module.startswith(package + "."):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "attr", getattr(func, "id", None))
+                if called == name:
+                    sites.append("%s:%d" % (path.name, node.lineno))
+    return sites
+
+
+def test_the_query_layer_has_one_scan_pipeline():
+    """One site decodes scanned pages and one applies runtime filters:
+    ``repro.query.executor.ScanPipeline``, which a local scan, a push-down
+    task and a buffer-pool or fallback page all run."""
+    for name in ("decode_page_into", "semi_join"):
+        sites = _calls_under("repro.query", name)
+        assert len(sites) == 1, (name, sites)

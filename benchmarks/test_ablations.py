@@ -20,6 +20,10 @@ asserts qualitatively:
    (storage-side when that scan is pushed) finish the CH join queries
    sooner, probing fewer rows (selection before data crosses the wire,
    Section VI).
+8. Eager aggregation: the many side of the join under an aggregate groups
+   by its join keys before the join (storage-side when pushed), so the
+   engine builds, probes and groups partial groups instead of rows, and
+   the CH join queries finish sooner (aggregation push-down, Section VI).
 """
 
 from conftest import print_table
@@ -438,3 +442,60 @@ def test_ablation_runtime_filters(benchmark):
     assert probed < cleared_probed
     for query_no in (5, 7):
         assert cleared[query_no] >= 2 * filtered[query_no], query_no
+
+
+def test_ablation_eager_aggregation(benchmark, monkeypatch):
+    """The many side of a join grouping before the join vs the planner's
+    rule switched off."""
+    from repro.harness.scenario import run
+    from repro.query.planner import Planner
+    from repro.workloads.tpcch import CH_QUERIES, ch_query_sql
+
+    def run_variant(rows_joined):
+        with monkeypatch.context() as patch:
+            if rows_joined:
+                patch.setattr(
+                    Planner, "_aggregate_before_join", lambda *args: False
+                )
+            dep, session = _loaded_ch_deployment()
+            registry = dep.obs.registry
+            times, built = {}, {}
+            for query_no in sorted(CH_QUERIES):
+                before = registry.value("query.join.rows_built")
+                start = dep.env.now
+                run(dep, session.execute(ch_query_sql(query_no)))
+                times[query_no] = dep.env.now - start
+                built[query_no] = (
+                    registry.value("query.join.rows_built") - before
+                )
+        return times, built
+
+    def run_both():
+        return {
+            label: run_variant(rows_joined)
+            for label, rows_joined in (("grouped", False), ("rows", True))
+        }
+
+    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    (grouped, grouped_built), (rows, rows_built) = (
+        results["grouped"], results["rows"]
+    )
+    print_table(
+        "Ablation - eager aggregation: virtual ms and rows built into hash "
+        "tables per CH query, the join's many side grouped before the join "
+        "vs joined as rows",
+        ["query", "grouped ms", "rows ms", "speedup", "grouped built",
+         "rows built"],
+        [
+            ("Q%d" % query_no, "%.3f" % (grouped[query_no] * 1e3),
+             "%.3f" % (rows[query_no] * 1e3),
+             "%.2fx" % (rows[query_no] / grouped[query_no]),
+             grouped_built[query_no], rows_built[query_no])
+            for query_no in sorted(grouped)
+        ] + [("total", "%.3f" % (sum(grouped.values()) * 1e3),
+              "%.3f" % (sum(rows.values()) * 1e3),
+              "%.2fx" % (sum(rows.values()) / sum(grouped.values())),
+              sum(grouped_built.values()), sum(rows_built.values()))],
+    )
+    assert sum(grouped.values()) < sum(rows.values())
+    assert sum(grouped_built.values()) < sum(rows_built.values())

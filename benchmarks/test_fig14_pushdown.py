@@ -48,3 +48,7 @@ def test_fig14_pushdown(benchmark, fig14_results):
     # aggregation queries (push-down proper does the heavy lifting).
     for q in (1, 6, 22):
         assert by[q].pq_speedup > 2.0 * by[q].plan_change_speedup
+    # Shape 5: the paper's winners stay the bigger winners: their geo-mean
+    # at least twice that of the other fifteen queries.
+    others = [r.pq_speedup for r in rows if r.query_no not in PAPER_WINNERS]
+    assert geomean(winner_speedups) >= 2.0 * geomean(others)

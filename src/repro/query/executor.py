@@ -19,7 +19,11 @@ columns something above it reads (``HashJoin.output``), and rows become
 tuples once, in :func:`batch_result`.  A hash join builds first, so its
 build keys can filter its probe side: the one scan below it that produces
 every probe key (``HashJoin.runtime_filter``) drops the rows no build row
-can match, and every join above sees fewer rows.  CPU is charged in
+can match, and every join above sees fewer rows.  Under an Aggregate, the
+join's many side may group before the join (``SeqScan.partial_agg`` under
+a ``from_partials`` Aggregate): its partial groups join as rows, each
+carrying its flat state in a ``PARTIAL_STATES`` column, and the Aggregate
+folds copies of the states (:func:`fold_joined_groups`).  CPU is charged in
 per-page / per-batch quanta to keep event counts manageable.
 ``tests/query/row_oracle.py`` is the dict-at-a-time interpreter every
 ``QueryResult`` and every virtual-time charge is held to.
@@ -65,6 +69,7 @@ from . import kernels
 from .cache import ParseCache, bind_plan, bind_statement, parse_entry
 from .columnar import ColumnBatch
 from .plan import (
+    PARTIAL_STATES,
     Aggregate,
     HashJoin,
     IndexLookup,
@@ -75,11 +80,14 @@ from .plan import (
     SeqScan,
     Sort,
 )
-from .planner import Planner, PlannerConfig, key_set_wire_bytes
+from .planner import (
+    Planner, PlannerConfig, covers_primary_key, key_set_wire_bytes,
+)
 
 __all__ = ["QuerySession", "QueryResult", "PreparedStatement",
            "RuntimeFilter", "PushdownFragment", "ScanPipeline",
-           "fold_groups", "finalize_groups", "project_batch", "sort_batch",
+           "fold_groups", "fold_joined_groups", "finalize_groups",
+           "project_batch", "sort_batch",
            "limit_batch", "batch_result", "count_scan_cells"]
 
 #: CPU charged per row flowing through a tight operator loop.
@@ -139,6 +147,10 @@ class PushdownFragment:
     #: decodes, binds and returns.
     projection: Tuple[str, ...]
     filter: Optional[Expr]
+    #: The scan's ``SeqScan.partial_agg`` (or, run on this thread, a
+    #: single-table Aggregate's grouping): partial groups come back instead
+    #: of rows - a single-table aggregate's, or a join's many side grouped
+    #: by its join keys.
     partial_agg: Optional[Tuple[List[Expr], List[AggCall]]]
     #: Join-key expressions of a hash build (mutually exclusive with
     #: ``partial_agg``): each surviving row's key tuple comes back
@@ -329,6 +341,29 @@ def fold_groups(
     return list(merged), samples.gather(first), list(merged.values())
 
 
+def fold_joined_groups(
+    batch: ColumnBatch, group_exprs: Sequence[Expr], aggs: Sequence[AggCall],
+    registry=None,
+) -> Tuple[List[Tuple], ColumnBatch, List[List[Any]]]:
+    """The groups of ``batch`` by ``group_exprs``, where each row carries a
+    partial state in its ``PARTIAL_STATES`` column (a join's many side
+    grouped, then joined): :func:`fold_groups` of those states in row
+    order, each copied first - a state that joined several rows counts once
+    per row, and no two groups share one.  The samples drop the column."""
+    at = batch.keys.index(PARTIAL_STATES)
+    rows = ColumnBatch(
+        batch.keys[:at] + batch.keys[at + 1:],
+        batch.arrays[:at] + batch.arrays[at + 1:],
+        batch.n,
+        batch.nullable[:at] + batch.nullable[at + 1:],
+    )
+    keys = (
+        kernels.key_tuples(rows, group_exprs, registry) if group_exprs
+        else [()] * batch.n
+    )
+    return fold_groups(keys, rows, list(map(list, batch.arrays[at])), aggs)
+
+
 def _finalize(agg: AggCall, count, total, minimum, maximum, distinct) -> Any:
     """One aggregate's value from its :data:`kernels.AGG_SLOTS` slots."""
     if agg.distinct:
@@ -459,7 +494,8 @@ class QuerySession:
         self._registry = obs_of(engine.env).registry
         count_scan_cells(self._registry, 0, 0, 0, 0)  # present before any scan
         for name in ("query.join.cells_joined", "query.join.cells_gathered",
-                     "query.join.rows_probed", "query.kernels.compiled",
+                     "query.join.rows_probed", "query.join.rows_built",
+                     "query.kernels.compiled",
                      "query.runtime_filter.derived",
                      "query.runtime_filter.rows_dropped.storage",
                      "query.runtime_filter.rows_dropped.engine",
@@ -666,13 +702,23 @@ class QuerySession:
         """Generator: the rows of ``scan``'s fragment - ``(key tuples,
         rows)`` of its ``hash_keys`` with ``hash_build`` - run storage-side
         when the scan is pushed, on this thread otherwise, the runtime
-        filters targeting it applied after its own filter."""
+        filters targeting it applied after its own filter.  A join's many
+        side (``partial_agg``) returns its groups as rows: each group's
+        sample row, its state in a ``PARTIAL_STATES`` column."""
         targeting = filters.get(scan.binding, ())
+        if scan.partial_agg is not None:
+            _, samples, states = yield from self._scan_groups(
+                scan, scan.partial_agg, targeting
+            )
+            batch = ColumnBatch(
+                samples.keys + (PARTIAL_STATES,), samples.arrays + [states],
+                samples.n, samples.nullable + (False,),
+            )
+            if not hash_build:
+                return batch
+            keys = kernels.key_tuples(batch, scan.hash_keys, self._registry)
+            return keys, batch
         if self._pushed(scan):
-            if scan.partial_agg is not None:
-                raise QueryError(
-                    "partial aggregates feed only an Aggregate that merges them"
-                )
             runtime = self.pushdown_runtime
             if hash_build:
                 return (yield from runtime.run_hash_build(scan, targeting))
@@ -681,6 +727,27 @@ class QuerySession:
             scan, hash_build=hash_build, runtime_filters=targeting
         )
         return pipeline.finish()[1]
+
+    def _scan_groups(self, scan: SeqScan, partial_agg,
+                     filters: Sequence[RuntimeFilter] = ()):
+        """Generator: ``scan``'s rows that pass its filter and ``filters``,
+        grouped by ``partial_agg``: partial groups ``(keys, samples,
+        states)``.  A pushed scan groups storage-side, task by task, and the
+        task partials fold here (``ROW_CPU`` a partial); a local scan groups
+        in its own pipeline (``ROW_CPU`` a row passed)."""
+        if self._pushed(scan):
+            runtime = self.pushdown_runtime
+            _, (keys, samples, states) = yield from runtime.run_scan(
+                scan, filters
+            )
+            yield from self.engine.cpu.consume(ROW_CPU * max(len(keys), 1))
+            return fold_groups(keys, samples, states, partial_agg[1])
+        pipeline = yield from self._scan_here(
+            scan, partial_agg=partial_agg, runtime_filters=filters
+        )
+        _, groups = pipeline.finish()
+        yield from self.engine.cpu.consume(ROW_CPU * max(pipeline.passed, 1))
+        return groups
 
     def _scan_here(self, scan: SeqScan, **output):
         """Generator: feed every page of ``scan``'s table, on this thread,
@@ -794,6 +861,7 @@ class QuerySession:
             )
         left = yield from self._run(join.left, filters)
         registry.incr("query.join.rows_probed", left.n)
+        registry.incr("query.join.rows_built", right.n)
         yield from self.engine.cpu.consume(ROW_CPU * (left.n + right.n))
         left_sel, right_sel, matched = kernels.probe(
             left, join.left_keys, built, unique, right, join.residual, registry
@@ -845,10 +913,8 @@ class QuerySession:
         """Whether the build side's join keys cover its table's primary
         key: a quiescent scan then meets each key once, and the build can
         expect (it still checks) unique keys."""
-        scan = join.right
-        names = {e.name for e in join.right_keys if isinstance(e, ColumnRef)}
-        table = self.engine.catalog.table(scan.table_name)
-        return names.issuperset(table.key_columns)
+        table = self.engine.catalog.table(join.right.table_name)
+        return covers_primary_key(table, join.right_keys)
 
     def _run_nl_join(self, join: IndexNLJoin):
         outer = yield from self._run(join.outer)
@@ -911,33 +977,29 @@ class QuerySession:
         applied (:meth:`execute_partial_select` ships the groups instead).
 
         Returns partial groups ``(keys, samples, states)``, one entry per
-        group in first-seen order.  A local scan groups in its own
-        pipeline; the partial groups a pushed scan produced storage-side,
-        task by task, are folded; anything else groups here, in one
-        kernel.
+        group in first-seen order.  A scan groups in its own pipeline, or
+        storage-side when pushed (:meth:`_scan_groups`); the rows of a join
+        whose many side grouped fold their states
+        (:func:`fold_joined_groups`); anything else groups here, in one
+        kernel.  Both of the last two charge ``ROW_CPU`` a row.
         """
         child, aggs = agg.child, agg.aggregates
-        if isinstance(child, SeqScan) and not self._pushed(child):
-            pipeline = yield from self._scan_here(
-                child, partial_agg=(agg.group_exprs, aggs)
-            )
-            _, groups = pipeline.finish()
-            yield from self.engine.cpu.consume(
-                ROW_CPU * max(pipeline.passed, 1)
-            )
-            return groups
-        if (agg.from_partials and isinstance(child, SeqScan)
-                and child.partial_agg is not None):
-            _, (keys, samples, states) = yield from self.pushdown_runtime.run_scan(
-                child
-            )
-            yield from self.engine.cpu.consume(ROW_CPU * max(len(keys), 1))
-            return fold_groups(keys, samples, states, aggs)
+        if isinstance(child, SeqScan) and (
+            child.partial_agg is not None or not self._pushed(child)
+        ):
+            return (yield from self._scan_groups(
+                child, (agg.group_exprs, aggs)
+            ))
         batch = yield from self._run(child)
-        groups, rows = _partial_groups(
-            batch, agg.group_exprs, aggs, registry=self._registry
-        )
-        yield from self.engine.cpu.consume(ROW_CPU * max(rows, 1))
+        if agg.from_partials:
+            groups = fold_joined_groups(
+                batch, agg.group_exprs, aggs, self._registry
+            )
+        else:
+            groups, _ = _partial_groups(
+                batch, agg.group_exprs, aggs, registry=self._registry
+            )
+        yield from self.engine.cpu.consume(ROW_CPU * max(batch.n, 1))
         return groups
 
     def _run_aggregate(self, agg: Aggregate):

@@ -7,11 +7,14 @@ projection), hash join, index nested-loop join, aggregation, sort, limit,
 projection.
 
 ``SeqScan.pushdown`` is the paper's "marked plan fragment": when True, the
-executor hands the scan (plus its filter/projection and, when the whole
-query is a single-table aggregate, partial aggregation) to the push-down
-runtime instead of pumping pages through the engine thread.
-``HashJoin.runtime_filter`` names the scan of a join's probe side that its
-build keys filter at run time.
+executor hands the scan (plus its filter/projection and any partial
+aggregation) to the push-down runtime instead of pumping pages through the
+engine thread.  ``SeqScan.partial_agg`` groups a scan's rows before
+anything above sees them: a single-table aggregate's whole grouping when
+pushed, or the many side of the join under an Aggregate (eager
+aggregation), whose groups then join as rows.  ``HashJoin.runtime_filter``
+names the scan of a join's probe side that its build keys filter at run
+time.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ __all__ = [
     "Sort",
     "Limit",
     "explain",
+    "PARTIAL_STATES",
 ]
+
+#: The key of the column a ``partial_agg`` scan under a join adds to its
+#: groups: each group's flat aggregate state, carried through the join to
+#: the Aggregate that folds it (``Aggregate.from_partials``).
+PARTIAL_STATES = "__partial_states__"
 
 
 @dataclass
@@ -57,8 +66,13 @@ class SeqScan(PlanNode):
     stored_columns: int = 0
     #: Marked for storage-side execution.
     pushdown: bool = False
-    #: When the scan is the whole query, partial aggregation is pushed too:
-    #: (group_exprs, agg_calls) - see Aggregate for semantics.
+    #: (group_exprs, agg_calls): the scan returns partial groups, not
+    #: rows - see Aggregate for semantics.  Set on a single-table
+    #: aggregate's scan when it is pushed (it then groups storage-side),
+    #: and on the many side of the hash join under an Aggregate, grouped by
+    #: its join keys (``Planner._aggregate_before_join``): its groups join
+    #: as rows, each carrying its state in a ``PARTIAL_STATES`` column,
+    #: local or pushed.
     partial_agg: Optional[Tuple[List[Expr], List[AggCall]]] = None
     #: Set on the build (right) side of a hash join: the join-key
     #: expressions, evaluated against this scan's rows.  When the scan is
@@ -114,7 +128,9 @@ class HashJoin(PlanNode):
     #: produces every left key as a bare column, reached through hash
     #: joins only: the executor builds first and hands that scan the
     #: build's key set, so it drops the rows no build key can match.
-    #: ``None``: no such scan.  Set only over a ``SeqScan`` build side.
+    #: ``None``: no such scan.  Set only over a ``SeqScan`` build side; a
+    #: build side that groups (``partial_agg``) filters by its groups' keys,
+    #: which are its rows' keys.
     runtime_filter: Optional[str] = None
 
 
@@ -149,8 +165,12 @@ class Aggregate(PlanNode):
     child: PlanNode = None
     group_exprs: List[Expr] = field(default_factory=list)
     aggregates: List[AggCall] = field(default_factory=list)
-    #: True when the child already produced partial aggregate states
-    #: (push-down secondary aggregation).
+    #: True when the child already produced partial aggregate states: a
+    #: pushed scan's task partials (push-down secondary aggregation), or
+    #: the rows of a hash join whose many side grouped, each carrying its
+    #: group's state in a ``PARTIAL_STATES`` column.  Folding copies each
+    #: state before merging it: a group that joined several rows counts
+    #: once per row, and no two output groups share a state.
     from_partials: bool = False
 
 

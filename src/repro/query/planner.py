@@ -27,6 +27,14 @@ Planning steps (paper Section VI-A):
    column, reached through hash joins only.  The executor builds first
    and hands that scan the build's key set; a pushed target carries it in
    its fragment, priced by :func:`key_set_wire_bytes`.
+6. Aggregate before the join (eager aggregation, Yan & Larson): under an
+   Aggregate on a hash join, the child scan whose rows join many to one
+   with the other side groups by its join keys (``SeqScan.partial_agg``,
+   storage-side when pushed, priced as the groups it ships), so the join
+   builds and probes partial groups, each carrying its state in a
+   ``PARTIAL_STATES`` column, and the Aggregate folds the states
+   (``from_partials``) - see :meth:`Planner._aggregate_before_join` for
+   when it applies.
 
 Result wire bytes come from one width-aware model, :func:`wire_bytes`,
 which the push-down runtime also charges a task's result with: a shipped
@@ -54,6 +62,7 @@ from .ast import (
     TableRef,
 )
 from .plan import (
+    PARTIAL_STATES,
     Aggregate,
     HashJoin,
     IndexLookup,
@@ -65,8 +74,8 @@ from .plan import (
     Sort,
 )
 
-__all__ = ["Planner", "PlannerConfig", "key_set_wire_bytes",
-           "match_view_select", "wire_bytes"]
+__all__ = ["Planner", "PlannerConfig", "covers_primary_key",
+           "key_set_wire_bytes", "match_view_select", "wire_bytes"]
 
 #: Framing of one fragment result on the wire.
 RESULT_HEADER_BYTES = 64
@@ -151,6 +160,17 @@ def key_set_wire_bytes(table: Table, exprs: Iterable[Expr], keys: int) -> int:
     return wire_bytes(table, positions, keys)
 
 
+#: Cost-based push-down: the fewest pages a scan must span to amortize a
+#: task dispatch round trip.
+PUSHDOWN_MIN_PAGES = 4
+#: Cost-based push-down: a fragment is pushed when its result wire bytes
+#: are at most this fraction of the page bytes the engine would pull.
+PUSHDOWN_WIRE_RATIO = 0.5
+#: The largest estimated outer cardinality an index nested-loop join is
+#: chosen for (above it, a hash join).
+NL_JOIN_OUTER_LIMIT = 2000
+
+
 @dataclass
 class PlannerConfig:
     """Session knobs affecting plan shape and push-down marking."""
@@ -161,18 +181,21 @@ class PlannerConfig:
     #: estimate: push when the fragment's result wire bytes are well
     #: under the page bytes the engine would otherwise pull.
     pushdown_row_threshold: Optional[int] = None
-    #: Cost-based eligibility: minimum pages to amortize a dispatch.
-    pushdown_min_pages: int = 4
-    #: Cost-based eligibility: result bytes must be under this fraction
-    #: of the scanned page bytes.
-    pushdown_wire_ratio: float = 0.5
     #: Prefer hash joins (PQ-friendly plans / Fig 14 plan hint).
     force_hash_joins: bool = False
-    #: Outer-cardinality bound under which index NL join is chosen.
-    nl_join_outer_limit: int = 2000
-    #: Plan single-table full-PK-equality filters as unique B-tree point
-    #: lookups instead of sequential scans.
-    enable_index_lookup: bool = True
+
+
+def covers_primary_key(table: Table, keys: Iterable[Expr]) -> bool:
+    """Whether the bare columns among join ``keys`` cover ``table``'s
+    primary key: a quiescent scan of it then meets each key once."""
+    names = {expr.name for expr in keys if isinstance(expr, ColumnRef)}
+    return names.issuperset(table.key_columns)
+
+
+def _column_ref(key: str) -> ColumnRef:
+    """The reference ``Expr.columns()`` listed as ``key``."""
+    table, _, name = key.rpartition(".")
+    return ColumnRef(name, table or None)
 
 
 def split_conjuncts(expr: Optional[Expr]) -> List[Expr]:
@@ -351,7 +374,7 @@ class Planner:
         # query whose filter pins the whole primary key with constant
         # equalities becomes a unique point lookup instead of a scan.
         plan: PlanNode = None
-        if len(order) == 1 and self.config.enable_index_lookup:
+        if len(order) == 1:
             plan = self._point_lookup(
                 order[0], binding_tables[order[0]], scan_filters[order[0]]
             )
@@ -378,6 +401,10 @@ class Planner:
                 )
                 if not from_partials:
                     plan.partial_agg = None
+            elif isinstance(plan, HashJoin):
+                from_partials = self._aggregate_before_join(
+                    plan, list(select.group_by), agg_calls, binding_tables
+                )
             plan = Aggregate(
                 estimated_rows=groups_estimate,
                 child=plan,
@@ -385,7 +412,7 @@ class Planner:
                 aggregates=agg_calls,
                 from_partials=from_partials,
             )
-        # Mark remaining scans for plain (non-aggregating) push-down.
+        # Mark the remaining scans for push-down, as rows.
         self._mark_scans(plan, binding_tables)
 
         plan = Project(
@@ -442,7 +469,7 @@ class Planner:
         use_nl = (
             not self.config.force_hash_joins
             and index_name is not None
-            and left.estimated_rows <= self.config.nl_join_outer_limit
+            and left.estimated_rows <= NL_JOIN_OUTER_LIMIT
         )
         estimated = max(left.estimated_rows, 1)
         if use_nl:
@@ -480,12 +507,94 @@ class Planner:
             ),
         )
 
+    def _aggregate_before_join(self, join: HashJoin, group_exprs: List[Expr],
+                               aggs: List[AggCall], binding_tables) -> bool:
+        """Eager aggregation (Yan & Larson, VLDB 1995) under the Aggregate
+        on ``join``: when one child is a ``SeqScan`` whose rows join many to
+        one with the other side, that scan - the *many side* - groups its
+        rows by its join keys (``SeqScan.partial_agg``) before the join, so
+        the join builds, probes and carries partial groups instead of rows.
+        Each group's state rides through the join as one column
+        (``PARTIAL_STATES``) and the Aggregate folds the states
+        (``from_partials``).  Returns whether it rewrote.
+
+        The many side must hold everything the aggregates read (COUNT(*)
+        reads nothing), no aggregate may be DISTINCT, and a GROUP BY
+        expression reads either only the many side or none of it.  The
+        other side's join keys are bare columns of one binding that cover
+        its table's primary key, so a many-side row joins at most one row
+        of that table; the many side's own keys do not cover its primary
+        key, and it must be estimated bigger than the other table, or
+        grouping would save nothing.  The partial grouping is the many
+        side's join keys, its GROUP BY expressions and the columns of it
+        the join's residual reads: every row of a group joins the same
+        rows and lands in the same groups above.  An expression naming an
+        unknown or ambiguous column refuses: it raises when it meets a row,
+        as without the rewrite."""
+        if any(agg.distinct for agg in aggs):
+            return False
+        exprs = group_exprs + [
+            agg.argument for agg in aggs if agg.argument is not None
+        ]
+        if join.residual is not None:
+            exprs.append(join.residual)
+        try:
+            for expr in exprs:
+                self._bindings_of(expr, binding_tables)
+        except QueryError:
+            return False
+
+        def reads(expr: Expr) -> set:
+            return self._bindings_of(expr, binding_tables)
+
+        sides = ((join.right, join.right_keys, join.left_keys),
+                 (join.left, join.left_keys, join.right_keys))
+        for many, keys, other_keys in sides:
+            if not isinstance(many, SeqScan):
+                continue
+            binding = many.binding
+            if any(agg.argument is not None
+                   and not reads(agg.argument) <= {binding} for agg in aggs):
+                continue
+            grouped = [expr for expr in group_exprs if binding in reads(expr)]
+            if any(reads(expr) != {binding} for expr in grouped):
+                continue
+            if not all(isinstance(expr, ColumnRef) for expr in other_keys):
+                continue
+            others = set().union(*map(reads, other_keys))
+            if len(others) != 1:
+                continue
+            other = binding_tables[others.pop()]
+            if (not covers_primary_key(other, other_keys)
+                    or covers_primary_key(binding_tables[binding], keys)
+                    or many.estimated_rows <= other.row_count):
+                continue
+            residual = [] if join.residual is None else [
+                ref for ref in map(_column_ref, join.residual.columns())
+                if reads(ref) == {binding}
+            ]
+            partial: List[Expr] = []
+            for expr in list(keys) + grouped + residual:
+                if expr not in partial:
+                    partial.append(expr)
+            many.partial_agg = (partial, aggs)
+            # Priced as the partial groups it would ship: at most one per
+            # row of the other table.
+            many.pushdown = self._scan_pushable(
+                many, binding_tables[binding],
+                min(many.estimated_rows, other.row_count),
+            )
+            join.output += (PARTIAL_STATES,)
+            join.joined_columns += 1
+            return True
+        return False
+
     def _filter_target(self, left, left_keys, binding_tables) -> Optional[str]:
         """The binding of the scan a hash join's build keys can filter:
         every left key a bare column of one binding, whose ``SeqScan`` is
-        reached from ``left`` through hash joins only and aggregates
-        nothing.  Its rows then carry the left keys unchanged up to the
-        join, so a row whose key no build row has can never match."""
+        reached from ``left`` through hash joins only.  Its rows then carry
+        the left keys unchanged up to the join, so a row whose key no build
+        row has can never match."""
         bindings = set()
         for expr in left_keys:
             if not isinstance(expr, ColumnRef):
@@ -499,8 +608,7 @@ class Planner:
             node = pending.pop()
             if isinstance(node, HashJoin):
                 pending.extend((node.left, node.right))
-            elif (isinstance(node, SeqScan) and node.binding == binding
-                    and node.partial_agg is None):
+            elif isinstance(node, SeqScan) and node.binding == binding:
                 return binding
         return None
 
@@ -649,13 +757,13 @@ class Planner:
         # storage, and the scan spans enough pages to amortize a task
         # dispatch round trip.  Partial aggregation ships groups, not
         # rows, so grouped fragments almost always win once big enough.
-        if pages < self.config.pushdown_min_pages:
+        if pages < PUSHDOWN_MIN_PAGES:
             return False
-        return scan.wire[0] <= scan.wire[1] * self.config.pushdown_wire_ratio
+        return scan.wire[0] <= scan.wire[1] * PUSHDOWN_WIRE_RATIO
 
     def _mark_scans(self, node: PlanNode, binding_tables: Dict[str, Table]):
         if isinstance(node, SeqScan):
-            if not node.pushdown:
+            if not node.pushdown and node.partial_agg is None:
                 table = binding_tables[node.binding]
                 node.pushdown = self._scan_pushable(
                     node, table, node.estimated_rows

@@ -9,7 +9,12 @@ plan node moved onto ``ColumnBatch`` kernels: one dict per row keyed
 slow and obviously right; it must not be "optimised".  Like the engine it
 builds a hash join's right side first and lets the build keys filter the
 scan a ``HashJoin.runtime_filter`` names, a semantic step (it decides
-which rows the join above sees), not a shortcut.  It keeps its own
+which rows the join above sees), not a shortcut.  For the same reason it
+follows the planner's eager aggregation: a scan with ``partial_agg`` under
+a join groups its surviving rows, in scan order, into partial groups that
+join as rows (each carrying its accumulators), and the ``from_partials``
+Aggregate above folds them, a copy of each group's accumulators per joined
+row - float sums associate exactly as the engine's do.  It keeps its own
 aggregate accumulators and its own aggregate-aware expression evaluator:
 the engine's flat group states and generated kernels answer to them.
 
@@ -21,7 +26,7 @@ an engine run leave the virtual clock, ``pages_scanned`` and
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 import pytest
@@ -49,6 +54,7 @@ from repro.query.executor import (
     count_scan_cells,
 )
 from repro.query.plan import (
+    PARTIAL_STATES as PARTIAL,
     Aggregate,
     HashJoin,
     IndexLookup,
@@ -142,6 +148,24 @@ def eval_with_aggs(expr, row, agg_values):
             eval_with_aggs(expr.operand, row, agg_values), expr.pattern
         )
     return expr.eval(row)
+
+
+def merge_agg_states(into, states):
+    """Fold a partial group's accumulators into ``into`` (no DISTINCT: the
+    planner never groups one under a join)."""
+    for target, state in zip(into, states):
+        target.count += state.count
+        target.total += state.total
+        if state.minimum is not None:
+            target.minimum = (
+                state.minimum if target.minimum is None
+                else min(target.minimum, state.minimum)
+            )
+        if state.maximum is not None:
+            target.maximum = (
+                state.maximum if target.maximum is None
+                else max(target.maximum, state.maximum)
+            )
 
 
 def update_agg_states(states, aggs, row):
@@ -253,7 +277,20 @@ class RowOracle:
         count_scan_cells(
             self._registry, scanned, width, width, scanned * width
         )
-        return rows
+        if scan.partial_agg is None:
+            return rows
+        # A join's many side: its rows grouped, each group a row.
+        yield from self.engine.cpu.consume(ROW_CPU * max(len(rows), 1))
+        group_exprs, aggs = scan.partial_agg
+        groups = {}
+        for row in rows:
+            key = tuple(expr.eval(row) for expr in group_exprs)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = dict(row)
+                group[PARTIAL] = new_agg_states(aggs)
+            update_agg_states(group[PARTIAL], aggs, row)
+        return list(groups.values())
 
     def _run_index_lookup(self, node):
         table = self.engine.catalog.table(node.table_name)
@@ -369,6 +406,15 @@ class RowOracle:
         for row in child_rows:
             key = tuple(expr.eval(row) for expr in agg.group_exprs)
             states = groups.get(key)
+            if agg.from_partials:
+                # Joined partial groups: the first one's accumulators,
+                # copied, then each later one's folded in.
+                if states is None:
+                    groups[key] = [replace(s) for s in row[PARTIAL]]
+                    group_samples[key] = row
+                else:
+                    merge_agg_states(states, row[PARTIAL])
+                continue
             if states is None:
                 states = new_agg_states(agg.aggregates)
                 groups[key] = states

@@ -16,6 +16,7 @@ from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.ast import ColumnRef
 from repro.query.columnar import ColumnBatch, resolve_column
 from repro.query.plan import HashJoin, SeqScan, explain
+from repro.query.planner import PUSHDOWN_WIRE_RATIO
 from repro.workloads.tpcch import CH_QUERIES, TpcchConfig, TpcchDatabase, ch_query_sql
 
 from .row_oracle import RowOracle, assert_parity, assert_rows_close, execute
@@ -224,7 +225,7 @@ def test_cost_based_skips_wide_open_row_fragment(ch_dep):
     session = ch_dep.new_session(enable_pushdown=True)
     wide = _scan_of(session.plan("SELECT * FROM order_line"))
     assert not wide.pushdown
-    ratio = session.planner.config.pushdown_wire_ratio
+    ratio = PUSHDOWN_WIRE_RATIO
     assert wide.wire[0] > wide.wire[1] * ratio
     narrow = _scan_of(session.plan("SELECT ol_amount FROM order_line"))
     assert narrow.pushdown

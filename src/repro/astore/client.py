@@ -83,7 +83,6 @@ class AStoreClient:
         servers: Dict[str, AStoreServer],
         control_network: Optional[RpcNetwork] = None,
         route_refresh_period: float = 1.0,
-        retry_policy: Optional[RetryPolicy] = None,
     ):
         self.env = env
         self.rng = rng
@@ -92,7 +91,7 @@ class AStoreClient:
         self.servers = servers
         self.control_net = control_network or RpcNetwork(env, rng)
         self.route_refresh_period = route_refresh_period
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = RetryPolicy()
         min_cleanup = min(
             (server.cleanup_delay for server in servers.values()), default=None
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..common import MB, RetryPolicy
+from ..common import MB
 from ..sim.core import Environment
 from ..sim.network import RpcNetwork
 from ..sim.rand import SeedSequence
@@ -41,14 +41,12 @@ class AStoreCluster:
         route_refresh_period: float = 1.0,
         heartbeat_interval: float = 1.0,
         failure_timeout: float = 3.0,
-        retry_policy: Optional[RetryPolicy] = None,
     ):
         if num_servers < 1:
             raise ValueError("need at least one server")
         self.env = env
         self.seeds = seeds
         self.route_refresh_period = route_refresh_period
-        self.retry_policy = retry_policy
         self.cm = ClusterManager(
             env,
             seeds.stream("astore-cm"),
@@ -85,7 +83,6 @@ class AStoreCluster:
                 self.env, self.seeds.stream("astore-ctlnet-%s" % client_id)
             ),
             route_refresh_period=self.route_refresh_period,
-            retry_policy=self.retry_policy,
         )
         self.clients.append(client)
         return client

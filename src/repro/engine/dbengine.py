@@ -21,7 +21,6 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..common import (
     MS,
-    PAGE_SIZE,
     US,
     PageId,
     QueryError,
@@ -56,37 +55,53 @@ class _Tab:
         self.cpu_debt = 0.0
 
 
+#: CPU the engine charges per SQL statement (parse + plan + execute
+#: bookkeeping).  A read's statement and row CPU are owed, not yielded
+#: on: they join its transaction's debt, charged in one piece at its next
+#: lock, miss, write or commit.
+ENGINE_STMT_CPU = 14 * US
+#: CPU the engine charges per row a statement touches (codec + index +
+#: page mutation) - not the query executor's per-row ``ROW_CPU``.
+ENGINE_ROW_CPU = 3 * US
+#: Interval for pushing EBP latest-LSN batches to AStore servers.
+EBP_LSN_FLUSH_INTERVAL = 50 * MS
+#: How long a row-lock waiter queues before it aborts.
+LOCK_WAIT_TIMEOUT = 2.0
+#: Degraded-mode policy for group-commit flushes: when the log backend
+#: fails (all log replicas unreachable), commits are parked behind this
+#: policy instead of killing the log-writer daemon.  The deadline bounds
+#: how long an outage the engine rides through; a genuinely stuck log
+#: (e.g. the ring wrapped onto un-applied REDO forever) still surfaces as
+#: an error once the deadline elapses.
+FLUSH_RETRY_POLICY = RetryPolicy(
+    max_attempts=256,
+    initial_backoff=5 * MS,
+    max_backoff=1.0,
+    deadline=30.0,
+    op_timeout=None,
+)
+
+
 @dataclass
 class EngineConfig:
-    """Tunables for one DBEngine instance."""
+    """Tunables for one DBEngine instance.
+
+    Each field is set to a non-default value somewhere outside this
+    module; the engine's fixed costs and timeouts are the module
+    constants above.
+    """
 
     cores: int = 20
     buffer_pool_bytes: int = 64 * 1024 * 1024
-    page_size: int = PAGE_SIZE
-    #: CPU charged per SQL statement (parse + plan + execute bookkeeping).
-    #: A read's statement and row CPU are owed, not yielded on: they join
-    #: its transaction's debt, charged in one piece at its next lock,
-    #: miss, write or commit.
-    stmt_cpu: float = 14 * US
-    #: CPU charged per row touched (codec + index + page mutation).
-    row_cpu: float = 3 * US
-    #: Group-commit batch cap in bytes, and the unshipped log that ships.
+    #: Group-commit batch cap in bytes, and the unshipped log that ships
+    #: (``test_ship_on_demand.py`` and ``test_group_commit.py`` shrink it).
     log_batch_bytes: int = 512 * 1024
-    #: Interval for pushing EBP latest-LSN batches to AStore servers.
-    ebp_lsn_flush_interval: float = 50 * MS
     #: Background threads writing evicted pages to the EBP, and the bound
     #: on their queue: beyond it pages are dropped (the EBP is best-effort;
     #: under extreme eviction churn admission control beats backlog).
+    #: ``test_engine_limits.py`` varies both.
     ebp_writer_threads: int = 8
     ebp_write_queue_limit: int = 512
-    lock_wait_timeout: float = 2.0
-    #: Degraded-mode policy for group-commit flushes: when the log backend
-    #: fails (all log replicas unreachable), commits are parked behind this
-    #: policy instead of killing the log-writer daemon.  The deadline
-    #: bounds how long an outage the engine rides through; a genuinely
-    #: stuck log (e.g. the ring wrapped onto un-applied REDO forever)
-    #: still surfaces as an error once the deadline elapses.
-    flush_retry_policy: Optional[RetryPolicy] = None
 
 
 class LogBackend:
@@ -167,12 +182,11 @@ class DBEngine:
         self.ebp = ebp
         self.cpu = CpuPool(env, cores=config.cores)
         self.catalog = Catalog()
-        self.locks = LockManager(env, wait_timeout=config.lock_wait_timeout)
+        self.locks = LockManager(env, wait_timeout=LOCK_WAIT_TIMEOUT)
         self.lsn = LsnAllocator()
         self.log = LogBuffer(env, self._flush_log, config.log_batch_bytes)
         self.buffer_pool = BufferPool(
             config.buffer_pool_bytes,
-            page_size=config.page_size,
             on_evict=self._on_evict,
             can_evict=self._wal_allows_evict,
         )
@@ -207,13 +221,6 @@ class DBEngine:
         self.degraded = False
         self.flush_retries = 0
         self.degraded_episodes = 0
-        self.flush_retry_policy = config.flush_retry_policy or RetryPolicy(
-            max_attempts=256,
-            initial_backoff=5 * MS,
-            max_backoff=1.0,
-            deadline=30.0,
-            op_timeout=None,
-        )
         self._flush_rng = seeds.stream("engine.log-flush-retry")
         # Observability: commit-wait and group-commit-flush latency
         # percentiles plus page-fetch path counters in the shared registry.
@@ -282,7 +289,7 @@ class DBEngine:
             if tracer.enabled
             else None
         )
-        policy = self.flush_retry_policy
+        policy = FLUSH_RETRY_POLICY
         try:
             for attempt in range(policy.max_attempts):
                 try:
@@ -423,7 +430,7 @@ class DBEngine:
 
     def _ebp_lsn_flush_loop(self):
         while True:
-            yield self.env.timeout(self.config.ebp_lsn_flush_interval)
+            yield self.env.timeout(EBP_LSN_FLUSH_INTERVAL)
             if not self.crashed:
                 yield from self.ebp.flush_dirty_lsns()
 
@@ -508,7 +515,7 @@ class DBEngine:
         """Allocate and format a fresh heap page (logged)."""
         page_no = table.allocate_page()
         page_id = table.page_id(page_no)
-        page = Page(page_id, size=self.config.page_size)
+        page = Page(page_id)
         op = PageOp("format")
         lsn = self.lsn.allocate(op.log_bytes)
         apply_op(page, op, lsn)
@@ -642,7 +649,7 @@ class DBEngine:
         """Generator: insert one row."""
         self._check_active(txn)
         table = self.catalog.table(table_name)
-        yield from self._pay(txn, self.config.stmt_cpu + self.config.row_cpu)
+        yield from self._pay(txn, ENGINE_STMT_CPU + ENGINE_ROW_CPU)
         key = table.key_of(values)
         lock_key = (table_name, key)
         if not self._holds(txn, lock_key):
@@ -694,7 +701,7 @@ class DBEngine:
         self._check_live()
         table = self.catalog.table(table_name)
         tab = _Tab() if txn is None else txn
-        tab.cpu_debt += self.config.stmt_cpu
+        tab.cpu_debt += ENGINE_STMT_CPU
         if for_update:
             if txn is None:
                 raise QueryError("FOR UPDATE requires a transaction")
@@ -721,7 +728,7 @@ class DBEngine:
                     yield from self._pay(tab)
                 page = yield from self._fetch_miss(page_id)
                 self._check_live(txn)
-            tab.cpu_debt += self.config.row_cpu
+            tab.cpu_debt += ENGINE_ROW_CPU
             try:
                 row = table.schema.decode(page.get(slot))
                 break
@@ -739,7 +746,7 @@ class DBEngine:
         """Generator: update columns of the row with ``key``."""
         self._check_active(txn)
         table = self.catalog.table(table_name)
-        yield from self._pay(txn, self.config.stmt_cpu + self.config.row_cpu)
+        yield from self._pay(txn, ENGINE_STMT_CPU + ENGINE_ROW_CPU)
         lock_key = (table_name, key)
         if not self._holds(txn, lock_key):
             yield from self._acquire(txn, lock_key)
@@ -821,7 +828,7 @@ class DBEngine:
         """Generator: delete the row with ``key``."""
         self._check_active(txn)
         table = self.catalog.table(table_name)
-        yield from self._pay(txn, self.config.stmt_cpu + self.config.row_cpu)
+        yield from self._pay(txn, ENGINE_STMT_CPU + ENGINE_ROW_CPU)
         lock_key = (table_name, key)
         if not self._holds(txn, lock_key):
             yield from self._acquire(txn, lock_key)
@@ -1144,7 +1151,7 @@ class DBEngine:
         # flag, so a fresh lock table cannot expose prepared writes.
         # Counters carry over; stranded waiters on the old table abort
         # via their own wait timeouts.
-        fresh = LockManager(self.env, wait_timeout=self.config.lock_wait_timeout)
+        fresh = LockManager(self.env, wait_timeout=LOCK_WAIT_TIMEOUT)
         fresh.waits = self.locks.waits
         fresh.timeouts = self.locks.timeouts
         fresh.deadlocks = self.locks.deadlocks

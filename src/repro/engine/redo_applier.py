@@ -40,7 +40,15 @@ PAGE_CPU = 2 * US
 
 
 class RedoApplier:
-    """Tails one REDO feed into one sink; see the module docstring."""
+    """Tails one REDO feed into one sink; see the module docstring.
+
+    Every applier starts polling its feed each ``poll_interval`` (2 ms);
+    a fleet with per-replica cadences and the views scenario's stall
+    reassign the attribute.  :meth:`wait_for_lsn` re-checks the
+    watermark every ``wait_poll``.
+    """
+
+    wait_poll = 0.5 * MS
 
     def __init__(
         self,
@@ -50,8 +58,6 @@ class RedoApplier:
         cpu: CpuPool,
         name: str,
         feed_bound: int = 65536,
-        poll_interval: float = 2 * MS,
-        wait_poll: float = 0.5 * MS,
     ):
         self.env = env
         self.source = source
@@ -59,8 +65,7 @@ class RedoApplier:
         self.cpu = cpu
         self.name = name
         self.feed_bound = feed_bound
-        self.poll_interval = poll_interval
-        self.wait_poll = wait_poll
+        self.poll_interval = 2 * MS
         self.feed = None
         #: The sink's state is exactly the source at this LSN.
         self.watermark = 0

@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..common import US, PageId, QueryError, StorageError
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
+from .dbengine import ENGINE_STMT_CPU
 from .page import Page, apply_op
 from .redo_applier import RedoApplier
 from .table import Catalog, Table
@@ -136,7 +137,7 @@ class StandbyReplica:
             lsn = record.lsn
             page = pages.get(page_id)
             if page is None:
-                page = Page(page_id, size=self.primary.config.page_size)
+                page = Page(page_id)
                 pages[page_id] = page
             elif page.page_lsn >= lsn:
                 # ARIES-style redo check: the image (from a catch-up
@@ -232,7 +233,7 @@ class StandbyReplica:
         table = self.catalog.table(table_name)
         locator = table.lookup(key)
         if locator is None:
-            yield from self.cpu.consume(self.primary.config.stmt_cpu)
+            yield from self.cpu.consume(ENGINE_STMT_CPU)
             return None
         page_no, slot = locator
         page_id = table.page_id(page_no)
@@ -242,9 +243,9 @@ class StandbyReplica:
         hit = self.peek_page(page_id)
         if hit is not None:
             page, extra = hit
-            yield from self.cpu.consume(self.primary.config.stmt_cpu + extra)
+            yield from self.cpu.consume(ENGINE_STMT_CPU + extra)
         else:
-            yield from self.cpu.consume(self.primary.config.stmt_cpu)
+            yield from self.cpu.consume(ENGINE_STMT_CPU)
             page = yield from self.fetch_page(page_id)
         try:
             return table.schema.decode(page.get(slot))

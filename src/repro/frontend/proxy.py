@@ -312,7 +312,6 @@ class SqlProxy:
         shardmap=None,
         coordinator=None,
         shard_targets=None,
-        consistent_scatter: bool = True,
         scatter_fence_timeout: float = 0.5,
         write_retry: Optional[RetryPolicy] = None,
         retry_rng=None,
@@ -331,9 +330,6 @@ class SqlProxy:
         self.engine = engine
         self.fleet = fleet
         self.wait_timeout = wait_timeout
-        #: Scatter SELECTs take the coordinator's commit fence plus a
-        #: per-shard durable-LSN cut, making them atomic w.r.t. 2PC.
-        self.consistent_scatter = consistent_scatter
         self.scatter_fence_timeout = scatter_fence_timeout
         self.write_retry = write_retry
         self.retry_rng = retry_rng
@@ -678,14 +674,13 @@ class SqlProxy:
         treatment (token wait, reroute, primary bounce).  ``sql`` keys
         the legs' plan caches (None: a bound prepared AST, re-planned).
 
-        With ``consistent_scatter`` the fan-out is *atomic* w.r.t. every
-        multi-shard commit: the read side of the coordinator's
-        :class:`repro.shard.CommitFence` is held across all legs (no 2PC
-        commit can land between them), and each leg is forced to observe
-        at least its shard's durable tail as captured at fence entry (a
-        per-shard LSN cut), so a commit that completed *before* the
-        scatter cannot be visible on one shard's leg yet missing on
-        another's lagging replica.  A scatter that cannot enter the
+        The fan-out is *atomic* w.r.t. every multi-shard commit: the
+        read side of the coordinator's :class:`repro.shard.CommitFence`
+        is held across all legs (no 2PC commit can land between them),
+        and each leg is forced to observe at least its shard's durable
+        tail as captured at fence entry (a per-shard LSN cut), so a
+        commit that completed *before* the scatter cannot be visible on
+        one shard's leg yet missing on another's lagging replica.  A scatter that cannot enter the
         fence within ``scatter_fence_timeout`` (a 2PC write is stuck in
         doubt) fails with :class:`repro.shard.FenceTimeout` rather than
         returning a torn result.
@@ -696,37 +691,26 @@ class SqlProxy:
         )
 
     def _scatter_legs(self, session: ProxySession, statement, shards, sql):
-        fence = (
-            self.coordinator.fence
-            if self.consistent_scatter and self.coordinator is not None
-            else None
-        )
-        fenced = False
+        # A scatter has several target shards, so the proxy is sharded
+        # and has a coordinator.
+        fence = self.coordinator.fence
+        yield from fence.acquire_read(max_wait=self.scatter_fence_timeout)
         try:
-            cut = None
-            if fence is not None:
-                yield from fence.acquire_read(
-                    max_wait=self.scatter_fence_timeout
-                )
-                fenced = True
-                self.scatter_fenced += 1
-                cut = [
-                    engine.log.persistent_lsn for engine in self.engines
-                ]
+            self.scatter_fenced += 1
+            cut = [engine.log.persistent_lsn for engine in self.engines]
             legs = []
             for shard in shards:
                 legs.append((
                     yield from self._route(
                         session, self._replica_partial,
                         self._primary_partial, (statement, sql), shard,
-                        min_lsn=None if cut is None else cut[shard],
+                        min_lsn=cut[shard],
                     )
                 ))
             self.scatter_selects += 1
             return merge(statement, legs, obs_of(self.env).registry)
         finally:
-            if fenced:
-                fence.release_read()
+            fence.release_read()
 
     # ------------------------------------------------------------------
     # DML

@@ -145,7 +145,6 @@ def run_serving(
     tenants: int = 1,
     chaos: bool = True,
     apply_intervals: Optional[Sequence[float]] = None,
-    staleness_bound: Optional[int] = None,
     replica_cores: Optional[int] = None,
     read_limit: Optional[int] = None,
     queue_limit: Optional[int] = None,
@@ -185,7 +184,6 @@ def run_serving(
         replicas,
         policy=policy,
         apply_intervals=apply_intervals,
-        staleness_bound=staleness_bound,
         cores=replica_cores,
     ).with_admission(
         read_limit=read_limit,

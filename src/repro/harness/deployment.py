@@ -50,6 +50,10 @@ from ..storage.pagestore import PageStoreService
 
 __all__ = ["Deployment", "DeploymentSpec", "ShardStack"]
 
+#: Copies of every log segment in the SegmentRing, so an AStore log
+#: needs at least this many servers.
+LOG_REPLICATION = 3
+
 
 @dataclass
 class DeploymentSpec:
@@ -57,7 +61,11 @@ class DeploymentSpec:
 
     All fields are named and validated at construction; the ``with_*``
     builder methods return modified *copies*, so a base spec can be shared
-    and specialised per experiment.
+    and specialised per experiment.  A field exists because some caller
+    outside this module sets it: a value nobody changes is a constant of
+    the component that uses it (the log's ``LOG_REPLICATION``, the
+    engine's CPU costs), and the sharded plane's deadlock detector,
+    fenced scatters and write retries are plain behaviour, not switches.
     """
 
     seed: int = 42
@@ -77,31 +85,27 @@ class DeploymentSpec:
     # EBP.
     ebp_capacity_bytes: int = 64 * MB
     ebp_segment_bytes: int = 4 * MB
-    ebp_policy: str = "flat"
-    ebp_space_priorities: Optional[Dict[int, int]] = None
     # AStore cluster.
     astore_servers: int = 3
-    # Fault tolerance: failure-detector cadence and client retry policy.
+    # Fault tolerance: failure-detector cadence.
     astore_heartbeat_interval: float = 1.0
     astore_failure_timeout: float = 3.0
     astore_cleanup_period: float = 5.0
     astore_lease_duration: float = 10.0
     astore_route_refresh_period: float = 1.0
-    retry_policy: Optional[RetryPolicy] = None
-    # SegmentRing for the log.
+    # SegmentRing for the log.  Tiny rings force segment recycling in
+    # ``test_log_recycling.py`` and ``test_deployment.py``.
     log_ring_segments: int = 8
     log_segment_bytes: int = 4 * MB
-    log_replication: int = 3
     # Serving layer (repro.frontend): replica fleet + proxy.
     replicas: int = 0
     replica_policy: str = "least-lag"
     replica_cores: int = 8
     #: One REDO-poll interval per replica; None = 2 ms for all.
     replica_apply_intervals: Optional[Tuple[float, ...]] = None
-    #: p2c bounded-staleness filter, in REDO bytes (None = unbounded).
-    replica_staleness_bound: Optional[int] = None
     #: How long a routed read waits for the replica to reach the
-    #: session's commit LSN before bouncing to the primary.
+    #: session's commit LSN before bouncing to the primary
+    #: (``test_proxy.py``'s bounce and ``test_fleet_chaos.py`` shorten it).
     replica_wait_timeout: float = 0.02
     # Admission control (active whenever replicas > 0).
     admission_read_limit: int = 64
@@ -117,18 +121,6 @@ class DeploymentSpec:
     #: Per-tenant lane-wait queue bound and deadline.
     mux_queue_limit: int = 512
     mux_queue_timeout: float = 0.05
-    # Distributed robustness (active whenever shards > 1).
-    #: Run the global deadlock detector daemon (cross-shard lock cycles
-    #: abort a victim in one sweep instead of the 2 s wait timeout).
-    deadlock_detection: bool = True
-    deadlock_detect_interval: float = 0.05
-    #: Scatter SELECTs hold the coordinator's commit fence + LSN cut,
-    #: making them atomic w.r.t. cross-shard 2PC commits.
-    scatter_consistency: bool = True
-    #: Proxy write-retry policy for transient aborts (deadlock victims,
-    #: lock timeouts).  None = a default policy on sharded deployments,
-    #: no retries on single-shard ones (their historical behaviour).
-    proxy_write_retry: Optional[RetryPolicy] = None
     # Incremental materialized views (repro.views; single-shard only):
     # ``((name, SELECT sql), ...)`` maintained from the REDO feed.
     views: Optional[Tuple[Tuple[str, str], ...]] = None
@@ -136,17 +128,12 @@ class DeploymentSpec:
     view_feed_bound: int = 65536
 
     def __post_init__(self) -> None:
-        if self.ebp_policy not in ("flat", "priority"):
-            raise ValueError(
-                "ebp_policy must be 'flat' or 'priority', got %r" % self.ebp_policy
-            )
         positive = (
             ("ebp_capacity_bytes", self.ebp_capacity_bytes),
             ("ebp_segment_bytes", self.ebp_segment_bytes),
             ("astore_servers", self.astore_servers),
             ("log_ring_segments", self.log_ring_segments),
             ("log_segment_bytes", self.log_segment_bytes),
-            ("log_replication", self.log_replication),
             ("astore_heartbeat_interval", self.astore_heartbeat_interval),
             ("astore_failure_timeout", self.astore_failure_timeout),
             ("astore_cleanup_period", self.astore_cleanup_period),
@@ -174,15 +161,10 @@ class DeploymentSpec:
             )
         if self.shards < 1:
             raise ValueError("shards must be >= 1, got %r" % self.shards)
-        if self.deadlock_detect_interval <= 0:
+        if self.astore_servers < LOG_REPLICATION:
             raise ValueError(
-                "deadlock_detect_interval must be positive, got %r"
-                % self.deadlock_detect_interval
-            )
-        if self.log_replication > self.astore_servers:
-            raise ValueError(
-                "log_replication (%d) exceeds astore_servers (%d)"
-                % (self.log_replication, self.astore_servers)
+                "astore_servers (%d) below the log's %d replicas"
+                % (self.astore_servers, LOG_REPLICATION)
             )
         if self.replicas < 0:
             raise ValueError(
@@ -208,9 +190,6 @@ class DeploymentSpec:
                     )
             if self.admission_queue_limit < 0:
                 raise ValueError("admission_queue_limit must be >= 0")
-            if self.replica_staleness_bound is not None \
-                    and self.replica_staleness_bound < 0:
-                raise ValueError("replica_staleness_bound must be >= 0")
             if self.replica_apply_intervals is not None:
                 if len(self.replica_apply_intervals) != self.replicas:
                     raise ValueError(
@@ -291,25 +270,17 @@ class DeploymentSpec:
         """
         return dataclasses.replace(self, shards=n)
 
-    def with_astore(
-        self,
-        servers: Optional[int] = None,
-        replication: Optional[int] = None,
-    ) -> "DeploymentSpec":
+    def with_astore(self, servers: Optional[int] = None) -> "DeploymentSpec":
         """Route the REDO log through an AStore SegmentRing."""
         changes: Dict[str, object] = {"use_astore_log": True}
         if servers is not None:
             changes["astore_servers"] = servers
-        if replication is not None:
-            changes["log_replication"] = replication
         return dataclasses.replace(self, **changes)
 
     def with_ebp(
         self,
         size: Optional[int] = None,
         segment_bytes: Optional[int] = None,
-        policy: Optional[str] = None,
-        space_priorities: Optional[Dict[int, int]] = None,
     ) -> "DeploymentSpec":
         """Attach an Extended Buffer Pool of ``size`` bytes."""
         changes: Dict[str, object] = {"use_ebp": True}
@@ -317,10 +288,6 @@ class DeploymentSpec:
             changes["ebp_capacity_bytes"] = size
         if segment_bytes is not None:
             changes["ebp_segment_bytes"] = segment_bytes
-        if policy is not None:
-            changes["ebp_policy"] = policy
-        if space_priorities is not None:
-            changes["ebp_space_priorities"] = space_priorities
         return dataclasses.replace(self, **changes)
 
     def with_pushdown(self) -> "DeploymentSpec":
@@ -342,9 +309,8 @@ class DeploymentSpec:
         heartbeat_interval: Optional[float] = None,
         failure_timeout: Optional[float] = None,
         lease_duration: Optional[float] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> "DeploymentSpec":
-        """Tune failure-detector cadence and the client retry policy."""
+        """Tune the failure detector's cadence and the lease length."""
         changes: Dict[str, object] = {}
         if heartbeat_interval is not None:
             changes["astore_heartbeat_interval"] = heartbeat_interval
@@ -352,8 +318,6 @@ class DeploymentSpec:
             changes["astore_failure_timeout"] = failure_timeout
         if lease_duration is not None:
             changes["astore_lease_duration"] = lease_duration
-        if retry_policy is not None:
-            changes["retry_policy"] = retry_policy
         return dataclasses.replace(self, **changes)
 
     def with_replicas(
@@ -362,7 +326,6 @@ class DeploymentSpec:
         policy: Optional[str] = None,
         cores: Optional[int] = None,
         apply_intervals: Optional[Sequence[float]] = None,
-        staleness_bound: Optional[int] = None,
         wait_timeout: Optional[float] = None,
     ) -> "DeploymentSpec":
         """Attach a serving-layer fleet of ``n`` standby replicas.
@@ -382,35 +345,8 @@ class DeploymentSpec:
             changes["replica_cores"] = cores
         if apply_intervals is not None:
             changes["replica_apply_intervals"] = tuple(apply_intervals)
-        if staleness_bound is not None:
-            changes["replica_staleness_bound"] = staleness_bound
         if wait_timeout is not None:
             changes["replica_wait_timeout"] = wait_timeout
-        return dataclasses.replace(self, **changes)
-
-    def with_robustness(
-        self,
-        deadlock_detection: Optional[bool] = None,
-        detect_interval: Optional[float] = None,
-        scatter_consistency: Optional[bool] = None,
-        write_retry: Optional[RetryPolicy] = None,
-    ) -> "DeploymentSpec":
-        """Tune the sharded plane's robustness mechanisms.
-
-        Turning ``deadlock_detection`` or ``scatter_consistency`` off
-        reverts to PR 6 semantics (timeout-resolved global deadlocks,
-        unfenced scatter reads) - mainly useful for regression tests and
-        overhead measurements.
-        """
-        changes: Dict[str, object] = {}
-        if deadlock_detection is not None:
-            changes["deadlock_detection"] = deadlock_detection
-        if detect_interval is not None:
-            changes["deadlock_detect_interval"] = detect_interval
-        if scatter_consistency is not None:
-            changes["scatter_consistency"] = scatter_consistency
-        if write_retry is not None:
-            changes["proxy_write_retry"] = write_retry
         return dataclasses.replace(self, **changes)
 
     def with_views(
@@ -454,6 +390,8 @@ class DeploymentSpec:
         dict or ``(name, weight)`` pairs; omitted = one "default"
         tenant).  Requires ``with_replicas`` (the mux rides the proxy).
         """
+        if lanes < 1:
+            raise ValueError("mux lanes must be >= 1, got %r" % lanes)
         if isinstance(tenants, dict):
             pairs = tuple(tenants.items())
         elif tenants is not None:
@@ -591,12 +529,10 @@ class Deployment:
         if self.config.replicas > 0:
             from ..frontend.proxy import SqlProxy
 
-            write_retry = self.config.proxy_write_retry
-            if write_retry is None and self.config.shards > 1:
-                # Sharded planes see transient aborts a single primary
-                # never produces (global deadlock victims, presumed
-                # aborts), so retries default on there.
-                write_retry = RetryPolicy()
+            # Sharded planes see transient aborts a single primary never
+            # produces (global deadlock victims, presumed aborts), so
+            # their proxy retries writes; a single primary's does not.
+            write_retry = RetryPolicy() if self.config.shards > 1 else None
             self.frontend = SqlProxy(
                 self.env,
                 self.engine,
@@ -609,7 +545,6 @@ class Deployment:
                     (stack.engine, stack.fleet, stack.admission)
                     for stack in self.shards
                 ],
-                consistent_scatter=self.config.scatter_consistency,
                 write_retry=write_retry,
                 retry_rng=(
                     self.seeds.stream("proxy-write-retry")
@@ -657,7 +592,6 @@ class Deployment:
                 route_refresh_period=config.astore_route_refresh_period,
                 heartbeat_interval=config.astore_heartbeat_interval,
                 failure_timeout=config.astore_failure_timeout,
-                retry_policy=config.retry_policy,
             )
         if config.use_astore_log:
             client = stack.astore.new_client("log-client")
@@ -665,7 +599,7 @@ class Deployment:
                 client,
                 ring_size=config.log_ring_segments,
                 segment_size=config.log_segment_bytes,
-                replication=config.log_replication,
+                replication=LOG_REPLICATION,
                 # A FULL segment recycles once this shard's REDO reached
                 # its PageStore: the ring demands that ship and waits.  No
                 # more than is durable - the log writer is the one waiting.
@@ -683,9 +617,6 @@ class Deployment:
                 ebp_client,
                 capacity_bytes=config.ebp_capacity_bytes,
                 segment_size=config.ebp_segment_bytes,
-                page_size=config.engine.page_size,
-                policy=config.ebp_policy,
-                space_priorities=config.ebp_space_priorities,
             )
         stack.engine = DBEngine(
             self.env,
@@ -703,9 +634,7 @@ class Deployment:
             from ..frontend.policies import make_policy
 
             policy = make_policy(
-                config.replica_policy,
-                rng=seeds.stream("frontend-policy"),
-                staleness_bound=config.replica_staleness_bound,
+                config.replica_policy, rng=seeds.stream("frontend-policy")
             )
             stack.fleet = ReplicaFleet(
                 self.env,
@@ -982,13 +911,11 @@ class Deployment:
             self.views.start()
         if self.astore is not None:
             self.detector = self.astore.detector
-        if self.config.shards > 1 and self.config.deadlock_detection:
+        if self.config.shards > 1:
             from ..shard import GlobalDeadlockDetector
 
             self.deadlock_detector = GlobalDeadlockDetector(
-                self.env,
-                self.coordinator,
-                interval=self.config.deadlock_detect_interval,
+                self.env, self.coordinator
             )
             self.deadlock_detector.start()
 

@@ -172,7 +172,7 @@ class CommitFence:
 class GlobalDeadlockDetector:
     """Coordinator-side daemon unioning per-engine wait-for graphs.
 
-    Every ``interval`` seconds of virtual time the detector sweeps each
+    Every ``interval`` (50 ms) of virtual time the detector sweeps each
     live engine's :meth:`LockManager.wait_edges`, maps local transaction
     ids onto distributed transactions via the coordinator's active
     registry, and walks the unioned graph for cycles.  Since a
@@ -185,13 +185,11 @@ class GlobalDeadlockDetector:
     cases, which strict local cycle refusal already prevents).
     """
 
-    def __init__(self, env: Environment, coordinator,
-                 interval: float = 0.05):
-        if interval <= 0:
-            raise ValueError("sweep interval must be positive")
+    interval = 0.05
+
+    def __init__(self, env: Environment, coordinator):
         self.env = env
         self.coordinator = coordinator
-        self.interval = interval
         self.sweeps = 0
         self.cycles_found = 0
         self.victims_aborted = 0

@@ -23,6 +23,7 @@ import pytest
 from repro.common import PageId, TransactionAborted
 from repro.engine.bufferpool import BufferPool
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
+from repro.engine.dbengine import ENGINE_ROW_CPU, ENGINE_STMT_CPU
 from repro.engine.page import Page, PageOp
 from repro.engine.wal import RedoRecord, encode_records_size
 from repro.harness.deployment import Deployment, DeploymentSpec
@@ -190,7 +191,7 @@ def test_unlocked_reads_pay_where_the_transaction_joins_a_lock_queue():
     transaction queues once all k·(stmt + row) + stmt are paid."""
     dep = warmed_accounts()
     engine, env = dep.engine, dep.env
-    stmt, row, k = engine.config.stmt_cpu, engine.config.row_cpu, 5
+    stmt, row, k = ENGINE_STMT_CPU, ENGINE_ROW_CPU, 5
     lock_key = ("accounts", (7,))
 
     def holder():

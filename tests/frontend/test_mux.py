@@ -47,6 +47,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         (DeploymentSpec.astore_ebp(seed=1).with_replicas(1)
          .with_multiplexing(-1))
+    # Zero lanes is no mux: the spec would build without one and drop
+    # the tenants it was given.
+    with pytest.raises(ValueError, match="mux lanes must be >= 1, got 0"):
+        (DeploymentSpec.astore_ebp(seed=1).with_replicas(1)
+         .with_multiplexing(0, {"gold": 4}))
     with pytest.raises(ValueError):
         (DeploymentSpec.astore_ebp(seed=1).with_replicas(1)
          .with_multiplexing(2, {"a": 0}))

@@ -178,12 +178,11 @@ def test_spec_validation_for_serving_fields():
         DeploymentSpec(replicas=2, replica_wait_timeout=0)
     # Valid spec: builder round-trip keeps the fields.
     spec = DeploymentSpec.astore_ebp(seed=1).with_replicas(
-        3, policy="p2c", staleness_bound=4096,
+        3, policy="p2c",
         apply_intervals=(1 * MS, 2 * MS, 3 * MS),
     ).with_admission(read_limit=8, queue_limit=4)
     assert spec.replicas == 3
     assert spec.replica_policy == "p2c"
-    assert spec.replica_staleness_bound == 4096
     assert spec.admission_read_limit == 8
     assert spec.admission_queue_limit == 4
 

@@ -28,16 +28,14 @@ def test_with_engine_overrides_engine_config():
     spec = DeploymentSpec().with_engine(buffer_pool_bytes=8 * MB)
     assert spec.engine.buffer_pool_bytes == 8 * MB
     # Other engine fields keep their defaults.
-    assert spec.engine.page_size == DeploymentSpec().engine.page_size
+    assert spec.engine.cores == DeploymentSpec().engine.cores
 
 
 def test_validation_rejects_bad_fields():
     with pytest.raises(ValueError):
         DeploymentSpec(astore_servers=0)
     with pytest.raises(ValueError):
-        DeploymentSpec(ebp_policy="lru")
-    with pytest.raises(ValueError):
-        DeploymentSpec(log_replication=5, astore_servers=3)
+        DeploymentSpec(astore_servers=2)
     with pytest.raises(ValueError, match="below one segment"):
         DeploymentSpec(use_ebp=True, ebp_capacity_bytes=MB, ebp_segment_bytes=4 * MB)
     # A fleet of zero replicas is no fleet: the spec would build without

@@ -1,11 +1,10 @@
 """Distributed robustness tests: global deadlock detection, the commit
 fence, scatter-read atomicity, partitions, and proxy write retries.
 
-The two headline regressions are encoded as off/on pairs: with the
-robustness mechanism disabled (PR 6 semantics) the pathology is
-demonstrably present - cross-shard deadlocks stall to the 2 s lock-wait
-timeout, scatter reads observe torn 2PC commits - and with it enabled
-the same workload resolves in milliseconds / observes atomically.
+The two headline mechanisms are shown firing on the workload that needs
+them: a cross-shard lock cycle resolves in one detector sweep instead of
+the 2 s lock-wait timeout, and scatter reads racing a paused 2PC writer
+never observe a torn commit because readers wait at the commit fence.
 """
 
 import pytest
@@ -24,11 +23,8 @@ from repro.shard import (
 from repro.sim.core import AllOf, Environment
 
 
-def build(shards=2, seed=17, **robustness):
-    spec = DeploymentSpec.stock(seed=seed).with_shards(shards)
-    if robustness:
-        spec = spec.with_robustness(**robustness)
-    dep = spec.build()
+def build(shards=2, seed=17):
+    dep = DeploymentSpec.stock(seed=seed).with_shards(shards).build()
     dep.start()
     session = dep.shard_session()
     session.create_table(
@@ -179,22 +175,8 @@ def cyclic_writers(dep, session, results):
     ]
 
 
-def test_cross_shard_deadlock_stalls_without_detector():
-    dep, session = build(deadlock_detection=False)
-    seed_rows(dep, session, [0, 1])
-    start = dep.env.now
-    results = {}
-    procs = cyclic_writers(dep, session, results)
-    dep.env.run_until_event(AllOf(dep.env, procs))
-    elapsed = dep.env.now - start
-    # Only the 2 s lock-wait timeout resolves the cycle.
-    assert elapsed >= 2.0
-    assert sorted(results.values()) == ["aborted", "committed"] or \
-        sorted(results.values()) == ["aborted", "aborted"]
-
-
 def test_cross_shard_deadlock_resolved_by_detector():
-    dep, session = build()  # detection on by default
+    dep, session = build()
     seed_rows(dep, session, [0, 1])
     start = dep.env.now
     results = {}
@@ -215,17 +197,10 @@ def test_cross_shard_deadlock_resolved_by_detector():
     assert run(dep, session.read_row(None, "kv", (1,))) == [1, 0]
 
 
-def test_detector_interval_validation():
-    with pytest.raises(ValueError):
-        DeploymentSpec.stock(seed=1).with_shards(2).with_robustness(
-            detect_interval=0.0
-        )
-
-
 # ----------------------------------------------------------------------
-# Scatter-read atomicity (the torn-read regression pair)
+# Scatter-read atomicity
 # ----------------------------------------------------------------------
-def scatter_harness(dep, session, consistent):
+def scatter_harness(dep, session):
     """A fenced 2PC writer bumping both shards with a deliberate pause
     mid-flight, plus a polling scatter reader; returns observations."""
     seed_rows(dep, session, [0, 1])
@@ -233,7 +208,6 @@ def scatter_harness(dep, session, consistent):
         dep.env, dep.engine, None,
         shardmap=dep.shardmap, coordinator=dep.coordinator,
         shard_targets=[(s.engine, None, None) for s in dep.shards],
-        consistent_scatter=consistent,
     )
     reader_session = proxy.session("probe")
     observations = []
@@ -278,17 +252,9 @@ def torn(observations):
     return [obs for obs in observations if obs[0][1] != obs[1][1]]
 
 
-def test_scatter_reads_torn_without_fence():
-    dep, session = build(scatter_consistency=False)
-    observations = scatter_harness(dep, session, consistent=False)
-    # The mid-transaction window is 50 ms and the reader polls every
-    # 5 ms: unfenced scatters demonstrably observe the torn state.
-    assert torn(observations)
-
-
 def test_scatter_reads_atomic_with_fence():
     dep, session = build()
-    observations = scatter_harness(dep, session, consistent=True)
+    observations = scatter_harness(dep, session)
     assert observations
     assert not torn(observations)
     # The fence actually did work: readers were held out at least once.

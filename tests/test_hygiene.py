@@ -1,5 +1,5 @@
-"""Source hygiene, stdlib only: no ``src/repro`` module imports a name it
-does not need.
+"""Source hygiene: no ``src/repro`` module imports a name it does not
+need, and the config surfaces do not grow.
 
 An imported name earns its place by being used in the module, listed in its
 ``__all__``, or imported *from* it by another ``src/repro`` module (a
@@ -7,7 +7,12 @@ re-export).  Anything else is a leftover of code that moved or was deleted.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from repro.engine.dbengine import EngineConfig
+from repro.harness.deployment import DeploymentSpec
+from repro.query.planner import PlannerConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 #: Dotted module name -> file, for every module of the package.
@@ -105,3 +110,20 @@ def test_the_query_layer_has_one_scan_pipeline():
     for name in ("decode_page_into", "semi_join"):
         sites = _calls_under("repro.query", name)
         assert len(sites) == 1, (name, sites)
+
+
+#: Field budget of each user-facing config dataclass.
+CONFIG_FIELD_CAPS = ((DeploymentSpec, 31), (EngineConfig, 5), (PlannerConfig, 3))
+
+
+def test_every_config_knob_earns_its_place():
+    """A config field stays only while something sets it: a value no
+    caller changes is a constant, and an off-switch only a test flips
+    keeps a second code path alive for nobody."""
+    for config, cap in CONFIG_FIELD_CAPS:
+        fields = [f.name for f in dataclasses.fields(config)]
+        assert len(fields) <= cap, (
+            "%s has %d fields (cap %d): a new field must name the two "
+            "non-test callers that need different values - otherwise make "
+            "it a module constant" % (config.__name__, len(fields), cap)
+        )

@@ -170,6 +170,18 @@ class DeploymentSpec:
             raise ValueError(
                 "replicas must be >= 0, got %r" % self.replicas
             )
+        # A feature's settings without the feature would be dropped
+        # unread: refuse them and name the builder that sets both.
+        if self.replica_apply_intervals is not None and not self.replicas:
+            raise ValueError(
+                "replica_apply_intervals without replicas; build the spec "
+                "with .with_replicas(n, apply_intervals=...)"
+            )
+        if self.mux_tenants is not None and not self.mux_lanes:
+            raise ValueError(
+                "mux_tenants without mux_lanes; build the spec with "
+                ".with_multiplexing(lanes, tenants)"
+            )
         if self.replicas:
             from ..frontend.policies import POLICY_NAMES
 

@@ -44,6 +44,23 @@ def test_validation_rejects_bad_fields():
         DeploymentSpec.astore_ebp().with_replicas(0)
 
 
+def test_validation_rejects_a_feature_setting_without_its_feature():
+    """Tenants without lanes and apply intervals without replicas would
+    build a deployment that never reads them."""
+    with pytest.raises(ValueError, match=r"with_multiplexing"):
+        DeploymentSpec.astore_ebp(seed=1, replicas=1,
+                                  mux_tenants=(("gold", 4),))
+    with pytest.raises(ValueError, match=r"with_multiplexing"):
+        DeploymentSpec(mux_tenants=(("a", 0),))
+    with pytest.raises(ValueError, match=r"with_replicas"):
+        DeploymentSpec(replica_apply_intervals=(0.002,))
+    # Through the builders both settings arrive with their feature.
+    spec = (DeploymentSpec.astore_ebp().with_replicas(1, apply_intervals=(0.002,))
+            .with_multiplexing(2, tenants={"gold": 4}))
+    assert spec.mux_tenants == (("gold", 4),)
+    assert spec.replica_apply_intervals == (0.002,)
+
+
 def test_validation_rejects_an_ebp_of_fewer_than_three_segments():
     """One segment is always the cleaner's spare: a two-segment pool
     caches half of what its capacity says, a one-segment pool nothing."""

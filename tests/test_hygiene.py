@@ -1,20 +1,28 @@
 """Source hygiene: no ``src/repro`` module imports a name it does not
-need, and the config surfaces do not grow.
+need, the config surfaces do not grow, and every pin and gate is a row of
+the check manifest (``benchmarks/check_manifest.py``), not a line of CI.
 
 An imported name earns its place by being used in the module, listed in its
 ``__all__``, or imported *from* it by another ``src/repro`` module (a
 re-export).  Anything else is a leftover of code that moved or was deleted.
 """
 
+import argparse
 import ast
 import dataclasses
+import importlib.util
+import json
+import math
+import re
 from pathlib import Path
 
+from repro.cli import build_parser
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import DeploymentSpec
 from repro.query.planner import PlannerConfig
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 #: Dotted module name -> file, for every module of the package.
 MODULES = {
     ".".join(path.relative_to(SRC).with_suffix("").parts).replace(".__init__", ""):
@@ -127,3 +135,87 @@ def test_every_config_knob_earns_its_place():
             "non-test callers that need different values - otherwise make "
             "it a module constant" % (config.__name__, len(fields), cap)
         )
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MANIFEST = _load(ROOT / "benchmarks" / "check_manifest.py")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+CLI = build_parser()
+VERBS = next(action.choices for action in CLI._actions
+             if isinstance(action, argparse._SubParsersAction))
+
+
+def test_ci_runs_the_check_manifest_and_holds_no_check_of_its_own():
+    """A scenario or a bound written into ci.yml is a second list that
+    drifts from the manifest: CI names neither."""
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    assert not re.search(r"python3? - <<", ci), "inline Python gate in ci.yml"
+    verb = re.search(r"\brepro\s+(%s)\b" % "|".join(map(re.escape, VERBS)), ci)
+    assert not verb, "scenario argv in ci.yml: %r" % verb.group(0)
+    bound = re.search(r"[<>]=?\s*[0-9]", ci)
+    assert not bound, "numeric comparison in ci.yml: %r" % bound.group(0)
+    named = [gate.metric for gate in MANIFEST.GATES if gate.metric in ci]
+    assert not named, "gate metrics named in ci.yml: %s" % named
+
+
+def test_every_pin_is_a_unique_sha256_of_a_parseable_scenario():
+    ids = [pin.id for pin in MANIFEST.PINS]
+    assert len(ids) == len(set(ids)), "a pin id repeats: %s" % ids
+    for pin in MANIFEST.PINS:
+        assert re.fullmatch(r"[0-9a-f]{64}", pin.sha256), pin
+        argv = pin.argv.split()
+        assert argv[0] in VERBS, "%s: repro has no verb %r" % (pin.id, argv[0])
+        try:
+            CLI.parse_args(argv)
+        except SystemExit:
+            raise AssertionError("%s: repro rejects %r" % (pin.id, pin.argv))
+
+
+def test_every_gate_reads_a_declared_metric():
+    """A bench gate names a metric BENCHMARK.json declares, a window gate a
+    registry name the source counts: a misspelt metric fails here rather
+    than with a KeyError after a workload run."""
+    workloads = {w["name"] for w in BENCHMARK["workloads"]}
+    ids = [MANIFEST.gate_id(gate) for gate in MANIFEST.GATES]
+    assert len(ids) == len(set(ids)), "a gate repeats: %s" % ids
+    source = "\n".join(path.read_text() for path in MODULES.values())
+    for gate in MANIFEST.GATES:
+        assert gate.workload in workloads, gate
+        assert gate.kind in ("max", "min"), gate
+        assert gate.source in ("end_to_end", "per_layer", "window"), gate
+        if gate.source == "window":
+            for name in MANIFEST.window_names(gate):
+                assert '"%s"' % name in source, (gate, name)
+        else:
+            declared = {m["name"] for m in BENCHMARK[gate.source]}
+            assert gate.metric in declared, gate
+
+
+def _verdict(gate, value):
+    """The gate's verdict on a synthetic report run where it reads ``value``."""
+    if gate.source == "window":
+        names = MANIFEST.window_names(gate)
+        section = dict.fromkeys(names, 1.0)
+        section[names[0]] = value
+    else:
+        section = {gate.metric: value}
+    return MANIFEST.breach(gate, MANIFEST.measure(gate, {gate.source: section}))
+
+
+def test_each_gate_fails_just_past_its_bound_with_its_message():
+    """A flipped min/max or a message that does not format fails here,
+    without a workload run."""
+    for gate in MANIFEST.GATES:
+        past = math.nextafter(gate.bound,
+                              math.inf if gate.kind == "max" else -math.inf)
+        assert _verdict(gate, past) == gate.message % past, gate
+        assert _verdict(gate, gate.bound) is None, gate
+        assert _verdict(gate, gate.today) is None, gate
+        if gate.before is not None:
+            assert _verdict(gate, gate.before) == gate.message % gate.before, gate

@@ -15,8 +15,8 @@ Two cache layers feed the serving plane's fast path:
   bound plan is a handful of fresh nodes hanging off the cached
   template, never a deep copy.
 
-:func:`param_count` sizes the bind vector; both the executor and the
-proxy validate arity against it before running.
+:func:`parse_entry` returns a statement with its parameter count; both the
+executor and the proxy validate arity against it before running.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .plan import (
 __all__ = [
     "ParseCache",
     "parse_entry",
-    "param_count",
     "bind_expr",
     "bind_statement",
     "bind_plan",
@@ -117,54 +116,8 @@ class ParseCache:
 
 
 # ---------------------------------------------------------------------------
-# Parameter discovery / binding
+# Parameter binding
 # ---------------------------------------------------------------------------
-
-
-def _count_expr(expr: Optional[Expr], top: int) -> int:
-    if expr is None:
-        return top
-    if isinstance(expr, Param):
-        return max(top, expr.index + 1)
-    if isinstance(expr, InList):
-        for option in expr.options:
-            if isinstance(option, Param):
-                top = max(top, option.index + 1)
-        return _count_expr(expr.operand, top)
-    for attr in ("left", "right", "operand", "low", "high", "argument"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr):
-            top = _count_expr(child, top)
-    return top
-
-
-def param_count(statement: Any) -> int:
-    """How many positional parameters a parsed statement expects."""
-    top = 0
-    if isinstance(statement, Select):
-        for item in statement.items:
-            top = _count_expr(item.expr, top)
-        top = _count_expr(statement.where, top)
-        for expr in statement.group_by:
-            top = _count_expr(expr, top)
-        for expr, _desc in statement.order_by:
-            top = _count_expr(expr, top)
-        for join in statement.joins:
-            top = _count_expr(join.condition, top)
-        return top
-    if isinstance(statement, Insert):
-        for row in statement.rows:
-            for value in row:
-                if isinstance(value, Param):
-                    top = max(top, value.index + 1)
-        return top
-    if isinstance(statement, Update):
-        for expr in statement.assignments.values():
-            top = _count_expr(expr, top)
-        return _count_expr(statement.where, top)
-    if isinstance(statement, Delete):
-        return _count_expr(statement.where, top)
-    return top
 
 
 def bind_expr(expr: Optional[Expr], params: Sequence[Any]) -> Optional[Expr]:

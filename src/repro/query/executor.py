@@ -38,6 +38,7 @@ one place an answer is shaped.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left
 from collections import OrderedDict
@@ -87,7 +88,7 @@ from .planner import (
 __all__ = ["QuerySession", "QueryResult", "PreparedStatement",
            "RuntimeFilter", "PushdownFragment", "ScanPipeline",
            "fold_groups", "fold_joined_groups", "finalize_groups",
-           "project_batch", "sort_batch",
+           "project_batch", "sort_batch", "sort_depth",
            "limit_batch", "batch_result", "count_scan_cells"]
 
 #: CPU charged per row flowing through a tight operator loop.
@@ -421,14 +422,29 @@ def project_batch(
 
 
 def sort_batch(
-    batch: ColumnBatch, order_by: Sequence[Tuple[Expr, bool]], registry=None
+    batch: ColumnBatch, order_by: Sequence[Tuple[Expr, bool]], registry=None,
+    limit: Optional[int] = None,
 ) -> ColumnBatch:
-    """``batch`` in ORDER BY order: NULLs first ascending, last descending;
-    ``sorted`` is stable, so ties keep their input order."""
+    """The first ``limit`` rows of ``batch`` (all of them by default) in
+    ORDER BY order: NULLs first ascending, last descending.
+    ``heapq.nsmallest`` equals ``sorted(...)[:limit]``, so ties keep their
+    input order; under a limit it keeps a heap of that many rows (top-N),
+    and with no limit it is the full stable ``sorted``."""
     keys = kernels.key_tuples(batch, [expr for expr, _ in order_by], registry)
     descending = [desc for _, desc in order_by]
     keys = [tuple(map(_Reversible, key, descending)) for key in keys]
-    return batch.take(sorted(range(batch.n), key=keys.__getitem__))
+    kept = batch.n if limit is None else limit
+    return batch.take(
+        heapq.nsmallest(kept, range(batch.n), key=keys.__getitem__)
+    )
+
+
+def sort_depth(n: int, limit: Optional[int] = None) -> float:
+    """What a sort of ``n`` rows is charged per row, in ``ROW_CPU``: log2 of
+    the rows it keeps in order - all ``n``, or the top-N heap of ``limit``
+    under a LIMIT - and at least one."""
+    kept = n if limit is None else min(limit, n)
+    return math.log2(kept) if kept > 2 else 1.0
 
 
 def limit_batch(batch: ColumnBatch, count: int) -> ColumnBatch:
@@ -690,6 +706,8 @@ class QuerySession:
         if isinstance(node, Sort):
             return (yield from self._run_sort(node))
         if isinstance(node, Limit):
+            if isinstance(node.child, Sort):
+                return (yield from self._run_sort(node.child, node.count))
             return limit_batch((yield from self._run(node.child)), node.count)
         raise QueryError("unknown plan node %r" % node)
 
@@ -1014,13 +1032,14 @@ class QuerySession:
         yield from self.engine.cpu.consume(ROW_CPU * max(child.n, 1))
         return project_batch(child, project.items, project.star, self._registry)
 
-    def _run_sort(self, sort: Sort):
+    def _run_sort(self, sort: Sort, limit: Optional[int] = None):
+        """A Sort, run as a top-N when a Limit of ``limit`` rows is over it."""
         batch = yield from self._run(sort.child)
         count = max(batch.n, 1)
         yield from self.engine.cpu.consume(
-            ROW_CPU * count * max(1.0, math.log2(count))
+            ROW_CPU * count * sort_depth(count, limit)
         )
-        return sort_batch(batch, sort.order_by, self._registry)
+        return sort_batch(batch, sort.order_by, self._registry, limit)
 
     # ------------------------------------------------------------------
     # DML

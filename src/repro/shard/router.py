@@ -98,7 +98,8 @@ def merge(statement: Select, legs: Sequence, registry=None) -> QueryResult:
         )
     if statement.order_by:
         try:
-            batch = sort_batch(batch, statement.order_by, registry)
+            batch = sort_batch(batch, statement.order_by, registry,
+                               statement.limit)
         except QueryError as error:
             if not plain:
                 raise
@@ -108,6 +109,6 @@ def merge(statement: Select, legs: Sequence, registry=None) -> QueryResult:
                 "cannot scatter-gather: ORDER BY key is not in the select "
                 "list (%s)" % error
             )
-    if statement.limit is not None:
+    elif statement.limit is not None:
         batch = limit_batch(batch, statement.limit)
     return batch_result(batch, statement.items, statement.star)

@@ -29,7 +29,6 @@ at the same LSN.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -40,7 +39,9 @@ from ..obs import obs_of
 from ..query import kernels
 from ..query.ast import ColumnRef, Select
 from ..query.columnar import ColumnBatch
-from ..query.executor import ROW_CPU, batch_result, limit_batch, sort_batch
+from ..query.executor import (
+    ROW_CPU, batch_result, limit_batch, sort_batch, sort_depth,
+)
 from ..query.planner import match_view_select
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
@@ -371,7 +372,7 @@ class ViewMaintainer:
         epoch = applier.epoch
         units = view.size if view.size else 1
         if statement.order_by:
-            units += units * max(1.0, math.log2(max(units, 2)))
+            units += units * sort_depth(units, statement.limit)
         yield from self.cpu.consume(SERVE_CPU + ROW_CPU * units)
         if applier.epoch != epoch:
             return None
@@ -416,8 +417,9 @@ class ViewMaintainer:
             count,
         )
         if statement.order_by:
-            batch = sort_batch(batch, statement.order_by, self._registry)
-        if statement.limit is not None:
+            batch = sort_batch(batch, statement.order_by, self._registry,
+                               statement.limit)
+        elif statement.limit is not None:
             batch = limit_batch(batch, statement.limit)
         view.serves += 1
         return batch_result(batch, statement.items)

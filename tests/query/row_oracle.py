@@ -25,7 +25,6 @@ an engine run leave the virtual clock, ``pages_scanned`` and
 ``index_lookups`` exactly equal.
 """
 
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -52,6 +51,7 @@ from repro.query.executor import (
     QueryResult,
     _Reversible,
     count_scan_cells,
+    sort_depth,
 )
 from repro.query.plan import (
     PARTIAL_STATES as PARTIAL,
@@ -250,7 +250,12 @@ class RowOracle:
         if isinstance(node, Sort):
             return (yield from self._run_sort(node))
         if isinstance(node, Limit):
-            rows, columns = yield from self._run(node.child)
+            if isinstance(node.child, Sort):
+                rows, columns = yield from self._run_sort(
+                    node.child, node.count
+                )
+            else:
+                rows, columns = yield from self._run(node.child)
             return rows[: node.count], columns
         raise QueryError("unknown plan node %r" % node)
 
@@ -461,11 +466,11 @@ class RowOracle:
             out_rows.append(out)
         return out_rows, columns
 
-    def _run_sort(self, sort):
+    def _run_sort(self, sort, limit=None):
         child_rows, columns = yield from self._run(sort.child)
         count = max(len(child_rows), 1)
         yield from self.engine.cpu.consume(
-            ROW_CPU * count * max(1.0, math.log2(count))
+            ROW_CPU * count * sort_depth(count, limit)
         )
 
         def sort_key(row):

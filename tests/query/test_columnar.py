@@ -9,12 +9,14 @@ only permute ORDER BY ties and reassociate float sums.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common import KB, MB
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.ast import ColumnRef
 from repro.query.columnar import ColumnBatch, resolve_column
+from repro.query.executor import sort_batch
 from repro.query.plan import HashJoin, SeqScan, explain
 from repro.query.planner import PUSHDOWN_WIRE_RATIO
 from repro.workloads.tpcch import CH_QUERIES, TpcchConfig, TpcchDatabase, ch_query_sql
@@ -102,6 +104,34 @@ def test_resolve_column_mirrors_row_fallback_chain():
     assert resolve_column(keys, ColumnRef("b")) == 1
     assert resolve_column(keys, ColumnRef("a")) is None
     assert resolve_column(keys, ColumnRef("missing")) is None
+
+
+#: Few distinct values and NULLs: most sorts meet ties and NULLs.
+_CELL = st.one_of(st.none(), st.integers(0, 3))
+
+
+@given(
+    rows=st.lists(st.tuples(_CELL, _CELL, _CELL), max_size=12),
+    order=st.lists(st.tuples(st.sampled_from("abc"), st.booleans()),
+                   min_size=1, max_size=3),
+)
+def test_a_top_n_sort_is_the_full_sort_cut_short(rows, order):
+    """``sort_batch(..., limit=k)`` keeps a heap of k rows: exactly the
+    full sort's first k, ties in input order (``t.i`` tells them apart),
+    NULLs first ascending and last descending, over mixed ASC/DESC keys."""
+    n = len(rows)
+    batch = ColumnBatch(
+        ("t.i", "t.a", "t.b", "t.c"),
+        [list(range(n))] + [list(column) for column in zip(*rows)]
+        if rows else [[], [], [], []],
+        n,
+    )
+    order_by = [(ColumnRef(name, "t"), desc) for name, desc in order]
+    full = sort_batch(batch, order_by).arrays
+    for k in {0, 1, max(n - 1, 0), n, n + 3}:
+        top = sort_batch(batch, order_by, limit=k)
+        assert top.n == min(k, n)
+        assert top.arrays == [column[:k] for column in full], k
 
 
 # ---------------------------------------------------------------------------

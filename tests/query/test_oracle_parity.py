@@ -9,6 +9,8 @@ clock, the operators the CH queries exercise thinly (IndexNLJoin, the
 Project/Sort/Limit tail) and the errors a plan may carry into a kernel.
 """
 
+import math
+
 import pytest
 
 from repro.common import KB, MB, QueryError
@@ -17,6 +19,7 @@ from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.ast import BinOp, ColumnRef, Literal, Select
 from repro.query.cache import parse_entry
+from repro.query.executor import ROW_CPU
 from repro.query.plan import (
     Aggregate,
     HashJoin,
@@ -27,6 +30,8 @@ from repro.query.plan import (
     explain,
 )
 from repro.shard import merge
+from repro.sim.resources import CpuPool
+from repro.views.maintainer import SERVE_CPU
 from repro.workloads.tpcch import CH_QUERIES, TpcchDatabase, ch_query_sql
 
 from .row_oracle import RowOracle, assert_parity, execute
@@ -326,6 +331,43 @@ def test_limit_zero_limit_beyond_the_rows_and_shared_output_names(db):
     assert (result.columns, result.rows) == (["id", "id", "id"], [(5, 5, 5)])
 
 
+def recorded_charges(monkeypatch, pool):
+    """The list every later ``pool.consume(seconds)`` appends to, in order."""
+    charged = []
+    consume = CpuPool.consume
+
+    def recording(cpu, seconds):
+        if cpu is pool:
+            charged.append(seconds)
+        return consume(cpu, seconds)
+
+    monkeypatch.setattr(CpuPool, "consume", recording)
+    return charged
+
+
+@pytest.mark.parametrize("limit, depth, not_depth", [(" LIMIT 3", 3, 5),
+                                                      ("", 5, 3)])
+def test_a_sort_is_charged_for_the_rows_it_keeps_in_order(
+    db, monkeypatch, limit, depth, not_depth
+):
+    """``ORDER BY x DESC LIMIT 3`` over a's 5 rows sorts as a top-3: the
+    engine charges ``ROW_CPU * 5 * log2 3``, not a full sort's ``log2 5``;
+    with no LIMIT it charges the full sort's ``log2 5``.  The oracle charges
+    the same amounts in the same order."""
+    charged = recorded_charges(monkeypatch, db.engine.cpu)
+    sql = "SELECT id, x FROM a ORDER BY x DESC" + limit
+    runs = []
+    for session in (db.new_session(enable_pushdown=False), RowOracle(db.engine)):
+        del charged[:]
+        rows = execute(db, session, sql).rows
+        assert rows[:3] == [(3, 7), (1, 5), (5, 5)] and len(rows) == depth
+        runs.append(list(charged))
+    engine, oracle = runs
+    assert engine == oracle
+    assert engine[-1] == ROW_CPU * 5 * math.log2(depth)
+    assert ROW_CPU * 5 * math.log2(not_depth) not in engine
+
+
 def test_aggregates_over_no_rows(db):
     assert assert_parity(
         db, "SELECT count(*), sum(x), min(name) FROM a WHERE id > 99"
@@ -617,6 +659,11 @@ TAIL_CASES = {
     "limit-0": ("g, max(b)", "GROUP BY g", "ORDER BY g LIMIT 0", "by_g"),
     "limit-0-plain": ("s, a", "", "LIMIT 0", "rows"),
     "sample-row-key": ("g, count(*)", "GROUP BY g", "ORDER BY x DESC", None),
+    # Top-N cuts through ties and NULLs.
+    "top-n-nulls-plain": ("a, b", "", "ORDER BY b LIMIT 3", "rows"),
+    "top-n-tie-plain": ("a, b", "", "ORDER BY b DESC LIMIT 1", "rows"),
+    "top-n-groups": ("g, max(b)", "GROUP BY g", "ORDER BY max(b) DESC, g LIMIT 2",
+                     "by_g"),
     "unsorted": ("g, sum(x), avg(x)", "GROUP BY g", "", "by_g"),
 }
 
@@ -664,9 +711,23 @@ def test_engine_scatter_merge_and_view_serve_share_one_tail(scattered, viewed, c
         "zero-rows": [(0, None, None)],
         "limit-0": [],
         "alias-shadows-stored-column": [(5, "ab"), (4, "zz")],
+        "top-n-nulls-plain": [(1, None), (5, None), (3, 1)],
+        "top-n-tie-plain": [(2, 5)],
+        "top-n-groups": [(1, 5), (2, 5)],
     }
     if case in expected:
         assert one.rows == expected[case]
+
+
+def test_a_view_serves_a_top_n_for_a_top_n_charge(viewed, monkeypatch):
+    """A view-served ``ORDER BY ... LIMIT 3`` over 5 stored rows is charged
+    the engine's top-N formula: ``5 * log2 3`` units on top of the rows."""
+    charged = recorded_charges(monkeypatch, viewed.views.cpu)
+    statement = parse_entry("SELECT a, b FROM t ORDER BY b DESC LIMIT 3")[0]
+    view, item_map = viewed.views.match(statement)
+    served = run(viewed, viewed.views.serve(view, statement, item_map))
+    assert served.rows == [(2, 5), (4, 5), (3, 1)]
+    assert charged == [SERVE_CPU + ROW_CPU * (5 + 5 * math.log2(3))]
 
 
 def test_legs_that_plan_their_joins_differently_still_merge(db):

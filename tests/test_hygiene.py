@@ -120,6 +120,34 @@ def test_the_query_layer_has_one_scan_pipeline():
         assert len(sites) == 1, (name, sites)
 
 
+#: Every module that charges a sort; ``executor.sort_depth`` prices them all.
+SORT_CHARGERS = ("src/repro/query/executor.py", "src/repro/views/maintainer.py",
+                 "tests/query/row_oracle.py")
+
+
+def test_a_sort_is_charged_by_one_formula():
+    """No sort charger takes a ``log2`` outside ``executor.sort_depth``:
+    the engine's sort, a view serve and the row oracle price a sort, and a
+    top-N, through the one helper, so none can drift from the others."""
+    helpers, strays = 0, []
+    for name in SORT_CHARGERS:
+        tree = ast.parse((ROOT / name).read_text(), name)
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "sort_depth":
+                helpers += 1
+                inside.update(map(id, ast.walk(node)))
+        strays += [
+            "%s:%d" % (name, getattr(node, "lineno", 0))
+            for node in ast.walk(tree)
+            if "log2" in (getattr(node, "attr", None), getattr(node, "id", None),
+                          getattr(node, "name", None))
+            and id(node) not in inside
+        ]
+    assert helpers == 1, "%d sort_depth helpers" % helpers
+    assert not strays, "a sort charged outside sort_depth: %s" % strays
+
+
 #: Field budget of each user-facing config dataclass.
 CONFIG_FIELD_CAPS = ((DeploymentSpec, 31), (EngineConfig, 5), (PlannerConfig, 3))
 

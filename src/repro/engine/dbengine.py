@@ -21,13 +21,13 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..common import (
     MS,
-    US,
     PageId,
     QueryError,
     RetryPolicy,
     StorageError,
     TransactionAborted,
 )
+from ..cost import ENGINE_ROW_CPU, ENGINE_STMT_CPU
 from ..obs import obs_of
 from ..sim.core import Environment, Event
 from ..sim.rand import SeedSequence
@@ -55,14 +55,6 @@ class _Tab:
         self.cpu_debt = 0.0
 
 
-#: CPU the engine charges per SQL statement (parse + plan + execute
-#: bookkeeping).  A read's statement and row CPU are owed, not yielded
-#: on: they join its transaction's debt, charged in one piece at its next
-#: lock, miss, write or commit.
-ENGINE_STMT_CPU = 14 * US
-#: CPU the engine charges per row a statement touches (codec + index +
-#: page mutation) - not the query executor's per-row ``ROW_CPU``.
-ENGINE_ROW_CPU = 3 * US
 #: Interval for pushing EBP latest-LSN batches to AStore servers.
 EBP_LSN_FLUSH_INTERVAL = 50 * MS
 #: How long a row-lock waiter queues before it aborts.

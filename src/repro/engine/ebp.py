@@ -47,8 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..common import PAGE_SIZE, US, PageId, StorageError
+from ..common import PAGE_SIZE, PageId, StorageError
 from ..astore.client import AStoreClient
+from ..cost import INDEX_CS_COST
 from ..obs import obs_of
 from ..sim.core import Environment, Event, Process
 from ..sim.resources import Resource
@@ -58,9 +59,6 @@ __all__ = ["ExtendedBufferPool", "EbpEntry", "EBP_PAGE_TAG"]
 
 #: Payload tag for EBP page entries stored in AStore segments.
 EBP_PAGE_TAG = "ebp-page"
-
-#: Index mutex hold time per operation (lookup + entry bookkeeping).
-INDEX_CS_COST = 1.5 * US
 
 #: Area of a segment no page has occupied yet: any priority may take it.
 _UNOWNED = float("-inf")

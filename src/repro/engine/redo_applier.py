@@ -27,16 +27,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..common import MS, US, StorageError
+from ..common import MS, StorageError
+from ..cost import PAGE_CPU, RECORD_CPU
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
 
 __all__ = ["RedoApplier"]
-
-#: CPU charged per REDO record applied, and per row of a scanned page.
-RECORD_CPU = 3 * US
-#: Fixed CPU charged per scanned page (the executor's per-page cost).
-PAGE_CPU = 2 * US
 
 
 class RedoApplier:

@@ -33,9 +33,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..common import US, PageId, QueryError, StorageError
+from ..cost import ENGINE_STMT_CPU
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
-from .dbengine import ENGINE_STMT_CPU
 from .page import Page, apply_op
 from .redo_applier import RedoApplier
 from .table import Catalog, Table

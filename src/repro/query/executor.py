@@ -24,9 +24,11 @@ join's many side may group before the join (``SeqScan.partial_agg`` under
 a ``from_partials`` Aggregate): its partial groups join as rows, each
 carrying its flat state in a ``PARTIAL_STATES`` column, and the Aggregate
 folds copies of the states (:func:`fold_joined_groups`).  CPU is charged in
-per-page / per-batch quanta to keep event counts manageable.
-``tests/query/row_oracle.py`` is the dict-at-a-time interpreter every
-``QueryResult`` and every virtual-time charge is held to.
+per-page / per-batch quanta to keep event counts manageable: each operator
+names a kind of charge and its counts, and ``repro.cost.charge`` prices
+it.  ``tests/query/row_oracle.py`` is the dict-at-a-time interpreter every
+``QueryResult`` is held to; it calls the same ``cost.charge`` with its own
+counts, so equal virtual clocks mean equal counts.
 
 What follows an Aggregate's grouping - fold, finalize, Project, Sort, Limit,
 row zip - is the *answer tail*: pure functions over a ``ColumnBatch``
@@ -39,7 +41,6 @@ one place an answer is shaped.
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -48,7 +49,8 @@ from typing import (
     Any, Container, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from ..common import US, PageId, QueryError
+from ..common import PageId, QueryError
+from ..cost import charge
 from ..engine.codec import Schema
 from ..engine.dbengine import DBEngine
 from ..engine.page import Page
@@ -88,13 +90,8 @@ from .planner import (
 __all__ = ["QuerySession", "QueryResult", "PreparedStatement",
            "RuntimeFilter", "PushdownFragment", "ScanPipeline",
            "fold_groups", "fold_joined_groups", "finalize_groups",
-           "project_batch", "sort_batch", "sort_depth",
+           "project_batch", "sort_batch",
            "limit_batch", "batch_result", "count_scan_cells"]
-
-#: CPU charged per row flowing through a tight operator loop.
-ROW_CPU = 0.25 * US
-#: CPU charged per page decode (slots -> column arrays).
-PAGE_CPU = 2.0 * US
 
 
 def count_scan_cells(
@@ -439,14 +436,6 @@ def sort_batch(
     )
 
 
-def sort_depth(n: int, limit: Optional[int] = None) -> float:
-    """What a sort of ``n`` rows is charged per row, in ``ROW_CPU``: log2 of
-    the rows it keeps in order - all ``n``, or the top-N heap of ``limit``
-    under a LIMIT - and at least one."""
-    kept = n if limit is None else min(limit, n)
-    return math.log2(kept) if kept > 2 else 1.0
-
-
 def limit_batch(batch: ColumnBatch, count: int) -> ColumnBatch:
     """The first ``count`` rows."""
     return batch.take(range(batch.n)[:count])
@@ -628,10 +617,10 @@ class QuerySession:
     def execute_point(self, point: "PointReadPlan", params: Sequence[Any]):
         """Generator: run a compiled prepared point read.
 
-        Charges the same simulated CPU as the generic Project(IndexLookup)
-        operator pair (``ROW_CPU * 2`` for the probe plus ``ROW_CPU`` for
-        the single-row projection) and returns the byte-identical
-        QueryResult, without plan binding or row-dict materialisation.
+        Charges one ``point`` (``repro.cost``): the simulated CPU of the
+        generic Project(IndexLookup) operator pair, the probe plus the
+        single-row projection.  Returns the byte-identical QueryResult,
+        without plan binding or row-dict materialisation.
         """
         engine = self.engine
         table = engine.catalog.table(point.table_name)
@@ -646,17 +635,17 @@ class QuerySession:
         except TypeError:
             locator = None
         if locator is None:
-            yield from engine.cpu.consume(ROW_CPU * 3)
+            yield from charge(engine.cpu, "point")
             return QueryResult(list(point.columns), rows)
         page_id = table.page_id(locator[0])
         # Resident pages fold their fetch charge into the statement
-        # charge (one consume, not two); misses pay the full fetch.
+        # charge (one charge, not two); misses pay the full fetch.
         hit = engine.peek_page(page_id)
         if hit is not None:
             page, extra = hit
-            yield from engine.cpu.consume(ROW_CPU * 3 + extra)
+            yield from charge(engine.cpu, "point", extra=extra)
         else:
-            yield from engine.cpu.consume(ROW_CPU * 3)
+            yield from charge(engine.cpu, "point")
             page = yield from engine.fetch_page(page_id)
         try:
             raw = page.get(locator[1])
@@ -751,27 +740,27 @@ class QuerySession:
         """Generator: ``scan``'s rows that pass its filter and ``filters``,
         grouped by ``partial_agg``: partial groups ``(keys, samples,
         states)``.  A pushed scan groups storage-side, task by task, and the
-        task partials fold here (``ROW_CPU`` a partial); a local scan groups
-        in its own pipeline (``ROW_CPU`` a row passed)."""
+        task partials fold here (``rows``: one a partial); a local scan
+        groups in its own pipeline (``rows``: one a row passed)."""
         if self._pushed(scan):
             runtime = self.pushdown_runtime
             _, (keys, samples, states) = yield from runtime.run_scan(
                 scan, filters
             )
-            yield from self.engine.cpu.consume(ROW_CPU * max(len(keys), 1))
+            yield from charge(self.engine.cpu, "rows", len(keys))
             return fold_groups(keys, samples, states, partial_agg[1])
         pipeline = yield from self._scan_here(
             scan, partial_agg=partial_agg, runtime_filters=filters
         )
         _, groups = pipeline.finish()
-        yield from self.engine.cpu.consume(ROW_CPU * max(pipeline.passed, 1))
+        yield from charge(self.engine.cpu, "rows", pipeline.passed)
         return groups
 
     def _scan_here(self, scan: SeqScan, **output):
         """Generator: feed every page of ``scan``'s table, on this thread,
         to the pipeline of ``PushdownFragment.of(scan, schema, **output)``,
-        each page as soon as it is fetched and charged (``PAGE_CPU +
-        ROW_CPU`` a row).  Returns the pipeline, ready to finish."""
+        each page as soon as it is fetched and charged (``page``).  Returns
+        the pipeline, ready to finish."""
         table = self.engine.catalog.table(scan.table_name)
         pipeline = ScanPipeline(
             PushdownFragment.of(scan, table.schema, **output),
@@ -779,9 +768,7 @@ class QuerySession:
         )
         for page_no in list(table.page_nos):
             page = yield from self.engine.fetch_page(table.page_id(page_no))
-            yield from self.engine.cpu.consume(
-                PAGE_CPU + ROW_CPU * page.row_count
-            )
+            yield from charge(self.engine.cpu, "page", page.row_count)
             self.pages_scanned += 1
             pipeline.feed(page)
         return pipeline
@@ -796,7 +783,7 @@ class QuerySession:
         table = self.engine.catalog.table(node.table_name)
         schema = table.schema
         key = tuple(expr.eval({}) for expr in node.key_exprs)
-        yield from self.engine.cpu.consume(ROW_CPU * 2)
+        yield from charge(self.engine.cpu, "probe")
         self.index_lookups += 1
         batch = ColumnBatch.for_scan(node.binding, schema, schema.names)
         try:
@@ -880,7 +867,7 @@ class QuerySession:
         left = yield from self._run(join.left, filters)
         registry.incr("query.join.rows_probed", left.n)
         registry.incr("query.join.rows_built", right.n)
-        yield from self.engine.cpu.consume(ROW_CPU * (left.n + right.n))
+        yield from charge(self.engine.cpu, "join", left.n + right.n)
         left_sel, right_sel, matched = kernels.probe(
             left, join.left_keys, built, unique, right, join.residual, registry
         )
@@ -944,7 +931,7 @@ class QuerySession:
         found: List[bytes] = []
         prefixes = kernels.key_tuples(outer, join.outer_keys, registry)
         for i, prefix in enumerate(prefixes):
-            yield from self.engine.cpu.consume(ROW_CPU * 2)
+            yield from charge(self.engine.cpu, "probe")
             if None in prefix:  # NULL = NULL is not true (nor orderable)
                 continue
             locators = []
@@ -999,7 +986,7 @@ class QuerySession:
         storage-side when pushed (:meth:`_scan_groups`); the rows of a join
         whose many side grouped fold their states
         (:func:`fold_joined_groups`); anything else groups here, in one
-        kernel.  Both of the last two charge ``ROW_CPU`` a row.
+        kernel.  Both of the last two charge ``rows``, one a row.
         """
         child, aggs = agg.child, agg.aggregates
         if isinstance(child, SeqScan) and (
@@ -1017,7 +1004,7 @@ class QuerySession:
             groups, _ = _partial_groups(
                 batch, agg.group_exprs, aggs, registry=self._registry
             )
-        yield from self.engine.cpu.consume(ROW_CPU * max(batch.n, 1))
+        yield from charge(self.engine.cpu, "rows", batch.n)
         return groups
 
     def _run_aggregate(self, agg: Aggregate):
@@ -1029,16 +1016,13 @@ class QuerySession:
     # -- projection / sort ----------------------------------------------------
     def _run_project(self, project: Project):
         child = yield from self._run(project.child)
-        yield from self.engine.cpu.consume(ROW_CPU * max(child.n, 1))
+        yield from charge(self.engine.cpu, "rows", child.n)
         return project_batch(child, project.items, project.star, self._registry)
 
     def _run_sort(self, sort: Sort, limit: Optional[int] = None):
         """A Sort, run as a top-N when a Limit of ``limit`` rows is over it."""
         batch = yield from self._run(sort.child)
-        count = max(batch.n, 1)
-        yield from self.engine.cpu.consume(
-            ROW_CPU * count * sort_depth(count, limit)
-        )
+        yield from charge(self.engine.cpu, "sort", batch.n, limit=limit)
         return sort_batch(batch, sort.order_by, self._registry, limit)
 
     # ------------------------------------------------------------------

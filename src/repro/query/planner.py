@@ -223,10 +223,13 @@ def match_view_select(query: Select, view: Select) -> Optional[List[int]]:
     producing it, or None when the query is not view-eligible.  The AST
     nodes are frozen dataclasses, so structural equality is exact: the
     query must read the same table with the *same* WHERE and GROUP BY,
-    and every select item / ORDER BY expression must be one the view
-    already materializes (view items, group columns, or its aggregate
-    calls).  The query's own aliases, ORDER BY, and LIMIT are applied at
-    serve time by the maintainer.
+    and every select item must be one the view materializes.  An ORDER BY
+    key resolves as the executor's does: an unqualified name to the first
+    select item bearing it (which the serve carries), else the key must be
+    what the view keeps - a group column or aggregate call of an aggregate
+    view, a bare column a projection view stores.  The query's own
+    aliases, ORDER BY, and LIMIT are applied at serve time by the
+    maintainer.
     """
     if query.star or view.star:
         return None
@@ -243,11 +246,16 @@ def match_view_select(query: Select, view: Select) -> Optional[List[int]]:
         return None
 
     view_exprs = [item.expr for item in view.items]
+    if view.group_by or view.has_aggregates:
+        kept = view_exprs + list(view.group_by)
+    else:
+        kept = [expr for expr in view_exprs if isinstance(expr, ColumnRef)]
+    names = {item.output_name for item in query.items}
 
     def resolves(expr: Expr) -> bool:
-        if expr in view_exprs:
+        if isinstance(expr, ColumnRef) and expr.table is None and expr.name in names:
             return True
-        return any(expr == group_expr for group_expr in view.group_by)
+        return expr in kept
 
     mapping: List[int] = []
     for item in query.items:

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common import PageId, StorageError
+from ..cost import charge
 from ..engine.dbengine import DBEngine
 from ..engine.ebp import EBP_PAGE_TAG, ExtendedBufferPool
 from ..engine.page import Page
@@ -60,9 +61,7 @@ from ..sim.resources import CpuPool
 from ..storage.pagestore import PageStoreService, PageStoreServer
 from . import kernels
 from .columnar import ColumnBatch
-from .executor import (
-    PAGE_CPU, ROW_CPU, PushdownFragment, RuntimeFilter, ScanPipeline,
-)
+from .executor import PushdownFragment, RuntimeFilter, ScanPipeline
 from .plan import SeqScan
 from .planner import fragment_wire_bytes
 
@@ -453,9 +452,7 @@ class PushdownRuntime:
                     continue
                 pages.append(page)
                 rows += page.row_count
-            yield from cpu.consume(
-                PAGE_CPU * max(len(pages), 1) + ROW_CPU * rows
-            )
+            yield from charge(cpu, "task", rows, len(pages))
         finally:
             if span is not None:
                 span.finish()
@@ -486,8 +483,8 @@ class PushdownRuntime:
                     continue
             pipeline.feed(page)
         result = pipeline.finish()
-        yield from self.engine.cpu.consume(
-            PAGE_CPU * max(len(pipeline.pages), 1) + ROW_CPU * pipeline.decoded.n
+        yield from charge(
+            self.engine.cpu, "task", pipeline.decoded.n, len(pipeline.pages)
         )
         return result, failed
 

@@ -19,6 +19,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional
 
 from ..common import MS, US, PageId, StorageError
+from ..cost import APPLY_COST_PER_RECORD, PAGE_MATERIALIZE_COST
 from ..engine.page import Page, apply_op
 from ..engine.wal import RedoRecord, encode_records_size
 from ..sim.core import Environment, FanOut
@@ -29,11 +30,6 @@ from ..sim.resources import CpuPool
 
 __all__ = ["PageStoreService", "PageStoreServer", "SegmentReplica"]
 
-#: Server-side cost to locate page versions and materialise the page image
-#: (the log-structured lookup the paper's ~1 ms read latency comes from).
-PAGE_MATERIALIZE_COST = 350 * US
-#: CPU cost to apply one REDO record to a page.
-APPLY_COST_PER_RECORD = 2 * US
 
 _lsn_of = attrgetter("lsn")
 

@@ -33,15 +33,14 @@ from collections import OrderedDict
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from ..common import US, PageId, QueryError, StorageError
+from ..common import PageId, QueryError, StorageError
+from ..cost import charge
 from ..engine.redo_applier import RedoApplier
 from ..obs import obs_of
 from ..query import kernels
 from ..query.ast import ColumnRef, Select
 from ..query.columnar import ColumnBatch
-from ..query.executor import (
-    ROW_CPU, batch_result, limit_batch, sort_batch, sort_depth,
-)
+from ..query.executor import batch_result, limit_batch, sort_batch
 from ..query.planner import match_view_select
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
@@ -50,9 +49,6 @@ from .definition import ViewDefinition
 from .zset import ZSet
 
 __all__ = ["MaintainedView", "ViewMaintainer"]
-
-#: Fixed CPU charged per view-served query (shape + dispatch).
-SERVE_CPU = 4 * US
 
 
 class _Fold:
@@ -337,24 +333,9 @@ class ViewMaintainer:
         if not isinstance(statement, Select):
             return None
         for view in self.views.values():
-            definition = view.definition
-            mapping = match_view_select(statement, definition.select)
-            if mapping is None:
-                continue
-            if not definition.is_aggregate and statement.order_by:
-                # Projection views materialize item tuples only: ORDER BY
-                # must name a ColumnRef the view stores.
-                stored = [
-                    item.expr
-                    for item in definition.items
-                    if isinstance(item.expr, ColumnRef)
-                ]
-                if not all(
-                    isinstance(expr, ColumnRef) and expr in stored
-                    for expr, _desc in statement.order_by
-                ):
-                    continue
-            return view, mapping
+            mapping = match_view_select(statement, view.definition.select)
+            if mapping is not None:
+                return view, mapping
         return None
 
     def serve(self, view: MaintainedView, statement: Select,
@@ -370,10 +351,10 @@ class ViewMaintainer:
         definition = view.definition
         applier = view.applier
         epoch = applier.epoch
-        units = view.size if view.size else 1
-        if statement.order_by:
-            units += units * sort_depth(units, statement.limit)
-        yield from self.cpu.consume(SERVE_CPU + ROW_CPU * units)
+        yield from charge(
+            self.cpu, "serve_sorted" if statement.order_by else "serve",
+            view.size, limit=statement.limit,
+        )
         if applier.epoch != epoch:
             return None
         if definition.is_aggregate:

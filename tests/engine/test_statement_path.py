@@ -21,9 +21,9 @@ import sys
 import pytest
 
 from repro.common import PageId, TransactionAborted
+from repro.cost import ENGINE_ROW_CPU, ENGINE_STMT_CPU
 from repro.engine.bufferpool import BufferPool
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
-from repro.engine.dbengine import ENGINE_ROW_CPU, ENGINE_STMT_CPU
 from repro.engine.page import Page, PageOp
 from repro.engine.wal import RedoRecord, encode_records_size
 from repro.harness.deployment import Deployment, DeploymentSpec

@@ -18,11 +18,12 @@ row - float sums associate exactly as the engine's do.  It keeps its own
 aggregate accumulators and its own aggregate-aware expression evaluator:
 the engine's flat group states and generated kernels answer to them.
 
-It plans with the engine's own ``Planner`` and charges the same
-``cpu.consume`` amounts and ``fetch_page`` calls in the same order as the
-engine-side operators, so on twin same-seed deployments an oracle run and
-an engine run leave the virtual clock, ``pages_scanned`` and
-``index_lookups`` exactly equal.
+It plans with the engine's own ``Planner``, calls the same
+``repro.cost.charge`` with its own row and page counts, and issues its
+``fetch_page`` calls in the engine-side operators' order, so on twin
+same-seed deployments an oracle run and an engine run leave the virtual
+clock, ``pages_scanned`` and ``index_lookups`` exactly equal when its
+operators count what the engine's count.
 """
 
 from dataclasses import dataclass, replace
@@ -31,6 +32,7 @@ from typing import Any, Optional
 import pytest
 
 from repro.common import QueryError
+from repro.cost import charge
 from repro.obs import obs_of
 from repro.query import kernels
 from repro.query.ast import (
@@ -45,14 +47,7 @@ from repro.query.ast import (
     like_match,
 )
 from repro.query.cache import parse_entry
-from repro.query.executor import (
-    PAGE_CPU,
-    ROW_CPU,
-    QueryResult,
-    _Reversible,
-    count_scan_cells,
-    sort_depth,
-)
+from repro.query.executor import QueryResult, _Reversible, count_scan_cells
 from repro.query.plan import (
     PARTIAL_STATES as PARTIAL,
     Aggregate,
@@ -266,9 +261,7 @@ class RowOracle:
         scanned = 0
         for page_no in list(table.page_nos):
             page = yield from self.engine.fetch_page(table.page_id(page_no))
-            yield from self.engine.cpu.consume(
-                PAGE_CPU + ROW_CPU * page.row_count
-            )
+            yield from charge(self.engine.cpu, "page", page.row_count)
             self.pages_scanned += 1
             scanned += page.row_count
             for values in table.schema.decode_rows(page.rows()):
@@ -285,7 +278,7 @@ class RowOracle:
         if scan.partial_agg is None:
             return rows
         # A join's many side: its rows grouped, each group a row.
-        yield from self.engine.cpu.consume(ROW_CPU * max(len(rows), 1))
+        yield from charge(self.engine.cpu, "rows", len(rows))
         group_exprs, aggs = scan.partial_agg
         groups = {}
         for row in rows:
@@ -300,7 +293,7 @@ class RowOracle:
     def _run_index_lookup(self, node):
         table = self.engine.catalog.table(node.table_name)
         key = tuple(expr.eval({}) for expr in node.key_exprs)
-        yield from self.engine.cpu.consume(ROW_CPU * 2)
+        yield from charge(self.engine.cpu, "probe")
         self.index_lookups += 1
         rows = []
         try:
@@ -350,8 +343,8 @@ class RowOracle:
                 filters.get(join.runtime_filter, ())
             ) + [(join.left_keys, build)]
         left_rows, _ = yield from self._run(join.left, filters)
-        yield from self.engine.cpu.consume(
-            ROW_CPU * (len(left_rows) + len(right_rows))
+        yield from charge(
+            self.engine.cpu, "join", len(left_rows) + len(right_rows)
         )
         out = []
         for row in left_rows:
@@ -369,7 +362,7 @@ class RowOracle:
         out = []
         for row in outer_rows:
             prefix = tuple(expr.eval(row) for expr in join.outer_keys)
-            yield from self.engine.cpu.consume(ROW_CPU * 2)
+            yield from charge(self.engine.cpu, "probe")
             if None in prefix:  # NULL = NULL is not true (nor orderable)
                 continue
             locators = []
@@ -407,7 +400,7 @@ class RowOracle:
         child_rows, _ = yield from self._run(agg.child)
         groups = {}
         group_samples = {}
-        yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
+        yield from charge(self.engine.cpu, "rows", len(child_rows))
         for row in child_rows:
             key = tuple(expr.eval(row) for expr in agg.group_exprs)
             states = groups.get(key)
@@ -440,7 +433,7 @@ class RowOracle:
     # -- projection / sort ------------------------------------------------------
     def _run_project(self, project):
         child_rows, _ = yield from self._run(project.child)
-        yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
+        yield from charge(self.engine.cpu, "rows", len(child_rows))
         if project.star:
             columns = (
                 sorted(k for k in child_rows[0] if not k.startswith("__"))
@@ -468,10 +461,7 @@ class RowOracle:
 
     def _run_sort(self, sort, limit=None):
         child_rows, columns = yield from self._run(sort.child)
-        count = max(len(child_rows), 1)
-        yield from self.engine.cpu.consume(
-            ROW_CPU * count * sort_depth(count, limit)
-        )
+        yield from charge(self.engine.cpu, "sort", len(child_rows), limit=limit)
 
         def sort_key(row):
             parts = []

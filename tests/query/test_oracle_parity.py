@@ -14,12 +14,12 @@ import math
 import pytest
 
 from repro.common import KB, MB, QueryError
+from repro.cost import ROW_CPU, SERVE_CPU
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.ast import BinOp, ColumnRef, Literal, Select
 from repro.query.cache import parse_entry
-from repro.query.executor import ROW_CPU
 from repro.query.plan import (
     Aggregate,
     HashJoin,
@@ -31,7 +31,6 @@ from repro.query.plan import (
 )
 from repro.shard import merge
 from repro.sim.resources import CpuPool
-from repro.views.maintainer import SERVE_CPU
 from repro.workloads.tpcch import CH_QUERIES, TpcchDatabase, ch_query_sql
 
 from .row_oracle import RowOracle, assert_parity, execute
@@ -638,8 +637,8 @@ TAIL_VIEWS = {
 }
 #: (select list, FROM t ..., ORDER BY / LIMIT tail, view that serves it)
 TAIL_CASES = {
-    "alias-key": ("g, sum(x) AS s", "GROUP BY g", "ORDER BY s LIMIT 2", None),
-    "alias-key-plain": ("a AS k, b", "", "ORDER BY k DESC LIMIT 3", None),
+    "alias-key": ("g, sum(x) AS s", "GROUP BY g", "ORDER BY s LIMIT 2", "by_g"),
+    "alias-key-plain": ("a AS k, b", "", "ORDER BY k DESC LIMIT 3", "rows"),
     "aggregate-key": ("g, count(*) AS n, avg(x)", "GROUP BY g",
                       "ORDER BY count(*) DESC, g DESC LIMIT 1", "by_g"),
     "aggregate-expression": ("g, sum(x) / count(*) AS mean, count(*)", "GROUP BY g",

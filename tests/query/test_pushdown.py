@@ -3,15 +3,14 @@
 import pytest
 
 from repro.common import KB, MB
+from repro.cost import APPLY_COST_PER_RECORD, PAGE_CPU, ROW_CPU
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.query.ast import ColumnRef
-from repro.query.executor import PAGE_CPU, ROW_CPU
 from repro.query.plan import SeqScan
 from repro.query.planner import wire_bytes
 from repro.sim.resources import CpuPool
-from repro.storage.pagestore import APPLY_COST_PER_RECORD
 
 
 def make_db(rows=300, bp_pages=16):

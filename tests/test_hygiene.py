@@ -120,32 +120,50 @@ def test_the_query_layer_has_one_scan_pipeline():
         assert len(sites) == 1, (name, sites)
 
 
-#: Every module that charges a sort; ``executor.sort_depth`` prices them all.
-SORT_CHARGERS = ("src/repro/query/executor.py", "src/repro/views/maintainer.py",
-                 "tests/query/row_oracle.py")
+#: Every module that makes a query or view CPU charge; ``repro.cost`` prices
+#: them all.
+CHARGERS = sorted(SRC.glob("repro/query/**/*.py")) + sorted(
+    SRC.glob("repro/views/**/*.py")
+) + [ROOT / "tests" / "query" / "row_oracle.py"]
+COST = SRC / "repro" / "cost.py"
 
 
-def test_a_sort_is_charged_by_one_formula():
-    """No sort charger takes a ``log2`` outside ``executor.sort_depth``:
-    the engine's sort, a view serve and the row oracle price a sort, and a
-    top-N, through the one helper, so none can drift from the others."""
-    helpers, strays = 0, []
-    for name in SORT_CHARGERS:
-        tree = ast.parse((ROOT / name).read_text(), name)
-        inside = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "sort_depth":
-                helpers += 1
-                inside.update(map(id, ast.walk(node)))
-        strays += [
-            "%s:%d" % (name, getattr(node, "lineno", 0))
-            for node in ast.walk(tree)
-            if "log2" in (getattr(node, "attr", None), getattr(node, "id", None),
-                          getattr(node, "name", None))
-            and id(node) not in inside
+def _names_and_consumes(path):
+    """Every name ``path`` uses, imports or defines, and its ``consume(``
+    call sites."""
+    names, consumes = set(), []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for slot in ("attr", "id", "name"):
+            if isinstance(getattr(node, slot, None), str):
+                names.add(getattr(node, slot))
+        if isinstance(node, ast.Call) and "consume" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            consumes.append("%s:%d" % (path.name, node.lineno))
+    return names, consumes
+
+
+def test_one_cost_module_prices_every_query_and_view_charge():
+    """The executor, push-down tasks, view serves and the row oracle say
+    what they charge - a kind and its counts - and only ``repro.cost``
+    says what it costs: none of them calls ``consume``, names a cost
+    constant or ``sort_depth``, or takes a ``log2``, and ``cost.charge``
+    is the one ``consume`` call, so each formula is written once."""
+    tree = ast.parse(COST.read_text(), str(COST))
+    priced = {
+        target.id
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if target.id.isupper()
+    } | {"sort_depth", "log2"}
+    assert {"ROW_CPU", "PAGE_CPU", "SERVE_CPU"} <= priced
+    strays = []
+    for path in CHARGERS:
+        names, consumes = _names_and_consumes(path)
+        strays += consumes + [
+            "%s: %s" % (path.name, name) for name in sorted(names & priced)
         ]
-    assert helpers == 1, "%d sort_depth helpers" % helpers
-    assert not strays, "a sort charged outside sort_depth: %s" % strays
+    assert not strays, "a charge priced outside repro.cost: %s" % strays
+    assert len(_names_and_consumes(COST)[1]) == 1
 
 
 #: Field budget of each user-facing config dataclass.

@@ -67,6 +67,20 @@ def test_match_accepts_reordered_aliased_subset():
     assert match_view_select(query, VIEW.select) == [2, 0]
 
 
+def test_match_resolves_an_order_by_alias_to_its_select_item():
+    # ORDER BY names the first select item bearing it, as the executor
+    # resolves it: ``t`` is SUM(val), which the view materializes.
+    query = _parse(
+        "SELECT grp, SUM(val) AS t FROM facts GROUP BY grp ORDER BY t LIMIT 2"
+    )
+    assert match_view_select(query, VIEW.select) == [0, 2]
+    # A qualified name is a source column, never an alias.
+    query = _parse(
+        "SELECT grp, SUM(val) AS val FROM facts GROUP BY grp ORDER BY facts.val"
+    )
+    assert match_view_select(query, VIEW.select) is None
+
+
 def test_match_rejects_mismatches():
     for sql in (
         "SELECT grp, COUNT(*) FROM other GROUP BY grp",        # table

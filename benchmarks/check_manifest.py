@@ -87,18 +87,24 @@ GATES = (
          "narrow scans pull their pages again: %.0f RDMA bytes per "
          "query (~1 100; priced at 48 B a row: 435 665)"),
     # Per-core push-down morsels, runtime key filters, eager aggregation,
-    # top-N sorts under a LIMIT.
-    Gate("ch_analytics", "end_to_end", "sim_ops_per_s", "min", 490,
-         514.25, 461.35,
-         "`Limit(Sort)` sorts every row again, joins take rows, probe "
-         "unfiltered or push-down tasks run on one core again: %.2f "
-         "queries per virtual second (~514; full sort: 461.35; joining "
-         "rows too: 287.95; without runtime filters too: 215.15; one "
-         "core a task too: 151.16)"),
+    # top-N sorts under a LIMIT, pages routed to their current EBP copy.
+    Gate("ch_analytics", "end_to_end", "sim_ops_per_s", "min", 525,
+         541.08, 514.25,
+         "resident pages scanned on the engine thread, `Limit(Sort)` "
+         "sorting every row, joins taking rows, unfiltered probes or "
+         "push-down tasks on one core again: %.2f queries per virtual "
+         "second (~541; resident pages on the engine thread: 514.25; "
+         "full sort too: 461.35; joining rows too: 287.95; without "
+         "runtime filters too: 215.15; one core a task too: 151.16)"),
     Gate("ch_analytics", "per_layer", "sim.events_per_op", "max", 100,
-         82.52, 180.7,
+         89.25, 180.7,
          "push-down tasks split too finely: %.1f events per query "
-         "(~83.3; one core a task: 72.1; one morsel a page: 180.7)"),
+         "(~89.3; one core a task: 72.1; one morsel a page: 180.7)"),
+    Gate("ch_analytics", "window", "query.pushdown.pages_local", "max", 50,
+         0, 425,
+         "clean resident pages run on the engine thread again: %d pages "
+         "a pushed scan read on the engine thread (0; routed by "
+         "residency: 425)"),
     Gate("ch_analytics", "window", "query.join.rows_probed", "max", 150000,
          52164, 281402,
          "hash joins probe unfiltered again: %d rows probed "

@@ -2,13 +2,18 @@
 
 Paper Section VI.  A marked scan fragment (filter + projection + optional
 partial aggregation) is decomposed into per-server tasks by looking up each
-required page in the EBP index:
+required page in the EBP index - pages go where a current copy sits, not
+where they are resident:
 
-- pages resident in the engine's own buffer pool are processed locally
-  (they may be newer than any cached copy);
-- pages found in the EBP index at a sufficient LSN form one task per
-  AStore server holding them - executed by the PQ process on that server
-  against local PMem, using CPU the one-sided data plane leaves idle;
+- pages whose EBP copy is current (index entry at the page's latest LSN,
+  ``page_versions``) on a live server form one task per AStore server
+  holding them, resident in the engine's buffer pool or not - executed by
+  the PQ process on that server against local PMem, using CPU the
+  one-sided data plane leaves idle.  A logged change drops a stale copy's
+  entry, so a current copy is byte-equal to the buffer-pool frame;
+- the remaining buffer-pool-resident pages (never written to the EBP,
+  dirtied since, or their copy's server down) are processed locally on
+  the engine thread;
 - all remaining pages form one task per PageStore (primary) server,
   executed against local SSD.
 
@@ -198,9 +203,6 @@ class PushdownRuntime:
             page_id = table.page_id(page_no)
             merged.rank[page_id] = len(merged.rank)
             required = self.engine.page_versions.get(page_id, 0)
-            if page_id in self.engine.buffer_pool:
-                local_pages.append(page_id)
-                continue
             entry = self.ebp.index.get(page_id) if self.ebp is not None else None
             if entry is not None and entry.lsn >= required:
                 server_id = self._astore_server_of(entry.segment_id)
@@ -210,6 +212,9 @@ class PushdownRuntime:
                     )
                     task.pages.append((page_id, entry))
                     continue
+            if page_id in self.engine.buffer_pool:
+                local_pages.append(page_id)
+                continue
             server = self.pagestore.server_for_page(page_id)
             task = pagestore_tasks.setdefault(
                 server.server_id, _Task("pagestore", server.server_id)
@@ -221,12 +226,15 @@ class PushdownRuntime:
             self.env,
             [self._dispatch(fragment, task, table) for task in all_tasks],
         ) if all_tasks else None
-        # Meanwhile the engine thread processes buffer-pool-resident pages.
-        local_result, failed = yield from self._run_local(
-            fragment, [(pid, 0) for pid in local_pages]
-        )
+        # Meanwhile the engine thread scans the resident pages no current
+        # copy on a live server covers, if any.
+        failed: List[Tuple[PageId, int]] = []
+        if local_pages:
+            local_result, failed = yield from self._run_local(
+                fragment, [(pid, 0) for pid in local_pages]
+            )
+            merged.add(local_result, local_pages)
         self.obs.registry.incr("query.pushdown.pages_local", len(local_pages))
-        merged.add(local_result, local_pages)
         if dispatched is not None:
             results = yield dispatched
             for task, (task_result, task_failed) in zip(all_tasks, results):

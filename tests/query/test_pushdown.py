@@ -60,6 +60,46 @@ def pushdown_count(dep, name):
     return dep.obs.registry.value("query.pushdown." + name)
 
 
+def current_copy(dep, page_id):
+    """Whether ``page_id`` has an EBP copy at its latest LSN."""
+    entry = dep.engine.ebp.index.get(page_id)
+    return entry is not None and entry.lsn >= dep.engine.page_versions.get(
+        page_id, 0)
+
+
+def resident_pages(dep):
+    """The ``facts`` pages in the engine's buffer pool, in page order."""
+    engine = dep.engine
+    table = engine.catalog.table("facts")
+    return [page_id for page_id in map(table.page_id, table.page_nos)
+            if page_id in engine.buffer_pool]
+
+
+def update_a_resident_row(dep, amount=None):
+    """Update, through the engine, the first row of the first resident
+    ``facts`` page with a current EBP copy: its ``amount`` becomes
+    ``amount`` (by default the value it holds, so no row changes).  The
+    page's LSN moves past the copy, whose index entry goes, so a pushed
+    scan must scan that page on the engine thread.  Returns ``(page id,
+    f_id)``."""
+    engine = dep.engine
+    table = engine.catalog.table("facts")
+    page_id = next(pid for pid in resident_pages(dep) if current_copy(dep, pid))
+    _slot, row = next(iter(engine.buffer_pool.peek(page_id).slots()))
+    f_id, _dim, _label, held, _pad = table.schema.decode(row)
+
+    def update():
+        txn = engine.begin()
+        yield from engine.update(
+            txn, "facts", (f_id,), {"amount": held if amount is None else amount}
+        )
+        yield from engine.commit(txn)
+
+    run(dep, update())
+    assert page_id in engine.buffer_pool and not current_copy(dep, page_id)
+    return page_id, f_id
+
+
 def execute(dep, session, sql):
     proc = dep.env.process(session.execute(sql))
     dep.env.run_until_event(proc)
@@ -209,9 +249,9 @@ def test_a_local_scan_returns_each_page_as_it_was_when_fetched(monkeypatch):
 
 def test_every_scan_path_carries_exactly_the_planned_projection():
     """The engine's batch scan and a pushed fragment - on an AStore server,
-    on a PageStore server, over buffer-pool pages and over fallback pages -
-    all return the planner's projected columns, in schema order, and nothing
-    else."""
+    on a PageStore server, over dirty buffer-pool pages and over fallback
+    pages - all return the planner's projected columns, in schema order,
+    and nothing else."""
     dep = make_db()
     sql = "SELECT label, f_id FROM facts WHERE amount >= 10"
     expected = ("facts.f_id", "facts.label", "facts.amount")
@@ -273,6 +313,7 @@ def test_every_scan_path_carries_exactly_the_planned_projection():
         return pushdown_count(dep, name) - before[name]
 
     want = sorted(zip(*engine_batch.arrays), key=repr)
+    update_a_resident_row(dep)  # a page only the engine thread can scan
     assert pushed_rows() == want  # AStore tasks + buffer-pool pages
     assert counted("pages_via_ebp") > 0 and counted("pages_local") > 0
     runtime._run_on_astore = dying(runtime._run_on_astore)
@@ -288,7 +329,7 @@ def test_every_scan_path_carries_exactly_the_planned_projection():
 
 
 def test_pushed_rows_keep_the_local_scans_page_order():
-    """Buffer-pool pages, AStore tasks and fallback pages all feed one
+    """Engine-thread pages, AStore tasks and fallback pages all feed one
     result, yet a pushed scan returns exactly the rows a local scan does,
     in the same order - plain and hash-build fragments alike."""
     dep = make_db()
@@ -297,6 +338,7 @@ def test_pushed_rows_keep_the_local_scans_page_order():
     runtime = pq.pushdown_runtime
     for sql in ("SELECT f_id FROM facts", FILTER_SQL.split(" ORDER BY")[0]):
         want = execute(dep, local, sql)
+        update_a_resident_row(dep)  # a page only the engine thread can scan
         tasks = pushdown_count(dep, "tasks_dispatched")
         pages_local = pushdown_count(dep, "pages_local")
         assert execute(dep, pq, sql).rows == want.rows
@@ -621,3 +663,119 @@ def test_morsels_add_no_catch_up_of_a_pagestore_segment():
             + ROW_CPU * rows,
             rel=1e-12,
         )
+
+
+# ----------------------------------------------------------------------
+# Routing: a page goes where a current copy sits
+# ----------------------------------------------------------------------
+def recording_legs(runtime):
+    """Wrap ``runtime._run_local``: every engine-thread leg it runs is
+    appended as ``(via_engine, [page id])``."""
+    legs = []
+    run_local = runtime._run_local
+
+    def runner(fragment, page_specs, via_engine=False):
+        legs.append((via_engine, [page_id for page_id, _ in page_specs]))
+        return (yield from run_local(fragment, page_specs, via_engine))
+
+    runtime._run_local = runner
+    return legs
+
+
+def pushed_pages(tasks):
+    """The page ids of every recorded task."""
+    return {page_id for _, task, _, _ in tasks for page_id, _ in task.pages}
+
+
+def test_a_clean_resident_page_with_a_current_copy_runs_on_its_astore_server():
+    """A buffer-pool page whose EBP copy is at its latest LSN joins its
+    AStore server's task: counted in ``pages_via_ebp``, not
+    ``pages_local``, no engine-thread leg runs, and the pushed rows equal
+    a local scan's, in order."""
+    dep = make_db()
+    local = dep.new_session(enable_pushdown=False)
+    want = run(dep, local._run(scan_of(local, MORSEL_SQL)))
+    resident = resident_pages(dep)
+    assert resident and all(current_copy(dep, pid) for pid in resident)
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    tasks = recording_tasks(runtime)
+    legs = recording_legs(runtime)
+    names = ("pages_via_ebp", "pages_local", "pages_via_pagestore")
+    before = {name: pushdown_count(dep, name) for name in names}
+    kind, batch = run(dep, runtime.run_scan(scan_of(pq, MORSEL_SQL)))
+    assert (kind, batch.keys, batch.arrays) == ("batch", want.keys, want.arrays)
+    assert legs == []
+    assert set(resident) <= pushed_pages(tasks)
+    counted = {name: pushdown_count(dep, name) - before[name] for name in names}
+    assert counted == {
+        "pages_via_ebp": len(pushed_pages(tasks)),
+        "pages_local": 0,
+        "pages_via_pagestore": 0,
+    }
+
+
+def test_a_resident_page_changed_after_its_ebp_write_stays_on_the_engine_thread():
+    """A logged change moves a resident page past its EBP copy: that page
+    alone is scanned on the engine thread, and the pushed scan returns the
+    new value."""
+    dep = make_db()
+    local = dep.new_session(enable_pushdown=False)
+    run(dep, local._run(scan_of(local, MORSEL_SQL)))  # resident pages get copies
+    page_id, f_id = update_a_resident_row(dep, amount=9999.0)
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    tasks = recording_tasks(runtime)
+    legs = recording_legs(runtime)
+    pages_local = pushdown_count(dep, "pages_local")
+    sql = "SELECT f_id, amount FROM facts WHERE amount >= 9000"
+    assert execute(dep, pq, sql).rows == [(f_id, 9999.0)]
+    assert tasks and page_id not in pushed_pages(tasks)
+    assert legs == [(False, [page_id])]
+    assert pushdown_count(dep, "pages_local") - pages_local == 1
+
+
+@pytest.mark.parametrize("crash", ["before_dispatch", "after_dispatch"])
+def test_a_resident_page_whose_copys_server_is_down_is_read_by_the_engine(crash):
+    """A clean resident page's copy sits on a crashed server.  Crashed
+    before dispatch, the page is scanned on the engine thread; crashed
+    once its task is dispatched, the task fails it and the page comes back
+    through the fallback path.  The rows equal a local scan's, in order,
+    either way."""
+    dep = make_db()
+    local = dep.new_session(enable_pushdown=False)
+    want = run(dep, local._run(scan_of(local, MORSEL_SQL)))
+    page_id = resident_pages(dep)[0]
+    assert current_copy(dep, page_id)
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    entry = runtime.ebp.index.get(page_id)
+    segment_id = entry.segment_id
+    server_id = runtime._astore_server_of(segment_id)
+    server = dep.astore.servers[server_id]
+    assert runtime.ebp.client.open_segments[segment_id].route.replicas == [
+        server_id]
+    run_on_astore = runtime._run_on_astore
+
+    def dying(fragment, task):
+        if task.server_id == server_id:
+            server.crash()
+        return (yield from run_on_astore(fragment, task))
+
+    if crash == "before_dispatch":
+        server.crash()
+    else:
+        runtime._run_on_astore = dying
+    tasks = recording_tasks(runtime)
+    legs = recording_legs(runtime)
+    kind, batch = run(dep, runtime.run_scan(scan_of(pq, MORSEL_SQL)))
+    assert (kind, batch.keys, batch.arrays) == ("batch", want.keys, want.arrays)
+    scanned = {via_engine: pages for via_engine, pages in legs}
+    if crash == "before_dispatch":
+        assert page_id in scanned[False] and True not in scanned
+        assert server_id not in {task.server_id for _, task, _, _ in tasks}
+    else:
+        assert False not in scanned and page_id in scanned[True]
+        (_, _, _, failed), = [
+            t for t in tasks if t[1].server_id == server_id]
+        assert (page_id, entry.lsn) in failed

@@ -93,7 +93,9 @@ FORMULAS = {
     "rows": lambda n, pages, limit, extra: ROW_CPU * max(n, 1),
     # One B+-tree probe: an index lookup, or an NL join's outer row.
     "probe": lambda n, pages, limit, extra: ROW_CPU * 2,
-    # A hash join: ``n`` is its probe rows plus its build rows.
+    # A hash join: ``n`` is its probe rows plus its build rows - or, when
+    # a pushed scan paid the build while it waited, one charge of the build
+    # rows then one of the probe rows.
     "join": lambda n, pages, limit, extra: ROW_CPU * n,
     # A sort of ``n`` rows (at least one), a top-N under a LIMIT.
     "sort": lambda n, pages, limit, extra:

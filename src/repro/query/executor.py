@@ -19,7 +19,13 @@ columns something above it reads (``HashJoin.output``), and rows become
 tuples once, in :func:`batch_result`.  A hash join builds first, so its
 build keys can filter its probe side: the one scan below it that produces
 every probe key (``HashJoin.runtime_filter``) drops the rows no build row
-can match, and every join above sees fewer rows.  Under an Aggregate, the
+can match, and every join above sees fewer rows.  That key set is made of
+the key tuples the build scan's fragment returns, storage-side when it is
+pushed.  The build's CPU is *owed* from then until the join's probe: the
+next pushed scan the query runs pays it on this thread while its storage
+tasks run, and a build no pushed scan paid is charged with its probe.
+Total CPU is the same either way; only the build's place on the clock
+moves, into a wait for storage.  Under an Aggregate, the
 join's many side may group before the join (``SeqScan.partial_agg`` under
 a ``from_partials`` Aggregate): its partial groups join as rows, each
 carrying its flat state in a ``PARTIAL_STATES`` column, and the Aggregate
@@ -129,6 +135,18 @@ class RuntimeFilter(NamedTuple):
 #: Runtime filters in force, by target scan binding.
 Filters = Mapping[str, Tuple[RuntimeFilter, ...]]
 _NO_FILTERS: Filters = MappingProxyType({})
+
+
+def _settle_builds(owed: Optional[List[int]]) -> int:
+    """The build rows ``owed`` lists (one entry per hash join above whose
+    probe side is running and whose build CPU no scan has paid yet), all
+    of them now handed to the pushed scan about to run, which pays them
+    (``PushdownRuntime.run_scan``'s ``owed``)."""
+    if not owed:
+        return 0
+    rows = sum(owed)
+    owed.clear()
+    return rows
 
 
 @dataclass
@@ -500,6 +518,7 @@ class QuerySession:
         count_scan_cells(self._registry, 0, 0, 0, 0)  # present before any scan
         for name in ("query.join.cells_joined", "query.join.cells_gathered",
                      "query.join.rows_probed", "query.join.rows_built",
+                     "query.join.rows_built_overlapped",
                      "query.kernels.compiled",
                      "query.runtime_filter.derived",
                      "query.runtime_filter.rows_dropped.storage",
@@ -676,16 +695,18 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Plan walking: every operator returns one ColumnBatch
     # ------------------------------------------------------------------
-    def _run(self, node: PlanNode, filters: Filters = _NO_FILTERS):
+    def _run(self, node: PlanNode, filters: Filters = _NO_FILTERS,
+             owed: Optional[List[int]] = None):
         """Generator: ``node``'s output.  ``filters`` are the runtime
-        filters of the hash joins above, which reach scans through hash
-        joins only."""
+        filters of the hash joins above, ``owed`` the statement's list of
+        their unpaid build rows (:meth:`_run_hash_join`); both reach scans
+        through hash joins only."""
         if isinstance(node, SeqScan):
-            return (yield from self._scan(node, filters))
+            return (yield from self._scan(node, filters, owed=owed))
         if isinstance(node, IndexLookup):
             return (yield from self._run_index_lookup(node))
         if isinstance(node, HashJoin):
-            return (yield from self._run_hash_join(node, filters))
+            return (yield from self._run_hash_join(node, filters, owed))
         if isinstance(node, IndexNLJoin):
             return (yield from self._run_nl_join(node))
         if isinstance(node, Aggregate):
@@ -705,17 +726,18 @@ class QuerySession:
         return scan.pushdown and self.pushdown_runtime is not None
 
     def _scan(self, scan: SeqScan, filters: Filters = _NO_FILTERS,
-              hash_build: bool = False):
+              hash_build: bool = False, owed: Optional[List[int]] = None):
         """Generator: the rows of ``scan``'s fragment - ``(key tuples,
         rows)`` of its ``hash_keys`` with ``hash_build`` - run storage-side
         when the scan is pushed, on this thread otherwise, the runtime
-        filters targeting it applied after its own filter.  A join's many
+        filters targeting it applied after its own filter.  A pushed scan
+        pays the ``owed`` builds while its tasks run.  A join's many
         side (``partial_agg``) returns its groups as rows: each group's
         sample row, its state in a ``PARTIAL_STATES`` column."""
         targeting = filters.get(scan.binding, ())
         if scan.partial_agg is not None:
             _, samples, states = yield from self._scan_groups(
-                scan, scan.partial_agg, targeting
+                scan, scan.partial_agg, targeting, owed
             )
             batch = ColumnBatch(
                 samples.keys + (PARTIAL_STATES,), samples.arrays + [states],
@@ -727,25 +749,30 @@ class QuerySession:
             return keys, batch
         if self._pushed(scan):
             runtime = self.pushdown_runtime
+            due = _settle_builds(owed)
             if hash_build:
-                return (yield from runtime.run_hash_build(scan, targeting))
-            return (yield from runtime.run_scan(scan, targeting))[1]
+                return (yield from runtime.run_hash_build(
+                    scan, targeting, due
+                ))
+            return (yield from runtime.run_scan(scan, targeting, due))[1]
         pipeline = yield from self._scan_here(
             scan, hash_build=hash_build, runtime_filters=targeting
         )
         return pipeline.finish()[1]
 
     def _scan_groups(self, scan: SeqScan, partial_agg,
-                     filters: Sequence[RuntimeFilter] = ()):
+                     filters: Sequence[RuntimeFilter] = (),
+                     owed: Optional[List[int]] = None):
         """Generator: ``scan``'s rows that pass its filter and ``filters``,
         grouped by ``partial_agg``: partial groups ``(keys, samples,
-        states)``.  A pushed scan groups storage-side, task by task, and the
-        task partials fold here (``rows``: one a partial); a local scan
-        groups in its own pipeline (``rows``: one a row passed)."""
+        states)``.  A pushed scan groups storage-side, task by task, paying
+        the ``owed`` builds meanwhile, and the task partials fold here
+        (``rows``: one a partial); a local scan groups in its own pipeline
+        (``rows``: one a row passed)."""
         if self._pushed(scan):
             runtime = self.pushdown_runtime
             _, (keys, samples, states) = yield from runtime.run_scan(
-                scan, filters
+                scan, filters, _settle_builds(owed)
             )
             yield from charge(self.engine.cpu, "rows", len(keys))
             return fold_groups(keys, samples, states, partial_agg[1])
@@ -844,12 +871,24 @@ class QuerySession:
             nullable.append(side.nullable[position])
         return ColumnBatch(out_keys, arrays, len(left_sel), nullable)
 
-    def _run_hash_join(self, join: HashJoin, filters: Filters = _NO_FILTERS):
+    def _run_hash_join(self, join: HashJoin, filters: Filters = _NO_FILTERS,
+                       owed: Optional[List[int]] = None):
         """Generator: build, then probe.  The build side runs first, so its
         key set can filter the probe side: a join with a
         ``runtime_filter`` adds it to ``filters`` for the scan it targets
-        below."""
-        key_rows, right = yield from self._scan(join.right, filters, True)
+        below.  That key set is the build scan's key tuples, whichever side
+        ran the scan.
+
+        From the build rows in hand to the probe charge, the build's CPU
+        (``join`` at the build rows) is *owed*: it joins ``owed``, the
+        statement's list of unpaid builds (the topmost join starts it),
+        and the next pushed scan below pays it on this thread while its
+        storage tasks run (:func:`_settle_builds`).  A build that reaches
+        its probe unpaid is charged with it, one ``join`` of probe plus
+        build rows."""
+        key_rows, right = yield from self._scan(
+            join.right, filters, True, owed
+        )
         registry = self._registry
         built, unique = kernels.hash_build(
             right, join.right_keys,
@@ -864,10 +903,17 @@ class QuerySession:
             filters[target] = filters.get(target, ()) + (
                 self._runtime_filter(join, built),
             )
-        left = yield from self._run(join.left, filters)
+        if owed is None:
+            owed = []
+        owed_at = len(owed)
+        owed.append(right.n)
+        left = yield from self._run(join.left, filters, owed)
+        # Still listed: no pushed scan paid it (a scan pays every entry).
+        unpaid = right.n if len(owed) > owed_at else 0
+        del owed[owed_at:]
         registry.incr("query.join.rows_probed", left.n)
         registry.incr("query.join.rows_built", right.n)
-        yield from charge(self.engine.cpu, "join", left.n + right.n)
+        yield from charge(self.engine.cpu, "join", left.n + unpaid)
         left_sel, right_sel, matched = kernels.probe(
             left, join.left_keys, built, unique, right, join.residual, registry
         )

@@ -31,6 +31,12 @@ local scan's do.  Pages a server cannot serve (entry cleaned, server
 crashed) are returned as failures and re-processed through the engine's
 normal read path - push-down never affects correctness.
 
+Between dispatching its tasks and waiting for them, the engine thread
+works on: it pays the CPU of the hash-join builds the query owes (the
+session hands their build rows over as ``owed``: joins whose build rows
+are in hand and whose probe sides are running), then scans the resident
+pages no current copy covers.  Only then does it wait for the tasks.
+
 A scan that a hash join's build side filters (``HashJoin.runtime_filter``)
 carries the build's key set in its fragment and drops, after its own
 filter, the rows whose key is not in it - on storage tasks, buffer-pool
@@ -140,44 +146,51 @@ class PushdownRuntime:
     # Dispatch
     # ------------------------------------------------------------------
     def run_scan(self, scan: SeqScan,
-                 filters: Sequence[RuntimeFilter] = ()):
+                 filters: Sequence[RuntimeFilter] = (), owed: int = 0):
         """Generator: execute a marked scan fragment via PQ, ``filters``
-        the runtime filters targeting it (see :meth:`_shipped`).
+        the runtime filters targeting it (see :meth:`_shipped`), paying on
+        the engine thread, while its tasks run, the ``owed`` build rows of
+        the query's hash joins (one ``join`` charge).
 
         Returns ``("batch", ColumnBatch)``, or ``("partials", (keys,
         samples, states))`` - every task's groups, unfolded - when the
         fragment carries partial aggregation.
         """
         self.obs.registry.incr("query.pushdown.fragments")
-        return (yield from self._traced("pq.scan", scan, filters, False))
+        return (yield from self._traced(
+            "pq.scan", scan, filters, False, owed
+        ))
 
     def run_hash_build(self, scan: SeqScan,
-                       filters: Sequence[RuntimeFilter] = ()):
+                       filters: Sequence[RuntimeFilter] = (), owed: int = 0):
         """Generator: push the build side of a hash join storage-side.
 
-        The fragment filters the scan (``filters`` as :meth:`run_scan`'s)
-        and extracts join-key tuples on the storage servers; the engine
-        only builds the hash table and probes.  Returns ``(key_tuples,
-        ColumnBatch)``.
+        The fragment filters the scan (``filters`` and ``owed`` as
+        :meth:`run_scan`'s) and extracts join-key tuples on the storage
+        servers; the engine only builds the hash table and probes.  Returns
+        ``(key_tuples, ColumnBatch)``.
         """
         self.obs.registry.incr("query.pushdown.fragments")
         self.obs.registry.incr("query.pushdown.hash_fragments")
-        return (yield from self._traced("pq.hash_build", scan, filters, True))
+        return (yield from self._traced(
+            "pq.hash_build", scan, filters, True, owed
+        ))
 
     def _traced(self, name: str, scan: SeqScan,
-                filters: Sequence[RuntimeFilter], hash_build: bool):
+                filters: Sequence[RuntimeFilter], hash_build: bool,
+                owed: int):
         """Generator: :meth:`_run_scan` under a ``name`` span while tracing,
         tagged ``query.runtime_filter`` with the build sides whose key sets
         it carries."""
         shipped = self._shipped(scan, filters)
         tracer = self.obs.tracer
         if not tracer.enabled:
-            return (yield from self._run_scan(scan, shipped, hash_build))
+            return (yield from self._run_scan(scan, shipped, hash_build, owed))
         tags = {"table": scan.table_name}
         if shipped:
             tags["query.runtime_filter"] = ",".join(f.build for f in shipped)
         with tracer.span(name, tags=tags):
-            return (yield from self._run_scan(scan, shipped, hash_build))
+            return (yield from self._run_scan(scan, shipped, hash_build, owed))
 
     @staticmethod
     def _shipped(scan: SeqScan, filters: Sequence[RuntimeFilter]):
@@ -190,7 +203,7 @@ class PushdownRuntime:
         return tuple(f for f in filters if f.wire <= scan.wire[0])
 
     def _run_scan(self, scan: SeqScan, filters: Sequence[RuntimeFilter],
-                  hash_build: bool):
+                  hash_build: bool, owed: int):
         table = self.engine.catalog.table(scan.table_name)
         fragment = PushdownFragment.of(
             scan, table.schema, hash_build, scan.partial_agg, filters
@@ -226,8 +239,15 @@ class PushdownRuntime:
             self.env,
             [self._dispatch(fragment, task, table) for task in all_tasks],
         ) if all_tasks else None
-        # Meanwhile the engine thread scans the resident pages no current
-        # copy on a live server covers, if any.
+        # Meanwhile the engine thread pays the hash-join builds the query
+        # owes, then scans the resident pages no current copy on a live
+        # server covers, if any.
+        if owed:
+            yield from charge(self.engine.cpu, "join", owed)
+            if dispatched is not None:
+                self.obs.registry.incr(
+                    "query.join.rows_built_overlapped", owed
+                )
         failed: List[Tuple[PageId, int]] = []
         if local_pages:
             local_result, failed = yield from self._run_local(

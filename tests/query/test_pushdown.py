@@ -2,19 +2,32 @@
 
 import pytest
 
-from repro.common import KB, MB
-from repro.cost import APPLY_COST_PER_RECORD, PAGE_CPU, ROW_CPU
+from repro.common import KB, MB, StorageError
+from repro.cost import APPLY_COST_PER_RECORD, FORMULAS, PAGE_CPU, ROW_CPU
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
+from repro.query import executor
 from repro.query.ast import ColumnRef
 from repro.query.plan import SeqScan
 from repro.query.planner import wire_bytes
 from repro.sim.resources import CpuPool
 
 
-def make_db(rows=300, bp_pages=16):
-    """A PQ deployment with a tiny buffer pool so most pages live in EBP."""
+#: ``make_db(star=True)``'s dimension tables, loaded before ``facts``:
+#: ``facts.dim`` references ``dims.d_id``, ``dims.kind`` ``kinds.k_id``.
+STAR = (
+    ("dims", [Column("d_id", INT()), Column("kind", INT()),
+              Column("pad", VARCHAR(2100))], 7, lambda i: [i, i % 3]),
+    ("kinds", [Column("k_id", INT()), Column("k_name", VARCHAR(8)),
+               Column("pad", VARCHAR(2100))], 3, lambda i: [i, "K%d" % i]),
+)
+
+
+def make_db(rows=300, bp_pages=16, star=False):
+    """A PQ deployment with a tiny buffer pool so most pages live in EBP;
+    with ``star``, the ``STAR`` tables too, their pages evicted by the
+    ``facts`` load."""
     dep = Deployment(
         DeploymentSpec.astore_pq(
             engine=EngineConfig(buffer_pool_bytes=bp_pages * 16 * KB),
@@ -37,8 +50,14 @@ def make_db(rows=300, bp_pages=16):
         ["f_id"],
     )
 
+    for name, columns, _, _ in STAR if star else ():
+        engine.create_table(name, Schema(columns), [columns[0].name])
+
     def load(env):
         txn = engine.begin()
+        for name, _, count, values in STAR if star else ():
+            for i in range(count):
+                yield from engine.insert(txn, name, values(i) + ["p" * 2048])
         for i in range(rows):
             yield from engine.insert(
                 txn, "facts",
@@ -779,3 +798,125 @@ def test_a_resident_page_whose_copys_server_is_down_is_read_by_the_engine(crash)
         (_, _, _, failed), = [
             t for t in tasks if t[1].server_id == server_id]
         assert (page_id, entry.lsn) in failed
+
+
+# ----------------------------------------------------------------------
+# A hash join's build CPU, paid while a pushed scan's tasks run
+# ----------------------------------------------------------------------
+JOIN_SQL = (
+    "SELECT facts.f_id, dims.kind FROM facts "
+    "JOIN dims ON facts.dim = dims.d_id"
+)
+STAR_SQL = (
+    "SELECT facts.f_id, kinds.k_name FROM facts "
+    "JOIN dims ON facts.dim = dims.d_id JOIN kinds ON dims.kind = kinds.k_id"
+)
+BUILT = ("query.join.rows_built", "query.join.rows_built_overlapped")
+
+
+def recording_scans(runtime):
+    """Wrap ``runtime``'s pushed scans: each appends ``(binding, owed,
+    virtual seconds, engine CPU seconds)`` to the returned list."""
+    scans = []
+    cpu = runtime.engine.cpu
+    for name in ("run_scan", "run_hash_build"):
+        def recorded(scan, filters=(), owed=0, method=getattr(runtime, name)):
+            start, busy = runtime.env.now, cpu.busy_time
+            result = yield from method(scan, filters, owed)
+            scans.append((scan.binding, owed, runtime.env.now - start,
+                          cpu.busy_time - busy))
+            return result
+        setattr(runtime, name, recorded)
+    return scans
+
+
+def timed_query(dep, session, sql):
+    """Run ``sql``: its result, virtual seconds, engine CPU seconds and the
+    ``BUILT`` counts' deltas."""
+    registry, cpu = dep.obs.registry, dep.engine.cpu
+    counts = [registry.value(name) for name in BUILT]
+    start, busy = dep.env.now, cpu.busy_time
+    result = execute(dep, session, sql)
+    return (result, dep.env.now - start, cpu.busy_time - busy,
+            [registry.value(name) - n for name, n in zip(BUILT, counts)])
+
+
+def test_a_builds_cpu_is_paid_while_its_pushed_probe_scan_waits(monkeypatch):
+    """The join's build is owed until its probe; its pushed probe scan pays
+    it on the engine thread between dispatching its tasks and waiting for
+    them.  The query gets faster by the build charge or by the engine's
+    wait, whichever is less; the engine burns the same CPU."""
+    runs = {}
+    for settled in (False, True):
+        dep = make_db(star=True)
+        pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+        scans = recording_scans(pq.pushdown_runtime)
+        with monkeypatch.context() as patch:
+            if not settled:
+                # No scan takes a build: each is charged at its probe.
+                patch.setattr(executor, "_settle_builds", lambda owed: 0)
+            runs[settled] = timed_query(dep, pq, JOIN_SQL), scans
+    (want, before, cpu_before, counts_before), scans_before = runs[False]
+    (got, after, cpu_after, (built, overlapped)), scans_after = runs[True]
+    assert (got.columns, got.rows) == (want.columns, want.rows)
+    assert counts_before == [built, 0] and built == 7
+    assert [(b, owed) for b, owed, _, _ in scans_after] == [
+        ("dims", 0), ("facts", built)]
+    _, _, probe_s, probe_cpu_s = scans_before[-1]
+    wait = probe_s - probe_cpu_s
+    build = FORMULAS["join"](built, 0, None, 0.0)
+    assert wait > 0
+    assert before - after == pytest.approx(min(build, wait), abs=1e-12)
+    assert cpu_after == pytest.approx(cpu_before, abs=1e-12)
+    assert overlapped == built
+
+
+def test_an_upper_joins_build_rides_the_lower_joins_pushed_build_scan():
+    """Builds run top-down: the upper join's build is in hand before the
+    lower join scans its build side, whose pushed scan pays it; the lower
+    join's build rides its own probe scan."""
+    dep = make_db(star=True)
+    pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
+    local = dep.new_session(enable_pushdown=False)
+    scans = recording_scans(pq.pushdown_runtime)
+    got, _, _, (built, overlapped) = timed_query(dep, pq, STAR_SQL)
+    want = execute(dep, local, STAR_SQL)
+    assert sorted(got.rows) == sorted(want.rows) and got.rows
+    kinds, dims = 3, 7
+    assert [(b, owed) for b, owed, _, _ in scans] == [
+        ("kinds", 0), ("dims", kinds), ("facts", dims)]
+    assert built == overlapped == kinds + dims
+
+
+def test_a_probe_side_that_raises_leaves_nothing_owed():
+    """The lower join's build scan fails with the upper join's build owed:
+    what a statement owes dies with it, so the session's next query runs
+    as on a fresh session of a same-seed deployment that failed the same
+    way."""
+    runs = []
+    for fresh in (False, True):
+        dep = make_db(star=True)
+        # facts is pushed; dims and kinds scan on the engine thread.
+        pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=8)
+        dims = dep.engine.catalog.table("dims")
+        armed = {dims.page_id(no) for no in dims.page_nos}
+        fetch = dep.engine.fetch_page
+
+        def failing(page_id, *args, **kwargs):
+            if page_id in armed:
+                armed.clear()
+                raise StorageError("dims page unreadable")
+            return (yield from fetch(page_id, *args, **kwargs))
+
+        dep.engine.fetch_page = failing
+        with pytest.raises(StorageError):
+            execute(dep, pq, STAR_SQL)
+        assert not armed
+        session = (
+            dep.new_session(enable_pushdown=True, pushdown_row_threshold=8)
+            if fresh else pq
+        )
+        result, seconds, _, counts = timed_query(dep, session, STAR_SQL)
+        runs.append((result.rows, seconds, counts))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == [10, 10]

@@ -41,24 +41,24 @@ PINS = (
     # TPC-C under server crashes, a CM outage and a partial partition,
     # then engine crash/recovery and a durability audit.
     Pin("chaos-7", "chaos --seed 7 --short",
-        "0218728ff3d2557086030cff365526820945aff40dbbc3aee2609d493655e915", 14),
+        "760090ed27bee0a484940941434f41832b1225743be89b30e9a2ea28a44f9f00", 14),
     # The sharded soak: 2PC failpoint crashes, shard partitions, the global
     # deadlock detector and the in-doubt / scatter-atomicity audits.
     Pin("chaos-7-shards2", "chaos --seed 7 --shards 2 --short",
-        "0f5922a9c38a67e055d05df3bbf6b200b34590e84014ceeb266e6ee2ffda07c1", 11),
+        "de93747e4ebd77c1c16671c82df56d83adc16bcf6f60605fe64e16af8be14aab", 11),
     Pin("chaos-3", "chaos --seed 3 --short",
-        "c86dfbe607e1020ac5eefabd291cbec1bb150e653d2c6f70e287296818c21c2e", 19),
+        "c083da4b2da7550923ad9c9b8afc414a27105e544ba4d7be88d9fe4995b693bc", 19),
     # Proxied reads over the replica fleet with a replica kill: zero stale
     # reads, zero missing rows.
     Pin("serve-7", "serve --seed 7 --duration 0.4",
-        "78a790ecd67c00d63c486e218a6a4af8f93d9529f9ce8f128c4fbb4ca235145b", 12),
+        "705ca7f0d99b1b2121014b5f10fd429e1808bc713cb977f2b67541315eb937e5", 12),
     # The same through vector tokens, 2PC and scatter-gather.
     Pin("serve-7-shards2", "serve --seed 7 --shards 2 --duration 0.4",
-        "58498404ad7ad66246bf30c779d1d9fe9dd888b55ba1eb787346ad70cd149125", 2),
+        "202843bbc32b3f5b5d6b34c505ad9bf13a21169522871725bd27f8ab2fc5e229", 2),
     Pin("serve-7-tenants3", "serve --seed 7 --tenants 3 --duration 0.4",
-        "e5f8f981f8c76922be1a5d444bf7a16a3d79568855bdd0abc3767b6865a9ab70", 9),
+        "c252e5967173c53291156adce69c6fee74f8124831cb9ff8dcb4af5ab3c7ef64", 9),
     Pin("serve-7-no-chaos", "serve --seed 7 --no-chaos --duration 0.4",
-        "759a46dbd3193b9f1453b90e1e348a1aad050458ddd3d36f261101b230f96c07", 11),
+        "7adf41cb98e4f23d12e197a67ef30910912183e5db88ae6613848bee54705b9f", 11),
     # 10k parked sessions over 8 lanes with skewed tenants: zero stale
     # reads, full session coverage and the weighted-fair wait bound.
     Pin("serve-mux-7", "serve --mux --seed 7 --duration 0.4",
@@ -66,9 +66,9 @@ PINS = (
     # View-served answers byte-equal to primary rescans at the same LSN,
     # across feed overflow and a maintainer crash and rebuild.
     Pin("views-7", "views --seed 7",
-        "6f99dc5aa647cee01dc0a8b99e81943b7caf3eb8e2abcbd5d97d256dcd43c874", 3),
+        "ec43be4432e1888b3e6b99542434a1cfc58543af7f20dc13ad1bed2a0b899b1d", 3),
     Pin("views-7-no-crash", "views --seed 7 --no-crash",
-        "374919eb6fe11e00cfac1bd21ef2714c24cf93ae6824f77b52aed12ccca5edc9", 4),
+        "4c0d67c8f516b604bafefdc9cb60b3baf6078cd3dcd68be5286c92419b8a551c", 4),
     # The six CH queries the planner joins by index nested loop, on the
     # baseline, plan-change and PQ+EBP sessions.
     Pin("fig14-inlj", "fig14 --queries 2,3,10,12,16,18",

@@ -90,21 +90,16 @@ class AStoreCluster:
     # ------------------------------------------------------------------
     # Background maintenance (daemon processes)
     # ------------------------------------------------------------------
-    def start_maintenance(self, cleanup_period: float = 5.0, ebp=None,
-                          fleet=None) -> None:
+    def start_maintenance(self, cleanup_period: float = 5.0,
+                          ebp=None) -> None:
         """Start the failure detector's daemon loops (idempotent).
 
         ``ebp`` optionally wires an extended buffer pool into the detector
-        so server churn triggers automatic purge/reclaim; ``fleet`` wires
-        a serving-layer replica fleet so dead replicas are drained on the
-        heartbeat cadence.  The harness passes both; bare AStore tests
-        leave them None.
+        so server churn triggers automatic purge/reclaim.  The harness
+        passes it; bare AStore tests leave it None.
         """
         if self.detector is None:
             self.detector = FailureDetector(
                 self.env, self, ebp=ebp, cleanup_period=cleanup_period,
-                fleet=fleet,
             )
-        elif fleet is not None and self.detector.fleet is None:
-            self.detector.fleet = fleet
         self.detector.start()

@@ -33,16 +33,11 @@ class FailureDetector:
     practice :class:`repro.engine.ebp.ExtendedBufferPool`).
     """
 
-    def __init__(self, env, cluster, ebp=None, cleanup_period: float = 5.0,
-                 fleet=None):
+    def __init__(self, env, cluster, ebp=None, cleanup_period: float = 5.0):
         self.env = env
         self.cluster = cluster
         self.cm = cluster.cm
         self.ebp = ebp
-        #: Optional serving-layer replica fleet (duck-typed: anything with
-        #: ``health_sweep() -> int``); dead replicas are drained on the
-        #: same heartbeat cadence that detects AStore server failures.
-        self.fleet = fleet
         self.cleanup_period = cleanup_period
         self.sweeps = 0
         self.failures_detected = 0
@@ -50,7 +45,6 @@ class FailureDetector:
         self.pages_purged = 0
         self.pages_reclaimed = 0
         self.route_pushes = 0
-        self.replicas_drained = 0
         self._started = False
         registry = obs_of(env).registry
         for name, fn in (
@@ -62,8 +56,6 @@ class FailureDetector:
             ("astore.detector.pages_reclaimed",
              lambda: self.pages_reclaimed),
             ("astore.detector.route_pushes", lambda: self.route_pushes),
-            ("astore.detector.replicas_drained",
-             lambda: self.replicas_drained),
         ):
             try:
                 registry.gauge(name, fn)
@@ -99,10 +91,6 @@ class FailureDetector:
         """
         while True:
             yield self.env.timeout(self.cm.heartbeat_interval)
-            if self.fleet is not None:
-                # Replica liveness is compute-side state, observable even
-                # while the CM is down.
-                self.replicas_drained += self.fleet.health_sweep()
             if not self.cm.alive:
                 continue
             failed_before = set(self.cm.failed_servers)

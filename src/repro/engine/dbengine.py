@@ -199,7 +199,6 @@ class DBEngine:
         self.committed = 0
         self.aborted = 0
         self.prepared = 0
-        self.decisions_logged = 0
         self.statements = 0
         self._daemons_started = False
         self.crashed = False
@@ -982,7 +981,6 @@ class DBEngine:
         )
         done = self.log.append(marker, wait=True)
         yield done
-        self.decisions_logged += 1
         return marker.lsn
 
     def rollback(self, txn: Transaction):

@@ -1,13 +1,11 @@
-"""ReplicaFleet: N standby replicas with health sweeps and LSN gating.
+"""ReplicaFleet: N standby replicas with liveness routing and LSN gating.
 
 The fleet owns the :class:`repro.engine.standby.StandbyReplica` pool the
 proxy routes reads to.  Each replica is wrapped in a
-:class:`ReplicaHandle` carrying its admission state: a replica that
-crashes keeps its handle, but :meth:`health_sweep` (called by the AStore
-:class:`repro.astore.failure_detector.FailureDetector` each heartbeat
-round, or by the fleet's own sweep loop on stock deployments) *drains*
-it - no new reads are routed there until :meth:`restart` has replayed
-PageStore and the replica rejoins.
+:class:`ReplicaHandle`, which is routable exactly while the replica's
+applier is alive: a crash takes it out of routing in the same instant,
+and it rejoins in the instant :meth:`restart`'s PageStore replay
+returns.  No sweep watches for either edge.
 
 Read-your-writes gating goes through here too: :meth:`wait_for_lsn`
 times the chosen replica's applier wait (bounded, so the proxy can
@@ -29,24 +27,21 @@ __all__ = ["ReplicaHandle", "ReplicaFleet"]
 
 
 class ReplicaHandle:
-    """One fleet slot: the replica plus its routing/admission state."""
+    """One fleet slot: the replica plus its read count."""
 
     def __init__(self, index: int, replica: StandbyReplica):
         self.index = index
         self.replica_id = "replica-%d" % index
         self.replica = replica
-        #: False while drained (crashed and not yet recovered).
-        self.admitted = True
-        self.inflight = 0
         self.reads_served = 0
 
     @property
     def routable(self) -> bool:
-        return self.admitted and self.replica.applier.alive
+        return self.replica.applier.alive
 
     def __repr__(self) -> str:
-        return "<ReplicaHandle %s admitted=%s lag=%d>" % (
-            self.replica_id, self.admitted, self.replica.lag_lsn
+        return "<ReplicaHandle %s routable=%s lag=%d>" % (
+            self.replica_id, self.routable, self.replica.lag_lsn
         )
 
 
@@ -86,7 +81,6 @@ class ReplicaFleet:
         self._by_id: Dict[str, ReplicaHandle] = {
             handle.replica_id: handle for handle in self.handles
         }
-        self.drains = 0
         self.rejoins = 0
         self.failed_restarts = 0
         self._started = False
@@ -103,37 +97,13 @@ class ReplicaFleet:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, self_sweep_interval: Optional[float] = None) -> None:
-        """Subscribe every replica to the REDO feed.
-
-        Pass ``self_sweep_interval`` on deployments without a
-        FailureDetector; otherwise the detector calls
-        :meth:`health_sweep` on its own heartbeat cadence.
-        """
+    def start(self) -> None:
+        """Subscribe every replica to the REDO feed."""
         if self._started:
             return
         self._started = True
         for handle in self.handles:
             handle.replica.applier.start()
-        if self_sweep_interval is not None:
-            self.env.process(
-                self._sweep_loop(self_sweep_interval), name="fleet-health"
-            )
-
-    def _sweep_loop(self, interval: float):
-        while True:
-            yield self.env.timeout(interval)
-            self.health_sweep()
-
-    def health_sweep(self) -> int:
-        """Drain handles whose replica died; returns how many."""
-        drained = 0
-        for handle in self.handles:
-            if handle.admitted and not handle.replica.applier.alive:
-                handle.admitted = False
-                self.drains += 1
-                drained += 1
-        return drained
 
     # ------------------------------------------------------------------
     # Chaos entry points
@@ -148,7 +118,7 @@ class ReplicaFleet:
             )
 
     def crash(self, replica_id: str) -> None:
-        """Power-fail one replica (the next health sweep drains it)."""
+        """Power-fail one replica; it leaves routing at once."""
         self.handle_of(replica_id).replica.applier.crash()
 
     def restart(self, replica_id: str) -> None:
@@ -163,12 +133,11 @@ class ReplicaFleet:
             pages = yield from handle.replica.applier.recover()
         except StorageError:
             # PageStore could not serve the rebuild (e.g. total outage
-            # mid-recovery): stay drained rather than rejoin half-built.
+            # mid-recovery): stay dead rather than rejoin half-built.
             self.failed_restarts += 1
             return
         if pages is None:
             return  # Crashed again, or an earlier restart is rebuilding.
-        handle.admitted = True
         self.rejoins += 1
 
     # ------------------------------------------------------------------

@@ -266,7 +266,6 @@ class SessionMux:
         # replaced, only overwritten.
         session.token.lsns[:] = mux_session.lsns
         session.last_route = mux_session.last_route
-        session.tenant = mux_session.tenant
         lane.bound = mux_session
         mux_session.binds += 1
         self.binds += 1

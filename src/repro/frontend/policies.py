@@ -1,7 +1,7 @@
 """Lag-aware replica balancing policies for the serving proxy.
 
 Each policy picks one :class:`repro.frontend.fleet.ReplicaHandle` from
-the currently-admitted set, or ``None`` to send the read to the primary.
+the currently routable set, or ``None`` to send the read to the primary.
 Replication lag is observable per replica (``lag_lsn``, in REDO bytes
 behind the primary's durable tail), so policies can trade balance
 against staleness:
@@ -10,9 +10,9 @@ against staleness:
   serving benchmark beats);
 - ``least-lag`` - always the most caught-up replica, minimising
   wait-for-LSN stalls for sessions carrying fresh commit tokens;
-- ``p2c`` - bounded-staleness power-of-two-choices: filter replicas past
-  the staleness bound, then pick the less-lagged of two random choices -
-  near-least-lag quality without herding every read onto one node.
+- ``p2c`` - power-of-two-choices: the less-lagged of two random
+  choices - near-least-lag quality without herding every read onto one
+  node.
 
 Policies are deterministic given the fleet state (``p2c`` draws from a
 named seed stream), so routed workloads replay bit-identically.
@@ -20,7 +20,7 @@ named seed stream), so routed workloads replay bit-identically.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..sim.rand import Rng
 
@@ -49,7 +49,7 @@ class RoutingPolicy:
 
 
 class RoundRobinPolicy(RoutingPolicy):
-    """Rotate through admitted replicas regardless of lag."""
+    """Rotate through routable replicas regardless of lag."""
 
     name = "round-robin"
 
@@ -76,43 +76,26 @@ class LeastLagPolicy(RoutingPolicy):
 
 
 class PowerOfTwoChoicesPolicy(RoutingPolicy):
-    """Bounded-staleness power-of-two-choices.
-
-    Replicas lagging more than ``staleness_bound`` REDO bytes are
-    ineligible (the proxy then bounces to the primary if nobody
-    qualifies); among the eligible, the less-lagged of two seeded random
-    picks wins - the classic balanced-allocations compromise.
-    """
+    """Power-of-two-choices: the less-lagged of two seeded random picks
+    wins - the classic balanced-allocations compromise."""
 
     name = "p2c"
 
-    def __init__(self, rng: Rng, staleness_bound: Optional[int] = None):
-        if staleness_bound is not None and staleness_bound < 0:
-            raise ValueError("staleness_bound must be >= 0")
+    def __init__(self, rng: Rng):
         self.rng = rng
-        self.staleness_bound = staleness_bound
 
     def choose(self, handles: Sequence, session=None):
-        eligible: List = [
-            h for h in handles
-            if self.staleness_bound is None
-            or h.replica.lag_lsn <= self.staleness_bound
-        ]
-        if not eligible:
+        if not handles:
             return None
-        if len(eligible) == 1:
-            return eligible[0]
-        first, second = self.rng.sample(eligible, 2)
+        if len(handles) == 1:
+            return handles[0]
+        first, second = self.rng.sample(handles, 2)
         if second.replica.lag_lsn < first.replica.lag_lsn:
             return second
         return first
 
 
-def make_policy(
-    name: str,
-    rng: Optional[Rng] = None,
-    staleness_bound: Optional[int] = None,
-) -> RoutingPolicy:
+def make_policy(name: str, rng: Optional[Rng] = None) -> RoutingPolicy:
     """Build a policy by CLI/spec name."""
     if name == "round-robin":
         return RoundRobinPolicy()
@@ -121,7 +104,7 @@ def make_policy(
     if name == "p2c":
         if rng is None:
             raise ValueError("p2c policy needs a seeded Rng stream")
-        return PowerOfTwoChoicesPolicy(rng, staleness_bound)
+        return PowerOfTwoChoicesPolicy(rng)
     raise ValueError(
         "unknown routing policy %r (choose from %s)"
         % (name, ", ".join(POLICY_NAMES))

@@ -67,12 +67,9 @@ BOUNCE_REASONS = ("no_replica", "lag_timeout", "rerouted")
 class ProxySession:
     """One client's session: its consistency token and route history."""
 
-    def __init__(self, proxy: "SqlProxy", name: str,
-                 tenant: str = "default"):
+    def __init__(self, proxy: "SqlProxy", name: str):
         self.proxy = proxy
         self.name = name
-        #: Admission/QoS class this session's statements bill against.
-        self.tenant = tenant
         #: Mux lanes pin their replica choice: the handle picked for the
         #: lane's first read is reused until it stops being routable,
         #: replacing a fleet.choose policy call per statement with one
@@ -420,8 +417,7 @@ class SqlProxy:
     # ------------------------------------------------------------------
     # Sessions
     # ------------------------------------------------------------------
-    def session(self, name: Optional[str] = None,
-                tenant: str = "default") -> ProxySession:
+    def session(self, name: Optional[str] = None) -> ProxySession:
         if name is None:
             # Default names must not collide with earlier explicit names
             # (an explicit "session-1" used to shadow the next default).
@@ -430,7 +426,7 @@ class SqlProxy:
             while name in self._session_names:
                 index += 1
                 name = "session-%d" % index
-        session = ProxySession(self, name, tenant)
+        session = ProxySession(self, name)
         self._session_names.add(name)
         self.sessions.append(session)
         return session
@@ -597,7 +593,6 @@ class SqlProxy:
                     return (yield from self._primary_read(
                         session, primary_fn, "lag_timeout", shard, args))
             epoch = applier.epoch
-            handle.inflight += 1
             failed = False
             result = None
             try:
@@ -606,8 +601,6 @@ class SqlProxy:
                 # A crash mid-read can yank catalog/index state out from
                 # under the executor; treat it like any other dead read.
                 failed = True
-            finally:
-                handle.inflight -= 1
             if failed or applier.epoch != epoch or not applier.alive:
                 # The replica died under us: the result (even a
                 # non-exceptional one) may predate the crash or come from

@@ -35,10 +35,9 @@ from ..harness.scenario import (
     totals,
     tpcc_driver,
     tpcc_section,
-    tpcc_terminals,
 )
 from ..sim.core import AllOf
-from ..workloads.tpcc import TpccDatabase
+from ..workloads.tpcc import TpccDatabase, tpcc_terminals
 
 __all__ = ["run_serving", "run_serving_mux", "MUX_TENANTS"]
 
@@ -239,7 +238,7 @@ def run_serving(
             name="serve-tpcc-%d" % index,
         ))
     for index, stats in enumerate(mixed_stats):
-        session = proxy.session("mixed-%d" % index, tenant=tenant_of(index))
+        session = proxy.session("mixed-%d" % index)
         session.note_commit_map(preload_lsns)
         procs.append(env.process(
             _mixed_driver(env, session, proxy.write_engine,
@@ -248,7 +247,7 @@ def run_serving(
             name="serve-mixed-%d" % index,
         ))
     for index, stats in enumerate(read_stats):
-        session = proxy.session("read-%d" % index, tenant=tenant_of(index))
+        session = proxy.session("read-%d" % index)
         session.note_commit_map(preload_lsns)
         procs.append(env.process(
             _read_driver(env, session,
@@ -298,13 +297,11 @@ def run_serving(
             "missing_rows": missing_rows,
         },
         "fleet": {
-            "drains": fleet.drains,
             "rejoins": fleet.rejoins,
             "failed_restarts": fleet.failed_restarts,
             "replicas": {
                 handle.replica_id: {
                     "alive": handle.replica.applier.alive,
-                    "admitted": handle.admitted,
                     "applied_lsn": handle.replica.applied_lsn,
                     "lag_lsn": handle.replica.lag_lsn,
                     "reads_served": handle.reads_served,
@@ -322,11 +319,7 @@ def run_serving(
             "deadline": admission.shed_deadline,
             "wait_p95_ms": latency_ms(dep, "frontend.admission_wait", 95),
         },
-        "counters": dict(
-            storage_counters(dep),
-            detector_replicas_drained=(
-                dep.detector.replicas_drained if dep.detector else 0),
-        ),
+        "counters": storage_counters(dep),
         "violations": violations,
         "ok": stale_reads == 0 and missing_rows == 0,
     }

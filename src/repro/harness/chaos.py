@@ -48,8 +48,8 @@ class ChaosEvent:
       data server (quorum replication absorbs one loss);
     - ``replica_crash`` / ``replica_restart`` - power-fail / recover the
       serving-layer standby named by ``target`` (e.g. ``replica-0``);
-      the failure detector drains it and the proxy reroutes its reads,
-      and a restart rebuilds from PageStore in the background;
+      it leaves routing at once and the proxy reroutes its reads, and a
+      restart rebuilds from PageStore in the background;
     - ``network_spike`` - for ``duration`` seconds, multiply the RPC
       network's scheduling-stall probability by ``factor``;
     - ``shard_crash`` / ``shard_recover`` - power-fail the shard primary

@@ -850,7 +850,6 @@ class Deployment:
             reg.gauge(prefix + "frontend.fleet", lambda: {
                 "size": len(fleet.handles),
                 "routable": len(fleet.routable_handles()),
-                "drains": fleet.drains,
                 "rejoins": fleet.rejoins,
                 "failed_restarts": fleet.failed_restarts,
                 "lsn_waits": fleet.lsn_waits,
@@ -864,7 +863,6 @@ class Deployment:
                     prefix + "frontend.replicas.%s" % handle.replica_id,
                     lambda h=handle: {
                         "alive": h.replica.applier.alive,
-                        "admitted": h.admitted,
                         "applied_lsn": h.replica.applied_lsn,
                         "lag_lsn": h.replica.lag_lsn,
                         "records_applied": h.replica.records_applied,
@@ -905,20 +903,13 @@ class Deployment:
                 init = self.env.process(stack.ring.initialize(first_lsn=0))
                 self.env.run_until_event(init)
             stack.engine.start()
-            stack.pagestore.start_apply_daemon()
             if stack.astore is not None:
                 stack.astore.start_maintenance(
                     cleanup_period=self.config.astore_cleanup_period,
                     ebp=stack.ebp,
-                    fleet=stack.fleet,
                 )
             if stack.fleet is not None:
-                # Without a failure detector (stock deployments) the fleet
-                # sweeps its own health on the heartbeat cadence.
-                stack.fleet.start(
-                    self_sweep_interval=None if stack.astore is not None
-                    else self.config.astore_heartbeat_interval
-                )
+                stack.fleet.start()
         if self.views is not None:
             self.views.start()
         if self.astore is not None:

@@ -25,10 +25,10 @@ from ..workloads.microbench import (
 )
 from ..workloads.orders import OrdersClient, OrdersConfig, OrdersDatabase
 from ..workloads.sysbench import SysbenchClient, SysbenchConfig, SysbenchDatabase
-from ..workloads.tpcc import TpccConfig, run_tpcc
+from ..workloads.tpcc import TpccConfig, run_tpcc, tpcc_terminals
 from ..workloads.tpcch import CH_QUERIES, TpcchConfig, TpcchDatabase, ch_query_sql
 from .deployment import Deployment, DeploymentSpec
-from .scenario import run, run_all, tpcc_terminals
+from .scenario import run, run_all
 
 __all__ = [
     "table2_log_micro",

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from ..common import KB, MS, OverloadError
 from ..sim.core import AllOf
-from ..workloads.tpcc import TpccClient, TpccConfig
+from ..workloads.tpcc import TpccConfig
 from .chaos import ChaosInjector, ChaosSchedule
 from .deployment import DeploymentSpec
 from .stats import collect_stats
@@ -25,7 +25,7 @@ __all__ = [
     "SCENARIO_TPCC", "audit_tpcc_ledgers", "bump_version", "check_version",
     "latency_ms", "reads_section", "replica_chaos", "run", "run_all",
     "scenario_spec", "storage_counters", "totals", "tpcc_driver",
-    "tpcc_section", "tpcc_terminals",
+    "tpcc_section",
 ]
 
 #: The scenarios' TPC-C scale (sharded runs widen it per shard).
@@ -65,24 +65,6 @@ def run_all(dep, generators) -> None:
 def totals(stats_list, keys) -> Dict[str, int]:
     """A report section: each of ``keys`` summed over drivers' stats."""
     return {key: sum(stats[key] for stats in stats_list) for key in keys}
-
-
-def tpcc_terminals(dep, database, count: int, stream: str) -> List[TpccClient]:
-    """``count`` terminals seeded from ``stream % index``; on a sharded
-    deployment terminal ``i`` is homed on warehouse ``i % warehouses + 1``
-    through a session on that warehouse's shard."""
-    terminals = []
-    for index in range(count):
-        rng = dep.seeds.stream(stream % index)
-        if dep.config.shards == 1:
-            terminals.append(TpccClient(database, rng))
-            continue
-        w_id = index % database.config.warehouses + 1
-        home = dep.shardmap.read_shard_of("warehouse", (w_id,))
-        terminals.append(TpccClient(
-            database, rng, home_warehouse=w_id, engine=dep.shard_session(home)
-        ))
-    return terminals
 
 
 def tpcc_driver(env, session, client, duration, stats):

@@ -24,7 +24,11 @@ from typing import Dict, List
 
 from ..common import KB, QueryError, StorageError, TransactionAborted
 from ..sim.core import AllOf, AnyOf
-from ..workloads.tpcc import TpccDatabase, register_tpcc_sharding
+from ..workloads.tpcc import (
+    TpccDatabase,
+    register_tpcc_sharding,
+    tpcc_terminals,
+)
 from .chaos import ChaosInjector, ChaosMonkey
 from .deployment import DeploymentSpec
 from .scenario import (
@@ -34,7 +38,6 @@ from .scenario import (
     run_all,
     scenario_spec,
     storage_counters,
-    tpcc_terminals,
 )
 
 __all__ = ["run_chaos_soak", "run_sharded_soak"]

@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..common import PageId, StorageError
 from ..cost import charge
 from ..engine.dbengine import DBEngine
-from ..engine.ebp import EBP_PAGE_TAG, ExtendedBufferPool
+from ..engine.ebp import ExtendedBufferPool, describe_ebp_payload
 from ..engine.page import Page
 from ..engine.table import Table
 from ..obs import obs_of
@@ -359,12 +359,7 @@ class PushdownRuntime:
             segment = server.segments.get(entry.segment_id)
             stored = segment.entries.get(entry.offset) if segment else None
             payload = stored.payload if stored else None
-            if (
-                payload is None
-                or not (isinstance(payload, tuple) and payload[0] == EBP_PAGE_TAG)
-                or payload[1] != page_id
-                or payload[2] != entry.lsn
-            ):
+            if describe_ebp_payload(payload) != (page_id, entry.lsn):
                 return None
             # Local PMem read: no fabric hop, just media time.
             yield from server.pmem.read(entry.length)
@@ -383,9 +378,9 @@ class PushdownRuntime:
     def _run_on_pagestore(self, fragment: PushdownFragment, task: _Task):
         """Generator: PQ process on a PageStore server, reading local SSD.
 
-        Shipping, catch-up and the image lookup stay serial in page order
-        (so no two catch-ups of one segment overlap); only the SSD reads
-        and the scan CPU run as morsels."""
+        Shipping and the image lookup stay serial in page order; only the
+        SSD reads and the scan CPU run as morsels.  A replica's images are
+        its chain, so a task applies nothing itself."""
         server: PageStoreServer = next(
             s for s in self.pagestore.servers if s.server_id == task.server_id
         )
@@ -399,7 +394,6 @@ class PushdownRuntime:
             try:
                 # The first page ahead of shipped_lsn ships the whole queue.
                 yield from self.engine.ship_through(min_lsn, "read")
-                yield from server.catch_up(segment_no)
                 page = server.replica(segment_no).pages.get(page_id)
             except StorageError:
                 page = None

@@ -59,9 +59,6 @@ class StorageDevice:
         self._channels = Resource(env, capacity=channels)
         self.reads = 0
         self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.queue_wait_total = 0.0
         self.obs = obs_of(env)
         # Pre-computed metric/span names keep the per-I/O cost to dict ops.
         self._qw_key = "sim.device.%s.queue_wait_s" % name
@@ -108,7 +105,6 @@ class StorageDevice:
                 yield grant
                 wait = self.env.now - start
                 if wait > 0:
-                    self.queue_wait_total += wait
                     self.obs.registry.add(self._qw_key, wait)
             yield self.env.timeout(service)
         finally:
@@ -116,7 +112,6 @@ class StorageDevice:
             if span is not None:
                 span.finish()
         self.reads += 1
-        self.bytes_read += nbytes
         return self.env.now - start
 
     def write(self, nbytes: int):
@@ -137,7 +132,6 @@ class StorageDevice:
                 yield grant
                 wait = self.env.now - start
                 if wait > 0:
-                    self.queue_wait_total += wait
                     self.obs.registry.add(self._qw_key, wait)
             yield self.env.timeout(service)
         finally:
@@ -145,7 +139,6 @@ class StorageDevice:
             if span is not None:
                 span.finish()
         self.writes += 1
-        self.bytes_written += nbytes
         return self.env.now - start
 
 

@@ -6,8 +6,11 @@ ack at 2).  REDO records shipped to a segment carry a *back-link* - the LSN
 of the preceding record of the same segment - letting a replica detect
 missing records and *gossip* with its peers to fetch them.
 
-Records are applied to pages asynchronously by an apply daemon; a page read
-at a required LSN forces catch-up for that segment first and never serves
+A replica applies a record to its page image in the host step that chains
+it, and its server charges ``APPLY_COST_PER_RECORD`` once for the records
+it chained: a ship's before its ack, a gossip round's on the lagging
+server.  So a page image is always its chain, nothing waits to be applied,
+and no timer replays anything.  A page read at a required LSN never serves
 an image behind it.  Reading a page costs ~1 ms end to end (RPC + lookup +
 materialisation), the number the EBP is designed to beat.
 """
@@ -18,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Dict, List, Optional
 
-from ..common import MS, US, PageId, StorageError
+from ..common import US, PageId, StorageError
 from ..cost import APPLY_COST_PER_RECORD, PAGE_MATERIALIZE_COST
 from ..engine.page import Page, apply_op
 from ..engine.wal import RedoRecord, encode_records_size
@@ -47,15 +50,15 @@ def _upper_bound(history: List[RedoRecord], lsn: int) -> int:
 
 
 class SegmentReplica:
-    """One replica of a PageStore segment: pages + the record chain."""
+    """One replica of a PageStore segment: pages + the record chain.
 
-    def __init__(self, segment_no: int):
-        self.segment_no = segment_no
+    Every chained record is applied to its page as it is chained.
+    """
+
+    def __init__(self):
         self.pages: Dict[PageId, Page] = {}
         #: LSN of the last record appended to this replica's chain.
         self.chain_lsn = -1
-        #: Records received, in chain order, not yet applied to pages.
-        self.to_apply: List[RedoRecord] = []
         #: Out-of-order records parked until the gap before them fills.
         self.parked: Dict[int, RedoRecord] = {}  # back_link -> record
         #: The chained records a peer may still ask gossip for, in chain
@@ -63,31 +66,30 @@ class SegmentReplica:
         #: the segment's replicas (:meth:`truncate_history`).  In production
         #: this is the segment's on-disk log, GC'd the same way.
         self.history: List[RedoRecord] = []
-        self.applied_lsn = -1
 
-    def accept(self, record: RedoRecord) -> bool:
-        """Chain-append a record; park it if its back-link shows a gap.
-
-        Returns True if the record extended the chain (possibly unparking
-        successors), False if parked.
-        """
+    def accept(self, record: RedoRecord) -> int:
+        """Chain-append and apply a record; park it if its back-link shows
+        a gap.  Returns how many records it chained: 0 for a duplicate or
+        a parked record, more when it unparks successors."""
         if record.lsn <= self.chain_lsn:
             # Duplicate delivery (gossip + direct ship): a segment's chain
             # is in LSN order, so it already holds this record.
-            return True
+            return 0
         if record.back_link != self.chain_lsn:
             self.parked[record.back_link] = record
-            return False
+            return 0
         self._extend(record)
+        chained = 1
         # Unpark any successors now connectable.
         while self.chain_lsn in self.parked:
             self._extend(self.parked.pop(self.chain_lsn))
-        return True
+            chained += 1
+        return chained
 
-    def accept_batch(self, records: List[RedoRecord]) -> None:
+    def accept_batch(self, records: List[RedoRecord]) -> int:
         """:meth:`accept` each record in order; a batch that continues the
         chain unbroken - what a healthy ship delivers - is taken in one
-        step."""
+        step.  Returns how many records it chained."""
         chain = self.chain_lsn
         if not self.parked:
             for record in records:
@@ -96,16 +98,22 @@ class SegmentReplica:
                 chain = record.lsn
             else:
                 self.history.extend(records)
-                self.to_apply.extend(records)
+                for record in records:
+                    self._apply(record)
                 self.chain_lsn = chain
-                return
-        for record in records:
-            self.accept(record)
+                return len(records)
+        return sum(self.accept(record) for record in records)
 
     def _extend(self, record: RedoRecord) -> None:
         self.history.append(record)
-        self.to_apply.append(record)
+        self._apply(record)
         self.chain_lsn = record.lsn
+
+    def _apply(self, record: RedoRecord) -> None:
+        page = self.pages.get(record.page_id)
+        if page is None:
+            page = self.pages[record.page_id] = Page(record.page_id)
+        apply_op(page, record.op, record.lsn)
 
     def truncate_history(self, floor: int) -> None:
         """Forget chained records at or below ``floor``: no replica of the
@@ -130,20 +138,6 @@ class SegmentReplica:
             ))
         return records
 
-    def apply_all(self) -> int:
-        """Apply every chained record to its page; returns count applied."""
-        count = 0
-        for record in self.to_apply:
-            page = self.pages.get(record.page_id)
-            if page is None:
-                page = Page(record.page_id)
-                self.pages[record.page_id] = page
-            apply_op(page, record.op, record.lsn)
-            self.applied_lsn = record.lsn
-            count += 1
-        self.to_apply.clear()
-        return count
-
 
 class PageStoreServer:
     """A PageStore data server hosting many segment replicas."""
@@ -167,7 +161,7 @@ class PageStoreServer:
     def replica(self, segment_no: int) -> SegmentReplica:
         replica = self.replicas.get(segment_no)
         if replica is None:
-            replica = SegmentReplica(segment_no)
+            replica = SegmentReplica()
             self.replicas[segment_no] = replica
         return replica
 
@@ -175,27 +169,21 @@ class PageStoreServer:
     # Ingest
     # ------------------------------------------------------------------
     def receive_records(self, segment_no: int, records: List[RedoRecord]):
-        """Generator: durably accept a shipped record batch (then async
-        apply).  Ack means durable, not applied - no checkpointing needed."""
+        """Generator: durably accept a shipped record batch, chain and
+        apply it, and pay the apply before the ack - no checkpointing
+        needed, nothing left to replay."""
         self._check_alive()
         nbytes = encode_records_size(records)
         yield from self.cpu.consume(5 * US + 0.2 * US * len(records))
         yield from self.device.write(nbytes)
-        self.replica(segment_no).accept_batch(records)
+        yield from self.apply_charge(
+            self.replica(segment_no).accept_batch(records))
         self.records_received += len(records)
 
-    # ------------------------------------------------------------------
-    # Apply / catch-up
-    # ------------------------------------------------------------------
-    def catch_up(self, segment_no: int):
-        """Generator: apply every chained record of a segment now."""
-        self._check_alive()
-        replica = self.replica(segment_no)
-        pending = len(replica.to_apply)
-        if pending:
-            yield from self.cpu.consume(APPLY_COST_PER_RECORD * pending)
-            replica.apply_all()
-        return pending
+    def apply_charge(self, chained: int):
+        """Generator: the CPU of applying ``chained`` records."""
+        if chained:
+            yield from self.cpu.consume(APPLY_COST_PER_RECORD * chained)
 
     def serve_gossip(self, segment_no: int, after_lsn: int,
                      up_to: int) -> List[RedoRecord]:
@@ -213,13 +201,10 @@ class PageStoreServer:
     # Page reads
     # ------------------------------------------------------------------
     def read_page(self, segment_no: int, page_id: PageId, min_lsn: int):
-        """Generator: materialise and return a page image (clone).
-
-        Catches the segment up first so the image reflects everything
-        chained.  Raises if the page is unknown or still behind ``min_lsn``.
-        """
+        """Generator: materialise and return a page image (clone) of
+        everything chained.  Raises if the page is unknown or behind
+        ``min_lsn``."""
         self._check_alive()
-        yield from self.catch_up(segment_no)
         yield from self.cpu.consume(
             self.rng.lognormal_around(PAGE_MATERIALIZE_COST, 0.20)
         )
@@ -433,36 +418,14 @@ class PageStoreService:
                 if not records:
                     continue
                 replica = lagging.replica(segment_no)
-                state = (replica.chain_lsn, len(replica.history),
-                         len(replica.parked))
-                for record in records:
-                    replica.accept(record)
-                if (replica.chain_lsn, len(replica.history),
-                        len(replica.parked)) != state:
+                parked = len(replica.parked)
+                chained = sum(replica.accept(record) for record in records)
+                if chained or len(replica.parked) != parked:
                     progressed = True
                 self.gossip_rounds += 1
+                yield from lagging.apply_charge(chained)
             if not progressed:
                 return
-
-    # ------------------------------------------------------------------
-    # Background apply daemon
-    # ------------------------------------------------------------------
-    def start_apply_daemon(self, interval: float = 1 * MS) -> None:
-        """Continuously replay shipped records on every server."""
-
-        def loop():
-            while True:
-                yield self.env.timeout(interval)
-                for server in self.servers:
-                    if not server.alive:
-                        continue
-                    # Snapshot: catch_up yields, and new segment replicas
-                    # may register (or the server die) meanwhile.
-                    for segment_no, replica in list(server.replicas.items()):
-                        if replica.to_apply and server.alive:
-                            yield from server.catch_up(segment_no)
-
-        self.env.process(loop(), name="pagestore-apply")
 
     # ------------------------------------------------------------------
     # Introspection for push-down planning
@@ -472,10 +435,8 @@ class PageStoreService:
         return self.replicas_of(self.segment_of(page_id))[0]
 
     def pages_of_space(self, space_no: int) -> List[Page]:
-        """All pages of a tablespace (primary replicas, fully applied).
-
-        Recovery-path metadata query; applies pending records inline.
-        """
+        """All pages of a tablespace on each segment's first live replica
+        (a recovery-path metadata query)."""
         pages: Dict[PageId, Page] = {}
         for segment_no in range(self.num_segments):
             server = next(
@@ -483,9 +444,7 @@ class PageStoreService:
             )
             if server is None:
                 continue
-            replica = server.replica(segment_no)
-            replica.apply_all()
-            for page_id, page in replica.pages.items():
+            for page_id, page in server.replica(segment_no).pages.items():
                 if page_id.space_no == space_no:
                     pages[page_id] = page
         return list(pages.values())

@@ -34,10 +34,9 @@ from ..harness.scenario import (
     totals,
     tpcc_driver,
     tpcc_section,
-    tpcc_terminals,
 )
 from ..sim.core import AllOf
-from ..workloads.tpcc import TpccConfig, TpccDatabase
+from ..workloads.tpcc import TpccConfig, TpccDatabase, tpcc_terminals
 
 __all__ = ["run_views", "VIEWS"]
 

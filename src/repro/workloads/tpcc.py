@@ -14,7 +14,7 @@ paper's Figures 6-7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..common import QueryError, TransactionAborted
 from ..engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
@@ -29,6 +29,7 @@ __all__ = [
     "run_tpcc",
     "run_tpcc_sharded",
     "register_tpcc_sharding",
+    "tpcc_terminals",
 ]
 
 
@@ -700,12 +701,30 @@ def run_tpcc(
     database = TpccDatabase(engine, config, seeds.stream("%s-load" % seed_tag))
     load = deployment.env.process(database.load())
     deployment.run_until(load)
-    terminals = [
-        TpccClient(database, seeds.stream("%s-client-%d" % (seed_tag, index)))
-        for index in range(clients)
-    ]
+    terminals = tpcc_terminals(
+        deployment, database, clients, seed_tag + "-client-%d")
     throughput, aggregate = _drive_terminals(deployment, terminals, duration, warmup)
     return throughput, aggregate, terminals
+
+
+def tpcc_terminals(dep, database, count: int, stream: str) -> List[TpccClient]:
+    """``count`` terminals seeded from ``stream % index``.  Over a
+    database loaded through the coordinator (every sharded deployment,
+    and :func:`run_tpcc_sharded` on one shard) terminal ``i`` is homed on
+    warehouse ``i % warehouses + 1`` through a session on that
+    warehouse's shard; over the primary's engine it roams."""
+    terminals = []
+    for index in range(count):
+        rng = dep.seeds.stream(stream % index)
+        if database.engine is dep.engine:
+            terminals.append(TpccClient(database, rng))
+            continue
+        w_id = index % database.config.warehouses + 1
+        home = dep.shardmap.read_shard_of("warehouse", (w_id,))
+        terminals.append(TpccClient(
+            database, rng, home_warehouse=w_id, engine=dep.shard_session(home)
+        ))
+    return terminals
 
 
 def _drive_terminals(deployment, terminals, duration: float, warmup: float):
@@ -797,17 +816,7 @@ def run_tpcc_sharded(
     deployment.run_until(load)
     if after_load is not None:
         after_load.update(deployment.coordinator.counters())
-    terminals = []
-    for index in range(clients):
-        w_id = (index % config.warehouses) + 1
-        home = deployment.shardmap.read_shard_of("warehouse", (w_id,))
-        terminals.append(
-            TpccClient(
-                database,
-                seeds.stream("%s-client-%d" % (seed_tag, index)),
-                home_warehouse=w_id,
-                engine=deployment.shard_session(home=home),
-            )
-        )
+    terminals = tpcc_terminals(
+        deployment, database, clients, seed_tag + "-client-%d")
     throughput, aggregate = _drive_terminals(deployment, terminals, duration, warmup)
     return throughput, aggregate, terminals

@@ -92,10 +92,10 @@ def test_replica_crash_mid_stream_no_stale_reads():
     recovery = {}
 
     def watch_victim():
-        while victim.admitted:
+        while victim.routable:
             yield env.timeout(1 * MS)
         recovery["reads_at_drain"] = victim.reads_served
-        while not victim.admitted:
+        while not victim.routable:
             yield env.timeout(1 * MS)
         recovery["reads_at_rejoin"] = victim.reads_served
 
@@ -121,7 +121,6 @@ def test_replica_crash_mid_stream_no_stale_reads():
 
     assert violations == []
     assert counters["reads"] > 50
-    assert dep.fleet.drains == 1
     assert dep.fleet.rejoins == 1
     assert victim.replica.applier.crashes == 1
     assert victim.replica.applier.recoveries == 1
@@ -152,23 +151,41 @@ def test_crash_during_lsn_wait_reroutes():
     proc = env.process(waiter(), name="waiter")
     env.run(until=0.01)
     dep.fleet.crash("replica-0")
-    dep.fleet.health_sweep()
     env.run_until_event(proc)
     assert proc.value is False
-    assert env.now < 0.3  # gave up on drain, not on the deadline
+    assert env.now < 0.3  # gave up on the crash, not on the deadline
     assert dep.fleet.lsn_wait_timeouts == 1
 
 
-def test_detector_drains_dead_replica():
+def test_a_replica_is_routable_exactly_while_its_applier_is_alive():
+    """No sweep stands between a replica's liveness and its routing: a
+    crash takes it out of the routable set in the crash's own instant,
+    and it is back in the instant its ``recover()`` returns."""
     dep = build()
+    env = dep.env
+    session = dep.frontend_session("writer")
+    load(dep, session, 50)
     dep.run_for(0.05)
-    dep.fleet.handles[0].replica.applier.crash()
-    # No manual sweep: the AStore failure detector's heartbeat loop
-    # notices on its next round.
-    dep.run_for(0.1)
-    assert not dep.fleet.handles[0].admitted
-    assert dep.detector.replicas_drained == 1
-    assert dep.fleet.drains == 1
+    handle, other = dep.fleet.handles
+    applier = handle.replica.applier
+    dep.fleet.crash("replica-0")
+    assert not handle.routable
+    assert dep.fleet.routable_handles() == [other]
+    assert all(dep.fleet.choose() is other for _ in range(4))
+
+    def recover():
+        pages = yield from applier.recover()
+        return pages, handle.routable
+
+    proc = env.process(recover(), name="recover")
+    seen = []
+    while not proc.triggered:  # one kernel step at a time
+        seen.append(handle.routable)
+        env.step()
+    pages, routable = proc.value
+    assert len(seen) > 1 and not any(seen)
+    assert pages > 0 and routable
+    assert dep.fleet.routable_handles() == [handle, other]
 
 
 def test_failed_restart_stays_drained():
@@ -179,7 +196,6 @@ def test_failed_restart_stays_drained():
     load(dep, session, 10)
     dep.run_for(0.05)
     dep.fleet.crash("replica-0")
-    dep.fleet.health_sweep()
 
     # Recovery scans PageStore through the primary's one read path; make
     # that path fail (a total outage) so the rebuild cannot finish.
@@ -192,7 +208,7 @@ def test_failed_restart_stays_drained():
     dep.run_for(0.2)
     assert dep.fleet.failed_restarts == 1
     assert dep.fleet.rejoins == 0
-    assert not dep.fleet.handles[0].admitted
+    assert not dep.fleet.handles[0].routable
 
 
 def test_duplicate_restart_rebuilds_and_rejoins_once():
@@ -201,13 +217,12 @@ def test_duplicate_restart_rebuilds_and_rejoins_once():
     load(dep, session, 400)
     dep.run_for(0.05)
     dep.fleet.crash("replica-0")
-    dep.fleet.health_sweep()
 
     dep.fleet.restart("replica-0")
     dep.fleet.restart("replica-0")  # an impatient operator
     dep.run_for(0.1)
     applier = dep.fleet.handles[0].replica.applier
-    assert applier.alive and dep.fleet.handles[0].admitted
+    assert applier.alive and dep.fleet.handles[0].routable
     assert applier.scans["crash"] == 1 and applier.recoveries == 1
     assert dep.fleet.rejoins == 1 and dep.fleet.failed_restarts == 0
     assert dep.fleet.handles[0].replica.catalog.table("kv").row_count == 400

@@ -117,7 +117,7 @@ def test_dml_routes_to_primary_and_advances_token():
 def test_no_replica_bounces_to_primary():
     dep = build()
     for handle in dep.fleet.handles:
-        handle.admitted = False
+        handle.replica.applier.crash()
     session = dep.frontend_session("client")
     insert_rows(dep, session, 3)
     row = run(dep, session.read_row("kv", (1,)))

@@ -287,9 +287,12 @@ def test_chaos_soak_smoke_holds_invariants():
     # Shipping on demand moved it (the 1 ms PageStore shipper:
     # 549634c39eb891da73dd04fb2b418399b6f4fb73edad459fe4976462d310e485),
     # and so did paying reads' CPU at the next wait (a charge per read:
-    # 61bafe7d3c07be96d59a8941835ee567602fa67f94fb60a845fe31c1ccb11214).
+    # 61bafe7d3c07be96d59a8941835ee567602fa67f94fb60a845fe31c1ccb11214),
+    # and so did applying PageStore REDO as it is chained (with the 1 ms
+    # apply daemon:
+    # fe9887f84fb19c9b06af64387c96f179dacaaf1767a4b7ea3ed07a924b53278b).
     assert report_digest(report) == (
-        "fe9887f84fb19c9b06af64387c96f179dacaaf1767a4b7ea3ed07a924b53278b"
+        "35272313d47db97fa658cc99205f80e357c1372e9a3156bb885951557adbe36c"
     )
 
 
@@ -301,7 +304,10 @@ def test_sharded_soak_report_is_pinned():
     # Shipping on demand moved it (the 1 ms PageStore shipper:
     # 9fceb4d55d4a42bf4fbc18b3add5e001a4b7a394e785917dc95b1b32c9367b32),
     # and so did paying reads' CPU at the next wait (a charge per read:
-    # 0e63a515306de85b8ca207abee84d17195fb11d20a2984c3c8625c010244d427).
+    # 0e63a515306de85b8ca207abee84d17195fb11d20a2984c3c8625c010244d427),
+    # and so did applying PageStore REDO as it is chained (with the 1 ms
+    # apply daemon:
+    # defc0325874160541790148cdccf1284aac46becb63408ec2dcf4c43e94a2e54).
     assert report_digest(report) == (
-        "defc0325874160541790148cdccf1284aac46becb63408ec2dcf4c43e94a2e54"
+        "bb37d42e09dac9acb51a10ef8b7bc225ba0c68f08bcfe1877efabbea0f456d3e"
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import KB, MB, StorageError
+from repro.common import KB, MB, US, StorageError
 from repro.cost import APPLY_COST_PER_RECORD, FORMULAS, PAGE_CPU, ROW_CPU
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
@@ -627,12 +627,32 @@ def test_concurrent_fragments_queue_their_morsels_on_one_servers_cores():
     assert pool.count == 0
 
 
-def test_morsels_add_no_catch_up_of_a_pagestore_segment():
-    """A pushed PageStore task catches each of its segments up serially,
-    in page order, before its morsels read: every record its server
-    applies is charged ``APPLY_COST_PER_RECORD`` exactly once."""
+def test_a_pagestore_task_adds_only_its_own_charges():
+    """Each replica pays ``APPLY_COST_PER_RECORD`` once for every record
+    it chains, in the ship that delivered it; a pushed PageStore task that
+    then reads those segments, as per-core morsels, adds only its page
+    and row CPU - no apply of its own."""
     dep = make_db(rows=600)
     engine = dep.engine
+    servers = dep.pagestore.servers
+    legs = {server.server_id: 0 for server in servers}
+    chained = {server.server_id: 0 for server in servers}
+
+    def counting(server):
+        receive = server.receive_records
+
+        def receive_records(segment_no, records):
+            replica = server.replica(segment_no)
+            history = len(replica.history)
+            yield from receive(segment_no, records)
+            legs[server.server_id] += 1
+            chained[server.server_id] += len(replica.history) - history
+
+        server.receive_records = receive_records
+
+    for server in servers:
+        counting(server)
+    busy = {server.server_id: server.cpu.busy_time for server in servers}
 
     def update_and_ship(env):
         txn = engine.begin()
@@ -642,45 +662,40 @@ def test_morsels_add_no_catch_up_of_a_pagestore_segment():
         yield from engine.ship_through(engine.log.persistent_lsn, "read")
 
     run(dep, update_and_ship(dep.env))
+    dep.run_for(0.01)  # the ship's stragglers land
+    ships = dep.pagestore.ships
+    for server in servers:
+        sid = server.server_id
+        # A healthy ship chains every record it delivers: per leg the
+        # receive charge, per record its share of it and one apply.
+        assert chained[sid] > 0
+        assert server.cpu.busy_time - busy[sid] == pytest.approx(
+            5 * US * legs[sid]
+            + (0.2 * US + APPLY_COST_PER_RECORD) * chained[sid],
+            rel=1e-9,
+        )
     pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=1)
     runtime = pq.pushdown_runtime
     runtime.ebp = None  # no EBP copy to read: every task goes to PageStore
     scan = scan_of(pq, MORSEL_SQL)
     tasks = recording_tasks(runtime, "pagestore")
-    servers = dep.pagestore.servers
-    pending = {
-        server.server_id: {
-            segment_no: len(replica.to_apply)
-            for segment_no, replica in server.replicas.items()
-        }
-        for server in servers
-    }
     busy = {server.server_id: server.cpu.busy_time for server in servers}
     morsels = dep.obs.registry.value("query.pushdown.morsels")
     run(dep, runtime.run_scan(scan))
+    assert dep.pagestore.ships == ships
     morsels = dep.obs.registry.value("query.pushdown.morsels") - morsels
     assert morsels >= 2 * len(tasks)
     segment_of = dep.pagestore.segment_of
     for _fragment, task, _seconds, failed in tasks:
         server = next(s for s in servers if s.server_id == task.server_id)
         segments = {segment_of(page_id) for page_id, _ in task.pages}
-        # The background apply daemon catches other segments up meanwhile:
-        # count every record the server applied.
-        before = pending[server.server_id]
-        applied = sum(
-            before.get(segment_no, 0) - len(replica.to_apply)
-            for segment_no, replica in server.replicas.items()
-        )
         rows = sum(
             server.replicas[segment_of(page_id)].pages[page_id].row_count
             for page_id, _ in task.pages
         )
-        assert len(segments) >= 2 and applied > 0 and not failed
+        assert len(segments) >= 2 and not failed
         assert server.cpu.busy_time - busy[server.server_id] == pytest.approx(
-            APPLY_COST_PER_RECORD * applied
-            + PAGE_CPU * len(task.pages)
-            + ROW_CPU * rows,
-            rel=1e-12,
+            PAGE_CPU * len(task.pages) + ROW_CPU * rows, rel=1e-12,
         )
 
 

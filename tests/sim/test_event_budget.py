@@ -8,7 +8,8 @@
 - **Event budget.**  What they *cost* the kernel is the ``env._seq``
   delta while they run - pinned at the new, lower values, the parent's
   in a comment.  An event may disappear only if nothing but this count
-  can see it.
+  can see it.  An idle deployment's budget is bounded too: with no
+  client, only control-plane and device-model timers run.
 
 The fault cases pin the same two things for the fan-out primitive under
 failure: the virtual instant the error surfaces is the parent's, and
@@ -36,8 +37,9 @@ def idle_deployment():
     dep = Deployment(DeploymentSpec.astore_pq(seed=1))
     dep.start()
     # Ring pre-creation (8 segments x create + header fan-out) is the
-    # first thing the diet shows up in: 266 events at the parent.
-    assert (dep.env.now, dep.env._seq) == (0.00385162162283774, 170)
+    # first thing the diet shows up in: 266 events at the parent (170
+    # with the PageStore apply daemon's first timer).
+    assert (dep.env.now, dep.env._seq) == (0.00385162162283774, 169)
     return dep
 
 
@@ -125,14 +127,18 @@ def test_ebp_write_then_hit():
 def test_one_segment_ship_and_pagestore_read():
     dep = idle_deployment()
     page_id = PageId(7, 0)
-    # Per replica: network, CPU, SSD, ack (12 clock moves) and the
-    # quorum's completion.
+    # Per replica: network, CPU, SSD, apply, ack (15 clock moves) and
+    # the quorum's completion.  The ack follows the apply charge, 2 us a
+    # record: 6 us later than the parent's 0.004052215635440783 (13
+    # events; 24 at the parent of the diet).
     assert measure(dep, dep.pagestore.ship_records(redo_batch(page_id))) == (
-        13,  # 24 at the parent
-        0.004052215635440783,
+        16,
+        0.004058215635440783,
     )
+    # The read no longer pays the catch-up the ack already paid: it ends
+    # where it did, one event lighter (5; 7 at the parent of the diet).
     assert measure(dep, dep.pagestore.read_page(page_id, 12)) == (
-        5,  # 7 at the parent: two uncontended grants went
+        4,
         0.004524665832470028,
     )
     dep.run_for(0.002)
@@ -163,6 +169,29 @@ def test_persistent_write_is_post_chain_of_its_three_verbs():
     assert one_frame.bytes_moved == chained.bytes_moved == 4096 + 16
     # Same three draws: the streams are in step afterwards.
     assert one_frame.rng.random() == chained.rng.random()
+
+
+@pytest.mark.parametrize("preset, budget", [
+    # 31: the EBP LSN push every 50 ms (20), AStore client lease and
+    # route maintenance (10) and one failure-detector sweep.
+    ("astore_ebp", 40),
+    # 108: the three LogStore SSDs' latency-spike model (two timers per
+    # ~50 ms cycle each).
+    ("stock", 120),
+])
+def test_an_idle_deployment_schedules_only_control_plane_events(
+        preset, budget):
+    """One virtual second after one of warm-up, a client-less
+    deployment schedules at most ``budget`` events: PageStore applies
+    REDO as a ship chains it and replicas leave routing as their applier
+    dies, so nothing polls the data path (1 032 and 1 109 events with the
+    1 ms apply daemon)."""
+    dep = Deployment(getattr(DeploymentSpec, preset)(seed=1))
+    dep.start()
+    dep.run_for(1.0)
+    before = dep.env._seq
+    dep.run_for(1.0)
+    assert dep.env._seq - before <= budget
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +279,8 @@ def test_quorum_acks_on_the_second_success_and_survives_the_third_failing():
         yield from pagestore.ship_records(redo_batch(page_id))
         return env.now
 
-    assert run(dep, ship()) == 0.00406460923839352
+    # The acks follow their apply charge: 6 us after 0.00406460923839352.
+    assert run(dep, ship()) == 0.0040706092383935195
     dep.run_for(0.002)  # the third leg fails behind the quorum: harmless
     assert [server.records_received for server in servers] == [3, 3, 0]
     assert pagestore.ships == 1

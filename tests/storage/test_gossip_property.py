@@ -72,7 +72,6 @@ def test_replicas_converge_after_arbitrary_outages(outages, seed):
         yield env.timeout(2 * MS)
         for server in replicas:
             yield from service._gossip_fill(server, 0)
-            yield from server.catch_up(0)
         return lsn
 
     proc = env.process(driver(env))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common import MS, PageId, StorageError
+from repro.common import MS, US, PageId, StorageError
+from repro.cost import APPLY_COST_PER_RECORD
 from repro.engine.page import PageOp
 from repro.engine.wal import RedoRecord
 from repro.sim.core import Environment
@@ -69,10 +70,7 @@ def test_replicas_converge():
     def do(env):
         yield from service.ship_records([record(10, page_id, row=b"x")])
         yield env.timeout(10 * MS)  # let slow replicas finish
-        segment = service.segment_of(page_id)
-        for server in service.replicas_of(segment):
-            yield from server.catch_up(segment)
-        return segment
+        return service.segment_of(page_id)
 
     segment = run_until(env, do(env))
     pages = [
@@ -173,11 +171,13 @@ def test_duplicate_delivery_is_idempotent():
     def do(env):
         yield from server.receive_records(segment, [rec])
         yield from server.receive_records(segment, [rec])  # gossip replay
-        yield from server.catch_up(segment)
 
     run_until(env, do(env))
     page = server.replica(segment).pages[page_id]
     assert page.row_count == 1
+    # The replay is received, not chained: one apply is charged.
+    assert server.cpu.busy_time == pytest.approx(
+        2 * (5 * US + 0.2 * US) + APPLY_COST_PER_RECORD, rel=1e-12)
 
 
 def test_read_page_latency_around_one_millisecond():
@@ -205,19 +205,104 @@ def test_unknown_page_raises():
         run_until(env, do(env))
 
 
-def test_apply_daemon_replays_in_background():
+def test_a_ship_is_applied_and_charged_by_its_ack():
+    """A replica applies a shipped batch in the host step that chains it
+    and charges the apply once before it acks: by the quorum a quorum of
+    images are at the batch's LSN, every replica's once the stragglers
+    land, and nothing is left scheduled - no replay timer."""
     env, service = make_service()
-    service.start_apply_daemon(interval=1 * MS)
     page_id = PageId(1, 5)
     segment = service.segment_of(page_id)
+    batch = [record(10, page_id, row=b"a"),
+             record(20, page_id, kind="update", slot=0, row=b"b"),
+             record(30, page_id, kind="update", slot=0, row=b"c")]
+
+    def at_lsn():
+        return sum(
+            1 for server in service.replicas_of(segment)
+            if segment in server.replicas
+            and page_id in server.replicas[segment].pages
+            and server.replicas[segment].pages[page_id].page_lsn == 30
+        )
 
     def do(env):
-        yield from service.ship_records([record(10, page_id, row=b"bg")])
-        yield env.timeout(20 * MS)
-        return service.replicas_of(segment)[0].replica(segment).applied_lsn
+        yield from service.ship_records(batch)
+        return at_lsn()
 
-    applied = run_until(env, do(env))
-    assert applied == 10
+    assert run_until(env, do(env)) >= service.quorum
+    env.run()
+    assert env.peek() == float("inf")
+    assert at_lsn() == 3
+    for server in service.replicas_of(segment):
+        assert server.replica(segment).pages[page_id].get(0) == b"c"
+        assert server.cpu.busy_time == pytest.approx(
+            5 * US + 0.2 * US * 3 + 3 * APPLY_COST_PER_RECORD, rel=1e-12)
+
+
+def test_overlapping_reads_of_one_segment_charge_no_apply():
+    """Two reads of one segment in flight at once pay their own
+    materialisation and nothing else: the apply was paid with the ship."""
+    env, service = make_service()
+    page_id = PageId(1, 5)
+    segment = service.segment_of(page_id)
+    server = service.replicas_of(segment)[0]
+
+    def do(env):
+        yield from service.ship_records(
+            [record(10 + 10 * slot, page_id, slot=slot) for slot in range(5)])
+        yield env.timeout(5 * MS)
+        charged = []
+        cpu = server.cpu
+
+        class Recording:
+            def consume(self, seconds):
+                charged.append(seconds)
+                return cpu.consume(seconds)
+
+        server.cpu = Recording()
+        reads = [env.process(service.read_page(page_id, min_lsn=50))
+                 for _ in range(2)]
+        for read in reads:
+            page = yield read
+            assert page.row_count == 5
+        return charged
+
+    charged = run_until(env, do(env))
+    assert len(charged) == 2
+    assert APPLY_COST_PER_RECORD not in charged
+
+
+def test_a_gossip_fill_charges_the_lagging_server_per_record_it_chains():
+    """Records a replica chains through gossip are applied and charged
+    once, on that replica's server; a parked record is charged when the
+    fill unparks it, not when it arrived."""
+    env, service = make_service(num_segments=1)
+    page_id = PageId(1, 1)
+    lagging = service.replicas_of(0)[0]
+
+    def do(env):
+        yield from service.ship_records([record(10, page_id, slot=0)])
+        yield env.timeout(5 * MS)
+        lagging.alive = False
+        for slot in range(1, 4):
+            yield from service.ship_records(
+                [record(10 + 10 * slot, page_id, slot=slot)])
+        yield env.timeout(5 * MS)
+        lagging.alive = True
+        yield from service.ship_records([record(50, page_id, slot=4)])
+        yield env.timeout(5 * MS)
+        parked = dict(lagging.replica(0).parked)
+        busy = lagging.cpu.busy_time
+        yield from service._gossip_fill(lagging, 0)
+        return parked, lagging.cpu.busy_time - busy
+
+    parked, charged = run_until(env, do(env))
+    assert list(parked) == [40]  # LSN 50 waits behind the gap
+    replica = lagging.replica(0)
+    assert replica.chain_lsn == 50 and not replica.parked
+    assert replica.pages[page_id].row_count == 5
+    # Three gossiped records plus the unparked one.
+    assert charged == pytest.approx(4 * APPLY_COST_PER_RECORD, rel=1e-12)
 
 
 def test_segment_mapping_is_stable_and_in_range():
@@ -292,7 +377,7 @@ def test_gossip_history_stays_bounded_on_a_healthy_deployment():
                 lsn += 10
                 batch.append(record(lsn, pages[slot % len(pages)], slot=lsn))
             yield from service.ship_records(batch)
-            yield env.timeout(1 * MS)  # stragglers land, the daemon applies
+            yield env.timeout(1 * MS)  # stragglers land
             longest = max(
                 longest,
                 max(len(replica.history) for server in service.servers
@@ -300,7 +385,6 @@ def test_gossip_history_stays_bounded_on_a_healthy_deployment():
             )
         return lsn
 
-    service.start_apply_daemon()
     assert run_until(env, do(env)) == 100000
     assert sum(s.records_received for s in service.servers) == 3 * 10000
     assert 0 < longest <= 5 * 20
@@ -357,7 +441,7 @@ def test_serve_gossip_answers_from_the_requested_range_only():
     # A parked record is served too, in LSN order behind the chain.
     stray = record(130, page_id, slot=13)
     stray.back_link = 120
-    assert server.replica(0).accept(stray) is False
+    assert server.replica(0).accept(stray) == 0
     assert [r.lsn for r in server.serve_gossip(0, 80, 500)] == [90, 100, 130]
 
 

@@ -69,7 +69,7 @@ def tpcc_sweep_results():
 
 @pytest.fixture(scope="session")
 def fig14_results():
-    """Fig 14's three-configuration CH run, shared across assertions."""
+    """Fig 14's five-configuration CH run, shared across assertions."""
     from repro.harness.experiments import fig14_pushdown_speedup
 
     return fig14_pushdown_speedup(runs=1)

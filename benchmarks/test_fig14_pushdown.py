@@ -12,6 +12,8 @@ from conftest import print_table
 from repro.sim.metrics import geomean
 
 PAPER_WINNERS = (1, 6, 11, 13, 15, 20, 22)
+#: The legs' factors of each row's PQ+EBP speedup.
+FACTORS = ("ebp_speedup", "plan_speedup", "pushdown_speedup")
 
 
 def test_fig14_pushdown(benchmark, fig14_results):
@@ -21,22 +23,38 @@ def test_fig14_pushdown(benchmark, fig14_results):
     print_table(
         "Figure 14 - push-down speedup per CH query "
         "(paper: winners 4-24x, geo-mean ~2.8x)",
-        ["query", "PQ+EBP speedup", "plan-change-only", "paper winner?"],
+        ["query", "PQ+EBP speedup", "plan-change-only", "EBP", "plan",
+         "push-down proper", "paper winner?"],
         [
             (
                 "Q%d" % r.query_no,
                 "%.2fx" % r.pq_speedup,
                 "%.2fx" % r.plan_change_speedup,
+                "%.2fx" % r.ebp_speedup,
+                "%.2fx" % r.plan_speedup,
+                "%.2fx" % r.pushdown_speedup,
                 "yes" if r.query_no in PAPER_WINNERS else "",
             )
             for r in rows
         ]
-        + [("geo-mean", "%.2fx" % mean, "", "")],
+        + [("geo-mean", "%.2fx" % mean, "")
+           + tuple("%.2fx" % geomean([getattr(r, name) for r in rows])
+                   for name in FACTORS)
+           + ("",)]
+        + [("paper", "~2.8x", "", "", "", "~2x", "")],
     )
     by = {r.query_no: r for r in rows}
     benchmark.extra_info["geomean_speedup"] = round(mean, 2)
     winner_speedups = [by[q].pq_speedup for q in PAPER_WINNERS if q in by]
     benchmark.extra_info["winners_geomean"] = round(geomean(winner_speedups), 2)
+    for name in FACTORS:
+        benchmark.extra_info[name + "_geomean"] = round(
+            geomean([getattr(r, name) for r in rows]), 2
+        )
+    # The factors are the speedup, split by leg: their product is it.
+    for r in rows:
+        product = r.ebp_speedup * r.plan_speedup * r.pushdown_speedup
+        assert abs(product - r.pq_speedup) <= 1e-9 * r.pq_speedup
     # Shape 1: overall geo-mean gain is solid (paper: ~2.8x).
     assert mean > 1.8
     # Shape 2: the paper's winner set shows multi-x gains as a group.

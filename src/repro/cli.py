@@ -62,6 +62,7 @@ import time
 from typing import List, Optional, Sequence
 
 from .harness import experiments as exp
+from .sim.metrics import geomean
 
 __all__ = ["main"]
 
@@ -191,16 +192,22 @@ def cmd_fig14(args) -> None:
     rows, mean = exp.fig14_pushdown_speedup(
         query_nos=tuple(_ints(args.queries)), runs=args.runs
     )
+    factors = ("ebp_speedup", "plan_speedup", "pushdown_speedup")
     _table(
-        "Figure 14 - push-down speedups",
-        ["query", "PQ+EBP", "plan-change only"],
+        "Figure 14 - push-down speedups (PQ+EBP = EBP x plan x push-down)",
+        ["query", "PQ+EBP", "plan-change only", "EBP", "plan",
+         "push-down"],
         [
             ("Q%d" % r.query_no, "%.2fx" % r.pq_speedup,
              "%.2fx" % r.plan_change_speedup)
+            + tuple("%.2fx" % getattr(r, name) for name in factors)
             for r in rows
         ],
     )
     print("geometric mean: %.2fx (paper: ~2.8x over all 22)" % mean)
+    print("factor geo-means: EBP %.2fx, plan %.2fx, push-down proper %.2fx "
+          "(paper: ~2x push-down proper)" % tuple(
+              geomean([getattr(r, name) for r in rows]) for name in factors))
 
 
 def _verdict(report, failure: str) -> int:

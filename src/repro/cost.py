@@ -95,7 +95,8 @@ FORMULAS = {
     "probe": lambda n, pages, limit, extra: ROW_CPU * 2,
     # A hash join: ``n`` is its probe rows plus its build rows - or, when
     # a pushed scan paid the build while it waited, one charge of the build
-    # rows then one of the probe rows.
+    # rows then one of the probe rows; a push-down morsel that probes
+    # shipped build tables pays the rows it probed on its own core.
     "join": lambda n, pages, limit, extra: ROW_CPU * n,
     # A sort of ``n`` rows (at least one), a top-N under a LIMIT.
     "sort": lambda n, pages, limit, extra:

@@ -367,7 +367,7 @@ class ExtendedBufferPool:
             return None
         if entry.lsn < required_lsn:
             self.stale_hits += 1
-            self._drop_entry(page_id, entry)
+            self.drop_entry(page_id, entry)
             return None
         segment = self._segments[entry.segment_id]
         segment.pins += 1
@@ -377,13 +377,13 @@ class ExtendedBufferPool:
             )
         except StorageError:
             yield from self._index_cs()
-            self._drop_entry(page_id, entry)
+            self.drop_entry(page_id, entry)
             self.misses += 1
             return None
         finally:
             segment.unpin()
         if describe_ebp_payload(payload) != (page_id, entry.lsn):
-            self._drop_entry(page_id, entry)
+            self.drop_entry(page_id, entry)
             self.misses += 1
             return None
         yield from self._index_cs()
@@ -431,7 +431,10 @@ class ExtendedBufferPool:
             segment.live_bytes -= entry.length
             segment.garbage_bytes += entry.length
 
-    def _drop_entry(self, page_id: PageId, entry: EbpEntry) -> None:
+    def drop_entry(self, page_id: PageId, entry: EbpEntry) -> None:
+        """Forget ``entry``, ``page_id``'s copy, unless the index has moved
+        on from it: the copy is garbage, and no later lookup or pushed scan
+        reads it."""
         if self.index.get(page_id) is entry:
             del self.index[page_id]
             self._mark_garbage(entry)
@@ -500,7 +503,7 @@ class ExtendedBufferPool:
             total = victim.live_bytes + victim.garbage_bytes
             if (reclaimable / total if total else 0.0) >= self.compaction_threshold:
                 for page_id, entry in duplicates:
-                    self._drop_entry(page_id, entry)
+                    self.drop_entry(page_id, entry)
                     self.dropped_resident += 1
                 yield from self._copy_forward(victim)
                 self.compactions += 1

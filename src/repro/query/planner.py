@@ -26,7 +26,12 @@ Planning steps (paper Section VI-A):
    the scan of its probe side that produces every probe key as a bare
    column, reached through hash joins only.  The executor builds first
    and hands that scan the build's key set; a pushed target carries it in
-   its fragment, priced by :func:`key_set_wire_bytes`.
+   its fragment, priced by :func:`key_set_wire_bytes`.  A pushed scan at
+   the bottom of a left-deep chain of hash joins may carry their built
+   tables too and probe them storage-side (grouping the joined rows for an
+   Aggregate right above the chain): the runtime decides, join by join
+   from the bottom up, with :func:`shipped_probes`, once it knows how many
+   tasks would carry each table.
 6. Aggregate before the join (eager aggregation, Yan & Larson): under an
    Aggregate on a hash join, the child scan whose rows join many to one
    with the other side groups by its join keys (``SeqScan.partial_agg``,
@@ -47,7 +52,7 @@ the decision follows what the fragment actually returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..common import PAGE_SIZE, QueryError
 from ..engine.codec import NULL_BITMAP_BYTES, WIDTHS
@@ -75,7 +80,8 @@ from .plan import (
 )
 
 __all__ = ["Planner", "PlannerConfig", "covers_primary_key",
-           "key_set_wire_bytes", "match_view_select", "wire_bytes"]
+           "joined_wire_bytes", "key_set_wire_bytes", "match_view_select",
+           "shipped_probes", "wire_bytes"]
 
 #: Framing of one fragment result on the wire.
 RESULT_HEADER_BYTES = 64
@@ -125,6 +131,28 @@ def wire_bytes(table: Table, positions: Iterable[int], rows: int = 1,
     price a result here."""
     widths = column_widths(table)
     row = NULL_BITMAP_BYTES + sum(map(widths.__getitem__, positions))
+    return _shipped_bytes(row, rows, aggregates, distinct_values)
+
+
+def joined_wire_bytes(tables: Mapping[str, Table], keys: Iterable[str],
+                      rows: int = 1, aggregates: int = 0,
+                      distinct_values: int = 0) -> int:
+    """:func:`wire_bytes` of rows that carry columns of several tables - a
+    pushed scan's rows joined storage-side, or their groups' samples:
+    each qualified ``binding.column`` key is priced as that column of
+    ``tables[binding]``."""
+    widths = {binding: column_widths(table) for binding, table in tables.items()}
+    row = NULL_BITMAP_BYTES
+    for key in keys:
+        binding, _, column = key.rpartition(".")
+        row += widths[binding][tables[binding].schema.position(column)]
+    return _shipped_bytes(row, rows, aggregates, distinct_values)
+
+
+def _shipped_bytes(row: float, rows: int, aggregates: int,
+                   distinct_values: int) -> int:
+    """A result of ``rows`` rows of ``row`` bytes, each with
+    ``aggregates`` states, and ``distinct_values`` DISTINCT values."""
     row += AGG_STATE_BYTES * aggregates
     return (RESULT_HEADER_BYTES + round(row * rows)
             + DISTINCT_VALUE_BYTES * distinct_values)
@@ -158,6 +186,27 @@ def key_set_wire_bytes(table: Table, exprs: Iterable[Expr], keys: int) -> int:
         for expr in exprs for key in expr.columns()
     ]
     return wire_bytes(table, positions, keys)
+
+
+def shipped_probes(scan: SeqScan, tables: Iterable[int], tasks: int) -> int:
+    """The push-down price of a probe: how many of the hash joins a pushed
+    ``scan`` feeds, bottom up, ship their built tables with its fragment.
+    ``tables`` are what each table costs on the wire (its build rows'
+    :func:`fragment_wire_bytes`), bottom up, and each of the scan's
+    ``tasks`` carries every table it takes.  A join qualifies while the
+    tables taken so far cost less than the result the planner priced the
+    scan at (``scan.wire[0]``), the rows the engine would otherwise pull
+    to probe; the first that does not stops the chain."""
+    if scan.wire is None:
+        return 0
+    shipped = 0
+    count = 0
+    for wire in tables:
+        shipped += wire * tasks
+        if shipped >= scan.wire[0]:
+            break
+        count += 1
+    return count
 
 
 #: Cost-based push-down: the fewest pages a scan must span to amortize a

@@ -6,12 +6,13 @@ Under an Aggregate on a hash join, the planner gives the join's *many side*
 each carrying its aggregate state in a ``PARTIAL_STATES`` column, and the
 Aggregate folds the states (``from_partials``).  The rewrite changes how
 many rows the join builds and probes, never what a query returns: the same
-plan with the rewrite cleared, the row oracle and a push-down session all
-agree with it.
+plan with the rewrite cleared, the row oracle and a push-down session -
+its joins probed on the engine or storage-side - all agree with it.
 """
 
 import copy
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from repro.common import KB, MB
 from repro.engine.codec import FLOAT, INT, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
+from repro.query import pushdown
 from repro.query.cache import parse_entry
 from repro.query.plan import (
     PARTIAL_STATES,
@@ -228,6 +230,16 @@ def test_property_the_rewrite_returns_what_the_join_of_rows_does(
     got = execute(dep, pushed, sql)
     assert got.columns == want.columns
     assert_rows_close(got.rows, want.rows, sql)
+    # The pushed scan under the joins probes their tables storage-side:
+    # every one of them (and groups for the Aggregate), or the lowest only.
+    for ship in (lambda tables: len(tables), lambda tables: min(1, len(tables))):
+        with mock.patch.object(
+            pushdown, "shipped_probes",
+            lambda scan, tables, tasks, ship=ship: ship(list(tables)),
+        ):
+            got = execute(dep, pushed, sql)
+        assert got.columns == want.columns
+        assert_rows_close(got.rows, want.rows, sql)
 
 
 # ---------------------------------------------------------------------------

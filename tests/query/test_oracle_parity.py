@@ -18,6 +18,7 @@ from repro.cost import ROW_CPU, SERVE_CPU
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
 from repro.harness.deployment import Deployment, DeploymentSpec
+from repro.query import pushdown
 from repro.query.ast import BinOp, ColumnRef, Literal, Select
 from repro.query.cache import parse_entry
 from repro.query.plan import (
@@ -33,8 +34,9 @@ from repro.shard import merge
 from repro.sim.resources import CpuPool
 from repro.workloads.tpcch import CH_QUERIES, TpcchDatabase, ch_query_sql
 
-from .row_oracle import RowOracle, assert_parity, execute
-from .test_columnar import CH_CONFIG
+from .row_oracle import RowOracle, assert_parity, assert_rows_close, execute
+from .test_columnar import CH_CONFIG, ch_dep  # noqa: F401 - a fixture
+from .test_pushdown import STAR_SQL, make_db
 
 
 def run(dep, generator):
@@ -754,3 +756,112 @@ def test_legs_that_plan_their_joins_differently_still_merge(db):
     for order in ((True, False), (False, True)):
         assert merge(statement, legs(*order)).rows == [
             (tag, n * 2, z * 2) for tag, n, z in one.rows]
+
+
+# ---------------------------------------------------------------------------
+# Pushed probes: the scan under a chain of hash joins probes their tables
+# ---------------------------------------------------------------------------
+
+PROBE_SQL = {
+    # Single joins: NULL keys on both sides, a residual over both.
+    "join": "SELECT a.id, a.name, b.tag FROM a JOIN b ON a.x = b.y",
+    "residual": "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y AND a.id < b.id",
+    # A chain, and an Aggregate right over it.
+    "chain": "SELECT a.id, b.tag, c.z FROM a JOIN b ON a.x = b.y "
+             "JOIN c ON c.b_id = b.id",
+    "aggregate": "SELECT b.tag, count(*) AS n, sum(c.z) AS total FROM a "
+                 "JOIN b ON a.x = b.y JOIN c ON c.b_id = b.id GROUP BY b.tag",
+    "global": "SELECT count(*) AS n, min(d.v) AS lo FROM a "
+              "JOIN d ON d.w = a.id",
+}
+
+
+def shipping(monkeypatch, lowest_only):
+    """Price every table in (or only the lowest join's): the push-down
+    price decides what a scan carries, not what it returns.  Returns the
+    list of how many tables each pushed scan took."""
+    taken = []
+
+    def price(scan, tables, tasks):
+        tables = list(tables)
+        taken.append(min(1, len(tables)) if lowest_only else len(tables))
+        return taken[-1]
+
+    monkeypatch.setattr(pushdown, "shipped_probes", price)
+    return taken
+
+
+@pytest.mark.parametrize("lowest_only", [False, True], ids=["all", "lowest"])
+@pytest.mark.parametrize("case", sorted(PROBE_SQL))
+def test_pushed_probes_answer_as_the_oracle(db, monkeypatch, case,
+                                            lowest_only):
+    """Every scan pushed and the bottom one carrying every join's table
+    (the Aggregate's grouping too), or only the lowest join's: the rows
+    are the oracle's, in its order, and the groups equal its groups."""
+    sql = PROBE_SQL[case]
+    want = execute(db, RowOracle(db.engine, True), sql)
+    taken = shipping(monkeypatch, lowest_only)
+    session = db.new_session(enable_pushdown=True, force_hash_joins=True,
+                             pushdown_row_threshold=1)
+    got = execute(db, session, sql)
+    assert max(taken) >= 1
+    if case in ("aggregate", "global"):
+        assert got.columns == want.columns
+        assert_rows_close(got.rows, want.rows, case)
+    else:
+        assert (got.columns, got.rows) == (want.columns, want.rows)
+
+
+@pytest.mark.parametrize("query_no", [5, 7, 9, 11, 14, 16, 17, 19])
+def test_ch_pushed_probes_keep_oracle_parity(ch_dep, query_no):  # noqa: F811
+    """The CH joins whose tables the price ships: storage probes them, and
+    every push-down configuration answers as the oracle does."""
+    registry = ch_dep.obs.registry
+    ch_dep.new_session()  # counters registered
+    before = registry.value("query.join.rows_probed_storage")
+    assert_parity(ch_dep, ch_query_sql(query_no), query_no)
+    assert registry.value("query.join.rows_probed_storage") > before
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["rows", "groups"])
+def test_a_server_crash_mid_task_probes_its_pages_on_the_engine(grouped):
+    """facts' AStore server crashes while the pushed scan's morsels read:
+    the pages they did not read take the fallback, where the engine thread
+    probes them through the same stage; the answer is still the oracle's."""
+    dep = make_db(rows=600, star=True)
+    sql = STAR_SQL
+    if grouped:
+        sql = ("SELECT kinds.k_name, count(*) AS n, sum(facts.amount) AS t "
+               "FROM facts JOIN dims ON facts.dim = dims.d_id "
+               "JOIN kinds ON dims.kind = kinds.k_id GROUP BY kinds.k_name")
+    want = execute(dep, RowOracle(dep.engine, True), sql)
+    pq = dep.new_session(enable_pushdown=True, force_hash_joins=True,
+                         pushdown_row_threshold=1)
+    runtime = pq.pushdown_runtime
+    table = dep.engine.catalog.table("facts")
+    entry = next(filter(None, map(runtime.ebp.index.get,
+                                  map(table.page_id, table.page_nos))))
+    server = dep.astore.servers[runtime._astore_server_of(entry.segment_id)]
+    reads = []
+    pmem_read = server.pmem.read
+
+    def crashing_read(length):
+        yield from pmem_read(length)
+        reads.append(length)
+        if len(reads) == 12:
+            server.crash()
+
+    server.pmem.read = crashing_read
+    registry = dep.obs.registry
+    names = ("query.pushdown.fallback_pages", "query.join.rows_probed",
+             "query.join.rows_probed_storage")
+    before = [registry.value(name) for name in names]
+    got = execute(dep, pq, sql)
+    fallback, probed, on_storage = (
+        registry.value(name) - then for name, then in zip(names, before))
+    assert fallback > 0 and 0 < on_storage < probed
+    assert got.columns == want.columns
+    if grouped:
+        assert_rows_close(got.rows, want.rows, sql)
+    else:
+        assert sorted(got.rows) == sorted(want.rows)

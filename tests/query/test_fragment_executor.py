@@ -7,9 +7,9 @@ from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.page import Page, PageOp, apply_op
 from repro.query.ast import AggCall, BinOp, ColumnRef, Expr, Literal
 from repro.query.executor import (
-    PushdownFragment, RuntimeFilter, finalize_groups, fold_groups,
+    PushdownFragment, RuntimeFilter, ScanPipeline, finalize_groups,
+    fold_groups,
 )
-from repro.query.pushdown import execute_fragment_on_pages
 
 
 SCHEMA = Schema(
@@ -31,6 +31,15 @@ def make_pages(rows, per_page=4):
             )
         pages.append(page)
     return pages
+
+
+def execute_fragment_on_pages(frag, pages, registry=None):
+    """The fragment's pipeline over page images, as a storage task runs
+    it: ``(ScanPipeline.finish()'s result, rows scanned)``."""
+    pipeline = ScanPipeline(frag, registry)
+    for page in pages:
+        pipeline.feed(page)
+    return pipeline.finish(), pipeline.decoded.n
 
 
 def fragment(filter_expr=None, partial_agg=None, projection=SCHEMA.names):
